@@ -86,7 +86,7 @@ class AbelianGroup:
         if len(primes) != 1:
             return None
         (p, _), = primes.items()
-        exps = tuple(round(math.log(n, p)) for n in self.invariant_factors)
+        exps = tuple(_factorize(n)[p] for n in self.invariant_factors)
         return p, exps
 
     @property
@@ -310,13 +310,18 @@ def primary_decomposition(group: AbelianGroup) -> tuple[int, ...]:
 class GroupTables:
     """Dense rank-indexed arithmetic for one group.
 
-    Orders and negation are precomputed for every rank; translation tables
-    (used to shift subsum bitmasks by an element) are built lazily per
-    element in 8-bit chunks, so memory stays proportional to what a search
-    actually touches.
+    Orders and negation are precomputed for every rank. A subsum bitmask is
+    translated by an element g one nonzero coordinate c of g at a time: with
+    stride s and modulus n of that coordinate, the bits whose coordinate is
+    below n - c move up by c*s and the rest move down by (n - c)*s, a
+    rotation inside every block of n*s ranks. The two masks selecting those
+    bits are cached per (coordinate, shift) as they are first needed, so the
+    cache holds at most 2*sum(n_i - 1) masks of |G| bits, i.e. at most
+    sum(n_i - 1)*|G|/4 bytes; each element keeps a tuple of references to
+    the steps of its nonzero coordinates.
     """
 
-    __slots__ = ("factors", "size", "coords", "orders", "neg", "_shift", "n_chunks")
+    __slots__ = ("factors", "size", "coords", "orders", "neg", "_rotations", "_steps")
 
     def __init__(self, factors: tuple[int, ...]):
         self.factors = factors
@@ -335,8 +340,8 @@ class GroupTables:
             for cs in coords
         ]
         self.neg = [self.rank_of(tuple(-a for a in cs)) for cs in coords]
-        self.n_chunks = (size + 7) // 8
-        self._shift: dict[int, list[list[int]]] = {}
+        self._rotations: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        self._steps: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
 
     def rank_of(self, coords: tuple[int, ...]) -> int:
         r = 0
@@ -348,31 +353,29 @@ class GroupTables:
         return self.rank_of(tuple(a + b for a, b in
                                   zip(self.coords[x], self.coords[g])))
 
-    def _shift_tables(self, g: int) -> list[list[int]]:
-        tabs = self._shift.get(g)
-        if tabs is None:
-            row = [self.add(x, g) for x in range(self.size)]
-            tabs = []
-            for chunk in range(self.n_chunks):
-                t = [0] * 256
-                for b in range(1, 256):
-                    j = chunk * 8 + (b & -b).bit_length() - 1
-                    low = t[b & (b - 1)]
-                    t[b] = low | (1 << row[j]) if j < self.size else low
-                tabs.append(t)
-            self._shift[g] = tabs
-        return tabs
+    def _rotation(self, i: int, c: int) -> tuple[int, int, int, int]:
+        """(low, high, up, down) adding c to coordinate i of every rank."""
+        key = (i, c)
+        step = self._rotations.get(key)
+        if step is None:
+            n, s = self.factors[i], math.prod(self.factors[:i])
+            block = n * s
+            repunit = ((1 << self.size) - 1) // ((1 << block) - 1)
+            up, down = c * s, (n - c) * s
+            low = ((1 << down) - 1) * repunit
+            high = (((1 << block) - 1) ^ ((1 << down) - 1)) * repunit
+            step = self._rotations[key] = (low, high, up, down)
+        return step
 
     def translate(self, mask: int, g: int) -> int:
         """Bitmask of {x + g : x in mask}."""
-        tabs = self._shift_tables(g)
-        out = 0
-        chunk = 0
-        while mask:
-            out |= tabs[chunk][mask & 0xFF]
-            mask >>= 8
-            chunk += 1
-        return out
+        steps = self._steps.get(g)
+        if steps is None:
+            steps = self._steps[g] = tuple(
+                self._rotation(i, c) for i, c in enumerate(self.coords[g]) if c)
+        for low, high, up, down in steps:
+            mask = ((mask & low) << up) | ((mask & high) >> down)
+        return mask
 
     def mask_of(self, ranks: Iterable[int]) -> int:
         m = 0

@@ -105,15 +105,16 @@ class Witness:
 # -- engine -----------------------------------------------------------------
 
 class _Tracker:
-    __slots__ = ("max_nodes", "deadline", "nodes")
+    __slots__ = ("max_nodes", "started", "deadline", "nodes")
 
-    def __init__(self, max_nodes: int, deadline: float):
+    def __init__(self, max_nodes: int, started: float, deadline: float):
         self.max_nodes = max_nodes
+        self.started = started
         self.deadline = deadline
         self.nodes = 0
 
 
-def _scan_from(tables: GroupTables, allowed: list[int], forbidden_mask: int,
+def _scan_from(tables: GroupTables, allowed: list[int], pre: list[int],
                max_depth: int, acc, tracker: _Tracker, root_index: int) -> None:
     """DFS over canonical sequences whose first element is allowed[root_index].
 
@@ -121,6 +122,12 @@ def _scan_from(tables: GroupTables, allowed: list[int], forbidden_mask: int,
     nondecreasing rank order, last element freshly added) and returns whether
     to descend; ``acc.leave(path)`` is called on the way back, symmetric to a
     True-returning enter as well as to a pruned one.
+
+    ``pre[i]`` is the mask of the ranks x with x + allowed[i] forbidden, or
+    -1 when allowed[i] is itself forbidden. Every stacked mask is disjoint
+    from the forbidden set, so a child ``mask | (mask + h) | {h}`` touches
+    it exactly when ``mask`` meets ``pre[idx]``; only surviving children are
+    translated.
     """
     translate = tables.translate
     n_allowed = len(allowed)
@@ -128,10 +135,10 @@ def _scan_from(tables: GroupTables, allowed: list[int], forbidden_mask: int,
     deadline = tracker.deadline
     nodes = tracker.nodes
 
+    if pre[root_index] == -1:
+        return
     g = allowed[root_index]
     root_mask = 1 << g
-    if root_mask & forbidden_mask:
-        return
     nodes += 1
     tracker.nodes = nodes
     path = [g]
@@ -151,18 +158,20 @@ def _scan_from(tables: GroupTables, allowed: list[int], forbidden_mask: int,
                 path.pop()
                 continue
             stack_idx[-1] = idx + 1
-            h = allowed[idx]
             mask = stack_mask[-1]
-            new_mask = mask | translate(mask, h) | (1 << h)
-            if new_mask & forbidden_mask:
+            if mask & pre[idx]:
                 continue
+            h = allowed[idx]
+            new_mask = mask | translate(mask, h) | (1 << h)
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExceededError(
-                    f"node budget {max_nodes} exhausted", nodes_visited=nodes)
+                    f"node budget {max_nodes} exhausted", nodes_visited=nodes,
+                    elapsed_seconds=time.monotonic() - tracker.started)
             if not nodes & 2047 and time.monotonic() > deadline:
                 raise BudgetExceededError(
-                    "time budget exhausted", nodes_visited=nodes)
+                    "time budget exhausted", nodes_visited=nodes,
+                    elapsed_seconds=time.monotonic() - tracker.started)
             path.append(h)
             if acc.enter(path) and len(path) < max_depth:
                 stack_mask.append(new_mask)
@@ -190,12 +199,17 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
         allowed = [r for r in range(tables.size) if not (forbidden_mask >> r) & 1]
     depth_cap = max_depth if max_depth is not None else tables.size * group.exponent
 
-    deadline = time.monotonic() + budget.max_seconds
+    started = time.monotonic()
+    deadline = started + budget.max_seconds
+    forbidden = [r for r in range(tables.size) if (forbidden_mask >> r) & 1]
+    pre = [-1 if (forbidden_mask >> h) & 1 else
+           tables.mask_of(tables.add(f, tables.neg[h]) for f in forbidden)
+           for h in allowed]
 
     def run_one(root_index: int):
         acc = acc_factory()
-        tracker = _Tracker(budget.max_nodes, deadline)
-        _scan_from(tables, allowed, forbidden_mask, depth_cap, acc, tracker, root_index)
+        tracker = _Tracker(budget.max_nodes, started, deadline)
+        _scan_from(tables, allowed, pre, depth_cap, acc, tracker, root_index)
         return acc, tracker.nodes
 
     indices = range(len(allowed))

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from zerosum import (AbelianGroup, cross_number, d_star, davenport_p_group,
-                     dstar_sequence, gamma_extremal_sequence, gamma_upper,
-                     is_zero_sumfree, k_star, kstar_sequence, max_order_count,
-                     standard_basis)
+from zerosum import (AbelianGroup, GSequence, cross_number, d_star,
+                     davenport_p_group, dstar_sequence, gamma_extremal_sequence,
+                     gamma_upper, is_zero_sumfree, k_star, kstar_sequence,
+                     max_order_count, standard_basis)
 from conftest import zero_sumfree_by_definition
 
 C24 = AbelianGroup((2, 4))
@@ -42,6 +42,15 @@ class TestDStarSequence:
             assert len(s) == d_star(group)
             if len(s) <= 12:
                 assert zero_sumfree_by_definition(s)
+
+    def test_wide_group_freeness(self):
+        # |G| = 10^4: the subsum check shifts 10^4-bit masks
+        group = AbelianGroup((100, 100))
+        s = dstar_sequence(group)
+        assert len(s) == d_star(group) == 198
+        assert is_zero_sumfree(s)
+        one_more = s.union(GSequence.from_elements(group, [group.element((1, 0))]))
+        assert not is_zero_sumfree(one_more)
 
 
 class TestKStarSequence:

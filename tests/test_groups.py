@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from zerosum import (AbelianGroup, InvalidGroupError, UndefinedHeightError,
                      UnsupportedGroupError, element_add, element_height,
                      element_order, element_scale, normalize_group,
                      primary_decomposition, subgroup_elements)
-from conftest import (height_by_brute_force, order_by_repeated_addition,
-                      order_multiset_of_raw_product)
+from conftest import (NON_P_FACTORS, P_GROUP_FACTORS, height_by_brute_force,
+                      order_by_repeated_addition, order_multiset_of_raw_product)
 
 C24 = AbelianGroup((2, 4))
 
@@ -51,6 +52,19 @@ class TestConstruction:
         assert not c6.is_p_group
         with pytest.raises(UnsupportedGroupError):
             c6.p
+
+    @pytest.mark.parametrize("factors, p, exps", [
+        ((2 ** 19,), 2, (19,)),
+        ((3 ** 12,), 3, (12,)),
+        ((7 ** 7,), 7, (7,)),
+        ((997 ** 2,), 997, (2,)),
+        ((2 ** 9, 2 ** 10), 2, (9, 10)),
+        ((3, 3 ** 5, 3 ** 6), 3, (1, 5, 6)),
+    ])
+    def test_p_exponents_at_the_cap(self, factors, p, exps):
+        group = AbelianGroup(factors)
+        assert group.p == p
+        assert group.p_exponents == exps
 
 
 class TestNormalize:
@@ -205,3 +219,51 @@ class TestPrimaryDecomposition:
         for factors in [(2, 12), (2, 2, 4), (6,), (3, 9)]:
             group = AbelianGroup(factors)
             assert normalize_group(group.primary_decomposition()) == group
+
+
+def translate_by_addition(tables: groups.GroupTables, mask: int, g: int) -> int:
+    """Slow reference for ``GroupTables.translate``: add g to every marked rank."""
+    out = 0
+    for x in range(tables.size):
+        if (mask >> x) & 1:
+            out |= 1 << tables.add(x, g)
+    return out
+
+
+class TestTranslate:
+    """The rotation translate against the per-bit addition oracle."""
+
+    @staticmethod
+    def check(factors, elements, rng, masks_per_element=3):
+        tables = groups.GroupTables(factors)
+        full = (1 << tables.size) - 1
+        for g in elements:
+            masks = [0, full, 1, 1 << (tables.size - 1)]
+            masks += [rng.getrandbits(tables.size) for _ in range(masks_per_element)]
+            for mask in masks:
+                assert tables.translate(mask, g) == translate_by_addition(tables, mask, g), \
+                    (factors, g, mask)
+
+    @pytest.mark.parametrize("factors", P_GROUP_FACTORS + NON_P_FACTORS)
+    def test_every_element_of_conftest_groups(self, factors):
+        self.check(factors, range(math.prod(factors)), random.Random(str(factors)))
+
+    @pytest.mark.parametrize("factors", [(16, 16), (8, 8, 8), (3, 9, 27)])
+    def test_sampled_elements_of_larger_groups(self, factors):
+        rng = random.Random(str(factors))
+        size = math.prod(factors)
+        elements = [1, size - 1] + rng.sample(range(size), 30)
+        self.check(factors, elements, rng, masks_per_element=1)
+
+    def test_sampled_elements_of_c100xc100(self):
+        rng = random.Random(100)
+        elements = [1, 100, 101, 9999] + rng.sample(range(10_000), 4)
+        self.check((100, 100), elements, rng, masks_per_element=1)
+
+    def test_rotation_cache_is_bounded(self):
+        factors = (3, 9, 27)
+        tables = groups.GroupTables(factors)
+        mask = tables.mask_of(range(0, tables.size, 7))
+        for g in range(tables.size):
+            tables.translate(mask, g)
+        assert len(tables._rotations) == sum(n - 1 for n in factors)

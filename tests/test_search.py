@@ -172,6 +172,15 @@ class TestBudget:
         with pytest.raises(BudgetExceededError) as info:
             longest_zero_sumfree(AbelianGroup((2, 8)), tiny)
         assert info.value.nodes_visited > 0
+        assert 0 < info.value.elapsed_seconds < 60
+
+    def test_time_budget_reports_elapsed_time(self):
+        # the deadline is first checked at node 2048 of a root task
+        instant = SearchBudget(max_seconds=1e-9)
+        with pytest.raises(BudgetExceededError) as info:
+            longest_zero_sumfree(AbelianGroup((5, 5)), instant)
+        assert info.value.nodes_visited == 2048
+        assert info.value.elapsed_seconds > 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -206,3 +215,45 @@ class TestDeterminism:
         budget = SearchBudget()
         with pytest.raises(dataclasses.FrozenInstanceError):
             budget.max_nodes = 5
+
+
+class TestPinnedCounts:
+    """Node counts and witnesses that pruning and translation changes must keep."""
+
+    def test_c5xc5_scans(self):
+        from zerosum.groups import tables_for
+        from zerosum.search import _LongestAcc, _MaxCrossAcc, run_scan
+        group = AbelianGroup((5, 5))
+        orders = tables_for(group).orders
+        assert run_scan(group, _LongestAcc)[1] == 138_864
+        assert run_scan(group, lambda: _MaxCrossAcc(orders, 5))[1] == 138_864
+        d_val, d_wit = longest_zero_sumfree(group)
+        k_val, k_wit = max_cross_number(group)
+        assert (d_val, k_val) == (8, Fraction(8, 5))
+        witness = (1, 1, 1, 1, 5, 5, 5, 5)
+        assert tuple(d_wit.sequence.iter_ranks()) == witness
+        assert tuple(k_wit.sequence.iter_ranks()) == witness
+
+    def test_forbidden_allowed_elements_are_never_entered(self):
+        from zerosum.search import _LongestAcc, run_scan
+        everything = list(range(C24.cardinality))
+        _, nodes = run_scan(C24, _LongestAcc, allowed=everything)
+        assert nodes == 94  # as with the default allowed set, which omits 0
+
+    def test_longest_avoiding_c8x8x8_subgroup(self):
+        # forbidden set G_2 (8 elements), allowed G_4 minus G_2 (56 elements)
+        from zerosum.groups import tables_for
+        from zerosum.search import _LongestAcc, _subgroup_mask, run_scan
+        group = AbelianGroup((8, 8, 8))
+        pair = DivisorPair(2, 4)
+        tables = tables_for(group)
+        forbidden = _subgroup_mask(tables, pair.quotient)
+        allowed = [r for r in range(tables.size)
+                   if pair.d % tables.orders[r] == 0 and not (forbidden >> r) & 1]
+        assert len(allowed) == 56
+        _, nodes = run_scan(group, _LongestAcc, allowed=allowed, forbidden_mask=forbidden)
+        assert nodes == 15_736
+        length, witness = longest_avoiding(group, pair)
+        assert length == 3
+        assert witness.value == 4
+        assert tuple(witness.sequence.iter_ranks()) == (2, 16, 128)
