@@ -93,7 +93,10 @@ def _add_common(parser: argparse.ArgumentParser, with_group=True, with_method=Tr
                             default="both")
     parser.add_argument("--budget-nodes", type=int, default=None, metavar="N")
     parser.add_argument("--budget-seconds", type=float, default=None, metavar="S")
-    parser.add_argument("--parallel", type=int, default=1, metavar="W")
+    parser.add_argument("--parallel", type=int,
+                        default=search.DEFAULT_BUDGET.parallel_width, metavar="W",
+                        help="worker processes for large searches "
+                             "(default: the usable CPUs)")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write the JSON certificate here")
     parser.add_argument("--format", choices=("json", "text"), default="text")
@@ -379,7 +382,6 @@ def cmd_enumerate(args) -> int:
     count = search.enumerate_zero_sumfree(group, args.length, visitor, budget=budget)
     results: dict = {"length": args.length, "count": count}
     if not args.count_only:
-        collected.sort(key=lambda s: tuple(s.iter_ranks()))
         results["sequences"] = [sequence_to_json(s) for s in collected]
     claims = [{"kind": "enumeration", "length": args.length, "count": count}]
     cert = Certificate("enumerate", args.group, group.invariant_factors,

@@ -6,16 +6,21 @@ any branch whose subsums touch a forbidden set (the zero element, or a whole
 subgroup for the two-level Davenport constant). Every invariant computed
 here is exact; budget exhaustion is an error, never an estimate.
 
-Parallel runs split the walk on the first element's rank, one task per
-starting rank; results merge by value with a lexicographic tie-break, so
-values, witnesses and node counts do not depend on the parallel width.
+The walk is split on the first element's rank, one root task per starting
+rank, each with its own accumulator and node budget. A scan runs its
+smallest root tasks in-process first; once those have entered more than
+``_FORK_GATE_NODES`` nodes, the rest go to forked worker processes (where
+``os.fork`` exists), as many as the parallel width, the usable CPUs and the
+tasks left allow. Results merge by root index with a lexicographic
+tie-break, so values, witnesses and node counts do not depend on the
+parallel width or on the schedule.
 """
 
 from __future__ import annotations
 
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -26,22 +31,32 @@ from .sequences import (GSequence, cross_number, definitional_subsums,
                         max_order_count, subsums)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Limits for one search call.
 
     ``max_nodes`` bounds the states each search task may enter (one task per
     first-element rank), ``max_seconds`` bounds the wall clock of the whole
-    call, and ``parallel_width`` is the number of worker threads.
+    call, and ``parallel_width`` caps the worker processes a large scan forks
+    (default: the usable CPUs; it never forks more than those).
     """
 
     max_nodes: int = 100_000_000
     max_seconds: float = 300.0
-    parallel_width: int = 1
+    parallel_width: int = field(default_factory=_usable_cpus)
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.max_seconds <= 0 or self.parallel_width < 1:
-            raise ValueError("budget fields must be positive")
+        # written as "not > 0" so that NaN, which compares false, is rejected
+        if (self.max_nodes < 1 or not self.max_seconds > 0
+                or self.parallel_width < 1):
+            raise ValueError("budget fields must be positive numbers")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -183,6 +198,24 @@ def _scan_from(tables: GroupTables, allowed: list[int], pre: list[int],
         tracker.nodes = nodes
 
 
+# A scan forks only after its in-process root tasks, the smallest ones, have
+# entered this many nodes. Forking, feeding and reaping two workers costs
+# about 6 ms on a 2-core Xeon, 1-2k nodes of DFS at 150-350k nodes/s, so by
+# then the tasks left are worth far more than the fork.
+_FORK_GATE_NODES = 20_000
+# Root indices queued in the task pipe at once: 4 bytes each, so every write
+# is at most 512 bytes (POSIX PIPE_BUF) and the pipe never fills.
+_TASK_WINDOW = 128
+
+
+def _worker_count(parallel_width: int, tasks: int) -> int:
+    """Worker processes to fork for ``tasks`` root tasks: never more than the
+    width, the usable CPUs or the tasks; 1 (in-process) without ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(parallel_width, _usable_cpus(), tasks))
+
+
 def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
              budget: SearchBudget | None = None,
              allowed: list[int] | None = None,
@@ -190,8 +223,14 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
              max_depth: int | None = None) -> tuple[list, int]:
     """Run one accumulator per first-element rank; return (accs, total nodes).
 
-    Accumulators come back ordered by their starting rank regardless of the
-    parallel width, so merging them is deterministic.
+    All accumulators are made here, in this process, and come back ordered
+    by their starting rank whatever the width and the schedule, so merging
+    them is deterministic. Root tasks run from the last index down
+    in-process until the scan has entered more than ``_FORK_GATE_NODES``
+    nodes and at least two workers can take the rest (``_worker_count``);
+    those remaining, larger tasks then run in forked workers
+    (``_run_forked``), whose accumulator state is copied back into these
+    accumulators.
     """
     budget = budget or DEFAULT_BUDGET
     tables = tables_for(group)
@@ -205,20 +244,153 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     pre = [-1 if (forbidden_mask >> h) & 1 else
            tables.mask_of(tables.add(f, tables.neg[h]) for f in forbidden)
            for h in allowed]
+    accs = [acc_factory() for _ in allowed]
 
-    def run_one(root_index: int):
-        acc = acc_factory()
+    def run_one(root_index: int) -> int:
         tracker = _Tracker(budget.max_nodes, started, deadline)
-        _scan_from(tables, allowed, pre, depth_cap, acc, tracker, root_index)
-        return acc, tracker.nodes
+        _scan_from(tables, allowed, pre, depth_cap, accs[root_index], tracker,
+                   root_index)
+        return tracker.nodes
 
-    indices = range(len(allowed))
-    if budget.parallel_width <= 1 or len(allowed) <= 1:
-        results = [run_one(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=budget.parallel_width) as pool:
-            results = list(pool.map(run_one, indices))
-    return [acc for acc, _ in results], sum(n for _, n in results)
+    workers = _worker_count(budget.parallel_width, len(allowed))
+    left = len(allowed)
+    nodes = 0
+    while left and (nodes <= _FORK_GATE_NODES or min(workers, left) < 2):
+        left -= 1
+        nodes += run_one(left)
+    if left:
+        nodes += _run_forked(min(workers, left), left, run_one, accs)
+    return accs, nodes
+
+
+def _run_forked(workers: int, tasks: int, run_one: Callable[[int], int],
+                accs: list) -> int:
+    """Run root tasks ``0 .. tasks-1`` in ``workers`` forked children; return
+    their nodes.
+
+    The children take root indices in ascending order, largest subtrees
+    first, from one shared pipe (see ``_work``). The parent drains every
+    result pipe as it fills, copies each returned accumulator's state into
+    its own, re-raises the first worker exception and reaps every child. A
+    root task that no child reported is an error, never a partial result.
+    """
+    # imported here so that scans too small to fork do not pay for them
+    import pickle
+    import selectors
+    import signal
+
+    task_r, task_w = os.pipe()
+    queued = 0
+
+    def queue(count: int) -> None:
+        # the pipe never holds more than _TASK_WINDOW indices, so this never blocks
+        nonlocal queued, task_w
+        stop = min(tasks, queued + count)
+        os.write(task_w, b"".join(i.to_bytes(4, "little") for i in range(queued, stop)))
+        queued = stop
+        if queued == tasks:
+            os.close(task_w)
+            task_w = -1
+
+    children: dict[int, int] = {}   # result pipe -> pid
+    reported: set[int] = set()
+    nodes = 0
+    try:
+        queue(_TASK_WINDOW)
+        for _ in range(workers):
+            res_r, res_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(task_r, res_w, run_one, accs, close=(res_r, task_w))
+            os.close(res_w)
+            children[res_r] = pid
+        with selectors.DefaultSelector() as sel:
+            for fd in children:
+                sel.register(fd, selectors.EVENT_READ, bytearray())
+            while sel.get_map():
+                for key, _ in sel.select():
+                    chunk = os.read(key.fd, 1 << 16)
+                    if not chunk:
+                        sel.unregister(key.fd)
+                        continue
+                    buf = key.data
+                    buf += chunk
+                    while len(buf) >= 8:
+                        end = 8 + int.from_bytes(buf[:8], "little")
+                        if len(buf) < end:
+                            break
+                        index, result = pickle.loads(buf[8:end])
+                        del buf[:end]
+                        if isinstance(result, BaseException):
+                            raise result
+                        acc, task_nodes = result
+                        _copy_state(accs[index], acc)
+                        nodes += task_nodes
+                        reported.add(index)
+                        if task_w != -1:
+                            queue(1)
+        if len(reported) < tasks:
+            missing = min(set(range(tasks)) - reported)
+            raise InternalCheckError(
+                f"a search worker process exited without reporting root task {missing}")
+    finally:
+        for fd in (task_r, task_w):
+            if fd != -1:
+                os.close(fd)
+        for fd, pid in children.items():
+            if len(reported) < tasks:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            os.waitpid(pid, 0)
+            os.close(fd)
+    return nodes
+
+
+def _work(task_r: int, res_w: int, run_one: Callable[[int], int], accs: list,
+          close: tuple[int, int]) -> None:
+    """Body of a forked worker; leaves only through ``os._exit``.
+
+    Reads 4-byte root indices from ``task_r`` until end of file and writes,
+    length-prefixed and pickled, ``(index, (acc, nodes))`` per task or
+    ``(index, exception)``, after which it stops. It only computes and
+    writes to its pipe, so it needs no lock another thread could have held
+    at the fork, and ``os._exit`` keeps it from flushing the parent's stdio
+    buffers or running its exit handlers. ``close`` holds the parent's pipe
+    ends the worker must not keep open (-1 for one already closed).
+    """
+    status = 1
+    try:
+        import pickle
+        for fd in close:
+            if fd != -1:
+                os.close(fd)
+        while len(raw := os.read(task_r, 4)) == 4:
+            index = int.from_bytes(raw, "little")
+            try:
+                task_nodes = run_one(index)
+                result = (accs[index], task_nodes)
+            except BaseException as err:  # sent on; the parent re-raises it
+                result = err
+            payload = pickle.dumps((index, result), pickle.HIGHEST_PROTOCOL)
+            view = memoryview(len(payload).to_bytes(8, "little") + payload)
+            while view:
+                view = view[os.write(res_w, view):]
+            if isinstance(result, BaseException):
+                break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _copy_state(dst, src) -> None:
+    """Give ``dst`` every attribute value of ``src``, an object of its class."""
+    for cls in type(src).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            setattr(dst, name, getattr(src, name))
+    if hasattr(src, "__dict__"):
+        vars(dst).update(vars(src))
 
 
 def _subgroup_mask(tables: GroupTables, d: int) -> int:
@@ -229,20 +401,20 @@ def _subgroup_mask(tables: GroupTables, d: int) -> int:
 # -- accumulators -------------------------------------------------------------
 
 class _CountAcc:
-    """Visits sequences at one exact depth."""
+    """Counts sequences at one exact depth, keeping them if ``keep``."""
 
-    __slots__ = ("target", "on_hit", "count")
+    __slots__ = ("target", "count", "hits")
 
-    def __init__(self, target: int, on_hit):
+    def __init__(self, target: int, keep: bool):
         self.target = target
-        self.on_hit = on_hit
         self.count = 0
+        self.hits: list[tuple[int, ...]] | None = [] if keep else None
 
     def enter(self, path):
         if len(path) == self.target:
             self.count += 1
-            if self.on_hit is not None:
-                self.on_hit(path)
+            if self.hits is not None:
+                self.hits.append(tuple(path))
         return True
 
     def leave(self, path):
@@ -327,9 +499,8 @@ def enumerate_zero_sumfree(group: AbelianGroup, exact_length: int,
                            *, budget: SearchBudget | None = None) -> int:
     """Visit every canonical zero-sumfree multiset of the exact length once.
 
-    Returns the visit count. With parallel width 1 the visits come in
-    lexicographic order of the rank tuples; wider runs only guarantee each
-    sequence is visited exactly once.
+    Returns the visit count. The visits come after the search, in
+    lexicographic order of the rank tuples at every parallel width.
     """
     if exact_length < 0:
         raise ValueError("length must be nonnegative")
@@ -337,13 +508,13 @@ def enumerate_zero_sumfree(group: AbelianGroup, exact_length: int,
         if visitor is not None:
             visitor(GSequence.empty(group))
         return 1
-
-    def on_hit(path):
-        if visitor is not None:
-            visitor(GSequence.from_ranks(group, path))
-
-    accs, _ = run_scan(group, lambda: _CountAcc(exact_length, on_hit),
+    keep = visitor is not None
+    accs, _ = run_scan(group, lambda: _CountAcc(exact_length, keep),
                        budget=budget, max_depth=exact_length)
+    if keep:
+        for acc in accs:
+            for path in acc.hits:
+                visitor(GSequence.from_ranks(group, path))
     return sum(acc.count for acc in accs)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import BudgetExceededError
 from .formulas import d_star, davenport_p_group, gamma_bounds, j0, k_star
@@ -38,17 +37,21 @@ class CheckReport:
 
 class _ViolationAcc:
     """Tracks a per-element weight sum along the walk and records the first
-    (lexicographically least) sequence where the violation predicate fires.
+    (lexicographically least) sequence that violates: one of length at least
+    ``min_length`` whose weight sum exceeds ``bound``. Every check states its
+    claim in that form, so the accumulator holds only data and pickles for
+    the search's worker processes.
 
     Once a violation is recorded the rest of this task's walk is pruned, so
     node counts stay exhaustive exactly when the verdict is 'verified'.
     """
 
-    __slots__ = ("weights", "violates", "total", "counterexample")
+    __slots__ = ("weights", "min_length", "bound", "total", "counterexample")
 
-    def __init__(self, weights: list[int], violates: Callable[[int, int], bool]):
+    def __init__(self, weights: list[int], min_length: int, bound: int):
         self.weights = weights
-        self.violates = violates
+        self.min_length = min_length
+        self.bound = bound
         self.total = 0
         self.counterexample: tuple[int, ...] | None = None
 
@@ -56,7 +59,7 @@ class _ViolationAcc:
         self.total += self.weights[path[-1]]
         if self.counterexample is not None:
             return False
-        if self.violates(len(path), self.total):
+        if len(path) >= self.min_length and self.total > self.bound:
             self.counterexample = tuple(path)
             return False
         return True
@@ -67,15 +70,14 @@ class _ViolationAcc:
 
 def _run_violation_check(group: AbelianGroup, name: str,
                          parameters: tuple[tuple[str, int], ...],
-                         weights: list[int],
-                         violates: Callable[[int, int], bool],
+                         weights: list[int], min_length: int, bound: int,
                          budget: SearchBudget | None,
                          implementation_bug_on_failure: bool,
                          max_depth: int | None = None,
                          details: tuple[tuple[str, object], ...] = ()) -> CheckReport:
     start = time.monotonic()
     try:
-        accs, nodes = run_scan(group, lambda: _ViolationAcc(weights, violates),
+        accs, nodes = run_scan(group, lambda: _ViolationAcc(weights, min_length, bound),
                                budget=budget, max_depth=max_depth)
     except BudgetExceededError as err:
         return CheckReport(name, group, parameters, "budget-exceeded", None,
@@ -115,8 +117,7 @@ def check_cross_number_conjecture(group: AbelianGroup,
     weights = [exp // o for o in tables.orders]
     return _run_violation_check(
         group, "cross-number-conjecture", (("threshold", threshold),),
-        weights,
-        lambda depth, scaled: depth >= threshold and scaled > bound_scaled,
+        weights, threshold, bound_scaled,
         budget, _cross_conjecture_proved(group),
         details=(("bound", bound),))
 
@@ -130,10 +131,10 @@ def check_dual_conjecture(group: AbelianGroup,
     kstar_scaled = int(k_star(group) * exp)
     length_bound = sum(nu - 1 for nu in group.primary_decomposition())
     weights = [exp // o for o in tables.orders]
+    # length > length_bound and scaled cross number >= kstar_scaled
     return _run_violation_check(
         group, "davenport-dual-conjecture", (("length_bound", length_bound),),
-        weights,
-        lambda depth, scaled: scaled >= kstar_scaled and depth > length_bound,
+        weights, length_bound + 1, kstar_scaled - 1,
         budget, group.is_p_group,
         details=(("k_star", k_star(group)),))
 
@@ -153,8 +154,7 @@ def check_order_divisibility(group: AbelianGroup, threshold: int,
         proved = True
     return _run_violation_check(
         group, "order-divisibility", (("threshold", threshold),),
-        weights,
-        lambda depth, bad: depth >= threshold and bad > 0,
+        weights, threshold, 0,
         budget, proved)
 
 
@@ -170,8 +170,7 @@ def check_heights(group: AbelianGroup,
             weights[rank] = 1
     return _run_violation_check(
         group, "heights", (("threshold", threshold),),
-        weights,
-        lambda depth, tall: depth >= threshold and tall > 0,
+        weights, threshold, 0,
         budget, True)
 
 
@@ -182,11 +181,12 @@ def check_corollary_max_order(group: AbelianGroup,
     d_g = davenport_p_group(group)
     tables = tables_for(group)
     exp = group.exponent
-    weights = [1 if o == exp else 0 for o in tables.orders]
+    # weight -1 per element of maximal order: a sum above 1 - exp means fewer
+    # than exp - 1 such elements; no walk goes deeper than d_g
+    weights = [-1 if o == exp else 0 for o in tables.orders]
     return _run_violation_check(
         group, "max-order-at-full-length", (("length", d_g), ("minimum", exp - 1)),
-        weights,
-        lambda depth, count: depth == d_g and count < exp - 1,
+        weights, d_g, 1 - exp,
         budget, True, max_depth=d_g)
 
 

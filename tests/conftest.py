@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from itertools import product
 
 import pytest
@@ -22,6 +23,32 @@ NON_P_FACTORS = [(6,), (10,), (12,), (2, 6)]
 @pytest.fixture(scope="session")
 def p_groups() -> list[AbelianGroup]:
     return [AbelianGroup(f) for f in P_GROUP_FACTORS]
+
+
+@pytest.fixture
+def forked_scans(monkeypatch):
+    """Make every scan with two or more root tasks fork its workers after
+    its first in-process task, as if the machine had four usable CPUs.
+
+    Yields the list that records each fork; on teardown, checks that no
+    child process is left unreaped.
+    """
+    from zerosum import search
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork is not available")
+    forks: list[int] = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(search, "_FORK_GATE_NODES", 0)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- independent oracles -------------------------------------------------------

@@ -59,6 +59,10 @@ class TestExitCodes:
         assert main(["invariants", "--group", "2,8", "--method", "search",
                      "--budget-nodes", "3"]) == EXIT_BUDGET
 
+    def test_usage_error_nan_time_budget(self, capsys):
+        assert main(["invariants", "--group", "2,4", "--method", "search",
+                     "--budget-seconds", "nan"]) == EXIT_USAGE
+
     def test_counterexample_exit(self, tmp_path):
         code = main(["check", "--group", "2,6", "--name", "order-divisibility",
                      "--threshold", "1"])

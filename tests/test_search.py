@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,22 @@ class TestBudget:
             SearchBudget(max_nodes=0)
         with pytest.raises(ValueError):
             SearchBudget(parallel_width=0)
+        with pytest.raises(ValueError):
+            SearchBudget(max_seconds=float("nan"))
+
+    def test_default_width_is_usable_cpus(self):
+        from zerosum.search import _usable_cpus
+        assert SearchBudget().parallel_width == _usable_cpus() >= 1
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        from zerosum import search
+        cpus = search._usable_cpus()
+        assert search._worker_count(10_000, 10**6) == cpus
+        assert search._worker_count(10_000, 1) == 1
+        assert search._worker_count(1, 100) == 1
+        assert search._worker_count(2, 100) == min(2, cpus)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert search._worker_count(10_000, 100) == 1
 
 
 class TestDeterminism:
@@ -215,6 +232,85 @@ class TestDeterminism:
         budget = SearchBudget()
         with pytest.raises(dataclasses.FrozenInstanceError):
             budget.max_nodes = 5
+
+
+class TestForkedWorkers:
+    """Widths 1, 2 and 4 with the fork gate at 0, so that wider scans run
+    all but their last root task in worker processes."""
+
+    def test_accumulators_match_across_widths(self, forked_scans):
+        from zerosum.groups import tables_for
+        from zerosum.search import (_gamma_scan, _LongestAcc, _MaxCrossAcc,
+                                    _subgroup_mask, run_scan)
+        c55 = AbelianGroup((5, 5))
+        c888 = AbelianGroup((8, 8, 8))
+        pair = DivisorPair(2, 4)
+        orders = tables_for(c55).orders
+        tables = tables_for(c888)
+        forbidden = _subgroup_mask(tables, pair.quotient)
+        allowed = [r for r in range(tables.size)
+                   if pair.d % tables.orders[r] == 0 and not (forbidden >> r) & 1]
+
+        def summary(width):
+            budget = SearchBudget(parallel_width=width)
+            longest, n_longest = run_scan(c55, _LongestAcc, budget=budget)
+            cross, n_cross = run_scan(c55, lambda: _MaxCrossAcc(orders, 5),
+                                      budget=budget)
+            _, n_avoid = run_scan(c888, _LongestAcc, budget=budget,
+                                  allowed=allowed, forbidden_mask=forbidden)
+            length, witness = longest_avoiding(c888, pair, budget)
+            return ([(a.best_len, a.best) for a in longest], n_longest,
+                    [(a.best_scaled, a.best) for a in cross], n_cross,
+                    _gamma_scan(c55, 1, budget),
+                    n_avoid, length, tuple(witness.sequence.iter_ranks()))
+
+        runs = []
+        for width in (1, 2, 4):
+            forked_scans.clear()
+            runs.append(summary(width))
+            assert len(forked_scans) == (0 if width == 1 else 5 * width)
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][1] == runs[0][3] == 138_864
+        assert runs[0][5:] == (15_736, 3, (2, 16, 128))
+
+    def test_enumeration_visits_in_lexicographic_order(self, forked_scans):
+        group = AbelianGroup((3, 3))
+        visits = []
+        for width in (1, 2):
+            seen = []
+            count = enumerate_zero_sumfree(group, 3, seen.append,
+                                           budget=SearchBudget(parallel_width=width))
+            visits.append([tuple(s.iter_ranks()) for s in seen])
+            assert count == len(seen) > 0
+        assert forked_scans
+        assert visits[0] == visits[1] == sorted(visits[0])
+
+    def test_worker_budget_error_reaches_caller(self, forked_scans):
+        # the last root task of C5xC5 (4 nodes) runs in-process; task 0 forks
+        budget = SearchBudget(max_nodes=1000, parallel_width=2)
+        with pytest.raises(BudgetExceededError) as info:
+            longest_zero_sumfree(AbelianGroup((5, 5)), budget)
+        assert forked_scans
+        assert str(info.value) == "node budget 1000 exhausted"
+        assert info.value.nodes_visited == 1001
+        assert info.value.elapsed_seconds > 0
+
+    def test_dead_worker_is_an_error(self, forked_scans, monkeypatch):
+        from zerosum import search
+        from zerosum.errors import InternalCheckError
+        parent = os.getpid()
+        real_scan = search._scan_from
+
+        def dying_scan(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_scan(*args)
+
+        monkeypatch.setattr(search, "_scan_from", dying_scan)
+        with pytest.raises(InternalCheckError, match="root task 0"):
+            longest_zero_sumfree(AbelianGroup((3, 3)),
+                                 SearchBudget(parallel_width=2))
+        assert forked_scans
 
 
 class TestPinnedCounts:

@@ -143,6 +143,20 @@ class TestReportShape:
         assert a.nodes_visited == b.nodes_visited
         assert a.verdict == b.verdict
 
+    def test_forked_workers_do_not_change_report(self, forked_scans):
+        runs = []
+        for width in (1, 2, 4):
+            budget = SearchBudget(parallel_width=width)
+            dual = check_dual_conjecture(AbelianGroup((3, 3)), budget)
+            order = check_order_divisibility(AbelianGroup((2, 6)), 1, budget)
+            runs.append([(r.verdict, r.counterexample, r.nodes_visited)
+                         for r in (dual, order)])
+        assert forked_scans
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0][:2] == ("verified", None)
+        assert runs[0][1][0] == "counterexample"
+        assert tuple(runs[0][1][1].iter_ranks()) == (1, 2, 2, 2, 4)
+
     def test_parallel_width_does_not_change_report(self):
         seq_budget = SearchBudget(parallel_width=1)
         par_budget = SearchBudget(parallel_width=8)
