@@ -105,8 +105,11 @@ class Certificate:
         if missing:
             raise CertificateError(f"certificate misses keys {sorted(missing)}")
         group_obj = obj["group"]
-        if not isinstance(group_obj, dict) or "invariant_factors" not in group_obj:
+        if (not isinstance(group_obj, dict)
+                or not isinstance(group_obj.get("invariant_factors"), list)):
             raise CertificateError("malformed group record")
+        if not isinstance(obj.get("tool", {}), dict):
+            raise CertificateError("malformed tool record")
         if not isinstance(obj["claims"], list):
             raise CertificateError("claims must be a list")
         return cls(
@@ -206,7 +209,7 @@ def _verify_claim(group: AbelianGroup, claim: dict,
         stored = (claim["lower"], claim["upper"], claim["raw_lower"], claim["raw_upper"])
         if stored != (bounds.lower, bounds.upper, bounds.raw_lower, bounds.raw_upper):
             raise InternalCheckError(f"bounds recompute to {bounds}")
-        if claim.get("exact_formula") is not None and bounds.exact != claim["exact_formula"]:
+        if claim.get("exact_formula") != bounds.exact:
             raise InternalCheckError(f"exact closed form recomputes to {bounds.exact}")
     elif kind == "gamma_exact":
         delta = claim["delta"]
@@ -244,7 +247,15 @@ def _verify_claim(group: AbelianGroup, claim: dict,
         if count != claim["count"]:
             raise InternalCheckError(f"enumeration recounts {count}")
     elif kind == "check":
-        report = _rerun_check(group, claim, budget)
+        name = next((cli_name for cli_name, (report_name, _, _)
+                     in verifier.CHECKS.items() if report_name == claim["check"]),
+                    None)
+        if name is None:
+            raise InternalCheckError(f"unknown check {claim['check']!r}")
+        report = verifier.run_check(name, group, claim["parameters"], budget)
+        if dict(report.parameters) != claim["parameters"]:
+            raise InternalCheckError(
+                f"checker parameters recompute to {dict(report.parameters)}")
         if report.verdict != claim["verdict"]:
             raise InternalCheckError(f"checker verdict recomputes to {report.verdict}")
         if report.nodes_visited != claim["nodes"]:
@@ -258,25 +269,6 @@ def _verify_claim(group: AbelianGroup, claim: dict,
                 raise InternalCheckError("counterexample sequence mismatch")
     else:
         raise InternalCheckError(f"unknown claim kind {kind!r}")
-
-
-def _rerun_check(group: AbelianGroup, claim: dict,
-                 budget: search.SearchBudget | None) -> verifier.CheckReport:
-    name = claim["check"]
-    params = claim.get("parameters", {})
-    if name == "cross-number-conjecture":
-        return verifier.check_cross_number_conjecture(group, budget)
-    if name == "davenport-dual-conjecture":
-        return verifier.check_dual_conjecture(group, budget)
-    if name == "order-divisibility":
-        return verifier.check_order_divisibility(group, params["threshold"], budget)
-    if name == "heights":
-        return verifier.check_heights(group, budget)
-    if name == "max-order-at-full-length":
-        return verifier.check_corollary_max_order(group, budget)
-    if name == "gamma-conjecture":
-        return verifier.check_gamma_conjecture(group, params["delta"], budget)
-    raise InternalCheckError(f"unknown check {name!r}")
 
 
 def verify_certificate(source: Certificate | str | Path,

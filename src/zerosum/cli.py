@@ -8,6 +8,7 @@ construction failed its self-check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -29,10 +30,6 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-CHECK_NAMES = ("cross-number", "davenport-dual", "order-divisibility",
-               "heights", "max-order", "gamma-conjecture")
-
 
 def parse_group_spec(text: str) -> AbelianGroup:
     """Parse "2,4" or "C2xC4" (whitespace ignored) into a normalized group."""
@@ -57,120 +54,143 @@ def parse_group_spec(text: str) -> AbelianGroup:
 
 # -- argument plumbing ---------------------------------------------------------
 
-def _env_budget() -> tuple[int, float]:
-    nodes = search.DEFAULT_BUDGET.max_nodes
-    seconds = search.DEFAULT_BUDGET.max_seconds
+def _budget_from(args) -> search.SearchBudget:
+    """The search budget: the flags, else ``ZEROSUM_BUDGET``, else the defaults."""
+    limits = {"nodes": search.DEFAULT_BUDGET.max_nodes,
+              "seconds": search.DEFAULT_BUDGET.max_seconds}
     raw = os.environ.get("ZEROSUM_BUDGET", "")
     for part in filter(None, (p.strip() for p in raw.split(","))):
         key, sep, val = part.partition("=")
         if not sep:
             raise ValueError(f"ZEROSUM_BUDGET entry {part!r} is not key=value")
-        if key.strip() == "nodes":
-            nodes = int(val)
-        elif key.strip() == "seconds":
-            seconds = float(val)
-        else:
+        if key.strip() not in limits:
             raise ValueError(f"ZEROSUM_BUDGET key {key!r} unknown")
-    return nodes, seconds
-
-
-def _budget_from(args) -> search.SearchBudget:
-    nodes, seconds = _env_budget()
+        limits[key.strip()] = int(val) if key.strip() == "nodes" else float(val)
     if args.budget_nodes is not None:
-        nodes = args.budget_nodes
+        limits["nodes"] = args.budget_nodes
     if args.budget_seconds is not None:
-        seconds = args.budget_seconds
-    return search.SearchBudget(max_nodes=nodes, max_seconds=seconds,
+        limits["seconds"] = args.budget_seconds
+    return search.SearchBudget(max_nodes=limits["nodes"],
+                               max_seconds=limits["seconds"],
                                parallel_width=args.parallel)
 
 
-def _add_common(parser: argparse.ArgumentParser, with_group=True, with_method=True):
-    if with_group:
+def _add_common(parser: argparse.ArgumentParser, method=False, budget=True,
+                certificate=True):
+    """Add the flags a command reads: ``--group``, ``--out`` and ``--timing``
+    for commands that emit a certificate, ``--method`` where both routes
+    exist, the budget flags where a search runs, and always ``--format``."""
+    if certificate:
         parser.add_argument("--group", required=True, metavar="SPEC",
                             help='group spec, e.g. "2,4" or "C2xC4"')
-    if with_method:
+    if method:
         parser.add_argument("--method", choices=("formula", "search", "both"),
                             default="both")
-    parser.add_argument("--budget-nodes", type=int, default=None, metavar="N")
-    parser.add_argument("--budget-seconds", type=float, default=None, metavar="S")
-    parser.add_argument("--parallel", type=int,
-                        default=search.DEFAULT_BUDGET.parallel_width, metavar="W",
-                        help="worker processes for large searches "
-                             "(default: the usable CPUs)")
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="write the JSON certificate here")
+    if budget:
+        parser.add_argument("--budget-nodes", type=int, default=None, metavar="N")
+        parser.add_argument("--budget-seconds", type=float, default=None,
+                            metavar="S")
+        parser.add_argument("--parallel", type=int,
+                            default=search.DEFAULT_BUDGET.parallel_width,
+                            metavar="W",
+                            help="worker processes for large searches "
+                                 "(default: the usable CPUs)")
+    if certificate:
+        parser.add_argument("--out", default=None, metavar="FILE",
+                            help="write the JSON certificate here")
+        parser.add_argument("--timing", action="store_true",
+                            help="include wall-clock timing in the certificate "
+                                 "(off by default so reports stay "
+                                 "byte-reproducible)")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--timing", action="store_true",
-                        help="include wall-clock timing in the certificate "
-                             "(off by default so reports stay byte-reproducible)")
 
 
-def _rat_text(obj) -> str:
-    frac = Fraction(obj["num"], obj["den"]) if isinstance(obj, dict) else Fraction(obj)
-    return str(frac)
+def _command(body):
+    """Turn a command body into a ``handler(args) -> int``.
 
+    The body gets ``(args, group, budget)`` and returns ``(parameters,
+    results, claims, status, lines)``. The handler builds the certificate
+    (with the budget in its parameters when the command searches), writes
+    ``--out``, prints the certificate or the text lines and the status, and
+    maps the status to the exit code.
+    """
+    command = body.__name__.removeprefix("cmd_")
 
-def _seq_text(group: AbelianGroup, obj) -> str:
-    from .certificates import sequence_from_json
-    return str(sequence_from_json(group, obj))
-
-
-def _emit(cert: Certificate, args, lines: list[str]) -> None:
-    payload = certificate_json(cert)
-    if args.out:
-        write_certificate(cert, args.out)
-    if args.format == "json":
-        sys.stdout.write(payload)
-    else:
-        for line in lines:
-            print(line)
-
-
-def _finish(cert: Certificate, args, started: float) -> None:
-    if args.timing:
-        cert.timing = {"seconds": round(time.monotonic() - started, 3)}
+    @functools.wraps(body)
+    def handler(args) -> int:
+        started = time.monotonic()
+        group = parse_group_spec(args.group)
+        # a command searches exactly when its parser has the budget flags
+        budget = _budget_from(args) if "budget_nodes" in vars(args) else None
+        parameters, results, claims, status, lines = body(args, group, budget)
+        if budget is not None:
+            parameters["budget"] = {"max_nodes": budget.max_nodes,
+                                    "max_seconds": budget.max_seconds}
+        cert = Certificate(command, args.group, group.invariant_factors,
+                           parameters, results, claims, status)
+        if args.timing:
+            cert.timing = {"seconds": round(time.monotonic() - started, 3)}
+        if args.out:
+            write_certificate(cert, args.out)
+        if args.format == "json":
+            sys.stdout.write(certificate_json(cert))
+        else:
+            print("\n".join([*lines, f"status: {status}"]))
+        if status in ("ok", "verified"):
+            return EXIT_OK
+        if status == "budget-exceeded":
+            return EXIT_BUDGET
+        if results.get("implementation_bug"):
+            return EXIT_INTERNAL
+        return EXIT_COUNTEREXAMPLE
+    return handler
 
 
 # -- command handlers -----------------------------------------------------------
 
-def cmd_invariants(args) -> int:
-    started = time.monotonic()
-    group = parse_group_spec(args.group)
-    budget = _budget_from(args)
+@_command
+def cmd_invariants(args, group, budget):
+    d_star, k_star = formulas.d_star(group), formulas.k_star(group)
     results: dict = {
         "cardinality": group.cardinality,
         "exponent": group.exponent,
         "rank": group.rank,
         "invariant_factors": list(group.invariant_factors),
         "primary_decomposition": list(group.primary_decomposition()),
-        "d_star": formulas.d_star(group),
-        "k_star": rational_to_json(formulas.k_star(group)),
+        "d_star": d_star,
+        "k_star": rational_to_json(k_star),
     }
     claims: list[dict] = [
-        {"kind": "d_star", "value": results["d_star"]},
+        {"kind": "d_star", "value": d_star},
         {"kind": "k_star", "value": results["k_star"]},
     ]
+    lines = [f"group {group} (invariant factors "
+             f"{','.join(map(str, group.invariant_factors))})",
+             f"  |G| = {group.cardinality}  exp(G) = {group.exponent}  "
+             f"rank = {group.rank}",
+             f"  primary decomposition: "
+             f"{','.join(map(str, group.primary_decomposition()))}",
+             f"  d*(G) = {d_star}  k*(G) = {k_star}"]
     formula_d = formula_k = None
     if args.method in ("formula", "both"):
-        block: dict = {}
         if group.is_p_group:
             formula_d = formulas.davenport_p_group(group)
             formula_k = formulas.little_cross_p_group(group)
-            block = {"d": formula_d, "davenport": formula_d + 1,
-                     "k": rational_to_json(formula_k)}
         elif group.rank == 1:
-            block = {"d": group.exponent - 1, "davenport": group.exponent, "k": None}
             formula_d = group.exponent - 1
-        else:
-            block = {"d": None, "davenport": None, "k": None}
-        results["formula"] = block
+        davenport = None if formula_d is None else formula_d + 1
+        results["formula"] = {
+            "d": formula_d, "davenport": davenport,
+            "k": None if formula_k is None else rational_to_json(formula_k)}
+        lines.append(f"  formula: d(G) = {formula_d}  D(G) = {davenport}  "
+                     f"k(G) = {formula_k}")
     if args.method in ("search", "both"):
         d_value, d_witness = search.longest_zero_sumfree(group, budget)
         k_value, k_witness = search.max_cross_number(group, budget)
-        if d_value < formulas.d_star(group):
+        if d_value < d_star:
             raise InternalCheckError(
                 f"search found d(G) = {d_value} below the d* lower bound")
-        if k_value < formulas.k_star(group):
+        if k_value < k_star:
             raise InternalCheckError(
                 f"search found k(G) = {k_value} below the k* lower bound")
         results["search"] = {
@@ -190,41 +210,17 @@ def cmd_invariants(args) -> int:
                        "witness": results["search"]["d_witness"]})
         claims.append({"kind": "little_cross", "value": rational_to_json(k_value),
                        "witness": results["search"]["k_witness"]})
+        lines += [f"  search:  d(G) = {d_value}  D(G) = {d_value + 1}  "
+                  f"k(G) = {k_value}",
+                  f"    d witness: {d_witness.sequence}",
+                  f"    k witness: {k_witness.sequence}"]
     elif formula_d is not None:
         claims.append({"kind": "davenport", "value": formula_d, "witness": None})
-
-    cert = Certificate("invariants", args.group, group.invariant_factors,
-                       {"method": args.method,
-                        "budget": {"max_nodes": budget.max_nodes,
-                                   "max_seconds": budget.max_seconds}},
-                       results, claims, "ok")
-    _finish(cert, args, started)
-    lines = [f"group {group} (invariant factors "
-             f"{','.join(map(str, group.invariant_factors))})",
-             f"  |G| = {group.cardinality}  exp(G) = {group.exponent}  "
-             f"rank = {group.rank}",
-             f"  primary decomposition: "
-             f"{','.join(map(str, group.primary_decomposition()))}",
-             f"  d*(G) = {results['d_star']}  k*(G) = {_rat_text(results['k_star'])}"]
-    if "formula" in results:
-        f = results["formula"]
-        lines.append(f"  formula: d(G) = {f['d']}  D(G) = {f['davenport']}  "
-                     f"k(G) = {None if f['k'] is None else _rat_text(f['k'])}")
-    if "search" in results:
-        s = results["search"]
-        lines.append(f"  search:  d(G) = {s['d']}  D(G) = {s['davenport']}  "
-                     f"k(G) = {_rat_text(s['k'])}")
-        lines.append(f"    d witness: {_seq_text(group, s['d_witness'])}")
-        lines.append(f"    k witness: {_seq_text(group, s['k_witness'])}")
-    lines.append("status: ok")
-    _emit(cert, args, lines)
-    return EXIT_OK
+    return {"method": args.method}, results, claims, "ok", lines
 
 
-def cmd_dpair(args) -> int:
-    started = time.monotonic()
-    group = parse_group_spec(args.group)
-    budget = _budget_from(args)
+@_command
+def cmd_dpair(args, group, budget):
     pair = formulas.DivisorPair(args.dprime, args.d)
     pair.validate_for(group)
     upsilon = formulas.upsilon_vector(group, pair)
@@ -234,52 +230,34 @@ def cmd_dpair(args) -> int:
         "upsilon": list(upsilon),
         "reduced_factors": None if reduced is None else list(reduced.invariant_factors),
     }
-    claims: list[dict] = []
-    formula_value = search_value = None
-    if args.method in ("formula", "both"):
-        formula_value = search.d_pair_value(group, pair, budget)
-        results["formula_value"] = formula_value
-    if args.method in ("search", "both"):
-        length, witness = search.longest_avoiding(group, pair, budget)
-        search_value = length + 1
-        results["search_value"] = search_value
-        results["witness"] = sequence_to_json(witness.sequence)
-    if args.method == "both" and formula_value != search_value:
-        raise InternalCheckError(
-            f"reduction route gives {formula_value}, brute force {search_value}")
-    value = search_value if search_value is not None else formula_value
-    claim = {"kind": "d_pair", "d_prime": pair.d_prime, "d": pair.d, "value": value}
-    if "witness" in results:
-        claim["witness"] = results["witness"]
-    claims.append(claim)
-    cert = Certificate("dpair", args.group, group.invariant_factors,
-                       {"method": args.method, "d_prime": pair.d_prime, "d": pair.d,
-                        "budget": {"max_nodes": budget.max_nodes,
-                                   "max_seconds": budget.max_seconds}},
-                       results, claims, "ok")
-    _finish(cert, args, started)
+    claim = {"kind": "d_pair", "d_prime": pair.d_prime, "d": pair.d}
     lines = [f"group {group}, d' = {pair.d_prime}, d = {pair.d}",
              f"  upsilon vector: ({','.join(map(str, upsilon))})",
              f"  reduced group: "
              f"{'trivial' if reduced is None else str(reduced)}"]
-    if formula_value is not None:
+    formula_value = search_value = None
+    if args.method in ("formula", "both"):
+        formula_value = search.d_pair_value(group, pair, budget)
+        results["formula_value"] = formula_value
         lines.append(f"  via reduction:  D_(d',d) = {formula_value}")
-    if search_value is not None:
-        lines.append(f"  by brute force: D_(d',d) = {search_value}")
-        lines.append(f"    longest avoiding witness: "
-                     f"{_seq_text(group, results['witness'])}")
-    lines.append("status: ok")
-    _emit(cert, args, lines)
-    return EXIT_OK
+    if args.method in ("search", "both"):
+        length, witness = search.longest_avoiding(group, pair, budget)
+        search_value = length + 1
+        results["search_value"] = search_value
+        results["witness"] = claim["witness"] = sequence_to_json(witness.sequence)
+        lines += [f"  by brute force: D_(d',d) = {search_value}",
+                  f"    longest avoiding witness: {witness.sequence}"]
+    if args.method == "both" and formula_value != search_value:
+        raise InternalCheckError(
+            f"reduction route gives {formula_value}, brute force {search_value}")
+    claim["value"] = search_value if search_value is not None else formula_value
+    parameters = {"method": args.method, "d_prime": pair.d_prime, "d": pair.d}
+    return parameters, results, [claim], "ok", lines
 
 
-def cmd_gamma(args) -> int:
-    started = time.monotonic()
-    group = parse_group_spec(args.group)
-    budget = _budget_from(args)
+@_command
+def cmd_gamma(args, group, budget):
     delta = args.delta
-    if delta is None:
-        raise ValueError("gamma requires --delta")
     bounds = formulas.gamma_bounds(group, delta)
     results: dict = {
         "delta": delta,
@@ -289,13 +267,14 @@ def cmd_gamma(args) -> int:
                    "raw_lower": bounds.raw_lower, "raw_upper": bounds.raw_upper},
         "exact_formula": bounds.exact,
     }
-    claims: list[dict] = [{
-        "kind": "gamma_bounds", "delta": delta,
-        "lower": bounds.lower, "upper": bounds.upper,
-        "raw_lower": bounds.raw_lower, "raw_upper": bounds.raw_upper,
-        "exact_formula": bounds.exact,
-    }]
-    exact = None
+    claims: list[dict] = [{"kind": "gamma_bounds", "delta": delta,
+                           **results["bounds"], "exact_formula": bounds.exact}]
+    lines = [f"group {group}, delta = {delta} (j0 = {results['j0']}, "
+             f"d(G) = {results['d']})",
+             f"  lower bound {bounds.lower} (raw {bounds.raw_lower}), "
+             f"upper bound {bounds.upper} (raw {bounds.raw_upper})"]
+    if bounds.exact is not None:
+        lines.append(f"  exact closed form: {bounds.exact}")
     if args.method in ("search", "both"):
         exact, witness = search.gamma_exact(group, delta, budget)
         results["search"] = {"value": exact,
@@ -310,30 +289,14 @@ def cmd_gamma(args) -> int:
                 f"exact closed form gives {bounds.exact} but search found {exact}")
         claims.append({"kind": "gamma_exact", "delta": delta, "value": exact,
                        "witness": results["search"]["witness"]})
-    cert = Certificate("gamma", args.group, group.invariant_factors,
-                       {"method": args.method, "delta": delta,
-                        "budget": {"max_nodes": budget.max_nodes,
-                                   "max_seconds": budget.max_seconds}},
-                       results, claims, "ok")
-    _finish(cert, args, started)
-    lines = [f"group {group}, delta = {delta} (j0 = {results['j0']}, "
-             f"d(G) = {results['d']})",
-             f"  lower bound {bounds.lower} (raw {bounds.raw_lower}), "
-             f"upper bound {bounds.upper} (raw {bounds.raw_upper})"]
-    if bounds.exact is not None:
-        lines.append(f"  exact closed form: {bounds.exact}")
-    if exact is not None:
-        lines.append(f"  exhaustive value: {exact}  "
-                     f"(equals upper bound: {results['matches_upper']})")
-        lines.append(f"    witness: {_seq_text(group, results['search']['witness'])}")
-    lines.append("status: ok")
-    _emit(cert, args, lines)
-    return EXIT_OK
+        lines += [f"  exhaustive value: {exact}  "
+                  f"(equals upper bound: {results['matches_upper']})",
+                  f"    witness: {witness.sequence}"]
+    return {"method": args.method, "delta": delta}, results, claims, "ok", lines
 
 
-def cmd_construct(args) -> int:
-    started = time.monotonic()
-    group = parse_group_spec(args.group)
+@_command
+def cmd_construct(args, group, budget):
     if args.kind == "dstar":
         seq = constructions.dstar_sequence(group)
     elif args.kind == "kstar":
@@ -354,29 +317,18 @@ def cmd_construct(args) -> int:
     claim = {"kind": "construction", "construction": args.kind,
              "sequence": results["sequence"], "length": len(seq)}
     if args.kind == "gamma":
-        claim["delta"] = args.delta
-        results["delta"] = args.delta
-    cert = Certificate("construct", args.group, group.invariant_factors,
-                       {"kind": args.kind, "delta": args.delta},
-                       results, [claim], "ok")
-    _finish(cert, args, started)
+        claim["delta"] = results["delta"] = args.delta
     lines = [f"group {group}, construction {args.kind}"
              + (f", delta = {args.delta}" if args.kind == "gamma" else ""),
              f"  sequence: {seq}",
              f"  length {len(seq)}, cross number {cross}, "
              f"max-order count {results['max_order_count']}",
-             "  zero-sumfree: verified",
-             "status: ok"]
-    _emit(cert, args, lines)
-    return EXIT_OK
+             "  zero-sumfree: verified"]
+    return {"kind": args.kind, "delta": args.delta}, results, [claim], "ok", lines
 
 
-def cmd_enumerate(args) -> int:
-    started = time.monotonic()
-    group = parse_group_spec(args.group)
-    budget = _budget_from(args)
-    if args.length is None:
-        raise ValueError("enumerate requires --length")
+@_command
+def cmd_enumerate(args, group, budget):
     collected: list[sequences.GSequence] = []
     visitor = None if args.count_only else collected.append
     count = search.enumerate_zero_sumfree(group, args.length, visitor, budget=budget)
@@ -384,95 +336,55 @@ def cmd_enumerate(args) -> int:
     if not args.count_only:
         results["sequences"] = [sequence_to_json(s) for s in collected]
     claims = [{"kind": "enumeration", "length": args.length, "count": count}]
-    cert = Certificate("enumerate", args.group, group.invariant_factors,
-                       {"length": args.length,
-                        "budget": {"max_nodes": budget.max_nodes,
-                                   "max_seconds": budget.max_seconds}},
-                       results, claims, "ok")
-    _finish(cert, args, started)
     lines = [f"group {group}: {count} zero-sumfree sequence(s) of length {args.length}"]
-    if not args.count_only:
-        lines.extend(f"  {s}" for s in collected)
-    lines.append("status: ok")
-    _emit(cert, args, lines)
-    return EXIT_OK
+    lines += [f"  {s}" for s in collected]
+    return {"length": args.length}, results, claims, "ok", lines
 
 
-def cmd_check(args) -> int:
-    started = time.monotonic()
-    group = parse_group_spec(args.group)
-    budget = _budget_from(args)
-    name = args.name
-    params: dict = {}
-    if name == "cross-number":
-        report = verifier.check_cross_number_conjecture(group, budget)
-    elif name == "davenport-dual":
-        report = verifier.check_dual_conjecture(group, budget)
-    elif name == "order-divisibility":
-        threshold = args.threshold
-        if threshold is None:
-            threshold = (formulas.davenport_p_group(group) - group.p + 2
-                         if group.is_p_group else formulas.d_star(group))
-        params["threshold"] = threshold
-        report = verifier.check_order_divisibility(group, threshold, budget)
-    elif name == "heights":
-        report = verifier.check_heights(group, budget)
-    elif name == "max-order":
-        report = verifier.check_corollary_max_order(group, budget)
-    elif name == "gamma-conjecture":
-        if args.delta is None:
-            raise ValueError("check gamma-conjecture requires --delta")
-        params["delta"] = args.delta
-        report = verifier.check_gamma_conjecture(group, args.delta, budget)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown check {name!r}")
-
-    details_json = {}
-    for key, value in report.details:
-        details_json[key] = rational_to_json(value) if isinstance(value, Fraction) else value
+@_command
+def cmd_check(args, group, budget):
+    _, takes, _ = verifier.CHECKS[args.name]
+    inputs = {"delta": args.delta, "threshold": args.threshold}
+    for key, value in inputs.items():
+        if value is None and takes.get(key):
+            raise ValueError(f"check {args.name} requires --{key}")
+        if value is not None and key not in takes:
+            raise ValueError(f"check {args.name} does not take --{key}")
+    report = verifier.run_check(
+        args.name, group, {k: v for k, v in inputs.items() if v is not None}, budget)
+    report_params = dict(report.parameters)
+    counterexample = (None if report.counterexample is None
+                      else sequence_to_json(report.counterexample))
     results: dict = {
         "check": report.name,
-        "parameters": dict(report.parameters),
+        "parameters": report_params,
         "verdict": report.verdict,
         "nodes": report.nodes_visited,
         "implementation_bug": report.implementation_bug,
-        "counterexample": (None if report.counterexample is None
-                           else sequence_to_json(report.counterexample)),
-        "details": details_json,
+        "counterexample": counterexample,
+        "details": {key: rational_to_json(value) if isinstance(value, Fraction)
+                    else value for key, value in report.details},
     }
     claims = [{"kind": "check", "check": report.name,
-               "parameters": dict(report.parameters),
+               "parameters": report_params,
                "verdict": report.verdict, "nodes": report.nodes_visited,
-               "counterexample": results["counterexample"]}]
-    cert = Certificate("check", args.group, group.invariant_factors,
-                       {"name": name, **params,
-                        "budget": {"max_nodes": budget.max_nodes,
-                                   "max_seconds": budget.max_seconds}},
-                       results, claims, report.verdict)
-    _finish(cert, args, started)
+               "counterexample": counterexample}]
     lines = [f"group {group}, check {report.name} "
-             f"{dict(report.parameters) if report.parameters else ''}".rstrip(),
+             f"{report_params if report_params else ''}".rstrip(),
              f"  verdict: {report.verdict}  (nodes visited: {report.nodes_visited})"]
-    for key, value in report.details:
-        lines.append(f"  {key}: {value}")
+    lines += [f"  {key}: {value}" for key, value in report.details]
     if report.counterexample is not None:
         lines.append(f"  counterexample: {report.counterexample}")
         if report.implementation_bug:
             lines.append("  note: this contradicts a proved statement; "
                          "suspect the implementation first")
-    lines.append(f"status: {report.verdict}")
-    _emit(cert, args, lines)
-    if report.verdict == "verified":
-        return EXIT_OK
-    if report.verdict == "budget-exceeded":
-        return EXIT_BUDGET
-    return EXIT_INTERNAL if report.implementation_bug else EXIT_COUNTEREXAMPLE
+    parameters = {"name": args.name, **{key: report_params[key] for key in takes}}
+    return parameters, results, claims, report.verdict, lines
 
 
 def cmd_verify_cert(args) -> int:
     cert = load_certificate(args.infile)
-    budget = _budget_from(args)
-    outcome = verify_certificate(cert, budget)
+    outcome = verify_certificate(cert, _budget_from(args))
     if args.format == "json":
         sys.stdout.write(json.dumps(
             {"accepted": outcome.accepted, "claims_checked": outcome.claims_checked,
@@ -500,42 +412,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("invariants", help="d*, k*, d(G), k(G) by formula and search")
-    _add_common(p)
+    _add_common(p, method=True)
     p.set_defaults(handler=cmd_invariants)
 
     p = sub.add_parser("dpair", help="two-level Davenport constant D_(d',d)")
-    _add_common(p)
+    _add_common(p, method=True)
     p.add_argument("--dprime", type=int, required=True, metavar="N")
     p.add_argument("--d", type=int, required=True, metavar="N")
     p.set_defaults(handler=cmd_dpair)
 
     p = sub.add_parser("gamma", help="minimal max-order count in long "
                                      "zero-sumfree sequences (p-groups)")
-    _add_common(p)
-    p.add_argument("--delta", type=int, default=None, metavar="N")
+    _add_common(p, method=True)
+    p.add_argument("--delta", type=int, required=True, metavar="N")
     p.set_defaults(handler=cmd_gamma)
 
     p = sub.add_parser("construct", help="explicit extremal sequences")
-    _add_common(p, with_method=False)
+    _add_common(p, budget=False)
     p.add_argument("--kind", choices=("dstar", "kstar", "gamma"), required=True)
     p.add_argument("--delta", type=int, default=None, metavar="N")
     p.set_defaults(handler=cmd_construct)
 
     p = sub.add_parser("enumerate", help="list zero-sumfree sequences of one length")
-    _add_common(p, with_method=False)
-    p.add_argument("--length", type=int, default=None, metavar="N")
+    _add_common(p)
+    p.add_argument("--length", type=int, required=True, metavar="N")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("check", help="exhaustive theorem/conjecture checkers")
-    _add_common(p, with_method=False)
-    p.add_argument("--name", choices=CHECK_NAMES, required=True)
+    _add_common(p)
+    p.add_argument("--name", choices=tuple(verifier.CHECKS), required=True)
     p.add_argument("--delta", type=int, default=None, metavar="N")
     p.add_argument("--threshold", type=int, default=None, metavar="N")
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("verify-cert", help="re-verify a certificate from scratch")
-    _add_common(p, with_group=False, with_method=False)
+    _add_common(p, certificate=False)
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.set_defaults(handler=cmd_verify_cert)
 

@@ -139,10 +139,14 @@ def check_dual_conjecture(group: AbelianGroup,
         details=(("k_star", k_star(group)),))
 
 
-def check_order_divisibility(group: AbelianGroup, threshold: int,
+def check_order_divisibility(group: AbelianGroup, threshold: int | None = None,
                              budget: SearchBudget | None = None) -> CheckReport:
     """In every zero-sumfree sequence of length at least the threshold, the
-    smallest invariant factor divides the order of each element."""
+    smallest invariant factor divides the order of each element. The
+    threshold defaults to d(G) - p + 2 on p-groups and d*(G) otherwise."""
+    if threshold is None:
+        threshold = (davenport_p_group(group) - group.p + 2
+                     if group.is_p_group else d_star(group))
     tables = tables_for(group)
     n_1 = group.invariant_factors[0]
     weights = [0] + [1 if tables.orders[r] % n_1 != 0 else 0
@@ -216,3 +220,29 @@ def check_gamma_conjecture(group: AbelianGroup, delta: int,
     return CheckReport("gamma-conjecture", group, (("delta", delta),),
                        "counterexample", GSequence.from_ranks(group, ranks),
                        nodes, elapsed, implementation_bug=bug, details=details)
+
+
+# CLI name -> (report name, input parameters, checker). An input maps to True
+# when the check requires it. The checker is named, not stored, and looked up
+# in this module when the check runs, so a rebound module attribute (such as
+# a tracing wrapper) is the one called.
+CHECKS = {
+    "cross-number": ("cross-number-conjecture", {},
+                     "check_cross_number_conjecture"),
+    "davenport-dual": ("davenport-dual-conjecture", {}, "check_dual_conjecture"),
+    "order-divisibility": ("order-divisibility", {"threshold": False},
+                           "check_order_divisibility"),
+    "heights": ("heights", {}, "check_heights"),
+    "max-order": ("max-order-at-full-length", {}, "check_corollary_max_order"),
+    "gamma-conjecture": ("gamma-conjecture", {"delta": True},
+                         "check_gamma_conjecture"),
+}
+
+
+def run_check(name: str, group: AbelianGroup, inputs: dict,
+              budget: SearchBudget | None = None) -> CheckReport:
+    """Run the check with CLI name ``name``, passing it those of ``inputs``
+    that it takes."""
+    _, takes, checker = CHECKS[name]
+    kwargs = {key: inputs[key] for key in takes if key in inputs}
+    return globals()[checker](group, budget=budget, **kwargs)

@@ -93,13 +93,15 @@ class TestVerification:
 
     def test_rejects_tampered_formula_value(self, tmp_path):
         path = gamma_cert(tmp_path)
-        obj = json.loads(path.read_text())
-        claim = next(c for c in obj["claims"] if c["kind"] == "gamma_bounds")
-        claim["upper"] += 1
-        mutated = tmp_path / "bounds.json"
-        mutated.write_text(json.dumps(obj))
-        outcome = verify_certificate(mutated)
-        assert not outcome.accepted
+        for key, value in [("upper", 2), ("exact_formula", None)]:
+            obj = json.loads(path.read_text())
+            claim = next(c for c in obj["claims"] if c["kind"] == "gamma_bounds")
+            assert claim[key] != value
+            claim[key] = value
+            mutated = tmp_path / "bounds.json"
+            mutated.write_text(json.dumps(obj))
+            outcome = verify_certificate(mutated)
+            assert not outcome.accepted, key
 
     def test_check_claims_reverify(self, tmp_path):
         out = tmp_path / "check.json"
@@ -113,6 +115,20 @@ class TestVerification:
         bad = tmp_path / "badnodes.json"
         bad.write_text(json.dumps(obj))
         assert not verify_certificate(bad).accepted
+
+    def test_rejects_tampered_check_parameters(self, tmp_path):
+        out = tmp_path / "check.json"
+        assert main(["check", "--group", "2,4", "--name", "cross-number",
+                     "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        claim = obj["claims"][0]
+        assert claim["parameters"] == {"threshold": 4}
+        claim["parameters"]["threshold"] = 99
+        bad = tmp_path / "badparams.json"
+        bad.write_text(json.dumps(obj))
+        outcome = verify_certificate(bad)
+        assert not outcome.accepted
+        assert any("parameters" in f for f in outcome.failures)
 
 
 class TestSchemaValidation:

@@ -89,9 +89,19 @@ class TestExitCodes:
         assert main(["verify-cert", "--in", str(out)]) == EXIT_COUNTEREXAMPLE
 
     def test_verify_cert_malformed_exit(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        assert main(["verify-cert", "--in", str(bad)]) == EXIT_USAGE
+        cert = tmp_path / "cert.json"
+        assert main(["construct", "--group", "2,4", "--kind", "dstar",
+                     "--out", str(cert)]) == EXIT_OK
+        edits = {"empty": lambda obj: obj.clear(),
+                 "tool not an object": lambda obj: obj.update(tool="x"),
+                 "factors not a list":
+                     lambda obj: obj["group"].update(invariant_factors=5)}
+        for name, edit in edits.items():
+            obj = json.loads(cert.read_text())
+            edit(obj)
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(obj))
+            assert main(["verify-cert", "--in", str(bad)]) == EXIT_USAGE, name
         assert main(["verify-cert", "--in", str(tmp_path / "missing.json")]) \
             == EXIT_USAGE
 
@@ -169,6 +179,25 @@ class TestCommands:
             assert main(["check", "--group", "2,4", "--name", name]) == EXIT_OK
         assert main(["check", "--group", "2,4", "--name", "gamma-conjecture",
                      "--delta", "0"]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        "check --group 2,4 --name heights --delta 3",
+        "check --group 2,4 --name cross-number --threshold 7",
+        "check --group 2,4 --name gamma-conjecture",
+        "construct --group 2,4 --kind dstar --budget-nodes 5",
+        "construct --group 2,4 --kind dstar --parallel 1",
+        "verify-cert --in cert.json --out copy.json",
+        "verify-cert --in cert.json --timing",
+        "enumerate --group 3",
+    ])
+    def test_usage_error_wrong_inputs(self, argv, tmp_path, monkeypatch):
+        """A flag the command (or the chosen check) does not read, or a
+        missing required input, is a usage error and writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["construct", "--group", "2,4", "--kind", "dstar",
+                     "--out", "cert.json"]) == EXIT_OK
+        assert main(argv.split()) == EXIT_USAGE
+        assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
 
     def test_version_flag(self):
         assert main(["--version"]) == EXIT_OK
