@@ -278,7 +278,8 @@ def verify_certificate(source: Certificate | str | Path,
     Formula claims re-evaluate the closed forms; search claims re-run the
     exhaustive search; witnesses are re-checked with fresh subsum tables (and
     the definitional enumeration when short). Stored verdicts are never
-    trusted.
+    trusted, and the status must be the one the claims imply: the verdict of
+    the one check claim for ``check``, ``ok`` for every other command.
     """
     cert = source if isinstance(source, Certificate) else load_certificate(source)
     group = cert.group
@@ -291,5 +292,11 @@ def verify_certificate(source: Certificate | str | Path,
             _verify_claim(group, claim, budget)
         except Exception as err:  # any failure rejects; the message names it
             failures.append(f"claims[{i}] ({claim.get('kind')}): {err}")
+    implied = ["ok"]
+    if cert.command == "check":
+        implied = [claim.get("verdict") for claim in cert.claims
+                   if isinstance(claim, dict) and claim.get("kind") == "check"]
+    if implied != [cert.status]:
+        failures.append(f"status {cert.status!r} is not the one the claims imply")
     return VerificationOutcome(accepted=not failures, failures=failures,
                                claims_checked=len(cert.claims))

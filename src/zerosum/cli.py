@@ -297,6 +297,8 @@ def cmd_gamma(args, group, budget):
 
 @_command
 def cmd_construct(args, group, budget):
+    if args.kind != "gamma" and args.delta is not None:
+        raise ValueError(f"construct --kind {args.kind} does not take --delta")
     if args.kind == "dstar":
         seq = constructions.dstar_sequence(group)
     elif args.kind == "kstar":

@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from zerosum import AbelianGroup, GroupElement, GSequence
+from zerosum.groups import tables_for
 
 # p-groups exercised throughout the acceptance runs
 P_GROUP_FACTORS = [
@@ -120,3 +121,59 @@ def all_zero_sumfree_multisets(group: AbelianGroup, length: int) -> set[tuple[in
                 yield from extend(prefix + (r,), r)
 
     return set(extend((), 1))
+
+
+def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
+                   forbidden_mask: int = 1, max_depth=None):
+    """The search engine's earlier walk, kept as the reference for its DFS
+    kernel; returns (one accumulator per allowed rank, total nodes) as
+    ``run_scan`` does, in this process and without budgets.
+
+    A node keeps its subsum mask; the child for allowed[j] is tried when the
+    mask misses pre[j], the ranks x with x + allowed[j] forbidden (-1 when
+    allowed[j] itself is forbidden). Masks are shifted with ``add`` one rank
+    at a time, not with the rotation translate.
+    """
+    tables = tables_for(group)
+    if allowed is None:
+        allowed = [r for r in range(tables.size) if not (forbidden_mask >> r) & 1]
+    depth_cap = max_depth if max_depth is not None else tables.size * group.exponent
+    forbidden = [r for r in range(tables.size) if (forbidden_mask >> r) & 1]
+    pre = [-1 if (forbidden_mask >> h) & 1 else
+           tables.mask_of(tables.add(f, tables.neg[h]) for f in forbidden)
+           for h in allowed]
+
+    def shift(mask: int, h: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << tables.add(low.bit_length() - 1, h)
+            mask ^= low
+        return out
+
+    def walk(acc, path: list[int], mask: int, first: int) -> int:
+        nodes = 0
+        for j in range(first, len(allowed)):
+            if mask & pre[j]:
+                continue
+            h = allowed[j]
+            nodes += 1
+            path.append(h)
+            if acc.enter(path) and len(path) < depth_cap:
+                nodes += walk(acc, path, mask | shift(mask, h) | (1 << h), j)
+            acc.leave(path)
+            path.pop()
+        return nodes
+
+    accs, nodes = [], 0
+    for i, g in enumerate(allowed):
+        acc = acc_factory()
+        accs.append(acc)
+        if pre[i] == -1:
+            continue
+        nodes += 1
+        path = [g]
+        if acc.enter(path) and 1 < depth_cap:
+            nodes += walk(acc, path, 1 << g, i)
+        acc.leave(path)
+    return accs, nodes

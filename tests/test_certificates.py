@@ -130,6 +130,25 @@ class TestVerification:
         assert not outcome.accepted
         assert any("parameters" in f for f in outcome.failures)
 
+    def test_rejects_status_its_claims_do_not_imply(self, tmp_path):
+        out = tmp_path / "check.json"
+        assert main(["check", "--group", "2,6", "--name", "order-divisibility",
+                     "--threshold", "1", "--out", str(out)]) == 1
+        assert verify_certificate(out).accepted
+        obj = json.loads(out.read_text())
+        assert obj["status"] == obj["claims"][0]["verdict"] != "verified"
+        obj["status"] = obj["results"]["verdict"] = "verified"
+        bad = tmp_path / "badstatus.json"
+        bad.write_text(json.dumps(obj))
+        outcome = verify_certificate(bad)
+        assert not outcome.accepted
+        assert any("status" in f for f in outcome.failures)
+        # a command without a check claim implies "ok"
+        cert = json.loads(gamma_cert(tmp_path).read_text())
+        cert["status"] = "verified"
+        bad.write_text(json.dumps(cert))
+        assert not verify_certificate(bad).accepted
+
 
 class TestSchemaValidation:
     def test_wrong_version(self, tmp_path):

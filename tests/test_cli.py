@@ -186,6 +186,8 @@ class TestCommands:
         "check --group 2,4 --name gamma-conjecture",
         "construct --group 2,4 --kind dstar --budget-nodes 5",
         "construct --group 2,4 --kind dstar --parallel 1",
+        "construct --group 2,4 --kind dstar --delta 3",
+        "construct --group 2,4 --kind kstar --delta 3 --out kstar.json",
         "verify-cert --in cert.json --out copy.json",
         "verify-cert --in cert.json --timing",
         "enumerate --group 3",

@@ -12,7 +12,8 @@ from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair,
                      enumerate_zero_sumfree, gamma_exact, k_star,
                      longest_avoiding, longest_zero_sumfree, max_cross_number,
                      max_order_count)
-from conftest import all_zero_sumfree_multisets
+from conftest import (NON_P_FACTORS, P_GROUP_FACTORS, all_zero_sumfree_multisets,
+                      reference_scan)
 
 C2 = AbelianGroup((2,))
 C3 = AbelianGroup((3,))
@@ -353,3 +354,105 @@ class TestPinnedCounts:
         assert length == 3
         assert witness.value == 4
         assert tuple(witness.sequence.iter_ranks()) == (2, 16, 128)
+
+
+def _acc_state(acc):
+    return tuple(getattr(acc, name) for name in type(acc).__slots__)
+
+
+def _scan_summary(scan):
+    accs, nodes = scan
+    return [_acc_state(acc) for acc in accs], nodes
+
+
+class TestBlockedMaskKernel:
+    """``run_scan`` against ``reference_scan``, the earlier per-index walk:
+    the same accumulator state per root task and the same total nodes."""
+
+    @staticmethod
+    def _cases(group):
+        from zerosum.groups import tables_for
+        from zerosum.search import (_CountAcc, _LongestAcc, _MaxCrossAcc,
+                                    _MinMaxOrderAcc)
+        from zerosum.verifier import _ViolationAcc
+        orders, exp = tables_for(group).orders, group.exponent
+        accs, _ = reference_scan(group, _LongestAcc)
+        d = max(acc.best_len for acc in accs)
+        is_max = [1 if o == exp else 0 for o in orders]
+        cross = [exp // o for o in orders]
+        short, gamma_len = min(3, d), max(1, d - 1)
+        return [
+            (_LongestAcc, None),
+            (lambda: _MaxCrossAcc(orders, exp), None),
+            (lambda: _CountAcc(short, True), short),
+            (lambda: _MinMaxOrderAcc(is_max, gamma_len), gamma_len),
+            # cross number above 1 at length >= 2: a counterexample prunes
+            (lambda: _ViolationAcc(cross, 2, exp), None),
+        ]
+
+    def test_matches_reference_walk(self, forked_scans):
+        from zerosum.groups import tables_for
+        from zerosum.search import _LongestAcc, _subgroup_mask, run_scan
+        widths = [SearchBudget(parallel_width=w) for w in (1, 2)]
+
+        def same(group, factory, **kwargs):
+            want = _scan_summary(reference_scan(group, factory, **kwargs))
+            for budget in widths:
+                got = run_scan(group, factory, budget=budget, **kwargs)
+                assert _scan_summary(got) == want, (group, kwargs, budget)
+            return want[1]
+
+        for factors in P_GROUP_FACTORS + NON_P_FACTORS:
+            group = AbelianGroup(factors)
+            for factory, depth in self._cases(group):
+                same(group, factory, max_depth=depth)
+        # a d-pair forbidden subgroup, G_2 in C8xC8xC8, with the allowed set
+        # G_4 minus G_2 as longest_avoiding takes it, then all of G_4
+        group, pair = AbelianGroup((8, 8, 8)), DivisorPair(2, 4)
+        tables = tables_for(group)
+        forbidden = _subgroup_mask(tables, pair.quotient)
+        g4 = [r for r in range(tables.size) if pair.d % tables.orders[r] == 0]
+        for allowed in ([r for r in g4 if not (forbidden >> r) & 1], g4):
+            assert same(group, _LongestAcc, allowed=allowed,
+                        forbidden_mask=forbidden) == 15_736
+        # every rank allowed, the zero element forbidden
+        assert same(C24, _LongestAcc, allowed=list(range(8))) == 94
+        assert forked_scans
+
+    def test_allowed_must_be_ascending_ranks(self):
+        from zerosum.search import _LongestAcc, run_scan
+        for allowed in ([2, 1], [1, 1, 2], [-1, 1], [1, 8]):
+            with pytest.raises(ValueError, match="ascending"):
+                run_scan(C24, _LongestAcc, allowed=allowed)
+
+    def test_translates_only_nodes_that_descend(self, monkeypatch):
+        """One translate per node entered that descends: every node of an
+        unbounded scan, but not the leaves of a depth-capped one."""
+        from zerosum import search
+        from zerosum.groups import GroupTables
+        from zerosum.search import _gamma_scan, _LongestAcc, run_scan
+        calls = [0]
+        translate = GroupTables.translate
+
+        def counting_translate(tables, mask, g):
+            calls[0] += 1
+            return translate(tables, mask, g)
+
+        descends = [0]
+
+        class CountingAcc(search._MinMaxOrderAcc):
+            __slots__ = ()
+
+            def enter(self, path):
+                down = super().enter(path)
+                descends[0] += down and len(path) < self.target
+                return down
+
+        monkeypatch.setattr(GroupTables, "translate", counting_translate)
+        monkeypatch.setattr(search, "_MinMaxOrderAcc", CountingAcc)
+        budget = SearchBudget(parallel_width=1)
+        _, nodes = run_scan(AbelianGroup((5, 5)), _LongestAcc, budget=budget)
+        assert calls[0] == nodes == 138_864
+        calls[0] = 0
+        _, _, nodes = _gamma_scan(AbelianGroup((2, 2, 8)), 1, budget)
+        assert calls[0] == descends[0] < nodes
