@@ -9,9 +9,7 @@ from ._version import VERSION as __version__
 from .errors import (BudgetExceededError, CertificateError, InternalCheckError,
                      InvalidGroupError, NeedsOracleError, NotApplicableError,
                      UndefinedHeightError, UnsupportedGroupError, ZeroSumError)
-from .groups import (AbelianGroup, GroupElement, element_add, element_height,
-                     element_order, element_scale, normalize_group,
-                     primary_decomposition, subgroup_elements)
+from .groups import AbelianGroup, GroupElement, normalize_group
 from .sequences import (GSequence, SubsumTable, cross_number,
                         definitional_subsums, is_minimal_zero_sum,
                         is_zero_sumfree, max_order_count, order_filter, subsums)
@@ -40,9 +38,7 @@ __all__ = [
     "UndefinedHeightError", "NotApplicableError", "NeedsOracleError",
     "BudgetExceededError", "InternalCheckError", "CertificateError",
     # groups
-    "AbelianGroup", "GroupElement", "normalize_group", "element_add",
-    "element_scale", "element_order", "element_height", "subgroup_elements",
-    "primary_decomposition",
+    "AbelianGroup", "GroupElement", "normalize_group",
     # sequences
     "GSequence", "SubsumTable", "subsums", "definitional_subsums",
     "is_zero_sumfree", "is_minimal_zero_sum", "cross_number", "order_filter",

@@ -10,11 +10,11 @@ rationals as num/den pairs, no floats for exact quantities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import formulas, search, sequences, verifier
+from ._record import record
 from ._version import VERSION
 from .errors import CertificateError, InternalCheckError
 from .groups import AbelianGroup
@@ -60,7 +60,7 @@ def sequence_from_json(group: AbelianGroup, obj) -> GSequence:
     return GSequence.from_ranks(group, ranks)
 
 
-@dataclass
+@record()
 class Certificate:
     command: str
     group_input: str
@@ -71,7 +71,7 @@ class Certificate:
     status: str
     timing: dict | None = None
     schema_version: int = SCHEMA_VERSION
-    tool_version: str = field(default=VERSION)
+    tool_version: str = VERSION
 
     @property
     def group(self) -> AbelianGroup:
@@ -112,6 +112,8 @@ class Certificate:
             raise CertificateError("malformed tool record")
         if not isinstance(obj["claims"], list):
             raise CertificateError("claims must be a list")
+        if not isinstance(obj["parameters"], dict) or not isinstance(obj["results"], dict):
+            raise CertificateError("parameters and results must be objects")
         return cls(
             command=obj["command"],
             group_input=group_obj.get("input", ""),
@@ -143,7 +145,7 @@ def load_certificate(path: str | Path) -> Certificate:
 
 # -- re-verification -----------------------------------------------------------
 
-@dataclass
+@record()
 class VerificationOutcome:
     accepted: bool
     failures: list[str]
@@ -160,10 +162,20 @@ def _check_witness_sequence(group: AbelianGroup, obj, kind: str,
     return seq
 
 
-def _verify_claim(group: AbelianGroup, claim: dict,
+def check_claim(report: verifier.CheckReport) -> dict:
+    """The certificate claim stating a check's report."""
+    return {"kind": "check", "check": report.name,
+            "parameters": dict(report.parameters),
+            "verdict": report.verdict, "nodes": report.nodes_visited,
+            "counterexample": None if report.counterexample is None
+            else sequence_to_json(report.counterexample)}
+
+
+def _verify_claim(cert: Certificate, group: AbelianGroup, claim: dict,
                   budget: search.SearchBudget | None) -> None:
     """Raise InternalCheckError (or a ValueError subclass) when a claim does
-    not re-derive; return silently when it does."""
+    not re-derive; return silently when it does. A check claim must also be
+    what the certificate's ``results`` and ``parameters`` state."""
     kind = claim["kind"]
     if kind == "d_star":
         if formulas.d_star(group) != claim["value"]:
@@ -247,26 +259,27 @@ def _verify_claim(group: AbelianGroup, claim: dict,
         if count != claim["count"]:
             raise InternalCheckError(f"enumeration recounts {count}")
     elif kind == "check":
-        name = next((cli_name for cli_name, (report_name, _, _)
-                     in verifier.CHECKS.items() if report_name == claim["check"]),
-                    None)
-        if name is None:
-            raise InternalCheckError(f"unknown check {claim['check']!r}")
+        name = cert.parameters.get("name")
+        report_name, takes, _ = verifier.CHECKS.get(name, (None, {}, None))
+        if report_name != claim["check"]:
+            raise InternalCheckError(f"parameters.name {name!r} is not check {claim['check']!r}")
+        exceeded = claim["verdict"] == "budget-exceeded"
+        if exceeded:  # a node budget reproduces the verdict and the count
+            base = budget or search.DEFAULT_BUDGET
+            budget = search.SearchBudget(cert.parameters["budget"]["max_nodes"],
+                                         base.max_seconds, base.parallel_width)
         report = verifier.run_check(name, group, claim["parameters"], budget)
-        if dict(report.parameters) != claim["parameters"]:
-            raise InternalCheckError(
-                f"checker parameters recompute to {dict(report.parameters)}")
-        if report.verdict != claim["verdict"]:
-            raise InternalCheckError(f"checker verdict recomputes to {report.verdict}")
-        if report.nodes_visited != claim["nodes"]:
-            raise InternalCheckError(
-                f"checker node count recomputes to {report.nodes_visited}")
-        stored_cx = claim.get("counterexample")
-        if (stored_cx is None) != (report.counterexample is None):
-            raise InternalCheckError("counterexample presence mismatch")
-        if stored_cx is not None:
-            if sequence_from_json(group, stored_cx) != report.counterexample:
-                raise InternalCheckError("counterexample sequence mismatch")
+        for key, value in check_claim(report).items():
+            if claim.get(key) != value:
+                raise InternalCheckError(f"checker {key} recomputes to {value!r}" + (
+                    " at the recorded node budget: the claim does not reproduce"
+                    " (a time budget is not reproducible)" if exceeded else ""))
+            if key != "kind" and cert.results.get(key) != value:
+                raise InternalCheckError(f"results.{key} is not the claim's {value!r}")
+        implied = {"name": name, "budget": cert.parameters.get("budget"),
+                   **{key: claim["parameters"][key] for key in takes}}
+        if cert.parameters != implied:
+            raise InternalCheckError(f"parameters are not the claim's {implied}")
     else:
         raise InternalCheckError(f"unknown claim kind {kind!r}")
 
@@ -279,7 +292,9 @@ def verify_certificate(source: Certificate | str | Path,
     exhaustive search; witnesses are re-checked with fresh subsum tables (and
     the definitional enumeration when short). Stored verdicts are never
     trusted, and the status must be the one the claims imply: the verdict of
-    the one check claim for ``check``, ``ok`` for every other command.
+    the one check claim for ``check``, ``ok`` for every other command. A
+    check's ``results`` and ``parameters`` must restate its claim, and a
+    budget-exceeded check re-runs at the node budget it records.
     """
     cert = source if isinstance(source, Certificate) else load_certificate(source)
     group = cert.group
@@ -289,7 +304,7 @@ def verify_certificate(source: Certificate | str | Path,
             failures.append(f"claims[{i}]: malformed claim")
             continue
         try:
-            _verify_claim(group, claim, budget)
+            _verify_claim(cert, group, claim, budget)
         except Exception as err:  # any failure rejects; the message names it
             failures.append(f"claims[{i}] ({claim.get('kind')}): {err}")
     implied = ["ok"]

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import constructions, formulas, search, sequences, verifier
 from ._version import VERSION
-from .certificates import (Certificate, certificate_json, load_certificate,
-                           rational_to_json, sequence_to_json,
+from .certificates import (Certificate, certificate_json, check_claim,
+                           load_certificate, rational_to_json, sequence_to_json,
                            verify_certificate, write_certificate)
 from .errors import (BudgetExceededError, CertificateError,
                      InternalCheckError, ZeroSumError)
@@ -354,23 +354,12 @@ def cmd_check(args, group, budget):
             raise ValueError(f"check {args.name} does not take --{key}")
     report = verifier.run_check(
         args.name, group, {k: v for k, v in inputs.items() if v is not None}, budget)
-    report_params = dict(report.parameters)
-    counterexample = (None if report.counterexample is None
-                      else sequence_to_json(report.counterexample))
-    results: dict = {
-        "check": report.name,
-        "parameters": report_params,
-        "verdict": report.verdict,
-        "nodes": report.nodes_visited,
-        "implementation_bug": report.implementation_bug,
-        "counterexample": counterexample,
-        "details": {key: rational_to_json(value) if isinstance(value, Fraction)
-                    else value for key, value in report.details},
-    }
-    claims = [{"kind": "check", "check": report.name,
-               "parameters": report_params,
-               "verdict": report.verdict, "nodes": report.nodes_visited,
-               "counterexample": counterexample}]
+    claim = check_claim(report)
+    report_params = claim["parameters"]
+    results = {key: value for key, value in claim.items() if key != "kind"}
+    results["implementation_bug"] = report.implementation_bug
+    results["details"] = {key: rational_to_json(value) if isinstance(value, Fraction)
+                          else value for key, value in report.details}
     lines = [f"group {group}, check {report.name} "
              f"{report_params if report_params else ''}".rstrip(),
              f"  verdict: {report.verdict}  (nodes visited: {report.nodes_visited})"]
@@ -381,7 +370,7 @@ def cmd_check(args, group, budget):
             lines.append("  note: this contradicts a proved statement; "
                          "suspect the implementation first")
     parameters = {"name": args.name, **{key: report_params[key] for key in takes}}
-    return parameters, results, claims, report.verdict, lines
+    return parameters, results, [claim], report.verdict, lines
 
 
 def cmd_verify_cert(args) -> int:

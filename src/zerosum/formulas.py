@@ -9,16 +9,16 @@ the class raise rather than silently approximating; exhaustive search (in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
+from ._record import record
 from .errors import NeedsOracleError, NotApplicableError, UnsupportedGroupError
 from .groups import AbelianGroup, normalize_group
 from .sequences import GSequence, order_filter
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DivisorPair:
     """A pair d' | d of divisors of the exponent (validated against a group)."""
 
@@ -189,7 +189,7 @@ def gamma_exact_formula(group: AbelianGroup, delta: int) -> int:
     return max(0, (p ** a_r - 1) - delta - delta // (p - 1))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GammaBounds:
     """Clamped bounds (and exact value when available) with the raw,
     possibly negative, formula values kept inspectable."""

@@ -9,11 +9,11 @@ used for ordering, hashing and dense table indexing throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
+from ._record import record
 from .errors import InvalidGroupError, UndefinedHeightError, UnsupportedGroupError
 
 # Constructors reject groups larger than this; keeps subsum tables dense.
@@ -37,7 +37,7 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AbelianGroup:
     """A finite abelian group given by its invariant-factor chain.
 
@@ -159,7 +159,7 @@ class AbelianGroup:
         return "C" + "xC".join(str(n) for n in self.invariant_factors)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupElement:
     """A residue vector in its group; coordinates are kept reduced."""
 
@@ -267,42 +267,6 @@ def normalize_group(factors: Iterable[int]) -> AbelianGroup:
         chain.append(n_i)
     chain.reverse()
     return AbelianGroup(tuple(chain))
-
-
-# -- functional facade over the element methods -------------------------------
-
-def _require_member(group: AbelianGroup, g: GroupElement) -> None:
-    if g.group != group:
-        raise ValueError(f"element {g} does not belong to {group}")
-
-
-def element_add(group: AbelianGroup, g: GroupElement, h: GroupElement) -> GroupElement:
-    _require_member(group, g)
-    _require_member(group, h)
-    return g + h
-
-
-def element_scale(group: AbelianGroup, k: int, g: GroupElement) -> GroupElement:
-    _require_member(group, g)
-    return k * g
-
-
-def element_order(group: AbelianGroup, g: GroupElement) -> int:
-    _require_member(group, g)
-    return g.order()
-
-
-def element_height(group: AbelianGroup, g: GroupElement) -> int:
-    _require_member(group, g)
-    return g.height()
-
-
-def subgroup_elements(group: AbelianGroup, d: int) -> list[GroupElement]:
-    return group.subgroup_elements(d)
-
-
-def primary_decomposition(group: AbelianGroup) -> tuple[int, ...]:
-    return group.primary_decomposition()
 
 
 # -- rank-indexed arithmetic tables -------------------------------------------

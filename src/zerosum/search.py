@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+from ._record import factory, record
 from .errors import BudgetExceededError, InternalCheckError, NeedsOracleError
 from .formulas import DivisorPair, davenport_closed_form, davenport_p_group, reduced_group
 from .groups import AbelianGroup, GroupTables, tables_for
@@ -39,7 +39,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SearchBudget:
     """Limits for one search call.
 
@@ -51,7 +51,7 @@ class SearchBudget:
 
     max_nodes: int = 100_000_000
     max_seconds: float = 300.0
-    parallel_width: int = field(default_factory=_usable_cpus)
+    parallel_width: int = factory(_usable_cpus)
 
     def __post_init__(self):
         # written as "not > 0" so that NaN, which compares false, is rejected
@@ -63,7 +63,7 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Witness:
     """A sequence certifying a claimed invariant value.
 

@@ -7,17 +7,17 @@ Cross numbers are exact rationals (fractions.Fraction), never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Literal
 
+from ._record import record
 from .groups import AbelianGroup, GroupElement, tables_for
 
 FilterMode = Literal["divides", "equals"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GSequence:
     """Finite multiset of group elements in canonical (rank-sorted) form.
 
@@ -147,7 +147,7 @@ class GSequence:
         return "*".join(bits)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubsumTable:
     """Dense membership map: bit k of ``mask`` is set iff the rank-k element
     is a sum over some nonempty sub-multiset of the source sequence."""

@@ -9,9 +9,9 @@ A counterexample to a *proved* statement additionally raises the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import BudgetExceededError
 from .formulas import d_star, davenport_p_group, gamma_bounds, j0, k_star
 from .groups import AbelianGroup, tables_for
@@ -19,7 +19,7 @@ from .search import SearchBudget, _gamma_scan, run_scan
 from .sequences import GSequence
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckReport:
     name: str
     group: AbelianGroup

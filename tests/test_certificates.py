@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from zerosum.certificates import (load_certificate, rational_from_json,
 from zerosum.cli import main
 
 C24 = AbelianGroup((2, 4))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def gamma_cert(tmp_path, delta=1, parallel=1):
@@ -149,6 +151,39 @@ class TestVerification:
         bad.write_text(json.dumps(cert))
         assert not verify_certificate(bad).accepted
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("results", "verdict", "verified"), ("results", "nodes", 1),
+        ("results", "counterexample", None), ("parameters", "threshold", 7),
+        ("parameters", "name", "heights")])
+    def test_rejects_check_results_and_parameters_off_the_claim(
+            self, tmp_path, section, key, value):
+        out = tmp_path / "check.json"
+        assert main(["check", "--group", "2,6", "--name", "order-divisibility",
+                     "--threshold", "1", "--out", str(out)]) == 1
+        obj = json.loads(out.read_text())
+        assert obj[section][key] != value
+        obj[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        outcome = verify_certificate(bad)
+        assert not outcome.accepted
+        assert any(section in f for f in outcome.failures)
+
+    def test_budget_exceeded_check_reverifies_at_its_node_budget(self, tmp_path):
+        golden = GOLDEN / "check-budget-exceeded.json"
+        assert verify_certificate(golden).accepted
+        # an edited node budget, and a time budget, which no re-run reproduces
+        for budget in ({"max_nodes": 6, "max_seconds": 300.0},
+                       {"max_nodes": 100_000_000, "max_seconds": 1e-6}):
+            obj = json.loads(golden.read_text())
+            assert obj["claims"][0]["verdict"] == "budget-exceeded"
+            obj["parameters"]["budget"] = budget
+            bad = tmp_path / "budget.json"
+            bad.write_text(json.dumps(obj))
+            outcome = verify_certificate(bad)
+            assert not outcome.accepted
+            assert any("does not reproduce" in f for f in outcome.failures)
+
 
 class TestSchemaValidation:
     def test_wrong_version(self, tmp_path):
@@ -162,6 +197,14 @@ class TestSchemaValidation:
         path.write_text(json.dumps({"schema_version": 1}))
         with pytest.raises(CertificateError):
             load_certificate(path)
+
+    def test_parameters_and_results_must_be_objects(self, tmp_path):
+        obj = json.loads(gamma_cert(tmp_path).read_text())
+        for key in ("parameters", "results"):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({**obj, key: []}))
+            with pytest.raises(CertificateError):
+                load_certificate(path)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
