@@ -11,45 +11,23 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 import time
-from fractions import Fraction
 
-from . import constructions, formulas, search, sequences, verifier
+from . import constructions, formulas, search, verifier
 from ._version import VERSION
-from .certificates import (Certificate, certificate_json, check_claim,
-                           load_certificate, rational_to_json, sequence_to_json,
+from .certificates import (certificate_json, check_claim, closed_forms,
+                           gamma_bounds_claim, load_certificate, render_certificate,
                            verify_certificate, write_certificate)
 from .errors import (BudgetExceededError, CertificateError,
                      InternalCheckError, ZeroSumError)
-from .groups import AbelianGroup, normalize_group
+from .groups import parse_group_spec
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-def parse_group_spec(text: str) -> AbelianGroup:
-    """Parse "2,4" or "C2xC4" (whitespace ignored) into a normalized group."""
-    s = "".join(text.split())
-    if not s:
-        raise ValueError("empty group spec")
-    for i, ch in enumerate(s):
-        if ch not in "0123456789,xXcC":
-            raise ValueError(f"unexpected character {ch!r} at position {i} "
-                             f"in group spec {text!r}")
-    factors = []
-    pos = 0
-    for token in re.split(r"[,xX]", s):
-        digits = token[1:] if token[:1] in ("C", "c") else token
-        if not digits.isdigit():
-            raise ValueError(f"expected a cyclic order at position {pos} "
-                             f"in group spec {text!r}, got {token!r}")
-        factors.append(int(digits))
-        pos += len(token) + 1
-    return normalize_group(factors)
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -108,11 +86,11 @@ def _add_common(parser: argparse.ArgumentParser, method=False, budget=True,
 def _command(body):
     """Turn a command body into a ``handler(args) -> int``.
 
-    The body gets ``(args, group, budget)`` and returns ``(parameters,
-    results, claims, status, lines)``. The handler builds the certificate
-    (with the budget in its parameters when the command searches), writes
-    ``--out``, prints the certificate or the text lines and the status, and
-    maps the status to the exit code.
+    The body gets ``(args, group, budget)``, computes the claims, runs the
+    cross-route consistency checks and returns ``(parameters, claims,
+    derived)`` for ``certificates.render_certificate``. The handler renders
+    the certificate, writes ``--out``, prints the certificate or the text
+    lines and the status, and maps the status to the exit code.
     """
     command = body.__name__.removeprefix("cmd_")
 
@@ -122,12 +100,12 @@ def _command(body):
         group = parse_group_spec(args.group)
         # a command searches exactly when its parser has the budget flags
         budget = _budget_from(args) if "budget_nodes" in vars(args) else None
-        parameters, results, claims, status, lines = body(args, group, budget)
+        parameters, claims, derived = body(args, group, budget)
         if budget is not None:
             parameters["budget"] = {"max_nodes": budget.max_nodes,
                                     "max_seconds": budget.max_seconds}
-        cert = Certificate(command, args.group, group.invariant_factors,
-                           parameters, results, claims, status)
+        cert, lines = render_certificate(command, args.group, group, parameters,
+                                         claims, derived)
         if args.timing:
             cert.timing = {"seconds": round(time.monotonic() - started, 3)}
         if args.out:
@@ -135,12 +113,12 @@ def _command(body):
         if args.format == "json":
             sys.stdout.write(certificate_json(cert))
         else:
-            print("\n".join([*lines, f"status: {status}"]))
-        if status in ("ok", "verified"):
+            print("\n".join([*lines, f"status: {cert.status}"]))
+        if cert.status in ("ok", "verified"):
             return EXIT_OK
-        if status == "budget-exceeded":
+        if cert.status == "budget-exceeded":
             return EXIT_BUDGET
-        if results.get("implementation_bug"):
+        if cert.results.get("implementation_bug"):
             return EXIT_INTERNAL
         return EXIT_COUNTEREXAMPLE
     return handler
@@ -151,154 +129,72 @@ def _command(body):
 @_command
 def cmd_invariants(args, group, budget):
     d_star, k_star = formulas.d_star(group), formulas.k_star(group)
-    results: dict = {
-        "cardinality": group.cardinality,
-        "exponent": group.exponent,
-        "rank": group.rank,
-        "invariant_factors": list(group.invariant_factors),
-        "primary_decomposition": list(group.primary_decomposition()),
-        "d_star": d_star,
-        "k_star": rational_to_json(k_star),
-    }
-    claims: list[dict] = [
-        {"kind": "d_star", "value": d_star},
-        {"kind": "k_star", "value": results["k_star"]},
-    ]
-    lines = [f"group {group} (invariant factors "
-             f"{','.join(map(str, group.invariant_factors))})",
-             f"  |G| = {group.cardinality}  exp(G) = {group.exponent}  "
-             f"rank = {group.rank}",
-             f"  primary decomposition: "
-             f"{','.join(map(str, group.primary_decomposition()))}",
-             f"  d*(G) = {d_star}  k*(G) = {k_star}"]
-    formula_d = formula_k = None
-    if args.method in ("formula", "both"):
-        if group.is_p_group:
-            formula_d = formulas.davenport_p_group(group)
-            formula_k = formulas.little_cross_p_group(group)
-        elif group.rank == 1:
-            formula_d = group.exponent - 1
-        davenport = None if formula_d is None else formula_d + 1
-        results["formula"] = {
-            "d": formula_d, "davenport": davenport,
-            "k": None if formula_k is None else rational_to_json(formula_k)}
-        lines.append(f"  formula: d(G) = {formula_d}  D(G) = {davenport}  "
-                     f"k(G) = {formula_k}")
-    if args.method in ("search", "both"):
-        d_value, d_witness = search.longest_zero_sumfree(group, budget)
-        k_value, k_witness = search.max_cross_number(group, budget)
-        if d_value < d_star:
+    claims: list[dict] = [{"kind": "d_star", "value": d_star},
+                          {"kind": "k_star", "value": k_star}]
+    formula_d, formula_k = closed_forms(group)
+    if args.method == "formula":
+        if formula_d is not None:
+            claims.append({"kind": "davenport", "value": formula_d, "witness": None})
+        return {"method": args.method}, claims, {}
+    d_value, d_witness = search.longest_zero_sumfree(group, budget)
+    k_value, k_witness = search.max_cross_number(group, budget)
+    if d_value < d_star:
+        raise InternalCheckError(
+            f"search found d(G) = {d_value} below the d* lower bound")
+    if k_value < k_star:
+        raise InternalCheckError(
+            f"search found k(G) = {k_value} below the k* lower bound")
+    if args.method == "both":
+        if formula_d is not None and formula_d != d_value:
             raise InternalCheckError(
-                f"search found d(G) = {d_value} below the d* lower bound")
-        if k_value < k_star:
+                f"formula d(G) = {formula_d} but search found {d_value}")
+        if formula_k is not None and formula_k != k_value:
             raise InternalCheckError(
-                f"search found k(G) = {k_value} below the k* lower bound")
-        results["search"] = {
-            "d": d_value, "davenport": d_value + 1,
-            "d_witness": sequence_to_json(d_witness.sequence),
-            "k": rational_to_json(k_value),
-            "k_witness": sequence_to_json(k_witness.sequence),
-        }
-        if args.method == "both":
-            if formula_d is not None and formula_d != d_value:
-                raise InternalCheckError(
-                    f"formula d(G) = {formula_d} but search found {d_value}")
-            if formula_k is not None and formula_k != k_value:
-                raise InternalCheckError(
-                    f"formula k(G) = {formula_k} but search found {k_value}")
-        claims.append({"kind": "davenport", "value": d_value,
-                       "witness": results["search"]["d_witness"]})
-        claims.append({"kind": "little_cross", "value": rational_to_json(k_value),
-                       "witness": results["search"]["k_witness"]})
-        lines += [f"  search:  d(G) = {d_value}  D(G) = {d_value + 1}  "
-                  f"k(G) = {k_value}",
-                  f"    d witness: {d_witness.sequence}",
-                  f"    k witness: {k_witness.sequence}"]
-    elif formula_d is not None:
-        claims.append({"kind": "davenport", "value": formula_d, "witness": None})
-    return {"method": args.method}, results, claims, "ok", lines
+                f"formula k(G) = {formula_k} but search found {k_value}")
+    claims += [{"kind": "davenport", "value": d_value, "witness": d_witness.sequence},
+               {"kind": "little_cross", "value": k_value, "witness": k_witness.sequence}]
+    return {"method": args.method}, claims, {}
 
 
 @_command
 def cmd_dpair(args, group, budget):
     pair = formulas.DivisorPair(args.dprime, args.d)
     pair.validate_for(group)
-    upsilon = formulas.upsilon_vector(group, pair)
-    reduced = formulas.reduced_group(group, pair)
-    results: dict = {
-        "d_prime": pair.d_prime, "d": pair.d,
-        "upsilon": list(upsilon),
-        "reduced_factors": None if reduced is None else list(reduced.invariant_factors),
-    }
     claim = {"kind": "d_pair", "d_prime": pair.d_prime, "d": pair.d}
-    lines = [f"group {group}, d' = {pair.d_prime}, d = {pair.d}",
-             f"  upsilon vector: ({','.join(map(str, upsilon))})",
-             f"  reduced group: "
-             f"{'trivial' if reduced is None else str(reduced)}"]
-    formula_value = search_value = None
-    if args.method in ("formula", "both"):
-        formula_value = search.d_pair_value(group, pair, budget)
-        results["formula_value"] = formula_value
-        lines.append(f"  via reduction:  D_(d',d) = {formula_value}")
-    if args.method in ("search", "both"):
+    if args.method != "search":
+        claim["value"] = search.d_pair_value(group, pair, budget)
+    if args.method != "formula":
         length, witness = search.longest_avoiding(group, pair, budget)
-        search_value = length + 1
-        results["search_value"] = search_value
-        results["witness"] = claim["witness"] = sequence_to_json(witness.sequence)
-        lines += [f"  by brute force: D_(d',d) = {search_value}",
-                  f"    longest avoiding witness: {witness.sequence}"]
-    if args.method == "both" and formula_value != search_value:
-        raise InternalCheckError(
-            f"reduction route gives {formula_value}, brute force {search_value}")
-    claim["value"] = search_value if search_value is not None else formula_value
-    parameters = {"method": args.method, "d_prime": pair.d_prime, "d": pair.d}
-    return parameters, results, [claim], "ok", lines
+        if claim.get("value", length + 1) != length + 1:
+            raise InternalCheckError(f"reduction route gives {claim['value']}, "
+                                     f"brute force {length + 1}")
+        claim["value"], claim["witness"] = length + 1, witness.sequence
+    return {"method": args.method}, [claim], {}
 
 
 @_command
 def cmd_gamma(args, group, budget):
-    delta = args.delta
-    bounds = formulas.gamma_bounds(group, delta)
-    results: dict = {
-        "delta": delta,
-        "j0": formulas.j0(group),
-        "d": formulas.davenport_p_group(group),
-        "bounds": {"lower": bounds.lower, "upper": bounds.upper,
-                   "raw_lower": bounds.raw_lower, "raw_upper": bounds.raw_upper},
-        "exact_formula": bounds.exact,
-    }
-    claims: list[dict] = [{"kind": "gamma_bounds", "delta": delta,
-                           **results["bounds"], "exact_formula": bounds.exact}]
-    lines = [f"group {group}, delta = {delta} (j0 = {results['j0']}, "
-             f"d(G) = {results['d']})",
-             f"  lower bound {bounds.lower} (raw {bounds.raw_lower}), "
-             f"upper bound {bounds.upper} (raw {bounds.raw_upper})"]
-    if bounds.exact is not None:
-        lines.append(f"  exact closed form: {bounds.exact}")
-    if args.method in ("search", "both"):
-        exact, witness = search.gamma_exact(group, delta, budget)
-        results["search"] = {"value": exact,
-                             "witness": sequence_to_json(witness.sequence)}
-        results["matches_upper"] = exact == bounds.upper
-        if not bounds.lower <= exact <= bounds.upper:
+    bounds = gamma_bounds_claim(group, args.delta)
+    claims = [bounds]
+    if args.method != "formula":
+        exact, witness = search.gamma_exact(group, args.delta, budget)
+        if not bounds["lower"] <= exact <= bounds["upper"]:
             raise InternalCheckError(
                 f"search value {exact} escapes the proven bounds "
-                f"[{bounds.lower}, {bounds.upper}]")
-        if args.method == "both" and bounds.exact is not None and exact != bounds.exact:
-            raise InternalCheckError(
-                f"exact closed form gives {bounds.exact} but search found {exact}")
-        claims.append({"kind": "gamma_exact", "delta": delta, "value": exact,
-                       "witness": results["search"]["witness"]})
-        lines += [f"  exhaustive value: {exact}  "
-                  f"(equals upper bound: {results['matches_upper']})",
-                  f"    witness: {witness.sequence}"]
-    return {"method": args.method, "delta": delta}, results, claims, "ok", lines
+                f"[{bounds['lower']}, {bounds['upper']}]")
+        if args.method == "both" and bounds["exact_formula"] not in (None, exact):
+            raise InternalCheckError(f"exact closed form gives "
+                                     f"{bounds['exact_formula']} but search found {exact}")
+        claims.append({"kind": "gamma_exact", "delta": args.delta, "value": exact,
+                       "witness": witness.sequence})
+    return {"method": args.method}, claims, {}
 
 
 @_command
 def cmd_construct(args, group, budget):
     if args.kind != "gamma" and args.delta is not None:
         raise ValueError(f"construct --kind {args.kind} does not take --delta")
+    claim = {"kind": "construction", "construction": args.kind}
     if args.kind == "dstar":
         seq = constructions.dstar_sequence(group)
     elif args.kind == "kstar":
@@ -307,40 +203,17 @@ def cmd_construct(args, group, budget):
         if args.delta is None:
             raise ValueError("construct --kind gamma requires --delta")
         seq = constructions.gamma_extremal_sequence(group, args.delta)
-    cross = sequences.cross_number(seq)
-    results = {
-        "construction": args.kind,
-        "sequence": sequence_to_json(seq),
-        "length": len(seq),
-        "cross_number": rational_to_json(cross),
-        "max_order_count": sequences.max_order_count(seq),
-        "zero_sumfree": True,
-    }
-    claim = {"kind": "construction", "construction": args.kind,
-             "sequence": results["sequence"], "length": len(seq)}
-    if args.kind == "gamma":
-        claim["delta"] = results["delta"] = args.delta
-    lines = [f"group {group}, construction {args.kind}"
-             + (f", delta = {args.delta}" if args.kind == "gamma" else ""),
-             f"  sequence: {seq}",
-             f"  length {len(seq)}, cross number {cross}, "
-             f"max-order count {results['max_order_count']}",
-             "  zero-sumfree: verified"]
-    return {"kind": args.kind, "delta": args.delta}, results, [claim], "ok", lines
+        claim["delta"] = args.delta
+    return {}, [{**claim, "sequence": seq, "length": len(seq)}], {}
 
 
 @_command
 def cmd_enumerate(args, group, budget):
-    collected: list[sequences.GSequence] = []
-    visitor = None if args.count_only else collected.append
-    count = search.enumerate_zero_sumfree(group, args.length, visitor, budget=budget)
-    results: dict = {"length": args.length, "count": count}
-    if not args.count_only:
-        results["sequences"] = [sequence_to_json(s) for s in collected]
+    found = None if args.count_only else []
+    count = search.enumerate_zero_sumfree(
+        group, args.length, None if found is None else found.append, budget=budget)
     claims = [{"kind": "enumeration", "length": args.length, "count": count}]
-    lines = [f"group {group}: {count} zero-sumfree sequence(s) of length {args.length}"]
-    lines += [f"  {s}" for s in collected]
-    return {"length": args.length}, results, claims, "ok", lines
+    return {}, claims, {"enumeration": found}
 
 
 @_command
@@ -354,28 +227,12 @@ def cmd_check(args, group, budget):
             raise ValueError(f"check {args.name} does not take --{key}")
     report = verifier.run_check(
         args.name, group, {k: v for k, v in inputs.items() if v is not None}, budget)
-    claim = check_claim(report)
-    report_params = claim["parameters"]
-    results = {key: value for key, value in claim.items() if key != "kind"}
-    results["implementation_bug"] = report.implementation_bug
-    results["details"] = {key: rational_to_json(value) if isinstance(value, Fraction)
-                          else value for key, value in report.details}
-    lines = [f"group {group}, check {report.name} "
-             f"{report_params if report_params else ''}".rstrip(),
-             f"  verdict: {report.verdict}  (nodes visited: {report.nodes_visited})"]
-    lines += [f"  {key}: {value}" for key, value in report.details]
-    if report.counterexample is not None:
-        lines.append(f"  counterexample: {report.counterexample}")
-        if report.implementation_bug:
-            lines.append("  note: this contradicts a proved statement; "
-                         "suspect the implementation first")
-    parameters = {"name": args.name, **{key: report_params[key] for key in takes}}
-    return parameters, results, [claim], report.verdict, lines
+    return {"name": args.name}, [check_claim(report)], {"check": report}
 
 
 def cmd_verify_cert(args) -> int:
     cert = load_certificate(args.infile)
-    outcome = verify_certificate(cert, _budget_from(args))
+    outcome = verify_certificate(args.infile, _budget_from(args))
     if args.format == "json":
         sys.stdout.write(json.dumps(
             {"accepted": outcome.accepted, "claims_checked": outcome.claims_checked,

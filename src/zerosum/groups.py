@@ -9,6 +9,7 @@ used for ordering, hashing and dense table indexing throughout the package.
 from __future__ import annotations
 
 import math
+import re
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator
@@ -37,6 +38,16 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _exact_ints(values: Iterable[int], what: str, error=InvalidGroupError) -> tuple[int, ...]:
+    """``values`` as a tuple; a bool, float or str among them raises ``error``
+    rather than being truncated or parsed."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise error(f"{what} {v!r} is not an integer")
+    return values
+
+
 @record(frozen=True)
 class AbelianGroup:
     """A finite abelian group given by its invariant-factor chain.
@@ -49,7 +60,7 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(n) for n in self.invariant_factors)
+        factors = _exact_ints(self.invariant_factors, "cyclic factor")
         object.__setattr__(self, "invariant_factors", factors)
         if not factors:
             raise InvalidGroupError("group needs at least one cyclic factor")
@@ -168,7 +179,7 @@ class GroupElement:
 
     def __post_init__(self):
         factors = self.group.invariant_factors
-        coords = tuple(int(a) for a in self.coords)
+        coords = _exact_ints(self.coords, "coordinate", ValueError)
         if len(coords) != len(factors):
             raise ValueError(
                 f"coordinate vector of length {len(coords)} does not match "
@@ -245,7 +256,7 @@ def normalize_group(factors: Iterable[int]) -> AbelianGroup:
     result is isomorphic to the direct sum of the given cyclic groups, e.g.
     [4, 6] becomes (2, 12). Idempotent on lists that already form a chain.
     """
-    factor_list = [int(n) for n in factors]
+    factor_list = _exact_ints(factors, "cyclic factor")
     if not factor_list:
         raise InvalidGroupError("group needs at least one cyclic factor")
     for n in factor_list:
@@ -267,6 +278,27 @@ def normalize_group(factors: Iterable[int]) -> AbelianGroup:
         chain.append(n_i)
     chain.reverse()
     return AbelianGroup(tuple(chain))
+
+
+def parse_group_spec(text: str) -> AbelianGroup:
+    """Parse "2,4" or "C2xC4" (whitespace ignored) into a normalized group."""
+    s = "".join(text.split())
+    if not s:
+        raise ValueError("empty group spec")
+    for i, ch in enumerate(s):
+        if ch not in "0123456789,xXcC":
+            raise ValueError(f"unexpected character {ch!r} at position {i} "
+                             f"in group spec {text!r}")
+    factors = []
+    pos = 0
+    for token in re.split(r"[,xX]", s):
+        digits = token[1:] if token[:1] in ("C", "c") else token
+        if not digits.isdigit():
+            raise ValueError(f"expected a cyclic order at position {pos} "
+                             f"in group spec {text!r}, got {token!r}")
+        factors.append(int(digits))
+        pos += len(token) + 1
+    return normalize_group(factors)
 
 
 # -- rank-indexed arithmetic tables -------------------------------------------

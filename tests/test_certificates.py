@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from zerosum.certificates import (load_certificate, rational_from_json,
                                   rational_to_json, sequence_from_json,
                                   sequence_to_json, verify_certificate,
                                   write_certificate)
-from zerosum.cli import main
+from zerosum.cli import EXIT_COUNTEREXAMPLE, main
 
 C24 = AbelianGroup((2, 4))
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,6 +40,12 @@ class TestSerialization:
     def test_sequence_round_trip(self):
         seq = GSequence.from_elements(C24, [(1, 0), (0, 1), (0, 1)])
         assert sequence_from_json(C24, sequence_to_json(seq)) == seq
+
+    @pytest.mark.parametrize("multiplicity", [1.7, 1.0, True, "1", 0])
+    def test_sequence_multiplicity_must_be_a_positive_int(self, multiplicity):
+        obj = {"elements": [{"coords": [1, 0], "multiplicity": multiplicity}]}
+        with pytest.raises(CertificateError):
+            sequence_from_json(C24, obj)
 
     def test_certificate_file_round_trip(self, tmp_path):
         path = gamma_cert(tmp_path)
@@ -183,6 +190,63 @@ class TestVerification:
             outcome = verify_certificate(bad)
             assert not outcome.accepted
             assert any("does not reproduce" in f for f in outcome.failures)
+
+
+DELETE = object()
+FORMULA_CLAIMS = [{"kind": "d_star", "value": 4},
+                  {"kind": "k_star", "value": {"num": 4, "den": 3}}]
+
+
+def edit(obj, path: str, value):
+    """Set the JSON path ``path`` (e.g. "claims[2].witness.length") of
+    ``obj`` to ``value``, or delete it when ``value`` is DELETE."""
+    *keys, last = [int(key) if key.isdigit() else key
+                   for key in re.findall(r"[^.\[\]]+", path)]
+    for key in keys:
+        obj = obj[key]
+    if value is DELETE:
+        del obj[last]
+    else:
+        obj[last] = value
+
+
+@pytest.mark.parametrize("golden, path, value", [
+    ("invariants-both", "claims", []),
+    ("invariants-both", "claims", FORMULA_CLAIMS),
+    ("invariants-both", "command", "frobnicate"),
+    ("invariants-both", "group.input", "7"),
+    ("invariants-both", "group.invariant_factors", [3.9, 3]),
+    ("invariants-both", "claims[2].witness.elements[0].coords[0]", 1.2),
+    ("invariants-both", "claims[2].value", 4.0),
+    ("invariants-both", "results.cardinality", 10),
+    ("invariants-both", "extra", 1),
+    ("enumerate", "results.sequences[39]", DELETE),
+    ("check-counterexample", "results.implementation_bug", True),
+    ("check-counterexample", "results.details", {"bound": 1}),
+    ("gamma-both", "results.search.value", 7),
+    ("gamma-both", "parameters.delta", 3),
+    ("gamma-both", "results.matches_upper", False),
+    ("gamma-both", "claims[1]", DELETE),
+    ("construct-gamma", "parameters.delta", 3),
+    ("construct-gamma", "results.max_order_count", 0),
+])
+def test_tampered_golden_certificate_is_rejected(tmp_path, golden, path, value):
+    obj = json.loads((GOLDEN / f"{golden}.json").read_text())
+    edit(obj, path, value)
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify-cert", "--in", str(bad)]) == EXIT_COUNTEREXAMPLE
+
+
+def test_rejection_names_the_first_differing_path(tmp_path):
+    obj = json.loads((GOLDEN / "gamma-both.json").read_text())
+    edit(obj, "results.search.value", 7)
+    edit(obj, "parameters.delta", 3)
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(obj))
+    # parameters derive before results, so they are compared first
+    assert verify_certificate(bad).failures == [
+        "parameters.delta does not match the certificate re-derived from the claims"]
 
 
 class TestSchemaValidation:

@@ -14,10 +14,12 @@ import contextlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from zerosum.certificates import verify_certificate
 from zerosum.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,13 +68,21 @@ def test_golden(name, tmp_path, monkeypatch):
 
 
 def record() -> None:
+    """Re-record every case; a certificate that verify-cert rejects is not
+    kept, and the run exits non-zero."""
     os.environ.pop("ZEROSUM_BUDGET", None)
     GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, expected_code) in sorted(CASES.items()):
-        code, stdout = run_case(argv, GOLDEN / f"{name}.json")
-        if code != expected_code:
-            sys.exit(f"{name}: exit {code}, expected {expected_code}")
-        (GOLDEN / f"{name}.txt").write_text(stdout, encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (argv, expected_code) in sorted(CASES.items()):
+            fresh = Path(tmp) / f"{name}.json"
+            code, stdout = run_case(argv, fresh)
+            if code != expected_code:
+                sys.exit(f"{name}: exit {code}, expected {expected_code}")
+            outcome = verify_certificate(fresh)
+            if not outcome.accepted:
+                sys.exit(f"{name}: verify-cert rejects it: {outcome.failures}")
+            (GOLDEN / f"{name}.json").write_bytes(fresh.read_bytes())
+            (GOLDEN / f"{name}.txt").write_text(stdout, encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -36,6 +36,11 @@ class TestConstruction:
         with pytest.raises(InvalidGroupError):
             normalize_group([])
 
+    @pytest.mark.parametrize("factors", [(3.9, 3), (3, True), ("3", 3)])
+    def test_inexact_factor_rejected(self, factors):
+        with pytest.raises(InvalidGroupError):
+            AbelianGroup(factors)
+
     def test_cardinality_cap(self, monkeypatch):
         monkeypatch.setattr(groups, "CARDINALITY_CAP", 100)
         with pytest.raises(InvalidGroupError):
@@ -81,6 +86,11 @@ class TestNormalize:
             assert (order_multiset_of_raw_product(raw)
                     == order_multiset_of_raw_product(normalized.invariant_factors))
 
+    @pytest.mark.parametrize("factors", [["4", 6.5], [4, 6.0], [True, 4]])
+    def test_inexact_factor_rejected(self, factors):
+        with pytest.raises(InvalidGroupError):
+            normalize_group(factors)
+
     @given(st.lists(st.integers(2, 30), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, factors):
@@ -111,6 +121,11 @@ class TestElementArithmetic:
 
     def test_coords_reduced(self):
         assert C24.element((3, 7)).coords == (1, 3)
+
+    @pytest.mark.parametrize("coords", [(1.2, 0), (True, 0), ("1", 0)])
+    def test_inexact_coordinate_rejected(self, coords):
+        with pytest.raises(ValueError):
+            AbelianGroup((3, 3)).element(coords)
 
     def test_rank_round_trip(self):
         for rank in range(C24.cardinality):
