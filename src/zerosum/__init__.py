@@ -21,7 +21,7 @@ from .formulas import (DivisorPair, GammaBounds, d_pair_formula, d_star,
                        upsilon_vector)
 from .search import (SearchBudget, Witness, d_pair_bruteforce, d_pair_value,
                      davenport_constant, enumerate_zero_sumfree, gamma_exact,
-                     longest_avoiding, longest_zero_sumfree, max_cross_number)
+                     longest_avoiding, zero_sumfree_extrema)
 from .constructions import (dstar_sequence, gamma_extremal_sequence,
                             kstar_sequence, standard_basis)
 from .verifier import (CheckReport, check_corollary_max_order,
@@ -51,7 +51,7 @@ __all__ = [
     "key_lemma_predicate", "divisor_pairs",
     # search
     "SearchBudget", "Witness", "enumerate_zero_sumfree",
-    "longest_zero_sumfree", "max_cross_number", "longest_avoiding",
+    "zero_sumfree_extrema", "longest_avoiding",
     "d_pair_bruteforce", "gamma_exact", "davenport_constant", "d_pair_value",
     # constructions
     "standard_basis", "dstar_sequence", "kstar_sequence",

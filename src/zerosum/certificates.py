@@ -58,6 +58,10 @@ def sequence_from_json(group: AbelianGroup, obj) -> GSequence:
         mult = entry["multiplicity"]
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise CertificateError(f"multiplicity {mult!r} is not a positive integer")
+        # every sequence a certificate holds is zero-sumfree, so shorter than |G|
+        if len(ranks) + mult >= group.cardinality:
+            raise CertificateError(f"{len(ranks) + mult} or more elements are never "
+                                   f"zero-sumfree in a group of order {group.cardinality}")
         ranks.extend([element.rank] * mult)
     return GSequence.from_ranks(group, ranks)
 
@@ -206,23 +210,31 @@ def check_claim(report: verifier.CheckReport) -> dict:
             "counterexample": report.counterexample}
 
 
-# A re-verify takes (group, claim, budget, certificate), raises when the
-# claim does not re-derive, and returns what the render needs beyond it.
+# A re-verify takes (group, claim, budget, certificate, derived), raises when
+# the claim does not re-derive, and returns what the render needs beyond it.
+# ``derived`` holds what the claims before it returned, and lives for one
+# verify_certificate call.
 
-def _reverify_extremum(scan, index: int, witness_kind: str):
-    """Re-verify d(G) (``index`` 0) or k(G) (1): re-run the search ``scan``,
-    compare the closed form where one exists, re-check the witness."""
-    def reverify(group, claim, budget, cert):
-        value = claim["value"]
-        _same(scan(group, budget)[0], value, f"search {scan.__name__}")
-        if closed_forms(group)[index] not in (None, value):
+def _reverify_extremum(index: int, witness_kind: str):
+    """Re-verify d(G) (``index`` 0) or k(G) (1). A formula claim, which has
+    no witness, re-evaluates its closed form only. A search claim re-runs the
+    search, one walk for both claims of a certificate kept in ``derived``,
+    compares the closed form where one exists and re-checks the witness."""
+    def reverify(group, claim, budget, cert, derived):
+        value, closed = claim["value"], closed_forms(group)[index]
+        if claim["witness"] is None:
+            _same(closed, value, "the closed form")
+            return
+        if "extrema" not in derived:
+            derived["extrema"] = search.zero_sumfree_extrema(group, budget)
+        _same(derived["extrema"][2 * index], value, "the search")
+        if closed not in (None, value):
             raise InternalCheckError(f"closed form disagrees with the claimed {claim['kind']}")
-        if claim["witness"] is not None:
-            search.Witness(group, claim["witness"], witness_kind, value).reverify()
+        search.Witness(group, claim["witness"], witness_kind, value).reverify()
     return reverify
 
 
-def _reverify_d_pair(group, claim, budget, cert):
+def _reverify_d_pair(group, claim, budget, cert, derived):
     pair = formulas.DivisorPair(claim["d_prime"], claim["d"])
     value = claim["value"]
     _same(search.d_pair_bruteforce(group, pair, budget), value, "brute force")
@@ -232,7 +244,7 @@ def _reverify_d_pair(group, claim, budget, cert):
                        (("d", pair.d), ("d_prime", pair.d_prime))).reverify()
 
 
-def _reverify_gamma_exact(group, claim, budget, cert):
+def _reverify_gamma_exact(group, claim, budget, cert, derived):
     delta, value = claim["delta"], claim["value"]
     _same(search.gamma_exact(group, delta, budget)[0], value, "search gamma")
     search.Witness(group, claim["witness"], "gamma", value, (("delta", delta),)).reverify()
@@ -240,7 +252,7 @@ def _reverify_gamma_exact(group, claim, budget, cert):
           "the witness length d(G) - delta")
 
 
-def _reverify_construction(group, claim, budget, cert):
+def _reverify_construction(group, claim, budget, cert, derived):
     """The sequence is zero-sumfree and meets its construction's target:
     length d*(G), cross number k*(G), or length d(G) - delta with the gamma
     upper bound as max-order count."""
@@ -263,7 +275,7 @@ def _reverify_construction(group, claim, budget, cert):
         raise InternalCheckError(f"unknown construction {name!r}")
 
 
-def _reverify_enumeration(group, claim, budget, cert):
+def _reverify_enumeration(group, claim, budget, cert, derived):
     # the sequences are collected only when the certificate lists them,
     # which it does unless the command ran with --count-only
     found = [] if "sequences" in cert.results else None
@@ -273,7 +285,7 @@ def _reverify_enumeration(group, claim, budget, cert):
     return found
 
 
-def _reverify_check(group, claim, budget, cert):
+def _reverify_check(group, claim, budget, cert, derived):
     """Re-run the check; a budget-exceeded one at the node budget it records."""
     name = cert.parameters.get("name")
     if verifier.CHECKS.get(name, (None,))[0] != claim["check"]:
@@ -294,19 +306,19 @@ def _reverify_check(group, claim, budget, cert):
 
 # claim kind -> (from-JSON, to-JSON, re-verify)
 CLAIMS = {
-    "d_star": (*_fields(value=_INT), lambda group, claim, budget, cert: _same(
+    "d_star": (*_fields(value=_INT), lambda group, claim, *_: _same(
         formulas.d_star(group), claim["value"], "d*")),
-    "k_star": (*_fields(value=_RATIONAL), lambda group, claim, budget, cert: _same(
+    "k_star": (*_fields(value=_RATIONAL), lambda group, claim, *_: _same(
         formulas.k_star(group), claim["value"], "k*")),
     "davenport": (*_fields(value=_INT, witness=_nullable(_SEQUENCE)),
-                  _reverify_extremum(search.longest_zero_sumfree, 0, "longest-zero-sumfree")),
+                  _reverify_extremum(0, "longest-zero-sumfree")),
     "little_cross": (*_fields(value=_RATIONAL, witness=_nullable(_SEQUENCE)),
-                     _reverify_extremum(search.max_cross_number, 1, "max-cross")),
+                     _reverify_extremum(1, "max-cross")),
     "d_pair": (*_fields(d_prime=_INT, d=_INT, value=_INT, witness=_SEQUENCE),
                _reverify_d_pair),
     "gamma_bounds": (*_fields(delta=_INT, lower=_INT, upper=_INT, raw_lower=_INT,
                               raw_upper=_INT, exact_formula=_nullable(_INT)),
-                     lambda group, claim, budget, cert: _same(
+                     lambda group, claim, *_: _same(
                          gamma_bounds_claim(group, claim["delta"]), claim, "gamma bounds")),
     "gamma_exact": (*_fields(delta=_INT, value=_INT, witness=_SEQUENCE),
                     _reverify_gamma_exact),
@@ -570,7 +582,7 @@ def verify_certificate(source: Certificate | str | Path,
                     raise CertificateError(f"unknown claim kind {kind!r}")
                 from_json, _, reverify = CLAIMS[kind]
                 claims.append(from_json(group, obj))
-                derived[kind] = reverify(group, claims[-1], budget, cert)
+                derived[kind] = reverify(group, claims[-1], budget, cert, derived)
             except Exception as err:  # any failure rejects; the message names it
                 failures.append(f"claims[{i}] ({kind}): {_describe(err)}")
         if not failures:

@@ -136,8 +136,7 @@ def cmd_invariants(args, group, budget):
         if formula_d is not None:
             claims.append({"kind": "davenport", "value": formula_d, "witness": None})
         return {"method": args.method}, claims, {}
-    d_value, d_witness = search.longest_zero_sumfree(group, budget)
-    k_value, k_witness = search.max_cross_number(group, budget)
+    d_value, d_witness, k_value, k_witness = search.zero_sumfree_extrema(group, budget)
     if d_value < d_star:
         raise InternalCheckError(
             f"search found d(G) = {d_value} below the d* lower bound")

@@ -421,43 +421,39 @@ class _CountAcc:
         pass
 
 
-class _LongestAcc:
-    __slots__ = ("best_len", "best")
+class _ExtremaAcc:
+    """Longest path and path of largest cross number, in one walk.
 
-    def __init__(self):
-        self.best_len = 0
-        self.best: tuple[int, ...] | None = None
+    ``best_len``/``best`` is the first longest path entered and
+    ``best_scaled``/``best_cross`` the first path whose cross number, scaled
+    by ``exp``, is largest: each the lexicographically least maximizer.
+    """
 
-    def enter(self, path):
-        if len(path) > self.best_len:
-            self.best_len = len(path)
-            self.best = tuple(path)
-        return True
-
-    def leave(self, path):
-        pass
-
-
-class _MaxCrossAcc:
-    __slots__ = ("orders", "exp", "stack", "best_scaled", "best")
+    __slots__ = ("orders", "exp", "scaled", "best_len", "best", "best_scaled",
+                 "best_cross")
 
     def __init__(self, orders, exp):
         self.orders = orders
         self.exp = exp
-        self.stack = [0]
-        self.best_scaled = 0
+        self.scaled = 0
+        self.best_len = 0
         self.best: tuple[int, ...] | None = None
+        self.best_scaled = 0
+        self.best_cross: tuple[int, ...] | None = None
 
     def enter(self, path):
-        scaled = self.stack[-1] + self.exp // self.orders[path[-1]]
-        self.stack.append(scaled)
+        scaled = self.scaled + self.exp // self.orders[path[-1]]
+        self.scaled = scaled
+        if len(path) > self.best_len:
+            self.best_len = len(path)
+            self.best = tuple(path)
         if scaled > self.best_scaled:
             self.best_scaled = scaled
-            self.best = tuple(path)
+            self.best_cross = tuple(path)
         return True
 
     def leave(self, path):
-        self.stack.pop()
+        self.scaled -= self.exp // self.orders[path[-1]]
 
 
 class _MinMaxOrderAcc:
@@ -518,27 +514,18 @@ def enumerate_zero_sumfree(group: AbelianGroup, exact_length: int,
     return sum(acc.count for acc in accs)
 
 
-def longest_zero_sumfree(group: AbelianGroup,
-                         budget: SearchBudget | None = None) -> tuple[int, Witness]:
-    """Exact d(G) with the lexicographically least maximizing sequence."""
-    accs, _ = run_scan(group, _LongestAcc, budget=budget)
-    best_len = max(acc.best_len for acc in accs)
-    ranks = next(acc.best for acc in accs if acc.best_len == best_len)
-    seq = GSequence.from_ranks(group, ranks)
-    return best_len, Witness(group, seq, "longest-zero-sumfree", best_len)
-
-
-def max_cross_number(group: AbelianGroup,
-                     budget: SearchBudget | None = None) -> tuple[Fraction, Witness]:
-    """Exact k(G) over all zero-sumfree sequences, with a witness."""
-    tables = tables_for(group)
-    exp = group.exponent
-    accs, _ = run_scan(group, lambda: _MaxCrossAcc(tables.orders, exp), budget=budget)
-    best_scaled = max(acc.best_scaled for acc in accs)
-    ranks = next(acc.best for acc in accs if acc.best_scaled == best_scaled)
-    value = Fraction(best_scaled, exp)
-    seq = GSequence.from_ranks(group, ranks)
-    return value, Witness(group, seq, "max-cross", value)
+def zero_sumfree_extrema(group: AbelianGroup, budget: SearchBudget | None = None
+                         ) -> tuple[int, Witness, Fraction, Witness]:
+    """Exact d(G) and k(G) from one walk: (d, its witness, k, its witness).
+    Each witness is the lexicographically least maximizer: ``max`` keeps the
+    first root task that reaches the maximum."""
+    orders = tables_for(group).orders
+    accs, _ = run_scan(group, lambda: _ExtremaAcc(orders, group.exponent), budget=budget)
+    d_acc = max(accs, key=lambda acc: acc.best_len)
+    k_acc = max(accs, key=lambda acc: acc.best_scaled)
+    d, k = d_acc.best_len, Fraction(k_acc.best_scaled, group.exponent)
+    return (d, Witness(group, GSequence.from_ranks(group, d_acc.best), "longest-zero-sumfree", d),
+            k, Witness(group, GSequence.from_ranks(group, k_acc.best_cross), "max-cross", k))
 
 
 def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
@@ -553,15 +540,12 @@ def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
     if not allowed:
         seq = GSequence.empty(group)
         return 0, Witness(group, seq, "d-pair", 1, params)
-    accs, _ = run_scan(group, _LongestAcc, budget=budget,
-                       allowed=allowed, forbidden_mask=forbidden)
-    best_len = max(acc.best_len for acc in accs)
-    if best_len == 0:
-        seq = GSequence.empty(group)
-    else:
-        ranks = next(acc.best for acc in accs if acc.best_len == best_len)
-        seq = GSequence.from_ranks(group, ranks)
-    return best_len, Witness(group, seq, "d-pair", best_len + 1, params)
+    accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
+                       budget=budget, allowed=allowed, forbidden_mask=forbidden)
+    # every allowed root is entered, so the longest path is never empty
+    best = max(accs, key=lambda acc: acc.best_len)
+    seq = GSequence.from_ranks(group, best.best)
+    return best.best_len, Witness(group, seq, "d-pair", best.best_len + 1, params)
 
 
 def d_pair_bruteforce(group: AbelianGroup, pair: DivisorPair,
@@ -614,7 +598,7 @@ def davenport_constant(group: AbelianGroup,
     try:
         return davenport_closed_form(group)
     except NeedsOracleError:
-        return longest_zero_sumfree(group, budget)[0] + 1
+        return zero_sumfree_extrema(group, budget)[0] + 1
 
 
 def d_pair_value(group: AbelianGroup, pair: DivisorPair,

@@ -21,8 +21,8 @@ from zerosum import (AbelianGroup, GSequence, check_corollary_max_order,
                      check_order_divisibility, d_pair_bruteforce, d_pair_value,
                      definitional_subsums, divisor_pairs, enumerate_zero_sumfree,
                      gamma_exact, gamma_extremal_sequence, gamma_lower,
-                     gamma_upper, longest_zero_sumfree, max_cross_number,
-                     max_order_count, subsums, verify_certificate)
+                     gamma_upper, max_order_count, subsums, verify_certificate,
+                     zero_sumfree_extrema)
 from zerosum.cli import main
 from conftest import P_GROUP_FACTORS, zero_sumfree_by_definition
 
@@ -47,7 +47,7 @@ def test_criterion_01_davenport_formula():
     start = time.monotonic()
     for group in C1_GROUPS:
         expected = d_of(group)
-        found, witness = longest_zero_sumfree(group)
+        found, witness = zero_sumfree_extrema(group)[:2]
         assert found == expected, f"{group}: search {found} != formula {expected}"
         witness.reverify()
     elapsed = time.monotonic() - start
@@ -61,7 +61,7 @@ def test_criterion_02_cross_number_formula():
     for group in C1_GROUPS:
         p = group.p
         expected = sum(Fraction(p ** a - 1, p ** a) for a in group.p_exponents)
-        found, witness = max_cross_number(group)
+        found, witness = zero_sumfree_extrema(group)[2:]
         assert found == expected, f"{group}: search {found} != formula {expected}"
         witness.reverify()
     elapsed = time.monotonic() - start

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from zerosum import AbelianGroup, CertificateError, GSequence
+from zerosum import AbelianGroup, CertificateError, GSequence, SearchBudget
 from zerosum.certificates import (load_certificate, rational_from_json,
                                   rational_to_json, sequence_from_json,
                                   sequence_to_json, verify_certificate,
@@ -190,6 +191,71 @@ class TestVerification:
             outcome = verify_certificate(bad)
             assert not outcome.accepted
             assert any("does not reproduce" in f for f in outcome.failures)
+
+
+class TestVerificationCost:
+    """What a re-verification searches: one walk for the d(G) and k(G)
+    claims, none for a formula claim, and no expansion of a multiplicity a
+    zero-sumfree sequence cannot have."""
+
+    def test_invariants_and_its_verification_walk_once(self, tmp_path, monkeypatch):
+        from zerosum import search
+        scans = []
+        run_scan = search.run_scan
+
+        def counting_run_scan(*args, **kwargs):
+            scans.append(args[0])
+            return run_scan(*args, **kwargs)
+
+        monkeypatch.setattr(search, "run_scan", counting_run_scan)
+        out = tmp_path / "both.json"
+        assert main(["invariants", "--group", "3,3", "--method", "both",
+                     "--out", str(out)]) == 0
+        assert scans == [AbelianGroup((3, 3))]
+        scans.clear()
+        assert main(["verify-cert", "--in", str(out)]) == 0
+        assert scans == [AbelianGroup((3, 3))]
+
+    def test_formula_claim_reverifies_without_search(self, tmp_path):
+        out = tmp_path / "formula.json"
+        assert main(["invariants", "--group", "2,2,2,2,2,2", "--method", "formula",
+                     "--out", str(out)]) == 0
+        no_search = SearchBudget(max_nodes=1)
+        assert verify_certificate(out, no_search).accepted
+        obj = json.loads(out.read_text())
+        claim = next(c for c in obj["claims"] if c["kind"] == "davenport")
+        claim["value"] += 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        outcome = verify_certificate(bad, no_search)
+        assert not outcome.accepted
+        assert any("davenport" in f and "closed form" in f for f in outcome.failures)
+
+    def test_sequence_as_long_as_the_group_is_refused(self):
+        # |C2xC4| = 8: 7 elements may be read, 8 may not
+        for mult, ok in ((7, True), (8, False)):
+            obj = {"elements": [{"coords": [0, 1], "multiplicity": mult - 1},
+                                {"coords": [1, 0], "multiplicity": 1}]}
+            if ok:
+                assert len(sequence_from_json(C24, obj)) == mult
+            else:
+                with pytest.raises(CertificateError, match="zero-sumfree"):
+                    sequence_from_json(C24, obj)
+
+    def test_huge_multiplicity_is_refused_before_expansion(self, tmp_path):
+        obj = json.loads((GOLDEN / "gamma-both.json").read_text())
+        claim = next(c for c in obj["claims"] if c["kind"] == "gamma_exact")
+        claim["witness"]["elements"][0]["multiplicity"] = 10**12
+        group = AbelianGroup(tuple(obj["group"]["invariant_factors"]))
+        started = time.monotonic()
+        with pytest.raises(CertificateError, match="zero-sumfree"):
+            sequence_from_json(group, claim["witness"])
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(obj))
+        outcome = verify_certificate(bad)
+        assert time.monotonic() - started < 0.5
+        assert not outcome.accepted
+        assert any("gamma_exact" in f for f in outcome.failures)
 
 
 DELETE = object()

@@ -10,8 +10,9 @@ from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair,
                      SearchBudget, d_pair_bruteforce, d_pair_value,
                      davenport_constant, davenport_p_group,
                      enumerate_zero_sumfree, gamma_exact, k_star,
-                     longest_avoiding, longest_zero_sumfree, max_cross_number,
-                     max_order_count)
+                     longest_avoiding, max_order_count, zero_sumfree_extrema)
+from zerosum.groups import tables_for
+from zerosum.search import _ExtremaAcc
 from conftest import (NON_P_FACTORS, P_GROUP_FACTORS, all_zero_sumfree_multisets,
                       reference_scan)
 
@@ -20,6 +21,11 @@ C3 = AbelianGroup((3,))
 C6 = AbelianGroup((6,))
 C24 = AbelianGroup((2, 4))
 C22 = AbelianGroup((2, 2))
+
+
+def extrema_acc(group):
+    """Factory of the d(G)/k(G) accumulator for ``run_scan`` on ``group``."""
+    return lambda: _ExtremaAcc(tables_for(group).orders, group.exponent)
 
 
 class TestEnumerate:
@@ -68,37 +74,37 @@ class TestEnumerate:
 
 class TestLongest:
     def test_c24(self):
-        value, witness = longest_zero_sumfree(C24)
+        value, witness = zero_sumfree_extrema(C24)[:2]
         assert value == 4
         assert tuple(witness.sequence.iter_ranks()) == (1, 2, 2, 2)
         witness.reverify()
 
     def test_c2(self):
-        assert longest_zero_sumfree(C2)[0] == 1
+        assert zero_sumfree_extrema(C2)[0] == 1
 
     def test_c6(self):
-        value, witness = longest_zero_sumfree(C6)
+        value, witness = zero_sumfree_extrema(C6)[:2]
         assert value == 5
         assert tuple(witness.sequence.iter_ranks()) == (1, 1, 1, 1, 1)
 
     def test_agrees_with_formula_on_p_groups(self, p_groups):
         for group in p_groups:
-            assert longest_zero_sumfree(group)[0] == davenport_p_group(group)
+            assert zero_sumfree_extrema(group)[0] == davenport_p_group(group)
 
 
 class TestMaxCross:
     def test_c33(self):
-        value, witness = max_cross_number(AbelianGroup((3, 3)))
+        value, witness = zero_sumfree_extrema(AbelianGroup((3, 3)))[2:]
         assert value == Fraction(4, 3)
         witness.reverify()
 
     def test_c2(self):
-        value, witness = max_cross_number(C2)
+        value, witness = zero_sumfree_extrema(C2)[2:]
         assert value == Fraction(1, 2)
         assert tuple(witness.sequence.iter_ranks()) == (1,)
 
     def test_c6(self):
-        value, witness = max_cross_number(C6)
+        value, witness = zero_sumfree_extrema(C6)[2:]
         assert value == Fraction(7, 6)
         # lexicographically least maximizer: (2)^2 * (3)
         assert tuple(witness.sequence.iter_ranks()) == (2, 2, 3)
@@ -106,7 +112,7 @@ class TestMaxCross:
 
     def test_meets_k_star_lower_bound(self):
         for group in [C6, AbelianGroup((2, 6)), AbelianGroup((12,))]:
-            assert max_cross_number(group)[0] >= k_star(group)
+            assert zero_sumfree_extrema(group)[2] >= k_star(group)
 
 
 class TestDPair:
@@ -172,7 +178,7 @@ class TestBudget:
     def test_node_budget_exhaustion(self):
         tiny = SearchBudget(max_nodes=3, max_seconds=60)
         with pytest.raises(BudgetExceededError) as info:
-            longest_zero_sumfree(AbelianGroup((2, 8)), tiny)
+            zero_sumfree_extrema(AbelianGroup((2, 8)), tiny)
         assert info.value.nodes_visited > 0
         assert 0 < info.value.elapsed_seconds < 60
 
@@ -180,7 +186,7 @@ class TestBudget:
         # the deadline is first checked at node 2048 of a root task
         instant = SearchBudget(max_seconds=1e-9)
         with pytest.raises(BudgetExceededError) as info:
-            longest_zero_sumfree(AbelianGroup((5, 5)), instant)
+            zero_sumfree_extrema(AbelianGroup((5, 5)), instant)
         assert info.value.nodes_visited == 2048
         assert info.value.elapsed_seconds > 1e-9
 
@@ -214,8 +220,7 @@ class TestDeterminism:
             runs = []
             for width in (1, 4, 8):
                 budget = SearchBudget(parallel_width=width)
-                d_val, d_wit = longest_zero_sumfree(group, budget)
-                k_val, k_wit = max_cross_number(group, budget)
+                d_val, d_wit, k_val, k_wit = zero_sumfree_extrema(group, budget)
                 g_val, g_wit = gamma_exact(group, 0, budget)
                 runs.append((d_val, tuple(d_wit.sequence.iter_ranks()),
                              k_val, tuple(k_wit.sequence.iter_ranks()),
@@ -223,9 +228,9 @@ class TestDeterminism:
             assert runs[0] == runs[1] == runs[2]
 
     def test_node_counts_independent_of_parallel_width(self):
-        from zerosum.search import _LongestAcc, run_scan
+        from zerosum.search import run_scan
         for width in (1, 2, 8):
-            _, nodes = run_scan(C24, _LongestAcc,
+            _, nodes = run_scan(C24, extrema_acc(C24),
                                 budget=SearchBudget(parallel_width=width))
             assert nodes == 94  # total zero-sumfree sequences in C2xC4
 
@@ -240,13 +245,10 @@ class TestForkedWorkers:
     all but their last root task in worker processes."""
 
     def test_accumulators_match_across_widths(self, forked_scans):
-        from zerosum.groups import tables_for
-        from zerosum.search import (_gamma_scan, _LongestAcc, _MaxCrossAcc,
-                                    _subgroup_mask, run_scan)
+        from zerosum.search import _gamma_scan, _subgroup_mask, run_scan
         c55 = AbelianGroup((5, 5))
         c888 = AbelianGroup((8, 8, 8))
         pair = DivisorPair(2, 4)
-        orders = tables_for(c55).orders
         tables = tables_for(c888)
         forbidden = _subgroup_mask(tables, pair.quotient)
         allowed = [r for r in range(tables.size)
@@ -254,14 +256,12 @@ class TestForkedWorkers:
 
         def summary(width):
             budget = SearchBudget(parallel_width=width)
-            longest, n_longest = run_scan(c55, _LongestAcc, budget=budget)
-            cross, n_cross = run_scan(c55, lambda: _MaxCrossAcc(orders, 5),
-                                      budget=budget)
-            _, n_avoid = run_scan(c888, _LongestAcc, budget=budget,
+            extrema, n_extrema = run_scan(c55, extrema_acc(c55), budget=budget)
+            _, n_avoid = run_scan(c888, extrema_acc(c888), budget=budget,
                                   allowed=allowed, forbidden_mask=forbidden)
             length, witness = longest_avoiding(c888, pair, budget)
-            return ([(a.best_len, a.best) for a in longest], n_longest,
-                    [(a.best_scaled, a.best) for a in cross], n_cross,
+            return ([(a.best_len, a.best) for a in extrema], n_extrema,
+                    [(a.best_scaled, a.best_cross) for a in extrema],
                     _gamma_scan(c55, 1, budget),
                     n_avoid, length, tuple(witness.sequence.iter_ranks()))
 
@@ -269,10 +269,10 @@ class TestForkedWorkers:
         for width in (1, 2, 4):
             forked_scans.clear()
             runs.append(summary(width))
-            assert len(forked_scans) == (0 if width == 1 else 5 * width)
+            assert len(forked_scans) == (0 if width == 1 else 4 * width)
         assert runs[0] == runs[1] == runs[2]
-        assert runs[0][1] == runs[0][3] == 138_864
-        assert runs[0][5:] == (15_736, 3, (2, 16, 128))
+        assert runs[0][1] == 138_864
+        assert runs[0][4:] == (15_736, 3, (2, 16, 128))
 
     def test_enumeration_visits_in_lexicographic_order(self, forked_scans):
         group = AbelianGroup((3, 3))
@@ -290,7 +290,7 @@ class TestForkedWorkers:
         # the last root task of C5xC5 (4 nodes) runs in-process; task 0 forks
         budget = SearchBudget(max_nodes=1000, parallel_width=2)
         with pytest.raises(BudgetExceededError) as info:
-            longest_zero_sumfree(AbelianGroup((5, 5)), budget)
+            zero_sumfree_extrema(AbelianGroup((5, 5)), budget)
         assert forked_scans
         assert str(info.value) == "node budget 1000 exhausted"
         assert info.value.nodes_visited == 1001
@@ -309,7 +309,7 @@ class TestForkedWorkers:
 
         monkeypatch.setattr(search, "_scan_from", dying_scan)
         with pytest.raises(InternalCheckError, match="root task 0"):
-            longest_zero_sumfree(AbelianGroup((3, 3)),
+            zero_sumfree_extrema(AbelianGroup((3, 3)),
                                  SearchBudget(parallel_width=2))
         assert forked_scans
 
@@ -318,29 +318,24 @@ class TestPinnedCounts:
     """Node counts and witnesses that pruning and translation changes must keep."""
 
     def test_c5xc5_scans(self):
-        from zerosum.groups import tables_for
-        from zerosum.search import _LongestAcc, _MaxCrossAcc, run_scan
+        from zerosum.search import run_scan
         group = AbelianGroup((5, 5))
-        orders = tables_for(group).orders
-        assert run_scan(group, _LongestAcc)[1] == 138_864
-        assert run_scan(group, lambda: _MaxCrossAcc(orders, 5))[1] == 138_864
-        d_val, d_wit = longest_zero_sumfree(group)
-        k_val, k_wit = max_cross_number(group)
+        assert run_scan(group, extrema_acc(group))[1] == 138_864
+        d_val, d_wit, k_val, k_wit = zero_sumfree_extrema(group)
         assert (d_val, k_val) == (8, Fraction(8, 5))
         witness = (1, 1, 1, 1, 5, 5, 5, 5)
         assert tuple(d_wit.sequence.iter_ranks()) == witness
         assert tuple(k_wit.sequence.iter_ranks()) == witness
 
     def test_forbidden_allowed_elements_are_never_entered(self):
-        from zerosum.search import _LongestAcc, run_scan
+        from zerosum.search import run_scan
         everything = list(range(C24.cardinality))
-        _, nodes = run_scan(C24, _LongestAcc, allowed=everything)
+        _, nodes = run_scan(C24, extrema_acc(C24), allowed=everything)
         assert nodes == 94  # as with the default allowed set, which omits 0
 
     def test_longest_avoiding_c8x8x8_subgroup(self):
         # forbidden set G_2 (8 elements), allowed G_4 minus G_2 (56 elements)
-        from zerosum.groups import tables_for
-        from zerosum.search import _LongestAcc, _subgroup_mask, run_scan
+        from zerosum.search import _subgroup_mask, run_scan
         group = AbelianGroup((8, 8, 8))
         pair = DivisorPair(2, 4)
         tables = tables_for(group)
@@ -348,7 +343,8 @@ class TestPinnedCounts:
         allowed = [r for r in range(tables.size)
                    if pair.d % tables.orders[r] == 0 and not (forbidden >> r) & 1]
         assert len(allowed) == 56
-        _, nodes = run_scan(group, _LongestAcc, allowed=allowed, forbidden_mask=forbidden)
+        _, nodes = run_scan(group, extrema_acc(group), allowed=allowed,
+                            forbidden_mask=forbidden)
         assert nodes == 15_736
         length, witness = longest_avoiding(group, pair)
         assert length == 3
@@ -371,19 +367,16 @@ class TestBlockedMaskKernel:
 
     @staticmethod
     def _cases(group):
-        from zerosum.groups import tables_for
-        from zerosum.search import (_CountAcc, _LongestAcc, _MaxCrossAcc,
-                                    _MinMaxOrderAcc)
+        from zerosum.search import _CountAcc, _MinMaxOrderAcc
         from zerosum.verifier import _ViolationAcc
         orders, exp = tables_for(group).orders, group.exponent
-        accs, _ = reference_scan(group, _LongestAcc)
+        accs, _ = reference_scan(group, extrema_acc(group))
         d = max(acc.best_len for acc in accs)
         is_max = [1 if o == exp else 0 for o in orders]
         cross = [exp // o for o in orders]
         short, gamma_len = min(3, d), max(1, d - 1)
         return [
-            (_LongestAcc, None),
-            (lambda: _MaxCrossAcc(orders, exp), None),
+            (extrema_acc(group), None),
             (lambda: _CountAcc(short, True), short),
             (lambda: _MinMaxOrderAcc(is_max, gamma_len), gamma_len),
             # cross number above 1 at length >= 2: a counterexample prunes
@@ -391,8 +384,7 @@ class TestBlockedMaskKernel:
         ]
 
     def test_matches_reference_walk(self, forked_scans):
-        from zerosum.groups import tables_for
-        from zerosum.search import _LongestAcc, _subgroup_mask, run_scan
+        from zerosum.search import _subgroup_mask, run_scan
         widths = [SearchBudget(parallel_width=w) for w in (1, 2)]
 
         def same(group, factory, **kwargs):
@@ -413,24 +405,24 @@ class TestBlockedMaskKernel:
         forbidden = _subgroup_mask(tables, pair.quotient)
         g4 = [r for r in range(tables.size) if pair.d % tables.orders[r] == 0]
         for allowed in ([r for r in g4 if not (forbidden >> r) & 1], g4):
-            assert same(group, _LongestAcc, allowed=allowed,
+            assert same(group, extrema_acc(group), allowed=allowed,
                         forbidden_mask=forbidden) == 15_736
         # every rank allowed, the zero element forbidden
-        assert same(C24, _LongestAcc, allowed=list(range(8))) == 94
+        assert same(C24, extrema_acc(C24), allowed=list(range(8))) == 94
         assert forked_scans
 
     def test_allowed_must_be_ascending_ranks(self):
-        from zerosum.search import _LongestAcc, run_scan
+        from zerosum.search import run_scan
         for allowed in ([2, 1], [1, 1, 2], [-1, 1], [1, 8]):
             with pytest.raises(ValueError, match="ascending"):
-                run_scan(C24, _LongestAcc, allowed=allowed)
+                run_scan(C24, extrema_acc(C24), allowed=allowed)
 
     def test_translates_only_nodes_that_descend(self, monkeypatch):
         """One translate per node entered that descends: every node of an
         unbounded scan, but not the leaves of a depth-capped one."""
         from zerosum import search
         from zerosum.groups import GroupTables
-        from zerosum.search import _gamma_scan, _LongestAcc, run_scan
+        from zerosum.search import _gamma_scan, run_scan
         calls = [0]
         translate = GroupTables.translate
 
@@ -451,7 +443,8 @@ class TestBlockedMaskKernel:
         monkeypatch.setattr(GroupTables, "translate", counting_translate)
         monkeypatch.setattr(search, "_MinMaxOrderAcc", CountingAcc)
         budget = SearchBudget(parallel_width=1)
-        _, nodes = run_scan(AbelianGroup((5, 5)), _LongestAcc, budget=budget)
+        c55 = AbelianGroup((5, 5))
+        _, nodes = run_scan(c55, extrema_acc(c55), budget=budget)
         assert calls[0] == nodes == 138_864
         calls[0] = 0
         _, _, nodes = _gamma_scan(AbelianGroup((2, 2, 8)), 1, budget)
