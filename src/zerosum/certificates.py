@@ -1,12 +1,15 @@
 """Machine-readable certificates and their independent re-verification.
 
-Each claim kind is defined once, in ``CLAIMS``: how it reads from and writes
-to JSON and how it re-derives from scratch. Each command's certificate is
-defined once, by its render in ``COMMANDS``: ``parameters``, ``results``,
-``status`` and text lines as functions of the claims. A command renders the
-claims it computed; ``verify_certificate`` re-derives the claims and renders
-them again. JSON is canonical: sorted keys, two-space indent, rationals as
-num/den pairs, no floats for exact quantities.
+Each command is defined once, by its function in ``COMMANDS``: from the
+group, the inputs and the search budget it computes the claims, makes every
+cross-route consistency check, and builds ``parameters``, ``results``,
+``status``, its text lines and the witnesses that back its search claims.
+The CLI runs it with its flags through ``run_command``.
+``verify_certificate`` runs it again with the inputs the stored
+``parameters`` record, re-checks the witnesses and compares the two
+documents; stored claims are compared, never parsed. JSON is canonical:
+sorted keys, two-space indent, rationals as num/den pairs, no floats for
+exact quantities.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from . import formulas, search, sequences, verifier
+from . import constructions, formulas, search, sequences, verifier
 from ._record import record
 from ._version import VERSION
 from .errors import CertificateError, InternalCheckError
-from .groups import AbelianGroup, parse_group_spec
+from .groups import _exact_ints, parse_group_spec
 from .sequences import GSequence
 
 SCHEMA_VERSION = 1
@@ -32,12 +35,6 @@ def rational_to_json(x: Fraction | int) -> dict:
     return {"num": frac.numerator, "den": frac.denominator}
 
 
-def rational_from_json(obj) -> Fraction:
-    if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
-        raise CertificateError(f"malformed rational {obj!r}")
-    return Fraction(obj["num"], obj["den"])
-
-
 def sequence_to_json(seq: GSequence) -> dict:
     return {
         "length": len(seq),
@@ -47,23 +44,6 @@ def sequence_to_json(seq: GSequence) -> dict:
             for rank, mult in seq.entries
         ],
     }
-
-
-def sequence_from_json(group: AbelianGroup, obj) -> GSequence:
-    if not isinstance(obj, dict) or "elements" not in obj:
-        raise CertificateError(f"malformed sequence {obj!r}")
-    ranks = []
-    for entry in obj["elements"]:
-        element = group.element(entry["coords"])
-        mult = entry["multiplicity"]
-        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-            raise CertificateError(f"multiplicity {mult!r} is not a positive integer")
-        # every sequence a certificate holds is zero-sumfree, so shorter than |G|
-        if len(ranks) + mult >= group.cardinality:
-            raise CertificateError(f"{len(ranks) + mult} or more elements are never "
-                                   f"zero-sumfree in a group of order {group.cardinality}")
-        ranks.extend([element.rank] * mult)
-    return GSequence.from_ranks(group, ranks)
 
 
 @record()
@@ -149,225 +129,37 @@ def load_certificate(path: str | Path) -> Certificate:
     return Certificate.from_json_obj(_read_json(path))
 
 
-# -- claim kinds ----------------------------------------------------------------
+# -- one function per command -------------------------------------------------------
 #
-# A claim is a dict of its kind and its fields as Python values (ints,
-# Fractions, GSequences). A field codec is (read: group, JSON -> value,
-# write: value -> JSON). Reading normalizes, so a stored 4.0, true or "4"
-# reads as 4 and the rebuilt certificate no longer matches the stored one.
-
-_INT = (lambda group, obj: int(obj), int)
-_STR = (lambda group, obj: str(obj), str)
-_RATIONAL = (lambda group, obj: rational_from_json(obj), rational_to_json)
-_SEQUENCE = (sequence_from_json, sequence_to_json)
-_INT_MAP = (lambda group, obj: {str(key): int(value) for key, value in obj.items()}, dict)
-
-
-def _nullable(codec):
-    read, write = codec
-    return (lambda group, obj: None if obj is None else read(group, obj),
-            lambda value: None if value is None else write(value))
-
-
-def _fields(**codecs):
-    """(from-JSON, to-JSON) of a claim kind with these fields; to-JSON leaves
-    out the kind. A field the stored claim leaves out stays out; one it adds
-    is dropped."""
-    def from_json(group, obj):
-        return {"kind": obj["kind"], **{name: read(group, obj[name])
-                                        for name, (read, _) in codecs.items() if name in obj}}
-
-    def to_json(claim):
-        return {name: codecs[name][1](value) for name, value in claim.items() if name != "kind"}
-    return from_json, to_json
-
-
-def _same(got, claimed, what: str) -> None:
-    if got != claimed:
-        raise InternalCheckError(f"{what} recomputes to {got}")
-
-
-def closed_forms(group: AbelianGroup) -> tuple[int | None, Fraction | None]:
-    """d(G) and k(G) by closed form: both on a p-group, d(G) = n - 1 on a
-    cyclic group of order n, neither otherwise."""
-    if group.is_p_group:
-        return formulas.davenport_p_group(group), formulas.little_cross_p_group(group)
-    return (group.exponent - 1 if group.rank == 1 else None), None
-
-
-def gamma_bounds_claim(group: AbelianGroup, delta: int) -> dict:
-    bounds = formulas.gamma_bounds(group, delta)
-    return {"kind": "gamma_bounds", "delta": delta, "lower": bounds.lower,
-            "upper": bounds.upper, "raw_lower": bounds.raw_lower,
-            "raw_upper": bounds.raw_upper, "exact_formula": bounds.exact}
-
-
-def check_claim(report: verifier.CheckReport) -> dict:
-    """The certificate claim stating a check's report."""
-    return {"kind": "check", "check": report.name,
-            "parameters": dict(report.parameters),
-            "verdict": report.verdict, "nodes": report.nodes_visited,
-            "counterexample": report.counterexample}
-
-
-# A re-verify takes (group, claim, budget, certificate, derived), raises when
-# the claim does not re-derive, and returns what the render needs beyond it.
-# ``derived`` holds what the claims before it returned, and lives for one
-# verify_certificate call.
-
-def _reverify_extremum(index: int, witness_kind: str):
-    """Re-verify d(G) (``index`` 0) or k(G) (1). A formula claim, which has
-    no witness, re-evaluates its closed form only. A search claim re-runs the
-    search, one walk for both claims of a certificate kept in ``derived``,
-    compares the closed form where one exists and re-checks the witness."""
-    def reverify(group, claim, budget, cert, derived):
-        value, closed = claim["value"], closed_forms(group)[index]
-        if claim["witness"] is None:
-            _same(closed, value, "the closed form")
-            return
-        if "extrema" not in derived:
-            derived["extrema"] = search.zero_sumfree_extrema(group, budget)
-        _same(derived["extrema"][2 * index], value, "the search")
-        if closed not in (None, value):
-            raise InternalCheckError(f"closed form disagrees with the claimed {claim['kind']}")
-        search.Witness(group, claim["witness"], witness_kind, value).reverify()
-    return reverify
-
-
-def _reverify_d_pair(group, claim, budget, cert, derived):
-    pair = formulas.DivisorPair(claim["d_prime"], claim["d"])
-    value = claim["value"]
-    _same(search.d_pair_bruteforce(group, pair, budget), value, "brute force")
-    _same(search.d_pair_value(group, pair, budget), value, "reduction route")
-    if "witness" in claim:
-        search.Witness(group, claim["witness"], "d-pair", value,
-                       (("d", pair.d), ("d_prime", pair.d_prime))).reverify()
-
-
-def _reverify_gamma_exact(group, claim, budget, cert, derived):
-    delta, value = claim["delta"], claim["value"]
-    _same(search.gamma_exact(group, delta, budget)[0], value, "search gamma")
-    search.Witness(group, claim["witness"], "gamma", value, (("delta", delta),)).reverify()
-    _same(formulas.davenport_p_group(group) - delta, len(claim["witness"]),
-          "the witness length d(G) - delta")
-
-
-def _reverify_construction(group, claim, budget, cert, derived):
-    """The sequence is zero-sumfree and meets its construction's target:
-    length d*(G), cross number k*(G), or length d(G) - delta with the gamma
-    upper bound as max-order count."""
-    name, seq = claim["construction"], claim["sequence"]
-    if not sequences.is_zero_sumfree(seq):
-        raise InternalCheckError("stored sequence is not zero-sumfree")
-    _same(len(seq), claim["length"], "the stored length")
-    if ("delta" in claim) != (name == "gamma"):
-        raise InternalCheckError("a delta belongs to the gamma construction only")
-    if name == "dstar":
-        _same(formulas.d_star(group), len(seq), "the target length d*(G)")
-    elif name == "kstar":
-        _same(formulas.k_star(group), sequences.cross_number(seq), "the target k*(G)")
-    elif name == "gamma":
-        delta = claim["delta"]
-        _same((formulas.davenport_p_group(group) - delta, formulas.gamma_upper(group, delta)),
-              (len(seq), sequences.max_order_count(seq)),
-              "the target (length, max-order count)")
-    else:
-        raise InternalCheckError(f"unknown construction {name!r}")
-
-
-def _reverify_enumeration(group, claim, budget, cert, derived):
-    # the sequences are collected only when the certificate lists them,
-    # which it does unless the command ran with --count-only
-    found = [] if "sequences" in cert.results else None
-    count = search.enumerate_zero_sumfree(
-        group, claim["length"], None if found is None else found.append, budget=budget)
-    _same(count, claim["count"], "enumeration count")
-    return found
-
-
-def _reverify_check(group, claim, budget, cert, derived):
-    """Re-run the check; a budget-exceeded one at the node budget it records."""
-    name = cert.parameters.get("name")
-    if verifier.CHECKS.get(name, (None,))[0] != claim["check"]:
-        raise InternalCheckError(f"parameters.name {name!r} is not check {claim['check']!r}")
-    exceeded = claim["verdict"] == "budget-exceeded"
-    if exceeded:
-        base = budget or search.DEFAULT_BUDGET
-        budget = search.SearchBudget(cert.parameters["budget"]["max_nodes"],
-                                     base.max_seconds, base.parallel_width)
-    report = verifier.run_check(name, group, claim["parameters"], budget)
-    for key, value in check_claim(report).items():
-        if claim.get(key) != value:
-            raise InternalCheckError(f"checker {key} recomputes to {value!r}" + (
-                " at the recorded node budget: the claim does not reproduce"
-                " (a time budget is not reproducible)" if exceeded else ""))
-    return report
-
-
-# claim kind -> (from-JSON, to-JSON, re-verify)
-CLAIMS = {
-    "d_star": (*_fields(value=_INT), lambda group, claim, *_: _same(
-        formulas.d_star(group), claim["value"], "d*")),
-    "k_star": (*_fields(value=_RATIONAL), lambda group, claim, *_: _same(
-        formulas.k_star(group), claim["value"], "k*")),
-    "davenport": (*_fields(value=_INT, witness=_nullable(_SEQUENCE)),
-                  _reverify_extremum(0, "longest-zero-sumfree")),
-    "little_cross": (*_fields(value=_RATIONAL, witness=_nullable(_SEQUENCE)),
-                     _reverify_extremum(1, "max-cross")),
-    "d_pair": (*_fields(d_prime=_INT, d=_INT, value=_INT, witness=_SEQUENCE),
-               _reverify_d_pair),
-    "gamma_bounds": (*_fields(delta=_INT, lower=_INT, upper=_INT, raw_lower=_INT,
-                              raw_upper=_INT, exact_formula=_nullable(_INT)),
-                     lambda group, claim, *_: _same(
-                         gamma_bounds_claim(group, claim["delta"]), claim, "gamma bounds")),
-    "gamma_exact": (*_fields(delta=_INT, value=_INT, witness=_SEQUENCE),
-                    _reverify_gamma_exact),
-    "construction": (*_fields(construction=_STR, sequence=_SEQUENCE, length=_INT,
-                              delta=_INT), _reverify_construction),
-    "enumeration": (*_fields(length=_INT, count=_INT), _reverify_enumeration),
-    "check": (*_fields(check=_STR, parameters=_INT_MAP, verdict=_STR, nodes=_INT,
-                       counterexample=_nullable(_SEQUENCE)), _reverify_check),
-}
-
-
-def claim_to_json(claim: dict) -> dict:
-    return {"kind": claim["kind"], **CLAIMS[claim["kind"]][1](claim)}
-
-
-# -- one render per command -------------------------------------------------------
-#
-# render(group, parameters, claims, derived) -> (parameters, results, status,
-# text lines). ``parameters`` holds the inputs the claims do not state (the
-# method, the check name); ``derived`` maps a claim kind to what its
-# re-verify returned, or what the command computed in its place.
-
-def _claims(claims: list[dict], *kinds: str) -> list[dict]:
-    if [claim["kind"] for claim in claims] != list(kinds):
-        raise CertificateError(f"the claims are not {', '.join(kinds) or 'none'}")
-    return claims
-
+# command(group, inputs, budget) -> (parameters, claims, results, status,
+# text lines, witnesses). ``inputs`` maps each input's name, a CLI flag's
+# dest and a ``parameters`` key, to its value. ``parameters`` records the
+# inputs a re-run needs, without the budget. Claims and results are JSON.
 
 # --method -> (whether the closed forms run, whether the search runs)
 _METHODS = {"formula": (True, False), "search": (False, True), "both": (True, True)}
 
 
-def _render_invariants(group, parameters, claims, derived):
-    formula, searched = _METHODS[parameters["method"]]
-    formula_d, formula_k = closed_forms(group)
-    kinds = ["d_star", "k_star"]
-    if searched:
-        kinds += ["davenport", "little_cross"]
-    elif formula_d is not None:
-        kinds.append("davenport")
-    d_star, k_star, *found = _claims(claims, *kinds)
+def _invariants(group, inputs, budget):
+    formula, searched = _METHODS[inputs["method"]]
+    d_star, k_star = formulas.d_star(group), formulas.k_star(group)
+    # the closed forms: both on a p-group, d(G) = n - 1 on a cyclic group of
+    # order n, neither otherwise
+    if group.is_p_group:
+        formula_d = formulas.davenport_p_group(group)
+        formula_k = formulas.little_cross_p_group(group)
+    else:
+        formula_d, formula_k = (group.exponent - 1 if group.rank == 1 else None), None
+    claims = [{"kind": "d_star", "value": d_star},
+              {"kind": "k_star", "value": rational_to_json(k_star)}]
     results = {
         "cardinality": group.cardinality,
         "exponent": group.exponent,
         "rank": group.rank,
         "invariant_factors": list(group.invariant_factors),
         "primary_decomposition": list(group.primary_decomposition()),
-        "d_star": d_star["value"],
-        "k_star": rational_to_json(k_star["value"]),
+        "d_star": d_star,
+        "k_star": rational_to_json(k_star),
     }
     lines = [f"group {group} (invariant factors "
              f"{','.join(map(str, group.invariant_factors))})",
@@ -375,7 +167,7 @@ def _render_invariants(group, parameters, claims, derived):
              f"rank = {group.rank}",
              f"  primary decomposition: "
              f"{','.join(map(str, group.primary_decomposition()))}",
-             f"  d*(G) = {d_star['value']}  k*(G) = {k_star['value']}"]
+             f"  d*(G) = {d_star}  k*(G) = {k_star}"]
     if formula:
         davenport = None if formula_d is None else formula_d + 1
         results["formula"] = {
@@ -383,25 +175,35 @@ def _render_invariants(group, parameters, claims, derived):
             "k": None if formula_k is None else rational_to_json(formula_k)}
         lines.append(f"  formula: d(G) = {formula_d}  D(G) = {davenport}  "
                      f"k(G) = {formula_k}")
-    if searched:
-        d, k = found
-        results["search"] = {
-            "d": d["value"], "davenport": d["value"] + 1,
-            "d_witness": sequence_to_json(d["witness"]),
-            "k": rational_to_json(k["value"]),
-            "k_witness": sequence_to_json(k["witness"]),
-        }
-        lines += [f"  search:  d(G) = {d['value']}  D(G) = {d['value'] + 1}  "
-                  f"k(G) = {k['value']}",
-                  f"    d witness: {d['witness']}",
-                  f"    k witness: {k['witness']}"]
-    return {"method": parameters["method"]}, results, "ok", lines
+    if not searched:
+        if formula_d is not None:
+            claims.append({"kind": "davenport", "value": formula_d, "witness": None})
+        return {"method": inputs["method"]}, claims, results, "ok", lines, []
+    d, d_witness, k, k_witness = search.zero_sumfree_extrema(group, budget)
+    if d < d_star:
+        raise InternalCheckError(f"search found d(G) = {d} below the d* lower bound")
+    if k < k_star:
+        raise InternalCheckError(f"search found k(G) = {k} below the k* lower bound")
+    if formula_d not in (None, d):
+        raise InternalCheckError(f"formula d(G) = {formula_d} but search found {d}")
+    if formula_k not in (None, k):
+        raise InternalCheckError(f"formula k(G) = {formula_k} but search found {k}")
+    claims += [{"kind": "davenport", "value": d,
+                "witness": sequence_to_json(d_witness.sequence)},
+               {"kind": "little_cross", "value": rational_to_json(k),
+                "witness": sequence_to_json(k_witness.sequence)}]
+    results["search"] = {"d": d, "davenport": d + 1, "d_witness": claims[-2]["witness"],
+                         "k": rational_to_json(k), "k_witness": claims[-1]["witness"]}
+    lines += [f"  search:  d(G) = {d}  D(G) = {d + 1}  k(G) = {k}",
+              f"    d witness: {d_witness.sequence}",
+              f"    k witness: {k_witness.sequence}"]
+    return {"method": inputs["method"]}, claims, results, "ok", lines, [d_witness, k_witness]
 
 
-def _render_dpair(group, parameters, claims, derived):
-    formula, searched = _METHODS[parameters["method"]]
-    [claim] = _claims(claims, "d_pair")
-    pair = formulas.DivisorPair(claim["d_prime"], claim["d"])
+def _dpair(group, inputs, budget):
+    formula, searched = _METHODS[inputs["method"]]
+    pair = formulas.DivisorPair(inputs["d_prime"], inputs["d"])
+    pair.validate_for(group)
     upsilon = formulas.upsilon_vector(group, pair)
     reduced = formulas.reduced_group(group, pair)
     results = {
@@ -413,119 +215,169 @@ def _render_dpair(group, parameters, claims, derived):
              f"  upsilon vector: ({','.join(map(str, upsilon))})",
              f"  reduced group: "
              f"{'trivial' if reduced is None else str(reduced)}"]
+    claim = {"kind": "d_pair", "d_prime": pair.d_prime, "d": pair.d}
+    witnesses = []
     if formula:
-        results["formula_value"] = claim["value"]
+        claim["value"] = results["formula_value"] = search.d_pair_value(group, pair, budget)
         lines.append(f"  via reduction:  D_(d',d) = {claim['value']}")
     if searched:
-        results["search_value"] = claim["value"]
-        results["witness"] = sequence_to_json(claim["witness"])
-        lines += [f"  by brute force: D_(d',d) = {claim['value']}",
-                  f"    longest avoiding witness: {claim['witness']}"]
-    parameters = {"method": parameters["method"], "d_prime": pair.d_prime, "d": pair.d}
-    return parameters, results, "ok", lines
+        length, witness = search.longest_avoiding(group, pair, budget)
+        if claim.get("value", length + 1) != length + 1:
+            raise InternalCheckError(f"reduction route gives {claim['value']}, "
+                                     f"brute force {length + 1}")
+        claim["value"] = results["search_value"] = length + 1
+        claim["witness"] = results["witness"] = sequence_to_json(witness.sequence)
+        lines += [f"  by brute force: D_(d',d) = {length + 1}",
+                  f"    longest avoiding witness: {witness.sequence}"]
+        witnesses.append(witness)
+    parameters = {"method": inputs["method"], "d_prime": pair.d_prime, "d": pair.d}
+    return parameters, [claim], results, "ok", lines, witnesses
 
 
-def _render_gamma(group, parameters, claims, derived):
-    searched = _METHODS[parameters["method"]][1]
-    bounds, *found = _claims(claims, "gamma_bounds", *(["gamma_exact"] if searched else []))
-    delta = bounds["delta"]
+def _gamma(group, inputs, budget):
+    delta, searched = inputs["delta"], _METHODS[inputs["method"]][1]
+    bounds = formulas.gamma_bounds(group, delta)
+    claims = [{"kind": "gamma_bounds", "delta": delta, "lower": bounds.lower,
+               "upper": bounds.upper, "raw_lower": bounds.raw_lower,
+               "raw_upper": bounds.raw_upper, "exact_formula": bounds.exact}]
     results = {
         "delta": delta,
         "j0": formulas.j0(group),
         "d": formulas.davenport_p_group(group),
-        "bounds": {key: bounds[key] for key in ("lower", "upper", "raw_lower", "raw_upper")},
-        "exact_formula": bounds["exact_formula"],
+        "bounds": {key: claims[0][key] for key in ("lower", "upper", "raw_lower", "raw_upper")},
+        "exact_formula": bounds.exact,
     }
     lines = [f"group {group}, delta = {delta} (j0 = {results['j0']}, "
              f"d(G) = {results['d']})",
-             f"  lower bound {bounds['lower']} (raw {bounds['raw_lower']}), "
-             f"upper bound {bounds['upper']} (raw {bounds['raw_upper']})"]
-    if bounds["exact_formula"] is not None:
-        lines.append(f"  exact closed form: {bounds['exact_formula']}")
-    for exact in found:
-        if exact["delta"] != delta:
-            raise CertificateError("the gamma claims are for different deltas")
-        results["search"] = {"value": exact["value"],
-                             "witness": sequence_to_json(exact["witness"])}
-        results["matches_upper"] = exact["value"] == bounds["upper"]
-        lines += [f"  exhaustive value: {exact['value']}  "
+             f"  lower bound {bounds.lower} (raw {bounds.raw_lower}), "
+             f"upper bound {bounds.upper} (raw {bounds.raw_upper})"]
+    if bounds.exact is not None:
+        lines.append(f"  exact closed form: {bounds.exact}")
+    witnesses = []
+    if searched:
+        exact, witness = search.gamma_exact(group, delta, budget)
+        if not bounds.lower <= exact <= bounds.upper:
+            raise InternalCheckError(f"search value {exact} escapes the proven bounds "
+                                     f"[{bounds.lower}, {bounds.upper}]")
+        if bounds.exact not in (None, exact):
+            raise InternalCheckError(f"exact closed form gives {bounds.exact} "
+                                     f"but search found {exact}")
+        claims.append({"kind": "gamma_exact", "delta": delta, "value": exact,
+                       "witness": sequence_to_json(witness.sequence)})
+        results["search"] = {"value": exact, "witness": claims[-1]["witness"]}
+        results["matches_upper"] = exact == bounds.upper
+        lines += [f"  exhaustive value: {exact}  "
                   f"(equals upper bound: {results['matches_upper']})",
-                  f"    witness: {exact['witness']}"]
-    return {"method": parameters["method"], "delta": delta}, results, "ok", lines
+                  f"    witness: {witness.sequence}"]
+        witnesses.append(witness)
+    parameters = {"method": inputs["method"], "delta": delta}
+    return parameters, claims, results, "ok", lines, witnesses
 
 
-def _render_construct(group, parameters, claims, derived):
-    [claim] = _claims(claims, "construction")
-    kind, seq, delta = claim["construction"], claim["sequence"], claim.get("delta")
-    cross = sequences.cross_number(seq)
-    results = {**CLAIMS["construction"][1](claim), "cross_number": rational_to_json(cross),
-               "max_order_count": sequences.max_order_count(seq), "zero_sumfree": True}
+def _construct(group, inputs, budget):
+    """Each construction checks itself: zero-sumfree, and length d*(G),
+    cross number k*(G), or length d(G) - delta with max-order count
+    ``gamma_upper``."""
+    kind, delta = inputs["kind"], inputs["delta"]
+    if kind != "gamma" and delta is not None:
+        raise ValueError(f"construct --kind {kind} does not take --delta")
+    if kind == "dstar":
+        seq = constructions.dstar_sequence(group)
+    elif kind == "kstar":
+        seq = constructions.kstar_sequence(group)
+    elif delta is None:
+        raise ValueError("construct --kind gamma requires --delta")
+    else:
+        seq = constructions.gamma_extremal_sequence(group, delta)
+    stated = {"construction": kind, **({} if delta is None else {"delta": delta}),
+              "sequence": sequence_to_json(seq), "length": len(seq)}
+    cross, count = sequences.cross_number(seq), sequences.max_order_count(seq)
+    results = {**stated, "cross_number": rational_to_json(cross),
+               "max_order_count": count, "zero_sumfree": True}
     lines = [f"group {group}, construction {kind}"
              + (f", delta = {delta}" if delta is not None else ""),
              f"  sequence: {seq}",
-             f"  length {len(seq)}, cross number {cross}, "
-             f"max-order count {results['max_order_count']}",
+             f"  length {len(seq)}, cross number {cross}, max-order count {count}",
              "  zero-sumfree: verified"]
-    return {"kind": kind, "delta": delta}, results, "ok", lines
+    claims = [{"kind": "construction", **stated}]
+    return {"kind": kind, "delta": delta}, claims, results, "ok", lines, []
 
 
-def _render_enumerate(group, parameters, claims, derived):
-    [claim] = _claims(claims, "enumeration")
-    found = derived["enumeration"]  # None stands for --count-only
-    results = CLAIMS["enumeration"][1](claim)
+def _enumerate(group, inputs, budget):
+    length, found = inputs["length"], None if inputs["count_only"] else []
+    count = search.enumerate_zero_sumfree(
+        group, length, None if found is None else found.append, budget=budget)
+    results = {"length": length, "count": count}
     if found is not None:
         results["sequences"] = [sequence_to_json(s) for s in found]
-    lines = [f"group {group}: {claim['count']} zero-sumfree sequence(s) "
-             f"of length {claim['length']}", *(f"  {s}" for s in found or ())]
-    return {"length": claim["length"]}, results, "ok", lines
+    lines = [f"group {group}: {count} zero-sumfree sequence(s) of length {length}",
+             *(f"  {s}" for s in found or ())]
+    claims = [{"kind": "enumeration", "length": length, "count": count}]
+    return {"length": length}, claims, results, "ok", lines, []
 
 
-def _render_check(group, parameters, claims, derived):
-    [claim] = _claims(claims, "check")
-    report, name = derived["check"], parameters["name"]
-    results = {**CLAIMS["check"][1](claim), "implementation_bug": report.implementation_bug,
+def _check(group, inputs, budget):
+    name = inputs["name"]
+    _, takes, _ = verifier.CHECKS[name]
+    given = {key: inputs.get(key) for key in ("delta", "threshold")}
+    for key, value in given.items():
+        if value is None and takes.get(key):
+            raise ValueError(f"check {name} requires --{key}")
+        if value is not None and key not in takes:
+            raise ValueError(f"check {name} does not take --{key}")
+    report = verifier.run_check(
+        name, group, {key: value for key, value in given.items() if value is not None}, budget)
+    counterexample, checked = report.counterexample, dict(report.parameters)
+    stated = {"check": report.name, "parameters": checked, "verdict": report.verdict,
+              "nodes": report.nodes_visited, "counterexample": None if counterexample is None
+              else sequence_to_json(counterexample)}
+    results = {**stated, "implementation_bug": report.implementation_bug,
                "details": {key: rational_to_json(value) if isinstance(value, Fraction)
                            else value for key, value in report.details}}
-    lines = [f"group {group}, check {report.name} "
-             f"{claim['parameters'] if claim['parameters'] else ''}".rstrip(),
+    lines = [f"group {group}, check {report.name} {checked if checked else ''}".rstrip(),
              f"  verdict: {report.verdict}  (nodes visited: {report.nodes_visited})"]
     lines += [f"  {key}: {value}" for key, value in report.details]
-    if report.counterexample is not None:
-        lines.append(f"  counterexample: {report.counterexample}")
+    if counterexample is not None:
+        lines.append(f"  counterexample: {counterexample}")
         if report.implementation_bug:
             lines.append("  note: this contradicts a proved statement; "
                          "suspect the implementation first")
-    parameters = {"name": name, **{key: claim["parameters"][key]
-                                   for key in verifier.CHECKS[name][1]}}
-    return parameters, results, claim["verdict"], lines
+    parameters = {"name": name, **{key: checked[key] for key in takes}}
+    claims = [{"kind": "check", **stated}]
+    return parameters, claims, results, report.verdict, lines, []
 
 
-# command -> (render, whether the command searches and records its budget)
+# command -> (its function, whether it searches and records its budget)
 COMMANDS = {
-    "invariants": (_render_invariants, True),
-    "dpair": (_render_dpair, True),
-    "gamma": (_render_gamma, True),
-    "construct": (_render_construct, False),
-    "enumerate": (_render_enumerate, True),
-    "check": (_render_check, True),
+    "invariants": (_invariants, True),
+    "dpair": (_dpair, True),
+    "gamma": (_gamma, True),
+    "construct": (_construct, False),
+    "enumerate": (_enumerate, True),
+    "check": (_check, True),
 }
 
 
-def render_certificate(command: str, group_input: str, group: AbelianGroup,
-                       parameters: dict, claims: list[dict],
-                       derived: dict) -> tuple[Certificate, list[str]]:
-    """The certificate ``command`` makes of its claims, and its text lines.
-    ``parameters`` holds the command's inputs, with the search budget."""
+def run_command(command: str, group_input: str, inputs: dict,
+                budget: search.SearchBudget | None,
+                recorded: search.SearchBudget | None = None
+                ) -> tuple[Certificate, list[str], list[search.Witness]]:
+    """Run ``command`` on the group ``group_input`` names, searching under
+    ``budget``: its certificate, its text lines and the witnesses of its
+    search claims. The certificate records ``recorded`` as its budget, by
+    default ``budget``."""
     if command not in COMMANDS:
         raise CertificateError(f"unknown command {command!r}")
-    render, searches = COMMANDS[command]
-    rendered, results, status, lines = render(group, parameters, claims, derived)
+    group = parse_group_spec(group_input)
+    run, searches = COMMANDS[command]
+    parameters, claims, results, status, lines, witnesses = run(group, inputs, budget)
     if searches:
-        budget = parameters["budget"]
-        rendered["budget"] = {"max_nodes": int(budget["max_nodes"]),
-                              "max_seconds": float(budget["max_seconds"])}
-    return Certificate(command, group_input, group.invariant_factors, rendered, results,
-                       [claim_to_json(claim) for claim in claims], status), lines
+        recorded = recorded or budget or search.DEFAULT_BUDGET
+        parameters["budget"] = {"max_nodes": recorded.max_nodes,
+                                "max_seconds": float(recorded.max_seconds)}
+    cert = Certificate(command, group_input, group.invariant_factors, parameters,
+                       results, claims, status)
+    return cert, lines, witnesses
 
 
 # -- re-verification -----------------------------------------------------------
@@ -537,16 +389,45 @@ class VerificationOutcome:
     claims_checked: int
 
 
-def _leaves(obj, path: str = "") -> dict[str, str]:
-    """JSON path -> canonical JSON of each leaf (a scalar, [] or {}), in key order."""
-    if isinstance(obj, dict) and obj:
-        children = [(f"{path}.{key}" if path else key, child) for key, child in obj.items()]
-    elif isinstance(obj, list) and obj:
-        children = [(f"{path}[{i}]", child) for i, child in enumerate(obj)]
+_ABSENT = object()
+
+
+def _difference(want, have, path: str = ""):
+    """(path, wanted value, value had) at the first JSON path, in ``want``'s
+    key order, where ``have`` differs from ``want`` as canonical JSON, so
+    ``4.0`` differs from ``4`` and ``true`` from ``1``; None if nowhere."""
+    if isinstance(want, dict) and isinstance(have, dict):
+        children = [(f"{path}.{key}" if path else key, want.get(key, _ABSENT),
+                     have.get(key, _ABSENT)) for key in {**want, **have}]
+    elif isinstance(want, list) and isinstance(have, list):
+        children = [(f"{path}[{i}]", want[i] if i < len(want) else _ABSENT,
+                     have[i] if i < len(have) else _ABSENT)
+                    for i in range(max(len(want), len(have)))]
+    elif want is _ABSENT or have is _ABSENT or json.dumps(want) != json.dumps(have):
+        return path, want, have
     else:
-        return {path: json.dumps(obj)}
-    return {leaf: text for where, child in children
-            for leaf, text in _leaves(child, where).items()}
+        return None
+    for where, wanted, had in children:
+        found = _difference(wanted, had, where)
+        if found:
+            return found
+    return None
+
+
+def _mismatch(rebuilt: dict, stored: dict) -> str | None:
+    """Where the stored document differs from the rebuilt one, and how: the
+    path, naming the claim's kind under ``claims[i]``, and both values."""
+    found = _difference(rebuilt, stored)
+    if found is None:
+        return None
+    path, wanted, had = found
+    where = path
+    if path.startswith("claims["):
+        i = int(path[len("claims["):path.index("]")])
+        claim = (rebuilt if i < len(rebuilt["claims"]) else stored)["claims"][i]
+        where += f" ({claim.get('kind') if isinstance(claim, dict) else None})"
+    wanted, had = ("absent" if v is _ABSENT else json.dumps(v) for v in (wanted, had))
+    return f"{where} is {had}, re-derived {wanted}"
 
 
 def _describe(err: Exception) -> str:
@@ -555,49 +436,56 @@ def _describe(err: Exception) -> str:
 
 def verify_certificate(source: Certificate | str | Path,
                        budget: search.SearchBudget | None = None) -> VerificationOutcome:
-    """Re-derive every claim from scratch, then the whole certificate.
+    """Re-run the certificate's command and compare the two documents.
 
-    Formula claims re-evaluate the closed forms, search claims re-run the
-    search, witnesses are re-checked with fresh subsum tables, and a check
-    re-runs (a budget-exceeded one at the node budget it records). The
-    certificate is then rebuilt: the group from ``group.input``, each claim
-    from its JSON read and written back, the rest by the command's render.
-    It must equal the stored document but ``timing``, and the first JSON
-    path where it does not is reported.
+    The command runs on ``group.input`` with the inputs ``parameters``
+    records, under ``budget``; a budget-exceeded certificate re-runs at the
+    node budget it records. So every claim is re-derived by the routes its
+    ``--method`` names, and every cross-route check is made again. The
+    re-run's witnesses are re-checked with fresh subsum tables. The re-run
+    certificate must then equal the stored one but ``timing`` as canonical
+    JSON, and the first JSON path where it does not is reported.
     """
     stored = (source.to_json_obj() if isinstance(source, Certificate)
               else _read_json(source))
     cert = Certificate.from_json_obj(stored)
     failures: list[str] = []
     try:
-        group = parse_group_spec(cert.group_input)
-        if group.invariant_factors != cert.invariant_factors:
+        # before re-running on a group the certificate does not state
+        if parse_group_spec(cert.group_input).invariant_factors != cert.invariant_factors:
             raise CertificateError(f"group.invariant_factors are not those of "
                                    f"group.input {cert.group_input!r}")
-        claims, derived = [], {}
-        for i, obj in enumerate(cert.claims):
-            kind = obj.get("kind") if isinstance(obj, dict) else None
-            try:
-                if kind not in CLAIMS:
-                    raise CertificateError(f"unknown claim kind {kind!r}")
-                from_json, _, reverify = CLAIMS[kind]
-                claims.append(from_json(group, obj))
-                derived[kind] = reverify(group, claims[-1], budget, cert, derived)
-            except Exception as err:  # any failure rejects; the message names it
-                failures.append(f"claims[{i}] ({kind}): {_describe(err)}")
-        if not failures:
-            rebuilt, _ = render_certificate(cert.command, cert.group_input, group,
-                                            cert.parameters, claims, derived)
-            rebuilt.tool_version = cert.tool_version
-            stored = {key: value for key, value in stored.items() if key != "timing"}
-            rebuilt = rebuilt.to_json_obj()
-            if json.dumps(rebuilt, sort_keys=True) != json.dumps(stored, sort_keys=True):
-                want, have = _leaves(rebuilt), _leaves(stored)
-                path = next(path for path in {**want, **have}
-                            if want.get(path) != have.get(path))
-                failures.append(f"{path} does not match the certificate re-derived "
-                                f"from the claims")
-    except Exception as err:
+        inputs = {key: value for key, value in cert.parameters.items() if key != "budget"}
+        for key, value in inputs.items():
+            if key not in ("method", "name", "kind") and value is not None:
+                _exact_ints([value], f"parameters.{key}", CertificateError)
+        # an enumerate certificate records --count-only by leaving out the sequences
+        inputs["count_only"] = "sequences" not in cert.results
+        recorded = cert.parameters.get("budget")
+        if recorded is not None:
+            if not isinstance(recorded, dict):
+                raise CertificateError("parameters.budget is not an object")
+            _exact_ints([recorded["max_nodes"]], "parameters.budget.max_nodes",
+                        CertificateError)
+            recorded = search.SearchBudget(recorded["max_nodes"], recorded["max_seconds"])
+        exceeded = cert.status == "budget-exceeded" and recorded is not None
+        if exceeded:
+            base = budget or search.DEFAULT_BUDGET
+            budget = search.SearchBudget(recorded.max_nodes, base.max_seconds,
+                                         base.parallel_width)
+        rebuilt, _, witnesses = run_command(cert.command, cert.group_input, inputs,
+                                            budget, recorded)
+        for witness in witnesses:
+            witness.reverify()
+        rebuilt.tool_version = cert.tool_version
+        rebuilt = rebuilt.to_json_obj()
+        stored = {key: value for key, value in stored.items() if key != "timing"}
+        mismatch = _mismatch(rebuilt, stored)
+        if mismatch:
+            failures.append(mismatch + (
+                ": the budget-exceeded verdict does not reproduce at the recorded"
+                " node budget (a time budget is not reproducible)" if exceeded else ""))
+    except Exception as err:  # any failure rejects; the message names it
         failures.append(_describe(err))
     return VerificationOutcome(accepted=not failures, failures=failures,
                                claims_checked=len(cert.claims))

@@ -8,20 +8,18 @@ construction failed its self-check).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
 import time
 
-from . import constructions, formulas, search, verifier
+from . import search, verifier
 from ._version import VERSION
-from .certificates import (certificate_json, check_claim, closed_forms,
-                           gamma_bounds_claim, load_certificate, render_certificate,
+from .certificates import (certificate_json, load_certificate, run_command,
                            verify_certificate, write_certificate)
 from .errors import (BudgetExceededError, CertificateError,
                      InternalCheckError, ZeroSumError)
-from .groups import parse_group_spec
+from .groups import parse_group_spec  # noqa: F401 (re-exported)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -83,29 +81,19 @@ def _add_common(parser: argparse.ArgumentParser, method=False, budget=True,
     parser.add_argument("--format", choices=("json", "text"), default="text")
 
 
-def _command(body):
-    """Turn a command body into a ``handler(args) -> int``.
+def _command(command: str, *inputs: str):
+    """The handler of ``command``, which reads the flags ``inputs``.
 
-    The body gets ``(args, group, budget)``, computes the claims, runs the
-    cross-route consistency checks and returns ``(parameters, claims,
-    derived)`` for ``certificates.render_certificate``. The handler renders
-    the certificate, writes ``--out``, prints the certificate or the text
-    lines and the status, and maps the status to the exit code.
+    It runs the command through ``certificates.run_command``, writes
+    ``--out``, prints the certificate or the text lines and the status, and
+    maps the status to the exit code.
     """
-    command = body.__name__.removeprefix("cmd_")
-
-    @functools.wraps(body)
     def handler(args) -> int:
         started = time.monotonic()
-        group = parse_group_spec(args.group)
         # a command searches exactly when its parser has the budget flags
         budget = _budget_from(args) if "budget_nodes" in vars(args) else None
-        parameters, claims, derived = body(args, group, budget)
-        if budget is not None:
-            parameters["budget"] = {"max_nodes": budget.max_nodes,
-                                    "max_seconds": budget.max_seconds}
-        cert, lines = render_certificate(command, args.group, group, parameters,
-                                         claims, derived)
+        cert, lines, _ = run_command(command, args.group,
+                                     {name: getattr(args, name) for name in inputs}, budget)
         if args.timing:
             cert.timing = {"seconds": round(time.monotonic() - started, 3)}
         if args.out:
@@ -126,107 +114,12 @@ def _command(body):
 
 # -- command handlers -----------------------------------------------------------
 
-@_command
-def cmd_invariants(args, group, budget):
-    d_star, k_star = formulas.d_star(group), formulas.k_star(group)
-    claims: list[dict] = [{"kind": "d_star", "value": d_star},
-                          {"kind": "k_star", "value": k_star}]
-    formula_d, formula_k = closed_forms(group)
-    if args.method == "formula":
-        if formula_d is not None:
-            claims.append({"kind": "davenport", "value": formula_d, "witness": None})
-        return {"method": args.method}, claims, {}
-    d_value, d_witness, k_value, k_witness = search.zero_sumfree_extrema(group, budget)
-    if d_value < d_star:
-        raise InternalCheckError(
-            f"search found d(G) = {d_value} below the d* lower bound")
-    if k_value < k_star:
-        raise InternalCheckError(
-            f"search found k(G) = {k_value} below the k* lower bound")
-    if args.method == "both":
-        if formula_d is not None and formula_d != d_value:
-            raise InternalCheckError(
-                f"formula d(G) = {formula_d} but search found {d_value}")
-        if formula_k is not None and formula_k != k_value:
-            raise InternalCheckError(
-                f"formula k(G) = {formula_k} but search found {k_value}")
-    claims += [{"kind": "davenport", "value": d_value, "witness": d_witness.sequence},
-               {"kind": "little_cross", "value": k_value, "witness": k_witness.sequence}]
-    return {"method": args.method}, claims, {}
-
-
-@_command
-def cmd_dpair(args, group, budget):
-    pair = formulas.DivisorPair(args.dprime, args.d)
-    pair.validate_for(group)
-    claim = {"kind": "d_pair", "d_prime": pair.d_prime, "d": pair.d}
-    if args.method != "search":
-        claim["value"] = search.d_pair_value(group, pair, budget)
-    if args.method != "formula":
-        length, witness = search.longest_avoiding(group, pair, budget)
-        if claim.get("value", length + 1) != length + 1:
-            raise InternalCheckError(f"reduction route gives {claim['value']}, "
-                                     f"brute force {length + 1}")
-        claim["value"], claim["witness"] = length + 1, witness.sequence
-    return {"method": args.method}, [claim], {}
-
-
-@_command
-def cmd_gamma(args, group, budget):
-    bounds = gamma_bounds_claim(group, args.delta)
-    claims = [bounds]
-    if args.method != "formula":
-        exact, witness = search.gamma_exact(group, args.delta, budget)
-        if not bounds["lower"] <= exact <= bounds["upper"]:
-            raise InternalCheckError(
-                f"search value {exact} escapes the proven bounds "
-                f"[{bounds['lower']}, {bounds['upper']}]")
-        if args.method == "both" and bounds["exact_formula"] not in (None, exact):
-            raise InternalCheckError(f"exact closed form gives "
-                                     f"{bounds['exact_formula']} but search found {exact}")
-        claims.append({"kind": "gamma_exact", "delta": args.delta, "value": exact,
-                       "witness": witness.sequence})
-    return {"method": args.method}, claims, {}
-
-
-@_command
-def cmd_construct(args, group, budget):
-    if args.kind != "gamma" and args.delta is not None:
-        raise ValueError(f"construct --kind {args.kind} does not take --delta")
-    claim = {"kind": "construction", "construction": args.kind}
-    if args.kind == "dstar":
-        seq = constructions.dstar_sequence(group)
-    elif args.kind == "kstar":
-        seq = constructions.kstar_sequence(group)
-    else:
-        if args.delta is None:
-            raise ValueError("construct --kind gamma requires --delta")
-        seq = constructions.gamma_extremal_sequence(group, args.delta)
-        claim["delta"] = args.delta
-    return {}, [{**claim, "sequence": seq, "length": len(seq)}], {}
-
-
-@_command
-def cmd_enumerate(args, group, budget):
-    found = None if args.count_only else []
-    count = search.enumerate_zero_sumfree(
-        group, args.length, None if found is None else found.append, budget=budget)
-    claims = [{"kind": "enumeration", "length": args.length, "count": count}]
-    return {}, claims, {"enumeration": found}
-
-
-@_command
-def cmd_check(args, group, budget):
-    _, takes, _ = verifier.CHECKS[args.name]
-    inputs = {"delta": args.delta, "threshold": args.threshold}
-    for key, value in inputs.items():
-        if value is None and takes.get(key):
-            raise ValueError(f"check {args.name} requires --{key}")
-        if value is not None and key not in takes:
-            raise ValueError(f"check {args.name} does not take --{key}")
-    report = verifier.run_check(
-        args.name, group, {k: v for k, v in inputs.items() if v is not None}, budget)
-    return {"name": args.name}, [check_claim(report)], {"check": report}
+cmd_invariants = _command("invariants", "method")
+cmd_dpair = _command("dpair", "method", "d_prime", "d")
+cmd_gamma = _command("gamma", "method", "delta")
+cmd_construct = _command("construct", "kind", "delta")
+cmd_enumerate = _command("enumerate", "length", "count_only")
+cmd_check = _command("check", "name", "delta", "threshold")
 
 
 def cmd_verify_cert(args) -> int:
@@ -264,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dpair", help="two-level Davenport constant D_(d',d)")
     _add_common(p, method=True)
-    p.add_argument("--dprime", type=int, required=True, metavar="N")
+    p.add_argument("--dprime", dest="d_prime", type=int, required=True, metavar="N")
     p.add_argument("--d", type=int, required=True, metavar="N")
     p.set_defaults(handler=cmd_dpair)
 

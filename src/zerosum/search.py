@@ -114,6 +114,8 @@ class Witness:
         elif self.kind == "gamma":
             if max_order_count(seq) != self.value:
                 raise InternalCheckError("witness max-order count does not match claimed value")
+            if len(seq) != davenport_p_group(self.group) - self.param("delta"):
+                raise InternalCheckError("witness length is not d(G) - delta")
         else:
             raise InternalCheckError(f"unknown witness kind {self.kind!r}")
 

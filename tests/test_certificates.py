@@ -9,11 +9,10 @@ from pathlib import Path
 import pytest
 
 from zerosum import AbelianGroup, CertificateError, GSequence, SearchBudget
-from zerosum.certificates import (load_certificate, rational_from_json,
-                                  rational_to_json, sequence_from_json,
+from zerosum.certificates import (load_certificate, rational_to_json,
                                   sequence_to_json, verify_certificate,
                                   write_certificate)
-from zerosum.cli import EXIT_COUNTEREXAMPLE, main
+from zerosum.cli import EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, main
 
 C24 = AbelianGroup((2, 4))
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,25 +27,30 @@ def gamma_cert(tmp_path, delta=1, parallel=1):
 
 
 class TestSerialization:
+    """Rationals and sequences are written exactly; a certificate stating
+    one inexactly is rejected by verify-cert."""
+
     def test_rational_round_trip(self):
         for value in (Fraction(5, 4), Fraction(0), Fraction(-3, 7), Fraction(4)):
-            assert rational_from_json(rational_to_json(value)) == value
+            obj = rational_to_json(value)
+            assert Fraction(obj["num"], obj["den"]) == value
 
-    def test_rational_never_float(self):
+    def test_rational_never_float(self, tmp_path):
         obj = rational_to_json(Fraction(1, 3))
         assert isinstance(obj["num"], int) and isinstance(obj["den"], int)
-        with pytest.raises(CertificateError):
-            rational_from_json(0.333)
+        assert_rejected(tmp_path, "invariants-both", "claims[1].value", 0.333)
 
     def test_sequence_round_trip(self):
         seq = GSequence.from_elements(C24, [(1, 0), (0, 1), (0, 1)])
-        assert sequence_from_json(C24, sequence_to_json(seq)) == seq
+        obj = sequence_to_json(seq)
+        assert obj["length"] == 3
+        assert GSequence.from_elements(C24, [entry["coords"] for entry in obj["elements"]
+                                             for _ in range(entry["multiplicity"])]) == seq
 
-    @pytest.mark.parametrize("multiplicity", [1.7, 1.0, True, "1", 0])
-    def test_sequence_multiplicity_must_be_a_positive_int(self, multiplicity):
-        obj = {"elements": [{"coords": [1, 0], "multiplicity": multiplicity}]}
-        with pytest.raises(CertificateError):
-            sequence_from_json(C24, obj)
+    @pytest.mark.parametrize("multiplicity", [1.7, 1.0, True, "1", 0, 10**12])
+    def test_sequence_multiplicity_must_be_a_positive_int(self, tmp_path, multiplicity):
+        assert_rejected(tmp_path, "gamma-both", "claims[1].witness.elements[0].multiplicity",
+                        multiplicity)
 
     def test_certificate_file_round_trip(self, tmp_path):
         path = gamma_cert(tmp_path)
@@ -175,7 +179,19 @@ class TestVerification:
         bad.write_text(json.dumps(obj))
         outcome = verify_certificate(bad)
         assert not outcome.accepted
-        assert any(section in f for f in outcome.failures)
+        # a re-run that refuses its inputs names the input it refuses
+        named = ("check heights does not take --threshold" if value == "heights"
+                 else f"{section}.{key}")
+        assert any(named in f for f in outcome.failures)
+
+    def test_search_is_held_to_the_closed_form(self, tmp_path, monkeypatch):
+        out = tmp_path / "search.json"
+        assert main(["invariants", "--group", "3,3", "--method", "search",
+                     "--out", str(out)]) == 0
+        from zerosum import formulas
+        monkeypatch.setattr(formulas, "davenport_p_group", lambda group: 5)
+        assert main(["invariants", "--group", "3,3", "--method", "search"]) == EXIT_INTERNAL
+        assert verify_certificate(out).failures == ["formula d(G) = 5 but search found 4"]
 
     def test_budget_exceeded_check_reverifies_at_its_node_budget(self, tmp_path):
         golden = GOLDEN / "check-budget-exceeded.json"
@@ -195,8 +211,8 @@ class TestVerification:
 
 class TestVerificationCost:
     """What a re-verification searches: one walk for the d(G) and k(G)
-    claims, none for a formula claim, and no expansion of a multiplicity a
-    zero-sumfree sequence cannot have."""
+    claims, none for a formula claim, and no expansion of a stored
+    multiplicity, since stored claims are compared, never parsed."""
 
     def test_invariants_and_its_verification_walk_once(self, tmp_path, monkeypatch):
         from zerosum import search
@@ -229,27 +245,40 @@ class TestVerificationCost:
         bad.write_text(json.dumps(obj))
         outcome = verify_certificate(bad, no_search)
         assert not outcome.accepted
-        assert any("davenport" in f and "closed form" in f for f in outcome.failures)
+        assert outcome.failures == ["claims[2].value (davenport) is 7, re-derived 6"]
 
-    def test_sequence_as_long_as_the_group_is_refused(self):
-        # |C2xC4| = 8: 7 elements may be read, 8 may not
-        for mult, ok in ((7, True), (8, False)):
-            obj = {"elements": [{"coords": [0, 1], "multiplicity": mult - 1},
-                                {"coords": [1, 0], "multiplicity": 1}]}
-            if ok:
-                assert len(sequence_from_json(C24, obj)) == mult
-            else:
-                with pytest.raises(CertificateError, match="zero-sumfree"):
-                    sequence_from_json(C24, obj)
+    def test_formula_dpair_reverifies_without_search(self, tmp_path):
+        # the reduction route only: C2xC2xC2 has a closed form
+        out = tmp_path / "dpair.json"
+        assert main(["dpair", "--group", "8,8,8", "--dprime", "2", "--d", "4",
+                     "--method", "formula", "--out", str(out)]) == 0
+        no_search = SearchBudget(max_nodes=1)
+        assert verify_certificate(out, no_search).accepted
+        obj = json.loads(out.read_text())
+        obj["claims"][0]["value"] += 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        outcome = verify_certificate(bad, no_search)
+        assert outcome.failures == ["claims[0].value (d_pair) is 5, re-derived 4"]
+
+    def test_search_beyond_the_verifier_budget_is_a_rejection(self, tmp_path):
+        out = tmp_path / "search.json"
+        assert main(["invariants", "--group", "2,4", "--method", "search",
+                     "--out", str(out)]) == 0
+        assert main(["verify-cert", "--in", str(out), "--budget-nodes", "1"]) \
+            == EXIT_COUNTEREXAMPLE
+
+    def test_sequence_as_long_as_the_group_is_refused(self, tmp_path):
+        # |C2xC4| = 8: no zero-sumfree sequence has 8 elements
+        witness = {"length": 8, "elements": [{"coords": [0, 1], "multiplicity": 7},
+                                             {"coords": [1, 0], "multiplicity": 1}]}
+        assert_rejected(tmp_path, "gamma-both", "claims[1].witness", witness)
 
     def test_huge_multiplicity_is_refused_before_expansion(self, tmp_path):
         obj = json.loads((GOLDEN / "gamma-both.json").read_text())
         claim = next(c for c in obj["claims"] if c["kind"] == "gamma_exact")
         claim["witness"]["elements"][0]["multiplicity"] = 10**12
-        group = AbelianGroup(tuple(obj["group"]["invariant_factors"]))
         started = time.monotonic()
-        with pytest.raises(CertificateError, match="zero-sumfree"):
-            sequence_from_json(group, claim["witness"])
         bad = tmp_path / "huge.json"
         bad.write_text(json.dumps(obj))
         outcome = verify_certificate(bad)
@@ -295,8 +324,19 @@ def edit(obj, path: str, value):
     ("gamma-both", "claims[1]", DELETE),
     ("construct-gamma", "parameters.delta", 3),
     ("construct-gamma", "results.max_order_count", 0),
+    ("gamma-both", "parameters.delta", 1.0),
+    ("gamma-both", "parameters.delta", True),
+    ("gamma-both", "parameters.delta", "1"),
+    ("gamma-both", "parameters.extra", 1),
+    ("check-budget-exceeded", "parameters.budget.max_nodes", 5.0),
 ])
 def test_tampered_golden_certificate_is_rejected(tmp_path, golden, path, value):
+    assert_rejected(tmp_path, golden, path, value)
+
+
+def assert_rejected(tmp_path, golden: str, path: str, value) -> None:
+    """verify-cert exits 1 on the golden certificate ``golden`` with the
+    JSON path ``path`` set to ``value``."""
     obj = json.loads((GOLDEN / f"{golden}.json").read_text())
     edit(obj, path, value)
     bad = tmp_path / "tampered.json"
@@ -310,9 +350,9 @@ def test_rejection_names_the_first_differing_path(tmp_path):
     edit(obj, "parameters.delta", 3)
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(obj))
-    # parameters derive before results, so they are compared first
+    # the re-run takes delta from the parameters, and claims come first
     assert verify_certificate(bad).failures == [
-        "parameters.delta does not match the certificate re-derived from the claims"]
+        "claims[0].delta (gamma_bounds) is 1, re-derived 3"]
 
 
 class TestSchemaValidation:

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair,
-                     SearchBudget, d_pair_bruteforce, d_pair_value,
+                     InternalCheckError, SearchBudget, Witness,
+                     d_pair_bruteforce, d_pair_value,
                      davenport_constant, davenport_p_group,
                      enumerate_zero_sumfree, gamma_exact, k_star,
                      longest_avoiding, max_order_count, zero_sumfree_extrema)
@@ -148,6 +149,9 @@ class TestGammaExact:
         assert len(witness.sequence) == davenport_p_group(C24) - 1
         assert max_order_count(witness.sequence) == value
         witness.reverify()
+        # the same sequence does not witness delta = 0, whose length is d(G)
+        with pytest.raises(InternalCheckError, match="d\\(G\\) - delta"):
+            Witness(C24, witness.sequence, "gamma", value, (("delta", 0),)).reverify()
 
     def test_delta_range(self):
         with pytest.raises(ValueError):
