@@ -28,8 +28,8 @@ from .verifier import (CheckReport, check_corollary_max_order,
                        check_cross_number_conjecture, check_dual_conjecture,
                        check_gamma_conjecture, check_heights,
                        check_order_divisibility)
-from .certificates import (Certificate, VerificationOutcome, load_certificate,
-                           verify_certificate, write_certificate)
+from .certificates import (VerificationOutcome, load_certificate, verify_certificate,
+                           write_certificate)
 
 __all__ = [
     "__version__",
@@ -61,6 +61,6 @@ __all__ = [
     "check_order_divisibility", "check_heights", "check_corollary_max_order",
     "check_gamma_conjecture",
     # certificates
-    "Certificate", "VerificationOutcome", "write_certificate",
-    "load_certificate", "verify_certificate",
+    "VerificationOutcome", "write_certificate", "load_certificate",
+    "verify_certificate",
 ]

@@ -7,9 +7,13 @@ cross-route consistency check, and builds ``parameters``, ``results``,
 The CLI runs it with its flags through ``run_command``.
 ``verify_certificate`` runs it again with the inputs the stored
 ``parameters`` record, re-checks the witnesses and compares the two
-documents; stored claims are compared, never parsed. JSON is canonical:
-sorted keys, two-space indent, rationals as num/den pairs, no floats for
-exact quantities.
+documents; stored claims are compared, never parsed.
+
+A certificate is its JSON document, a dict: ``run_command`` returns it,
+``load_certificate`` reads it from a file and checks its shape, and
+``verify_certificate`` takes it or a path. JSON is canonical: sorted keys,
+two-space indent, rationals as num/den pairs, no floats for exact
+quantities.
 """
 
 from __future__ import annotations
@@ -46,75 +50,11 @@ def sequence_to_json(seq: GSequence) -> dict:
     }
 
 
-@record()
-class Certificate:
-    command: str
-    group_input: str
-    invariant_factors: tuple[int, ...]
-    parameters: dict
-    results: dict
-    claims: list[dict]
-    status: str
-    timing: dict | None = None
-    schema_version: int = SCHEMA_VERSION
-    tool_version: str = VERSION
-
-    def to_json_obj(self) -> dict:
-        # keys in the order they derive, which verify_certificate compares in
-        obj = {
-            "schema_version": self.schema_version,
-            "tool": {"name": "zerosum", "version": self.tool_version},
-            "command": self.command,
-            "group": {"input": self.group_input,
-                      "invariant_factors": list(self.invariant_factors)},
-            "claims": self.claims,
-            "status": self.status,
-            "parameters": self.parameters,
-            "results": self.results,
-        }
-        if self.timing is not None:
-            obj["timing"] = self.timing
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "Certificate":
-        if not isinstance(obj, dict):
-            raise CertificateError("certificate must be a JSON object")
-        if obj.get("schema_version") != SCHEMA_VERSION:
-            raise CertificateError(
-                f"unsupported schema version {obj.get('schema_version')!r}")
-        required = {"command", "group", "parameters", "results", "claims", "status"}
-        missing = required - set(obj)
-        if missing:
-            raise CertificateError(f"certificate misses keys {sorted(missing)}")
-        group_obj = obj["group"]
-        if (not isinstance(group_obj, dict)
-                or not isinstance(group_obj.get("invariant_factors"), list)):
-            raise CertificateError("malformed group record")
-        if not isinstance(obj.get("tool", {}), dict):
-            raise CertificateError("malformed tool record")
-        if not isinstance(obj["claims"], list):
-            raise CertificateError("claims must be a list")
-        if not isinstance(obj["parameters"], dict) or not isinstance(obj["results"], dict):
-            raise CertificateError("parameters and results must be objects")
-        return cls(
-            command=obj["command"],
-            group_input=group_obj.get("input", ""),
-            invariant_factors=tuple(group_obj["invariant_factors"]),
-            parameters=obj["parameters"],
-            results=obj["results"],
-            claims=obj["claims"],
-            status=obj["status"],
-            timing=obj.get("timing"),
-            tool_version=obj.get("tool", {}).get("version", VERSION),
-        )
+def certificate_json(cert: dict) -> str:
+    return json.dumps(cert, sort_keys=True, indent=2) + "\n"
 
 
-def certificate_json(cert: Certificate) -> str:
-    return json.dumps(cert.to_json_obj(), sort_keys=True, indent=2) + "\n"
-
-
-def write_certificate(cert: Certificate, path: str | Path) -> None:
+def write_certificate(cert: dict, path: str | Path) -> None:
     Path(path).write_text(certificate_json(cert), encoding="utf-8")
 
 
@@ -125,8 +65,33 @@ def _read_json(path: str | Path):
         raise CertificateError(f"not valid JSON: {err}") from err
 
 
-def load_certificate(path: str | Path) -> Certificate:
-    return Certificate.from_json_obj(_read_json(path))
+def _checked(obj) -> dict:
+    """``obj`` if it has the shape of a certificate, else CertificateError."""
+    if not isinstance(obj, dict):
+        raise CertificateError("certificate must be a JSON object")
+    if obj.get("schema_version") != SCHEMA_VERSION:
+        raise CertificateError(
+            f"unsupported schema version {obj.get('schema_version')!r}")
+    required = {"command", "group", "parameters", "results", "claims", "status"}
+    missing = required - set(obj)
+    if missing:
+        raise CertificateError(f"certificate misses keys {sorted(missing)}")
+    group_obj = obj["group"]
+    if (not isinstance(group_obj, dict)
+            or not isinstance(group_obj.get("invariant_factors"), list)):
+        raise CertificateError("malformed group record")
+    if not isinstance(obj.get("tool", {}), dict):
+        raise CertificateError("malformed tool record")
+    if not isinstance(obj["claims"], list):
+        raise CertificateError("claims must be a list")
+    if not isinstance(obj["parameters"], dict) or not isinstance(obj["results"], dict):
+        raise CertificateError("parameters and results must be objects")
+    return obj
+
+
+def load_certificate(path: str | Path) -> dict:
+    """The certificate's JSON document, once its shape is checked."""
+    return _checked(_read_json(path))
 
 
 # -- one function per command -------------------------------------------------------
@@ -318,15 +283,15 @@ def _enumerate(group, inputs, budget):
 
 def _check(group, inputs, budget):
     name = inputs["name"]
-    _, takes, _ = verifier.CHECKS[name]
+    takes, checker = verifier.CHECKS[name]
     given = {key: inputs.get(key) for key in ("delta", "threshold")}
     for key, value in given.items():
         if value is None and takes.get(key):
             raise ValueError(f"check {name} requires --{key}")
         if value is not None and key not in takes:
             raise ValueError(f"check {name} does not take --{key}")
-    report = verifier.run_check(
-        name, group, {key: value for key, value in given.items() if value is not None}, budget)
+    report = getattr(verifier, checker)(group, budget=budget, **{
+        key: value for key, value in given.items() if value is not None})
     counterexample, checked = report.counterexample, dict(report.parameters)
     stated = {"check": report.name, "parameters": checked, "verdict": report.verdict,
               "nodes": report.nodes_visited, "counterexample": None if counterexample is None
@@ -361,11 +326,11 @@ COMMANDS = {
 def run_command(command: str, group_input: str, inputs: dict,
                 budget: search.SearchBudget | None,
                 recorded: search.SearchBudget | None = None
-                ) -> tuple[Certificate, list[str], list[search.Witness]]:
+                ) -> tuple[dict, list[str], list[search.Witness]]:
     """Run ``command`` on the group ``group_input`` names, searching under
-    ``budget``: its certificate, its text lines and the witnesses of its
-    search claims. The certificate records ``recorded`` as its budget, by
-    default ``budget``."""
+    ``budget``: its certificate's JSON document, its text lines and the
+    witnesses of its search claims. The certificate records ``recorded`` as
+    its budget, by default ``budget``."""
     if command not in COMMANDS:
         raise CertificateError(f"unknown command {command!r}")
     group = parse_group_spec(group_input)
@@ -375,8 +340,17 @@ def run_command(command: str, group_input: str, inputs: dict,
         recorded = recorded or budget or search.DEFAULT_BUDGET
         parameters["budget"] = {"max_nodes": recorded.max_nodes,
                                 "max_seconds": float(recorded.max_seconds)}
-    cert = Certificate(command, group_input, group.invariant_factors, parameters,
-                       results, claims, status)
+    # keys in the order they derive, which verify_certificate compares in
+    cert = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": "zerosum", "version": VERSION},
+        "command": command,
+        "group": {"input": group_input, "invariant_factors": list(group.invariant_factors)},
+        "claims": claims,
+        "status": status,
+        "parameters": parameters,
+        "results": results,
+    }
     return cert, lines, witnesses
 
 
@@ -434,9 +408,10 @@ def _describe(err: Exception) -> str:
     return f"missing or unknown {err}" if isinstance(err, KeyError) else str(err)
 
 
-def verify_certificate(source: Certificate | str | Path,
+def verify_certificate(source: dict | str | Path,
                        budget: search.SearchBudget | None = None) -> VerificationOutcome:
-    """Re-run the certificate's command and compare the two documents.
+    """Re-run the certificate's command, given as its JSON document or the
+    path of its file, and compare the two documents.
 
     The command runs on ``group.input`` with the inputs ``parameters``
     records, under ``budget``; a budget-exceeded certificate re-runs at the
@@ -446,41 +421,41 @@ def verify_certificate(source: Certificate | str | Path,
     certificate must then equal the stored one but ``timing`` as canonical
     JSON, and the first JSON path where it does not is reported.
     """
-    stored = (source.to_json_obj() if isinstance(source, Certificate)
-              else _read_json(source))
-    cert = Certificate.from_json_obj(stored)
+    stored = _checked(source if isinstance(source, dict) else _read_json(source))
     failures: list[str] = []
     try:
         # before re-running on a group the certificate does not state
-        if parse_group_spec(cert.group_input).invariant_factors != cert.invariant_factors:
+        group_input = stored["group"].get("input", "")
+        if (parse_group_spec(group_input).invariant_factors
+                != tuple(stored["group"]["invariant_factors"])):
             raise CertificateError(f"group.invariant_factors are not those of "
-                                   f"group.input {cert.group_input!r}")
-        inputs = {key: value for key, value in cert.parameters.items() if key != "budget"}
+                                   f"group.input {group_input!r}")
+        parameters = stored["parameters"]
+        inputs = {key: value for key, value in parameters.items() if key != "budget"}
         for key, value in inputs.items():
             if key not in ("method", "name", "kind") and value is not None:
                 _exact_ints([value], f"parameters.{key}", CertificateError)
         # an enumerate certificate records --count-only by leaving out the sequences
-        inputs["count_only"] = "sequences" not in cert.results
-        recorded = cert.parameters.get("budget")
+        inputs["count_only"] = "sequences" not in stored["results"]
+        recorded = parameters.get("budget")
         if recorded is not None:
             if not isinstance(recorded, dict):
                 raise CertificateError("parameters.budget is not an object")
             _exact_ints([recorded["max_nodes"]], "parameters.budget.max_nodes",
                         CertificateError)
             recorded = search.SearchBudget(recorded["max_nodes"], recorded["max_seconds"])
-        exceeded = cert.status == "budget-exceeded" and recorded is not None
+        exceeded = stored["status"] == "budget-exceeded" and recorded is not None
         if exceeded:
             base = budget or search.DEFAULT_BUDGET
             budget = search.SearchBudget(recorded.max_nodes, base.max_seconds,
                                          base.parallel_width)
-        rebuilt, _, witnesses = run_command(cert.command, cert.group_input, inputs,
+        rebuilt, _, witnesses = run_command(stored["command"], group_input, inputs,
                                             budget, recorded)
         for witness in witnesses:
             witness.reverify()
-        rebuilt.tool_version = cert.tool_version
-        rebuilt = rebuilt.to_json_obj()
-        stored = {key: value for key, value in stored.items() if key != "timing"}
-        mismatch = _mismatch(rebuilt, stored)
+        rebuilt["tool"]["version"] = stored.get("tool", {}).get("version", VERSION)
+        mismatch = _mismatch(rebuilt, {key: value for key, value in stored.items()
+                                       if key != "timing"})
         if mismatch:
             failures.append(mismatch + (
                 ": the budget-exceeded verdict does not reproduce at the recorded"
@@ -488,4 +463,4 @@ def verify_certificate(source: Certificate | str | Path,
     except Exception as err:  # any failure rejects; the message names it
         failures.append(_describe(err))
     return VerificationOutcome(accepted=not failures, failures=failures,
-                               claims_checked=len(cert.claims))
+                               claims_checked=len(stored["claims"]))

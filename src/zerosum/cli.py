@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -31,23 +30,8 @@ EXIT_INTERNAL = 4
 # -- argument plumbing ---------------------------------------------------------
 
 def _budget_from(args) -> search.SearchBudget:
-    """The search budget: the flags, else ``ZEROSUM_BUDGET``, else the defaults."""
-    limits = {"nodes": search.DEFAULT_BUDGET.max_nodes,
-              "seconds": search.DEFAULT_BUDGET.max_seconds}
-    raw = os.environ.get("ZEROSUM_BUDGET", "")
-    for part in filter(None, (p.strip() for p in raw.split(","))):
-        key, sep, val = part.partition("=")
-        if not sep:
-            raise ValueError(f"ZEROSUM_BUDGET entry {part!r} is not key=value")
-        if key.strip() not in limits:
-            raise ValueError(f"ZEROSUM_BUDGET key {key!r} unknown")
-        limits[key.strip()] = int(val) if key.strip() == "nodes" else float(val)
-    if args.budget_nodes is not None:
-        limits["nodes"] = args.budget_nodes
-    if args.budget_seconds is not None:
-        limits["seconds"] = args.budget_seconds
-    return search.SearchBudget(max_nodes=limits["nodes"],
-                               max_seconds=limits["seconds"],
+    return search.SearchBudget(max_nodes=args.budget_nodes,
+                               max_seconds=args.budget_seconds,
                                parallel_width=args.parallel)
 
 
@@ -63,9 +47,10 @@ def _add_common(parser: argparse.ArgumentParser, method=False, budget=True,
         parser.add_argument("--method", choices=("formula", "search", "both"),
                             default="both")
     if budget:
-        parser.add_argument("--budget-nodes", type=int, default=None, metavar="N")
-        parser.add_argument("--budget-seconds", type=float, default=None,
-                            metavar="S")
+        parser.add_argument("--budget-nodes", type=int,
+                            default=search.DEFAULT_BUDGET.max_nodes, metavar="N")
+        parser.add_argument("--budget-seconds", type=float,
+                            default=search.DEFAULT_BUDGET.max_seconds, metavar="S")
         parser.add_argument("--parallel", type=int,
                             default=search.DEFAULT_BUDGET.parallel_width,
                             metavar="W",
@@ -95,18 +80,18 @@ def _command(command: str, *inputs: str):
         cert, lines, _ = run_command(command, args.group,
                                      {name: getattr(args, name) for name in inputs}, budget)
         if args.timing:
-            cert.timing = {"seconds": round(time.monotonic() - started, 3)}
+            cert["timing"] = {"seconds": round(time.monotonic() - started, 3)}
         if args.out:
             write_certificate(cert, args.out)
         if args.format == "json":
             sys.stdout.write(certificate_json(cert))
         else:
-            print("\n".join([*lines, f"status: {cert.status}"]))
-        if cert.status in ("ok", "verified"):
+            print("\n".join([*lines, f"status: {cert['status']}"]))
+        if cert["status"] in ("ok", "verified"):
             return EXIT_OK
-        if cert.status == "budget-exceeded":
+        if cert["status"] == "budget-exceeded":
             return EXIT_BUDGET
-        if cert.results.get("implementation_bug"):
+        if cert["results"].get("implementation_bug"):
             return EXIT_INTERNAL
         return EXIT_COUNTEREXAMPLE
     return handler
@@ -124,14 +109,14 @@ cmd_check = _command("check", "name", "delta", "threshold")
 
 def cmd_verify_cert(args) -> int:
     cert = load_certificate(args.infile)
-    outcome = verify_certificate(args.infile, _budget_from(args))
+    outcome = verify_certificate(cert, _budget_from(args))
     if args.format == "json":
         sys.stdout.write(json.dumps(
             {"accepted": outcome.accepted, "claims_checked": outcome.claims_checked,
              "failures": outcome.failures}, sort_keys=True, indent=2) + "\n")
     else:
-        print(f"certificate: {cert.command} on "
-              f"{','.join(map(str, cert.invariant_factors))}")
+        print(f"certificate: {cert['command']} on "
+              f"{','.join(map(str, cert['group']['invariant_factors']))}")
         print(f"  claims checked: {outcome.claims_checked}")
         if outcome.accepted:
             print("  accepted: all claims re-derived from scratch")

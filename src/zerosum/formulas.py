@@ -26,8 +26,8 @@ class DivisorPair:
     d: int
 
     def __post_init__(self):
-        if self.d_prime < 1:
-            raise ValueError("d' must be at least 1")
+        if self.d_prime < 1 or self.d < 1:
+            raise ValueError("d' and d must be at least 1")
         if self.d % self.d_prime != 0:
             raise ValueError(f"d'={self.d_prime} does not divide d={self.d}")
 

@@ -54,10 +54,11 @@ class SearchBudget:
     parallel_width: int = factory(_usable_cpus)
 
     def __post_init__(self):
-        # written as "not > 0" so that NaN, which compares false, is rejected
-        if (self.max_nodes < 1 or not self.max_seconds > 0
+        # written as "not 0 < s < inf" so that NaN, which compares false, is
+        # rejected, and so is infinity, which JSON cannot record
+        if (self.max_nodes < 1 or not 0 < self.max_seconds < float("inf")
                 or self.parallel_width < 1):
-            raise ValueError("budget fields must be positive numbers")
+            raise ValueError("budget fields must be positive finite numbers")
 
 
 DEFAULT_BUDGET = SearchBudget()

@@ -8,7 +8,6 @@ A counterexample to a *proved* statement additionally raises the
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 from ._record import record
@@ -22,12 +21,10 @@ from .sequences import GSequence
 @record(frozen=True)
 class CheckReport:
     name: str
-    group: AbelianGroup
     parameters: tuple[tuple[str, int], ...]
     verdict: str  # verified | counterexample | budget-exceeded
     counterexample: GSequence | None
     nodes_visited: int
-    elapsed_seconds: float
     implementation_bug: bool = False
     details: tuple[tuple[str, object], ...] = ()
 
@@ -68,6 +65,13 @@ class _ViolationAcc:
         self.total -= self.weights[path[-1]]
 
 
+def _budget_exceeded(name: str, parameters: tuple[tuple[str, int], ...],
+                     err: BudgetExceededError,
+                     details: tuple[tuple[str, object], ...] = ()) -> CheckReport:
+    return CheckReport(name, parameters, "budget-exceeded", None, err.nodes_visited,
+                       details=details)
+
+
 def _run_violation_check(group: AbelianGroup, name: str,
                          parameters: tuple[tuple[str, int], ...],
                          weights: list[int], min_length: int, bound: int,
@@ -75,24 +79,18 @@ def _run_violation_check(group: AbelianGroup, name: str,
                          implementation_bug_on_failure: bool,
                          max_depth: int | None = None,
                          details: tuple[tuple[str, object], ...] = ()) -> CheckReport:
-    start = time.monotonic()
     try:
         accs, nodes = run_scan(group, lambda: _ViolationAcc(weights, min_length, bound),
                                budget=budget, max_depth=max_depth)
     except BudgetExceededError as err:
-        return CheckReport(name, group, parameters, "budget-exceeded", None,
-                           err.nodes_visited, time.monotonic() - start,
-                           details=details)
-    elapsed = time.monotonic() - start
+        return _budget_exceeded(name, parameters, err, details)
     for acc in accs:
         if acc.counterexample is not None:
             seq = GSequence.from_ranks(group, acc.counterexample)
-            return CheckReport(name, group, parameters, "counterexample", seq,
-                               nodes, elapsed,
+            return CheckReport(name, parameters, "counterexample", seq, nodes,
                                implementation_bug=implementation_bug_on_failure,
                                details=details)
-    return CheckReport(name, group, parameters, "verified", None, nodes,
-                       elapsed, details=details)
+    return CheckReport(name, parameters, "verified", None, nodes, details=details)
 
 
 def _cross_conjecture_proved(group: AbelianGroup) -> bool:
@@ -198,51 +196,35 @@ def check_gamma_conjecture(group: AbelianGroup, delta: int,
                            budget: SearchBudget | None = None) -> CheckReport:
     """Is the constructive upper bound for the minimal max-order count the
     exact value? Verified iff the exhaustive minimum equals the bound."""
-    start = time.monotonic()
     bounds = gamma_bounds(group, delta)
     try:
         exact, ranks, nodes = _gamma_scan(group, delta, budget)
     except BudgetExceededError as err:
-        return CheckReport("gamma-conjecture", group, (("delta", delta),),
-                           "budget-exceeded", None, err.nodes_visited,
-                           time.monotonic() - start)
-    elapsed = time.monotonic() - start
+        return _budget_exceeded("gamma-conjecture", (("delta", delta),), err)
     details = (("exact", exact), ("lower", bounds.lower), ("upper", bounds.upper))
     if exact == bounds.upper:
-        return CheckReport("gamma-conjecture", group, (("delta", delta),),
-                           "verified", None, nodes, elapsed, details=details)
+        return CheckReport("gamma-conjecture", (("delta", delta),), "verified", None,
+                           nodes, details=details)
     # proved bound violations point straight at this package
     bug = exact > bounds.upper or exact < bounds.lower
     if not bug:
         proved_regime = (j0(group) == group.rank
                          or (j0(group) == 1 and delta <= group.p - 2))
         bug = proved_regime
-    return CheckReport("gamma-conjecture", group, (("delta", delta),),
-                       "counterexample", GSequence.from_ranks(group, ranks),
-                       nodes, elapsed, implementation_bug=bug, details=details)
+    return CheckReport("gamma-conjecture", (("delta", delta),), "counterexample",
+                       GSequence.from_ranks(group, ranks), nodes,
+                       implementation_bug=bug, details=details)
 
 
-# CLI name -> (report name, input parameters, checker). An input maps to True
-# when the check requires it. The checker is named, not stored, and looked up
-# in this module when the check runs, so a rebound module attribute (such as
-# a tracing wrapper) is the one called.
+# CLI name -> (input parameters, checker). An input maps to True when the
+# check requires it. The checker is named, not stored: the check command looks
+# it up in this module when the check runs, so a rebound module attribute
+# (such as a tracing wrapper) is the one called.
 CHECKS = {
-    "cross-number": ("cross-number-conjecture", {},
-                     "check_cross_number_conjecture"),
-    "davenport-dual": ("davenport-dual-conjecture", {}, "check_dual_conjecture"),
-    "order-divisibility": ("order-divisibility", {"threshold": False},
-                           "check_order_divisibility"),
-    "heights": ("heights", {}, "check_heights"),
-    "max-order": ("max-order-at-full-length", {}, "check_corollary_max_order"),
-    "gamma-conjecture": ("gamma-conjecture", {"delta": True},
-                         "check_gamma_conjecture"),
+    "cross-number": ({}, "check_cross_number_conjecture"),
+    "davenport-dual": ({}, "check_dual_conjecture"),
+    "order-divisibility": ({"threshold": False}, "check_order_divisibility"),
+    "heights": ({}, "check_heights"),
+    "max-order": ({}, "check_corollary_max_order"),
+    "gamma-conjecture": ({"delta": True}, "check_gamma_conjecture"),
 }
-
-
-def run_check(name: str, group: AbelianGroup, inputs: dict,
-              budget: SearchBudget | None = None) -> CheckReport:
-    """Run the check with CLI name ``name``, passing it those of ``inputs``
-    that it takes."""
-    _, takes, checker = CHECKS[name]
-    kwargs = {key: inputs[key] for key in takes if key in inputs}
-    return globals()[checker](group, budget=budget, **kwargs)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from zerosum import AbelianGroup, CertificateError, GSequence, SearchBudget
+from zerosum import (AbelianGroup, CertificateError, GSequence, SearchBudget,
+                     certificates)
 from zerosum.certificates import (load_certificate, rational_to_json,
                                   sequence_to_json, verify_certificate,
                                   write_certificate)
@@ -55,15 +56,29 @@ class TestSerialization:
     def test_certificate_file_round_trip(self, tmp_path):
         path = gamma_cert(tmp_path)
         cert = load_certificate(path)
-        assert cert.command == "gamma"
-        assert cert.invariant_factors == (2, 4)
+        assert cert["command"] == "gamma"
+        assert cert["group"]["invariant_factors"] == [2, 4]
         # writing again is byte-identical
         again = tmp_path / "again.json"
         write_certificate(cert, again)
         assert again.read_bytes() == path.read_bytes()
+        # the loaded certificate is the whole document, an unknown key included
+        path.write_text(json.dumps({**cert, "extra": [1, 2]}))
+        assert load_certificate(path) == json.loads(path.read_text())
 
 
 class TestVerification:
+    def test_verify_cert_reads_the_file_once(self, tmp_path, monkeypatch):
+        path = gamma_cert(tmp_path)
+        reads, read_json = [], certificates._read_json
+
+        def counted(source):
+            reads.append(source)
+            return read_json(source)
+        monkeypatch.setattr(certificates, "_read_json", counted)
+        assert main(["verify-cert", "--in", str(path)]) == 0
+        assert reads == [str(path)]
+
     def test_accepts_fresh_certificate(self, tmp_path):
         outcome = verify_certificate(gamma_cert(tmp_path))
         assert outcome.accepted

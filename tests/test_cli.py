@@ -62,6 +62,8 @@ class TestExitCodes:
     def test_usage_error_nan_time_budget(self, capsys):
         assert main(["invariants", "--group", "2,4", "--method", "search",
                      "--budget-seconds", "nan"]) == EXIT_USAGE
+        assert main(["invariants", "--group", "2,4", "--method", "search",
+                     "--budget-seconds", "inf"]) == EXIT_USAGE
 
     def test_counterexample_exit(self, tmp_path):
         code = main(["check", "--group", "2,6", "--name", "order-divisibility",
@@ -191,6 +193,8 @@ class TestCommands:
         "verify-cert --in cert.json --out copy.json",
         "verify-cert --in cert.json --timing",
         "enumerate --group 3",
+        "dpair --group 2,4 --dprime 1 --d 0 --out dp.json",
+        "dpair --group 2,4 --dprime 2 --d -4 --out dp.json",
     ])
     def test_usage_error_wrong_inputs(self, argv, tmp_path, monkeypatch):
         """A flag the command (or the chosen check) does not read, or a
@@ -203,20 +207,6 @@ class TestCommands:
 
     def test_version_flag(self):
         assert main(["--version"]) == EXIT_OK
-
-
-class TestEnvironmentBudget:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ZEROSUM_BUDGET", "nodes=3")
-        assert main(["invariants", "--group", "2,8", "--method", "search"]) \
-            == EXIT_BUDGET
-        # explicit flag wins over the environment
-        assert main(["invariants", "--group", "2,8", "--method", "search",
-                     "--budget-nodes", "100000000"]) == EXIT_OK
-
-    def test_env_malformed(self, monkeypatch):
-        monkeypatch.setenv("ZEROSUM_BUDGET", "bogus")
-        assert main(["invariants", "--group", "2,4"]) == EXIT_USAGE
 
 
 class TestTiming:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -57,8 +56,7 @@ def run_case(argv: str, out: Path) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("ZEROSUM_BUDGET", raising=False)
+def test_golden(name, tmp_path):
     argv, expected_code = CASES[name]
     cert = tmp_path / "cert.json"
     code, stdout = run_case(argv, cert)
@@ -70,7 +68,6 @@ def test_golden(name, tmp_path, monkeypatch):
 def record() -> None:
     """Re-record every case; a certificate that verify-cert rejects is not
     kept, and the run exits non-zero."""
-    os.environ.pop("ZEROSUM_BUDGET", None)
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, expected_code) in sorted(CASES.items()):

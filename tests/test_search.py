@@ -201,6 +201,8 @@ class TestBudget:
             SearchBudget(parallel_width=0)
         with pytest.raises(ValueError):
             SearchBudget(max_seconds=float("nan"))
+        with pytest.raises(ValueError):
+            SearchBudget(max_seconds=float("inf"))
 
     def test_default_width_is_usable_cpus(self):
         from zerosum.search import _usable_cpus
