@@ -11,8 +11,8 @@ from .errors import (BudgetExceededError, CertificateError, InternalCheckError,
                      UndefinedHeightError, UnsupportedGroupError, ZeroSumError)
 from .groups import AbelianGroup, GroupElement, normalize_group
 from .sequences import (GSequence, SubsumTable, cross_number,
-                        definitional_subsums, is_minimal_zero_sum,
-                        is_zero_sumfree, max_order_count, order_filter, subsums)
+                        definitional_subsums, is_zero_sumfree,
+                        max_order_count, order_filter, subsums)
 from .formulas import (DivisorPair, GammaBounds, d_pair_formula, d_star,
                        davenport_closed_form, davenport_p_group, divisor_pairs,
                        gamma_bounds, gamma_exact_formula, gamma_lower,
@@ -41,8 +41,7 @@ __all__ = [
     "AbelianGroup", "GroupElement", "normalize_group",
     # sequences
     "GSequence", "SubsumTable", "subsums", "definitional_subsums",
-    "is_zero_sumfree", "is_minimal_zero_sum", "cross_number", "order_filter",
-    "max_order_count",
+    "is_zero_sumfree", "cross_number", "order_filter", "max_order_count",
     # formulas
     "DivisorPair", "GammaBounds", "d_star", "k_star", "davenport_p_group",
     "little_cross_p_group", "davenport_closed_form", "upsilon_vector",

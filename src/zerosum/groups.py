@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import Iterable, Iterator
 
 from ._record import record
@@ -140,19 +139,6 @@ class AbelianGroup:
         """All elements in ascending rank order."""
         for rank in range(self.cardinality):
             yield self.element_of_rank(rank)
-
-    def subgroup_elements(self, d: int) -> list["GroupElement"]:
-        """All x with d*x = 0, ascending by rank; size is prod_i gcd(d, n_i)."""
-        if d < 1 or self.exponent % d != 0:
-            raise ValueError(f"{d} does not divide the exponent {self.exponent}")
-        # d*a == 0 mod n iff a is a multiple of n // gcd(d, n)
-        steps = [n // math.gcd(d, n) for n in self.invariant_factors]
-        out = []
-        # rank order == lexicographic order on reversed coordinate tuples
-        for rev in product(*[range(0, n, s) for n, s in
-                             zip(reversed(self.invariant_factors), reversed(steps))]):
-            out.append(GroupElement(self, tuple(reversed(rev))))
-        return out
 
     def primary_decomposition(self) -> tuple[int, ...]:
         """Prime powers nu_1 <= ... <= nu_s of the finest cyclic decomposition.

@@ -1,20 +1,20 @@
 """Pruned exhaustive search over sequences in a group.
 
-The engine walks canonical (rank-nondecreasing) multisets of allowed
-elements depth-first. Every node carries the bitmask of the ranks it may not
-append: those in a forbidden set (the zero element, or a whole subgroup for
-the two-level Davenport constant) or making a subsum in it. So only the
-children that survive are generated. Every invariant computed here is exact;
-budget exhaustion is an error, never an estimate.
+The engine walks canonical (rank-nondecreasing) multisets depth-first.
+Every node carries the bitmask of the ranks it may not append: those in a
+forbidden set (the zero element, or a whole subgroup for the two-level
+Davenport constant) or making a subsum in it. So only the children that
+survive are generated. Every invariant computed here is exact; budget
+exhaustion is an error, never an estimate.
 
-The walk is split on the first element's rank, one root task per starting
-rank, each with its own accumulator and node budget. A scan runs its
-smallest root tasks in-process first; once those have entered more than
+A scan is a list of tasks (prefix, candidates), each with its own
+accumulator; ``root_tasks`` makes one per first-element rank. A scan runs
+its smallest tasks in-process first; once those have entered more than
 ``_FORK_GATE_NODES`` nodes, the rest go to forked worker processes (where
 ``os.fork`` exists), as many as the parallel width, the usable CPUs and the
-tasks left allow. Results merge by root index with a lexicographic
-tie-break, so values, witnesses and node counts do not depend on the
-parallel width or on the schedule.
+tasks left allow. Results merge by task index with a lexicographic
+tie-break, so values, witnesses, node counts and budget verdicts do not
+depend on the parallel width or on the schedule.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ def _usable_cpus() -> int:
 class SearchBudget:
     """Limits for one search call.
 
-    ``max_nodes`` bounds the states each search task may enter (one task per
-    first-element rank), ``max_seconds`` bounds the wall clock of the whole
-    call, and ``parallel_width`` caps the worker processes a large scan forks
+    ``max_nodes`` bounds the states each scan may enter, summed over its
+    tasks, ``max_seconds`` bounds the wall clock of the whole call, and
+    ``parallel_width`` caps the worker processes a large scan forks
     (default: the usable CPUs; it never forks more than those).
     """
 
@@ -123,95 +123,90 @@ class Witness:
 
 # -- engine -----------------------------------------------------------------
 
-class _Tracker:
-    __slots__ = ("max_nodes", "started", "deadline", "nodes")
-
-    def __init__(self, max_nodes: int, started: float, deadline: float):
-        self.max_nodes = max_nodes
-        self.started = started
-        self.deadline = deadline
-        self.nodes = 0
+Task = tuple[tuple[int, ...], int]  # (prefix ranks, candidate rank mask)
 
 
-def _scan_from(tables: GroupTables, allowed_mask: int, forbidden_mask: int,
-               max_depth: int, acc, tracker: _Tracker, g: int) -> None:
-    """DFS over canonical sequences whose first element is the rank ``g``.
+def root_tasks(mask: int) -> list[Task]:
+    """One task per rank g in ``mask``, ascending: the prefix (g,) with the
+    candidates of ``mask`` from g on, so that each multiset over ``mask`` is
+    walked once, by the task of its least rank."""
+    return [((g,), mask >> g << g) for g in range(mask.bit_length()) if (mask >> g) & 1]
 
-    ``acc.enter(path)`` is called once per state entered (path in
-    nondecreasing rank order, last element freshly added) and returns whether
-    to descend; ``acc.leave(path)`` is called on the way back, symmetric to a
-    True-returning enter as well as to a pruned one.
+
+def _scan_from(tables: GroupTables, task: Task, forbidden_mask: int, max_depth: int,
+               acc, max_nodes: int, started: float, deadline: float) -> int:
+    """DFS of one task ``(prefix, candidates)``; returns the nodes entered.
+
+    The task enters the prefix ranks in order, then every multiset of the
+    candidate ranks, lowest bit first. ``acc.enter(path)`` is called once
+    per state entered and returns whether to descend; ``acc.leave(path)``
+    is called on the way back, after every enter. A prefix node is counted
+    but not held to ``max_nodes``; one that does not descend ends the task.
 
     Each level keeps the blocked mask F | (F - sums(S)), F the forbidden
     set and sums(S) the nonempty subsums of the path S: the ranks h that
     are forbidden or would make a forbidden subsum. Appending h blocks
     ``blocked | translate(blocked, -h)`` in the child, a superset, so the
     child's candidates are the parent's untried ones, h included, minus
-    that mask, walked lowest bit first: ascending rank, as ``allowed_mask``
-    lists them. Only a node that descends is translated.
+    that mask. Only a node that descends is translated.
     """
-    translate = tables.translate
-    neg = tables.neg
-    max_nodes = tracker.max_nodes
-    deadline = tracker.deadline
-    nodes = tracker.nodes
-
-    if (forbidden_mask >> g) & 1:
-        return
-    nodes += 1
-    tracker.nodes = nodes
-    path = [g]
-    if not (acc.enter(path) and 1 < max_depth):
-        acc.leave(path)
-        return
-    blocked = forbidden_mask | translate(forbidden_mask, neg[g])
-    cand = (allowed_mask >> g << g) & ~blocked
-    stack = []  # (untried children, blocked mask) of each ancestor
-    try:
-        while True:
-            if not cand:
-                acc.leave(path)
-                path.pop()
-                if not stack:
-                    break
-                cand, blocked = stack.pop()
-                continue
-            low = cand & -cand
-            h = low.bit_length() - 1
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceededError(
-                    f"node budget {max_nodes} exhausted", nodes_visited=nodes,
-                    elapsed_seconds=time.monotonic() - tracker.started)
-            if not nodes & 2047 and time.monotonic() > deadline:
-                raise BudgetExceededError(
-                    "time budget exhausted", nodes_visited=nodes,
-                    elapsed_seconds=time.monotonic() - tracker.started)
-            path.append(h)
-            if acc.enter(path) and len(path) < max_depth:
-                stack.append((cand ^ low, blocked))
-                blocked |= translate(blocked, neg[h])
-                cand &= ~blocked
-            else:
-                acc.leave(path)
-                path.pop()
-                cand ^= low
-    finally:
-        tracker.nodes = nodes
+    translate, neg = tables.translate, tables.neg
+    prefix, cand = task
+    blocked = forbidden_mask
+    path = []
+    stack = []  # (untried children, blocked mask) of each node on the path
+    nodes = 0
+    for g in prefix:
+        nodes += 1
+        path.append(g)
+        stack.append((0, blocked))
+        if not (acc.enter(path) and len(path) < max_depth):
+            cand = 0
+            break
+        blocked |= translate(blocked, neg[g])
+    cand &= ~blocked
+    while True:
+        if not cand:
+            if not stack:
+                return nodes
+            acc.leave(path)
+            path.pop()
+            cand, blocked = stack.pop()
+            continue
+        low = cand & -cand
+        h = low.bit_length() - 1
+        nodes += 1
+        if nodes > max_nodes:
+            raise BudgetExceededError(
+                f"node budget {max_nodes} exhausted", nodes_visited=nodes,
+                elapsed_seconds=time.monotonic() - started)
+        if not nodes & 2047 and time.monotonic() > deadline:
+            raise BudgetExceededError(
+                "time budget exhausted", nodes_visited=nodes,
+                elapsed_seconds=time.monotonic() - started)
+        path.append(h)
+        if acc.enter(path) and len(path) < max_depth:
+            stack.append((cand ^ low, blocked))
+            blocked |= translate(blocked, neg[h])
+            cand &= ~blocked
+        else:
+            acc.leave(path)
+            path.pop()
+            cand ^= low
 
 
-# A scan forks only after its in-process root tasks, the smallest ones, have
+# A scan forks only after its in-process tasks, the smallest ones, have
 # entered this many nodes. Forking, feeding and reaping two workers costs
 # about 6 ms on a 2-core Xeon, 4-5k nodes of DFS at 650-800k nodes/s, so by
 # then the tasks left are worth far more than the fork.
 _FORK_GATE_NODES = 20_000
-# Root indices queued in the task pipe at once: 4 bytes each, so every write
+# Task indices queued in the task pipe at once: 4 bytes each, so every write
 # is at most 512 bytes (POSIX PIPE_BUF) and the pipe never fills.
 _TASK_WINDOW = 128
 
 
 def _worker_count(parallel_width: int, tasks: int) -> int:
-    """Worker processes to fork for ``tasks`` root tasks: never more than the
+    """Worker processes to fork for ``tasks`` tasks: never more than the
     width, the usable CPUs or the tasks; 1 (in-process) without ``os.fork``."""
     if not hasattr(os, "fork"):
         return 1
@@ -220,62 +215,69 @@ def _worker_count(parallel_width: int, tasks: int) -> int:
 
 def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
              budget: SearchBudget | None = None,
-             allowed: list[int] | None = None,
+             tasks: list[Task] | None = None,
              forbidden_mask: int = 1,
              max_depth: int | None = None) -> tuple[list, int]:
-    """Run one accumulator per first-element rank; return (accs, total nodes).
+    """Run one accumulator per task; return (accs, total nodes).
 
-    ``allowed`` (default: every rank outside ``forbidden_mask``) must list
-    ranks of the group in strictly ascending order; ValueError otherwise.
-    All accumulators are made here, in this process, and come back ordered
-    by their starting rank whatever the width and the schedule, so merging
-    them is deterministic. Root tasks run from the last index down
-    in-process until the scan has entered more than ``_FORK_GATE_NODES``
-    nodes and at least two workers can take the rest (``_worker_count``);
-    those remaining, larger tasks then run in forked workers
-    (``_run_forked``), whose accumulator state is copied back into these
-    accumulators.
+    ``tasks`` defaults to ``root_tasks`` of every rank outside
+    ``forbidden_mask``. All accumulators are made here, in this process, and
+    come back in task order whatever the width and the schedule, so merging
+    them is deterministic. Tasks run from the last index down in-process
+    until the scan has entered more than ``_FORK_GATE_NODES`` nodes and at
+    least two workers can take the rest (``_worker_count``); those
+    remaining, larger tasks then run in forked workers (``_run_forked``),
+    whose accumulator state is copied back into these accumulators.
+
+    ``budget.max_nodes`` caps each task, and the scan stops with
+    nodes_visited ``max_nodes + 1`` once its finished tasks sum above it: so
+    it is exceeded iff its full node total is, at every width.
     """
     budget = budget or DEFAULT_BUDGET
     tables = tables_for(group)
-    if allowed is None:
-        allowed = [r for r in range(tables.size) if not (forbidden_mask >> r) & 1]
-    elif any(a >= b for a, b in zip([-1, *allowed], [*allowed, tables.size])):
-        raise ValueError("allowed ranks must be strictly ascending and in [0, |G|)")
-    allowed_mask = tables.mask_of(allowed)
+    if tasks is None:
+        tasks = root_tasks(((1 << tables.size) - 1) & ~forbidden_mask)
     depth_cap = max_depth if max_depth is not None else tables.size * group.exponent
+    max_nodes = budget.max_nodes
 
     started = time.monotonic()
     deadline = started + budget.max_seconds
-    accs = [acc_factory() for _ in allowed]
-
-    def run_one(root_index: int) -> int:
-        tracker = _Tracker(budget.max_nodes, started, deadline)
-        _scan_from(tables, allowed_mask, forbidden_mask, depth_cap,
-                   accs[root_index], tracker, allowed[root_index])
-        return tracker.nodes
-
-    workers = _worker_count(budget.parallel_width, len(allowed))
-    left = len(allowed)
+    accs = [acc_factory() for _ in tasks]
     nodes = 0
+
+    def run_one(index: int) -> int:
+        return _scan_from(tables, tasks[index], forbidden_mask, depth_cap,
+                          accs[index], max_nodes, started, deadline)
+
+    def tally(task_nodes: int) -> None:
+        nonlocal nodes
+        nodes += task_nodes
+        if nodes > max_nodes:
+            raise BudgetExceededError(
+                f"node budget {max_nodes} exhausted", nodes_visited=max_nodes + 1,
+                elapsed_seconds=time.monotonic() - started)
+
+    workers = _worker_count(budget.parallel_width, len(tasks))
+    left = len(tasks)
     while left and (nodes <= _FORK_GATE_NODES or min(workers, left) < 2):
         left -= 1
-        nodes += run_one(left)
+        tally(run_one(left))
     if left:
-        nodes += _run_forked(min(workers, left), left, run_one, accs)
+        _run_forked(min(workers, left), left, run_one, tally, accs)
     return accs, nodes
 
 
-def _run_forked(workers: int, tasks: int, run_one: Callable[[int], int],
-                accs: list) -> int:
-    """Run root tasks ``0 .. tasks-1`` in ``workers`` forked children; return
-    their nodes.
+def _run_forked(workers: int, count: int, run_one: Callable[[int], int],
+                tally: Callable[[int], None], accs: list) -> None:
+    """Run tasks ``0 .. count-1`` in ``workers`` forked children, passing
+    the nodes of each to ``tally`` as it reports.
 
-    The children take root indices in ascending order, largest subtrees
+    The children take task indices in ascending order, largest subtrees
     first, from one shared pipe (see ``_work``). The parent drains every
     result pipe as it fills, copies each returned accumulator's state into
-    its own, re-raises the first worker exception and reaps every child. A
-    root task that no child reported is an error, never a partial result.
+    its own, re-raises the first worker exception or the first from
+    ``tally``, and reaps every child. A task that no child reported is an
+    error, never a partial result.
     """
     # imported here so that scans too small to fork do not pay for them
     import pickle
@@ -285,19 +287,18 @@ def _run_forked(workers: int, tasks: int, run_one: Callable[[int], int],
     task_r, task_w = os.pipe()
     queued = 0
 
-    def queue(count: int) -> None:
+    def queue(n: int) -> None:
         # the pipe never holds more than _TASK_WINDOW indices, so this never blocks
         nonlocal queued, task_w
-        stop = min(tasks, queued + count)
+        stop = min(count, queued + n)
         os.write(task_w, b"".join(i.to_bytes(4, "little") for i in range(queued, stop)))
         queued = stop
-        if queued == tasks:
+        if queued == count:
             os.close(task_w)
             task_w = -1
 
     children: dict[int, int] = {}   # result pipe -> pid
     reported: set[int] = set()
-    nodes = 0
     try:
         queue(_TASK_WINDOW)
         for _ in range(workers):
@@ -328,34 +329,33 @@ def _run_forked(workers: int, tasks: int, run_one: Callable[[int], int],
                             raise result
                         acc, task_nodes = result
                         _copy_state(accs[index], acc)
-                        nodes += task_nodes
                         reported.add(index)
+                        tally(task_nodes)
                         if task_w != -1:
                             queue(1)
-        if len(reported) < tasks:
-            missing = min(set(range(tasks)) - reported)
+        if len(reported) < count:
+            missing = min(set(range(count)) - reported)
             raise InternalCheckError(
-                f"a search worker process exited without reporting root task {missing}")
+                f"a search worker process exited without reporting task {missing}")
     finally:
         for fd in (task_r, task_w):
             if fd != -1:
                 os.close(fd)
         for fd, pid in children.items():
-            if len(reported) < tasks:
+            if len(reported) < count:
                 try:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
             os.waitpid(pid, 0)
             os.close(fd)
-    return nodes
 
 
 def _work(task_r: int, res_w: int, run_one: Callable[[int], int], accs: list,
           close: tuple[int, int]) -> None:
     """Body of a forked worker; leaves only through ``os._exit``.
 
-    Reads 4-byte root indices from ``task_r`` until end of file and writes,
+    Reads 4-byte task indices from ``task_r`` until end of file and writes,
     length-prefixed and pickled, ``(index, (acc, nodes))`` per task or
     ``(index, exception)``, after which it stops. It only computes and
     writes to its pipe, so it needs no lock another thread could have held
@@ -537,15 +537,15 @@ def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
     pair.validate_for(group)
     tables = tables_for(group)
     forbidden = _subgroup_mask(tables, pair.quotient)
-    allowed = [r for r in range(tables.size)
-               if pair.d % tables.orders[r] == 0 and not (forbidden >> r) & 1]
+    allowed = _subgroup_mask(tables, pair.d) & ~forbidden
     params = (("d", pair.d), ("d_prime", pair.d_prime))
     if not allowed:
         seq = GSequence.empty(group)
         return 0, Witness(group, seq, "d-pair", 1, params)
     accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
-                       budget=budget, allowed=allowed, forbidden_mask=forbidden)
-    # every allowed root is entered, so the longest path is never empty
+                       budget=budget, tasks=root_tasks(allowed),
+                       forbidden_mask=forbidden)
+    # every task's root is entered, so the longest path is never empty
     best = max(accs, key=lambda acc: acc.best_len)
     seq = GSequence.from_ranks(group, best.best)
     return best.best_len, Witness(group, seq, "d-pair", best.best_len + 1, params)

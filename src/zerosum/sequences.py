@@ -76,10 +76,6 @@ class GSequence:
     def __len__(self) -> int:
         return self.length
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def __iter__(self) -> Iterator[GroupElement]:
         """Each occurrence once, ascending by rank."""
         for rank, mult in self.entries:
@@ -92,50 +88,8 @@ class GSequence:
             for _ in range(mult):
                 yield rank
 
-    def support(self) -> list[GroupElement]:
-        return [self.group.element_of_rank(r) for r, _ in self.entries]
-
-    def multiplicity(self, element: GroupElement | int) -> int:
-        rank = element.rank if isinstance(element, GroupElement) else element
-        for r, m in self.entries:
-            if r == rank:
-                return m
-        return 0
-
-    def total(self) -> GroupElement:
-        acc = self.group.zero
-        for rank, mult in self.entries:
-            acc = acc + mult * self.group.element_of_rank(rank)
-        return acc
-
     def contains_zero_element(self) -> bool:
         return bool(self.entries) and self.entries[0][0] == 0
-
-    # -- derived sequences ------------------------------------------------------
-
-    def remove_one(self, element: GroupElement | int) -> "GSequence":
-        """Copy with one occurrence of the given element removed."""
-        rank = element.rank if isinstance(element, GroupElement) else element
-        out = []
-        hit = False
-        for r, m in self.entries:
-            if r == rank and not hit:
-                hit = True
-                if m > 1:
-                    out.append((r, m - 1))
-            else:
-                out.append((r, m))
-        if not hit:
-            raise ValueError(f"rank {rank} not present in sequence")
-        return GSequence(self.group, tuple(out))
-
-    def union(self, other: "GSequence") -> "GSequence":
-        if other.group != self.group:
-            raise ValueError("sequences over different groups")
-        counts = dict(self.entries)
-        for r, m in other.entries:
-            counts[r] = counts.get(r, 0) + m
-        return GSequence(self.group, tuple(sorted(counts.items())))
 
     def __str__(self) -> str:
         if not self.entries:
@@ -169,9 +123,6 @@ class SubsumTable:
 
     def marked_ranks(self) -> list[int]:
         return [k for k in range(self.group.cardinality) if (self.mask >> k) & 1]
-
-    def marked_elements(self) -> list[GroupElement]:
-        return [self.group.element_of_rank(k) for k in self.marked_ranks()]
 
 
 def subsums(seq: GSequence) -> SubsumTable:
@@ -211,21 +162,6 @@ def definitional_subsums(seq: GSequence) -> set[int]:
 def is_zero_sumfree(seq: GSequence) -> bool:
     """True iff no nonempty sub-multiset sums to 0 (vacuously true when empty)."""
     return not subsums(seq).contains_zero
-
-
-def is_minimal_zero_sum(seq: GSequence) -> bool:
-    """True iff the total sum is 0 and no proper nonempty sub-multiset is.
-
-    Every proper sub-multiset omits at least one occurrence, so it suffices
-    to check the sequences obtained by deleting one copy of each distinct
-    element.
-    """
-    if seq.is_empty:
-        raise ValueError("minimality is undefined for the empty sequence")
-    if not seq.total().is_zero:
-        return False
-    return all(not subsums(seq.remove_one(rank)).contains_zero
-               for rank, _ in seq.entries)
 
 
 def cross_number(seq: GSequence) -> Fraction:

@@ -49,7 +49,7 @@ class TestDStarSequence:
         s = dstar_sequence(group)
         assert len(s) == d_star(group) == 198
         assert is_zero_sumfree(s)
-        one_more = s.union(GSequence.from_elements(group, [group.element((1, 0))]))
+        one_more = GSequence.from_ranks(group, [*s.iter_ranks(), group.element((1, 0)).rank])
         assert not is_zero_sumfree(one_more)
 
 

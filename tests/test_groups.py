@@ -187,32 +187,6 @@ class TestHeight:
                     assert g.height() == height_by_brute_force(group, g)
 
 
-class TestSubgroup:
-    def test_example_d2(self):
-        got = [e.coords for e in C24.subgroup_elements(2)]
-        assert got == [(0, 0), (1, 0), (0, 2), (1, 2)]
-
-    def test_trivial_and_full(self):
-        assert [e.coords for e in C24.subgroup_elements(1)] == [(0, 0)]
-        assert len(C24.subgroup_elements(C24.exponent)) == C24.cardinality
-
-    def test_size_formula_and_membership(self):
-        for group in [C24, AbelianGroup((2, 12)), AbelianGroup((3, 9))]:
-            for d in range(1, group.exponent + 1):
-                if group.exponent % d != 0:
-                    continue
-                sub = group.subgroup_elements(d)
-                expected = math.prod(math.gcd(d, n) for n in group.invariant_factors)
-                assert len(sub) == expected
-                assert all((d * x).is_zero for x in sub)
-                ranks = [x.rank for x in sub]
-                assert ranks == sorted(ranks)
-
-    def test_non_divisor_rejected(self):
-        with pytest.raises(ValueError):
-            C24.subgroup_elements(3)
-
-
 class TestPrimaryDecomposition:
     def test_examples(self):
         assert AbelianGroup((2, 12)).primary_decomposition() == (2, 3, 4)

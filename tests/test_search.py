@@ -49,7 +49,7 @@ class TestEnumerate:
     def test_length_zero_visits_empty(self):
         seen = []
         assert enumerate_zero_sumfree(C3, 0, seen.append) == 1
-        assert seen[0].is_empty
+        assert len(seen[0]) == 0
 
     def test_matches_definitional_filter(self):
         for group in [C24, AbelianGroup((3, 3)), C6]:
@@ -251,20 +251,19 @@ class TestForkedWorkers:
     all but their last root task in worker processes."""
 
     def test_accumulators_match_across_widths(self, forked_scans):
-        from zerosum.search import _gamma_scan, _subgroup_mask, run_scan
+        from zerosum.search import _gamma_scan, _subgroup_mask, root_tasks, run_scan
         c55 = AbelianGroup((5, 5))
         c888 = AbelianGroup((8, 8, 8))
         pair = DivisorPair(2, 4)
         tables = tables_for(c888)
         forbidden = _subgroup_mask(tables, pair.quotient)
-        allowed = [r for r in range(tables.size)
-                   if pair.d % tables.orders[r] == 0 and not (forbidden >> r) & 1]
+        allowed = _subgroup_mask(tables, pair.d) & ~forbidden
 
         def summary(width):
             budget = SearchBudget(parallel_width=width)
             extrema, n_extrema = run_scan(c55, extrema_acc(c55), budget=budget)
             _, n_avoid = run_scan(c888, extrema_acc(c888), budget=budget,
-                                  allowed=allowed, forbidden_mask=forbidden)
+                                  tasks=root_tasks(allowed), forbidden_mask=forbidden)
             length, witness = longest_avoiding(c888, pair, budget)
             return ([(a.best_len, a.best) for a in extrema], n_extrema,
                     [(a.best_scaled, a.best_cross) for a in extrema],
@@ -292,6 +291,16 @@ class TestForkedWorkers:
         assert forked_scans
         assert visits[0] == visits[1] == sorted(visits[0])
 
+    def test_node_budget_covers_the_whole_scan(self, forked_scans):
+        # C5xC5 walks 138,864 nodes, the largest task 23,113 of them
+        for width in (1, 2):
+            budget = SearchBudget(max_nodes=30_000, parallel_width=width)
+            with pytest.raises(BudgetExceededError) as info:
+                zero_sumfree_extrema(AbelianGroup((5, 5)), budget)
+            assert str(info.value) == "node budget 30000 exhausted"
+            assert info.value.nodes_visited == 30_001
+        assert forked_scans
+
     def test_worker_budget_error_reaches_caller(self, forked_scans):
         # the last root task of C5xC5 (4 nodes) runs in-process; task 0 forks
         budget = SearchBudget(max_nodes=1000, parallel_width=2)
@@ -314,7 +323,7 @@ class TestForkedWorkers:
             return real_scan(*args)
 
         monkeypatch.setattr(search, "_scan_from", dying_scan)
-        with pytest.raises(InternalCheckError, match="root task 0"):
+        with pytest.raises(InternalCheckError, match="reporting task 0"):
             zero_sumfree_extrema(AbelianGroup((3, 3)),
                                  SearchBudget(parallel_width=2))
         assert forked_scans
@@ -334,28 +343,50 @@ class TestPinnedCounts:
         assert tuple(k_wit.sequence.iter_ranks()) == witness
 
     def test_forbidden_allowed_elements_are_never_entered(self):
-        from zerosum.search import run_scan
-        everything = list(range(C24.cardinality))
-        _, nodes = run_scan(C24, extrema_acc(C24), allowed=everything)
-        assert nodes == 94  # as with the default allowed set, which omits 0
+        from zerosum.search import root_tasks, run_scan
+        # rank 0, the forbidden zero element, in every candidate mask
+        with_zero = [(prefix, cand | 1) for prefix, cand in root_tasks(0b11111110)]
+        for tasks in (with_zero, [((), 0b11111111)]):
+            _, nodes = run_scan(C24, extrema_acc(C24), tasks=tasks)
+            assert nodes == 94  # as with the default tasks, which omit 0
 
     def test_longest_avoiding_c8x8x8_subgroup(self):
         # forbidden set G_2 (8 elements), allowed G_4 minus G_2 (56 elements)
-        from zerosum.search import _subgroup_mask, run_scan
+        from zerosum.search import _subgroup_mask, root_tasks, run_scan
         group = AbelianGroup((8, 8, 8))
         pair = DivisorPair(2, 4)
         tables = tables_for(group)
         forbidden = _subgroup_mask(tables, pair.quotient)
-        allowed = [r for r in range(tables.size)
-                   if pair.d % tables.orders[r] == 0 and not (forbidden >> r) & 1]
-        assert len(allowed) == 56
-        _, nodes = run_scan(group, extrema_acc(group), allowed=allowed,
+        tasks = root_tasks(_subgroup_mask(tables, pair.d) & ~forbidden)
+        assert len(tasks) == 56
+        _, nodes = run_scan(group, extrema_acc(group), tasks=tasks,
                             forbidden_mask=forbidden)
         assert nodes == 15_736
         length, witness = longest_avoiding(group, pair)
         assert length == 3
         assert witness.value == 4
         assert tuple(witness.sequence.iter_ranks()) == (2, 16, 128)
+
+
+class _LogAcc:
+    """Logs every enter and leave; checks that each leave closes the path
+    last entered."""
+
+    def __init__(self):
+        self.log = []
+        self.open = []
+
+    def enter(self, path):
+        self.log.append(tuple(path))
+        self.open.append(tuple(path))
+        return True
+
+    def leave(self, path):
+        assert self.open.pop() == tuple(path)
+
+    def entered(self):
+        assert not self.open
+        return self.log
 
 
 def _acc_state(acc):
@@ -390,15 +421,26 @@ class TestBlockedMaskKernel:
         ]
 
     def test_matches_reference_walk(self, forked_scans):
-        from zerosum.search import _subgroup_mask, run_scan
+        """``root_tasks`` of the allowed ranks, less the forbidden roots that
+        the reference skips, against the reference's accumulators of the
+        same roots."""
+        from zerosum.search import _subgroup_mask, root_tasks, run_scan
         widths = [SearchBudget(parallel_width=w) for w in (1, 2)]
 
-        def same(group, factory, **kwargs):
-            want = _scan_summary(reference_scan(group, factory, **kwargs))
+        def same(group, factory, allowed=None, forbidden_mask=1, max_depth=None):
+            kwargs = dict(forbidden_mask=forbidden_mask, max_depth=max_depth)
+            accs, nodes = reference_scan(group, factory, allowed=allowed, **kwargs)
+            if allowed is None:
+                allowed = [r for r in range(group.cardinality)
+                           if not (forbidden_mask >> r) & 1]
+            want = ([_acc_state(acc) for g, acc in zip(allowed, accs)
+                     if not (forbidden_mask >> g) & 1], nodes)
+            tasks = [task for task in root_tasks(tables_for(group).mask_of(allowed))
+                     if not (forbidden_mask >> task[0][0]) & 1]
             for budget in widths:
-                got = run_scan(group, factory, budget=budget, **kwargs)
+                got = run_scan(group, factory, budget=budget, tasks=tasks, **kwargs)
                 assert _scan_summary(got) == want, (group, kwargs, budget)
-            return want[1]
+            return nodes
 
         for factors in P_GROUP_FACTORS + NON_P_FACTORS:
             group = AbelianGroup(factors)
@@ -417,11 +459,30 @@ class TestBlockedMaskKernel:
         assert same(C24, extrema_acc(C24), allowed=list(range(8))) == 94
         assert forked_scans
 
-    def test_allowed_must_be_ascending_ranks(self):
-        from zerosum.search import run_scan
-        for allowed in ([2, 1], [1, 1, 2], [-1, 1], [1, 8]):
-            with pytest.raises(ValueError, match="ascending"):
-                run_scan(C24, extrema_acc(C24), allowed=allowed)
+    def test_prefix_task_walks_its_reference_subtree(self, forked_scans):
+        """A task ((g, h), ranks from h on) enters (g,), then exactly the
+        reference paths of root g that start with (g, h), in order; at
+        depth 1 it enters (g,) alone. Every enter has its leave."""
+        from zerosum.search import root_tasks, run_scan
+        for group in (C24, AbelianGroup((3, 3)), AbelianGroup((2, 2, 4))):
+            everything = (1 << group.cardinality) - 2
+            ref_accs, _ = reference_scan(group, _LogAcc)
+            tasks, want = [], []
+            for (g,), _ in root_tasks(everything):
+                walked = ref_accs[g - 1].entered()
+                for h in sorted({path[1] for path in walked if len(path) > 1}):
+                    tasks.append(((g, h), everything >> h << h))
+                    want.append([(g,)] + [p for p in walked if p[:2] == (g, h)])
+            assert tasks
+            for width in (1, 2):
+                accs, nodes = run_scan(group, _LogAcc, tasks=tasks,
+                                       budget=SearchBudget(parallel_width=width))
+                assert [acc.entered() for acc in accs] == want
+                assert nodes == sum(map(len, want))
+            accs, nodes = run_scan(group, _LogAcc, tasks=tasks, max_depth=1)
+            assert [acc.entered() for acc in accs] == [[(g,)] for (g, _), _ in tasks]
+            assert nodes == len(tasks)
+        assert forked_scans
 
     def test_translates_only_nodes_that_descend(self, monkeypatch):
         """One translate per node entered that descends: every node of an
