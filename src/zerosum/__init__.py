@@ -19,7 +19,7 @@ from .formulas import (DivisorPair, GammaBounds, d_pair_formula, d_star,
                        gamma_upper, j0, k_star, key_lemma_predicate,
                        little_cross_p_group, olson_predicate, reduced_group,
                        upsilon_vector)
-from .search import (SearchBudget, Witness, d_pair_bruteforce, d_pair_value,
+from .search import (SearchBudget, d_pair_bruteforce, d_pair_value,
                      davenport_constant, enumerate_zero_sumfree, gamma_exact,
                      longest_avoiding, zero_sumfree_extrema)
 from .constructions import (dstar_sequence, gamma_extremal_sequence,
@@ -49,7 +49,7 @@ __all__ = [
     "gamma_exact_formula", "gamma_bounds", "olson_predicate",
     "key_lemma_predicate", "divisor_pairs",
     # search
-    "SearchBudget", "Witness", "enumerate_zero_sumfree",
+    "SearchBudget", "enumerate_zero_sumfree",
     "zero_sumfree_extrema", "longest_avoiding",
     "d_pair_bruteforce", "gamma_exact", "davenport_constant", "d_pair_value",
     # constructions

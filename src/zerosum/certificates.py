@@ -2,12 +2,12 @@
 
 Each command is defined once, by its function in ``COMMANDS``: from the
 group, the inputs and the search budget it computes the claims, makes every
-cross-route consistency check, and builds ``parameters``, ``results``,
-``status``, its text lines and the witnesses that back its search claims.
-The CLI runs it with its flags through ``run_command``.
-``verify_certificate`` runs it again with the inputs the stored
-``parameters`` record, re-checks the witnesses and compares the two
-documents; stored claims are compared, never parsed.
+cross-route consistency check, checks each witness it claims on the
+checking route (``sequences.check_witness``), and builds ``parameters``,
+``results``, ``status`` and its text lines. The CLI runs it with its flags
+through ``run_command``. ``verify_certificate`` runs it again with the
+inputs the stored ``parameters`` record and compares the two documents;
+stored claims are compared, never parsed.
 
 A certificate is its JSON document, a dict: ``run_command`` returns it,
 ``load_certificate`` reads it from a file and checks its shape, and
@@ -25,8 +25,8 @@ from pathlib import Path
 from . import constructions, formulas, search, sequences, verifier
 from ._record import record
 from ._version import VERSION
-from .errors import CertificateError, InternalCheckError
-from .groups import _exact_ints, parse_group_spec
+from .errors import CertificateError, InternalCheckError, NeedsOracleError
+from .groups import _exact_ints, parse_group_spec, tables_for
 from .sequences import GSequence
 
 SCHEMA_VERSION = 1
@@ -97,9 +97,9 @@ def load_certificate(path: str | Path) -> dict:
 # -- one function per command -------------------------------------------------------
 #
 # command(group, inputs, budget) -> (parameters, claims, results, status,
-# text lines, witnesses). ``inputs`` maps each input's name, a CLI flag's
-# dest and a ``parameters`` key, to its value. ``parameters`` records the
-# inputs a re-run needs, without the budget. Claims and results are JSON.
+# text lines). ``inputs`` maps each input's name, a CLI flag's dest and a
+# ``parameters`` key, to its value. ``parameters`` records the inputs a
+# re-run needs, without the budget. Claims and results are JSON.
 
 # --method -> (whether the closed forms run, whether the search runs)
 _METHODS = {"formula": (True, False), "search": (False, True), "both": (True, True)}
@@ -108,13 +108,11 @@ _METHODS = {"formula": (True, False), "search": (False, True), "both": (True, Tr
 def _invariants(group, inputs, budget):
     formula, searched = _METHODS[inputs["method"]]
     d_star, k_star = formulas.d_star(group), formulas.k_star(group)
-    # the closed forms: both on a p-group, d(G) = n - 1 on a cyclic group of
-    # order n, neither otherwise
-    if group.is_p_group:
-        formula_d = formulas.davenport_p_group(group)
-        formula_k = formulas.little_cross_p_group(group)
-    else:
-        formula_d, formula_k = (group.exponent - 1 if group.rank == 1 else None), None
+    try:
+        formula_d = formulas.davenport_closed_form(group) - 1
+    except NeedsOracleError:
+        formula_d = None
+    formula_k = formulas.little_cross_p_group(group) if group.is_p_group else None
     claims = [{"kind": "d_star", "value": d_star},
               {"kind": "k_star", "value": rational_to_json(k_star)}]
     results = {
@@ -143,8 +141,14 @@ def _invariants(group, inputs, budget):
     if not searched:
         if formula_d is not None:
             claims.append({"kind": "davenport", "value": formula_d, "witness": None})
-        return {"method": inputs["method"]}, claims, results, "ok", lines, []
-    d, d_witness, k, k_witness = search.zero_sumfree_extrema(group, budget)
+        return {"method": inputs["method"]}, claims, results, "ok", lines
+    d, d_seq, k, k_seq = search.zero_sumfree_extrema(group, budget)
+    sequences.check_witness(d_seq)
+    sequences.check_witness(k_seq)
+    if len(d_seq) != d:
+        raise InternalCheckError(f"d witness {d_seq} is not of length d(G) = {d}")
+    if sequences.cross_number(k_seq) != k:
+        raise InternalCheckError(f"k witness {k_seq} is not of cross number k(G) = {k}")
     if d < d_star:
         raise InternalCheckError(f"search found d(G) = {d} below the d* lower bound")
     if k < k_star:
@@ -153,16 +157,15 @@ def _invariants(group, inputs, budget):
         raise InternalCheckError(f"formula d(G) = {formula_d} but search found {d}")
     if formula_k not in (None, k):
         raise InternalCheckError(f"formula k(G) = {formula_k} but search found {k}")
-    claims += [{"kind": "davenport", "value": d,
-                "witness": sequence_to_json(d_witness.sequence)},
+    claims += [{"kind": "davenport", "value": d, "witness": sequence_to_json(d_seq)},
                {"kind": "little_cross", "value": rational_to_json(k),
-                "witness": sequence_to_json(k_witness.sequence)}]
+                "witness": sequence_to_json(k_seq)}]
     results["search"] = {"d": d, "davenport": d + 1, "d_witness": claims[-2]["witness"],
                          "k": rational_to_json(k), "k_witness": claims[-1]["witness"]}
     lines += [f"  search:  d(G) = {d}  D(G) = {d + 1}  k(G) = {k}",
-              f"    d witness: {d_witness.sequence}",
-              f"    k witness: {k_witness.sequence}"]
-    return {"method": inputs["method"]}, claims, results, "ok", lines, [d_witness, k_witness]
+              f"    d witness: {d_seq}",
+              f"    k witness: {k_seq}"]
+    return {"method": inputs["method"]}, claims, results, "ok", lines
 
 
 def _dpair(group, inputs, budget):
@@ -181,22 +184,25 @@ def _dpair(group, inputs, budget):
              f"  reduced group: "
              f"{'trivial' if reduced is None else str(reduced)}"]
     claim = {"kind": "d_pair", "d_prime": pair.d_prime, "d": pair.d}
-    witnesses = []
     if formula:
         claim["value"] = results["formula_value"] = search.d_pair_value(group, pair, budget)
         lines.append(f"  via reduction:  D_(d',d) = {claim['value']}")
     if searched:
-        length, witness = search.longest_avoiding(group, pair, budget)
+        length, seq = search.longest_avoiding(group, pair, budget)
         if claim.get("value", length + 1) != length + 1:
             raise InternalCheckError(f"reduction route gives {claim['value']}, "
                                      f"brute force {length + 1}")
+        if sequences.order_filter(seq, pair.d, "divides") != seq:
+            raise InternalCheckError(f"witness {seq} is not in G_d for d = {pair.d}")
+        sequences.check_witness(seq, search._subgroup_mask(tables_for(group), pair.quotient))
+        if len(seq) != length:
+            raise InternalCheckError(f"witness {seq} is not of length {length}")
         claim["value"] = results["search_value"] = length + 1
-        claim["witness"] = results["witness"] = sequence_to_json(witness.sequence)
+        claim["witness"] = results["witness"] = sequence_to_json(seq)
         lines += [f"  by brute force: D_(d',d) = {length + 1}",
-                  f"    longest avoiding witness: {witness.sequence}"]
-        witnesses.append(witness)
+                  f"    longest avoiding witness: {seq}"]
     parameters = {"method": inputs["method"], "d_prime": pair.d_prime, "d": pair.d}
-    return parameters, [claim], results, "ok", lines, witnesses
+    return parameters, [claim], results, "ok", lines
 
 
 def _gamma(group, inputs, budget):
@@ -218,25 +224,28 @@ def _gamma(group, inputs, budget):
              f"upper bound {bounds.upper} (raw {bounds.raw_upper})"]
     if bounds.exact is not None:
         lines.append(f"  exact closed form: {bounds.exact}")
-    witnesses = []
     if searched:
-        exact, witness = search.gamma_exact(group, delta, budget)
+        exact, seq = search.gamma_exact(group, delta, budget)
         if not bounds.lower <= exact <= bounds.upper:
             raise InternalCheckError(f"search value {exact} escapes the proven bounds "
                                      f"[{bounds.lower}, {bounds.upper}]")
         if bounds.exact not in (None, exact):
             raise InternalCheckError(f"exact closed form gives {bounds.exact} "
                                      f"but search found {exact}")
+        sequences.check_witness(seq)
+        if sequences.max_order_count(seq) != exact:
+            raise InternalCheckError(f"witness {seq} is not of max-order count {exact}")
+        if len(seq) != results["d"] - delta:
+            raise InternalCheckError(f"witness {seq} is not of length d(G) - delta")
         claims.append({"kind": "gamma_exact", "delta": delta, "value": exact,
-                       "witness": sequence_to_json(witness.sequence)})
+                       "witness": sequence_to_json(seq)})
         results["search"] = {"value": exact, "witness": claims[-1]["witness"]}
         results["matches_upper"] = exact == bounds.upper
         lines += [f"  exhaustive value: {exact}  "
                   f"(equals upper bound: {results['matches_upper']})",
-                  f"    witness: {witness.sequence}"]
-        witnesses.append(witness)
+                  f"    witness: {seq}"]
     parameters = {"method": inputs["method"], "delta": delta}
-    return parameters, claims, results, "ok", lines, witnesses
+    return parameters, claims, results, "ok", lines
 
 
 def _construct(group, inputs, budget):
@@ -265,7 +274,7 @@ def _construct(group, inputs, budget):
              f"  length {len(seq)}, cross number {cross}, max-order count {count}",
              "  zero-sumfree: verified"]
     claims = [{"kind": "construction", **stated}]
-    return {"kind": kind, "delta": delta}, claims, results, "ok", lines, []
+    return {"kind": kind, "delta": delta}, claims, results, "ok", lines
 
 
 def _enumerate(group, inputs, budget):
@@ -278,7 +287,7 @@ def _enumerate(group, inputs, budget):
     lines = [f"group {group}: {count} zero-sumfree sequence(s) of length {length}",
              *(f"  {s}" for s in found or ())]
     claims = [{"kind": "enumeration", "length": length, "count": count}]
-    return {"length": length}, claims, results, "ok", lines, []
+    return {"length": length}, claims, results, "ok", lines
 
 
 def _check(group, inputs, budget):
@@ -293,6 +302,8 @@ def _check(group, inputs, budget):
     report = getattr(verifier, checker)(group, budget=budget, **{
         key: value for key, value in given.items() if value is not None})
     counterexample, checked = report.counterexample, dict(report.parameters)
+    if counterexample is not None:  # every sequence a check walks is zero-sumfree
+        sequences.check_witness(counterexample)
     stated = {"check": report.name, "parameters": checked, "verdict": report.verdict,
               "nodes": report.nodes_visited, "counterexample": None if counterexample is None
               else sequence_to_json(counterexample)}
@@ -309,7 +320,7 @@ def _check(group, inputs, budget):
                          "suspect the implementation first")
     parameters = {"name": name, **{key: checked[key] for key in takes}}
     claims = [{"kind": "check", **stated}]
-    return parameters, claims, results, report.verdict, lines, []
+    return parameters, claims, results, report.verdict, lines
 
 
 # command -> (its function, whether it searches and records its budget)
@@ -326,16 +337,16 @@ COMMANDS = {
 def run_command(command: str, group_input: str, inputs: dict,
                 budget: search.SearchBudget | None,
                 recorded: search.SearchBudget | None = None
-                ) -> tuple[dict, list[str], list[search.Witness]]:
+                ) -> tuple[dict, list[str]]:
     """Run ``command`` on the group ``group_input`` names, searching under
-    ``budget``: its certificate's JSON document, its text lines and the
-    witnesses of its search claims. The certificate records ``recorded`` as
-    its budget, by default ``budget``."""
+    ``budget``: its certificate's JSON document and its text lines. The
+    command has checked every witness it claims. The certificate records
+    ``recorded`` as its budget, by default ``budget``."""
     if command not in COMMANDS:
         raise CertificateError(f"unknown command {command!r}")
     group = parse_group_spec(group_input)
     run, searches = COMMANDS[command]
-    parameters, claims, results, status, lines, witnesses = run(group, inputs, budget)
+    parameters, claims, results, status, lines = run(group, inputs, budget)
     if searches:
         recorded = recorded or budget or search.DEFAULT_BUDGET
         parameters["budget"] = {"max_nodes": recorded.max_nodes,
@@ -351,7 +362,7 @@ def run_command(command: str, group_input: str, inputs: dict,
         "parameters": parameters,
         "results": results,
     }
-    return cert, lines, witnesses
+    return cert, lines
 
 
 # -- re-verification -----------------------------------------------------------
@@ -416,10 +427,9 @@ def verify_certificate(source: dict | str | Path,
     The command runs on ``group.input`` with the inputs ``parameters``
     records, under ``budget``; a budget-exceeded certificate re-runs at the
     node budget it records. So every claim is re-derived by the routes its
-    ``--method`` names, and every cross-route check is made again. The
-    re-run's witnesses are re-checked with fresh subsum tables. The re-run
-    certificate must then equal the stored one but ``timing`` as canonical
-    JSON, and the first JSON path where it does not is reported.
+    ``--method`` names, and every cross-route and witness check is made
+    again. The re-run must equal the stored certificate but ``timing`` as
+    canonical JSON; the first JSON path where it does not is reported.
     """
     stored = _checked(source if isinstance(source, dict) else _read_json(source))
     failures: list[str] = []
@@ -449,10 +459,7 @@ def verify_certificate(source: dict | str | Path,
             base = budget or search.DEFAULT_BUDGET
             budget = search.SearchBudget(recorded.max_nodes, base.max_seconds,
                                          base.parallel_width)
-        rebuilt, _, witnesses = run_command(stored["command"], group_input, inputs,
-                                            budget, recorded)
-        for witness in witnesses:
-            witness.reverify()
+        rebuilt, _ = run_command(stored["command"], group_input, inputs, budget, recorded)
         rebuilt["tool"]["version"] = stored.get("tool", {}).get("version", VERSION)
         mismatch = _mismatch(rebuilt, {key: value for key, value in stored.items()
                                        if key != "timing"})

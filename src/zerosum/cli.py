@@ -77,8 +77,8 @@ def _command(command: str, *inputs: str):
         started = time.monotonic()
         # a command searches exactly when its parser has the budget flags
         budget = _budget_from(args) if "budget_nodes" in vars(args) else None
-        cert, lines, _ = run_command(command, args.group,
-                                     {name: getattr(args, name) for name in inputs}, budget)
+        cert, lines = run_command(command, args.group,
+                                  {name: getattr(args, name) for name in inputs}, budget)
         if args.timing:
             cert["timing"] = {"seconds": round(time.monotonic() - started, 3)}
         if args.out:

@@ -9,7 +9,7 @@ failure means a bug in this package.
 from __future__ import annotations
 
 from .errors import InternalCheckError
-from .formulas import d_star, davenport_p_group, gamma_upper, j0, k_star
+from .formulas import _check_delta, d_star, davenport_p_group, gamma_upper, j0, k_star
 from .groups import AbelianGroup, GroupElement, _factorize
 from .sequences import GSequence, cross_number, is_zero_sumfree, max_order_count
 
@@ -68,9 +68,8 @@ def gamma_extremal_sequence(group: AbelianGroup, delta: int) -> GSequence:
     ones; the returned sequence always has max-order count equal to
     gamma_upper(group, delta).
     """
+    _check_delta(group, delta)
     d_g = davenport_p_group(group)
-    if not 0 <= delta <= d_g - 1:
-        raise ValueError(f"delta={delta} outside [0, {d_g - 1}] for {group}")
     p = group.p
     exps = group.p_exponents
     r, a_r = group.rank, exps[-1]

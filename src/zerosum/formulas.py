@@ -14,7 +14,7 @@ from typing import Callable, Iterator
 
 from ._record import record
 from .errors import NeedsOracleError, NotApplicableError, UnsupportedGroupError
-from .groups import AbelianGroup, normalize_group
+from .groups import AbelianGroup, _exact_ints, normalize_group
 from .sequences import GSequence, order_filter
 
 
@@ -26,6 +26,7 @@ class DivisorPair:
     d: int
 
     def __post_init__(self):
+        _exact_ints((self.d_prime, self.d), "divisor", ValueError)
         if self.d_prime < 1 or self.d < 1:
             raise ValueError("d' and d must be at least 1")
         if self.d % self.d_prime != 0:
@@ -143,6 +144,7 @@ def j0(group: AbelianGroup) -> int:
 
 
 def _check_delta(group: AbelianGroup, delta: int) -> None:
+    _exact_ints((delta,), "delta", ValueError)
     top = davenport_p_group(group) - 1
     if not 0 <= delta <= top:
         raise ValueError(f"delta={delta} outside [0, {top}] for {group}")

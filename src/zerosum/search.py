@@ -26,10 +26,10 @@ from typing import Callable
 
 from ._record import factory, record
 from .errors import BudgetExceededError, InternalCheckError, NeedsOracleError
-from .formulas import DivisorPair, davenport_closed_form, davenport_p_group, reduced_group
-from .groups import AbelianGroup, GroupTables, tables_for
-from .sequences import (GSequence, cross_number, definitional_subsums,
-                        max_order_count, subsums)
+from .formulas import (DivisorPair, _check_delta, davenport_closed_form,
+                       davenport_p_group, reduced_group)
+from .groups import AbelianGroup, GroupTables, _exact_ints, tables_for
+from .sequences import GSequence
 
 
 def _usable_cpus() -> int:
@@ -54,6 +54,7 @@ class SearchBudget:
     parallel_width: int = factory(_usable_cpus)
 
     def __post_init__(self):
+        _exact_ints((self.max_nodes, self.parallel_width), "budget field", ValueError)
         # written as "not 0 < s < inf" so that NaN, which compares false, is
         # rejected, and so is infinity, which JSON cannot record
         if (self.max_nodes < 1 or not 0 < self.max_seconds < float("inf")
@@ -62,63 +63,6 @@ class SearchBudget:
 
 
 DEFAULT_BUDGET = SearchBudget()
-
-
-@record(frozen=True)
-class Witness:
-    """A sequence certifying a claimed invariant value.
-
-    ``params`` carries the claim's parameters (delta, divisor pair) as
-    sorted key/value pairs so the witness can be re-checked in isolation.
-    """
-
-    group: AbelianGroup
-    sequence: GSequence
-    kind: str  # longest-zero-sumfree | max-cross | gamma | d-pair
-    value: int | Fraction
-    params: tuple[tuple[str, int], ...] = ()
-
-    def param(self, key: str) -> int:
-        return dict(self.params)[key]
-
-    def reverify(self) -> None:
-        """Re-check the witness from scratch; raises InternalCheckError.
-
-        Uses a fresh subsum table, plus the definitional all-subsets
-        enumeration whenever the sequence is short enough for it.
-        """
-        seq = self.sequence
-        if seq.group != self.group:
-            raise InternalCheckError("witness sequence belongs to another group")
-        table = subsums(seq)
-        if len(seq) <= 12 and set(table.marked_ranks()) != definitional_subsums(seq):
-            raise InternalCheckError("incremental and definitional subsums disagree")
-        if self.kind == "d-pair":
-            pair = DivisorPair(self.param("d_prime"), self.param("d"))
-            q_mask = _subgroup_mask(tables_for(self.group), pair.quotient)
-            orders = tables_for(self.group).orders
-            if any(pair.d % orders[r] != 0 for r, _ in seq.entries):
-                raise InternalCheckError("witness element order does not divide d")
-            if table.mask & q_mask:
-                raise InternalCheckError("witness has a subsum in the forbidden subgroup")
-            if len(seq) != self.value - 1:
-                raise InternalCheckError("witness length does not match claimed value")
-            return
-        if table.contains_zero:
-            raise InternalCheckError("witness is not zero-sumfree")
-        if self.kind == "longest-zero-sumfree":
-            if len(seq) != self.value:
-                raise InternalCheckError("witness length does not match claimed value")
-        elif self.kind == "max-cross":
-            if cross_number(seq) != self.value:
-                raise InternalCheckError("witness cross number does not match claimed value")
-        elif self.kind == "gamma":
-            if max_order_count(seq) != self.value:
-                raise InternalCheckError("witness max-order count does not match claimed value")
-            if len(seq) != davenport_p_group(self.group) - self.param("delta"):
-                raise InternalCheckError("witness length is not d(G) - delta")
-        else:
-            raise InternalCheckError(f"unknown witness kind {self.kind!r}")
 
 
 # -- engine -----------------------------------------------------------------
@@ -231,7 +175,8 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
 
     ``budget.max_nodes`` caps each task, and the scan stops with
     nodes_visited ``max_nodes + 1`` once its finished tasks sum above it: so
-    it is exceeded iff its full node total is, at every width.
+    it is exceeded iff its full node total is, at every width. The clock is
+    read there too, so a time budget overshoots by at most one task.
     """
     budget = budget or DEFAULT_BUDGET
     tables = tables_for(group)
@@ -255,6 +200,10 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
         if nodes > max_nodes:
             raise BudgetExceededError(
                 f"node budget {max_nodes} exhausted", nodes_visited=max_nodes + 1,
+                elapsed_seconds=time.monotonic() - started)
+        if time.monotonic() > deadline:
+            raise BudgetExceededError(
+                "time budget exhausted", nodes_visited=nodes,
                 elapsed_seconds=time.monotonic() - started)
 
     workers = _worker_count(budget.parallel_width, len(tasks))
@@ -501,6 +450,7 @@ def enumerate_zero_sumfree(group: AbelianGroup, exact_length: int,
     Returns the visit count. The visits come after the search, in
     lexicographic order of the rank tuples at every parallel width.
     """
+    _exact_ints((exact_length,), "length", ValueError)
     if exact_length < 0:
         raise ValueError("length must be nonnegative")
     if exact_length == 0:
@@ -518,7 +468,7 @@ def enumerate_zero_sumfree(group: AbelianGroup, exact_length: int,
 
 
 def zero_sumfree_extrema(group: AbelianGroup, budget: SearchBudget | None = None
-                         ) -> tuple[int, Witness, Fraction, Witness]:
+                         ) -> tuple[int, GSequence, Fraction, GSequence]:
     """Exact d(G) and k(G) from one walk: (d, its witness, k, its witness).
     Each witness is the lexicographically least maximizer: ``max`` keeps the
     first root task that reaches the maximum."""
@@ -526,29 +476,26 @@ def zero_sumfree_extrema(group: AbelianGroup, budget: SearchBudget | None = None
     accs, _ = run_scan(group, lambda: _ExtremaAcc(orders, group.exponent), budget=budget)
     d_acc = max(accs, key=lambda acc: acc.best_len)
     k_acc = max(accs, key=lambda acc: acc.best_scaled)
-    d, k = d_acc.best_len, Fraction(k_acc.best_scaled, group.exponent)
-    return (d, Witness(group, GSequence.from_ranks(group, d_acc.best), "longest-zero-sumfree", d),
-            k, Witness(group, GSequence.from_ranks(group, k_acc.best_cross), "max-cross", k))
+    return (d_acc.best_len, GSequence.from_ranks(group, d_acc.best),
+            Fraction(k_acc.best_scaled, group.exponent),
+            GSequence.from_ranks(group, k_acc.best_cross))
 
 
 def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
-                     budget: SearchBudget | None = None) -> tuple[int, Witness]:
+                     budget: SearchBudget | None = None) -> tuple[int, GSequence]:
     """Longest sequence over G_d with no nonempty subsum in G_{d/d'}."""
     pair.validate_for(group)
     tables = tables_for(group)
     forbidden = _subgroup_mask(tables, pair.quotient)
     allowed = _subgroup_mask(tables, pair.d) & ~forbidden
-    params = (("d", pair.d), ("d_prime", pair.d_prime))
     if not allowed:
-        seq = GSequence.empty(group)
-        return 0, Witness(group, seq, "d-pair", 1, params)
+        return 0, GSequence.empty(group)
     accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
                        budget=budget, tasks=root_tasks(allowed),
                        forbidden_mask=forbidden)
     # every task's root is entered, so the longest path is never empty
     best = max(accs, key=lambda acc: acc.best_len)
-    seq = GSequence.from_ranks(group, best.best)
-    return best.best_len, Witness(group, seq, "d-pair", best.best_len + 1, params)
+    return best.best_len, GSequence.from_ranks(group, best.best)
 
 
 def d_pair_bruteforce(group: AbelianGroup, pair: DivisorPair,
@@ -561,10 +508,8 @@ def d_pair_bruteforce(group: AbelianGroup, pair: DivisorPair,
 def _gamma_scan(group: AbelianGroup, delta: int,
                 budget: SearchBudget | None) -> tuple[int, tuple[int, ...], int]:
     """Shared core of the gamma search: (minimum, witness ranks, nodes)."""
-    d_g = davenport_p_group(group)
-    if not 0 <= delta <= d_g - 1:
-        raise ValueError(f"delta={delta} outside [0, {d_g - 1}] for {group}")
-    target = d_g - delta
+    _check_delta(group, delta)
+    target = davenport_p_group(group) - delta
     tables = tables_for(group)
     exp = group.exponent
     is_max = [1 if o == exp else 0 for o in tables.orders]
@@ -580,7 +525,7 @@ def _gamma_scan(group: AbelianGroup, delta: int,
 
 
 def gamma_exact(group: AbelianGroup, delta: int,
-                budget: SearchBudget | None = None) -> tuple[int, Witness]:
+                budget: SearchBudget | None = None) -> tuple[int, GSequence]:
     """Minimal number of maximal-order elements over zero-sumfree sequences
     of length d(G) - delta, with the lexicographically least minimizer.
 
@@ -589,8 +534,7 @@ def gamma_exact(group: AbelianGroup, delta: int,
     at that exact length; only it is searched.
     """
     best, ranks, _ = _gamma_scan(group, delta, budget)
-    seq = GSequence.from_ranks(group, ranks)
-    return best, Witness(group, seq, "gamma", best, (("delta", delta),))
+    return best, GSequence.from_ranks(group, ranks)
 
 
 # -- hybrid closed-form / oracle helpers ---------------------------------------

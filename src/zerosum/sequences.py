@@ -12,7 +12,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Literal
 
 from ._record import record
-from .groups import AbelianGroup, GroupElement, tables_for
+from .errors import InternalCheckError
+from .groups import AbelianGroup, GroupElement, _exact_ints, tables_for
 
 FilterMode = Literal["divides", "equals"]
 
@@ -29,7 +30,8 @@ class GSequence:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        entries = tuple((int(r), int(m)) for r, m in self.entries)
+        entries = tuple((r, m) for r, m in self.entries)
+        _exact_ints((x for entry in entries for x in entry), "sequence entry", ValueError)
         object.__setattr__(self, "entries", entries)
         size = self.group.cardinality
         last = -1
@@ -157,6 +159,19 @@ def definitional_subsums(seq: GSequence) -> set[int]:
         sums[subset] = s
         out.add(s)
     return out
+
+
+def check_witness(seq: GSequence, forbidden_mask: int = 1) -> None:
+    """Check that ``seq`` has no nonempty subsum in ``forbidden_mask``, by
+    default {0}, with a fresh subsum table that is compared with the
+    definitional enumeration when ``seq`` has at most 12 elements. Never
+    searches; raises InternalCheckError naming the check that failed."""
+    table = subsums(seq)
+    if len(seq) <= 12 and set(table.marked_ranks()) != definitional_subsums(seq):
+        raise InternalCheckError(f"witness {seq}: incremental and definitional subsums disagree")
+    if table.mask & forbidden_mask:
+        raise InternalCheckError(f"witness {seq} is not zero-sumfree" if forbidden_mask == 1
+                                 else f"witness {seq} has a subsum in the forbidden subgroup")
 
 
 def is_zero_sumfree(seq: GSequence) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from ._record import record
 from .errors import BudgetExceededError
 from .formulas import d_star, davenport_p_group, gamma_bounds, j0, k_star
-from .groups import AbelianGroup, tables_for
+from .groups import AbelianGroup, _exact_ints, tables_for
 from .search import SearchBudget, _gamma_scan, run_scan
 from .sequences import GSequence
 
@@ -145,6 +145,7 @@ def check_order_divisibility(group: AbelianGroup, threshold: int | None = None,
     if threshold is None:
         threshold = (davenport_p_group(group) - group.p + 2
                      if group.is_p_group else d_star(group))
+    _exact_ints((threshold,), "threshold", ValueError)
     tables = tables_for(group)
     n_1 = group.invariant_factors[0]
     weights = [0] + [1 if tables.orders[r] % n_1 != 0 else 0

@@ -23,6 +23,7 @@ from zerosum import (AbelianGroup, GSequence, check_corollary_max_order,
                      gamma_exact, gamma_extremal_sequence, gamma_lower,
                      gamma_upper, max_order_count, subsums, verify_certificate,
                      zero_sumfree_extrema)
+from zerosum.sequences import check_witness, cross_number
 from zerosum.cli import main
 from conftest import P_GROUP_FACTORS, zero_sumfree_by_definition
 
@@ -49,7 +50,8 @@ def test_criterion_01_davenport_formula():
         expected = d_of(group)
         found, witness = zero_sumfree_extrema(group)[:2]
         assert found == expected, f"{group}: search {found} != formula {expected}"
-        witness.reverify()
+        check_witness(witness)
+        assert len(witness) == found
     elapsed = time.monotonic() - start
     assert elapsed < 120
     announce(1, f"d(G) = sum(p^a_i - 1) on all {len(C1_GROUPS)} groups "
@@ -63,7 +65,8 @@ def test_criterion_02_cross_number_formula():
         expected = sum(Fraction(p ** a - 1, p ** a) for a in group.p_exponents)
         found, witness = zero_sumfree_extrema(group)[2:]
         assert found == expected, f"{group}: search {found} != formula {expected}"
-        witness.reverify()
+        check_witness(witness)
+        assert cross_number(witness) == found
     elapsed = time.monotonic() - start
     assert elapsed < 300
     announce(2, f"k(G) = sum((p^a_i - 1)/p^a_i) on all {len(C1_GROUPS)} groups "
@@ -97,7 +100,9 @@ def test_criterion_04_gamma_sandwich():
             exact, witness = gamma_exact(group, delta)
             assert lower <= exact <= upper, \
                 f"{group} delta={delta}: {lower} <= {exact} <= {upper} fails"
-            witness.reverify()
+            check_witness(witness)
+            assert len(witness) == d_of(group) - delta
+            assert max_order_count(witness) == exact
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 600

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from zerosum import (AbelianGroup, CertificateError, GSequence, SearchBudget,
-                     certificates)
+from zerosum import (AbelianGroup, CertificateError, CheckReport, GSequence,
+                     SearchBudget, certificates, search, verifier)
 from zerosum.certificates import (load_certificate, rational_to_json,
                                   sequence_to_json, verify_certificate,
                                   write_certificate)
@@ -368,6 +368,83 @@ def test_rejection_names_the_first_differing_path(tmp_path):
     # the re-run takes delta from the parameters, and claims come first
     assert verify_certificate(bad).failures == [
         "claims[0].delta (gamma_bounds) is 1, re-derived 3"]
+
+
+def seq(group, *coords):
+    return GSequence.from_elements(group, coords)
+
+
+# golden certificate -> the command line that made it
+GOLDEN_ARGV = {"invariants-both": "invariants --group 3,3 --method both",
+               "gamma-both": "gamma --group 2,4 --delta 1 --method both",
+               "dpair-search": "dpair --group 2,4 --dprime 2 --d 4 --method search",
+               "check-counterexample": "check --group 2,6 --name order-divisibility"
+                                       " --threshold 1"}
+
+
+def assert_witness_refused(tmp_path, capsys, golden: str) -> None:
+    """The golden's command exits 4 and writes no certificate, and
+    verify-cert rejects the golden certificate."""
+    out = tmp_path / "out.json"
+    assert main([*GOLDEN_ARGV[golden].split(), "--out", str(out)]) == EXIT_INTERNAL
+    assert "internal-consistency failure: " in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["verify-cert", "--in", str(GOLDEN / f"{golden}.json")]) == EXIT_COUNTEREXAMPLE
+
+
+# each fault keeps the claimed value and breaks the witness of one search
+@pytest.mark.parametrize("golden, function, fault", [
+    # a d witness with a zero subsum, (1,0) + (2,0)
+    ("invariants-both", "zero_sumfree_extrema",
+     lambda g, r: (r[0], seq(g, (1, 0), (2, 0), (0, 1), (0, 1)), *r[2:])),
+    # a d witness of length 3, not d(G) = 4
+    ("invariants-both", "zero_sumfree_extrema",
+     lambda g, r: (r[0], seq(g, (1, 0), (0, 1), (0, 1)), *r[2:])),
+    # a k witness with a zero subsum, (1,0) + (2,0)
+    ("invariants-both", "zero_sumfree_extrema",
+     lambda g, r: (*r[:3], seq(g, (1, 0), (2, 0), (0, 1), (0, 1)))),
+    # a k witness of cross number 1/3, not k(G) = 4/3
+    ("invariants-both", "zero_sumfree_extrema", lambda g, r: (*r[:3], seq(g, (1, 0)))),
+    # a gamma witness with a zero subsum, (0,2) + (0,2)
+    ("gamma-both", "gamma_exact", lambda g, r: (r[0], seq(g, (0, 2), (0, 2), (0, 1)))),
+    # a gamma witness of length 2, not d(G) - delta = 3
+    ("gamma-both", "gamma_exact", lambda g, r: (r[0], seq(g, (1, 0), (0, 1)))),
+    # a gamma witness with 2 elements of maximal order, not 1
+    ("gamma-both", "gamma_exact", lambda g, r: (r[0], seq(g, (1, 0), (0, 1), (0, 1)))),
+    # a d-pair witness with the subsum (0,2) in G_2
+    ("dpair-search", "longest_avoiding", lambda g, r: (2, seq(g, (0, 1), (0, 1)))),
+    # a d-pair witness of length 0, not D - 1 = 1
+    ("dpair-search", "longest_avoiding", lambda g, r: (r[0], GSequence.empty(g))),
+])
+def test_command_checks_the_witnesses_it_claims(tmp_path, capsys, monkeypatch,
+                                                golden, function, fault):
+    real = getattr(search, function)
+    monkeypatch.setattr(search, function,
+                        lambda group, *args: fault(group, real(group, *args)))
+    assert_witness_refused(tmp_path, capsys, golden)
+
+
+def test_dpair_witness_lies_in_g_d(tmp_path, capsys, monkeypatch):
+    # D_(2,2) on C4: the witness (1) is zero-sumfree, of length 1, but of order 4
+    monkeypatch.setattr(search, "longest_avoiding",
+                        lambda group, pair, budget: (1, seq(group, (1,))))
+    out = tmp_path / "out.json"
+    assert main(["dpair", "--group", "4", "--dprime", "2", "--d", "2", "--method", "search",
+                 "--out", str(out)]) == EXIT_INTERNAL
+    assert "is not in G_d" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_counterexample_is_checked_like_a_witness(tmp_path, capsys, monkeypatch):
+    real = verifier.check_order_divisibility
+
+    def with_zero_subsum(group, **kwargs):
+        report = real(group, **kwargs)
+        return CheckReport(report.name, report.parameters, report.verdict,
+                           seq(group, (1, 0), (1, 0)), report.nodes_visited,
+                           report.implementation_bug, report.details)
+    monkeypatch.setattr(verifier, "check_order_divisibility", with_zero_subsum)
+    assert_witness_refused(tmp_path, capsys, "check-counterexample")
 
 
 class TestSchemaValidation:

@@ -8,7 +8,6 @@ import os
 import pickle
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,10 +15,9 @@ import pytest
 import zerosum
 from zerosum import (AbelianGroup, CheckReport, DivisorPair,
                      GammaBounds, GroupElement, GSequence, SearchBudget,
-                     SubsumTable, VerificationOutcome, Witness)
+                     SubsumTable, VerificationOutcome)
 
 C24 = AbelianGroup((2, 4))
-SEQ = GSequence(C24, ((1, 1), (2, 2)))
 
 # class -> (required fields in order with a value, defaulted fields with the
 # default they take, frozen)
@@ -33,8 +31,6 @@ RECORDS = {
                    "raw_upper": 2}, {"exact": None}, True),
     SearchBudget: ({}, {"max_nodes": 100_000_000, "max_seconds": 300.0,
                         "parallel_width": len(os.sched_getaffinity(0))}, True),
-    Witness: ({"group": C24, "sequence": SEQ, "kind": "max-cross",
-               "value": Fraction(5, 4)}, {"params": ()}, True),
     CheckReport: ({"name": "heights", "parameters": (("threshold", 3),),
                    "verdict": "verified", "counterexample": None, "nodes_visited": 7},
                   {"implementation_bug": False, "details": ()}, True),

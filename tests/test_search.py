@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair,
-                     InternalCheckError, SearchBudget, Witness,
-                     d_pair_bruteforce, d_pair_value,
-                     davenport_constant, davenport_p_group,
-                     enumerate_zero_sumfree, gamma_exact, k_star,
-                     longest_avoiding, max_order_count, zero_sumfree_extrema)
+from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair, GSequence,
+                     SearchBudget, check_order_divisibility, d_pair_bruteforce,
+                     d_pair_value, davenport_constant, davenport_p_group,
+                     enumerate_zero_sumfree, gamma_bounds, gamma_exact,
+                     gamma_extremal_sequence, k_star, longest_avoiding,
+                     max_order_count, zero_sumfree_extrema)
 from zerosum.groups import tables_for
-from zerosum.search import _ExtremaAcc
+from zerosum.search import _ExtremaAcc, _subgroup_mask
+from zerosum.sequences import check_witness, cross_number
 from conftest import (NON_P_FACTORS, P_GROUP_FACTORS, all_zero_sumfree_multisets,
                       reference_scan)
 
@@ -77,8 +78,8 @@ class TestLongest:
     def test_c24(self):
         value, witness = zero_sumfree_extrema(C24)[:2]
         assert value == 4
-        assert tuple(witness.sequence.iter_ranks()) == (1, 2, 2, 2)
-        witness.reverify()
+        assert tuple(witness.iter_ranks()) == (1, 2, 2, 2)
+        check_witness(witness)
 
     def test_c2(self):
         assert zero_sumfree_extrema(C2)[0] == 1
@@ -86,7 +87,7 @@ class TestLongest:
     def test_c6(self):
         value, witness = zero_sumfree_extrema(C6)[:2]
         assert value == 5
-        assert tuple(witness.sequence.iter_ranks()) == (1, 1, 1, 1, 1)
+        assert tuple(witness.iter_ranks()) == (1, 1, 1, 1, 1)
 
     def test_agrees_with_formula_on_p_groups(self, p_groups):
         for group in p_groups:
@@ -97,19 +98,20 @@ class TestMaxCross:
     def test_c33(self):
         value, witness = zero_sumfree_extrema(AbelianGroup((3, 3)))[2:]
         assert value == Fraction(4, 3)
-        witness.reverify()
+        check_witness(witness)
+        assert cross_number(witness) == value
 
     def test_c2(self):
         value, witness = zero_sumfree_extrema(C2)[2:]
         assert value == Fraction(1, 2)
-        assert tuple(witness.sequence.iter_ranks()) == (1,)
+        assert tuple(witness.iter_ranks()) == (1,)
 
     def test_c6(self):
         value, witness = zero_sumfree_extrema(C6)[2:]
         assert value == Fraction(7, 6)
         # lexicographically least maximizer: (2)^2 * (3)
-        assert tuple(witness.sequence.iter_ranks()) == (2, 2, 3)
-        witness.reverify()
+        assert tuple(witness.iter_ranks()) == (2, 2, 3)
+        check_witness(witness)
 
     def test_meets_k_star_lower_bound(self):
         for group in [C6, AbelianGroup((2, 6)), AbelianGroup((12,))]:
@@ -125,8 +127,8 @@ class TestDPair:
 
     def test_witness_avoids_forbidden_subgroup(self):
         length, witness = longest_avoiding(C24, DivisorPair(2, 4))
-        assert length == 1
-        witness.reverify()
+        assert length == len(witness) == 1
+        check_witness(witness, _subgroup_mask(tables_for(C24), 2))
 
     def test_non_p_group_full_pair(self):
         assert d_pair_bruteforce(AbelianGroup((2, 6)), DivisorPair(6, 6)) == 7
@@ -146,12 +148,9 @@ class TestGammaExact:
 
     def test_witness_properties(self):
         value, witness = gamma_exact(C24, 1)
-        assert len(witness.sequence) == davenport_p_group(C24) - 1
-        assert max_order_count(witness.sequence) == value
-        witness.reverify()
-        # the same sequence does not witness delta = 0, whose length is d(G)
-        with pytest.raises(InternalCheckError, match="d\\(G\\) - delta"):
-            Witness(C24, witness.sequence, "gamma", value, (("delta", 0),)).reverify()
+        assert len(witness) == davenport_p_group(C24) - 1
+        assert max_order_count(witness) == value
+        check_witness(witness)
 
     def test_delta_range(self):
         with pytest.raises(ValueError):
@@ -187,10 +186,17 @@ class TestBudget:
         assert 0 < info.value.elapsed_seconds < 60
 
     def test_time_budget_reports_elapsed_time(self):
-        # the deadline is first checked at node 2048 of a root task
+        # the clock is read after each task, the first of C5xC5 (rank 24)
+        # entering 4 nodes, and at every 2048th node of a task
+        from zerosum.search import run_scan
+        c55 = AbelianGroup((5, 5))
         instant = SearchBudget(max_seconds=1e-9)
         with pytest.raises(BudgetExceededError) as info:
-            zero_sumfree_extrema(AbelianGroup((5, 5)), instant)
+            zero_sumfree_extrema(c55, instant)
+        assert info.value.nodes_visited == 4
+        assert info.value.elapsed_seconds > 1e-9
+        with pytest.raises(BudgetExceededError) as info:
+            run_scan(c55, extrema_acc(c55), budget=instant, tasks=[((1,), (1 << 25) - 2)])
         assert info.value.nodes_visited == 2048
         assert info.value.elapsed_seconds > 1e-9
 
@@ -228,9 +234,9 @@ class TestDeterminism:
                 budget = SearchBudget(parallel_width=width)
                 d_val, d_wit, k_val, k_wit = zero_sumfree_extrema(group, budget)
                 g_val, g_wit = gamma_exact(group, 0, budget)
-                runs.append((d_val, tuple(d_wit.sequence.iter_ranks()),
-                             k_val, tuple(k_wit.sequence.iter_ranks()),
-                             g_val, tuple(g_wit.sequence.iter_ranks())))
+                runs.append((d_val, tuple(d_wit.iter_ranks()),
+                             k_val, tuple(k_wit.iter_ranks()),
+                             g_val, tuple(g_wit.iter_ranks())))
             assert runs[0] == runs[1] == runs[2]
 
     def test_node_counts_independent_of_parallel_width(self):
@@ -268,7 +274,7 @@ class TestForkedWorkers:
             return ([(a.best_len, a.best) for a in extrema], n_extrema,
                     [(a.best_scaled, a.best_cross) for a in extrema],
                     _gamma_scan(c55, 1, budget),
-                    n_avoid, length, tuple(witness.sequence.iter_ranks()))
+                    n_avoid, length, tuple(witness.iter_ranks()))
 
         runs = []
         for width in (1, 2, 4):
@@ -300,6 +306,13 @@ class TestForkedWorkers:
             assert str(info.value) == "node budget 30000 exhausted"
             assert info.value.nodes_visited == 30_001
         assert forked_scans
+
+    def test_time_budget_covers_the_whole_scan(self, forked_scans):
+        # each task of C10xC10 at length 2 enters fewer than 2048 nodes
+        for width in (1, 2):
+            budget = SearchBudget(max_seconds=1e-9, parallel_width=width)
+            with pytest.raises(BudgetExceededError, match="time budget exhausted"):
+                enumerate_zero_sumfree(AbelianGroup((10, 10)), 2, budget=budget)
 
     def test_worker_budget_error_reaches_caller(self, forked_scans):
         # the last root task of C5xC5 (4 nodes) runs in-process; task 0 forks
@@ -339,8 +352,8 @@ class TestPinnedCounts:
         d_val, d_wit, k_val, k_wit = zero_sumfree_extrema(group)
         assert (d_val, k_val) == (8, Fraction(8, 5))
         witness = (1, 1, 1, 1, 5, 5, 5, 5)
-        assert tuple(d_wit.sequence.iter_ranks()) == witness
-        assert tuple(k_wit.sequence.iter_ranks()) == witness
+        assert tuple(d_wit.iter_ranks()) == witness
+        assert tuple(k_wit.iter_ranks()) == witness
 
     def test_forbidden_allowed_elements_are_never_entered(self):
         from zerosum.search import root_tasks, run_scan
@@ -363,9 +376,8 @@ class TestPinnedCounts:
                             forbidden_mask=forbidden)
         assert nodes == 15_736
         length, witness = longest_avoiding(group, pair)
-        assert length == 3
-        assert witness.value == 4
-        assert tuple(witness.sequence.iter_ranks()) == (2, 16, 128)
+        assert length == len(witness) == 3
+        assert tuple(witness.iter_ranks()) == (2, 16, 128)
 
 
 class _LogAcc:
@@ -516,3 +528,26 @@ class TestBlockedMaskKernel:
         calls[0] = 0
         _, _, nodes = _gamma_scan(AbelianGroup((2, 2, 8)), 1, budget)
         assert calls[0] == descends[0] < nodes
+
+
+# entry points that take an exact integer, each given a value in its place
+EXACT_INTEGER_INPUTS = {
+    "SearchBudget max_nodes": lambda x: SearchBudget(max_nodes=x),
+    "SearchBudget parallel_width": lambda x: SearchBudget(parallel_width=x),
+    "GSequence rank": lambda x: GSequence(C24, ((x, 1),)),
+    "GSequence multiplicity": lambda x: GSequence(C24, ((1, x),)),
+    "DivisorPair d'": lambda x: DivisorPair(x, 4),
+    "DivisorPair d": lambda x: DivisorPair(1, x),
+    "gamma_bounds delta": lambda x: gamma_bounds(C24, x),
+    "gamma_exact delta": lambda x: gamma_exact(C24, x),
+    "gamma_extremal_sequence delta": lambda x: gamma_extremal_sequence(C24, x),
+    "enumerate_zero_sumfree length": lambda x: enumerate_zero_sumfree(C24, x),
+    "order-divisibility threshold": lambda x: check_order_divisibility(C24, threshold=x),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"], ids=repr)
+@pytest.mark.parametrize("entry", EXACT_INTEGER_INPUTS)
+def test_exact_quantities_refuse_floats_bools_and_strings(entry, value):
+    with pytest.raises(ValueError, match="is not an integer"):
+        EXACT_INTEGER_INPUTS[entry](value)

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerosum import (AbelianGroup, GSequence, cross_number,
-                     definitional_subsums, is_zero_sumfree,
-                     max_order_count, order_filter, subsums)
+from zerosum import (AbelianGroup, GSequence, InternalCheckError, SubsumTable,
+                     cross_number, definitional_subsums, is_zero_sumfree,
+                     max_order_count, order_filter, sequences, subsums)
+from zerosum.groups import tables_for
+from zerosum.search import _subgroup_mask
+from zerosum.sequences import check_witness
 from conftest import subsums_by_index_subsets, zero_sumfree_by_definition
 
 C3 = AbelianGroup((3,))
@@ -95,6 +98,37 @@ class TestZeroSumfree:
     def test_incremental_equals_definitional(self, ranks):
         s = GSequence.from_ranks(C24, ranks)
         assert set(subsums(s).marked_ranks()) == definitional_subsums(s)
+
+
+class TestCheckWitness:
+    def test_zero_sumfree_passes(self):
+        check_witness(E1E2_3)
+        check_witness(GSequence.empty(C24))
+
+    def test_zero_subsum_fails(self):
+        with pytest.raises(InternalCheckError, match="is not zero-sumfree"):
+            check_witness(seq_of(C24, (1, 0), (0, 1), (0, 1), (0, 2)))
+
+    def test_subsum_in_the_forbidden_subgroup_fails(self):
+        # D_(2,4) on C2xC4: no subsum in G_2, the elements of order 1 or 2
+        g2 = _subgroup_mask(tables_for(C24), 2)
+        check_witness(seq_of(C24, (0, 1)), g2)
+        with pytest.raises(InternalCheckError, match="forbidden subgroup"):
+            check_witness(seq_of(C24, (0, 1), (0, 1)), g2)  # (0,1) + (0,1) = (0,2)
+        with pytest.raises(InternalCheckError, match="forbidden subgroup"):
+            check_witness(seq_of(C24, (1, 1), (0, 1)), g2)  # (1,1) + (0,1) = (1,2)
+
+    def test_short_witness_is_compared_with_the_definitional_route(self, monkeypatch):
+        monkeypatch.setattr(sequences, "subsums", lambda seq: SubsumTable(seq.group, 0))
+        with pytest.raises(InternalCheckError, match="definitional subsums disagree"):
+            check_witness(E1E2_3)
+
+    def test_long_witness_skips_the_definitional_route(self, monkeypatch):
+        c14 = AbelianGroup((14,))
+        monkeypatch.setattr(sequences, "definitional_subsums", None)
+        check_witness(GSequence.from_ranks(c14, [1] * 13))
+        with pytest.raises(InternalCheckError, match="is not zero-sumfree"):
+            check_witness(GSequence.from_ranks(c14, [1] * 12 + [2]))
 
 
 class TestCrossNumber:
