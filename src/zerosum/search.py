@@ -8,27 +8,31 @@ survive are generated. Every invariant computed here is exact; budget
 exhaustion is an error, never an estimate.
 
 A scan is a list of tasks (prefix, candidates), each with its own
-accumulator; ``root_tasks`` makes one per first-element rank. A scan runs
-its smallest tasks in-process first; once those have entered more than
-``_FORK_GATE_NODES`` nodes, the rest go to forked worker processes (where
-``os.fork`` exists), as many as the parallel width, the usable CPUs and the
-tasks left allow. Results merge by task index with a lexicographic
-tie-break, so values, witnesses, node counts and budget verdicts do not
-depend on the parallel width or on the schedule.
+accumulator; ``root_tasks`` makes one per first-element rank. d(G), k(G),
+Gamma and D_(d',d) are Aut(G)-invariant, so their searches take one root
+per class of ranks (``_orbit_tasks``); ``check`` and ``enumerate`` take
+all. A scan runs its smallest tasks in-process first; once those have
+entered more than ``_FORK_GATE_NODES`` nodes, the rest go to forked worker
+processes (where ``os.fork`` exists), as many as the parallel width, the
+usable CPUs and the tasks left allow. Results merge by task index with a
+lexicographic tie-break, so values, witnesses, node counts and budget
+verdicts do not depend on the parallel width or on the schedule.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from ._record import factory, record
 from .errors import BudgetExceededError, InternalCheckError, NeedsOracleError
 from .formulas import (DivisorPair, _check_delta, davenport_closed_form,
                        davenport_p_group, reduced_group)
-from .groups import AbelianGroup, GroupTables, _exact_ints, tables_for
+from .groups import AbelianGroup, GroupTables, _exact_ints, group_tables, tables_for
 from .sequences import GSequence
 
 
@@ -75,6 +79,64 @@ def root_tasks(mask: int) -> list[Task]:
     candidates of ``mask`` from g on, so that each multiset over ``mask`` is
     walked once, by the task of its least rank."""
     return [((g,), mask >> g << g) for g in range(mask.bit_length()) if (mask >> g) & 1]
+
+
+def _automorphism(tables: GroupTables, images) -> list[int]:
+    """The rank permutation of the endomorphism e_i -> images[i] of the
+    basis; InternalCheckError unless it is well defined (n_i * images[i] = 0)
+    and bijective, so an automorphism."""
+    factors = tables.factors
+    if any(n * a % m for n, image in zip(factors, images) for a, m in zip(image, factors)):
+        raise InternalCheckError(f"e_i -> {images} is not well defined on {factors}")
+    columns = list(zip(*tables.coords))  # columns[i][x]: coordinate i of rank x
+    perm, stride = [0] * tables.size, 1
+    for k, m in enumerate(factors):
+        # coordinate k of the image of x is sum_i x_i * images[i][k] mod m
+        image_k = [0] * tables.size
+        for column, image in zip(columns, images):
+            if image[k]:
+                image_k = [v + a * image[k] for v, a in zip(image_k, column)]
+        perm = [p + v % m * stride for p, v in zip(perm, image_k)]
+        stride *= m
+    if len(set(perm)) != tables.size:
+        raise InternalCheckError(f"e_i -> {images} is not a bijection of {factors}")
+    return perm
+
+
+def _generators(factors: tuple[int, ...]):
+    """Basis images of a few automorphisms of the group (Hillar and Rhea,
+    Amer. Math. Monthly 2007): the unit scalings e_i -> u e_i, u in
+    {n_i - 1, 2, 3, 5, 7} prime to n_i, and the transvections
+    e_i -> e_i + (n_j / gcd(n_i, n_j)) e_j."""
+    r = len(factors)
+    unit = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+    for i, n in enumerate(factors):
+        units = {v % n for v in (n - 1, 2, 3, 5, 7) if math.gcd(v, n) == 1} - {1}
+        images = [tuple(u * a for a in unit[i]) for u in units]
+        images += [tuple(a + m // math.gcd(n, m) * b for a, b in zip(unit[i], unit[j]))
+                   for j, m in enumerate(factors) if j != i]
+        for image in images:
+            yield unit[:i] + [image] + unit[i + 1:]
+
+
+@lru_cache(maxsize=None)
+def _class_minima(factors: tuple[int, ...]) -> int:
+    """Mask of the least rank of each class of ranks under the verified
+    ``_generators``. A class lies in one Aut(G) orbit, and the least rank of
+    the lexicographically least optimiser of an Aut(G)-invariant search is
+    least in its orbit, so one root per class finds it."""
+    tables = group_tables(factors)
+    perms = [_automorphism(tables, images) for images in _generators(factors)]
+    minima, seen = 0, set()
+    for r in range(tables.size):
+        if r not in seen:
+            minima |= 1 << r
+            seen.add(r)
+            new = {r}
+            while new:
+                new = {perm[x] for perm in perms for x in new} - seen
+                seen |= new
+    return minima
 
 
 def _scan_from(tables: GroupTables, task: Task, forbidden_mask: int, max_depth: int,
@@ -165,13 +227,14 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     """Run one accumulator per task; return (accs, total nodes).
 
     ``tasks`` defaults to ``root_tasks`` of every rank outside
-    ``forbidden_mask``. All accumulators are made here, in this process, and
-    come back in task order whatever the width and the schedule, so merging
-    them is deterministic. Tasks run from the last index down in-process
-    until the scan has entered more than ``_FORK_GATE_NODES`` nodes and at
-    least two workers can take the rest (``_worker_count``); those
-    remaining, larger tasks then run in forked workers (``_run_forked``),
-    whose accumulator state is copied back into these accumulators.
+    ``forbidden_mask``; the Aut(G)-invariant searches pass ``_orbit_tasks``.
+    All accumulators are made here, in this process, and come back in task
+    order whatever the width and the schedule, so merging them is
+    deterministic. Tasks run from the last index down in-process until the
+    scan has entered more than ``_FORK_GATE_NODES`` nodes and at least two
+    workers can take the rest (``_worker_count``); those remaining, larger
+    tasks then run in forked workers (``_run_forked``), whose accumulator
+    state is copied back into these accumulators.
 
     ``budget.max_nodes`` caps each task, and the scan stops with
     nodes_visited ``max_nodes + 1`` once its finished tasks sum above it: so
@@ -345,6 +408,14 @@ def _copy_state(dst, src) -> None:
         vars(dst).update(vars(src))
 
 
+def _orbit_tasks(tables: GroupTables, mask: int | None = None) -> list[Task]:
+    """``root_tasks`` of ``mask`` (default: every nonzero rank), an
+    Aut(G)-invariant set, kept to one root per class (``_class_minima``)."""
+    roots = _class_minima(tables.factors)
+    tasks = root_tasks((1 << tables.size) - 2 if mask is None else mask)
+    return [task for task in tasks if roots >> task[0][0] & 1]
+
+
 def _subgroup_mask(tables: GroupTables, d: int) -> int:
     """Bitmask of the ranks whose order divides d."""
     return tables.mask_of(r for r in range(tables.size) if d % tables.orders[r] == 0)
@@ -472,8 +543,9 @@ def zero_sumfree_extrema(group: AbelianGroup, budget: SearchBudget | None = None
     """Exact d(G) and k(G) from one walk: (d, its witness, k, its witness).
     Each witness is the lexicographically least maximizer: ``max`` keeps the
     first root task that reaches the maximum."""
-    orders = tables_for(group).orders
-    accs, _ = run_scan(group, lambda: _ExtremaAcc(orders, group.exponent), budget=budget)
+    tables = tables_for(group)
+    accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
+                       budget=budget, tasks=_orbit_tasks(tables))
     d_acc = max(accs, key=lambda acc: acc.best_len)
     k_acc = max(accs, key=lambda acc: acc.best_scaled)
     return (d_acc.best_len, GSequence.from_ranks(group, d_acc.best),
@@ -491,7 +563,7 @@ def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
     if not allowed:
         return 0, GSequence.empty(group)
     accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
-                       budget=budget, tasks=root_tasks(allowed),
+                       budget=budget, tasks=_orbit_tasks(tables, allowed),
                        forbidden_mask=forbidden)
     # every task's root is entered, so the longest path is never empty
     best = max(accs, key=lambda acc: acc.best_len)
@@ -505,16 +577,16 @@ def d_pair_bruteforce(group: AbelianGroup, pair: DivisorPair,
     return best_len + 1
 
 
-def _gamma_scan(group: AbelianGroup, delta: int,
-                budget: SearchBudget | None) -> tuple[int, tuple[int, ...], int]:
-    """Shared core of the gamma search: (minimum, witness ranks, nodes)."""
+def _gamma_scan(group: AbelianGroup, delta: int, budget: SearchBudget | None,
+                tasks: list[Task] | None = None) -> tuple[int, tuple[int, ...], int]:
+    """Shared core of the gamma search over ``tasks``: (minimum, witness ranks, nodes)."""
     _check_delta(group, delta)
     target = davenport_p_group(group) - delta
     tables = tables_for(group)
     exp = group.exponent
     is_max = [1 if o == exp else 0 for o in tables.orders]
     accs, nodes = run_scan(group, lambda: _MinMaxOrderAcc(is_max, target),
-                           budget=budget, max_depth=target)
+                           budget=budget, tasks=tasks, max_depth=target)
     found = [acc for acc in accs if acc.best_count is not None]
     if not found:
         raise InternalCheckError(
@@ -533,7 +605,8 @@ def gamma_exact(group: AbelianGroup, delta: int,
     max-order count, so the minimum over lengths >= d(G) - delta is attained
     at that exact length; only it is searched.
     """
-    best, ranks, _ = _gamma_scan(group, delta, budget)
+    _check_delta(group, delta)  # before the tables and the class mask are built
+    best, ranks, _ = _gamma_scan(group, delta, budget, _orbit_tasks(tables_for(group)))
     return best, GSequence.from_ranks(group, ranks)
 
 

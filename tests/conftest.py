@@ -177,3 +177,32 @@ def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
             nodes += walk(acc, path, 1 << g, i)
         acc.leave(path)
     return accs, nodes
+
+
+def aut_orbit_minima(group: AbelianGroup) -> int:
+    """Mask of the least rank of each Aut(G) orbit, by listing Aut(G): every
+    choice of basis images v_i with n_i * v_i = 0 whose map on coordinate
+    tuples, x -> sum x_i * v_i, is a bijection."""
+    factors = group.invariant_factors
+    elements = list(product(*[range(n) for n in factors]))
+
+    def rank(coords):
+        r = 0
+        for n, a in zip(reversed(factors), reversed(coords)):
+            r = r * n + a
+        return r
+
+    choices = [[v for v in elements if all(n * a % m == 0 for a, m in zip(v, factors))]
+               for n in factors]
+    automorphisms = []
+    for images in product(*choices):
+        image = {x: tuple(sum(a * v[k] for a, v in zip(x, images)) % m
+                          for k, m in enumerate(factors)) for x in elements}
+        if len(set(image.values())) == len(elements):
+            automorphisms.append(image)
+    minima, seen = 0, set()
+    for x in sorted(elements, key=rank):
+        if x not in seen:
+            minima |= 1 << rank(x)
+            seen |= {phi[x] for phi in automorphisms}
+    return minima

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from zerosum.groups import tables_for
 from zerosum.search import _ExtremaAcc, _subgroup_mask
 from zerosum.sequences import check_witness, cross_number
 from conftest import (NON_P_FACTORS, P_GROUP_FACTORS, all_zero_sumfree_multisets,
-                      reference_scan)
+                      aut_orbit_minima, reference_scan)
 
 C2 = AbelianGroup((2,))
 C3 = AbelianGroup((3,))
@@ -152,11 +153,21 @@ class TestGammaExact:
         assert max_order_count(witness) == value
         check_witness(witness)
 
-    def test_delta_range(self):
+    def test_delta_range(self, monkeypatch):
+        from zerosum import search
+
+        def no_set_up(*args):
+            raise AssertionError("the search is set up before delta is checked")
+
+        # a bad delta or a group that is not a p-group is refused before the
+        # tables and the class mask, which cost seconds at |G| = 10^6, are built
+        monkeypatch.setattr(search, "_orbit_tasks", no_set_up)
         with pytest.raises(ValueError):
             gamma_exact(C24, 4)
         with pytest.raises(ValueError):
             gamma_exact(C24, -1)
+        with pytest.raises(ValueError, match="not a p-group"):
+            gamma_exact(C6, 0)
 
     def test_min_over_longer_lengths_matches(self):
         # the quantity is defined over |S| >= d(G) - delta; equality with the
@@ -188,11 +199,11 @@ class TestBudget:
     def test_time_budget_reports_elapsed_time(self):
         # the clock is read after each task, the first of C5xC5 (rank 24)
         # entering 4 nodes, and at every 2048th node of a task
-        from zerosum.search import run_scan
+        from zerosum.search import root_tasks, run_scan
         c55 = AbelianGroup((5, 5))
         instant = SearchBudget(max_seconds=1e-9)
         with pytest.raises(BudgetExceededError) as info:
-            zero_sumfree_extrema(c55, instant)
+            run_scan(c55, extrema_acc(c55), budget=instant, tasks=root_tasks((1 << 25) - 2))
         assert info.value.nodes_visited == 4
         assert info.value.elapsed_seconds > 1e-9
         with pytest.raises(BudgetExceededError) as info:
@@ -266,21 +277,22 @@ class TestForkedWorkers:
         allowed = _subgroup_mask(tables, pair.d) & ~forbidden
 
         def summary(width):
+            # every scan here walks every root, so each one forks
             budget = SearchBudget(parallel_width=width)
             extrema, n_extrema = run_scan(c55, extrema_acc(c55), budget=budget)
-            _, n_avoid = run_scan(c888, extrema_acc(c888), budget=budget,
-                                  tasks=root_tasks(allowed), forbidden_mask=forbidden)
-            length, witness = longest_avoiding(c888, pair, budget)
+            avoid, n_avoid = run_scan(c888, extrema_acc(c888), budget=budget,
+                                      tasks=root_tasks(allowed), forbidden_mask=forbidden)
+            longest = max(avoid, key=lambda acc: acc.best_len)
             return ([(a.best_len, a.best) for a in extrema], n_extrema,
                     [(a.best_scaled, a.best_cross) for a in extrema],
                     _gamma_scan(c55, 1, budget),
-                    n_avoid, length, tuple(witness.iter_ranks()))
+                    n_avoid, longest.best_len, longest.best)
 
         runs = []
         for width in (1, 2, 4):
             forked_scans.clear()
             runs.append(summary(width))
-            assert len(forked_scans) == (0 if width == 1 else 4 * width)
+            assert len(forked_scans) == (0 if width == 1 else 3 * width)
         assert runs[0] == runs[1] == runs[2]
         assert runs[0][1] == 138_864
         assert runs[0][4:] == (15_736, 3, (2, 16, 128))
@@ -298,11 +310,14 @@ class TestForkedWorkers:
         assert visits[0] == visits[1] == sorted(visits[0])
 
     def test_node_budget_covers_the_whole_scan(self, forked_scans):
-        # C5xC5 walks 138,864 nodes, the largest task 23,113 of them
+        # C5xC5 walks 138,864 nodes from every root, the largest task 23,113
+        from zerosum.search import root_tasks, run_scan
+        c55 = AbelianGroup((5, 5))
         for width in (1, 2):
             budget = SearchBudget(max_nodes=30_000, parallel_width=width)
             with pytest.raises(BudgetExceededError) as info:
-                zero_sumfree_extrema(AbelianGroup((5, 5)), budget)
+                run_scan(c55, extrema_acc(c55), budget=budget,
+                         tasks=root_tasks((1 << 25) - 2))
             assert str(info.value) == "node budget 30000 exhausted"
             assert info.value.nodes_visited == 30_001
         assert forked_scans
@@ -316,9 +331,11 @@ class TestForkedWorkers:
 
     def test_worker_budget_error_reaches_caller(self, forked_scans):
         # the last root task of C5xC5 (4 nodes) runs in-process; task 0 forks
+        from zerosum.search import root_tasks, run_scan
+        c55 = AbelianGroup((5, 5))
         budget = SearchBudget(max_nodes=1000, parallel_width=2)
         with pytest.raises(BudgetExceededError) as info:
-            zero_sumfree_extrema(AbelianGroup((5, 5)), budget)
+            run_scan(c55, extrema_acc(c55), budget=budget, tasks=root_tasks((1 << 25) - 2))
         assert forked_scans
         assert str(info.value) == "node budget 1000 exhausted"
         assert info.value.nodes_visited == 1001
@@ -336,20 +353,109 @@ class TestForkedWorkers:
             return real_scan(*args)
 
         monkeypatch.setattr(search, "_scan_from", dying_scan)
+        c33 = AbelianGroup((3, 3))
         with pytest.raises(InternalCheckError, match="reporting task 0"):
-            zero_sumfree_extrema(AbelianGroup((3, 3)),
-                                 SearchBudget(parallel_width=2))
+            search.run_scan(c33, extrema_acc(c33), budget=SearchBudget(parallel_width=2),
+                            tasks=search.root_tasks((1 << 9) - 2))
         assert forked_scans
 
 
-class TestPinnedCounts:
-    """Node counts and witnesses that pruning and translation changes must keep."""
+# the conftest groups, and three whose orbit cut is large
+ORBIT_CUT_FACTORS = P_GROUP_FACTORS + NON_P_FACTORS + [(5, 5), (3, 9), (2, 2, 8)]
 
-    def test_c5xc5_scans(self):
+
+class TestOrbitCut:
+    """The searches that walk one root per class of ``_class_minima`` against
+    the walk of every root: the same values and witness ranks."""
+
+    @pytest.mark.parametrize("factors", ORBIT_CUT_FACTORS, ids=str)
+    def test_reduced_searches_match_every_root(self, factors, forked_scans):
+        from zerosum.formulas import divisor_pairs
+        from zerosum.search import _gamma_scan, root_tasks, run_scan
+        group = AbelianGroup(factors)
+        tables = tables_for(group)
+        deltas = range(davenport_p_group(group)) if group.is_p_group else ()
+        # every root, walked once: its results do not depend on the width
+        # (TestForkedWorkers), so the reduced searches at each width meet it
+        accs, _ = run_scan(group, extrema_acc(group),
+                           tasks=root_tasks((1 << group.cardinality) - 2))
+        d_acc = max(accs, key=lambda acc: acc.best_len)
+        k_acc = max(accs, key=lambda acc: acc.best_scaled)
+        want = [d_acc.best_len, d_acc.best, Fraction(k_acc.best_scaled, group.exponent),
+                k_acc.best_cross]
+        for pair in divisor_pairs(group):
+            forbidden = _subgroup_mask(tables, pair.quotient)
+            allowed = _subgroup_mask(tables, pair.d) & ~forbidden
+            if allowed:
+                accs, _ = run_scan(group, extrema_acc(group), tasks=root_tasks(allowed),
+                                   forbidden_mask=forbidden)
+                best = max(accs, key=lambda acc: acc.best_len)
+                want += [best.best_len, best.best]
+            else:
+                want += [0, ()]
+        for delta in deltas:
+            want += _gamma_scan(group, delta, None)[:2]
+        for width in (1, 2):
+            budget = SearchBudget(parallel_width=width)
+            d, d_wit, k, k_wit = zero_sumfree_extrema(group, budget)
+            got = [d, tuple(d_wit.iter_ranks()), k, tuple(k_wit.iter_ranks())]
+            for pair in divisor_pairs(group):
+                length, witness = longest_avoiding(group, pair, budget)
+                got += [length, tuple(witness.iter_ranks())]
+            for delta in deltas:
+                value, witness = gamma_exact(group, delta, budget)
+                got += [value, tuple(witness.iter_ranks())]
+            assert got == want, width
+
+    @pytest.mark.parametrize("factors", [
+        f for f in ORBIT_CUT_FACTORS if math.prod(f) ** len(f) <= 5_000], ids=str)
+    def test_classes_are_the_aut_orbits(self, factors):
+        from zerosum.search import _class_minima
+        assert _class_minima(factors) == aut_orbit_minima(AbelianGroup(factors))
+
+    def test_maps_that_are_not_automorphisms_raise(self, monkeypatch):
+        from zerosum import search
+        from zerosum.errors import InternalCheckError
+        c24 = tables_for(C24)
+        # e_1 -> e_1 + 2 e_2 and e_2 -> 3 e_2, on the ranks a_1 + 2 a_2
+        assert search._automorphism(c24, [(1, 2), (0, 3)]) == [0, 5, 6, 3, 4, 1, 2, 7]
+        with pytest.raises(InternalCheckError, match="not well defined"):
+            search._automorphism(c24, [(0, 1), (0, 1)])   # e_1 -> e_2, of order 4
+        with pytest.raises(InternalCheckError, match="not a bijection"):
+            search._automorphism(c24, [(1, 0), (0, 2)])   # e_2 -> 2 e_2
+        for bad in ([(0, 1), (0, 1)], [(1, 0), (0, 2)]):
+            monkeypatch.setattr(search, "_generators", lambda factors: iter([bad]))
+            with pytest.raises(InternalCheckError):
+                search._class_minima.__wrapped__((2, 4))
+
+
+def scan_nodes(monkeypatch):
+    """The list to which every later ``run_scan`` appends its node total."""
+    from zerosum import search
+    nodes = []
+    run_scan = search.run_scan
+
+    def counting(*args, **kwargs):
+        accs, total = run_scan(*args, **kwargs)
+        nodes.append(total)
+        return accs, total
+
+    monkeypatch.setattr(search, "run_scan", counting)
+    return nodes
+
+
+class TestPinnedCounts:
+    """Node counts and witnesses that pruning and translation changes must
+    keep: of the walk of every root, and of the searches that walk one root
+    per class (``_class_minima``)."""
+
+    def test_c5xc5_scans(self, monkeypatch):
         from zerosum.search import run_scan
         group = AbelianGroup((5, 5))
         assert run_scan(group, extrema_acc(group))[1] == 138_864
+        nodes = scan_nodes(monkeypatch)
         d_val, d_wit, k_val, k_wit = zero_sumfree_extrema(group)
+        assert nodes == [23_113]  # one task: Aut(C5xC5) is transitive on G - 0
         assert (d_val, k_val) == (8, Fraction(8, 5))
         witness = (1, 1, 1, 1, 5, 5, 5, 5)
         assert tuple(d_wit.iter_ranks()) == witness
@@ -363,7 +469,17 @@ class TestPinnedCounts:
             _, nodes = run_scan(C24, extrema_acc(C24), tasks=tasks)
             assert nodes == 94  # as with the default tasks, which omit 0
 
-    def test_longest_avoiding_c8x8x8_subgroup(self):
+    def test_gamma_c2xc2xc8(self, monkeypatch):
+        from zerosum.search import _gamma_scan
+        group = AbelianGroup((2, 2, 8))
+        every_root = _gamma_scan(group, 1, None)
+        assert every_root[2] == 508_814
+        nodes = scan_nodes(monkeypatch)
+        value, witness = gamma_exact(group, 1)
+        assert nodes == [173_769]
+        assert (value, tuple(witness.iter_ranks())) == every_root[:2]
+
+    def test_longest_avoiding_c8x8x8_subgroup(self, monkeypatch):
         # forbidden set G_2 (8 elements), allowed G_4 minus G_2 (56 elements)
         from zerosum.search import _subgroup_mask, root_tasks, run_scan
         group = AbelianGroup((8, 8, 8))
@@ -375,7 +491,9 @@ class TestPinnedCounts:
         _, nodes = run_scan(group, extrema_acc(group), tasks=tasks,
                             forbidden_mask=forbidden)
         assert nodes == 15_736
+        nodes = scan_nodes(monkeypatch)
         length, witness = longest_avoiding(group, pair)
+        assert nodes == [817]
         assert length == len(witness) == 3
         assert tuple(witness.iter_ranks()) == (2, 16, 128)
 
