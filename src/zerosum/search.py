@@ -10,18 +10,18 @@ exhaustion is an error, never an estimate.
 A scan is a list of tasks (prefix, candidates), each with its own
 accumulator; ``root_tasks`` makes one per first-element rank. d(G), k(G),
 Gamma and D_(d',d) are Aut(G)-invariant, so their searches take one root
-per class of ranks (``_orbit_tasks``); ``check`` and ``enumerate`` take
-all. A scan runs its smallest tasks in-process first; once those have
-entered more than ``_FORK_GATE_NODES`` nodes, the rest go to forked worker
-processes (where ``os.fork`` exists), as many as the parallel width, the
-usable CPUs and the tasks left allow. Results merge by task index with a
-lexicographic tie-break, so values, witnesses, node counts and budget
-verdicts do not depend on the parallel width or on the schedule.
+per Aut(G) orbit, named by its height sequences (``_orbit_tasks``);
+``check`` and ``enumerate`` take all. A scan runs its smallest tasks
+in-process first; once those have entered more than ``_FORK_GATE_NODES``
+nodes, the rest go to forked worker processes (where ``os.fork`` exists),
+as many as the parallel width, the usable CPUs and the tasks left allow.
+Results merge by task index with a lexicographic tie-break, so values,
+witnesses, node counts and budget verdicts do not depend on the parallel
+width or on the schedule.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from fractions import Fraction
@@ -32,7 +32,8 @@ from ._record import factory, record
 from .errors import BudgetExceededError, InternalCheckError, NeedsOracleError
 from .formulas import (DivisorPair, _check_delta, davenport_closed_form,
                        davenport_p_group, reduced_group)
-from .groups import AbelianGroup, GroupTables, _exact_ints, group_tables, tables_for
+from .groups import (AbelianGroup, GroupTables, _exact_ints, _factorize, group_tables,
+                     tables_for)
 from .sequences import GSequence
 
 
@@ -81,61 +82,44 @@ def root_tasks(mask: int) -> list[Task]:
     return [((g,), mask >> g << g) for g in range(mask.bit_length()) if (mask >> g) & 1]
 
 
-def _automorphism(tables: GroupTables, images) -> list[int]:
-    """The rank permutation of the endomorphism e_i -> images[i] of the
-    basis; InternalCheckError unless it is well defined (n_i * images[i] = 0)
-    and bijective, so an automorphism."""
-    factors = tables.factors
-    if any(n * a % m for n, image in zip(factors, images) for a, m in zip(image, factors)):
-        raise InternalCheckError(f"e_i -> {images} is not well defined on {factors}")
-    columns = list(zip(*tables.coords))  # columns[i][x]: coordinate i of rank x
-    perm, stride = [0] * tables.size, 1
-    for k, m in enumerate(factors):
-        # coordinate k of the image of x is sum_i x_i * images[i][k] mod m
-        image_k = [0] * tables.size
-        for column, image in zip(columns, images):
-            if image[k]:
-                image_k = [v + a * image[k] for v, a in zip(image_k, column)]
-        perm = [p + v % m * stride for p, v in zip(perm, image_k)]
-        stride *= m
-    if len(set(perm)) != tables.size:
-        raise InternalCheckError(f"e_i -> {images} is not a bijection of {factors}")
-    return perm
-
-
-def _generators(factors: tuple[int, ...]):
-    """Basis images of a few automorphisms of the group (Hillar and Rhea,
-    Amer. Math. Monthly 2007): the unit scalings e_i -> u e_i, u in
-    {n_i - 1, 2, 3, 5, 7} prime to n_i, and the transvections
-    e_i -> e_i + (n_j / gcd(n_i, n_j)) e_j."""
-    r = len(factors)
-    unit = [tuple(int(k == i) for k in range(r)) for i in range(r)]
-    for i, n in enumerate(factors):
-        units = {v % n for v in (n - 1, 2, 3, 5, 7) if math.gcd(v, n) == 1} - {1}
-        images = [tuple(u * a for a in unit[i]) for u in units]
-        images += [tuple(a + m // math.gcd(n, m) * b for a, b in zip(unit[i], unit[j]))
-                   for j, m in enumerate(factors) if j != i]
-        for image in images:
-            yield unit[:i] + [image] + unit[i + 1:]
+def _height_sequence(p: int, y: list[int], moduli: list[int]) -> tuple[int, ...]:
+    """h(y), h(p y), h(p^2 y), ... up to the first zero, for y in the p-group
+    with the given prime-power moduli: h(y) is the largest h with p^h
+    dividing every coordinate of y, taken as an integer in [0, modulus).
+    Each height exceeds the one before, so its search starts there."""
+    heights, h = [], 0
+    while any(y):
+        while all(a % p ** (h + 1) == 0 for a in y):
+            h += 1
+        heights.append(h)
+        y = [a * p % q for a, q in zip(y, moduli)]
+        h += 1
+    return tuple(heights)
 
 
 @lru_cache(maxsize=None)
 def _class_minima(factors: tuple[int, ...]) -> int:
-    """Mask of the least rank of each class of ranks under the verified
-    ``_generators``. A class lies in one Aut(G) orbit, and the least rank of
-    the lexicographically least optimiser of an Aut(G)-invariant search is
-    least in its orbit, so one root per class finds it."""
+    """Mask of the least rank of each Aut(G) orbit.
+
+    Aut(G) is the product of the Aut(G_p), and two elements of a finite
+    abelian p-group lie in one orbit iff their height sequences agree
+    (R. Baer, Proc. London Math. Soc. 1935; I. Kaplansky, Infinite Abelian
+    Groups, 1954). So an orbit is named by the height sequences of the
+    p-components, x_p having coordinate i reduced mod p^e_i where p^e_i
+    exactly divides n_i. The least rank of the lexicographically least
+    optimiser of an Aut(G)-invariant search is least in its orbit, so one
+    root per orbit finds it.
+    """
     tables = group_tables(factors)
-    perms = [_automorphism(tables, images) for images in _generators(factors)]
+    moduli = [(p, [p ** _factorize(n).get(p, 0) for n in factors])
+              for p in _factorize(factors[-1])]
     minima, seen = 0, set()
-    for r in range(tables.size):
-        if r not in seen:
+    for r, coords in enumerate(tables.coords):
+        key = tuple(_height_sequence(p, [a % q for a, q in zip(coords, qs)], qs)
+                    for p, qs in moduli)
+        if key not in seen:
+            seen.add(key)
             minima |= 1 << r
-            seen.add(r)
-            new = {r}
-            while new:
-                new = {perm[x] for perm in perms for x in new} - seen
-                seen |= new
     return minima
 
 
@@ -227,7 +211,8 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     """Run one accumulator per task; return (accs, total nodes).
 
     ``tasks`` defaults to ``root_tasks`` of every rank outside
-    ``forbidden_mask``; the Aut(G)-invariant searches pass ``_orbit_tasks``.
+    ``forbidden_mask``; the Aut(G)-invariant searches pass ``_orbit_tasks``,
+    one root per orbit.
     All accumulators are made here, in this process, and come back in task
     order whatever the width and the schedule, so merging them is
     deterministic. Tasks run from the last index down in-process until the
@@ -410,7 +395,8 @@ def _copy_state(dst, src) -> None:
 
 def _orbit_tasks(tables: GroupTables, mask: int | None = None) -> list[Task]:
     """``root_tasks`` of ``mask`` (default: every nonzero rank), an
-    Aut(G)-invariant set, kept to one root per class (``_class_minima``)."""
+    Aut(G)-invariant set, kept to the roots least in their Aut(G) orbit
+    (``_class_minima``)."""
     roots = _class_minima(tables.factors)
     tasks = root_tasks((1 << tables.size) - 2 if mask is None else mask)
     return [task for task in tasks if roots >> task[0][0] & 1]

@@ -190,6 +190,7 @@ def cross_number(seq: GSequence) -> Fraction:
 
 def order_filter(seq: GSequence, d: int, mode: FilterMode) -> GSequence:
     """Sub-multiset of the elements whose order divides (or equals) d."""
+    _exact_ints((d,), "order", ValueError)
     if d < 1 or seq.group.exponent % d != 0:
         raise ValueError(f"{d} does not divide the exponent {seq.group.exponent}")
     if mode not in ("divides", "equals"):

@@ -12,7 +12,7 @@ from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair, GSequence,
                      d_pair_value, davenport_constant, davenport_p_group,
                      enumerate_zero_sumfree, gamma_bounds, gamma_exact,
                      gamma_extremal_sequence, k_star, longest_avoiding,
-                     max_order_count, zero_sumfree_extrema)
+                     max_order_count, order_filter, zero_sumfree_extrema)
 from zerosum.groups import tables_for
 from zerosum.search import _ExtremaAcc, _subgroup_mask
 from zerosum.sequences import check_witness, cross_number
@@ -364,9 +364,26 @@ class TestForkedWorkers:
 ORBIT_CUT_FACTORS = P_GROUP_FACTORS + NON_P_FACTORS + [(5, 5), (3, 9), (2, 2, 8)]
 
 
+def _chains(bound: int, head: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """Invariant-factor chains extending ``head`` with |G|^max(rank, 2) <= bound."""
+    out = [head] if head else []
+    rank = len(head) + 1
+    n = head[-1] if head else 2
+    while math.prod(head + (n,)) ** max(rank, 2) <= bound:
+        out += _chains(bound, head + (n,))
+        n += head[-1] if head else 1
+    return out
+
+
+# the groups small enough to list Aut(G): C_n up to n = 70 and, of rank two
+# or more, |G|^rank <= 5,000
+SMALL_GROUP_FACTORS = _chains(5_000)
+
+
 class TestOrbitCut:
-    """The searches that walk one root per class of ``_class_minima`` against
-    the walk of every root: the same values and witness ranks."""
+    """The searches that walk one root per Aut(G) orbit (``_class_minima``)
+    against the walk of every root: the same values and witness ranks; and
+    the orbits against two oracles."""
 
     @pytest.mark.parametrize("factors", ORBIT_CUT_FACTORS, ids=str)
     def test_reduced_searches_match_every_root(self, factors, forked_scans):
@@ -407,26 +424,17 @@ class TestOrbitCut:
                 got += [value, tuple(witness.iter_ranks())]
             assert got == want, width
 
-    @pytest.mark.parametrize("factors", [
-        f for f in ORBIT_CUT_FACTORS if math.prod(f) ** len(f) <= 5_000], ids=str)
+    @pytest.mark.parametrize("factors", SMALL_GROUP_FACTORS, ids=str)
     def test_classes_are_the_aut_orbits(self, factors):
         from zerosum.search import _class_minima
         assert _class_minima(factors) == aut_orbit_minima(AbelianGroup(factors))
 
-    def test_maps_that_are_not_automorphisms_raise(self, monkeypatch):
-        from zerosum import search
-        from zerosum.errors import InternalCheckError
-        c24 = tables_for(C24)
-        # e_1 -> e_1 + 2 e_2 and e_2 -> 3 e_2, on the ranks a_1 + 2 a_2
-        assert search._automorphism(c24, [(1, 2), (0, 3)]) == [0, 5, 6, 3, 4, 1, 2, 7]
-        with pytest.raises(InternalCheckError, match="not well defined"):
-            search._automorphism(c24, [(0, 1), (0, 1)])   # e_1 -> e_2, of order 4
-        with pytest.raises(InternalCheckError, match="not a bijection"):
-            search._automorphism(c24, [(1, 0), (0, 2)])   # e_2 -> 2 e_2
-        for bad in ([(0, 1), (0, 1)], [(1, 0), (0, 2)]):
-            monkeypatch.setattr(search, "_generators", lambda factors: iter([bad]))
-            with pytest.raises(InternalCheckError):
-                search._class_minima.__wrapped__((2, 4))
+    def test_cyclic_classes_are_the_divisors(self):
+        # Aut(C_n) = (Z/n)^* has one orbit per order d | n, least rank n/d
+        from zerosum.search import _class_minima
+        for n in range(2, 400):
+            want = 1 | sum(1 << n // d for d in range(2, n + 1) if n % d == 0)
+            assert _class_minima((n,)) == want, n
 
 
 def scan_nodes(monkeypatch):
@@ -447,7 +455,7 @@ def scan_nodes(monkeypatch):
 class TestPinnedCounts:
     """Node counts and witnesses that pruning and translation changes must
     keep: of the walk of every root, and of the searches that walk one root
-    per class (``_class_minima``)."""
+    per Aut(G) orbit (``_class_minima``)."""
 
     def test_c5xc5_scans(self, monkeypatch):
         from zerosum.search import run_scan
@@ -496,6 +504,19 @@ class TestPinnedCounts:
         assert nodes == [817]
         assert length == len(witness) == 3
         assert tuple(witness.iter_ranks()) == (2, 16, 128)
+
+    def test_longest_avoiding_c42(self, monkeypatch):
+        # one task per allowed order, as Aut(C42) has one orbit per divisor
+        from zerosum.search import _orbit_tasks
+        group = AbelianGroup((42,))
+        tables = tables_for(group)
+        nodes = scan_nodes(monkeypatch)
+        for pair, witness in ((DivisorPair(7, 42), (1,) * 6), (DivisorPair(2, 42), (1,))):
+            forbidden = _subgroup_mask(tables, pair.quotient)
+            assert len(_orbit_tasks(tables, _subgroup_mask(tables, 42) & ~forbidden)) == 4
+            length, found = longest_avoiding(group, pair)
+            assert (length, tuple(found.iter_ranks())) == (len(witness), witness)
+        assert nodes == [6_820, 4]
 
 
 class _LogAcc:
@@ -661,6 +682,7 @@ EXACT_INTEGER_INPUTS = {
     "gamma_extremal_sequence delta": lambda x: gamma_extremal_sequence(C24, x),
     "enumerate_zero_sumfree length": lambda x: enumerate_zero_sumfree(C24, x),
     "order-divisibility threshold": lambda x: check_order_divisibility(C24, threshold=x),
+    "order_filter d": lambda x: order_filter(GSequence.empty(C24), x, "divides"),
 }
 
 
