@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ._record import record
 from .errors import InvalidGroupError, UndefinedHeightError, UnsupportedGroupError
@@ -71,10 +71,7 @@ class AbelianGroup:
                 raise InvalidGroupError(
                     f"factors {factors} are not a divisibility chain "
                     f"({a} does not divide {b}); use normalize_group()")
-        if math.prod(factors) > CARDINALITY_CAP:
-            raise InvalidGroupError(
-                f"group of order {math.prod(factors)} exceeds the desk-scale "
-                f"cap {CARDINALITY_CAP}")
+        _check_cap(math.prod(factors))
 
     # -- global structure --------------------------------------------------
 
@@ -214,18 +211,12 @@ class GroupElement:
     def height(self) -> int:
         """Largest p-power p^m such that g = p^m * h is solvable (p-groups, g != 0).
 
-        g lies in p^m * G iff gcd(p^m, n_i) divides a_i in every coordinate.
         Undefined at 0, where the maximum does not exist.
         """
         p = self.group.p
         if self.is_zero:
             raise UndefinedHeightError("height of 0 is undefined")
-        factors = self.group.invariant_factors
-        m = 0
-        while all(a % math.gcd(p ** (m + 1), n) == 0
-                  for a, n in zip(self.coords, factors)):
-            m += 1
-        return p ** m
+        return p ** _height_sequence(p, self.coords, self.group.invariant_factors)[0]
 
     def __str__(self) -> str:
         if self.group.rank == 1:
@@ -233,7 +224,29 @@ class GroupElement:
         return "(" + ",".join(str(a) for a in self.coords) + ")"
 
 
+def _height_sequence(p: int, y: Sequence[int], moduli: Sequence[int]) -> tuple[int, ...]:
+    """h(y), h(p y), h(p^2 y), ... up to the first zero, for y in the p-group
+    with the given prime-power moduli: h(y) is the largest h with y in p^h G,
+    which holds iff p^h divides every coordinate of y, taken as an integer in
+    [0, modulus). Each height exceeds the one before, so its search starts
+    there."""
+    heights, h = [], 0
+    while any(y):
+        while all(a % p ** (h + 1) == 0 for a in y):
+            h += 1
+        heights.append(h)
+        y = [a * p % q for a, q in zip(y, moduli)]
+        h += 1
+    return tuple(heights)
+
+
 # -- canonical construction --------------------------------------------------
+
+def _check_cap(order: int) -> None:
+    if order > CARDINALITY_CAP:
+        raise InvalidGroupError(
+            f"group of order {order} exceeds the desk-scale cap {CARDINALITY_CAP}")
+
 
 def normalize_group(factors: Iterable[int]) -> AbelianGroup:
     """Canonicalize arbitrary cyclic orders into the invariant-factor chain.
@@ -248,6 +261,8 @@ def normalize_group(factors: Iterable[int]) -> AbelianGroup:
     for n in factor_list:
         if n < 2:
             raise InvalidGroupError(f"cyclic factor {n} is below 2")
+    # before factorizing: trial division of a huge factor would take seconds
+    _check_cap(math.prod(factor_list))
     by_prime: dict[int, list[int]] = {}
     for n in factor_list:
         for p, e in _factorize(n).items():
@@ -292,36 +307,31 @@ def parse_group_spec(text: str) -> AbelianGroup:
 class GroupTables:
     """Dense rank-indexed arithmetic for one group.
 
-    Orders and negation are precomputed for every rank. A subsum bitmask is
-    translated by an element g one nonzero coordinate c of g at a time: with
-    stride s and modulus n of that coordinate, the bits whose coordinate is
-    below n - c move up by c*s and the rest move down by (n - c)*s, a
-    rotation inside every block of n*s ranks. The two masks selecting those
-    bits are cached per (coordinate, shift) as they are first needed, so the
-    cache holds at most 2*sum(n_i - 1) masks of |G| bits, i.e. at most
-    sum(n_i - 1)*|G|/4 bytes; each element keeps a tuple of references to
-    the steps of its nonzero coordinates.
+    Coordinates, orders and negation are precomputed for every rank, one
+    invariant factor n at a time: with stride the product of the factors
+    before n, rank r + stride*a has the coordinates of r followed by a.
+
+    A subsum bitmask is translated by an element g one nonzero coordinate c
+    of g at a time: with stride s and modulus n of that coordinate, the bits
+    whose coordinate is below n - c move up by c*s and the rest move down by
+    (n - c)*s, a rotation inside every block of n*s ranks. The two masks
+    selecting those bits are cached per (coordinate, shift) as they are
+    first needed, so the cache holds at most 2*sum(n_i - 1) masks of |G|
+    bits, i.e. at most sum(n_i - 1)*|G|/4 bytes; each element keeps a tuple
+    of references to the steps of its nonzero coordinates.
     """
 
     __slots__ = ("factors", "size", "coords", "orders", "neg", "_rotations", "_steps")
 
     def __init__(self, factors: tuple[int, ...]):
         self.factors = factors
-        size = math.prod(factors)
-        self.size = size
-        coords = []
-        for rank in range(size):
-            x, cs = rank, []
-            for n in factors:
-                cs.append(x % n)
-                x //= n
-            coords.append(tuple(cs))
-        self.coords = coords
-        self.orders = [
-            math.lcm(*(n // math.gcd(a, n) for a, n in zip(cs, factors)))
-            for cs in coords
-        ]
-        self.neg = [self.rank_of(tuple(-a for a in cs)) for cs in coords]
+        coords, orders, neg, stride = [()], [1], [0], 1
+        for n in factors:
+            coords = [cs + (a,) for a in range(n) for cs in coords]
+            orders = [math.lcm(o, n // math.gcd(a, n)) for a in range(n) for o in orders]
+            neg = [r + stride * (-a % n) for a in range(n) for r in neg]
+            stride *= n
+        self.size, self.coords, self.orders, self.neg = stride, coords, orders, neg
         self._rotations: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         self._steps: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
 

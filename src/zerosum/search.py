@@ -32,8 +32,8 @@ from ._record import factory, record
 from .errors import BudgetExceededError, InternalCheckError, NeedsOracleError
 from .formulas import (DivisorPair, _check_delta, davenport_closed_form,
                        davenport_p_group, reduced_group)
-from .groups import (AbelianGroup, GroupTables, _exact_ints, _factorize, group_tables,
-                     tables_for)
+from .groups import (AbelianGroup, GroupTables, _exact_ints, _factorize, _height_sequence,
+                     group_tables, tables_for)
 from .sequences import GSequence
 
 
@@ -82,21 +82,6 @@ def root_tasks(mask: int) -> list[Task]:
     return [((g,), mask >> g << g) for g in range(mask.bit_length()) if (mask >> g) & 1]
 
 
-def _height_sequence(p: int, y: list[int], moduli: list[int]) -> tuple[int, ...]:
-    """h(y), h(p y), h(p^2 y), ... up to the first zero, for y in the p-group
-    with the given prime-power moduli: h(y) is the largest h with p^h
-    dividing every coordinate of y, taken as an integer in [0, modulus).
-    Each height exceeds the one before, so its search starts there."""
-    heights, h = [], 0
-    while any(y):
-        while all(a % p ** (h + 1) == 0 for a in y):
-            h += 1
-        heights.append(h)
-        y = [a * p % q for a, q in zip(y, moduli)]
-        h += 1
-    return tuple(heights)
-
-
 @lru_cache(maxsize=None)
 def _class_minima(factors: tuple[int, ...]) -> int:
     """Mask of the least rank of each Aut(G) orbit.
@@ -124,7 +109,7 @@ def _class_minima(factors: tuple[int, ...]) -> int:
 
 
 def _scan_from(tables: GroupTables, task: Task, forbidden_mask: int, max_depth: int,
-               acc, max_nodes: int, started: float, deadline: float) -> int:
+               acc, max_nodes: int, deadline: float) -> int:
     """DFS of one task ``(prefix, candidates)``; returns the nodes entered.
 
     The task enters the prefix ranks in order, then every multiset of the
@@ -132,6 +117,9 @@ def _scan_from(tables: GroupTables, task: Task, forbidden_mask: int, max_depth: 
     per state entered and returns whether to descend; ``acc.leave(path)``
     is called on the way back, after every enter. A prefix node is counted
     but not held to ``max_nodes``; one that does not descend ends the task.
+
+    Past ``max_nodes``, or past ``deadline`` at a 2048th node, it returns
+    at once, the stopping node counted but not entered; ``run_scan`` raises.
 
     Each level keeps the blocked mask F | (F - sums(S)), F the forbidden
     set and sums(S) the nonempty subsums of the path S: the ranks h that
@@ -166,14 +154,8 @@ def _scan_from(tables: GroupTables, task: Task, forbidden_mask: int, max_depth: 
         low = cand & -cand
         h = low.bit_length() - 1
         nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceededError(
-                f"node budget {max_nodes} exhausted", nodes_visited=nodes,
-                elapsed_seconds=time.monotonic() - started)
-        if not nodes & 2047 and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                "time budget exhausted", nodes_visited=nodes,
-                elapsed_seconds=time.monotonic() - started)
+        if nodes > max_nodes or not nodes & 2047 and time.monotonic() > deadline:
+            return nodes
         path.append(h)
         if acc.enter(path) and len(path) < max_depth:
             stack.append((cand ^ low, blocked))
@@ -221,10 +203,13 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     tasks then run in forked workers (``_run_forked``), whose accumulator
     state is copied back into these accumulators.
 
-    ``budget.max_nodes`` caps each task, and the scan stops with
-    nodes_visited ``max_nodes + 1`` once its finished tasks sum above it: so
-    it is exceeded iff its full node total is, at every width. The clock is
-    read there too, so a time budget overshoots by at most one task.
+    A task stops early once it passes ``budget.max_nodes`` or the deadline
+    (``_scan_from``), and ``tally``, which sums the nodes of the tasks as
+    they finish, is the one place a budget error is raised. Once the sum is
+    above ``max_nodes`` it reports nodes_visited ``max_nodes + 1``: so a
+    scan is exceeded iff its full node total is, at every width. Once the
+    clock is past the deadline it reports the sum, the nodes of every task
+    run so far.
     """
     budget = budget or DEFAULT_BUDGET
     tables = tables_for(group)
@@ -240,7 +225,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
 
     def run_one(index: int) -> int:
         return _scan_from(tables, tasks[index], forbidden_mask, depth_cap,
-                          accs[index], max_nodes, started, deadline)
+                          accs[index], max_nodes, deadline)
 
     def tally(task_nodes: int) -> None:
         nonlocal nodes

@@ -91,6 +91,15 @@ class TestNormalize:
         with pytest.raises(InvalidGroupError):
             normalize_group(factors)
 
+    def test_over_cap_refused_before_factorizing(self, monkeypatch):
+        def no_factorizing(n):
+            raise AssertionError(f"factorized {n}")
+
+        monkeypatch.setattr(groups, "_factorize", no_factorizing)
+        for spec in ["100000000000031", "1000000000000000003", "1000,1001"]:
+            with pytest.raises(InvalidGroupError, match="exceeds the desk-scale cap"):
+                groups.parse_group_spec(spec)
+
     @given(st.lists(st.integers(2, 30), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, factors):
@@ -205,6 +214,23 @@ class TestPrimaryDecomposition:
         for factors in [(2, 12), (2, 2, 4), (6,), (3, 9)]:
             group = AbelianGroup(factors)
             assert normalize_group(group.primary_decomposition()) == group
+
+
+class TestTables:
+    """The rank tables against the element model."""
+
+    @pytest.mark.parametrize("factors", P_GROUP_FACTORS + NON_P_FACTORS + [
+        (6, 6), (16, 16), (9, 27), (8, 8, 8), (100, 100)])
+    def test_every_rank_matches_its_element(self, factors):
+        group = AbelianGroup(factors)
+        tables = groups.GroupTables(factors)
+        assert len(tables.coords) == len(tables.orders) == len(tables.neg) == tables.size
+        assert tables.size == group.cardinality
+        for r, element in enumerate(group.elements()):
+            assert tables.coords[r] == element.coords
+            assert tables.orders[r] == element.order()
+            assert tables.neg[r] == (-element).rank
+            assert tables.rank_of(tables.coords[r]) == r
 
 
 def translate_by_addition(tables: groups.GroupTables, mask: int, g: int) -> int:

@@ -329,6 +329,35 @@ class TestForkedWorkers:
             with pytest.raises(BudgetExceededError, match="time budget exhausted"):
                 enumerate_zero_sumfree(AbelianGroup((10, 10)), 2, budget=budget)
 
+    def test_time_budget_reports_the_scan_total(self, forked_scans, monkeypatch):
+        # A fake clock, past the deadline once this process has entered 40,000
+        # nodes or has forked. At width 1 the scan stops inside task 19 at its
+        # next 2048th node, which is counted but not entered. At width 2 the
+        # parent runs the last task and forks; the first worker to report has
+        # entered 2,047 nodes of task 0 or 1 and counted the 2,048th.
+        from types import SimpleNamespace
+        from zerosum import search
+        c66 = AbelianGroup((6, 6))
+        entered = [0]
+        real_enter = _ExtremaAcc.enter
+
+        def counting_enter(acc, path):
+            entered[0] += 1
+            return real_enter(acc, path)
+
+        monkeypatch.setattr(_ExtremaAcc, "enter", counting_enter)
+        monkeypatch.setattr(search, "time", SimpleNamespace(
+            monotonic=lambda: float(entered[0] >= 40_000 or bool(forked_scans))))
+        for width, stopping in ((1, 1), (2, 2048)):
+            entered[0] = 0
+            budget = SearchBudget(max_seconds=0.5, parallel_width=width)
+            with pytest.raises(BudgetExceededError, match="time budget exhausted") as info:
+                search.run_scan(c66, extrema_acc(c66), budget=budget,
+                                tasks=search.root_tasks((1 << 36) - 2))
+            assert info.value.nodes_visited == entered[0] + stopping
+            assert info.value.elapsed_seconds == 1.0
+        assert forked_scans
+
     def test_worker_budget_error_reaches_caller(self, forked_scans):
         # the last root task of C5xC5 (4 nodes) runs in-process; task 0 forks
         from zerosum.search import root_tasks, run_scan
