@@ -26,7 +26,7 @@ from . import constructions, formulas, search, sequences, verifier
 from ._record import record
 from ._version import VERSION
 from .errors import CertificateError, InternalCheckError, NeedsOracleError
-from .groups import _exact_ints, parse_group_spec, tables_for
+from .groups import _exact_ints, parse_group_spec
 from .sequences import GSequence
 
 SCHEMA_VERSION = 1
@@ -194,7 +194,8 @@ def _dpair(group, inputs, budget):
                                      f"brute force {length + 1}")
         if sequences.order_filter(seq, pair.d, "divides") != seq:
             raise InternalCheckError(f"witness {seq} is not in G_d for d = {pair.d}")
-        sequences.check_witness(seq, search._subgroup_mask(tables_for(group), pair.quotient))
+        sequences.check_witness(seq, sum(1 << e.rank for e in group.elements()
+                                         if pair.quotient % e.order() == 0))
         if len(seq) != length:
             raise InternalCheckError(f"witness {seq} is not of length {length}")
         claim["value"] = results["search_value"] = length + 1

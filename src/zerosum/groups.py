@@ -305,11 +305,11 @@ def parse_group_spec(text: str) -> AbelianGroup:
 # -- rank-indexed arithmetic tables -------------------------------------------
 
 class GroupTables:
-    """Dense rank-indexed arithmetic for one group.
+    """Dense rank-indexed arithmetic for one group, for the search alone.
 
-    Coordinates, orders and negation are precomputed for every rank, one
-    invariant factor n at a time: with stride the product of the factors
-    before n, rank r + stride*a has the coordinates of r followed by a.
+    Orders and negation are precomputed for every rank, one invariant
+    factor n at a time: with stride the product of the factors before n,
+    rank r + stride*a has the coordinates of r followed by a.
 
     A subsum bitmask is translated by an element g one nonzero coordinate c
     of g at a time: with stride s and modulus n of that coordinate, the bits
@@ -321,29 +321,20 @@ class GroupTables:
     of references to the steps of its nonzero coordinates.
     """
 
-    __slots__ = ("factors", "size", "coords", "orders", "neg", "_rotations", "_steps")
+    __slots__ = ("factors", "size", "orders", "neg", "_rotations", "_steps")
 
     def __init__(self, factors: tuple[int, ...]):
         self.factors = factors
-        coords, orders, neg, stride = [()], [1], [0], 1
+        orders, neg, stride = [1], [0], 1
         for n in factors:
-            coords = [cs + (a,) for a in range(n) for cs in coords]
-            orders = [math.lcm(o, n // math.gcd(a, n)) for a in range(n) for o in orders]
-            neg = [r + stride * (-a % n) for a in range(n) for r in neg]
+            residue_orders = [n // math.gcd(a, n) for a in range(n)]
+            residue_negs = [stride * (-a % n) for a in range(n)]
+            orders = [math.lcm(o, q) for q in residue_orders for o in orders]
+            neg = [r + t for t in residue_negs for r in neg]
             stride *= n
-        self.size, self.coords, self.orders, self.neg = stride, coords, orders, neg
+        self.size, self.orders, self.neg = stride, orders, neg
         self._rotations: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         self._steps: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
-
-    def rank_of(self, coords: tuple[int, ...]) -> int:
-        r = 0
-        for n, a in zip(reversed(self.factors), reversed(coords)):
-            r = r * n + a % n
-        return r
-
-    def add(self, x: int, g: int) -> int:
-        return self.rank_of(tuple(a + b for a, b in
-                                  zip(self.coords[x], self.coords[g])))
 
     def _rotation(self, i: int, c: int) -> tuple[int, int, int, int]:
         """(low, high, up, down) adding c to coordinate i of every rank."""
@@ -363,8 +354,12 @@ class GroupTables:
         """Bitmask of {x + g : x in mask}."""
         steps = self._steps.get(g)
         if steps is None:
-            steps = self._steps[g] = tuple(
-                self._rotation(i, c) for i, c in enumerate(self.coords[g]) if c)
+            steps, x = [], g
+            for i, n in enumerate(self.factors):
+                x, c = divmod(x, n)
+                if c:
+                    steps.append(self._rotation(i, c))
+            steps = self._steps[g] = tuple(steps)
         for low, high, up, down in steps:
             mask = ((mask & low) << up) | ((mask & high) >> down)
         return mask

@@ -26,6 +26,7 @@ import os
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Callable
 
 from ._record import factory, record
@@ -33,7 +34,7 @@ from .errors import BudgetExceededError, InternalCheckError, NeedsOracleError
 from .formulas import (DivisorPair, _check_delta, davenport_closed_form,
                        davenport_p_group, reduced_group)
 from .groups import (AbelianGroup, GroupTables, _exact_ints, _factorize, _height_sequence,
-                     group_tables, tables_for)
+                     tables_for)
 from .sequences import GSequence
 
 
@@ -95,11 +96,11 @@ def _class_minima(factors: tuple[int, ...]) -> int:
     optimiser of an Aut(G)-invariant search is least in its orbit, so one
     root per orbit finds it.
     """
-    tables = group_tables(factors)
-    moduli = [(p, [p ** _factorize(n).get(p, 0) for n in factors])
+    # coordinates listed last first, so that product() walks them in rank order
+    moduli = [(p, [p ** _factorize(n).get(p, 0) for n in reversed(factors)])
               for p in _factorize(factors[-1])]
     minima, seen = 0, set()
-    for r, coords in enumerate(tables.coords):
+    for r, coords in enumerate(product(*(range(n) for n in reversed(factors)))):
         key = tuple(_height_sequence(p, [a % q for a, q in zip(coords, qs)], qs)
                     for p, qs in moduli)
         if key not in seen:

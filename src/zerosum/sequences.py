@@ -141,23 +141,26 @@ def subsums(seq: GSequence) -> SubsumTable:
 
 
 def definitional_subsums(seq: GSequence) -> set[int]:
-    """Ranks of all nonempty subsums by direct enumeration of index subsets.
+    """Ranks of all nonempty subsums, one addition per nonempty sub-multiset.
 
     Exponential in the length; this is the independent slow route used to
     cross-check the incremental table, kept deliberately free of any shared
     machinery beyond element addition.
     """
-    ranks = list(seq.iter_ranks())
-    if len(ranks) > 22:
-        raise ValueError(f"definitional enumeration over 2^{len(ranks)} subsets refused")
-    tables = tables_for(seq.group)
-    sums = [0] * (1 << len(ranks))
+    if len(seq) > 22:
+        raise ValueError(f"definitional enumeration over 2^{len(seq)} subsets refused")
+    entries = [(seq.group.element_of_rank(r), m) for r, m in seq.entries]
     out = set()
-    for subset in range(1, 1 << len(ranks)):
-        low = (subset & -subset).bit_length() - 1
-        s = tables.add(sums[subset & (subset - 1)], ranks[low])
-        sums[subset] = s
-        out.add(s)
+
+    def extend(total: GroupElement, start: int) -> None:
+        for i in range(start, len(entries)):
+            s, (g, m) = total, entries[i]
+            for _ in range(m):
+                s = s + g
+                out.add(s.rank)
+                extend(s, i + 1)
+
+    extend(seq.group.zero, 0)
     return out
 
 
@@ -181,10 +184,9 @@ def is_zero_sumfree(seq: GSequence) -> bool:
 
 def cross_number(seq: GSequence) -> Fraction:
     """Sum of reciprocal orders over all occurrences, as an exact rational."""
-    tables = tables_for(seq.group)
     total = Fraction(0)
     for rank, mult in seq.entries:
-        total += Fraction(mult, tables.orders[rank])
+        total += Fraction(mult, seq.group.element_of_rank(rank).order())
     return total
 
 
@@ -195,11 +197,11 @@ def order_filter(seq: GSequence, d: int, mode: FilterMode) -> GSequence:
         raise ValueError(f"{d} does not divide the exponent {seq.group.exponent}")
     if mode not in ("divides", "equals"):
         raise ValueError(f"unknown filter mode {mode!r}")
-    tables = tables_for(seq.group)
+    orders = [seq.group.element_of_rank(r).order() for r, _ in seq.entries]
     if mode == "divides":
-        keep = [(r, m) for r, m in seq.entries if d % tables.orders[r] == 0]
+        keep = [e for e, o in zip(seq.entries, orders) if d % o == 0]
     else:
-        keep = [(r, m) for r, m in seq.entries if tables.orders[r] == d]
+        keep = [e for e, o in zip(seq.entries, orders) if o == d]
     return GSequence(seq.group, tuple(keep))
 
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 import os
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
 from zerosum import AbelianGroup, GroupElement, GSequence
-from zerosum.groups import tables_for
 
 # p-groups exercised throughout the acceptance runs
 P_GROUP_FACTORS = [
@@ -123,6 +123,18 @@ def all_zero_sumfree_multisets(group: AbelianGroup, length: int) -> set[tuple[in
     return set(extend((), 1))
 
 
+@lru_cache(maxsize=None)
+def _elements(group: AbelianGroup) -> tuple[GroupElement, ...]:
+    return tuple(group.elements())
+
+
+@lru_cache(maxsize=None)
+def rank_map(group: AbelianGroup, g: int) -> tuple[int, ...]:
+    """The rank of x + g for every rank x, by element addition."""
+    h = group.element_of_rank(g)
+    return tuple((x + h).rank for x in _elements(group))
+
+
 def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
                    forbidden_mask: int = 1, max_depth=None):
     """The search engine's earlier walk, kept as the reference for its DFS
@@ -131,23 +143,22 @@ def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
 
     A node keeps its subsum mask; the child for allowed[j] is tried when the
     mask misses pre[j], the ranks x with x + allowed[j] forbidden (-1 when
-    allowed[j] itself is forbidden). Masks are shifted with ``add`` one rank
-    at a time, not with the rotation translate.
+    allowed[j] itself is forbidden). Masks are shifted one rank at a time
+    through ``rank_map``, not with the rotation translate.
     """
-    tables = tables_for(group)
+    size = group.cardinality
     if allowed is None:
-        allowed = [r for r in range(tables.size) if not (forbidden_mask >> r) & 1]
-    depth_cap = max_depth if max_depth is not None else tables.size * group.exponent
-    forbidden = [r for r in range(tables.size) if (forbidden_mask >> r) & 1]
+        allowed = [r for r in range(size) if not (forbidden_mask >> r) & 1]
+    depth_cap = max_depth if max_depth is not None else size * group.exponent
     pre = [-1 if (forbidden_mask >> h) & 1 else
-           tables.mask_of(tables.add(f, tables.neg[h]) for f in forbidden)
+           sum(1 << x for x, y in enumerate(rank_map(group, h)) if (forbidden_mask >> y) & 1)
            for h in allowed]
 
     def shift(mask: int, h: int) -> int:
-        out = 0
+        shifted, out = rank_map(group, h), 0
         while mask:
             low = mask & -mask
-            out |= 1 << tables.add(low.bit_length() - 1, h)
+            out |= 1 << shifted[low.bit_length() - 1]
             mask ^= low
         return out
 

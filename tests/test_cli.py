@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from zerosum import InvalidGroupError
+from zerosum import AbelianGroup, InvalidGroupError
 from zerosum.cli import (EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL,
                          EXIT_OK, EXIT_USAGE, main, parse_group_spec)
+from zerosum.groups import tables_for
 
 
 class TestParseGroupSpec:
@@ -113,6 +114,42 @@ class TestExitCodes:
             assert main(["verify-cert", "--in", str(bad)]) == EXIT_USAGE, name
         assert main(["verify-cert", "--in", str(tmp_path / "missing.json")]) \
             == EXIT_USAGE
+
+
+@pytest.fixture
+def corrupt_order():
+    """Sets one entry of a group's cached order table, restored afterwards."""
+    undo = []
+
+    def corrupt(factors, rank, order):
+        orders = tables_for(AbelianGroup(factors)).orders
+        undo.append((orders, rank, orders[rank]))
+        orders[rank] = order
+
+    yield corrupt
+    for orders, rank, order in reversed(undo):
+        orders[rank] = order
+
+
+class TestChecksReadTheElementModel:
+    """A search claim is checked without the search's rank tables, so a
+    wrong entry in them cannot certify a wrong value."""
+
+    def test_corrupted_order_fails_the_k_check(self, corrupt_order, capsys):
+        # rank 2 of C2xC6 is (0,1), of order 6; read as 3, the search finds
+        # k = 13/6, while k(C2xC6) = 5/3
+        corrupt_order((2, 6), 2, 3)
+        assert main(["invariants", "--group", "2,6", "--method", "search"]) == EXIT_INTERNAL
+        assert "is not of cross number" in capsys.readouterr().err
+
+    def test_corrupted_order_fails_the_d_pair_check(self, corrupt_order, capsys):
+        # rank 4 of C2xC4 is (0,2), of order 2, so it lies in the forbidden
+        # subgroup G_2 of D_(2,4); read as 4, the search finds the witness
+        # (0,1)^3 and the value 4, while D_(2,4)(C2xC4) = 2
+        corrupt_order((2, 4), 4, 4)
+        assert main(["dpair", "--group", "2,4", "--dprime", "2", "--d", "4",
+                     "--method", "search"]) == EXIT_INTERNAL
+        assert "forbidden subgroup" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -11,7 +11,7 @@ import zerosum.groups as groups
 from zerosum import (AbelianGroup, InvalidGroupError, UndefinedHeightError,
                      UnsupportedGroupError, normalize_group)
 from conftest import (NON_P_FACTORS, P_GROUP_FACTORS, height_by_brute_force,
-                      order_by_repeated_addition, order_multiset_of_raw_product)
+                      order_by_repeated_addition, order_multiset_of_raw_product, rank_map)
 
 C24 = AbelianGroup((2, 4))
 
@@ -224,21 +224,18 @@ class TestTables:
     def test_every_rank_matches_its_element(self, factors):
         group = AbelianGroup(factors)
         tables = groups.GroupTables(factors)
-        assert len(tables.coords) == len(tables.orders) == len(tables.neg) == tables.size
-        assert tables.size == group.cardinality
+        assert len(tables.orders) == len(tables.neg) == tables.size == group.cardinality
         for r, element in enumerate(group.elements()):
-            assert tables.coords[r] == element.coords
             assert tables.orders[r] == element.order()
             assert tables.neg[r] == (-element).rank
-            assert tables.rank_of(tables.coords[r]) == r
 
 
-def translate_by_addition(tables: groups.GroupTables, mask: int, g: int) -> int:
+def translate_by_addition(group: AbelianGroup, mask: int, g: int) -> int:
     """Slow reference for ``GroupTables.translate``: add g to every marked rank."""
-    out = 0
-    for x in range(tables.size):
+    shifted, out = rank_map(group, g), 0
+    for x in range(group.cardinality):
         if (mask >> x) & 1:
-            out |= 1 << tables.add(x, g)
+            out |= 1 << shifted[x]
     return out
 
 
@@ -247,13 +244,13 @@ class TestTranslate:
 
     @staticmethod
     def check(factors, elements, rng, masks_per_element=3):
-        tables = groups.GroupTables(factors)
+        group, tables = AbelianGroup(factors), groups.GroupTables(factors)
         full = (1 << tables.size) - 1
         for g in elements:
             masks = [0, full, 1, 1 << (tables.size - 1)]
             masks += [rng.getrandbits(tables.size) for _ in range(masks_per_element)]
             for mask in masks:
-                assert tables.translate(mask, g) == translate_by_addition(tables, mask, g), \
+                assert tables.translate(mask, g) == translate_by_addition(group, mask, g), \
                     (factors, g, mask)
 
     @pytest.mark.parametrize("factors", P_GROUP_FACTORS + NON_P_FACTORS)
