@@ -10,18 +10,26 @@ exhaustion is an error, never an estimate.
 A scan is a list of tasks (prefix, candidates), each with its own
 accumulator; ``root_tasks`` makes one per first-element rank. d(G), k(G),
 Gamma and D_(d',d) are Aut(G)-invariant, so their searches take one root
-per Aut(G) orbit, named by its height sequences (``_orbit_tasks``);
-``check`` and ``enumerate`` take all. A scan runs its smallest tasks
-in-process first; once those have entered more than ``_FORK_GATE_NODES``
-nodes, the rest go to forked worker processes (where ``os.fork`` exists),
-as many as the parallel width, the usable CPUs and the tasks left allow.
-Results merge by task index with a lexicographic tie-break, so values,
-witnesses, node counts and budget verdicts do not depend on the parallel
-width or on the schedule.
+per Aut(G) orbit, named by its height sequences (``_orbit_tasks``), and
+cut every level below it too, by canonical augmentation (B. D. McKay, J.
+Algorithms 1998). If S* = (s_1 <= ... <= s_L) is the lexicographically
+least optimiser and an automorphism fixes s_1, ..., s_(j-1), it maps S*
+to an optimiser whose sorted form is not smaller, so it does not lower
+s_j. So a node enters only the children least in their class under the
+checked elementary automorphisms that fix every rank of its path
+(``_PathCut``); values and witnesses are those of the full walk, and only
+node counts fall. ``check`` and ``enumerate`` take every root and no cut.
+A scan runs its smallest tasks in-process first; once those have entered
+more than ``_FORK_GATE_NODES`` nodes, the rest go to forked worker
+processes (where ``os.fork`` exists), as many as the parallel width, the
+usable CPUs and the tasks left allow. Results merge by task index with a
+lexicographic tie-break, so values, witnesses, node counts and budget
+verdicts do not depend on the parallel width or on the schedule.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from fractions import Fraction
@@ -109,8 +117,90 @@ def _class_minima(factors: tuple[int, ...]) -> int:
     return minima
 
 
+def _generators(factors: tuple[int, ...]):
+    """Elementary automorphisms of the group (Hillar and Rhea, Amer. Math.
+    Monthly 2007), each (k, a, i, b): coordinate k of x becomes
+    a*x_k + b*x_i. They are the unit scalings e_k -> a e_k, for a in a
+    generating set of (Z/n_k)^* (each unit, ascending, that the units taken
+    before it do not generate), and the transvections
+    e_i -> e_i + (n_k / gcd(n_i, n_k)) e_k for i != k."""
+    for k, n in enumerate(factors):
+        generated = {1}
+        for a in range(2, n):
+            if a not in generated and math.gcd(a, n) == 1:
+                yield k, a, k, 0
+                new = generated
+                while new := {x * a % n for x in new} - generated:
+                    generated |= new
+        yield from ((k, 1, i, n // math.gcd(m, n)) for i, m in enumerate(factors) if i != k)
+
+
+def _automorphism(factors: tuple[int, ...], generator: tuple[int, int, int, int],
+                  columns: list[list[int]]) -> list[int]:
+    """The rank permutation of ``generator`` (k, a, i, b), ``columns[j][x]``
+    being coordinate j of rank x; InternalCheckError unless the map is well
+    defined (n_i * b = 0 mod n_k) and bijective, so an automorphism."""
+    k, a, i, b = generator
+    n, stride = factors[k], math.prod(factors[:k])
+    if factors[i] * b % n:
+        raise InternalCheckError(f"{generator} is not well defined on {factors}")
+    # the shift of a rank is a function of its coordinates k and i alone
+    shift = [[((a * x + b * y) % n - x) * stride for y in range(factors[i])] for x in range(n)]
+    perm = [r + shift[x][y] for r, x, y in zip(range(len(columns[k])), columns[k], columns[i])]
+    if len(set(perm)) != len(perm):
+        raise InternalCheckError(f"{generator} is not a bijection of {factors}")
+    return perm
+
+
+class _PathCut(dict):
+    """The cut below the root for one group, from the checked ``_generators``.
+
+    ``fixes[h]`` is the bitmask of the generators that fix rank h. The dict
+    maps a bitmask ``fix`` of generators to the mask of the least rank of
+    each class under them, computed as first asked for: one class at a time,
+    walked from its least rank through the chosen rank permutations.
+    """
+
+    __slots__ = ("perms", "full", "fixes")
+
+    def __init__(self, factors: tuple[int, ...]):
+        super().__init__()
+        size, columns, stride = math.prod(factors), [], 1
+        for n in factors:
+            columns.append([a for a in range(n) for _ in range(stride)] * (size // (n * stride)))
+            stride *= n
+        self.perms = [_automorphism(factors, gen, columns) for gen in _generators(factors)]
+        self.full = (1 << len(self.perms)) - 1
+        self.fixes = [0] * size
+        for bit, perm in enumerate(self.perms):
+            for r in [r for r, y in enumerate(perm) if r == y]:
+                self.fixes[r] |= 1 << bit
+
+    def __missing__(self, fix: int) -> int:
+        chosen = [perm for bit, perm in enumerate(self.perms) if fix >> bit & 1]
+        mask, seen = 0, bytearray(len(self.fixes))
+        for r in range(len(seen)):
+            if not seen[r]:
+                mask |= 1 << r
+                seen[r] = 1
+                stack = [r]
+                while stack:
+                    x = stack.pop()
+                    for perm in chosen:
+                        if not seen[y := perm[x]]:
+                            seen[y] = 1
+                            stack.append(y)
+        self[fix] = mask
+        return mask
+
+
+@lru_cache(maxsize=None)
+def _path_cut(factors: tuple[int, ...]) -> _PathCut:
+    return _PathCut(factors)
+
+
 def _scan_from(tables: GroupTables, task: Task, forbidden_mask: int, max_depth: int,
-               acc, max_nodes: int, deadline: float) -> int:
+               acc, max_nodes: int, deadline: float, cut: _PathCut | None = None) -> int:
     """DFS of one task ``(prefix, candidates)``; returns the nodes entered.
 
     The task enters the prefix ranks in order, then every multiset of the
@@ -128,29 +218,47 @@ def _scan_from(tables: GroupTables, task: Task, forbidden_mask: int, max_depth: 
     ``blocked | translate(blocked, -h)`` in the child, a superset, so the
     child's candidates are the parent's untried ones, h included, minus
     that mask. Only a node that descends is translated.
+
+    With a ``cut``, each level also keeps ``fix``, the bitmask of the
+    generators that fix every rank of its path (``fix &= fixes[h]`` on
+    descent). A level with ``fix`` nonzero enters only the candidates least
+    in their class under those generators, dropping the untried ranks below
+    each child it enters, so that child still draws its own children from
+    every untried rank from it on; a level with ``fix`` zero enters every
+    candidate, as a scan without a cut does.
     """
     translate, neg = tables.translate, tables.neg
     prefix, cand = task
     blocked = forbidden_mask
+    fix = select = 0
+    if cut is not None:
+        fix, fixes = cut.full, cut.fixes
     path = []
-    stack = []  # (untried children, blocked mask) of each node on the path
+    stack = []  # (untried children, blocked, fix, select) of each node on the path
     nodes = 0
     for g in prefix:
         nodes += 1
         path.append(g)
-        stack.append((0, blocked))
+        stack.append((0, blocked, 0, 0))
         if not (acc.enter(path) and len(path) < max_depth):
-            cand = 0
+            cand = fix = 0
             break
         blocked |= translate(blocked, neg[g])
+        if fix:
+            fix &= fixes[g]
     cand &= ~blocked
+    if fix:
+        select = cut[fix]
     while True:
+        if fix:
+            low = cand & select
+            cand &= -(low & -low)  # 0 when no candidate is selected
         if not cand:
             if not stack:
                 return nodes
             acc.leave(path)
             path.pop()
-            cand, blocked = stack.pop()
+            cand, blocked, fix, select = stack.pop()
             continue
         low = cand & -cand
         h = low.bit_length() - 1
@@ -159,9 +267,13 @@ def _scan_from(tables: GroupTables, task: Task, forbidden_mask: int, max_depth: 
             return nodes
         path.append(h)
         if acc.enter(path) and len(path) < max_depth:
-            stack.append((cand ^ low, blocked))
+            stack.append((cand ^ low, blocked, fix, select))
             blocked |= translate(blocked, neg[h])
             cand &= ~blocked
+            if fix:
+                fix &= fixes[h]
+                if fix:
+                    select = cut[fix]
         else:
             acc.leave(path)
             path.pop()
@@ -190,12 +302,14 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
              budget: SearchBudget | None = None,
              tasks: list[Task] | None = None,
              forbidden_mask: int = 1,
-             max_depth: int | None = None) -> tuple[list, int]:
+             max_depth: int | None = None,
+             symmetric: bool = False) -> tuple[list, int]:
     """Run one accumulator per task; return (accs, total nodes).
 
     ``tasks`` defaults to ``root_tasks`` of every rank outside
     ``forbidden_mask``; the Aut(G)-invariant searches pass ``_orbit_tasks``,
-    one root per orbit.
+    one root per orbit, and ``symmetric``, which cuts every level below the
+    root as well (``_scan_from`` with the group's ``_PathCut``).
     All accumulators are made here, in this process, and come back in task
     order whatever the width and the schedule, so merging them is
     deterministic. Tasks run from the last index down in-process until the
@@ -218,6 +332,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
         tasks = root_tasks(((1 << tables.size) - 1) & ~forbidden_mask)
     depth_cap = max_depth if max_depth is not None else tables.size * group.exponent
     max_nodes = budget.max_nodes
+    cut = _path_cut(tables.factors) if symmetric else None
 
     started = time.monotonic()
     deadline = started + budget.max_seconds
@@ -226,7 +341,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
 
     def run_one(index: int) -> int:
         return _scan_from(tables, tasks[index], forbidden_mask, depth_cap,
-                          accs[index], max_nodes, deadline)
+                          accs[index], max_nodes, deadline, cut)
 
     def tally(task_nodes: int) -> None:
         nonlocal nodes
@@ -517,7 +632,7 @@ def zero_sumfree_extrema(group: AbelianGroup, budget: SearchBudget | None = None
     first root task that reaches the maximum."""
     tables = tables_for(group)
     accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
-                       budget=budget, tasks=_orbit_tasks(tables))
+                       budget=budget, tasks=_orbit_tasks(tables), symmetric=True)
     d_acc = max(accs, key=lambda acc: acc.best_len)
     k_acc = max(accs, key=lambda acc: acc.best_scaled)
     return (d_acc.best_len, GSequence.from_ranks(group, d_acc.best),
@@ -536,7 +651,7 @@ def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
         return 0, GSequence.empty(group)
     accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
                        budget=budget, tasks=_orbit_tasks(tables, allowed),
-                       forbidden_mask=forbidden)
+                       forbidden_mask=forbidden, symmetric=True)
     # every task's root is entered, so the longest path is never empty
     best = max(accs, key=lambda acc: acc.best_len)
     return best.best_len, GSequence.from_ranks(group, best.best)
@@ -550,15 +665,18 @@ def d_pair_bruteforce(group: AbelianGroup, pair: DivisorPair,
 
 
 def _gamma_scan(group: AbelianGroup, delta: int, budget: SearchBudget | None,
-                tasks: list[Task] | None = None) -> tuple[int, tuple[int, ...], int]:
-    """Shared core of the gamma search over ``tasks``: (minimum, witness ranks, nodes)."""
-    _check_delta(group, delta)
+                symmetric: bool = False) -> tuple[int, tuple[int, ...], int]:
+    """Shared core of the gamma search: (minimum, witness ranks, nodes).
+    It walks every root, or with ``symmetric`` the orbit tasks and the cut
+    below them."""
+    _check_delta(group, delta)  # before the tables and the class masks are built
     target = davenport_p_group(group) - delta
     tables = tables_for(group)
     exp = group.exponent
     is_max = [1 if o == exp else 0 for o in tables.orders]
     accs, nodes = run_scan(group, lambda: _MinMaxOrderAcc(is_max, target),
-                           budget=budget, tasks=tasks, max_depth=target)
+                           budget=budget, tasks=_orbit_tasks(tables) if symmetric else None,
+                           max_depth=target, symmetric=symmetric)
     found = [acc for acc in accs if acc.best_count is not None]
     if not found:
         raise InternalCheckError(
@@ -577,8 +695,7 @@ def gamma_exact(group: AbelianGroup, delta: int,
     max-order count, so the minimum over lengths >= d(G) - delta is attained
     at that exact length; only it is searched.
     """
-    _check_delta(group, delta)  # before the tables and the class mask are built
-    best, ranks, _ = _gamma_scan(group, delta, budget, _orbit_tasks(tables_for(group)))
+    best, ranks, _ = _gamma_scan(group, delta, budget, symmetric=True)
     return best, GSequence.from_ranks(group, ranks)
 
 

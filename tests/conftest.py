@@ -190,12 +190,14 @@ def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
     return accs, nodes
 
 
-def aut_orbit_minima(group: AbelianGroup) -> int:
-    """Mask of the least rank of each Aut(G) orbit, by listing Aut(G): every
-    choice of basis images v_i with n_i * v_i = 0 whose map on coordinate
-    tuples, x -> sum x_i * v_i, is a bijection."""
+@lru_cache(maxsize=None)
+def automorphisms(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
+    """Aut(G) listed as rank permutations: every choice of basis images v_i
+    with n_i * v_i = 0 whose map on coordinate tuples, x -> sum x_i * v_i, is
+    a bijection."""
     factors = group.invariant_factors
-    elements = list(product(*[range(n) for n in factors]))
+    # coordinate tuples in rank order: coordinate 0 varies fastest
+    elements = [x[::-1] for x in product(*[range(n) for n in reversed(factors)])]
 
     def rank(coords):
         r = 0
@@ -205,15 +207,22 @@ def aut_orbit_minima(group: AbelianGroup) -> int:
 
     choices = [[v for v in elements if all(n * a % m == 0 for a, m in zip(v, factors))]
                for n in factors]
-    automorphisms = []
+    listed = []
     for images in product(*choices):
-        image = {x: tuple(sum(a * v[k] for a, v in zip(x, images)) % m
-                          for k, m in enumerate(factors)) for x in elements}
-        if len(set(image.values())) == len(elements):
-            automorphisms.append(image)
+        perm = tuple(rank([sum(a * v[k] for a, v in zip(x, images)) % m
+                           for k, m in enumerate(factors)]) for x in elements)
+        if len(set(perm)) == len(elements):
+            listed.append(perm)
+    return tuple(listed)
+
+
+def aut_orbit_minima(group: AbelianGroup, fixing: tuple[int, ...] = ()) -> int:
+    """Mask of the least rank of each orbit of the automorphisms that fix
+    every rank in ``fixing`` (by default, of Aut(G)), by listing Aut(G)."""
+    stabiliser = [phi for phi in automorphisms(group) if all(phi[r] == r for r in fixing)]
     minima, seen = 0, set()
-    for x in sorted(elements, key=rank):
+    for x in range(group.cardinality):
         if x not in seen:
-            minima |= 1 << rank(x)
-            seen |= {phi[x] for phi in automorphisms}
+            minima |= 1 << x
+            seen |= {phi[x] for phi in stabiliser}
     return minima

@@ -62,10 +62,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("width", ["1", "2"])
     def test_node_budget_counts_the_reduced_walk(self, capsys, width):
-        # C5xC5 is one orbit under Aut(G): one root task of 23,113 nodes
+        # C5xC5 is one orbit under Aut(G): one root task of 3,407 nodes
         command = ["invariants", "--group", "5,5", "--parallel", width, "--budget-nodes"]
-        assert main(command + ["23112"]) == EXIT_BUDGET
-        assert main(command + ["23113"]) == EXIT_OK
+        assert main(command + ["3406"]) == EXIT_BUDGET
+        assert main(command + ["3407"]) == EXIT_OK
 
     def test_usage_error_nan_time_budget(self, capsys):
         assert main(["invariants", "--group", "2,4", "--method", "search",

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair, GSequence,
-                     SearchBudget, check_order_divisibility, d_pair_bruteforce,
-                     d_pair_value, davenport_constant, davenport_p_group,
-                     enumerate_zero_sumfree, gamma_bounds, gamma_exact,
-                     gamma_extremal_sequence, k_star, longest_avoiding,
-                     max_order_count, order_filter, zero_sumfree_extrema)
+                     SearchBudget, check_cross_number_conjecture,
+                     check_order_divisibility, d_pair_bruteforce, d_pair_value,
+                     davenport_constant, davenport_p_group, enumerate_zero_sumfree,
+                     gamma_bounds, gamma_exact, gamma_extremal_sequence, k_star,
+                     longest_avoiding, max_order_count, order_filter,
+                     zero_sumfree_extrema)
 from zerosum.groups import tables_for
 from zerosum.search import _ExtremaAcc, _subgroup_mask
 from zerosum.sequences import check_witness, cross_number
@@ -458,6 +459,46 @@ class TestOrbitCut:
         from zerosum.search import _class_minima
         assert _class_minima(factors) == aut_orbit_minima(AbelianGroup(factors))
 
+    @pytest.mark.parametrize("factors", SMALL_GROUP_FACTORS, ids=str)
+    def test_cut_enters_every_stabiliser_minimum(self, factors):
+        """Below an orbit-minimum root m, and below every (m, h), the cut
+        enters each rank least in its orbit under the listed automorphisms
+        that fix every rank of the path, so it keeps the next rank of the
+        least optimiser; on a group of rank two or more it acts."""
+        from zerosum.search import _class_minima, _path_cut
+        group = AbelianGroup(factors)
+        size = group.cardinality
+        cut = _path_cut(factors)
+        roots = _class_minima(factors)
+        acted = False
+        for m in range(1, size):
+            if not roots >> m & 1:
+                continue
+            for path in [(m,)] + [(m, h) for h in range(m, size)]:
+                fix = cut.full
+                for r in path:
+                    fix &= cut.fixes[r]
+                if fix:
+                    acted = True
+                    assert aut_orbit_minima(group, path) & ~cut[fix] == 0, path
+        assert acted or len(factors) == 1
+
+    def test_a_map_that_is_not_an_automorphism_is_refused(self, monkeypatch):
+        # (k, a, i, b): coordinate k of x becomes a*x_k + b*x_i, on C2xC4
+        from zerosum import search
+        from zerosum.errors import InternalCheckError
+        generators = search._generators
+        for bad, why in (((0, 2, 0, 0), "not a bijection"),     # e_0 -> 2 e_0
+                         ((1, 2, 1, 0), "not a bijection"),     # e_1 -> 2 e_1
+                         ((1, 2, 0, 2), "not a bijection"),     # e_1 -> 2 e_1, e_0 -> e_0 + 2 e_1
+                         ((1, 1, 0, 1), "not well defined")):   # e_0 -> e_0 + e_1
+            def corrupted(factors, bad=bad):
+                yield from generators(factors)
+                yield bad
+            monkeypatch.setattr(search, "_generators", corrupted)
+            with pytest.raises(InternalCheckError, match=why):
+                search._PathCut((2, 4))
+
     def test_cyclic_classes_are_the_divisors(self):
         # Aut(C_n) = (Z/n)^* has one orbit per order d | n, least rank n/d
         from zerosum.search import _class_minima
@@ -492,11 +533,16 @@ class TestPinnedCounts:
         assert run_scan(group, extrema_acc(group))[1] == 138_864
         nodes = scan_nodes(monkeypatch)
         d_val, d_wit, k_val, k_wit = zero_sumfree_extrema(group)
-        assert nodes == [23_113]  # one task: Aut(C5xC5) is transitive on G - 0
+        assert nodes == [3_407]  # one task: Aut(C5xC5) is transitive on G - 0
         assert (d_val, k_val) == (8, Fraction(8, 5))
         witness = (1, 1, 1, 1, 5, 5, 5, 5)
         assert tuple(d_wit.iter_ranks()) == witness
         assert tuple(k_wit.iter_ranks()) == witness
+
+    def test_check_walks_every_root(self):
+        # the checking route takes neither the orbit cut nor the cut below it
+        report = check_cross_number_conjecture(AbelianGroup((3, 9)))
+        assert report.nodes_visited == 255_946
 
     def test_forbidden_allowed_elements_are_never_entered(self):
         from zerosum.search import root_tasks, run_scan
@@ -513,7 +559,7 @@ class TestPinnedCounts:
         assert every_root[2] == 508_814
         nodes = scan_nodes(monkeypatch)
         value, witness = gamma_exact(group, 1)
-        assert nodes == [173_769]
+        assert nodes == [10_156]
         assert (value, tuple(witness.iter_ranks())) == every_root[:2]
 
     def test_longest_avoiding_c8x8x8_subgroup(self, monkeypatch):
@@ -530,7 +576,7 @@ class TestPinnedCounts:
         assert nodes == 15_736
         nodes = scan_nodes(monkeypatch)
         length, witness = longest_avoiding(group, pair)
-        assert nodes == [817]
+        assert nodes == [3]
         assert length == len(witness) == 3
         assert tuple(witness.iter_ranks()) == (2, 16, 128)
 
