@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ._record import record
 from .errors import InvalidGroupError, UndefinedHeightError, UnsupportedGroupError
@@ -209,35 +209,23 @@ class GroupElement:
                           for a, n in zip(self.coords, self.group.invariant_factors)))
 
     def height(self) -> int:
-        """Largest p-power p^m such that g = p^m * h is solvable (p-groups, g != 0).
+        """Largest p-power p^h with g in p^h G (p-groups, g != 0): p^h
+        divides every coordinate, taken as an integer in [0, n_i).
 
         Undefined at 0, where the maximum does not exist.
         """
         p = self.group.p
         if self.is_zero:
             raise UndefinedHeightError("height of 0 is undefined")
-        return p ** _height_sequence(p, self.coords, self.group.invariant_factors)[0]
+        h = 1
+        while all(a % (h * p) == 0 for a in self.coords):
+            h *= p
+        return h
 
     def __str__(self) -> str:
         if self.group.rank == 1:
             return str(self.coords[0])
         return "(" + ",".join(str(a) for a in self.coords) + ")"
-
-
-def _height_sequence(p: int, y: Sequence[int], moduli: Sequence[int]) -> tuple[int, ...]:
-    """h(y), h(p y), h(p^2 y), ... up to the first zero, for y in the p-group
-    with the given prime-power moduli: h(y) is the largest h with y in p^h G,
-    which holds iff p^h divides every coordinate of y, taken as an integer in
-    [0, modulus). Each height exceeds the one before, so its search starts
-    there."""
-    heights, h = [], 0
-    while any(y):
-        while all(a % p ** (h + 1) == 0 for a in y):
-            h += 1
-        heights.append(h)
-        y = [a * p % q for a, q in zip(y, moduli)]
-        h += 1
-    return tuple(heights)
 
 
 # -- canonical construction --------------------------------------------------

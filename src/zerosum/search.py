@@ -9,16 +9,16 @@ exhaustion is an error, never an estimate.
 
 A scan is a list of tasks (prefix, candidates), each with its own
 accumulator; ``root_tasks`` makes one per first-element rank. d(G), k(G),
-Gamma and D_(d',d) are Aut(G)-invariant, so their searches take one root
-per Aut(G) orbit, named by its height sequences (``_orbit_tasks``), and
-cut every level below it too, by canonical augmentation (B. D. McKay, J.
-Algorithms 1998). If S* = (s_1 <= ... <= s_L) is the lexicographically
-least optimiser and an automorphism fixes s_1, ..., s_(j-1), it maps S*
-to an optimiser whose sorted form is not smaller, so it does not lower
-s_j. So a node enters only the children least in their class under the
-checked elementary automorphisms that fix every rank of its path
-(``_PathCut``); values and witnesses are those of the full walk, and only
-node counts fall. ``check`` and ``enumerate`` take every root and no cut.
+Gamma and D_(d',d) are Aut(G)-invariant, so their searches cut every
+level by canonical augmentation (B. D. McKay, J. Algorithms 1998). If
+S* = (s_1 <= ... <= s_L) is the lexicographically least optimiser and an
+automorphism fixes s_1, ..., s_(j-1), it maps S* to an optimiser whose
+sorted form is not smaller, so it does not lower s_j. So a level enters
+only the ranks least in their class under the checked elementary
+automorphisms that fix every rank of its path (``_PathCut``): at the
+root, with the empty path, under all of them. Values and witnesses are
+those of the full walk, and only node counts fall. ``check`` and
+``enumerate`` take every root and no cut.
 A scan runs its smallest tasks in-process first; once those have entered
 more than ``_FORK_GATE_NODES`` nodes, the rest go to forked worker
 processes (where ``os.fork`` exists), as many as the parallel width, the
@@ -34,15 +34,13 @@ import os
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Callable
 
 from ._record import factory, record
 from .errors import BudgetExceededError, InternalCheckError, NeedsOracleError
 from .formulas import (DivisorPair, _check_delta, davenport_closed_form,
                        davenport_p_group, reduced_group)
-from .groups import (AbelianGroup, GroupTables, _exact_ints, _factorize, _height_sequence,
-                     tables_for)
+from .groups import AbelianGroup, GroupTables, _exact_ints, tables_for
 from .sequences import GSequence
 
 
@@ -91,32 +89,6 @@ def root_tasks(mask: int) -> list[Task]:
     return [((g,), mask >> g << g) for g in range(mask.bit_length()) if (mask >> g) & 1]
 
 
-@lru_cache(maxsize=None)
-def _class_minima(factors: tuple[int, ...]) -> int:
-    """Mask of the least rank of each Aut(G) orbit.
-
-    Aut(G) is the product of the Aut(G_p), and two elements of a finite
-    abelian p-group lie in one orbit iff their height sequences agree
-    (R. Baer, Proc. London Math. Soc. 1935; I. Kaplansky, Infinite Abelian
-    Groups, 1954). So an orbit is named by the height sequences of the
-    p-components, x_p having coordinate i reduced mod p^e_i where p^e_i
-    exactly divides n_i. The least rank of the lexicographically least
-    optimiser of an Aut(G)-invariant search is least in its orbit, so one
-    root per orbit finds it.
-    """
-    # coordinates listed last first, so that product() walks them in rank order
-    moduli = [(p, [p ** _factorize(n).get(p, 0) for n in reversed(factors)])
-              for p in _factorize(factors[-1])]
-    minima, seen = 0, set()
-    for r, coords in enumerate(product(*(range(n) for n in reversed(factors)))):
-        key = tuple(_height_sequence(p, [a % q for a, q in zip(coords, qs)], qs)
-                    for p, qs in moduli)
-        if key not in seen:
-            seen.add(key)
-            minima |= 1 << r
-    return minima
-
-
 def _generators(factors: tuple[int, ...]):
     """Elementary automorphisms of the group (Hillar and Rhea, Amer. Math.
     Monthly 2007), each (k, a, i, b): coordinate k of x becomes
@@ -159,6 +131,9 @@ class _PathCut(dict):
     maps a bitmask ``fix`` of generators to the mask of the least rank of
     each class under them, computed as first asked for: one class at a time,
     walked from its least rank through the chosen rank permutations.
+    ``self[self.full]``, the classes under every generator, names the roots.
+    Each generator is an automorphism, so each class lies in one Aut(G)
+    orbit and the least rank of every orbit is kept.
     """
 
     __slots__ = ("perms", "full", "fixes")
@@ -307,9 +282,11 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     """Run one accumulator per task; return (accs, total nodes).
 
     ``tasks`` defaults to ``root_tasks`` of every rank outside
-    ``forbidden_mask``; the Aut(G)-invariant searches pass ``_orbit_tasks``,
-    one root per orbit, and ``symmetric``, which cuts every level below the
-    root as well (``_scan_from`` with the group's ``_PathCut``).
+    ``forbidden_mask``. The Aut(G)-invariant searches pass ``symmetric``
+    with the ``root_tasks`` of an Aut(G)-invariant mask: only the tasks
+    whose root is least in its class under every generator of the group's
+    ``_PathCut`` are kept (a task with no prefix is kept), before the
+    accumulators are made, and ``_scan_from`` cuts every level below.
     All accumulators are made here, in this process, and come back in task
     order whatever the width and the schedule, so merging them is
     deterministic. Tasks run from the last index down in-process until the
@@ -332,7 +309,11 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
         tasks = root_tasks(((1 << tables.size) - 1) & ~forbidden_mask)
     depth_cap = max_depth if max_depth is not None else tables.size * group.exponent
     max_nodes = budget.max_nodes
-    cut = _path_cut(tables.factors) if symmetric else None
+    cut = None
+    if symmetric:
+        cut = _path_cut(tables.factors)
+        roots = cut[cut.full]
+        tasks = [task for task in tasks if not task[0] or roots >> task[0][0] & 1]
 
     started = time.monotonic()
     deadline = started + budget.max_seconds
@@ -494,15 +475,6 @@ def _copy_state(dst, src) -> None:
         vars(dst).update(vars(src))
 
 
-def _orbit_tasks(tables: GroupTables, mask: int | None = None) -> list[Task]:
-    """``root_tasks`` of ``mask`` (default: every nonzero rank), an
-    Aut(G)-invariant set, kept to the roots least in their Aut(G) orbit
-    (``_class_minima``)."""
-    roots = _class_minima(tables.factors)
-    tasks = root_tasks((1 << tables.size) - 2 if mask is None else mask)
-    return [task for task in tasks if roots >> task[0][0] & 1]
-
-
 def _subgroup_mask(tables: GroupTables, d: int) -> int:
     """Bitmask of the ranks whose order divides d."""
     return tables.mask_of(r for r in range(tables.size) if d % tables.orders[r] == 0)
@@ -632,7 +604,7 @@ def zero_sumfree_extrema(group: AbelianGroup, budget: SearchBudget | None = None
     first root task that reaches the maximum."""
     tables = tables_for(group)
     accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
-                       budget=budget, tasks=_orbit_tasks(tables), symmetric=True)
+                       budget=budget, symmetric=True)
     d_acc = max(accs, key=lambda acc: acc.best_len)
     k_acc = max(accs, key=lambda acc: acc.best_scaled)
     return (d_acc.best_len, GSequence.from_ranks(group, d_acc.best),
@@ -650,7 +622,7 @@ def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
     if not allowed:
         return 0, GSequence.empty(group)
     accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
-                       budget=budget, tasks=_orbit_tasks(tables, allowed),
+                       budget=budget, tasks=root_tasks(allowed),
                        forbidden_mask=forbidden, symmetric=True)
     # every task's root is entered, so the longest path is never empty
     best = max(accs, key=lambda acc: acc.best_len)
@@ -667,16 +639,15 @@ def d_pair_bruteforce(group: AbelianGroup, pair: DivisorPair,
 def _gamma_scan(group: AbelianGroup, delta: int, budget: SearchBudget | None,
                 symmetric: bool = False) -> tuple[int, tuple[int, ...], int]:
     """Shared core of the gamma search: (minimum, witness ranks, nodes).
-    It walks every root, or with ``symmetric`` the orbit tasks and the cut
+    It walks every root, or with ``symmetric`` the cut roots and the cut
     below them."""
-    _check_delta(group, delta)  # before the tables and the class masks are built
+    _check_delta(group, delta)  # before the tables and the cut are built
     target = davenport_p_group(group) - delta
     tables = tables_for(group)
     exp = group.exponent
     is_max = [1 if o == exp else 0 for o in tables.orders]
     accs, nodes = run_scan(group, lambda: _MinMaxOrderAcc(is_max, target),
-                           budget=budget, tasks=_orbit_tasks(tables) if symmetric else None,
-                           max_depth=target, symmetric=symmetric)
+                           budget=budget, max_depth=target, symmetric=symmetric)
     found = [acc for acc in accs if acc.best_count is not None]
     if not found:
         raise InternalCheckError(

@@ -161,8 +161,8 @@ class TestGammaExact:
             raise AssertionError("the search is set up before delta is checked")
 
         # a bad delta or a group that is not a p-group is refused before the
-        # tables and the class mask, which cost seconds at |G| = 10^6, are built
-        monkeypatch.setattr(search, "_orbit_tasks", no_set_up)
+        # tables and the cut, which cost seconds at |G| = 10^6, are built
+        monkeypatch.setattr(search, "_path_cut", no_set_up)
         with pytest.raises(ValueError):
             gamma_exact(C24, 4)
         with pytest.raises(ValueError):
@@ -411,9 +411,9 @@ SMALL_GROUP_FACTORS = _chains(5_000)
 
 
 class TestOrbitCut:
-    """The searches that walk one root per Aut(G) orbit (``_class_minima``)
-    against the walk of every root: the same values and witness ranks; and
-    the orbits against two oracles."""
+    """The searches cut by the checked automorphisms (``_PathCut``) against
+    the walk of every root: the same values and witness ranks; and the root
+    classes against two oracles."""
 
     @pytest.mark.parametrize("factors", ORBIT_CUT_FACTORS, ids=str)
     def test_reduced_searches_match_every_root(self, factors, forked_scans):
@@ -454,10 +454,29 @@ class TestOrbitCut:
                 got += [value, tuple(witness.iter_ranks())]
             assert got == want, width
 
+    @pytest.mark.parametrize("factors", ORBIT_CUT_FACTORS, ids=str)
+    def test_root_filter_is_level_zero_of_the_cut(self, factors, forked_scans, monkeypatch):
+        """One task with no prefix, cut from level 0 on, gives the d and k,
+        witness ranks and total nodes of the filtered root tasks."""
+        from zerosum.search import run_scan
+        group = AbelianGroup(factors)
+        nodes = scan_nodes(monkeypatch)
+        for width in (1, 2):
+            budget = SearchBudget(parallel_width=width)
+            d, d_wit, k, k_wit = zero_sumfree_extrema(group, budget)
+            (acc,), level_zero = run_scan(group, extrema_acc(group), budget=budget,
+                                          tasks=[((), (1 << group.cardinality) - 2)],
+                                          symmetric=True)
+            assert ([acc.best_len, acc.best, Fraction(acc.best_scaled, group.exponent),
+                     acc.best_cross, level_zero]
+                    == [d, tuple(d_wit.iter_ranks()), k, tuple(k_wit.iter_ranks()),
+                        nodes[-1]]), width
+
     @pytest.mark.parametrize("factors", SMALL_GROUP_FACTORS, ids=str)
     def test_classes_are_the_aut_orbits(self, factors):
-        from zerosum.search import _class_minima
-        assert _class_minima(factors) == aut_orbit_minima(AbelianGroup(factors))
+        from zerosum.search import _path_cut
+        cut = _path_cut(factors)
+        assert cut[cut.full] == aut_orbit_minima(AbelianGroup(factors))
 
     @pytest.mark.parametrize("factors", SMALL_GROUP_FACTORS, ids=str)
     def test_cut_enters_every_stabiliser_minimum(self, factors):
@@ -465,11 +484,11 @@ class TestOrbitCut:
         enters each rank least in its orbit under the listed automorphisms
         that fix every rank of the path, so it keeps the next rank of the
         least optimiser; on a group of rank two or more it acts."""
-        from zerosum.search import _class_minima, _path_cut
+        from zerosum.search import _path_cut
         group = AbelianGroup(factors)
         size = group.cardinality
         cut = _path_cut(factors)
-        roots = _class_minima(factors)
+        roots = cut[cut.full]
         acted = False
         for m in range(1, size):
             if not roots >> m & 1:
@@ -500,15 +519,52 @@ class TestOrbitCut:
                 search._PathCut((2, 4))
 
     def test_cyclic_classes_are_the_divisors(self):
-        # Aut(C_n) = (Z/n)^* has one orbit per order d | n, least rank n/d
-        from zerosum.search import _class_minima
+        # Aut(C_n) = (Z/n)^* has one orbit per order d | n, least rank n/d; the
+        # greedy generating set of the units reaches every one
+        from zerosum.search import _path_cut
         for n in range(2, 400):
             want = 1 | sum(1 << n // d for d in range(2, n + 1) if n % d == 0)
-            assert _class_minima((n,)) == want, n
+            cut = _path_cut((n,))
+            assert cut[cut.full] == want, n
 
 
-def scan_nodes(monkeypatch):
-    """The list to which every later ``run_scan`` appends its node total."""
+class TestRouteIndependence:
+    """The search route and the checking route share no symmetry code: the
+    cut searches read no height, and the height checks build no cut."""
+
+    def test_searches_read_no_height(self, monkeypatch):
+        from zerosum import GroupElement, search
+        group = AbelianGroup((2, 4, 4))
+        pair = DivisorPair(2, 4)
+
+        def searches():
+            return (zero_sumfree_extrema(group), gamma_exact(group, 1),
+                    longest_avoiding(group, pair))
+
+        want = searches()
+
+        def no_height(self):
+            raise AssertionError("the search route read a height")
+
+        monkeypatch.setattr(GroupElement, "height", no_height)
+        search._path_cut.cache_clear()
+        assert searches() == want
+
+    def test_checks_build_no_cut(self, monkeypatch):
+        from zerosum import check_heights, search
+
+        def no_cut(*args):
+            raise AssertionError("the checking route built the cut")
+
+        monkeypatch.setattr(search, "_path_cut", no_cut)
+        for report in (check_heights(C24), check_cross_number_conjecture(C24)):
+            assert report.verdict == "verified"
+            assert report.nodes_visited > 0
+
+
+def scan_nodes(monkeypatch, tasks: list | None = None):
+    """The list to which every later ``run_scan`` appends its node total;
+    it appends its task count to ``tasks``, if given."""
     from zerosum import search
     nodes = []
     run_scan = search.run_scan
@@ -516,6 +572,8 @@ def scan_nodes(monkeypatch):
     def counting(*args, **kwargs):
         accs, total = run_scan(*args, **kwargs)
         nodes.append(total)
+        if tasks is not None:
+            tasks.append(len(accs))
         return accs, total
 
     monkeypatch.setattr(search, "run_scan", counting)
@@ -524,8 +582,8 @@ def scan_nodes(monkeypatch):
 
 class TestPinnedCounts:
     """Node counts and witnesses that pruning and translation changes must
-    keep: of the walk of every root, and of the searches that walk one root
-    per Aut(G) orbit (``_class_minima``)."""
+    keep: of the walk of every root, and of the searches cut by the checked
+    automorphisms (``_PathCut``)."""
 
     def test_c5xc5_scans(self, monkeypatch):
         from zerosum.search import run_scan
@@ -582,15 +640,13 @@ class TestPinnedCounts:
 
     def test_longest_avoiding_c42(self, monkeypatch):
         # one task per allowed order, as Aut(C42) has one orbit per divisor
-        from zerosum.search import _orbit_tasks
         group = AbelianGroup((42,))
-        tables = tables_for(group)
-        nodes = scan_nodes(monkeypatch)
+        tasks = []
+        nodes = scan_nodes(monkeypatch, tasks)
         for pair, witness in ((DivisorPair(7, 42), (1,) * 6), (DivisorPair(2, 42), (1,))):
-            forbidden = _subgroup_mask(tables, pair.quotient)
-            assert len(_orbit_tasks(tables, _subgroup_mask(tables, 42) & ~forbidden)) == 4
             length, found = longest_avoiding(group, pair)
             assert (length, tuple(found.iter_ranks())) == (len(witness), witness)
+        assert tasks == [4, 4]
         assert nodes == [6_820, 4]
 
 
