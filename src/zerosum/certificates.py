@@ -143,12 +143,8 @@ def _invariants(group, inputs, budget):
             claims.append({"kind": "davenport", "value": formula_d, "witness": None})
         return {"method": inputs["method"]}, claims, results, "ok", lines
     d, d_seq, k, k_seq = search.zero_sumfree_extrema(group, budget)
-    sequences.check_witness(d_seq)
-    sequences.check_witness(k_seq)
-    if len(d_seq) != d:
-        raise InternalCheckError(f"d witness {d_seq} is not of length d(G) = {d}")
-    if sequences.cross_number(k_seq) != k:
-        raise InternalCheckError(f"k witness {k_seq} is not of cross number k(G) = {k}")
+    sequences.check_witness(d_seq, length=d)
+    sequences.check_witness(k_seq, cross=k)
     if d < d_star:
         raise InternalCheckError(f"search found d(G) = {d} below the d* lower bound")
     if k < k_star:
@@ -195,9 +191,7 @@ def _dpair(group, inputs, budget):
         if sequences.order_filter(seq, pair.d, "divides") != seq:
             raise InternalCheckError(f"witness {seq} is not in G_d for d = {pair.d}")
         sequences.check_witness(seq, sum(1 << e.rank for e in group.elements()
-                                         if pair.quotient % e.order() == 0))
-        if len(seq) != length:
-            raise InternalCheckError(f"witness {seq} is not of length {length}")
+                                         if pair.quotient % e.order() == 0), length=length)
         claim["value"] = results["search_value"] = length + 1
         claim["witness"] = results["witness"] = sequence_to_json(seq)
         lines += [f"  by brute force: D_(d',d) = {length + 1}",
@@ -233,11 +227,10 @@ def _gamma(group, inputs, budget):
         if bounds.exact not in (None, exact):
             raise InternalCheckError(f"exact closed form gives {bounds.exact} "
                                      f"but search found {exact}")
-        sequences.check_witness(seq)
-        if sequences.max_order_count(seq) != exact:
-            raise InternalCheckError(f"witness {seq} is not of max-order count {exact}")
-        if len(seq) != results["d"] - delta:
-            raise InternalCheckError(f"witness {seq} is not of length d(G) - delta")
+        if formulas.gamma_upper_is_exact(group, delta) and exact != bounds.upper:
+            raise InternalCheckError(f"search found {exact}, but the proved regime (j0 = r, or "
+                                     f"j0 = 1 and delta <= p - 2) has gamma = {bounds.upper}")
+        sequences.check_witness(seq, length=results["d"] - delta, max_order=exact)
         claims.append({"kind": "gamma_exact", "delta": delta, "value": exact,
                        "witness": sequence_to_json(seq)})
         results["search"] = {"value": exact, "witness": claims[-1]["witness"]}
@@ -250,9 +243,7 @@ def _gamma(group, inputs, budget):
 
 
 def _construct(group, inputs, budget):
-    """Each construction checks itself: zero-sumfree, and length d*(G),
-    cross number k*(G), or length d(G) - delta with max-order count
-    ``gamma_upper``."""
+    """Each construction checks itself with ``sequences.check_witness``."""
     kind, delta = inputs["kind"], inputs["delta"]
     if kind != "gamma" and delta is not None:
         raise ValueError(f"construct --kind {kind} does not take --delta")

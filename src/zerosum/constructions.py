@@ -1,9 +1,9 @@
 """Explicit zero-sumfree sequence constructions attaining the known bounds.
 
-Each builder self-verifies before returning (zero-sumfreeness, length, and
-where promised, the maximal-order count). A failed self-check raises
-InternalCheckError loudly: these constructions are proven to work, so a
-failure means a bug in this package.
+Each builder checks its sequence and the length, cross number or max-order
+count it promises with ``sequences.check_witness`` before returning. A
+failure raises InternalCheckError loudly: these constructions are proven to
+work, so it means a bug in this package.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import InternalCheckError
 from .formulas import _check_delta, d_star, davenport_p_group, gamma_upper, j0, k_star
 from .groups import AbelianGroup, GroupElement, _factorize
-from .sequences import GSequence, cross_number, is_zero_sumfree, max_order_count
+from .sequences import GSequence, check_witness
 
 
 def standard_basis(group: AbelianGroup) -> list[GroupElement]:
@@ -36,8 +36,7 @@ def dstar_sequence(group: AbelianGroup) -> GSequence:
     basis = standard_basis(group)
     seq = _sequence_of(group, [(e, n - 1) for e, n in
                                zip(basis, group.invariant_factors)])
-    if len(seq) != d_star(group) or not is_zero_sumfree(seq):
-        raise InternalCheckError(f"d* construction failed self-check on {group}")
+    check_witness(seq, length=d_star(group))
     return seq
 
 
@@ -55,8 +54,7 @@ def kstar_sequence(group: AbelianGroup) -> GSequence:
             q = p ** exp
             parts.append(((n // q) * e, q - 1))
     seq = _sequence_of(group, parts)
-    if cross_number(seq) != k_star(group) or not is_zero_sumfree(seq):
-        raise InternalCheckError(f"k* construction failed self-check on {group}")
+    check_witness(seq, cross=k_star(group))
     return seq
 
 
@@ -124,17 +122,5 @@ def gamma_extremal_sequence(group: AbelianGroup, delta: int) -> GSequence:
                 break
         seq = GSequence.from_ranks(group, kept)
 
-    target_len = d_g - delta
-    expected_count = gamma_upper(group, delta)
-    if len(seq) != target_len:
-        raise InternalCheckError(
-            f"extremal construction for {group}, delta={delta} has length "
-            f"{len(seq)}, wanted {target_len}")
-    if not is_zero_sumfree(seq):
-        raise InternalCheckError(
-            f"extremal construction for {group}, delta={delta} is not zero-sumfree")
-    if max_order_count(seq) != expected_count:
-        raise InternalCheckError(
-            f"extremal construction for {group}, delta={delta} has "
-            f"{max_order_count(seq)} maximal-order elements, wanted {expected_count}")
+    check_witness(seq, length=d_g - delta, max_order=gamma_upper(group, delta))
     return seq

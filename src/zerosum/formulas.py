@@ -191,6 +191,15 @@ def gamma_exact_formula(group: AbelianGroup, delta: int) -> int:
     return max(0, (p ** a_r - 1) - delta - delta // (p - 1))
 
 
+def gamma_upper_is_exact(group: AbelianGroup, delta: int) -> bool:
+    """True where the upper bound is proved exact: j0 = r (the closed form),
+    or j0 = 1 and delta <= p - 2, where the heights theorem makes every
+    element maximal-order (height 1 is maximal order in a homocyclic group)."""
+    _check_delta(group, delta)
+    first = j0(group)
+    return first == group.rank or (first == 1 and delta <= group.p - 2)
+
+
 @record(frozen=True)
 class GammaBounds:
     """Clamped bounds (and exact value when available) with the raw,

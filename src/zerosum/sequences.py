@@ -7,6 +7,7 @@ Cross numbers are exact rationals (fractions.Fraction), never floats.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Literal
@@ -143,12 +144,13 @@ def subsums(seq: GSequence) -> SubsumTable:
 def definitional_subsums(seq: GSequence) -> set[int]:
     """Ranks of all nonempty subsums, one addition per nonempty sub-multiset.
 
-    Exponential in the length; this is the independent slow route used to
-    cross-check the incremental table, kept deliberately free of any shared
-    machinery beyond element addition.
+    Linear in their number, prod(m_i + 1) - 1 over the multiplicities; this
+    is the independent slow route used to cross-check the incremental table,
+    kept deliberately free of any shared machinery beyond element addition.
     """
-    if len(seq) > 22:
-        raise ValueError(f"definitional enumeration over 2^{len(seq)} subsets refused")
+    count = math.prod(m + 1 for _, m in seq.entries) - 1
+    if count > 2 ** 22 - 1:
+        raise ValueError(f"definitional enumeration over {count} sub-multisets refused")
     entries = [(seq.group.element_of_rank(r), m) for r, m in seq.entries]
     out = set()
 
@@ -164,17 +166,24 @@ def definitional_subsums(seq: GSequence) -> set[int]:
     return out
 
 
-def check_witness(seq: GSequence, forbidden_mask: int = 1) -> None:
+def check_witness(seq: GSequence, forbidden_mask: int = 1, *, length: int | None = None,
+                  cross: Fraction | None = None, max_order: int | None = None) -> None:
     """Check that ``seq`` has no nonempty subsum in ``forbidden_mask``, by
-    default {0}, with a fresh subsum table that is compared with the
-    definitional enumeration when ``seq`` has at most 12 elements. Never
-    searches; raises InternalCheckError naming the check that failed."""
+    default {0}, and each length, cross number and max-order count claimed.
+    Its fresh subsum table is compared with the definitional enumeration
+    when it has at most 4,095 nonempty sub-multisets. Never searches; raises
+    InternalCheckError naming the check that failed."""
     table = subsums(seq)
-    if len(seq) <= 12 and set(table.marked_ranks()) != definitional_subsums(seq):
+    if (math.prod(m + 1 for _, m in seq.entries) - 1 <= 4095
+            and set(table.marked_ranks()) != definitional_subsums(seq)):
         raise InternalCheckError(f"witness {seq}: incremental and definitional subsums disagree")
     if table.mask & forbidden_mask:
         raise InternalCheckError(f"witness {seq} is not zero-sumfree" if forbidden_mask == 1
                                  else f"witness {seq} has a subsum in the forbidden subgroup")
+    for name, claimed, measure in (("length", length, len), ("cross number", cross, cross_number),
+                                   ("max-order count", max_order, max_order_count)):
+        if claimed is not None and measure(seq) != claimed:
+            raise InternalCheckError(f"witness {seq} is not of {name} {claimed}")
 
 
 def is_zero_sumfree(seq: GSequence) -> bool:

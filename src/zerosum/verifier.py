@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ._record import record
 from .errors import BudgetExceededError
-from .formulas import d_star, davenport_p_group, gamma_bounds, j0, k_star
+from .formulas import d_star, davenport_p_group, gamma_bounds, gamma_upper_is_exact, k_star
 from .groups import AbelianGroup, _exact_ints, tables_for
 from .search import SearchBudget, _gamma_scan, run_scan
 from .sequences import GSequence
@@ -206,12 +206,10 @@ def check_gamma_conjecture(group: AbelianGroup, delta: int,
     if exact == bounds.upper:
         return CheckReport("gamma-conjecture", (("delta", delta),), "verified", None,
                            nodes, details=details)
-    # proved bound violations point straight at this package
-    bug = exact > bounds.upper or exact < bounds.lower
-    if not bug:
-        proved_regime = (j0(group) == group.rank
-                         or (j0(group) == 1 and delta <= group.p - 2))
-        bug = proved_regime
+    # a value outside the proved bounds, or off the upper bound where that is
+    # proved exact, points straight at this package
+    bug = (exact > bounds.upper or exact < bounds.lower
+           or gamma_upper_is_exact(group, delta))
     return CheckReport("gamma-conjecture", (("delta", delta),), "counterexample",
                        GSequence.from_ranks(group, ranks), nodes,
                        implementation_bug=bug, details=details)

@@ -435,6 +435,18 @@ def test_dpair_witness_lies_in_g_d(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_gamma_off_a_proved_upper_bound_is_refused(tmp_path, capsys, monkeypatch):
+    # C4xC4 at delta = 0 has j0 = 1 and delta <= p - 2, so the heights
+    # theorem gives gamma = d(G) = 6; 5 still lies in the bounds [5, 6]
+    real = search.gamma_exact
+    monkeypatch.setattr(search, "gamma_exact",
+                        lambda group, delta, budget: (5, real(group, delta, budget)[1]))
+    out = tmp_path / "out.json"
+    assert main(["gamma", "--group", "4,4", "--delta", "0", "--out", str(out)]) == EXIT_INTERNAL
+    assert "proved regime" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_counterexample_is_checked_like_a_witness(tmp_path, capsys, monkeypatch):
     real = verifier.check_order_divisibility
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from zerosum import AbelianGroup, InvalidGroupError
+from zerosum import AbelianGroup, InvalidGroupError, constructions, verifier
 from zerosum.cli import (EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL,
                          EXIT_OK, EXIT_USAGE, main, parse_group_spec)
 from zerosum.groups import tables_for
@@ -87,6 +87,39 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_invariants", broken)
         assert main(["invariants", "--group", "2,4"]) == EXIT_INTERNAL
+
+    @pytest.mark.parametrize("factors, exit_code, bug", [
+        ("4,4", EXIT_INTERNAL, True),          # j0 = 1, delta <= p - 2: proved
+        ("2,4,4", EXIT_COUNTEREXAMPLE, False),  # 1 < j0 < r: open
+    ])
+    def test_gamma_counterexample_exit(self, capsys, monkeypatch, factors, exit_code, bug):
+        # 5 lies in the bounds [5, 6] on both groups at delta = 0; the
+        # sequence of rank 1 is zero-sumfree
+        monkeypatch.setattr(verifier, "_gamma_scan", lambda group, delta, budget: (5, (1,), 0))
+        command = ["check", "--group", factors, "--name", "gamma-conjecture", "--delta", "0"]
+        assert main(command + ["--format", "json"]) == exit_code
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert (results["verdict"], results["implementation_bug"]) == ("counterexample", bug)
+        assert main(command) == exit_code
+        out = capsys.readouterr().out
+        assert "counterexample: " in out
+        assert ("contradicts a proved statement" in out) == bug
+
+    @pytest.mark.parametrize("kind, function, fault, message", [
+        ("dstar", "d_star", lambda real: lambda g: real(g) + 1, "is not of length 5"),
+        ("kstar", "k_star", lambda real: lambda g: real(g) + 1, "is not of cross number"),
+        ("gamma", "gamma_upper", lambda real: lambda g, delta: real(g, delta) + 1,
+         "is not of max-order count 4"),
+    ])
+    def test_failed_construction_exit(self, tmp_path, capsys, monkeypatch,
+                                      kind, function, fault, message):
+        monkeypatch.setattr(constructions, function,
+                            fault(getattr(constructions, function)))
+        out = tmp_path / "out.json"
+        command = ["construct", "--group", "2,4", "--kind", kind, "--out", str(out)]
+        assert main(command + (["--delta", "0"] if kind == "gamma" else [])) == EXIT_INTERNAL
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_cert_rejected_exit(self, tmp_path):
         out = tmp_path / "cert.json"

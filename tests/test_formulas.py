@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from zerosum import (AbelianGroup, DivisorPair, GSequence, NeedsOracleError,
                      is_zero_sumfree, j0, k_star, key_lemma_predicate,
                      little_cross_p_group, normalize_group, olson_predicate,
                      reduced_group, upsilon_vector)
+from zerosum.formulas import gamma_upper_is_exact
 from zerosum.search import d_pair_value, run_scan
 
 C24 = AbelianGroup((2, 4))
@@ -146,6 +148,30 @@ class TestGammaFormulas:
             assert j0(group) == group.rank
             for delta in range(davenport_p_group(group)):
                 assert gamma_exact_formula(group, delta) == gamma_upper(group, delta)
+
+    def test_exact_formula_equals_upper_on_every_small_group_with_j0_r(self):
+        # every p-group with p in {2, 3, 5, 7}, rank at most 4, at most 5,000
+        # elements and j0 = r: 37,897 values of (G, delta)
+        for p in (2, 3, 5, 7):
+            for rank in range(1, 5):
+                for exps in itertools.combinations_with_replacement(range(1, 13), rank):
+                    if p ** sum(exps) > 5000 or exps[-1] in exps[:-1]:
+                        continue
+                    group = AbelianGroup(tuple(p ** a for a in exps))
+                    for delta in range(davenport_p_group(group)):
+                        assert gamma_exact_formula(group, delta) == gamma_upper(group, delta)
+
+    def test_upper_is_exact_in_the_proved_regimes(self):
+        assert all(gamma_upper_is_exact(C24, delta) for delta in range(4))  # j0 = r
+        # homocyclic: the heights theorem covers delta <= p - 2, where the
+        # upper bound is d(G) - delta
+        c44, c99 = AbelianGroup((4, 4)), AbelianGroup((9, 9))
+        assert [gamma_upper_is_exact(c44, delta) for delta in range(3)] == [True, False, False]
+        assert [gamma_upper_is_exact(c99, delta) for delta in range(3)] == [True, True, False]
+        assert [gamma_upper(c99, delta) for delta in (0, 1)] == [16, 15]
+        assert not gamma_upper_is_exact(AbelianGroup((2, 4, 4)), 0)  # 1 < j0 < r
+        with pytest.raises(ValueError):
+            gamma_upper_is_exact(c44, 6)
 
 
 class TestOlsonPredicate:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from zerosum import (AbelianGroup, GSequence, InternalCheckError, SubsumTable,
                      cross_number, definitional_subsums, is_zero_sumfree,
-                     max_order_count, order_filter, sequences, subsums)
+                     max_order_count, order_filter, sequences, standard_basis, subsums)
 from zerosum.groups import tables_for
 from zerosum.search import _subgroup_mask
 from zerosum.sequences import check_witness
@@ -124,11 +124,35 @@ class TestCheckWitness:
             check_witness(E1E2_3)
 
     def test_long_witness_skips_the_definitional_route(self, monkeypatch):
-        c14 = AbelianGroup((14,))
+        # the basis of C2^13 has 2^13 - 1 = 8,191 nonempty sub-multisets
+        c2_13 = AbelianGroup((2,) * 13)
+        basis = standard_basis(c2_13)
         monkeypatch.setattr(sequences, "definitional_subsums", None)
-        check_witness(GSequence.from_ranks(c14, [1] * 13))
+        check_witness(GSequence.from_elements(c2_13, basis))
         with pytest.raises(InternalCheckError, match="is not zero-sumfree"):
-            check_witness(GSequence.from_ranks(c14, [1] * 12 + [2]))
+            check_witness(GSequence.from_elements(c2_13, basis[:12] + basis[:1]))
+
+    def test_long_witness_of_few_sub_multisets_is_compared(self, monkeypatch):
+        # 13 elements but only 13 nonempty sub-multisets
+        c14 = AbelianGroup((14,))
+        monkeypatch.setattr(sequences, "subsums", lambda seq: SubsumTable(seq.group, 0))
+        with pytest.raises(InternalCheckError, match="disagree"):
+            check_witness(GSequence.from_ranks(c14, [1] * 13))
+
+    def test_claims_are_measured(self):
+        check_witness(E1E2_3, length=4, cross=Fraction(5, 4), max_order=3)
+        with pytest.raises(InternalCheckError, match="is not of length 3"):
+            check_witness(E1E2_3, length=3)
+        with pytest.raises(InternalCheckError, match="is not of cross number 1"):
+            check_witness(E1E2_3, cross=Fraction(1))
+        with pytest.raises(InternalCheckError, match="is not of max-order count 4"):
+            check_witness(E1E2_3, max_order=4)
+
+    def test_definitional_route_refuses_by_cost(self):
+        c2 = AbelianGroup((2,))
+        assert definitional_subsums(GSequence.from_ranks(c2, [1] * 40)) == {0, 1}
+        with pytest.raises(ValueError, match="8388607 sub-multisets refused"):
+            definitional_subsums(GSequence.from_ranks(AbelianGroup((30,)), range(1, 24)))
 
 
 class TestCrossNumber:
