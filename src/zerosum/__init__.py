@@ -11,13 +11,12 @@ from .errors import (BudgetExceededError, CertificateError, InternalCheckError,
                      UndefinedHeightError, UnsupportedGroupError, ZeroSumError)
 from .groups import AbelianGroup, GroupElement, normalize_group
 from .sequences import (GSequence, SubsumTable, cross_number,
-                        definitional_subsums, is_zero_sumfree,
-                        max_order_count, order_filter, subsums)
-from .formulas import (DivisorPair, GammaBounds, d_pair_formula, d_star,
-                       davenport_closed_form, davenport_p_group, divisor_pairs,
-                       gamma_bounds, gamma_exact_formula, gamma_lower,
-                       gamma_upper, j0, k_star, key_lemma_predicate,
-                       little_cross_p_group, olson_predicate, reduced_group,
+                        definitional_subsums, max_order_count, order_filter,
+                        subsums)
+from .formulas import (DivisorPair, GammaBounds, d_star, davenport_closed_form,
+                       davenport_p_group, divisor_pairs, gamma_bounds,
+                       gamma_exact_formula, gamma_lower, gamma_upper, j0,
+                       k_star, little_cross_p_group, reduced_group,
                        upsilon_vector)
 from .search import (SearchBudget, d_pair_bruteforce, d_pair_value,
                      davenport_constant, enumerate_zero_sumfree, gamma_exact,
@@ -41,13 +40,12 @@ __all__ = [
     "AbelianGroup", "GroupElement", "normalize_group",
     # sequences
     "GSequence", "SubsumTable", "subsums", "definitional_subsums",
-    "is_zero_sumfree", "cross_number", "order_filter", "max_order_count",
+    "cross_number", "order_filter", "max_order_count",
     # formulas
     "DivisorPair", "GammaBounds", "d_star", "k_star", "davenport_p_group",
     "little_cross_p_group", "davenport_closed_form", "upsilon_vector",
-    "reduced_group", "d_pair_formula", "j0", "gamma_lower", "gamma_upper",
-    "gamma_exact_formula", "gamma_bounds", "olson_predicate",
-    "key_lemma_predicate", "divisor_pairs",
+    "reduced_group", "j0", "gamma_lower", "gamma_upper",
+    "gamma_exact_formula", "gamma_bounds", "divisor_pairs",
     # search
     "SearchBudget", "enumerate_zero_sumfree",
     "zero_sumfree_extrema", "longest_avoiding",

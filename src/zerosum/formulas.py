@@ -1,4 +1,4 @@
-"""Closed-form evaluators for the zero-sum invariants, plus decision criteria.
+"""Closed-form evaluators for the zero-sum invariants.
 
 Everything here is a pure function of the group data. Where a closed form
 exists only for a restricted class (p-groups, cyclic groups), inputs outside
@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ._record import record
 from .errors import NeedsOracleError, NotApplicableError, UnsupportedGroupError
 from .groups import AbelianGroup, _exact_ints, normalize_group
-from .sequences import GSequence, order_filter
 
 
 @record(frozen=True)
@@ -122,19 +121,6 @@ def reduced_group(group: AbelianGroup, pair: DivisorPair) -> AbelianGroup | None
     return normalize_group(nontrivial)
 
 
-def d_pair_formula(group: AbelianGroup, pair: DivisorPair) -> int:
-    """Least t such that every length-t sequence in G_d has a nonempty
-    subsequence summing into G_{d/d'}; via the reduced-group identity.
-
-    Only the closed-form classes are handled here (trivial, cyclic, p-group
-    reductions); other reductions raise NeedsOracleError.
-    """
-    reduced = reduced_group(group, pair)
-    if reduced is None:
-        return 1
-    return davenport_closed_form(reduced)
-
-
 def j0(group: AbelianGroup) -> int:
     """1-based index of the first invariant factor that equals the exponent."""
     if not group.is_p_group:
@@ -221,46 +207,3 @@ def gamma_bounds(group: AbelianGroup, delta: int) -> GammaBounds:
         exact = gamma_exact_formula(group, delta)
     return GammaBounds(delta=delta, lower=max(0, raw_lo), upper=max(0, raw_hi),
                        raw_lower=raw_lo, raw_upper=raw_hi, exact=exact)
-
-
-# -- decision criteria ---------------------------------------------------------
-
-def olson_predicate(group: AbelianGroup, seq: GSequence) -> bool:
-    """True iff the height sum exceeds d(G), which certifies that the
-    sequence is not zero-sumfree. One-directional: False decides nothing."""
-    if not group.is_p_group:
-        raise UnsupportedGroupError(f"{group} is not a p-group")
-    if seq.group != group:
-        raise ValueError("sequence is over a different group")
-    if seq.contains_zero_element():
-        raise ValueError("height sums are undefined for sequences containing 0")
-    total = sum(mult * group.element_of_rank(rank).height()
-                for rank, mult in seq.entries)
-    return total > davenport_p_group(group)
-
-
-DPairFn = Callable[[AbelianGroup, DivisorPair], int]
-
-
-def key_lemma_predicate(group: AbelianGroup, seq: GSequence, pair: DivisorPair,
-                        d_pair_fn: DPairFn | None = None) -> bool:
-    """Counting criterion that certifies a sequence is not zero-sumfree.
-
-    With T the sub-multiset of orders dividing d/d' and U the one of orders
-    dividing d, the test is |T| + floor((|U|-|T|) / D_{(d',d)}) >= D_{(q,q)}
-    where q = d/d'. True certifies "not zero-sumfree"; False decides nothing.
-
-    ``d_pair_fn`` resolves the two D values; the default is the closed form,
-    which raises NeedsOracleError outside its classes (callers may pass a
-    search-backed resolver instead).
-    """
-    pair.validate_for(group)
-    if seq.group != group:
-        raise ValueError("sequence is over a different group")
-    resolve = d_pair_fn if d_pair_fn is not None else d_pair_formula
-    q = pair.quotient
-    t_len = order_filter(seq, q, "divides").length
-    u_len = order_filter(seq, pair.d, "divides").length
-    denom = resolve(group, pair)
-    target = resolve(group, DivisorPair(q, q))
-    return t_len + (u_len - t_len) // denom >= target

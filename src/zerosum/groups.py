@@ -293,7 +293,8 @@ def parse_group_spec(text: str) -> AbelianGroup:
 # -- rank-indexed arithmetic tables -------------------------------------------
 
 class GroupTables:
-    """Dense rank-indexed arithmetic for one group, for the search alone.
+    """Dense rank-indexed arithmetic for one group: the search reads all of
+    it, and ``sequences.subsums`` reads ``translate`` alone.
 
     Orders and negation are precomputed for every rank, one invariant
     factor n at a time: with stride the product of the factors before n,

@@ -186,11 +186,6 @@ def check_witness(seq: GSequence, forbidden_mask: int = 1, *, length: int | None
             raise InternalCheckError(f"witness {seq} is not of {name} {claimed}")
 
 
-def is_zero_sumfree(seq: GSequence) -> bool:
-    """True iff no nonempty sub-multiset sums to 0 (vacuously true when empty)."""
-    return not subsums(seq).contains_zero
-
-
 def cross_number(seq: GSequence) -> Fraction:
     """Sum of reciprocal orders over all occurrences, as an exact rational."""
     total = Fraction(0)

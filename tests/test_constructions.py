@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from zerosum import (AbelianGroup, GSequence, cross_number, d_star,
-                     davenport_p_group, dstar_sequence, gamma_extremal_sequence,
-                     gamma_upper, is_zero_sumfree, k_star, kstar_sequence,
-                     max_order_count, standard_basis)
+from zerosum import (AbelianGroup, GSequence, InternalCheckError, cross_number,
+                     d_star, davenport_p_group, dstar_sequence,
+                     gamma_extremal_sequence, gamma_upper, k_star,
+                     kstar_sequence, max_order_count, standard_basis)
+from zerosum.sequences import check_witness
 from conftest import zero_sumfree_by_definition
 
 C24 = AbelianGroup((2, 4))
@@ -48,9 +49,10 @@ class TestDStarSequence:
         group = AbelianGroup((100, 100))
         s = dstar_sequence(group)
         assert len(s) == d_star(group) == 198
-        assert is_zero_sumfree(s)
+        check_witness(s)
         one_more = GSequence.from_ranks(group, [*s.iter_ranks(), group.element((1, 0)).rank])
-        assert not is_zero_sumfree(one_more)
+        with pytest.raises(InternalCheckError, match="not zero-sumfree"):
+            check_witness(one_more)
 
 
 class TestKStarSequence:
@@ -68,7 +70,7 @@ class TestKStarSequence:
             group = AbelianGroup(factors)
             s = kstar_sequence(group)
             assert cross_number(s) == k_star(group)
-            assert is_zero_sumfree(s)
+            check_witness(s)
             if len(s) <= 12:
                 assert zero_sumfree_by_definition(s)
 
@@ -119,7 +121,7 @@ class TestGammaExtremal:
             for delta in range(d_g):
                 s = gamma_extremal_sequence(group, delta)
                 assert len(s) == d_g - delta
-                assert is_zero_sumfree(s)
+                check_witness(s)
                 assert max_order_count(s) == gamma_upper(group, delta)
                 if len(s) <= 12:
                     assert zero_sumfree_by_definition(s)

@@ -1,27 +1,39 @@
 from __future__ import annotations
 
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from zerosum import (AbelianGroup, DivisorPair, GSequence, NeedsOracleError,
-                     NotApplicableError, UnsupportedGroupError, d_pair_formula,
-                     d_star, davenport_p_group, divisor_pairs, gamma_bounds,
-                     gamma_exact_formula, gamma_lower, gamma_upper,
-                     is_zero_sumfree, j0, k_star, key_lemma_predicate,
-                     little_cross_p_group, normalize_group, olson_predicate,
-                     reduced_group, upsilon_vector)
+import zerosum
+from zerosum import (AbelianGroup, DivisorPair, NotApplicableError,
+                     UnsupportedGroupError, d_star, davenport_p_group,
+                     divisor_pairs, gamma_bounds, gamma_exact_formula,
+                     gamma_lower, gamma_upper, j0, k_star, little_cross_p_group,
+                     normalize_group, reduced_group, upsilon_vector)
 from zerosum.formulas import gamma_upper_is_exact
-from zerosum.search import d_pair_value, run_scan
+from zerosum.search import d_pair_value
 
 C24 = AbelianGroup((2, 4))
 C33 = AbelianGroup((3, 3))
 C6 = AbelianGroup((6,))
 
 
-def seq_of(group, *coords):
-    return GSequence.from_elements(group, list(coords))
+def test_formulas_imports_only_groups_errors_and_record():
+    # the package's __init__ imports every module, so a bare package object
+    # stands in for it and formulas is imported on its own
+    package = str(Path(zerosum.__file__).resolve().parent)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, types; "
+         f"package = types.ModuleType('zerosum'); package.__path__ = [{package!r}]; "
+         "sys.modules['zerosum'] = package; import zerosum.formulas; "
+         "print(sorted(m for m in sys.modules if m.startswith('zerosum.')))"],
+        capture_output=True, text=True, check=True).stdout
+    assert out.strip() == str(["zerosum._record", "zerosum.errors",
+                               "zerosum.formulas", "zerosum.groups"])
 
 
 class TestElementaryInvariants:
@@ -74,23 +86,16 @@ class TestUpsilon:
 
 
 class TestDPairFormula:
+    # d_pair_value is the route `dpair --method formula` runs; every reduced
+    # group here is a p-group, so it takes the closed form and never searches
     def test_examples(self):
-        assert d_pair_formula(C24, DivisorPair(2, 4)) == 2
-        assert d_pair_formula(C24, DivisorPair(4, 4)) == 5
-        assert d_pair_formula(AbelianGroup((2, 4, 4)), DivisorPair(2, 4)) == 3
+        assert d_pair_value(C24, DivisorPair(2, 4)) == 2
+        assert d_pair_value(C24, DivisorPair(4, 4)) == 5
+        assert d_pair_value(AbelianGroup((2, 4, 4)), DivisorPair(2, 4)) == 3
 
     def test_trivial_reduction(self):
         assert reduced_group(C24, DivisorPair(1, 4)) is None
-        assert d_pair_formula(C24, DivisorPair(1, 4)) == 1
-
-    def test_needs_oracle_outside_closed_form(self):
-        pair = DivisorPair(6, 6)
-        group = AbelianGroup((2, 6))
-        assert reduced_group(group, pair) == group
-        with pytest.raises(NeedsOracleError):
-            d_pair_formula(group, pair)
-        # the oracle-assisted route resolves it
-        assert d_pair_value(group, pair) == 7
+        assert d_pair_value(C24, DivisorPair(1, 4)) == 1
 
     def test_full_pair_recovers_davenport_on_subgroup(self):
         # D_{(d,d)}(G) equals D of G_d viewed as a group in its own right
@@ -100,7 +105,7 @@ class TestDPairFormula:
                     continue
                 upsilon = upsilon_vector(group, DivisorPair(d, d))
                 sub = normalize_group([u for u in upsilon if u > 1])
-                assert d_pair_formula(group, DivisorPair(d, d)) == \
+                assert d_pair_value(group, DivisorPair(d, d)) == \
                     davenport_p_group(sub) + 1
 
 
@@ -172,91 +177,3 @@ class TestGammaFormulas:
         assert not gamma_upper_is_exact(AbelianGroup((2, 4, 4)), 0)  # 1 < j0 < r
         with pytest.raises(ValueError):
             gamma_upper_is_exact(c44, 6)
-
-
-class TestOlsonPredicate:
-    def test_examples(self):
-        hot = seq_of(C24, (0, 2), (0, 2), (1, 0))   # heights 2 + 2 + 1 = 5 > 4
-        assert olson_predicate(C24, hot)
-        assert not is_zero_sumfree(hot)             # indeed (0,2) + (0,2) = 0
-        assert not olson_predicate(C24, seq_of(C24, (0, 2), (0, 2)))
-        assert not olson_predicate(C24, seq_of(C24, (0, 1)))
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            olson_predicate(C24, seq_of(C24, (0, 0)))
-        with pytest.raises(UnsupportedGroupError):
-            olson_predicate(C6, seq_of(C6, (1,)))
-
-    def test_true_implies_not_zero_sumfree(self):
-        # exhaustive over every zero-sumfree sequence: the predicate is false
-        class Acc:
-            def __init__(self):
-                self.bad = []
-
-            def enter(self, path):
-                seq = GSequence.from_ranks(C24, path)
-                if olson_predicate(C24, seq):
-                    self.bad.append(tuple(path))
-                return True
-
-            def leave(self, path):
-                pass
-
-        accs, _ = run_scan(C24, Acc)
-        assert all(not acc.bad for acc in accs)
-
-
-class TestKeyLemmaPredicate:
-    def test_example_positive(self):
-        s = seq_of(C24, (1, 0), (0, 2), (1, 2))
-        assert key_lemma_predicate(C24, s, DivisorPair(2, 4))
-        assert not is_zero_sumfree(s)  # the three elements sum to zero
-
-    def test_example_negative(self):
-        s = seq_of(C24, (1, 0), (0, 1), (0, 1), (0, 1))
-        assert not key_lemma_predicate(C24, s, DivisorPair(2, 4))
-        assert is_zero_sumfree(s)
-
-    def test_d_prime_one_reduces_to_length_test(self):
-        # with d' = 1 the condition is exactly |U| >= D_{(d,d)}
-        for group in [C24, C33]:
-            for d in (2, group.exponent):
-                if group.exponent % d != 0:
-                    continue
-                pair = DivisorPair(1, d)
-                target = d_pair_formula(group, DivisorPair(d, d))
-                full = GSequence.from_ranks(
-                    group, [r for r in range(1, group.cardinality)
-                            if d % group.element_of_rank(r).order() == 0])
-                assert key_lemma_predicate(group, full, pair) == \
-                    (len(full) >= target)
-
-    def test_true_implies_not_zero_sumfree(self):
-        pair = DivisorPair(2, 4)
-
-        class Acc:
-            def __init__(self):
-                self.bad = []
-
-            def enter(self, path):
-                seq = GSequence.from_ranks(C24, path)
-                if key_lemma_predicate(C24, seq, pair):
-                    self.bad.append(tuple(path))
-                return True
-
-            def leave(self, path):
-                pass
-
-        accs, _ = run_scan(C24, Acc)
-        assert all(not acc.bad for acc in accs)
-
-    def test_oracle_resolver_injection(self):
-        pair = DivisorPair(6, 6)
-        group = AbelianGroup((2, 6))
-        s = GSequence.from_ranks(group, [2, 2])
-        with pytest.raises(NeedsOracleError):
-            key_lemma_predicate(group, s, pair)
-        # search-backed resolver
-        key_lemma_predicate(group, s, pair,
-                            d_pair_fn=lambda g, pr: d_pair_value(g, pr))

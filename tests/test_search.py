@@ -13,7 +13,7 @@ from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair, GSequence,
                      davenport_constant, davenport_p_group, enumerate_zero_sumfree,
                      gamma_bounds, gamma_exact, gamma_extremal_sequence, k_star,
                      longest_avoiding, max_order_count, order_filter,
-                     zero_sumfree_extrema)
+                     reduced_group, zero_sumfree_extrema)
 from zerosum.groups import tables_for
 from zerosum.search import _ExtremaAcc, _subgroup_mask
 from zerosum.sequences import check_witness, cross_number
@@ -133,6 +133,8 @@ class TestDPair:
         check_witness(witness, _subgroup_mask(tables_for(C24), 2))
 
     def test_non_p_group_full_pair(self):
+        # C2xC6 reduces to itself, which has no closed form, so d_pair_value searches
+        assert reduced_group(AbelianGroup((2, 6)), DivisorPair(6, 6)) == AbelianGroup((2, 6))
         assert d_pair_bruteforce(AbelianGroup((2, 6)), DivisorPair(6, 6)) == 7
         assert d_pair_value(AbelianGroup((2, 6)), DivisorPair(6, 6)) == 7
 
