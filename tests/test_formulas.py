@@ -9,13 +9,15 @@ from pathlib import Path
 import pytest
 
 import zerosum
-from zerosum import (AbelianGroup, DivisorPair, NotApplicableError,
-                     UnsupportedGroupError, d_star, davenport_p_group,
-                     divisor_pairs, gamma_bounds, gamma_exact_formula,
-                     gamma_lower, gamma_upper, j0, k_star, little_cross_p_group,
-                     normalize_group, reduced_group, upsilon_vector)
+from zerosum import (AbelianGroup, DivisorPair, NeedsOracleError,
+                     NotApplicableError, UnsupportedGroupError, d_star,
+                     davenport_closed_form, davenport_p_group, divisor_pairs,
+                     gamma_bounds, gamma_exact_formula, gamma_lower, gamma_upper,
+                     j0, k_star, little_cross_p_group, normalize_group,
+                     reduced_group, search, upsilon_vector)
 from zerosum.formulas import gamma_upper_is_exact
-from zerosum.search import d_pair_value
+from zerosum.search import d_pair_value, zero_sumfree_extrema
+from conftest import NON_P_FACTORS, P_GROUP_FACTORS
 
 C24 = AbelianGroup((2, 4))
 C33 = AbelianGroup((3, 3))
@@ -34,6 +36,12 @@ def test_formulas_imports_only_groups_errors_and_record():
         capture_output=True, text=True, check=True).stdout
     assert out.strip() == str(["zerosum._record", "zerosum.errors",
                                "zerosum.formulas", "zerosum.groups"])
+
+
+def test_package_exports_resolve():
+    # a name left in __all__ after its function is deleted breaks `import *`
+    assert len(set(zerosum.__all__)) == len(zerosum.__all__)
+    assert [name for name in zerosum.__all__ if not hasattr(zerosum, name)] == []
 
 
 class TestElementaryInvariants:
@@ -58,6 +66,31 @@ class TestElementaryInvariants:
         assert little_cross_p_group(C24) == Fraction(5, 4)
         with pytest.raises(UnsupportedGroupError):
             little_cross_p_group(C6)
+
+
+class TestDavenportClosedForm:
+    def test_p_groups(self):
+        assert davenport_closed_form(C24) == 5
+        assert davenport_closed_form(C33) == 5
+        assert davenport_closed_form(AbelianGroup((2, 2, 2))) == 4
+        assert davenport_closed_form(AbelianGroup((9,))) == 9
+        for factors in P_GROUP_FACTORS:
+            group = AbelianGroup(factors)
+            assert davenport_closed_form(group) == davenport_p_group(group) + 1
+
+    def test_cyclic_groups(self):
+        for n in (6, 10, 12, 30):
+            assert davenport_closed_form(AbelianGroup((n,))) == n
+
+    def test_other_groups_need_the_oracle(self):
+        for factors in [(2, 6), (3, 6), (6, 6), (2, 2, 6)]:
+            with pytest.raises(NeedsOracleError, match="search oracle"):
+                davenport_closed_form(AbelianGroup(factors))
+
+    def test_agrees_with_search(self):
+        for factors in [f for f in NON_P_FACTORS if len(f) == 1] + [(2, 4), (3, 3), (2, 2, 2)]:
+            group = AbelianGroup(factors)
+            assert davenport_closed_form(group) == zero_sumfree_extrema(group)[0] + 1
 
 
 class TestUpsilon:
@@ -96,6 +129,34 @@ class TestDPairFormula:
     def test_trivial_reduction(self):
         assert reduced_group(C24, DivisorPair(1, 4)) is None
         assert d_pair_value(C24, DivisorPair(1, 4)) == 1
+
+    def test_needs_oracle_outside_closed_form(self, monkeypatch):
+        pair = DivisorPair(6, 6)
+        group = AbelianGroup((2, 6))
+        assert reduced_group(group, pair) == group
+        with pytest.raises(NeedsOracleError):
+            davenport_closed_form(group)
+        # d_pair_value resolves it with one search of the reduced group
+        searched = []
+
+        def counting(g, budget=None):
+            searched.append(g)
+            return zero_sumfree_extrema(g, budget)
+
+        monkeypatch.setattr(search, "zero_sumfree_extrema", counting)
+        assert d_pair_value(group, pair) == 7
+        assert searched == [group]
+
+    def test_closed_form_reductions_run_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closed-form reduction searched")
+
+        monkeypatch.setattr(search, "zero_sumfree_extrema", refuse)
+        for group in [C24, C33, C6, AbelianGroup((2, 4, 4)), AbelianGroup((12,))]:
+            for pair in divisor_pairs(group):
+                reduced = reduced_group(group, pair)
+                expected = 1 if reduced is None else davenport_closed_form(reduced)
+                assert d_pair_value(group, pair) == expected
 
     def test_full_pair_recovers_davenport_on_subgroup(self):
         # D_{(d,d)}(G) equals D of G_d viewed as a group in its own right

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,22 @@ class TestZeroSumfree:
 
     def test_empty_is_zero_sumfree(self):
         assert not subsums(GSequence.empty(C3)).contains_zero
+
+    def test_height_sum_above_davenport_has_zero_subsum(self):
+        # Olson's bound read the other way round from acceptance criterion 08:
+        # every sequence of nonzero elements whose height sum exceeds d(G)
+        # has a nonempty zero subsum
+        for group in [C24, AbelianGroup((4,)), AbelianGroup((2, 2, 2))]:
+            d_g = sum(n - 1 for n in group.invariant_factors)
+            over = 0
+            for length in range(1, d_g + 2):
+                for ranks in itertools.combinations_with_replacement(
+                        range(1, group.cardinality), length):
+                    seq = GSequence.from_ranks(group, ranks)
+                    if sum(g.height() for g in seq) > d_g:
+                        assert subsums(seq).contains_zero, f"{group}: {seq}"
+                        over += 1
+            assert over > 0
 
     @given(st.lists(st.integers(1, 7), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
