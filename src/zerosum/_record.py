@@ -5,13 +5,6 @@ package's records, about 27 ms of every CLI process's start-up."""
 from operator import attrgetter
 
 
-class factory:
-    """A field default made anew for each instance by calling ``make()``."""
-
-    def __init__(self, make):
-        self.make = make
-
-
 def record(*, frozen: bool = False):
     """Class decorator acting as ``dataclass(frozen=frozen)`` does on the
     annotated fields, their class-attribute defaults and ``__post_init__``:
@@ -33,7 +26,6 @@ def record(*, frozen: bool = False):
                     raise TypeError(f"{name}() got unexpected, repeated or missing arguments")
                 args = [*args, *(kwargs.get(key, defaults.get(key))
                                  for key in names[len(args):])]
-                args = [a.make() if isinstance(a, factory) else a for a in args]
             vars(self).update(zip(names, args))
             if post_init is not None:
                 post_init(self)

@@ -449,8 +449,7 @@ def verify_certificate(source: dict | str | Path,
         exceeded = stored["status"] == "budget-exceeded" and recorded is not None
         if exceeded:
             base = budget or search.DEFAULT_BUDGET
-            budget = search.SearchBudget(recorded.max_nodes, base.max_seconds,
-                                         base.parallel_width)
+            budget = search.SearchBudget(recorded.max_nodes, base.max_seconds)
         rebuilt, _ = run_command(stored["command"], group_input, inputs, budget, recorded)
         rebuilt["tool"]["version"] = stored.get("tool", {}).get("version", VERSION)
         mismatch = _mismatch(rebuilt, {key: value for key, value in stored.items()

@@ -31,8 +31,7 @@ EXIT_INTERNAL = 4
 
 def _budget_from(args) -> search.SearchBudget:
     return search.SearchBudget(max_nodes=args.budget_nodes,
-                               max_seconds=args.budget_seconds,
-                               parallel_width=args.parallel)
+                               max_seconds=args.budget_seconds)
 
 
 def _add_common(parser: argparse.ArgumentParser, method=False, budget=True,
@@ -51,11 +50,6 @@ def _add_common(parser: argparse.ArgumentParser, method=False, budget=True,
                             default=search.DEFAULT_BUDGET.max_nodes, metavar="N")
         parser.add_argument("--budget-seconds", type=float,
                             default=search.DEFAULT_BUDGET.max_seconds, metavar="S")
-        parser.add_argument("--parallel", type=int,
-                            default=search.DEFAULT_BUDGET.parallel_width,
-                            metavar="W",
-                            help="worker processes for large searches "
-                                 "(default: the usable CPUs)")
     if certificate:
         parser.add_argument("--out", default=None, metavar="FILE",
                             help="write the JSON certificate here")

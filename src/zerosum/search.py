@@ -21,10 +21,10 @@ those of the full walk, and only node counts fall. ``check`` and
 ``enumerate`` take every root and no cut.
 A scan runs its smallest tasks in-process first; once those have entered
 more than ``_FORK_GATE_NODES`` nodes, the rest go to forked worker
-processes (where ``os.fork`` exists), as many as the parallel width, the
-usable CPUs and the tasks left allow. Results merge by task index with a
-lexicographic tie-break, so values, witnesses, node counts and budget
-verdicts do not depend on the parallel width or on the schedule.
+processes (where ``os.fork`` exists), as many as the usable CPUs and the
+tasks left allow. Results merge by task index with a lexicographic
+tie-break, so values, witnesses, node counts and budget verdicts do not
+depend on the worker count or on the schedule.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from ._record import factory, record
+from ._record import record
 from .errors import BudgetExceededError, InternalCheckError, NeedsOracleError
 from .formulas import (DivisorPair, _check_delta, davenport_closed_form,
                        davenport_p_group, reduced_group)
@@ -44,33 +44,22 @@ from .groups import AbelianGroup, GroupTables, _exact_ints, tables_for
 from .sequences import GSequence
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @record(frozen=True)
 class SearchBudget:
     """Limits for one search call.
 
     ``max_nodes`` bounds the states each scan may enter, summed over its
-    tasks, ``max_seconds`` bounds the wall clock of the whole call, and
-    ``parallel_width`` caps the worker processes a large scan forks
-    (default: the usable CPUs; it never forks more than those).
+    tasks, and ``max_seconds`` bounds the wall clock of the whole call.
     """
 
     max_nodes: int = 100_000_000
     max_seconds: float = 300.0
-    parallel_width: int = factory(_usable_cpus)
 
     def __post_init__(self):
-        _exact_ints((self.max_nodes, self.parallel_width), "budget field", ValueError)
+        _exact_ints((self.max_nodes,), "budget field", ValueError)
         # written as "not 0 < s < inf" so that NaN, which compares false, is
         # rejected, and so is infinity, which JSON cannot record
-        if (self.max_nodes < 1 or not 0 < self.max_seconds < float("inf")
-                or self.parallel_width < 1):
+        if self.max_nodes < 1 or not 0 < self.max_seconds < float("inf"):
             raise ValueError("budget fields must be positive finite numbers")
 
 
@@ -265,12 +254,19 @@ _FORK_GATE_NODES = 20_000
 _TASK_WINDOW = 128
 
 
-def _worker_count(parallel_width: int, tasks: int) -> int:
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(tasks: int) -> int:
     """Worker processes to fork for ``tasks`` tasks: never more than the
-    width, the usable CPUs or the tasks; 1 (in-process) without ``os.fork``."""
+    usable CPUs or the tasks; 1 (in-process) without ``os.fork``."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(parallel_width, _usable_cpus(), tasks))
+    return max(1, min(_usable_cpus(), tasks))
 
 
 def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
@@ -288,20 +284,22 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     ``_PathCut`` are kept (a task with no prefix is kept), before the
     accumulators are made, and ``_scan_from`` cuts every level below.
     All accumulators are made here, in this process, and come back in task
-    order whatever the width and the schedule, so merging them is
+    order whatever the worker count and the schedule, so merging them is
     deterministic. Tasks run from the last index down in-process until the
     scan has entered more than ``_FORK_GATE_NODES`` nodes and at least two
     workers can take the rest (``_worker_count``); those remaining, larger
     tasks then run in forked workers (``_run_forked``), whose accumulator
     state is copied back into these accumulators.
 
-    A task stops early once it passes ``budget.max_nodes`` or the deadline
-    (``_scan_from``), and ``tally``, which sums the nodes of the tasks as
+    A task stops early once it passes the nodes the scan has left, those of
+    ``budget.max_nodes`` not yet summed (at the fork, for a forked task), or
+    the deadline (``_scan_from``); so a scan in one process enters at most
+    ``max_nodes + 1`` nodes. ``tally``, which sums the nodes of the tasks as
     they finish, is the one place a budget error is raised. Once the sum is
     above ``max_nodes`` it reports nodes_visited ``max_nodes + 1``: so a
-    scan is exceeded iff its full node total is, at every width. Once the
-    clock is past the deadline it reports the sum, the nodes of every task
-    run so far.
+    scan is exceeded iff its full node total is, at every worker count.
+    Once the clock is past the deadline it reports the sum, the nodes of
+    every task run so far.
     """
     budget = budget or DEFAULT_BUDGET
     tables = tables_for(group)
@@ -322,7 +320,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
 
     def run_one(index: int) -> int:
         return _scan_from(tables, tasks[index], forbidden_mask, depth_cap,
-                          accs[index], max_nodes, deadline, cut)
+                          accs[index], max_nodes - nodes, deadline, cut)
 
     def tally(task_nodes: int) -> None:
         nonlocal nodes
@@ -336,7 +334,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
                 "time budget exhausted", nodes_visited=nodes,
                 elapsed_seconds=time.monotonic() - started)
 
-    workers = _worker_count(budget.parallel_width, len(tasks))
+    workers = _worker_count(len(tasks))
     left = len(tasks)
     while left and (nodes <= _FORK_GATE_NODES or min(workers, left) < 2):
         left -= 1
@@ -578,7 +576,7 @@ def enumerate_zero_sumfree(group: AbelianGroup, exact_length: int,
     """Visit every canonical zero-sumfree multiset of the exact length once.
 
     Returns the visit count. The visits come after the search, in
-    lexicographic order of the rank tuples at every parallel width.
+    lexicographic order of the rank tuples at every worker count.
     """
     _exact_ints((exact_length,), "length", ValueError)
     if exact_length < 0:

@@ -91,9 +91,6 @@ class GSequence:
             for _ in range(mult):
                 yield rank
 
-    def contains_zero_element(self) -> bool:
-        return bool(self.entries) and self.entries[0][0] == 0
-
     def __str__(self) -> str:
         if not self.entries:
             return "()"

@@ -27,7 +27,19 @@ def p_groups() -> list[AbelianGroup]:
 
 
 @pytest.fixture
-def forked_scans(monkeypatch):
+def usable_cpus(monkeypatch):
+    """The setter of the CPUs the search engine sees: after ``usable_cpus(w)``
+    a scan forks at most ``w`` workers, as under ``taskset`` with ``w`` CPUs,
+    and at ``w = 1`` it runs every task in this process."""
+    from zerosum import search
+
+    def set_cpus(count: int) -> None:
+        monkeypatch.setattr(search, "_usable_cpus", lambda: count)
+    return set_cpus
+
+
+@pytest.fixture
+def forked_scans(monkeypatch, usable_cpus):
     """Make every scan with two or more root tasks fork its workers after
     its first in-process task, as if the machine had four usable CPUs.
 
@@ -45,7 +57,7 @@ def forked_scans(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(search, "_FORK_GATE_NODES", 0)
-    monkeypatch.setattr(search, "_usable_cpus", lambda: 4)
+    usable_cpus(4)
     monkeypatch.setattr(os, "fork", counting_fork)
     yield forks
     with pytest.raises(ChildProcessError):

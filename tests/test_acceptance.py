@@ -289,7 +289,7 @@ def test_criterion_12_certificates_round_trip(tmp_path):
                  f"re-verified; mutated witness rejected")
 
 
-def test_criterion_13_parallel_determinism(tmp_path):
+def test_criterion_13_parallel_determinism(tmp_path, usable_cpus):
     compared = 0
 
     def run_both(name, argv):
@@ -297,8 +297,10 @@ def test_criterion_13_parallel_determinism(tmp_path):
         a = tmp_path / f"{name}-w1.json"
         b = tmp_path / f"{name}-w8.json"
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv + ["--parallel", "1", "--out", str(a)]) == 0
-            assert main(argv + ["--parallel", "8", "--out", str(b)]) == 0
+            usable_cpus(1)
+            assert main(argv + ["--out", str(a)]) == 0
+            usable_cpus(8)
+            assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes(), f"{name} differs across widths"
         compared += 1
 
@@ -313,4 +315,4 @@ def test_criterion_13_parallel_determinism(tmp_path):
         spec = ",".join(map(str, factors))
         run_both(f"c10c-{i}", ["check", "--group", spec, "--name", "cross-number"])
         run_both(f"c10d-{i}", ["check", "--group", spec, "--name", "davenport-dual"])
-    announce(13, f"{compared} reports byte-identical at --parallel 1 and 8")
+    announce(13, f"{compared} reports byte-identical at 1 and 8 usable CPUs")

@@ -19,10 +19,10 @@ C24 = AbelianGroup((2, 4))
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def gamma_cert(tmp_path, delta=1, parallel=1):
+def gamma_cert(tmp_path, delta=1):
     out = tmp_path / f"gamma{delta}.json"
     code = main(["gamma", "--group", "2,4", "--delta", str(delta),
-                 "--method", "both", "--out", str(out), "--parallel", str(parallel)])
+                 "--method", "both", "--out", str(out)])
     assert code == 0
     return out
 
@@ -498,11 +498,13 @@ class TestSchemaValidation:
 
 
 class TestDeterminism:
-    def test_certificate_bytes_ignore_parallel_width(self, tmp_path):
-        a = gamma_cert(tmp_path, delta=0, parallel=1)
+    def test_certificate_bytes_ignore_worker_count(self, tmp_path, usable_cpus):
+        usable_cpus(1)
+        a = gamma_cert(tmp_path, delta=0)
         b_dir = tmp_path / "b"
         b_dir.mkdir()
-        b = gamma_cert(b_dir, delta=0, parallel=8)
+        usable_cpus(8)
+        b = gamma_cert(b_dir, delta=0)
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_has_no_floats_for_exact_values(self, tmp_path):

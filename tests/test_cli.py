@@ -60,10 +60,11 @@ class TestExitCodes:
         assert main(["invariants", "--group", "2,8", "--method", "search",
                      "--budget-nodes", "3"]) == EXIT_BUDGET
 
-    @pytest.mark.parametrize("width", ["1", "2"])
-    def test_node_budget_counts_the_reduced_walk(self, capsys, width):
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_node_budget_counts_the_reduced_walk(self, capsys, usable_cpus, width):
         # C5xC5 is one orbit under Aut(G): one root task of 3,407 nodes
-        command = ["invariants", "--group", "5,5", "--parallel", width, "--budget-nodes"]
+        usable_cpus(width)
+        command = ["invariants", "--group", "5,5", "--budget-nodes"]
         assert main(command + ["3406"]) == EXIT_BUDGET
         assert main(command + ["3407"]) == EXIT_OK
 
@@ -265,6 +266,7 @@ class TestCommands:
         "check --group 2,4 --name gamma-conjecture",
         "construct --group 2,4 --kind dstar --budget-nodes 5",
         "construct --group 2,4 --kind dstar --parallel 1",
+        "invariants --group 2,4 --parallel 1",
         "construct --group 2,4 --kind dstar --delta 3",
         "construct --group 2,4 --kind kstar --delta 3 --out kstar.json",
         "verify-cert --in cert.json --out copy.json",

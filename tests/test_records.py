@@ -29,8 +29,7 @@ RECORDS = {
     DivisorPair: ({"d_prime": 2, "d": 4}, {}, True),
     GammaBounds: ({"delta": 1, "lower": 0, "upper": 2, "raw_lower": -1,
                    "raw_upper": 2}, {"exact": None}, True),
-    SearchBudget: ({}, {"max_nodes": 100_000_000, "max_seconds": 300.0,
-                        "parallel_width": len(os.sched_getaffinity(0))}, True),
+    SearchBudget: ({}, {"max_nodes": 100_000_000, "max_seconds": 300.0}, True),
     CheckReport: ({"name": "heights", "parameters": (("threshold", 3),),
                    "verdict": "verified", "counterexample": None, "nodes_visited": 7},
                   {"implementation_bug": False, "details": ()}, True),

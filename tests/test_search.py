@@ -214,50 +214,74 @@ class TestBudget:
         assert info.value.nodes_visited == 2048
         assert info.value.elapsed_seconds > 1e-9
 
+    @pytest.mark.parametrize("factors, max_nodes",
+                             [((5, 5), 30_000), ((3, 9), 100_000), ((6, 6), 100_000)],
+                             ids=str)
+    def test_node_budget_bounds_the_nodes_entered(self, factors, max_nodes,
+                                                  monkeypatch, usable_cpus):
+        # every root in this process: each task is held to the nodes the
+        # scan has left, so the walk enters no more than the budget and one
+        from zerosum.search import root_tasks, run_scan
+        group = AbelianGroup(factors)
+        entered = [0]
+        real_enter = _ExtremaAcc.enter
+
+        def counting_enter(acc, path):
+            entered[0] += 1
+            return real_enter(acc, path)
+
+        monkeypatch.setattr(_ExtremaAcc, "enter", counting_enter)
+        usable_cpus(1)
+        with pytest.raises(BudgetExceededError) as info:
+            run_scan(group, extrema_acc(group), budget=SearchBudget(max_nodes=max_nodes),
+                     tasks=root_tasks((1 << group.cardinality) - 2))
+        assert info.value.nodes_visited == max_nodes + 1
+        assert max_nodes <= entered[0] <= max_nodes + 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchBudget(max_nodes=0)
-        with pytest.raises(ValueError):
-            SearchBudget(parallel_width=0)
         with pytest.raises(ValueError):
             SearchBudget(max_seconds=float("nan"))
         with pytest.raises(ValueError):
             SearchBudget(max_seconds=float("inf"))
 
     def test_default_width_is_usable_cpus(self):
-        from zerosum.search import _usable_cpus
-        assert SearchBudget().parallel_width == _usable_cpus() >= 1
-
-    def test_worker_count_is_clamped(self, monkeypatch):
         from zerosum import search
-        cpus = search._usable_cpus()
-        assert search._worker_count(10_000, 10**6) == cpus
-        assert search._worker_count(10_000, 1) == 1
-        assert search._worker_count(1, 100) == 1
-        assert search._worker_count(2, 100) == min(2, cpus)
+        assert search._worker_count(10**6) == search._usable_cpus() >= 1
+
+    def test_worker_count_is_clamped(self, monkeypatch, usable_cpus):
+        from zerosum import search
+        usable_cpus(4)
+        assert search._worker_count(10**6) == 4
+        assert search._worker_count(3) == 3
+        assert search._worker_count(1) == 1
+        usable_cpus(1)
+        assert search._worker_count(100) == 1
+        usable_cpus(4)
         monkeypatch.delattr(os, "fork", raising=False)
-        assert search._worker_count(10_000, 100) == 1
+        assert search._worker_count(100) == 1
 
 
 class TestDeterminism:
-    def test_results_independent_of_parallel_width(self):
+    def test_results_independent_of_worker_count(self, usable_cpus):
         groups = [C24, AbelianGroup((3, 3)), AbelianGroup((2, 2, 4))]
         for group in groups:
             runs = []
             for width in (1, 4, 8):
-                budget = SearchBudget(parallel_width=width)
-                d_val, d_wit, k_val, k_wit = zero_sumfree_extrema(group, budget)
-                g_val, g_wit = gamma_exact(group, 0, budget)
+                usable_cpus(width)
+                d_val, d_wit, k_val, k_wit = zero_sumfree_extrema(group)
+                g_val, g_wit = gamma_exact(group, 0)
                 runs.append((d_val, tuple(d_wit.iter_ranks()),
                              k_val, tuple(k_wit.iter_ranks()),
                              g_val, tuple(g_wit.iter_ranks())))
             assert runs[0] == runs[1] == runs[2]
 
-    def test_node_counts_independent_of_parallel_width(self):
+    def test_node_counts_independent_of_worker_count(self, usable_cpus):
         from zerosum.search import run_scan
         for width in (1, 2, 8):
-            _, nodes = run_scan(C24, extrema_acc(C24),
-                                budget=SearchBudget(parallel_width=width))
+            usable_cpus(width)
+            _, nodes = run_scan(C24, extrema_acc(C24))
             assert nodes == 94  # total zero-sumfree sequences in C2xC4
 
     def test_budget_is_frozen(self):
@@ -270,7 +294,7 @@ class TestForkedWorkers:
     """Widths 1, 2 and 4 with the fork gate at 0, so that wider scans run
     all but their last root task in worker processes."""
 
-    def test_accumulators_match_across_widths(self, forked_scans):
+    def test_accumulators_match_across_widths(self, forked_scans, usable_cpus):
         from zerosum.search import _gamma_scan, _subgroup_mask, root_tasks, run_scan
         c55 = AbelianGroup((5, 5))
         c888 = AbelianGroup((8, 8, 8))
@@ -281,14 +305,14 @@ class TestForkedWorkers:
 
         def summary(width):
             # every scan here walks every root, so each one forks
-            budget = SearchBudget(parallel_width=width)
-            extrema, n_extrema = run_scan(c55, extrema_acc(c55), budget=budget)
-            avoid, n_avoid = run_scan(c888, extrema_acc(c888), budget=budget,
+            usable_cpus(width)
+            extrema, n_extrema = run_scan(c55, extrema_acc(c55))
+            avoid, n_avoid = run_scan(c888, extrema_acc(c888),
                                       tasks=root_tasks(allowed), forbidden_mask=forbidden)
             longest = max(avoid, key=lambda acc: acc.best_len)
             return ([(a.best_len, a.best) for a in extrema], n_extrema,
                     [(a.best_scaled, a.best_cross) for a in extrema],
-                    _gamma_scan(c55, 1, budget),
+                    _gamma_scan(c55, 1, None),
                     n_avoid, longest.best_len, longest.best)
 
         runs = []
@@ -300,24 +324,25 @@ class TestForkedWorkers:
         assert runs[0][1] == 138_864
         assert runs[0][4:] == (15_736, 3, (2, 16, 128))
 
-    def test_enumeration_visits_in_lexicographic_order(self, forked_scans):
+    def test_enumeration_visits_in_lexicographic_order(self, forked_scans, usable_cpus):
         group = AbelianGroup((3, 3))
         visits = []
         for width in (1, 2):
             seen = []
-            count = enumerate_zero_sumfree(group, 3, seen.append,
-                                           budget=SearchBudget(parallel_width=width))
+            usable_cpus(width)
+            count = enumerate_zero_sumfree(group, 3, seen.append)
             visits.append([tuple(s.iter_ranks()) for s in seen])
             assert count == len(seen) > 0
         assert forked_scans
         assert visits[0] == visits[1] == sorted(visits[0])
 
-    def test_node_budget_covers_the_whole_scan(self, forked_scans):
+    def test_node_budget_covers_the_whole_scan(self, forked_scans, usable_cpus):
         # C5xC5 walks 138,864 nodes from every root, the largest task 23,113
         from zerosum.search import root_tasks, run_scan
         c55 = AbelianGroup((5, 5))
+        budget = SearchBudget(max_nodes=30_000)
         for width in (1, 2):
-            budget = SearchBudget(max_nodes=30_000, parallel_width=width)
+            usable_cpus(width)
             with pytest.raises(BudgetExceededError) as info:
                 run_scan(c55, extrema_acc(c55), budget=budget,
                          tasks=root_tasks((1 << 25) - 2))
@@ -325,14 +350,16 @@ class TestForkedWorkers:
             assert info.value.nodes_visited == 30_001
         assert forked_scans
 
-    def test_time_budget_covers_the_whole_scan(self, forked_scans):
+    def test_time_budget_covers_the_whole_scan(self, forked_scans, usable_cpus):
         # each task of C10xC10 at length 2 enters fewer than 2048 nodes
+        budget = SearchBudget(max_seconds=1e-9)
         for width in (1, 2):
-            budget = SearchBudget(max_seconds=1e-9, parallel_width=width)
+            usable_cpus(width)
             with pytest.raises(BudgetExceededError, match="time budget exhausted"):
                 enumerate_zero_sumfree(AbelianGroup((10, 10)), 2, budget=budget)
 
-    def test_time_budget_reports_the_scan_total(self, forked_scans, monkeypatch):
+    def test_time_budget_reports_the_scan_total(self, forked_scans, monkeypatch,
+                                                usable_cpus):
         # A fake clock, past the deadline once this process has entered 40,000
         # nodes or has forked. At width 1 the scan stops inside task 19 at its
         # next 2048th node, which is counted but not entered. At width 2 the
@@ -351,9 +378,10 @@ class TestForkedWorkers:
         monkeypatch.setattr(_ExtremaAcc, "enter", counting_enter)
         monkeypatch.setattr(search, "time", SimpleNamespace(
             monotonic=lambda: float(entered[0] >= 40_000 or bool(forked_scans))))
+        budget = SearchBudget(max_seconds=0.5)
         for width, stopping in ((1, 1), (2, 2048)):
             entered[0] = 0
-            budget = SearchBudget(max_seconds=0.5, parallel_width=width)
+            usable_cpus(width)
             with pytest.raises(BudgetExceededError, match="time budget exhausted") as info:
                 search.run_scan(c66, extrema_acc(c66), budget=budget,
                                 tasks=search.root_tasks((1 << 36) - 2))
@@ -361,11 +389,12 @@ class TestForkedWorkers:
             assert info.value.elapsed_seconds == 1.0
         assert forked_scans
 
-    def test_worker_budget_error_reaches_caller(self, forked_scans):
+    def test_worker_budget_error_reaches_caller(self, forked_scans, usable_cpus):
         # the last root task of C5xC5 (4 nodes) runs in-process; task 0 forks
         from zerosum.search import root_tasks, run_scan
         c55 = AbelianGroup((5, 5))
-        budget = SearchBudget(max_nodes=1000, parallel_width=2)
+        usable_cpus(2)
+        budget = SearchBudget(max_nodes=1000)
         with pytest.raises(BudgetExceededError) as info:
             run_scan(c55, extrema_acc(c55), budget=budget, tasks=root_tasks((1 << 25) - 2))
         assert forked_scans
@@ -373,7 +402,7 @@ class TestForkedWorkers:
         assert info.value.nodes_visited == 1001
         assert info.value.elapsed_seconds > 0
 
-    def test_dead_worker_is_an_error(self, forked_scans, monkeypatch):
+    def test_dead_worker_is_an_error(self, forked_scans, monkeypatch, usable_cpus):
         from zerosum import search
         from zerosum.errors import InternalCheckError
         parent = os.getpid()
@@ -386,9 +415,9 @@ class TestForkedWorkers:
 
         monkeypatch.setattr(search, "_scan_from", dying_scan)
         c33 = AbelianGroup((3, 3))
+        usable_cpus(2)
         with pytest.raises(InternalCheckError, match="reporting task 0"):
-            search.run_scan(c33, extrema_acc(c33), budget=SearchBudget(parallel_width=2),
-                            tasks=search.root_tasks((1 << 9) - 2))
+            search.run_scan(c33, extrema_acc(c33), tasks=search.root_tasks((1 << 9) - 2))
         assert forked_scans
 
 
@@ -418,7 +447,7 @@ class TestOrbitCut:
     classes against two oracles."""
 
     @pytest.mark.parametrize("factors", ORBIT_CUT_FACTORS, ids=str)
-    def test_reduced_searches_match_every_root(self, factors, forked_scans):
+    def test_reduced_searches_match_every_root(self, factors, forked_scans, usable_cpus):
         from zerosum.formulas import divisor_pairs
         from zerosum.search import _gamma_scan, root_tasks, run_scan
         group = AbelianGroup(factors)
@@ -445,28 +474,29 @@ class TestOrbitCut:
         for delta in deltas:
             want += _gamma_scan(group, delta, None)[:2]
         for width in (1, 2):
-            budget = SearchBudget(parallel_width=width)
-            d, d_wit, k, k_wit = zero_sumfree_extrema(group, budget)
+            usable_cpus(width)
+            d, d_wit, k, k_wit = zero_sumfree_extrema(group)
             got = [d, tuple(d_wit.iter_ranks()), k, tuple(k_wit.iter_ranks())]
             for pair in divisor_pairs(group):
-                length, witness = longest_avoiding(group, pair, budget)
+                length, witness = longest_avoiding(group, pair)
                 got += [length, tuple(witness.iter_ranks())]
             for delta in deltas:
-                value, witness = gamma_exact(group, delta, budget)
+                value, witness = gamma_exact(group, delta)
                 got += [value, tuple(witness.iter_ranks())]
             assert got == want, width
 
     @pytest.mark.parametrize("factors", ORBIT_CUT_FACTORS, ids=str)
-    def test_root_filter_is_level_zero_of_the_cut(self, factors, forked_scans, monkeypatch):
+    def test_root_filter_is_level_zero_of_the_cut(self, factors, forked_scans, monkeypatch,
+                                                  usable_cpus):
         """One task with no prefix, cut from level 0 on, gives the d and k,
         witness ranks and total nodes of the filtered root tasks."""
         from zerosum.search import run_scan
         group = AbelianGroup(factors)
         nodes = scan_nodes(monkeypatch)
         for width in (1, 2):
-            budget = SearchBudget(parallel_width=width)
-            d, d_wit, k, k_wit = zero_sumfree_extrema(group, budget)
-            (acc,), level_zero = run_scan(group, extrema_acc(group), budget=budget,
+            usable_cpus(width)
+            d, d_wit, k, k_wit = zero_sumfree_extrema(group)
+            (acc,), level_zero = run_scan(group, extrema_acc(group),
                                           tasks=[((), (1 << group.cardinality) - 2)],
                                           symmetric=True)
             assert ([acc.best_len, acc.best, Fraction(acc.best_scaled, group.exponent),
@@ -704,12 +734,11 @@ class TestBlockedMaskKernel:
             (lambda: _ViolationAcc(cross, 2, exp), None),
         ]
 
-    def test_matches_reference_walk(self, forked_scans):
+    def test_matches_reference_walk(self, forked_scans, usable_cpus):
         """``root_tasks`` of the allowed ranks, less the forbidden roots that
         the reference skips, against the reference's accumulators of the
         same roots."""
         from zerosum.search import _subgroup_mask, root_tasks, run_scan
-        widths = [SearchBudget(parallel_width=w) for w in (1, 2)]
 
         def same(group, factory, allowed=None, forbidden_mask=1, max_depth=None):
             kwargs = dict(forbidden_mask=forbidden_mask, max_depth=max_depth)
@@ -721,9 +750,10 @@ class TestBlockedMaskKernel:
                      if not (forbidden_mask >> g) & 1], nodes)
             tasks = [task for task in root_tasks(tables_for(group).mask_of(allowed))
                      if not (forbidden_mask >> task[0][0]) & 1]
-            for budget in widths:
-                got = run_scan(group, factory, budget=budget, tasks=tasks, **kwargs)
-                assert _scan_summary(got) == want, (group, kwargs, budget)
+            for width in (1, 2):
+                usable_cpus(width)
+                got = run_scan(group, factory, tasks=tasks, **kwargs)
+                assert _scan_summary(got) == want, (group, kwargs, width)
             return nodes
 
         for factors in P_GROUP_FACTORS + NON_P_FACTORS:
@@ -743,7 +773,7 @@ class TestBlockedMaskKernel:
         assert same(C24, extrema_acc(C24), allowed=list(range(8))) == 94
         assert forked_scans
 
-    def test_prefix_task_walks_its_reference_subtree(self, forked_scans):
+    def test_prefix_task_walks_its_reference_subtree(self, forked_scans, usable_cpus):
         """A task ((g, h), ranks from h on) enters (g,), then exactly the
         reference paths of root g that start with (g, h), in order; at
         depth 1 it enters (g,) alone. Every enter has its leave."""
@@ -759,8 +789,8 @@ class TestBlockedMaskKernel:
                     want.append([(g,)] + [p for p in walked if p[:2] == (g, h)])
             assert tasks
             for width in (1, 2):
-                accs, nodes = run_scan(group, _LogAcc, tasks=tasks,
-                                       budget=SearchBudget(parallel_width=width))
+                usable_cpus(width)
+                accs, nodes = run_scan(group, _LogAcc, tasks=tasks)
                 assert [acc.entered() for acc in accs] == want
                 assert nodes == sum(map(len, want))
             accs, nodes = run_scan(group, _LogAcc, tasks=tasks, max_depth=1)
@@ -768,7 +798,7 @@ class TestBlockedMaskKernel:
             assert nodes == len(tasks)
         assert forked_scans
 
-    def test_translates_only_nodes_that_descend(self, monkeypatch):
+    def test_translates_only_nodes_that_descend(self, monkeypatch, usable_cpus):
         """One translate per node entered that descends: every node of an
         unbounded scan, but not the leaves of a depth-capped one."""
         from zerosum import search
@@ -793,19 +823,18 @@ class TestBlockedMaskKernel:
 
         monkeypatch.setattr(GroupTables, "translate", counting_translate)
         monkeypatch.setattr(search, "_MinMaxOrderAcc", CountingAcc)
-        budget = SearchBudget(parallel_width=1)
+        usable_cpus(1)
         c55 = AbelianGroup((5, 5))
-        _, nodes = run_scan(c55, extrema_acc(c55), budget=budget)
+        _, nodes = run_scan(c55, extrema_acc(c55))
         assert calls[0] == nodes == 138_864
         calls[0] = 0
-        _, _, nodes = _gamma_scan(AbelianGroup((2, 2, 8)), 1, budget)
+        _, _, nodes = _gamma_scan(AbelianGroup((2, 2, 8)), 1, None)
         assert calls[0] == descends[0] < nodes
 
 
 # entry points that take an exact integer, each given a value in its place
 EXACT_INTEGER_INPUTS = {
     "SearchBudget max_nodes": lambda x: SearchBudget(max_nodes=x),
-    "SearchBudget parallel_width": lambda x: SearchBudget(parallel_width=x),
     "GSequence rank": lambda x: GSequence(C24, ((x, 1),)),
     "GSequence multiplicity": lambda x: GSequence(C24, ((1, x),)),
     "DivisorPair d'": lambda x: DivisorPair(x, 4),

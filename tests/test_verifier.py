@@ -143,12 +143,12 @@ class TestReportShape:
         assert a.nodes_visited == b.nodes_visited
         assert a.verdict == b.verdict
 
-    def test_forked_workers_do_not_change_report(self, forked_scans):
+    def test_forked_workers_do_not_change_report(self, forked_scans, usable_cpus):
         runs = []
         for width in (1, 2, 4):
-            budget = SearchBudget(parallel_width=width)
-            dual = check_dual_conjecture(AbelianGroup((3, 3)), budget)
-            order = check_order_divisibility(AbelianGroup((2, 6)), 1, budget)
+            usable_cpus(width)
+            dual = check_dual_conjecture(AbelianGroup((3, 3)))
+            order = check_order_divisibility(AbelianGroup((2, 6)), 1)
             runs.append([(r.verdict, r.counterexample, r.nodes_visited)
                          for r in (dual, order)])
         assert forked_scans
@@ -157,9 +157,9 @@ class TestReportShape:
         assert runs[0][1][0] == "counterexample"
         assert tuple(runs[0][1][1].iter_ranks()) == (1, 2, 2, 2, 4)
 
-    def test_parallel_width_does_not_change_report(self):
-        seq_budget = SearchBudget(parallel_width=1)
-        par_budget = SearchBudget(parallel_width=8)
-        a = check_dual_conjecture(C24, seq_budget)
-        b = check_dual_conjecture(C24, par_budget)
+    def test_worker_count_does_not_change_report(self, usable_cpus):
+        usable_cpus(1)
+        a = check_dual_conjecture(C24)
+        usable_cpus(8)
+        b = check_dual_conjecture(C24)
         assert (a.verdict, a.nodes_visited) == (b.verdict, b.nodes_visited)
