@@ -7,7 +7,9 @@ checking route (``sequences.check_witness``), and builds ``parameters``,
 ``results``, ``status`` and its text lines. The CLI runs it with its flags
 through ``run_command``. ``verify_certificate`` runs it again with the
 inputs the stored ``parameters`` record and compares the two documents;
-stored claims are compared, never parsed.
+stored claims are compared, never parsed. A command function imports
+``search``, ``verifier`` or ``constructions`` where its route runs them, so
+a process loads only the modules of the route it takes.
 
 A certificate is its JSON document, a dict: ``run_command`` returns it,
 ``load_certificate`` reads it from a file and checks its shape, and
@@ -22,7 +24,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from . import constructions, formulas, search, sequences, verifier
+from . import formulas, sequences
+from ._budget import DEFAULT_BUDGET, SearchBudget
 from ._record import record
 from ._version import VERSION
 from .errors import CertificateError, InternalCheckError, NeedsOracleError
@@ -142,6 +145,7 @@ def _invariants(group, inputs, budget):
         if formula_d is not None:
             claims.append({"kind": "davenport", "value": formula_d, "witness": None})
         return {"method": inputs["method"]}, claims, results, "ok", lines
+    from . import search
     d, d_seq, k, k_seq = search.zero_sumfree_extrema(group, budget)
     sequences.check_witness(d_seq, length=d)
     sequences.check_witness(k_seq, cross=k)
@@ -165,6 +169,7 @@ def _invariants(group, inputs, budget):
 
 
 def _dpair(group, inputs, budget):
+    from . import search
     formula, searched = _METHODS[inputs["method"]]
     pair = formulas.DivisorPair(inputs["d_prime"], inputs["d"])
     pair.validate_for(group)
@@ -220,6 +225,7 @@ def _gamma(group, inputs, budget):
     if bounds.exact is not None:
         lines.append(f"  exact closed form: {bounds.exact}")
     if searched:
+        from . import search
         exact, seq = search.gamma_exact(group, delta, budget)
         if not bounds.lower <= exact <= bounds.upper:
             raise InternalCheckError(f"search value {exact} escapes the proven bounds "
@@ -244,6 +250,7 @@ def _gamma(group, inputs, budget):
 
 def _construct(group, inputs, budget):
     """Each construction checks itself with ``sequences.check_witness``."""
+    from . import constructions
     kind, delta = inputs["kind"], inputs["delta"]
     if kind != "gamma" and delta is not None:
         raise ValueError(f"construct --kind {kind} does not take --delta")
@@ -270,6 +277,7 @@ def _construct(group, inputs, budget):
 
 
 def _enumerate(group, inputs, budget):
+    from . import search
     length, found = inputs["length"], None if inputs["count_only"] else []
     count = search.enumerate_zero_sumfree(
         group, length, None if found is None else found.append, budget=budget)
@@ -282,9 +290,25 @@ def _enumerate(group, inputs, budget):
     return {"length": length}, claims, results, "ok", lines
 
 
+# check name -> (input parameters, checker). An input maps to True when the
+# check requires it. The checker is named, not stored: ``_check`` looks it up
+# in ``verifier`` when the check runs, so a rebound module attribute (such as
+# a tracing wrapper) is the one called, and the parser reads the names
+# without loading the verifier.
+CHECKS = {
+    "cross-number": ({}, "check_cross_number_conjecture"),
+    "davenport-dual": ({}, "check_dual_conjecture"),
+    "order-divisibility": ({"threshold": False}, "check_order_divisibility"),
+    "heights": ({}, "check_heights"),
+    "max-order": ({}, "check_corollary_max_order"),
+    "gamma-conjecture": ({"delta": True}, "check_gamma_conjecture"),
+}
+
+
 def _check(group, inputs, budget):
+    from . import verifier
     name = inputs["name"]
-    takes, checker = verifier.CHECKS[name]
+    takes, checker = CHECKS[name]
     given = {key: inputs.get(key) for key in ("delta", "threshold")}
     for key, value in given.items():
         if value is None and takes.get(key):
@@ -327,8 +351,8 @@ COMMANDS = {
 
 
 def run_command(command: str, group_input: str, inputs: dict,
-                budget: search.SearchBudget | None,
-                recorded: search.SearchBudget | None = None
+                budget: SearchBudget | None,
+                recorded: SearchBudget | None = None
                 ) -> tuple[dict, list[str]]:
     """Run ``command`` on the group ``group_input`` names, searching under
     ``budget``: its certificate's JSON document and its text lines. The
@@ -340,7 +364,7 @@ def run_command(command: str, group_input: str, inputs: dict,
     run, searches = COMMANDS[command]
     parameters, claims, results, status, lines = run(group, inputs, budget)
     if searches:
-        recorded = recorded or budget or search.DEFAULT_BUDGET
+        recorded = recorded or budget or DEFAULT_BUDGET
         parameters["budget"] = {"max_nodes": recorded.max_nodes,
                                 "max_seconds": float(recorded.max_seconds)}
     # keys in the order they derive, which verify_certificate compares in
@@ -412,7 +436,7 @@ def _describe(err: Exception) -> str:
 
 
 def verify_certificate(source: dict | str | Path,
-                       budget: search.SearchBudget | None = None) -> VerificationOutcome:
+                       budget: SearchBudget | None = None) -> VerificationOutcome:
     """Re-run the certificate's command, given as its JSON document or the
     path of its file, and compare the two documents.
 
@@ -445,11 +469,11 @@ def verify_certificate(source: dict | str | Path,
                 raise CertificateError("parameters.budget is not an object")
             _exact_ints([recorded["max_nodes"]], "parameters.budget.max_nodes",
                         CertificateError)
-            recorded = search.SearchBudget(recorded["max_nodes"], recorded["max_seconds"])
+            recorded = SearchBudget(recorded["max_nodes"], recorded["max_seconds"])
         exceeded = stored["status"] == "budget-exceeded" and recorded is not None
         if exceeded:
-            base = budget or search.DEFAULT_BUDGET
-            budget = search.SearchBudget(recorded.max_nodes, base.max_seconds)
+            base = budget or DEFAULT_BUDGET
+            budget = SearchBudget(recorded.max_nodes, base.max_seconds)
         rebuilt, _ = run_command(stored["command"], group_input, inputs, budget, recorded)
         rebuilt["tool"]["version"] = stored.get("tool", {}).get("version", VERSION)
         mismatch = _mismatch(rebuilt, {key: value for key, value in stored.items()

@@ -3,19 +3,21 @@
 Exit codes: 0 success/verified, 1 counterexample found, 2 usage error,
 3 budget exceeded, 4 internal-consistency failure (two routes disagreed or a
 construction failed its self-check).
+
+Importing this module loads no more of the package than ``groups``: each
+handler imports ``certificates`` when it runs, and the command's route
+imports the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
-from . import search, verifier
 from ._version import VERSION
-from .certificates import (certificate_json, load_certificate, run_command,
-                           verify_certificate, write_certificate)
 from .errors import (BudgetExceededError, CertificateError,
                      InternalCheckError, ZeroSumError)
 from .groups import parse_group_spec  # noqa: F401 (re-exported)
@@ -29,9 +31,27 @@ EXIT_INTERNAL = 4
 
 # -- argument plumbing ---------------------------------------------------------
 
-def _budget_from(args) -> search.SearchBudget:
-    return search.SearchBudget(max_nodes=args.budget_nodes,
-                               max_seconds=args.budget_seconds)
+def _budget_from(args):
+    """The ``SearchBudget`` of the budget flags given, the default filling the
+    other; None when none is given (or the command has none), so that the
+    route's default applies."""
+    given = {key: value for key, value in vars(args).items()
+             if key in ("max_nodes", "max_seconds") and value is not None}
+    if not given:
+        return None
+    from ._budget import SearchBudget
+    return SearchBudget(**given)
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout. A reader that has gone is no error of the
+    command: stdout then points at the null device, so that the flush at
+    exit cannot raise either ("Note on SIGPIPE", Python ``signal`` docs)."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _add_common(parser: argparse.ArgumentParser, method=False, budget=True,
@@ -45,11 +65,10 @@ def _add_common(parser: argparse.ArgumentParser, method=False, budget=True,
     if method:
         parser.add_argument("--method", choices=("formula", "search", "both"),
                             default="both")
-    if budget:
-        parser.add_argument("--budget-nodes", type=int,
-                            default=search.DEFAULT_BUDGET.max_nodes, metavar="N")
-        parser.add_argument("--budget-seconds", type=float,
-                            default=search.DEFAULT_BUDGET.max_seconds, metavar="S")
+    if budget:  # a flag left out takes the SearchBudget field's default
+        parser.add_argument("--budget-nodes", dest="max_nodes", type=int, metavar="N")
+        parser.add_argument("--budget-seconds", dest="max_seconds", type=float,
+                            metavar="S")
     if certificate:
         parser.add_argument("--out", default=None, metavar="FILE",
                             help="write the JSON certificate here")
@@ -68,19 +87,19 @@ def _command(command: str, *inputs: str):
     maps the status to the exit code.
     """
     def handler(args) -> int:
+        from .certificates import certificate_json, run_command, write_certificate
         started = time.monotonic()
-        # a command searches exactly when its parser has the budget flags
-        budget = _budget_from(args) if "budget_nodes" in vars(args) else None
         cert, lines = run_command(command, args.group,
-                                  {name: getattr(args, name) for name in inputs}, budget)
+                                  {name: getattr(args, name) for name in inputs},
+                                  _budget_from(args))
         if args.timing:
             cert["timing"] = {"seconds": round(time.monotonic() - started, 3)}
         if args.out:
             write_certificate(cert, args.out)
         if args.format == "json":
-            sys.stdout.write(certificate_json(cert))
+            _write(certificate_json(cert))
         else:
-            print("\n".join([*lines, f"status: {cert['status']}"]))
+            _write("\n".join([*lines, f"status: {cert['status']}"]) + "\n")
         if cert["status"] in ("ok", "verified"):
             return EXIT_OK
         if cert["status"] == "budget-exceeded":
@@ -102,27 +121,27 @@ cmd_check = _command("check", "name", "delta", "threshold")
 
 
 def cmd_verify_cert(args) -> int:
+    from .certificates import load_certificate, verify_certificate
     cert = load_certificate(args.infile)
     outcome = verify_certificate(cert, _budget_from(args))
     if args.format == "json":
-        sys.stdout.write(json.dumps(
+        _write(json.dumps(
             {"accepted": outcome.accepted, "claims_checked": outcome.claims_checked,
              "failures": outcome.failures}, sort_keys=True, indent=2) + "\n")
     else:
-        print(f"certificate: {cert['command']} on "
-              f"{','.join(map(str, cert['group']['invariant_factors']))}")
-        print(f"  claims checked: {outcome.claims_checked}")
-        if outcome.accepted:
-            print("  accepted: all claims re-derived from scratch")
-        else:
-            for failure in outcome.failures:
-                print(f"  FAILED {failure}")
+        lines = [f"certificate: {cert['command']} on "
+                 f"{','.join(map(str, cert['group']['invariant_factors']))}",
+                 f"  claims checked: {outcome.claims_checked}"]
+        lines += (["  accepted: all claims re-derived from scratch"] if outcome.accepted
+                  else [f"  FAILED {failure}" for failure in outcome.failures])
+        _write("\n".join(lines) + "\n")
     return EXIT_OK if outcome.accepted else EXIT_COUNTEREXAMPLE
 
 
 # -- parser ---------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from .certificates import CHECKS
     parser = argparse.ArgumentParser(
         prog="zerosum",
         description="Zero-sum invariants of finite abelian groups: closed "
@@ -160,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="exhaustive theorem/conjecture checkers")
     _add_common(p)
-    p.add_argument("--name", choices=tuple(verifier.CHECKS), required=True)
+    p.add_argument("--name", choices=tuple(CHECKS), required=True)
     p.add_argument("--delta", type=int, default=None, metavar="N")
     p.add_argument("--threshold", type=int, default=None, metavar="N")
     p.set_defaults(handler=cmd_check)

@@ -36,34 +36,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from ._record import record
+from ._budget import DEFAULT_BUDGET, SearchBudget
 from .errors import BudgetExceededError, InternalCheckError, NeedsOracleError
 from .formulas import (DivisorPair, _check_delta, davenport_closed_form,
                        davenport_p_group, reduced_group)
 from .groups import AbelianGroup, GroupTables, _exact_ints, tables_for
 from .sequences import GSequence
-
-
-@record(frozen=True)
-class SearchBudget:
-    """Limits for one search call.
-
-    ``max_nodes`` bounds the states each scan may enter, summed over its
-    tasks, and ``max_seconds`` bounds the wall clock of the whole call.
-    """
-
-    max_nodes: int = 100_000_000
-    max_seconds: float = 300.0
-
-    def __post_init__(self):
-        _exact_ints((self.max_nodes,), "budget field", ValueError)
-        # written as "not 0 < s < inf" so that NaN, which compares false, is
-        # rejected, and so is infinity, which JSON cannot record
-        if self.max_nodes < 1 or not 0 < self.max_seconds < float("inf"):
-            raise ValueError("budget fields must be positive finite numbers")
-
-
-DEFAULT_BUDGET = SearchBudget()
 
 
 # -- engine -----------------------------------------------------------------

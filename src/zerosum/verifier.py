@@ -214,16 +214,3 @@ def check_gamma_conjecture(group: AbelianGroup, delta: int,
                        GSequence.from_ranks(group, ranks), nodes,
                        implementation_bug=bug, details=details)
 
-
-# CLI name -> (input parameters, checker). An input maps to True when the
-# check requires it. The checker is named, not stored: the check command looks
-# it up in this module when the check runs, so a rebound module attribute
-# (such as a tracing wrapper) is the one called.
-CHECKS = {
-    "cross-number": ({}, "check_cross_number_conjecture"),
-    "davenport-dual": ({}, "check_dual_conjecture"),
-    "order-divisibility": ({"threshold": False}, "check_order_divisibility"),
-    "heights": ({}, "check_heights"),
-    "max-order": ({}, "check_corollary_max_order"),
-    "gamma-conjecture": ({"delta": True}, "check_gamma_conjecture"),
-}

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zerosum
 from zerosum import AbelianGroup, InvalidGroupError, constructions, verifier
 from zerosum.cli import (EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL,
                          EXIT_OK, EXIT_USAGE, main, parse_group_spec)
 from zerosum.groups import tables_for
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(zerosum.__file__).resolve().parents[1]
 
 
 class TestParseGroupSpec:
@@ -148,6 +156,27 @@ class TestExitCodes:
             assert main(["verify-cert", "--in", str(bad)]) == EXIT_USAGE, name
         assert main(["verify-cert", "--in", str(tmp_path / "missing.json")]) \
             == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--group", "2,4", "--method", "formula"],
+        ["invariants", "--group", "2,4", "--method", "formula", "--format", "json"],
+        ["verify-cert", "--in", str(GOLDEN / "invariants-both.json")],
+    ], ids=["text", "json", "verify-cert"])
+    def test_closed_stdout_keeps_the_exit_code(self, argv, tmp_path):
+        # the read end is closed before the child starts, so every write fails
+        read, write = os.pipe()
+        os.close(read)
+        out = tmp_path / "cert.json"
+        extra = [] if argv[0] == "verify-cert" else ["--out", str(out)]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "zerosum.cli", *argv, *extra],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)})
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert not extra or json.loads(out.read_text())["status"] == "ok"
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,16 +26,13 @@ C6 = AbelianGroup((6,))
 
 
 def test_formulas_imports_only_groups_errors_and_record():
-    # the package's __init__ imports every module, so a bare package object
-    # stands in for it and formulas is imported on its own
-    package = str(Path(zerosum.__file__).resolve().parent)
+    src = str(Path(zerosum.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, types; "
-         f"package = types.ModuleType('zerosum'); package.__path__ = [{package!r}]; "
-         "sys.modules['zerosum'] = package; import zerosum.formulas; "
+        [sys.executable, "-c", "import sys, zerosum.formulas; "
          "print(sorted(m for m in sys.modules if m.startswith('zerosum.')))"],
-        capture_output=True, text=True, check=True).stdout
-    assert out.strip() == str(["zerosum._record", "zerosum.errors",
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True).stdout
+    assert out.strip() == str(["zerosum._record", "zerosum._version", "zerosum.errors",
                                "zerosum.formulas", "zerosum.groups"])
 
 
@@ -42,6 +40,7 @@ def test_package_exports_resolve():
     # a name left in __all__ after its function is deleted breaks `import *`
     assert len(set(zerosum.__all__)) == len(zerosum.__all__)
     assert [name for name in zerosum.__all__ if not hasattr(zerosum, name)] == []
+    assert set(zerosum.__all__) <= set(dir(zerosum))
 
 
 class TestElementaryInvariants:

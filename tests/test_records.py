@@ -1,5 +1,6 @@
-"""The package's record classes behave as the dataclasses they replace, and
-no CLI process imports ``dataclasses`` or ``inspect``."""
+"""The package's record classes behave as the dataclasses they replace; no
+CLI process imports ``dataclasses`` or ``inspect``, and each loads only the
+modules of the route it runs."""
 
 from __future__ import annotations
 
@@ -38,14 +39,63 @@ RECORDS = {
 }
 
 
-def test_import_leaves_out_dataclasses_and_inspect():
+def fresh(code: str, *args: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports the package
+    from this checkout."""
     src = str(Path(zerosum.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, zerosum.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+LOADED = "print(*sorted(m for m in sys.modules if m.startswith('zerosum.')))"
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    out = fresh("import sys, zerosum.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out == "[]"
+
+
+def test_import_loads_no_module_until_a_name_is_used():
+    out = fresh(f"import sys, zerosum; {LOADED}; from zerosum import *; "
+                "print([name for name in zerosum.__all__ if name not in globals()])")
+    assert out.splitlines() == ["zerosum._version", "[]"]
+
+
+def test_cli_import_loads_only_the_parser_modules():
+    out = fresh(f"import sys, zerosum.cli; {LOADED}")
+    assert out.split() == ["zerosum._record", "zerosum._version", "zerosum.cli",
+                           "zerosum.errors", "zerosum.groups"]
+
+
+# command -> whether its route runs the search engine
+ROUTES = {
+    "invariants --group 2,4 --method formula": False,
+    "invariants --group 3,3 --method both": True,
+    "dpair --group 2,4 --dprime 2 --d 4 --method both": True,
+    "gamma --group 2,4 --delta 1 --method both": True,
+    "construct --group 3,9 --kind dstar": False,
+    "construct --group 3,9 --kind gamma --delta 2": False,
+    "enumerate --group 2,4 --length 3": True,
+    "check --group 2,4 --name cross-number": True,
+}
+
+
+@pytest.mark.parametrize("command", ROUTES)
+def test_a_command_loads_only_its_route(command, tmp_path):
+    # the command, then the verify-cert of its certificate, each in a fresh
+    # interpreter; only check runs the verifier, only construct a construction
+    cert, kind = tmp_path / "cert.json", command.split()[0]
+    run = ("import contextlib, io, sys\n"
+           "from zerosum.cli import main\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    assert main(sys.argv[1:]) == 0\n" + LOADED)
+    for argv in ([*command.split(), "--out", str(cert)], ["verify-cert", "--in", str(cert)]):
+        loaded = fresh(run, *argv).split()
+        assert ("zerosum.search" in loaded) == ROUTES[command]
+        assert ("zerosum.verifier" in loaded) == (kind == "check")
+        assert ("zerosum.constructions" in loaded) == (kind == "construct")
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
