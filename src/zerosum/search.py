@@ -7,24 +7,25 @@ Davenport constant) or making a subsum in it. So only the children that
 survive are generated. Every invariant computed here is exact; budget
 exhaustion is an error, never an estimate.
 
-A scan is a list of tasks (prefix, candidates), each with its own
-accumulator; ``root_tasks`` makes one per first-element rank. d(G), k(G),
-Gamma and D_(d',d) are Aut(G)-invariant, so their searches cut every
-level by canonical augmentation (B. D. McKay, J. Algorithms 1998). If
-S* = (s_1 <= ... <= s_L) is the lexicographically least optimiser and an
-automorphism fixes s_1, ..., s_(j-1), it maps S* to an optimiser whose
-sorted form is not smaller, so it does not lower s_j. So a level enters
-only the ranks least in their class under the checked elementary
-automorphisms that fix every rank of its path (``_PathCut``): at the
-root, with the empty path, under all of them. Values and witnesses are
-those of the full walk, and only node counts fall. ``check`` and
-``enumerate`` take every root and no cut.
+A scan makes one task, with its own accumulator, per root: a first
+element, whose task walks every multiset that has it as least rank.
+d(G), k(G), Gamma and D_(d',d) are Aut(G)-invariant, so their searches
+cut every level by canonical augmentation (B. D. McKay, J. Algorithms
+1998). If S* = (s_1 <= ... <= s_L) is the lexicographically least
+optimiser and an automorphism fixes s_1, ..., s_(j-1), it maps S* to an
+optimiser whose sorted form is not smaller, so it does not lower s_j. So
+a level enters only the ranks least in their class under the checked
+elementary automorphisms that fix every rank of its path (``_PathCut``):
+at the root, with the empty path, under all of them. Values and
+witnesses are those of the full walk, and only node counts fall.
+``check`` and ``enumerate`` take every root and no cut.
 A scan runs its smallest tasks in-process first; once those have entered
 more than ``_FORK_GATE_NODES`` nodes, the rest go to forked worker
 processes (where ``os.fork`` exists), as many as the usable CPUs and the
-tasks left allow. Results merge by task index with a lexicographic
-tie-break, so values, witnesses, node counts and budget verdicts do not
-depend on the worker count or on the schedule.
+tasks left allow, each pinned to a CPU of its own while there are enough.
+Results merge by root with a lexicographic tie-break, so values,
+witnesses, node counts and budget verdicts do not depend on the worker
+count or on the schedule.
 """
 
 from __future__ import annotations
@@ -45,16 +46,6 @@ from .sequences import GSequence
 
 
 # -- engine -----------------------------------------------------------------
-
-Task = tuple[tuple[int, ...], int]  # (prefix ranks, candidate rank mask)
-
-
-def root_tasks(mask: int) -> list[Task]:
-    """One task per rank g in ``mask``, ascending: the prefix (g,) with the
-    candidates of ``mask`` from g on, so that each multiset over ``mask`` is
-    walked once, by the task of its least rank."""
-    return [((g,), mask >> g << g) for g in range(mask.bit_length()) if (mask >> g) & 1]
-
 
 def _generators(factors: tuple[int, ...]):
     """Elementary automorphisms of the group (Hillar and Rhea, Amer. Math.
@@ -141,15 +132,16 @@ def _path_cut(factors: tuple[int, ...]) -> _PathCut:
     return _PathCut(factors)
 
 
-def _scan_from(tables: GroupTables, task: Task, forbidden_mask: int, max_depth: int,
-               acc, max_nodes: int, deadline: float, cut: _PathCut | None = None) -> int:
-    """DFS of one task ``(prefix, candidates)``; returns the nodes entered.
+def _scan_from(tables: GroupTables, root: int, cand: int, forbidden_mask: int,
+               max_depth: int, acc, max_nodes: int, deadline: float,
+               cut: _PathCut | None = None) -> int:
+    """DFS of the task of ``root``; returns the nodes entered.
 
-    The task enters the prefix ranks in order, then every multiset of the
-    candidate ranks, lowest bit first. ``acc.enter(path)`` is called once
-    per state entered and returns whether to descend; ``acc.leave(path)``
-    is called on the way back, after every enter. A prefix node is counted
-    but not held to ``max_nodes``; one that does not descend ends the task.
+    The task enters (root,), then every multiset of the ``cand`` ranks,
+    lowest bit first, after it. ``acc.enter(path)`` is called once per
+    state entered and returns whether to descend; ``acc.leave(path)`` is
+    called on the way back, after every enter. The root is counted but not
+    held to ``max_nodes``; if it does not descend, the task ends there.
 
     Past ``max_nodes``, or past ``deadline`` at a 2048th node, it returns
     at once, the stopping node counted but not entered; ``run_scan`` raises.
@@ -170,36 +162,30 @@ def _scan_from(tables: GroupTables, task: Task, forbidden_mask: int, max_depth: 
     candidate, as a scan without a cut does.
     """
     translate, neg = tables.translate, tables.neg
-    prefix, cand = task
     blocked = forbidden_mask
     fix = select = 0
-    if cut is not None:
-        fix, fixes = cut.full, cut.fixes
-    path = []
-    stack = []  # (untried children, blocked, fix, select) of each node on the path
-    nodes = 0
-    for g in prefix:
-        nodes += 1
-        path.append(g)
-        stack.append((0, blocked, 0, 0))
-        if not (acc.enter(path) and len(path) < max_depth):
-            cand = fix = 0
-            break
-        blocked |= translate(blocked, neg[g])
-        if fix:
-            fix &= fixes[g]
-    cand &= ~blocked
-    if fix:
-        select = cut[fix]
+    path = [root]
+    stack = []  # (untried children, blocked, fix, select) of each node but the last
+    if acc.enter(path) and max_depth > 1:
+        blocked |= translate(blocked, neg[root])
+        cand &= ~blocked
+        if cut is not None:
+            fixes = cut.fixes
+            fix = cut.full & fixes[root]
+            if fix:
+                select = cut[fix]
+    else:
+        cand = 0
+    nodes = 1
     while True:
         if fix:
             low = cand & select
             cand &= -(low & -low)  # 0 when no candidate is selected
         if not cand:
-            if not stack:
-                return nodes
             acc.leave(path)
             path.pop()
+            if not stack:
+                return nodes
             cand, blocked, fix, select = stack.pop()
             continue
         low = cand & -cand
@@ -227,7 +213,7 @@ def _scan_from(tables: GroupTables, task: Task, forbidden_mask: int, max_depth: 
 # about 6 ms on a 2-core Xeon, 4-5k nodes of DFS at 650-800k nodes/s, so by
 # then the tasks left are worth far more than the fork.
 _FORK_GATE_NODES = 20_000
-# Task indices queued in the task pipe at once: 4 bytes each, so every write
+# Indices queued in the task pipe at once: 4 bytes each, so every write
 # is at most 512 bytes (POSIX PIPE_BUF) and the pipe never fills.
 _TASK_WINDOW = 128
 
@@ -249,21 +235,22 @@ def _worker_count(tasks: int) -> int:
 
 def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
              budget: SearchBudget | None = None,
-             tasks: list[Task] | None = None,
+             allowed: int | None = None,
              forbidden_mask: int = 1,
              max_depth: int | None = None,
              symmetric: bool = False) -> tuple[list, int]:
-    """Run one accumulator per task; return (accs, total nodes).
+    """Run one accumulator per root; return (accs, total nodes).
 
-    ``tasks`` defaults to ``root_tasks`` of every rank outside
-    ``forbidden_mask``. The Aut(G)-invariant searches pass ``symmetric``
-    with the ``root_tasks`` of an Aut(G)-invariant mask: only the tasks
-    whose root is least in its class under every generator of the group's
-    ``_PathCut`` are kept (a task with no prefix is kept), before the
-    accumulators are made, and ``_scan_from`` cuts every level below.
-    All accumulators are made here, in this process, and come back in task
+    The roots are the ranks of ``allowed`` (default: every rank) outside
+    ``forbidden_mask``, ascending; root g's task walks the allowed ranks
+    from g on, so each multiset over ``allowed`` is walked once, by the
+    task of its least rank. The Aut(G)-invariant searches pass
+    ``symmetric`` with an Aut(G)-invariant mask: only the roots least in
+    their class under every generator of the group's ``_PathCut`` are kept,
+    and ``_scan_from`` cuts every level below.
+    All accumulators are made here, in this process, and come back in root
     order whatever the worker count and the schedule, so merging them is
-    deterministic. Tasks run from the last index down in-process until the
+    deterministic. Tasks run from the last root down in-process until the
     scan has entered more than ``_FORK_GATE_NODES`` nodes and at least two
     workers can take the rest (``_worker_count``); those remaining, larger
     tasks then run in forked workers (``_run_forked``), whose accumulator
@@ -281,23 +268,25 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     """
     budget = budget or DEFAULT_BUDGET
     tables = tables_for(group)
-    if tasks is None:
-        tasks = root_tasks(((1 << tables.size) - 1) & ~forbidden_mask)
+    if allowed is None:
+        allowed = (1 << tables.size) - 1
     depth_cap = max_depth if max_depth is not None else tables.size * group.exponent
     max_nodes = budget.max_nodes
+    root_mask = allowed & ~forbidden_mask
     cut = None
     if symmetric:
         cut = _path_cut(tables.factors)
-        roots = cut[cut.full]
-        tasks = [task for task in tasks if not task[0] or roots >> task[0][0] & 1]
+        root_mask &= cut[cut.full]
+    roots = [g for g in range(root_mask.bit_length()) if root_mask >> g & 1]
 
     started = time.monotonic()
     deadline = started + budget.max_seconds
-    accs = [acc_factory() for _ in tasks]
+    accs = [acc_factory() for _ in roots]
     nodes = 0
 
     def run_one(index: int) -> int:
-        return _scan_from(tables, tasks[index], forbidden_mask, depth_cap,
+        g = roots[index]
+        return _scan_from(tables, g, allowed >> g << g, forbidden_mask, depth_cap,
                           accs[index], max_nodes - nodes, deadline, cut)
 
     def tally(task_nodes: int) -> None:
@@ -312,8 +301,8 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
                 "time budget exhausted", nodes_visited=nodes,
                 elapsed_seconds=time.monotonic() - started)
 
-    workers = _worker_count(len(tasks))
-    left = len(tasks)
+    workers = _worker_count(len(roots))
+    left = len(roots)
     while left and (nodes <= _FORK_GATE_NODES or min(workers, left) < 2):
         left -= 1
         tally(run_one(left))
@@ -328,17 +317,19 @@ def _run_forked(workers: int, count: int, run_one: Callable[[int], int],
     the nodes of each to ``tally`` as it reports.
 
     The children take task indices in ascending order, largest subtrees
-    first, from one shared pipe (see ``_work``). The parent drains every
-    result pipe as it fills, copies each returned accumulator's state into
-    its own, re-raises the first worker exception or the first from
-    ``tally``, and reaps every child. A task that no child reported is an
-    error, never a partial result.
+    first, from one shared pipe (see ``_work``); child w is pinned to usable
+    CPU w modulo their number, so two share a CPU only when they must. The
+    parent drains every result pipe as it fills, copies each returned
+    accumulator's state into its own, re-raises the first worker exception
+    or the first from ``tally``, and reaps every child. A task that no child
+    reported is an error, never a partial result.
     """
     # imported here so that scans too small to fork do not pay for them
     import pickle
     import selectors
     import signal
 
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
     task_r, task_w = os.pipe()
     queued = 0
 
@@ -356,11 +347,12 @@ def _run_forked(workers: int, count: int, run_one: Callable[[int], int],
     reported: set[int] = set()
     try:
         queue(_TASK_WINDOW)
-        for _ in range(workers):
+        for w in range(workers):
             res_r, res_w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _work(task_r, res_w, run_one, accs, close=(res_r, task_w))
+                _work(task_r, res_w, run_one, accs, close=(res_r, task_w),
+                      cpu=cpus[w % len(cpus)])
             os.close(res_w)
             children[res_r] = pid
         with selectors.DefaultSelector() as sel:
@@ -407,7 +399,7 @@ def _run_forked(workers: int, count: int, run_one: Callable[[int], int],
 
 
 def _work(task_r: int, res_w: int, run_one: Callable[[int], int], accs: list,
-          close: tuple[int, int]) -> None:
+          close: tuple[int, int], cpu: int | None) -> None:
     """Body of a forked worker; leaves only through ``os._exit``.
 
     Reads 4-byte task indices from ``task_r`` until end of file and writes,
@@ -416,10 +408,16 @@ def _work(task_r: int, res_w: int, run_one: Callable[[int], int], accs: list,
     writes to its pipe, so it needs no lock another thread could have held
     at the fork, and ``os._exit`` keeps it from flushing the parent's stdio
     buffers or running its exit handlers. ``close`` holds the parent's pipe
-    ends the worker must not keep open (-1 for one already closed).
+    ends the worker must not keep open (-1 for one already closed). It first
+    pins itself to ``cpu``, if given; where that fails it runs unpinned.
     """
     status = 1
     try:
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except OSError:
+                pass
         import pickle
         for fd in close:
             if fd != -1:
@@ -598,7 +596,7 @@ def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
     if not allowed:
         return 0, GSequence.empty(group)
     accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
-                       budget=budget, tasks=root_tasks(allowed),
+                       budget=budget, allowed=allowed,
                        forbidden_mask=forbidden, symmetric=True)
     # every task's root is entered, so the longest path is never empty
     best = max(accs, key=lambda acc: acc.best_len)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -201,18 +202,17 @@ class TestBudget:
 
     def test_time_budget_reports_elapsed_time(self):
         # the clock is read after each task, the first of C5xC5 (rank 24)
-        # entering 4 nodes, and at every 2048th node of a task
-        from zerosum.search import root_tasks, run_scan
+        # entering 4 nodes, and at every 2048th node of a task: the cut scan
+        # has one, of root 1 and 3,407 nodes
+        from zerosum.search import run_scan
         c55 = AbelianGroup((5, 5))
         instant = SearchBudget(max_seconds=1e-9)
-        with pytest.raises(BudgetExceededError) as info:
-            run_scan(c55, extrema_acc(c55), budget=instant, tasks=root_tasks((1 << 25) - 2))
-        assert info.value.nodes_visited == 4
-        assert info.value.elapsed_seconds > 1e-9
-        with pytest.raises(BudgetExceededError) as info:
-            run_scan(c55, extrema_acc(c55), budget=instant, tasks=[((1,), (1 << 25) - 2)])
-        assert info.value.nodes_visited == 2048
-        assert info.value.elapsed_seconds > 1e-9
+        for symmetric, stopping in ((False, 4), (True, 2048)):
+            with pytest.raises(BudgetExceededError) as info:
+                run_scan(c55, extrema_acc(c55), budget=instant, allowed=(1 << 25) - 2,
+                         symmetric=symmetric)
+            assert info.value.nodes_visited == stopping
+            assert info.value.elapsed_seconds > 1e-9
 
     @pytest.mark.parametrize("factors, max_nodes",
                              [((5, 5), 30_000), ((3, 9), 100_000), ((6, 6), 100_000)],
@@ -221,7 +221,7 @@ class TestBudget:
                                                   monkeypatch, usable_cpus):
         # every root in this process: each task is held to the nodes the
         # scan has left, so the walk enters no more than the budget and one
-        from zerosum.search import root_tasks, run_scan
+        from zerosum.search import run_scan
         group = AbelianGroup(factors)
         entered = [0]
         real_enter = _ExtremaAcc.enter
@@ -234,7 +234,7 @@ class TestBudget:
         usable_cpus(1)
         with pytest.raises(BudgetExceededError) as info:
             run_scan(group, extrema_acc(group), budget=SearchBudget(max_nodes=max_nodes),
-                     tasks=root_tasks((1 << group.cardinality) - 2))
+                     allowed=(1 << group.cardinality) - 2)
         assert info.value.nodes_visited == max_nodes + 1
         assert max_nodes <= entered[0] <= max_nodes + 1
 
@@ -290,12 +290,28 @@ class TestDeterminism:
             budget.max_nodes = 5
 
 
+class _AffinityAcc:
+    """Records the CPUs its process may run on at its first enter."""
+
+    def __init__(self):
+        self.cpus = None
+
+    def enter(self, path):
+        if self.cpus is None:
+            self.cpus = frozenset(os.sched_getaffinity(0))
+            time.sleep(0.05)  # so that the other worker takes the next task
+        return True
+
+    def leave(self, path):
+        pass
+
+
 class TestForkedWorkers:
     """Widths 1, 2 and 4 with the fork gate at 0, so that wider scans run
     all but their last root task in worker processes."""
 
     def test_accumulators_match_across_widths(self, forked_scans, usable_cpus):
-        from zerosum.search import _gamma_scan, _subgroup_mask, root_tasks, run_scan
+        from zerosum.search import _gamma_scan, _subgroup_mask, run_scan
         c55 = AbelianGroup((5, 5))
         c888 = AbelianGroup((8, 8, 8))
         pair = DivisorPair(2, 4)
@@ -308,7 +324,7 @@ class TestForkedWorkers:
             usable_cpus(width)
             extrema, n_extrema = run_scan(c55, extrema_acc(c55))
             avoid, n_avoid = run_scan(c888, extrema_acc(c888),
-                                      tasks=root_tasks(allowed), forbidden_mask=forbidden)
+                                      allowed=allowed, forbidden_mask=forbidden)
             longest = max(avoid, key=lambda acc: acc.best_len)
             return ([(a.best_len, a.best) for a in extrema], n_extrema,
                     [(a.best_scaled, a.best_cross) for a in extrema],
@@ -338,14 +354,13 @@ class TestForkedWorkers:
 
     def test_node_budget_covers_the_whole_scan(self, forked_scans, usable_cpus):
         # C5xC5 walks 138,864 nodes from every root, the largest task 23,113
-        from zerosum.search import root_tasks, run_scan
+        from zerosum.search import run_scan
         c55 = AbelianGroup((5, 5))
         budget = SearchBudget(max_nodes=30_000)
         for width in (1, 2):
             usable_cpus(width)
             with pytest.raises(BudgetExceededError) as info:
-                run_scan(c55, extrema_acc(c55), budget=budget,
-                         tasks=root_tasks((1 << 25) - 2))
+                run_scan(c55, extrema_acc(c55), budget=budget, allowed=(1 << 25) - 2)
             assert str(info.value) == "node budget 30000 exhausted"
             assert info.value.nodes_visited == 30_001
         assert forked_scans
@@ -384,23 +399,37 @@ class TestForkedWorkers:
             usable_cpus(width)
             with pytest.raises(BudgetExceededError, match="time budget exhausted") as info:
                 search.run_scan(c66, extrema_acc(c66), budget=budget,
-                                tasks=search.root_tasks((1 << 36) - 2))
+                                allowed=(1 << 36) - 2)
             assert info.value.nodes_visited == entered[0] + stopping
             assert info.value.elapsed_seconds == 1.0
         assert forked_scans
 
     def test_worker_budget_error_reaches_caller(self, forked_scans, usable_cpus):
         # the last root task of C5xC5 (4 nodes) runs in-process; task 0 forks
-        from zerosum.search import root_tasks, run_scan
+        from zerosum.search import run_scan
         c55 = AbelianGroup((5, 5))
         usable_cpus(2)
         budget = SearchBudget(max_nodes=1000)
         with pytest.raises(BudgetExceededError) as info:
-            run_scan(c55, extrema_acc(c55), budget=budget, tasks=root_tasks((1 << 25) - 2))
+            run_scan(c55, extrema_acc(c55), budget=budget, allowed=(1 << 25) - 2)
         assert forked_scans
         assert str(info.value) == "node budget 1000 exhausted"
         assert info.value.nodes_visited == 1001
         assert info.value.elapsed_seconds > 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs and sched_setaffinity")
+    def test_workers_run_on_distinct_cpus(self, forked_scans, usable_cpus):
+        # C3xC3 has 8 roots: the last runs in-process, 7 go to two workers
+        from zerosum.search import run_scan
+        c33 = AbelianGroup((3, 3))
+        usable_cpus(2)
+        accs, _ = run_scan(c33, _AffinityAcc)
+        assert len(forked_scans) == 2
+        forked = [acc.cpus for acc in accs[:-1]]
+        assert all(len(cpus) == 1 for cpus in forked), forked
+        assert len(set(forked)) == 2, forked
 
     def test_dead_worker_is_an_error(self, forked_scans, monkeypatch, usable_cpus):
         from zerosum import search
@@ -417,7 +446,7 @@ class TestForkedWorkers:
         c33 = AbelianGroup((3, 3))
         usable_cpus(2)
         with pytest.raises(InternalCheckError, match="reporting task 0"):
-            search.run_scan(c33, extrema_acc(c33), tasks=search.root_tasks((1 << 9) - 2))
+            search.run_scan(c33, extrema_acc(c33), allowed=(1 << 9) - 2)
         assert forked_scans
 
 
@@ -449,14 +478,13 @@ class TestOrbitCut:
     @pytest.mark.parametrize("factors", ORBIT_CUT_FACTORS, ids=str)
     def test_reduced_searches_match_every_root(self, factors, forked_scans, usable_cpus):
         from zerosum.formulas import divisor_pairs
-        from zerosum.search import _gamma_scan, root_tasks, run_scan
+        from zerosum.search import _gamma_scan, run_scan
         group = AbelianGroup(factors)
         tables = tables_for(group)
         deltas = range(davenport_p_group(group)) if group.is_p_group else ()
         # every root, walked once: its results do not depend on the width
         # (TestForkedWorkers), so the reduced searches at each width meet it
-        accs, _ = run_scan(group, extrema_acc(group),
-                           tasks=root_tasks((1 << group.cardinality) - 2))
+        accs, _ = run_scan(group, extrema_acc(group), allowed=(1 << group.cardinality) - 2)
         d_acc = max(accs, key=lambda acc: acc.best_len)
         k_acc = max(accs, key=lambda acc: acc.best_scaled)
         want = [d_acc.best_len, d_acc.best, Fraction(k_acc.best_scaled, group.exponent),
@@ -465,7 +493,7 @@ class TestOrbitCut:
             forbidden = _subgroup_mask(tables, pair.quotient)
             allowed = _subgroup_mask(tables, pair.d) & ~forbidden
             if allowed:
-                accs, _ = run_scan(group, extrema_acc(group), tasks=root_tasks(allowed),
+                accs, _ = run_scan(group, extrema_acc(group), allowed=allowed,
                                    forbidden_mask=forbidden)
                 best = max(accs, key=lambda acc: acc.best_len)
                 want += [best.best_len, best.best]
@@ -488,19 +516,24 @@ class TestOrbitCut:
     @pytest.mark.parametrize("factors", ORBIT_CUT_FACTORS, ids=str)
     def test_root_filter_is_level_zero_of_the_cut(self, factors, forked_scans, monkeypatch,
                                                   usable_cpus):
-        """One task with no prefix, cut from level 0 on, gives the d and k,
-        witness ranks and total nodes of the filtered root tasks."""
+        """A ``symmetric`` scan makes one accumulator per nonzero rank least
+        in its Aut(G) orbit, the roots in ascending order; they give the d
+        and k, witness ranks and total nodes of ``zero_sumfree_extrema``."""
         from zerosum.search import run_scan
         group = AbelianGroup(factors)
+        minima = aut_orbit_minima(group) & ~1
         nodes = scan_nodes(monkeypatch)
         for width in (1, 2):
             usable_cpus(width)
             d, d_wit, k, k_wit = zero_sumfree_extrema(group)
-            (acc,), level_zero = run_scan(group, extrema_acc(group),
-                                          tasks=[((), (1 << group.cardinality) - 2)],
-                                          symmetric=True)
-            assert ([acc.best_len, acc.best, Fraction(acc.best_scaled, group.exponent),
-                     acc.best_cross, level_zero]
+            accs, total = run_scan(group, extrema_acc(group), symmetric=True)
+            # every root is entered, so it heads its task's first longest path
+            assert [acc.best[0] for acc in accs] == [
+                r for r in range(group.cardinality) if minima >> r & 1], width
+            d_acc = max(accs, key=lambda acc: acc.best_len)
+            k_acc = max(accs, key=lambda acc: acc.best_scaled)
+            assert ([d_acc.best_len, d_acc.best,
+                     Fraction(k_acc.best_scaled, group.exponent), k_acc.best_cross, total]
                     == [d, tuple(d_wit.iter_ranks()), k, tuple(k_wit.iter_ranks()),
                         nodes[-1]]), width
 
@@ -635,12 +668,11 @@ class TestPinnedCounts:
         assert report.nodes_visited == 255_946
 
     def test_forbidden_allowed_elements_are_never_entered(self):
-        from zerosum.search import root_tasks, run_scan
-        # rank 0, the forbidden zero element, in every candidate mask
-        with_zero = [(prefix, cand | 1) for prefix, cand in root_tasks(0b11111110)]
-        for tasks in (with_zero, [((), 0b11111111)]):
-            _, nodes = run_scan(C24, extrema_acc(C24), tasks=tasks)
-            assert nodes == 94  # as with the default tasks, which omit 0
+        from zerosum.search import run_scan
+        # rank 0, the forbidden zero element, allowed or not
+        for allowed in (0b11111111, 0b11111110):
+            accs, nodes = run_scan(C24, extrema_acc(C24), allowed=allowed)
+            assert (len(accs), nodes) == (7, 94)
 
     def test_gamma_c2xc2xc8(self, monkeypatch):
         from zerosum.search import _gamma_scan
@@ -654,16 +686,15 @@ class TestPinnedCounts:
 
     def test_longest_avoiding_c8x8x8_subgroup(self, monkeypatch):
         # forbidden set G_2 (8 elements), allowed G_4 minus G_2 (56 elements)
-        from zerosum.search import _subgroup_mask, root_tasks, run_scan
+        from zerosum.search import _subgroup_mask, run_scan
         group = AbelianGroup((8, 8, 8))
         pair = DivisorPair(2, 4)
         tables = tables_for(group)
         forbidden = _subgroup_mask(tables, pair.quotient)
-        tasks = root_tasks(_subgroup_mask(tables, pair.d) & ~forbidden)
-        assert len(tasks) == 56
-        _, nodes = run_scan(group, extrema_acc(group), tasks=tasks,
-                            forbidden_mask=forbidden)
-        assert nodes == 15_736
+        accs, nodes = run_scan(group, extrema_acc(group),
+                               allowed=_subgroup_mask(tables, pair.d) & ~forbidden,
+                               forbidden_mask=forbidden)
+        assert (len(accs), nodes) == (56, 15_736)
         nodes = scan_nodes(monkeypatch)
         length, witness = longest_avoiding(group, pair)
         assert nodes == [3]
@@ -735,10 +766,10 @@ class TestBlockedMaskKernel:
         ]
 
     def test_matches_reference_walk(self, forked_scans, usable_cpus):
-        """``root_tasks`` of the allowed ranks, less the forbidden roots that
-        the reference skips, against the reference's accumulators of the
-        same roots."""
-        from zerosum.search import _subgroup_mask, root_tasks, run_scan
+        """The scan of the allowed ranks against the reference's
+        accumulators of the same roots, less the forbidden ones, which the
+        reference skips."""
+        from zerosum.search import _subgroup_mask, run_scan
 
         def same(group, factory, allowed=None, forbidden_mask=1, max_depth=None):
             kwargs = dict(forbidden_mask=forbidden_mask, max_depth=max_depth)
@@ -748,11 +779,10 @@ class TestBlockedMaskKernel:
                            if not (forbidden_mask >> r) & 1]
             want = ([_acc_state(acc) for g, acc in zip(allowed, accs)
                      if not (forbidden_mask >> g) & 1], nodes)
-            tasks = [task for task in root_tasks(tables_for(group).mask_of(allowed))
-                     if not (forbidden_mask >> task[0][0]) & 1]
             for width in (1, 2):
                 usable_cpus(width)
-                got = run_scan(group, factory, tasks=tasks, **kwargs)
+                got = run_scan(group, factory, allowed=tables_for(group).mask_of(allowed),
+                               **kwargs)
                 assert _scan_summary(got) == want, (group, kwargs, width)
             return nodes
 
@@ -773,29 +803,22 @@ class TestBlockedMaskKernel:
         assert same(C24, extrema_acc(C24), allowed=list(range(8))) == 94
         assert forked_scans
 
-    def test_prefix_task_walks_its_reference_subtree(self, forked_scans, usable_cpus):
-        """A task ((g, h), ranks from h on) enters (g,), then exactly the
-        reference paths of root g that start with (g, h), in order; at
-        depth 1 it enters (g,) alone. Every enter has its leave."""
-        from zerosum.search import root_tasks, run_scan
+    def test_root_task_walks_its_reference_subtree(self, forked_scans, usable_cpus):
+        """Root g's task enters exactly the reference paths of root g, in
+        order; at depth 1 it enters (g,) alone. Every enter has its leave."""
+        from zerosum.search import run_scan
         for group in (C24, AbelianGroup((3, 3)), AbelianGroup((2, 2, 4))):
-            everything = (1 << group.cardinality) - 2
             ref_accs, _ = reference_scan(group, _LogAcc)
-            tasks, want = [], []
-            for (g,), _ in root_tasks(everything):
-                walked = ref_accs[g - 1].entered()
-                for h in sorted({path[1] for path in walked if len(path) > 1}):
-                    tasks.append(((g, h), everything >> h << h))
-                    want.append([(g,)] + [p for p in walked if p[:2] == (g, h)])
-            assert tasks
+            want = [acc.entered() for acc in ref_accs]
             for width in (1, 2):
                 usable_cpus(width)
-                accs, nodes = run_scan(group, _LogAcc, tasks=tasks)
+                accs, nodes = run_scan(group, _LogAcc)
                 assert [acc.entered() for acc in accs] == want
                 assert nodes == sum(map(len, want))
-            accs, nodes = run_scan(group, _LogAcc, tasks=tasks, max_depth=1)
-            assert [acc.entered() for acc in accs] == [[(g,)] for (g, _), _ in tasks]
-            assert nodes == len(tasks)
+            accs, nodes = run_scan(group, _LogAcc, max_depth=1)
+            roots = range(1, group.cardinality)
+            assert [acc.entered() for acc in accs] == [[(g,)] for g in roots]
+            assert nodes == group.cardinality - 1
         assert forked_scans
 
     def test_translates_only_nodes_that_descend(self, monkeypatch, usable_cpus):
