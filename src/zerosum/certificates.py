@@ -79,8 +79,10 @@ def _checked(obj) -> dict:
     missing = required - set(obj)
     if missing:
         raise CertificateError(f"certificate misses keys {sorted(missing)}")
+    if not isinstance(obj["command"], str):
+        raise CertificateError("command must be a string")
     group_obj = obj["group"]
-    if (not isinstance(group_obj, dict)
+    if (not isinstance(group_obj, dict) or not isinstance(group_obj.get("input"), str)
             or not isinstance(group_obj.get("invariant_factors"), list)):
         raise CertificateError("malformed group record")
     if not isinstance(obj.get("tool", {}), dict):
@@ -451,7 +453,7 @@ def verify_certificate(source: dict | str | Path,
     failures: list[str] = []
     try:
         # before re-running on a group the certificate does not state
-        group_input = stored["group"].get("input", "")
+        group_input = stored["group"]["input"]
         if (parse_group_spec(group_input).invariant_factors
                 != tuple(stored["group"]["invariant_factors"])):
             raise CertificateError(f"group.invariant_factors are not those of "

@@ -290,15 +290,11 @@ def parse_group_spec(text: str) -> AbelianGroup:
     return normalize_group(factors)
 
 
-# -- rank-indexed arithmetic tables -------------------------------------------
+# -- the subsum shift on rank bitmasks -----------------------------------------
 
 class GroupTables:
-    """Dense rank-indexed arithmetic for one group: the search reads all of
-    it, and ``sequences.subsums`` reads ``translate`` alone.
-
-    Orders and negation are precomputed for every rank, one invariant
-    factor n at a time: with stride the product of the factors before n,
-    rank r + stride*a has the coordinates of r followed by a.
+    """The subsum shift of one group: ``translate`` on rank bitmasks, which
+    ``sequences.subsums`` and the search read.
 
     A subsum bitmask is translated by an element g one nonzero coordinate c
     of g at a time: with stride s and modulus n of that coordinate, the bits
@@ -310,18 +306,11 @@ class GroupTables:
     of references to the steps of its nonzero coordinates.
     """
 
-    __slots__ = ("factors", "size", "orders", "neg", "_rotations", "_steps")
+    __slots__ = ("factors", "size", "_rotations", "_steps")
 
     def __init__(self, factors: tuple[int, ...]):
         self.factors = factors
-        orders, neg, stride = [1], [0], 1
-        for n in factors:
-            residue_orders = [n // math.gcd(a, n) for a in range(n)]
-            residue_negs = [stride * (-a % n) for a in range(n)]
-            orders = [math.lcm(o, q) for q in residue_orders for o in orders]
-            neg = [r + t for t in residue_negs for r in neg]
-            stride *= n
-        self.size, self.orders, self.neg = stride, orders, neg
+        self.size = math.prod(factors)
         self._rotations: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         self._steps: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
 
@@ -352,12 +341,6 @@ class GroupTables:
         for low, high, up, down in steps:
             mask = ((mask & low) << up) | ((mask & high) >> down)
         return mask
-
-    def mask_of(self, ranks: Iterable[int]) -> int:
-        m = 0
-        for r in ranks:
-            m |= 1 << r
-        return m
 
 
 @lru_cache(maxsize=None)

@@ -47,6 +47,23 @@ from .sequences import GSequence
 
 # -- engine -----------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _rank_lists(factors: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(orders, neg): the order of every rank and the rank of its negative.
+
+    Built one invariant factor n at a time: with stride the product of the
+    factors before n, rank r + stride*a has the coordinates of r followed by a.
+    """
+    orders, neg, stride = [1], [0], 1
+    for n in factors:
+        residue_orders = [n // math.gcd(a, n) for a in range(n)]
+        residue_negs = [stride * (-a % n) for a in range(n)]
+        orders = [math.lcm(o, q) for q in residue_orders for o in orders]
+        neg = [r + t for t in residue_negs for r in neg]
+        stride *= n
+    return orders, neg
+
+
 def _generators(factors: tuple[int, ...]):
     """Elementary automorphisms of the group (Hillar and Rhea, Amer. Math.
     Monthly 2007), each (k, a, i, b): coordinate k of x becomes
@@ -65,18 +82,23 @@ def _generators(factors: tuple[int, ...]):
         yield from ((k, 1, i, n // math.gcd(m, n)) for i, m in enumerate(factors) if i != k)
 
 
-def _automorphism(factors: tuple[int, ...], generator: tuple[int, int, int, int],
-                  columns: list[list[int]]) -> list[int]:
-    """The rank permutation of ``generator`` (k, a, i, b), ``columns[j][x]``
-    being coordinate j of rank x; InternalCheckError unless the map is well
-    defined (n_i * b = 0 mod n_k) and bijective, so an automorphism."""
+def _automorphism(factors: tuple[int, ...], generator: tuple[int, int, int, int]) -> list[int]:
+    """The rank permutation of ``generator`` (k, a, i, b); InternalCheckError
+    unless the map is well defined (n_i * b = 0 mod n_k) and bijective, so
+    an automorphism."""
     k, a, i, b = generator
-    n, stride = factors[k], math.prod(factors[:k])
-    if factors[i] * b % n:
+    n, m = factors[k], factors[i]
+    if m * b % n:
         raise InternalCheckError(f"{generator} is not well defined on {factors}")
-    # the shift of a rank is a function of its coordinates k and i alone
-    shift = [[((a * x + b * y) % n - x) * stride for y in range(factors[i])] for x in range(n)]
-    perm = [r + shift[x][y] for r, x, y in zip(range(len(columns[k])), columns[k], columns[i])]
+    # a rank's shift is shift[x*m + y], x and y its coordinates k and i;
+    # index[r] is x*m + y, built one factor at a time as the rank lists are
+    stride = math.prod(factors[:k])
+    shift = [((a * x + b * y) % n - x) * stride for x in range(n) for y in range(m)]
+    index = [0]
+    for j, n_j in enumerate(factors):
+        weight = (m if j == k else 0) + (j == i)
+        index = [t + weight * c for c in range(n_j) for t in index] if weight else index * n_j
+    perm = [r + shift[t] for r, t in enumerate(index)]
     if len(set(perm)) != len(perm):
         raise InternalCheckError(f"{generator} is not a bijection of {factors}")
     return perm
@@ -98,13 +120,9 @@ class _PathCut(dict):
 
     def __init__(self, factors: tuple[int, ...]):
         super().__init__()
-        size, columns, stride = math.prod(factors), [], 1
-        for n in factors:
-            columns.append([a for a in range(n) for _ in range(stride)] * (size // (n * stride)))
-            stride *= n
-        self.perms = [_automorphism(factors, gen, columns) for gen in _generators(factors)]
+        self.perms = [_automorphism(factors, gen) for gen in _generators(factors)]
         self.full = (1 << len(self.perms)) - 1
-        self.fixes = [0] * size
+        self.fixes = [0] * math.prod(factors)
         for bit, perm in enumerate(self.perms):
             for r in [r for r, y in enumerate(perm) if r == y]:
                 self.fixes[r] |= 1 << bit
@@ -161,7 +179,7 @@ def _scan_from(tables: GroupTables, root: int, cand: int, forbidden_mask: int,
     every untried rank from it on; a level with ``fix`` zero enters every
     candidate, as a scan without a cut does.
     """
-    translate, neg = tables.translate, tables.neg
+    translate, neg = tables.translate, _rank_lists(tables.factors)[1]
     blocked = forbidden_mask
     fix = select = 0
     path = [root]
@@ -449,9 +467,10 @@ def _copy_state(dst, src) -> None:
         vars(dst).update(vars(src))
 
 
-def _subgroup_mask(tables: GroupTables, d: int) -> int:
+def _subgroup_mask(group: AbelianGroup, d: int) -> int:
     """Bitmask of the ranks whose order divides d."""
-    return tables.mask_of(r for r in range(tables.size) if d % tables.orders[r] == 0)
+    orders = _rank_lists(group.invariant_factors)[0]
+    return sum(1 << r for r, order in enumerate(orders) if d % order == 0)
 
 
 # -- accumulators -------------------------------------------------------------
@@ -576,8 +595,8 @@ def zero_sumfree_extrema(group: AbelianGroup, budget: SearchBudget | None = None
     """Exact d(G) and k(G) from one walk: (d, its witness, k, its witness).
     Each witness is the lexicographically least maximizer: ``max`` keeps the
     first root task that reaches the maximum."""
-    tables = tables_for(group)
-    accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
+    orders = _rank_lists(group.invariant_factors)[0]
+    accs, _ = run_scan(group, lambda: _ExtremaAcc(orders, group.exponent),
                        budget=budget, symmetric=True)
     d_acc = max(accs, key=lambda acc: acc.best_len)
     k_acc = max(accs, key=lambda acc: acc.best_scaled)
@@ -590,12 +609,12 @@ def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
                      budget: SearchBudget | None = None) -> tuple[int, GSequence]:
     """Longest sequence over G_d with no nonempty subsum in G_{d/d'}."""
     pair.validate_for(group)
-    tables = tables_for(group)
-    forbidden = _subgroup_mask(tables, pair.quotient)
-    allowed = _subgroup_mask(tables, pair.d) & ~forbidden
+    forbidden = _subgroup_mask(group, pair.quotient)
+    allowed = _subgroup_mask(group, pair.d) & ~forbidden
     if not allowed:
         return 0, GSequence.empty(group)
-    accs, _ = run_scan(group, lambda: _ExtremaAcc(tables.orders, group.exponent),
+    orders = _rank_lists(group.invariant_factors)[0]
+    accs, _ = run_scan(group, lambda: _ExtremaAcc(orders, group.exponent),
                        budget=budget, allowed=allowed,
                        forbidden_mask=forbidden, symmetric=True)
     # every task's root is entered, so the longest path is never empty
@@ -617,9 +636,8 @@ def _gamma_scan(group: AbelianGroup, delta: int, budget: SearchBudget | None,
     below them."""
     _check_delta(group, delta)  # before the tables and the cut are built
     target = davenport_p_group(group) - delta
-    tables = tables_for(group)
     exp = group.exponent
-    is_max = [1 if o == exp else 0 for o in tables.orders]
+    is_max = [1 if o == exp else 0 for o in _rank_lists(group.invariant_factors)[0]]
     accs, nodes = run_scan(group, lambda: _MinMaxOrderAcc(is_max, target),
                            budget=budget, max_depth=target, symmetric=symmetric)
     found = [acc for acc in accs if acc.best_count is not None]

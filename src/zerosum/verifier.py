@@ -13,8 +13,8 @@ from fractions import Fraction
 from ._record import record
 from .errors import BudgetExceededError
 from .formulas import d_star, davenport_p_group, gamma_bounds, gamma_upper_is_exact, k_star
-from .groups import AbelianGroup, _exact_ints, tables_for
-from .search import SearchBudget, _gamma_scan, run_scan
+from .groups import AbelianGroup, _exact_ints
+from .search import SearchBudget, _gamma_scan, _rank_lists, run_scan
 from .sequences import GSequence
 
 
@@ -107,12 +107,11 @@ def check_cross_number_conjecture(group: AbelianGroup,
                                   budget: SearchBudget | None = None) -> CheckReport:
     """Every zero-sumfree sequence of length at least d*(G) has cross number
     at most the invariant-factor bound sum (n_i - 1)/n_i."""
-    tables = tables_for(group)
     exp = group.exponent
     threshold = d_star(group)
     bound = sum(Fraction(n - 1, n) for n in group.invariant_factors)
     bound_scaled = int(bound * exp)
-    weights = [exp // o for o in tables.orders]
+    weights = [exp // o for o in _rank_lists(group.invariant_factors)[0]]
     return _run_violation_check(
         group, "cross-number-conjecture", (("threshold", threshold),),
         weights, threshold, bound_scaled,
@@ -124,11 +123,10 @@ def check_dual_conjecture(group: AbelianGroup,
                           budget: SearchBudget | None = None) -> CheckReport:
     """Every zero-sumfree sequence with cross number at least k*(G) has
     length at most the number sum (nu_i - 1) over the finest decomposition."""
-    tables = tables_for(group)
     exp = group.exponent
     kstar_scaled = int(k_star(group) * exp)
     length_bound = sum(nu - 1 for nu in group.primary_decomposition())
-    weights = [exp // o for o in tables.orders]
+    weights = [exp // o for o in _rank_lists(group.invariant_factors)[0]]
     # length > length_bound and scaled cross number >= kstar_scaled
     return _run_violation_check(
         group, "davenport-dual-conjecture", (("length_bound", length_bound),),
@@ -146,10 +144,9 @@ def check_order_divisibility(group: AbelianGroup, threshold: int | None = None,
         threshold = (davenport_p_group(group) - group.p + 2
                      if group.is_p_group else d_star(group))
     _exact_ints((threshold,), "threshold", ValueError)
-    tables = tables_for(group)
     n_1 = group.invariant_factors[0]
-    weights = [0] + [1 if tables.orders[r] % n_1 != 0 else 0
-                     for r in range(1, tables.size)]
+    orders = _rank_lists(group.invariant_factors)[0]
+    weights = [0] + [1 if o % n_1 != 0 else 0 for o in orders[1:]]
     proved = False
     if group.is_p_group and threshold >= davenport_p_group(group) - group.p + 2:
         proved = True
@@ -166,9 +163,8 @@ def check_heights(group: AbelianGroup,
     """Every element of a zero-sumfree sequence of length at least
     d(G) - p + 2 in a p-group has height 1."""
     threshold = davenport_p_group(group) - group.p + 2
-    tables = tables_for(group)
-    weights = [0] * tables.size
-    for rank in range(1, tables.size):
+    weights = [0] * group.cardinality
+    for rank in range(1, group.cardinality):
         if group.element_of_rank(rank).height() > 1:
             weights[rank] = 1
     return _run_violation_check(
@@ -182,11 +178,10 @@ def check_corollary_max_order(group: AbelianGroup,
     """Every zero-sumfree sequence of maximal length d(G) in a p-group
     contains at least exp(G) - 1 elements of maximal order."""
     d_g = davenport_p_group(group)
-    tables = tables_for(group)
     exp = group.exponent
     # weight -1 per element of maximal order: a sum above 1 - exp means fewer
     # than exp - 1 such elements; no walk goes deeper than d_g
-    weights = [-1 if o == exp else 0 for o in tables.orders]
+    weights = [-1 if o == exp else 0 for o in _rank_lists(group.invariant_factors)[0]]
     return _run_violation_check(
         group, "max-order-at-full-length", (("length", d_g), ("minimum", exp - 1)),
         weights, d_g, 1 - exp,

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import zerosum
-from zerosum import AbelianGroup, InvalidGroupError, constructions, verifier
+from zerosum import InvalidGroupError, constructions, verifier
 from zerosum.cli import (EXIT_BUDGET, EXIT_COUNTEREXAMPLE, EXIT_INTERNAL,
                          EXIT_OK, EXIT_USAGE, main, parse_group_spec)
-from zerosum.groups import tables_for
+from zerosum.search import _rank_lists
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(zerosum.__file__).resolve().parents[1]
@@ -147,7 +147,9 @@ class TestExitCodes:
         edits = {"empty": lambda obj: obj.clear(),
                  "tool not an object": lambda obj: obj.update(tool="x"),
                  "factors not a list":
-                     lambda obj: obj["group"].update(invariant_factors=5)}
+                     lambda obj: obj["group"].update(invariant_factors=5),
+                 "command not a string": lambda obj: obj.update(command=["construct"]),
+                 "group input not a string": lambda obj: obj["group"].update(input=24)}
         for name, edit in edits.items():
             obj = json.loads(cert.read_text())
             edit(obj)
@@ -185,7 +187,7 @@ def corrupt_order():
     undo = []
 
     def corrupt(factors, rank, order):
-        orders = tables_for(AbelianGroup(factors)).orders
+        orders = _rank_lists(factors)[0]
         undo.append((orders, rank, orders[rank]))
         orders[rank] = order
 
@@ -195,7 +197,7 @@ def corrupt_order():
 
 
 class TestChecksReadTheElementModel:
-    """A search claim is checked without the search's rank tables, so a
+    """A search claim is checked without the search's rank lists, so a
     wrong entry in them cannot certify a wrong value."""
 
     def test_corrupted_order_fails_the_k_check(self, corrupt_order, capsys):

@@ -15,8 +15,7 @@ from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair, GSequence,
                      gamma_bounds, gamma_exact, gamma_extremal_sequence, k_star,
                      longest_avoiding, max_order_count, order_filter,
                      reduced_group, zero_sumfree_extrema)
-from zerosum.groups import tables_for
-from zerosum.search import _ExtremaAcc, _subgroup_mask
+from zerosum.search import _ExtremaAcc, _rank_lists, _subgroup_mask
 from zerosum.sequences import check_witness, cross_number
 from conftest import (NON_P_FACTORS, P_GROUP_FACTORS, all_zero_sumfree_multisets,
                       aut_orbit_minima, reference_scan)
@@ -30,7 +29,7 @@ C22 = AbelianGroup((2, 2))
 
 def extrema_acc(group):
     """Factory of the d(G)/k(G) accumulator for ``run_scan`` on ``group``."""
-    return lambda: _ExtremaAcc(tables_for(group).orders, group.exponent)
+    return lambda: _ExtremaAcc(_rank_lists(group.invariant_factors)[0], group.exponent)
 
 
 class TestEnumerate:
@@ -131,7 +130,7 @@ class TestDPair:
     def test_witness_avoids_forbidden_subgroup(self):
         length, witness = longest_avoiding(C24, DivisorPair(2, 4))
         assert length == len(witness) == 1
-        check_witness(witness, _subgroup_mask(tables_for(C24), 2))
+        check_witness(witness, _subgroup_mask(C24, 2))
 
     def test_non_p_group_full_pair(self):
         # C2xC6 reduces to itself, which has no closed form, so d_pair_value searches
@@ -315,9 +314,8 @@ class TestForkedWorkers:
         c55 = AbelianGroup((5, 5))
         c888 = AbelianGroup((8, 8, 8))
         pair = DivisorPair(2, 4)
-        tables = tables_for(c888)
-        forbidden = _subgroup_mask(tables, pair.quotient)
-        allowed = _subgroup_mask(tables, pair.d) & ~forbidden
+        forbidden = _subgroup_mask(c888, pair.quotient)
+        allowed = _subgroup_mask(c888, pair.d) & ~forbidden
 
         def summary(width):
             # every scan here walks every root, so each one forks
@@ -480,7 +478,6 @@ class TestOrbitCut:
         from zerosum.formulas import divisor_pairs
         from zerosum.search import _gamma_scan, run_scan
         group = AbelianGroup(factors)
-        tables = tables_for(group)
         deltas = range(davenport_p_group(group)) if group.is_p_group else ()
         # every root, walked once: its results do not depend on the width
         # (TestForkedWorkers), so the reduced searches at each width meet it
@@ -490,8 +487,8 @@ class TestOrbitCut:
         want = [d_acc.best_len, d_acc.best, Fraction(k_acc.best_scaled, group.exponent),
                 k_acc.best_cross]
         for pair in divisor_pairs(group):
-            forbidden = _subgroup_mask(tables, pair.quotient)
-            allowed = _subgroup_mask(tables, pair.d) & ~forbidden
+            forbidden = _subgroup_mask(group, pair.quotient)
+            allowed = _subgroup_mask(group, pair.d) & ~forbidden
             if allowed:
                 accs, _ = run_scan(group, extrema_acc(group), allowed=allowed,
                                    forbidden_mask=forbidden)
@@ -689,10 +686,9 @@ class TestPinnedCounts:
         from zerosum.search import _subgroup_mask, run_scan
         group = AbelianGroup((8, 8, 8))
         pair = DivisorPair(2, 4)
-        tables = tables_for(group)
-        forbidden = _subgroup_mask(tables, pair.quotient)
+        forbidden = _subgroup_mask(group, pair.quotient)
         accs, nodes = run_scan(group, extrema_acc(group),
-                               allowed=_subgroup_mask(tables, pair.d) & ~forbidden,
+                               allowed=_subgroup_mask(group, pair.d) & ~forbidden,
                                forbidden_mask=forbidden)
         assert (len(accs), nodes) == (56, 15_736)
         nodes = scan_nodes(monkeypatch)
@@ -751,7 +747,7 @@ class TestBlockedMaskKernel:
     def _cases(group):
         from zerosum.search import _CountAcc, _MinMaxOrderAcc
         from zerosum.verifier import _ViolationAcc
-        orders, exp = tables_for(group).orders, group.exponent
+        orders, exp = _rank_lists(group.invariant_factors)[0], group.exponent
         accs, _ = reference_scan(group, extrema_acc(group))
         d = max(acc.best_len for acc in accs)
         is_max = [1 if o == exp else 0 for o in orders]
@@ -781,7 +777,7 @@ class TestBlockedMaskKernel:
                      if not (forbidden_mask >> g) & 1], nodes)
             for width in (1, 2):
                 usable_cpus(width)
-                got = run_scan(group, factory, allowed=tables_for(group).mask_of(allowed),
+                got = run_scan(group, factory, allowed=sum(1 << r for r in allowed),
                                **kwargs)
                 assert _scan_summary(got) == want, (group, kwargs, width)
             return nodes
@@ -793,9 +789,8 @@ class TestBlockedMaskKernel:
         # a d-pair forbidden subgroup, G_2 in C8xC8xC8, with the allowed set
         # G_4 minus G_2 as longest_avoiding takes it, then all of G_4
         group, pair = AbelianGroup((8, 8, 8)), DivisorPair(2, 4)
-        tables = tables_for(group)
-        forbidden = _subgroup_mask(tables, pair.quotient)
-        g4 = [r for r in range(tables.size) if pair.d % tables.orders[r] == 0]
+        forbidden = _subgroup_mask(group, pair.quotient)
+        g4 = [r for r, o in enumerate(_rank_lists(group.invariant_factors)[0]) if pair.d % o == 0]
         for allowed in ([r for r in g4 if not (forbidden >> r) & 1], g4):
             assert same(group, extrema_acc(group), allowed=allowed,
                         forbidden_mask=forbidden) == 15_736

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerosum import (AbelianGroup, GSequence, InternalCheckError, SubsumTable,
-                     cross_number, definitional_subsums, max_order_count,
+                     cross_number, definitional_subsums, groups, max_order_count,
                      order_filter, sequences, standard_basis, subsums)
-from zerosum.groups import tables_for
 from zerosum.search import _subgroup_mask
 from zerosum.sequences import check_witness
 from conftest import subsums_by_index_subsets, zero_sumfree_by_definition
@@ -64,6 +63,16 @@ class TestSubsums:
                    for r in subsums(s).marked_ranks()}
             assert got == subsums_by_index_subsets(s)
             assert set(subsums(s).marked_ranks()) == definitional_subsums(s)
+
+    def test_definitional_route_never_translates(self, monkeypatch):
+        # the slow route cross-checks the shift, so it must not run on it
+        def refuse(tables, mask, g):
+            raise AssertionError("definitional_subsums called GroupTables.translate")
+        monkeypatch.setattr(groups.GroupTables, "translate", refuse)
+        for s in [E1E2_3, seq_of(C24, (1, 2), (0, 2), (1, 0)), seq_of(C3, (1,), (1,), (2,)),
+                  GSequence.from_ranks(AbelianGroup((3, 9)), [1, 3, 3, 10, 26])]:
+            assert {s.group.element_of_rank(r).coords
+                    for r in definitional_subsums(s)} == subsums_by_index_subsets(s)
 
     def test_mark_count_bounds(self):
         s = E1E2_3
@@ -129,7 +138,7 @@ class TestCheckWitness:
 
     def test_subsum_in_the_forbidden_subgroup_fails(self):
         # D_(2,4) on C2xC4: no subsum in G_2, the elements of order 1 or 2
-        g2 = _subgroup_mask(tables_for(C24), 2)
+        g2 = _subgroup_mask(C24, 2)
         check_witness(seq_of(C24, (0, 1)), g2)
         with pytest.raises(InternalCheckError, match="forbidden subgroup"):
             check_witness(seq_of(C24, (0, 1), (0, 1)), g2)  # (0,1) + (0,1) = (0,2)
