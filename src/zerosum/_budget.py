@@ -17,7 +17,10 @@ class SearchBudget:
     max_seconds: float = 300.0
 
     def __post_init__(self):
-        _exact_ints((self.max_nodes,), "budget field", ValueError)
+        _exact_ints((self.max_nodes,), "max_nodes", ValueError)
+        if isinstance(self.max_seconds, bool) or not isinstance(self.max_seconds,
+                                                                (int, float)):
+            raise ValueError(f"max_seconds {self.max_seconds!r} is not a number")
         # written as "not 0 < s < inf" so that NaN, which compares false, is
         # rejected, and so is infinity, which JSON cannot record
         if self.max_nodes < 1 or not 0 < self.max_seconds < float("inf"):

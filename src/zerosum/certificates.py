@@ -29,7 +29,7 @@ from ._budget import DEFAULT_BUDGET, SearchBudget
 from ._record import record
 from ._version import VERSION
 from .errors import CertificateError, InternalCheckError, NeedsOracleError
-from .groups import _exact_ints, parse_group_spec
+from .groups import parse_group_spec
 from .sequences import GSequence
 
 SCHEMA_VERSION = 1
@@ -341,14 +341,17 @@ def _check(group, inputs, budget):
     return parameters, claims, results, report.verdict, lines
 
 
-# command -> (its function, whether it searches and records its budget)
+# command -> (its function, whether it searches and records its budget, its
+# inputs). An input maps to int, bool or the values it may take: its CLI
+# flag's type or choices. ``run_command`` refuses any other value of a
+# choice; the function that takes an integer input refuses a non-integer.
 COMMANDS = {
-    "invariants": (_invariants, True),
-    "dpair": (_dpair, True),
-    "gamma": (_gamma, True),
-    "construct": (_construct, False),
-    "enumerate": (_enumerate, True),
-    "check": (_check, True),
+    "invariants": (_invariants, True, {"method": _METHODS}),
+    "dpair": (_dpair, True, {"method": _METHODS, "d_prime": int, "d": int}),
+    "gamma": (_gamma, True, {"method": _METHODS, "delta": int}),
+    "construct": (_construct, False, {"kind": ("dstar", "kstar", "gamma"), "delta": int}),
+    "enumerate": (_enumerate, True, {"length": int, "count_only": bool}),
+    "check": (_check, True, {"name": CHECKS, "delta": int, "threshold": int}),
 }
 
 
@@ -363,7 +366,13 @@ def run_command(command: str, group_input: str, inputs: dict,
     if command not in COMMANDS:
         raise CertificateError(f"unknown command {command!r}")
     group = parse_group_spec(group_input)
-    run, searches = COMMANDS[command]
+    run, searches, takes = COMMANDS[command]
+    for name, allowed in takes.items():
+        if allowed in (int, bool):
+            continue
+        if not isinstance(inputs[name], str) or inputs[name] not in allowed:
+            raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
+                             f"not {inputs[name]!r}")
     parameters, claims, results, status, lines = run(group, inputs, budget)
     if searches:
         recorded = recorded or budget or DEFAULT_BUDGET
@@ -460,17 +469,12 @@ def verify_certificate(source: dict | str | Path,
                                    f"group.input {group_input!r}")
         parameters = stored["parameters"]
         inputs = {key: value for key, value in parameters.items() if key != "budget"}
-        for key, value in inputs.items():
-            if key not in ("method", "name", "kind") and value is not None:
-                _exact_ints([value], f"parameters.{key}", CertificateError)
         # an enumerate certificate records --count-only by leaving out the sequences
         inputs["count_only"] = "sequences" not in stored["results"]
         recorded = parameters.get("budget")
         if recorded is not None:
             if not isinstance(recorded, dict):
                 raise CertificateError("parameters.budget is not an object")
-            _exact_ints([recorded["max_nodes"]], "parameters.budget.max_nodes",
-                        CertificateError)
             recorded = SearchBudget(recorded["max_nodes"], recorded["max_seconds"])
         exceeded = stored["status"] == "budget-exceeded" and recorded is not None
         if exceeded:

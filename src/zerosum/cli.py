@@ -54,22 +54,22 @@ def _write(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _add_common(parser: argparse.ArgumentParser, method=False, budget=True,
-                certificate=True):
-    """Add the flags a command reads: ``--group``, ``--out`` and ``--timing``
-    for commands that emit a certificate, ``--method`` where both routes
-    exist, the budget flags where a search runs, and always ``--format``."""
-    if certificate:
+def _add_common(parser: argparse.ArgumentParser, row=None):
+    """Add the flags a command reads: for its ``certificates.COMMANDS`` row,
+    ``--group``, ``--out``, ``--timing`` and ``--method`` if it is an input;
+    the budget flags if the row searches or there is none (``verify-cert``);
+    and always ``--format``."""
+    _, searches, inputs = row or (None, True, {})
+    if row:
         parser.add_argument("--group", required=True, metavar="SPEC",
                             help='group spec, e.g. "2,4" or "C2xC4"')
-    if method:
-        parser.add_argument("--method", choices=("formula", "search", "both"),
-                            default="both")
-    if budget:  # a flag left out takes the SearchBudget field's default
+    if "method" in inputs:
+        parser.add_argument("--method", choices=tuple(inputs["method"]), default="both")
+    if searches:  # a flag left out takes the SearchBudget field's default
         parser.add_argument("--budget-nodes", dest="max_nodes", type=int, metavar="N")
         parser.add_argument("--budget-seconds", dest="max_seconds", type=float,
                             metavar="S")
-    if certificate:
+    if row:
         parser.add_argument("--out", default=None, metavar="FILE",
                             help="write the JSON certificate here")
         parser.add_argument("--timing", action="store_true",
@@ -79,18 +79,20 @@ def _add_common(parser: argparse.ArgumentParser, method=False, budget=True,
     parser.add_argument("--format", choices=("json", "text"), default="text")
 
 
-def _command(command: str, *inputs: str):
-    """The handler of ``command``, which reads the flags ``inputs``.
+def _command(command: str):
+    """The handler of ``command``, which reads the flags of the inputs that
+    its ``certificates.COMMANDS`` row names.
 
     It runs the command through ``certificates.run_command``, writes
     ``--out``, prints the certificate or the text lines and the status, and
     maps the status to the exit code.
     """
     def handler(args) -> int:
-        from .certificates import certificate_json, run_command, write_certificate
+        from .certificates import (COMMANDS, certificate_json, run_command,
+                                   write_certificate)
         started = time.monotonic()
         cert, lines = run_command(command, args.group,
-                                  {name: getattr(args, name) for name in inputs},
+                                  {name: getattr(args, name) for name in COMMANDS[command][2]},
                                   _budget_from(args))
         if args.timing:
             cert["timing"] = {"seconds": round(time.monotonic() - started, 3)}
@@ -108,16 +110,6 @@ def _command(command: str, *inputs: str):
             return EXIT_INTERNAL
         return EXIT_COUNTEREXAMPLE
     return handler
-
-
-# -- command handlers -----------------------------------------------------------
-
-cmd_invariants = _command("invariants", "method")
-cmd_dpair = _command("dpair", "method", "d_prime", "d")
-cmd_gamma = _command("gamma", "method", "delta")
-cmd_construct = _command("construct", "kind", "delta")
-cmd_enumerate = _command("enumerate", "length", "count_only")
-cmd_check = _command("check", "name", "delta", "threshold")
 
 
 def cmd_verify_cert(args) -> int:
@@ -141,7 +133,7 @@ def cmd_verify_cert(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    from .certificates import CHECKS
+    from .certificates import COMMANDS
     parser = argparse.ArgumentParser(
         prog="zerosum",
         description="Zero-sum invariants of finite abelian groups: closed "
@@ -149,43 +141,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"zerosum {VERSION}")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("invariants", help="d*, k*, d(G), k(G) by formula and search")
-    _add_common(p, method=True)
-    p.set_defaults(handler=cmd_invariants)
+    def add(command: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(command, help=help)
+        _add_common(p, COMMANDS[command])
+        p.set_defaults(handler=_command(command))
+        return p
 
-    p = sub.add_parser("dpair", help="two-level Davenport constant D_(d',d)")
-    _add_common(p, method=True)
+    add("invariants", "d*, k*, d(G), k(G) by formula and search")
+
+    p = add("dpair", "two-level Davenport constant D_(d',d)")
     p.add_argument("--dprime", dest="d_prime", type=int, required=True, metavar="N")
     p.add_argument("--d", type=int, required=True, metavar="N")
-    p.set_defaults(handler=cmd_dpair)
 
-    p = sub.add_parser("gamma", help="minimal max-order count in long "
-                                     "zero-sumfree sequences (p-groups)")
-    _add_common(p, method=True)
+    p = add("gamma", "minimal max-order count in long zero-sumfree sequences (p-groups)")
     p.add_argument("--delta", type=int, required=True, metavar="N")
-    p.set_defaults(handler=cmd_gamma)
 
-    p = sub.add_parser("construct", help="explicit extremal sequences")
-    _add_common(p, budget=False)
-    p.add_argument("--kind", choices=("dstar", "kstar", "gamma"), required=True)
+    p = add("construct", "explicit extremal sequences")
+    p.add_argument("--kind", choices=COMMANDS["construct"][2]["kind"], required=True)
     p.add_argument("--delta", type=int, default=None, metavar="N")
-    p.set_defaults(handler=cmd_construct)
 
-    p = sub.add_parser("enumerate", help="list zero-sumfree sequences of one length")
-    _add_common(p)
+    p = add("enumerate", "list zero-sumfree sequences of one length")
     p.add_argument("--length", type=int, required=True, metavar="N")
     p.add_argument("--count-only", action="store_true")
-    p.set_defaults(handler=cmd_enumerate)
 
-    p = sub.add_parser("check", help="exhaustive theorem/conjecture checkers")
-    _add_common(p)
-    p.add_argument("--name", choices=tuple(CHECKS), required=True)
+    p = add("check", "exhaustive theorem/conjecture checkers")
+    p.add_argument("--name", choices=tuple(COMMANDS["check"][2]["name"]), required=True)
     p.add_argument("--delta", type=int, default=None, metavar="N")
     p.add_argument("--threshold", type=int, default=None, metavar="N")
-    p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("verify-cert", help="re-verify a certificate from scratch")
-    _add_common(p, certificate=False)
+    _add_common(p)
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.set_defaults(handler=cmd_verify_cert)
 

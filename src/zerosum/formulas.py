@@ -25,7 +25,8 @@ class DivisorPair:
     d: int
 
     def __post_init__(self):
-        _exact_ints((self.d_prime, self.d), "divisor", ValueError)
+        _exact_ints((self.d_prime,), "d_prime", ValueError)
+        _exact_ints((self.d,), "d", ValueError)
         if self.d_prime < 1 or self.d < 1:
             raise ValueError("d' and d must be at least 1")
         if self.d % self.d_prime != 0:

@@ -64,6 +64,13 @@ def _rank_lists(factors: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return orders, neg
 
 
+def _cross_weights(group: AbelianGroup) -> list[int]:
+    """exp(G) // ord(g) at every rank g: a sequence's cross number, scaled
+    by exp(G), is the sum of its elements' weights."""
+    exp = group.exponent
+    return [exp // o for o in _rank_lists(group.invariant_factors)[0]]
+
+
 def _generators(factors: tuple[int, ...]):
     """Elementary automorphisms of the group (Hillar and Rhea, Amer. Math.
     Monthly 2007), each (k, a, i, b): coordinate k of x becomes
@@ -501,15 +508,14 @@ class _ExtremaAcc:
 
     ``best_len``/``best`` is the first longest path entered and
     ``best_scaled``/``best_cross`` the first path whose cross number, scaled
-    by ``exp``, is largest: each the lexicographically least maximizer.
+    by exp(G) (the sum of ``weights``, see ``_cross_weights``), is largest:
+    each the lexicographically least maximizer.
     """
 
-    __slots__ = ("orders", "exp", "scaled", "best_len", "best", "best_scaled",
-                 "best_cross")
+    __slots__ = ("weights", "scaled", "best_len", "best", "best_scaled", "best_cross")
 
-    def __init__(self, orders, exp):
-        self.orders = orders
-        self.exp = exp
+    def __init__(self, weights):
+        self.weights = weights
         self.scaled = 0
         self.best_len = 0
         self.best: tuple[int, ...] | None = None
@@ -517,7 +523,7 @@ class _ExtremaAcc:
         self.best_cross: tuple[int, ...] | None = None
 
     def enter(self, path):
-        scaled = self.scaled + self.exp // self.orders[path[-1]]
+        scaled = self.scaled + self.weights[path[-1]]
         self.scaled = scaled
         if len(path) > self.best_len:
             self.best_len = len(path)
@@ -528,7 +534,7 @@ class _ExtremaAcc:
         return True
 
     def leave(self, path):
-        self.scaled -= self.exp // self.orders[path[-1]]
+        self.scaled -= self.weights[path[-1]]
 
 
 class _MinMaxOrderAcc:
@@ -595,9 +601,8 @@ def zero_sumfree_extrema(group: AbelianGroup, budget: SearchBudget | None = None
     """Exact d(G) and k(G) from one walk: (d, its witness, k, its witness).
     Each witness is the lexicographically least maximizer: ``max`` keeps the
     first root task that reaches the maximum."""
-    orders = _rank_lists(group.invariant_factors)[0]
-    accs, _ = run_scan(group, lambda: _ExtremaAcc(orders, group.exponent),
-                       budget=budget, symmetric=True)
+    weights = _cross_weights(group)
+    accs, _ = run_scan(group, lambda: _ExtremaAcc(weights), budget=budget, symmetric=True)
     d_acc = max(accs, key=lambda acc: acc.best_len)
     k_acc = max(accs, key=lambda acc: acc.best_scaled)
     return (d_acc.best_len, GSequence.from_ranks(group, d_acc.best),
@@ -613,9 +618,8 @@ def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
     allowed = _subgroup_mask(group, pair.d) & ~forbidden
     if not allowed:
         return 0, GSequence.empty(group)
-    orders = _rank_lists(group.invariant_factors)[0]
-    accs, _ = run_scan(group, lambda: _ExtremaAcc(orders, group.exponent),
-                       budget=budget, allowed=allowed,
+    weights = _cross_weights(group)
+    accs, _ = run_scan(group, lambda: _ExtremaAcc(weights), budget=budget, allowed=allowed,
                        forbidden_mask=forbidden, symmetric=True)
     # every task's root is entered, so the longest path is never empty
     best = max(accs, key=lambda acc: acc.best_len)

@@ -14,7 +14,7 @@ from ._record import record
 from .errors import BudgetExceededError
 from .formulas import d_star, davenport_p_group, gamma_bounds, gamma_upper_is_exact, k_star
 from .groups import AbelianGroup, _exact_ints
-from .search import SearchBudget, _gamma_scan, _rank_lists, run_scan
+from .search import SearchBudget, _cross_weights, _gamma_scan, _rank_lists, run_scan
 from .sequences import GSequence
 
 
@@ -111,10 +111,9 @@ def check_cross_number_conjecture(group: AbelianGroup,
     threshold = d_star(group)
     bound = sum(Fraction(n - 1, n) for n in group.invariant_factors)
     bound_scaled = int(bound * exp)
-    weights = [exp // o for o in _rank_lists(group.invariant_factors)[0]]
     return _run_violation_check(
         group, "cross-number-conjecture", (("threshold", threshold),),
-        weights, threshold, bound_scaled,
+        _cross_weights(group), threshold, bound_scaled,
         budget, _cross_conjecture_proved(group),
         details=(("bound", bound),))
 
@@ -126,11 +125,10 @@ def check_dual_conjecture(group: AbelianGroup,
     exp = group.exponent
     kstar_scaled = int(k_star(group) * exp)
     length_bound = sum(nu - 1 for nu in group.primary_decomposition())
-    weights = [exp // o for o in _rank_lists(group.invariant_factors)[0]]
     # length > length_bound and scaled cross number >= kstar_scaled
     return _run_violation_check(
         group, "davenport-dual-conjecture", (("length_bound", length_bound),),
-        weights, length_bound + 1, kstar_scaled - 1,
+        _cross_weights(group), length_bound + 1, kstar_scaled - 1,
         budget, group.is_p_group,
         details=(("k_star", k_star(group)),))
 

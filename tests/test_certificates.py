@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import re
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from zerosum import (AbelianGroup, CertificateError, CheckReport, GSequence,
-                     SearchBudget, certificates, search, verifier)
+                     SearchBudget, certificates, cli, search, verifier)
 from zerosum.certificates import (load_certificate, rational_to_json,
                                   sequence_to_json, verify_certificate,
                                   write_certificate)
@@ -357,6 +358,69 @@ def assert_rejected(tmp_path, golden: str, path: str, value) -> None:
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(obj))
     assert main(["verify-cert", "--in", str(bad)]) == EXIT_COUNTEREXAMPLE
+
+
+# each shape field of a golden certificate is set in turn to each of these
+SHAPE_MUTANTS = [None, True, -1, 1.5, "x", [], {}, [1]]
+PYTHON_ERROR_TEXT = ("unhashable", "not supported between", "object is not", "Traceback")
+
+
+def shape_fields(obj: dict) -> list[str]:
+    """The JSON paths of a certificate's shape: its command, each key of
+    its group and parameters (and of the recorded budget), its status and
+    each claim's kind."""
+    return ["command", *(f"group.{key}" for key in obj["group"]),
+            *(f"parameters.{key}" for key in obj["parameters"]),
+            *(f"parameters.budget.{key}" for key in obj["parameters"].get("budget", ())),
+            "status", *(f"claims[{i}].kind" for i in range(len(obj["claims"])))]
+
+
+@pytest.mark.parametrize("golden", sorted(path.stem for path in GOLDEN.glob("*.json")))
+def test_shape_mutants_are_refused_in_the_package_words(tmp_path, capsys, monkeypatch,
+                                                        golden):
+    """verify-cert exits 2 on a malformed shape and 1 on a refused input or
+    a difference, and no Python exception text reaches its output. A
+    recorded budget is no claim, so a valid one (max_seconds 1.5) passes."""
+    # one parser serves every run: building it is most of a run's time
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+    stored = (GOLDEN / f"{golden}.json").read_text()
+    mutant = tmp_path / "mutant.json"
+    for path in shape_fields(json.loads(stored)):
+        for value in SHAPE_MUTANTS:
+            obj = json.loads(stored)
+            edit(obj, path, value)
+            if obj == json.loads(stored):
+                continue  # the field already holds the value
+            mutant.write_text(json.dumps(obj))
+            code = main(["verify-cert", "--in", str(mutant)])
+            out, err = capsys.readouterr()
+            valid_budget = path == "parameters.budget.max_seconds" and value == 1.5
+            assert code in ((0,) if valid_budget else (1, 2)), (path, value, out, err)
+            assert not any(text in out + err for text in PYTHON_ERROR_TEXT), (path, value)
+
+
+@pytest.mark.parametrize("golden, path, value", [
+    ("invariants-both", "parameters.method", ["both"]),
+    ("gamma-both", "parameters.method", {"both": 1}),
+    ("check-heights", "parameters.name", ["heights"]),
+    ("check-heights", "parameters.name", {}),
+    ("construct-dstar", "parameters.kind", ["dstar"]),
+    ("invariants-both", "parameters.budget.max_seconds", None),
+    ("gamma-both", "parameters.budget.max_seconds", "300"),
+    ("enumerate", "parameters.budget.max_seconds", True),
+    ("check-budget-exceeded", "parameters.budget.max_nodes", "5"),
+    # each integer input is refused by the function that takes it
+    ("dpair-search", "parameters.d_prime", "2"),
+    ("dpair-search", "parameters.d", 4.0),
+    ("gamma-both", "parameters.delta", True),
+    ("construct-gamma", "parameters.delta", 1.0),
+    ("enumerate", "parameters.length", "3"),
+    ("check-counterexample", "parameters.threshold", 1.5),
+    ("check-gamma-conjecture", "parameters.delta", [1]),
+])
+def test_refused_input_is_named(tmp_path, capsys, golden, path, value):
+    assert_rejected(tmp_path, golden, path, value)
+    assert f"FAILED {path.rpartition('.')[2]} " in capsys.readouterr().out
 
 
 def test_rejection_names_the_first_differing_path(tmp_path):

@@ -88,13 +88,13 @@ class TestExitCodes:
         assert code == EXIT_COUNTEREXAMPLE
 
     def test_internal_error_exit(self, monkeypatch):
-        import zerosum.cli as cli
+        from zerosum.certificates import COMMANDS
         from zerosum.errors import InternalCheckError
 
-        def broken(args):
+        def broken(group, inputs, budget):
             raise InternalCheckError("routes disagree")
 
-        monkeypatch.setattr(cli, "cmd_invariants", broken)
+        monkeypatch.setitem(COMMANDS, "invariants", (broken, *COMMANDS["invariants"][1:]))
         assert main(["invariants", "--group", "2,4"]) == EXIT_INTERNAL
 
     @pytest.mark.parametrize("factors, exit_code, bug", [

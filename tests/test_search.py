@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 import time
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair, GSequence,
                      gamma_bounds, gamma_exact, gamma_extremal_sequence, k_star,
                      longest_avoiding, max_order_count, order_filter,
                      reduced_group, zero_sumfree_extrema)
-from zerosum.search import _ExtremaAcc, _rank_lists, _subgroup_mask
+from zerosum.search import _cross_weights, _ExtremaAcc, _rank_lists, _subgroup_mask
 from zerosum.sequences import check_witness, cross_number
 from conftest import (NON_P_FACTORS, P_GROUP_FACTORS, all_zero_sumfree_multisets,
                       aut_orbit_minima, reference_scan)
@@ -29,7 +30,7 @@ C22 = AbelianGroup((2, 2))
 
 def extrema_acc(group):
     """Factory of the d(G)/k(G) accumulator for ``run_scan`` on ``group``."""
-    return lambda: _ExtremaAcc(_rank_lists(group.invariant_factors)[0], group.exponent)
+    return lambda: _ExtremaAcc(_cross_weights(group))
 
 
 class TestEnumerate:
@@ -244,6 +245,13 @@ class TestBudget:
             SearchBudget(max_seconds=float("nan"))
         with pytest.raises(ValueError):
             SearchBudget(max_seconds=float("inf"))
+
+    @pytest.mark.parametrize("value", ["1", None, [1], True, False], ids=repr)
+    def test_time_budget_must_be_a_number(self, value):
+        # a bool is no number of seconds, and the others have no order with 0
+        with pytest.raises(ValueError, match=f"max_seconds {re.escape(repr(value))} "
+                                             "is not a number"):
+            SearchBudget(max_seconds=value)
 
     def test_default_width_is_usable_cpus(self):
         from zerosum import search
