@@ -229,15 +229,9 @@ def _gamma(group, inputs, budget):
     if searched:
         from . import search
         exact, seq = search.gamma_exact(group, delta, budget)
-        if not bounds.lower <= exact <= bounds.upper:
-            raise InternalCheckError(f"search value {exact} escapes the proven bounds "
-                                     f"[{bounds.lower}, {bounds.upper}]")
-        if bounds.exact not in (None, exact):
-            raise InternalCheckError(f"exact closed form gives {bounds.exact} "
-                                     f"but search found {exact}")
-        if formulas.gamma_upper_is_exact(group, delta) and exact != bounds.upper:
-            raise InternalCheckError(f"search found {exact}, but the proved regime (j0 = r, or "
-                                     f"j0 = 1 and delta <= p - 2) has gamma = {bounds.upper}")
+        broken = formulas.gamma_broken_rule(group, bounds, exact)
+        if broken is not None:
+            raise InternalCheckError(broken)
         sequences.check_witness(seq, length=results["d"] - delta, max_order=exact)
         claims.append({"kind": "gamma_exact", "delta": delta, "value": exact,
                        "witness": sequence_to_json(seq)})

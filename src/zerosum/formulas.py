@@ -208,3 +208,18 @@ def gamma_bounds(group: AbelianGroup, delta: int) -> GammaBounds:
         exact = gamma_exact_formula(group, delta)
     return GammaBounds(delta=delta, lower=max(0, raw_lo), upper=max(0, raw_hi),
                        raw_lower=raw_lo, raw_upper=raw_hi, exact=exact)
+
+
+def gamma_broken_rule(group: AbelianGroup, bounds: GammaBounds, value: int) -> str | None:
+    """The message of the first rule a searched Gamma ``value`` breaks, or
+    None. In order: within the proved bounds, equal to the exact closed
+    form, and equal to the upper bound where that is proved exact."""
+    if not bounds.lower <= value <= bounds.upper:
+        return (f"search value {value} escapes the proven bounds "
+                f"[{bounds.lower}, {bounds.upper}]")
+    if bounds.exact not in (None, value):
+        return f"exact closed form gives {bounds.exact} but search found {value}"
+    if gamma_upper_is_exact(group, bounds.delta) and value != bounds.upper:
+        return (f"search found {value}, but the proved regime (j0 = r, or "
+                f"j0 = 1 and delta <= p - 2) has gamma = {bounds.upper}")
+    return None

@@ -59,19 +59,13 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = _exact_ints(self.invariant_factors, "cyclic factor")
+        factors = _checked_factors(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)
-        if not factors:
-            raise InvalidGroupError("group needs at least one cyclic factor")
-        for n in factors:
-            if n < 2:
-                raise InvalidGroupError(f"cyclic factor {n} is below 2")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise InvalidGroupError(
                     f"factors {factors} are not a divisibility chain "
                     f"({a} does not divide {b}); use normalize_group()")
-        _check_cap(math.prod(factors))
 
     # -- global structure --------------------------------------------------
 
@@ -230,10 +224,20 @@ class GroupElement:
 
 # -- canonical construction --------------------------------------------------
 
-def _check_cap(order: int) -> None:
+def _checked_factors(factors: Iterable[int]) -> tuple[int, ...]:
+    """``factors`` as a tuple, once it is a nonempty list of integers at
+    least 2 whose product is within ``CARDINALITY_CAP``."""
+    factors = _exact_ints(factors, "cyclic factor")
+    if not factors:
+        raise InvalidGroupError("group needs at least one cyclic factor")
+    for n in factors:
+        if n < 2:
+            raise InvalidGroupError(f"cyclic factor {n} is below 2")
+    order = math.prod(factors)
     if order > CARDINALITY_CAP:
         raise InvalidGroupError(
             f"group of order {order} exceeds the desk-scale cap {CARDINALITY_CAP}")
+    return factors
 
 
 def normalize_group(factors: Iterable[int]) -> AbelianGroup:
@@ -243,14 +247,8 @@ def normalize_group(factors: Iterable[int]) -> AbelianGroup:
     result is isomorphic to the direct sum of the given cyclic groups, e.g.
     [4, 6] becomes (2, 12). Idempotent on lists that already form a chain.
     """
-    factor_list = _exact_ints(factors, "cyclic factor")
-    if not factor_list:
-        raise InvalidGroupError("group needs at least one cyclic factor")
-    for n in factor_list:
-        if n < 2:
-            raise InvalidGroupError(f"cyclic factor {n} is below 2")
-    # before factorizing: trial division of a huge factor would take seconds
-    _check_cap(math.prod(factor_list))
+    # the cap before factorizing: trial division of a huge factor would take seconds
+    factor_list = _checked_factors(factors)
     by_prime: dict[int, list[int]] = {}
     for n in factor_list:
         for p, e in _factorize(n).items():

@@ -235,27 +235,20 @@ def _scan_from(tables: GroupTables, root: int, cand: int, forbidden_mask: int,
 
 # A scan forks only after its in-process tasks, the smallest ones, have
 # entered this many nodes. Forking, feeding and reaping two workers costs
-# about 6 ms on a 2-core Xeon, 4-5k nodes of DFS at 650-800k nodes/s, so by
-# then the tasks left are worth far more than the fork.
+# 3.4 ms on a 2-core Xeon (10 ms with the imports of a process's first fork),
+# up to 8k nodes of DFS at 650-800k nodes/s: the tasks left are worth more.
 _FORK_GATE_NODES = 20_000
 # Indices queued in the task pipe at once: 4 bytes each, so every write
 # is at most 512 bytes (POSIX PIPE_BUF) and the pipe never fills.
 _TASK_WINDOW = 128
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
+def _usable_cpus() -> list[int | None]:
+    """The sorted CPUs this process may run on; where the affinity cannot
+    be read, ``os.cpu_count()`` entries of None, which pin nothing."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _worker_count(tasks: int) -> int:
-    """Worker processes to fork for ``tasks`` tasks: never more than the
-    usable CPUs or the tasks; 1 (in-process) without ``os.fork``."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_usable_cpus(), tasks))
+        return sorted(os.sched_getaffinity(0))
+    return [None] * (os.cpu_count() or 1)
 
 
 def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
@@ -277,9 +270,10 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     order whatever the worker count and the schedule, so merging them is
     deterministic. Tasks run from the last root down in-process until the
     scan has entered more than ``_FORK_GATE_NODES`` nodes and at least two
-    workers can take the rest (``_worker_count``); those remaining, larger
-    tasks then run in forked workers (``_run_forked``), whose accumulator
-    state is copied back into these accumulators.
+    usable CPUs (``_usable_cpus``; one without ``os.fork``) have a task left;
+    those remaining, larger tasks then run in forked workers, one per CPU up
+    to one per task (``_run_forked``), whose accumulator state is copied
+    back into these accumulators.
 
     A task stops early once it passes the nodes the scan has left, those of
     ``budget.max_nodes`` not yet summed (at the fork, for a forked task), or
@@ -326,35 +320,43 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
                 "time budget exhausted", nodes_visited=nodes,
                 elapsed_seconds=time.monotonic() - started)
 
-    workers = _worker_count(len(roots))
+    cpus = _usable_cpus() if hasattr(os, "fork") else [None]
     left = len(roots)
-    while left and (nodes <= _FORK_GATE_NODES or min(workers, left) < 2):
+    while left and (nodes <= _FORK_GATE_NODES or min(len(cpus), left) < 2):
         left -= 1
         tally(run_one(left))
     if left:
-        _run_forked(min(workers, left), left, run_one, tally, accs)
+        _run_forked(cpus[:left], left, run_one, tally, accs)
     return accs, nodes
 
 
-def _run_forked(workers: int, count: int, run_one: Callable[[int], int],
+def _read(fd: int, n: int) -> bytes | None:
+    """Exactly ``n`` bytes from ``fd``, or None if it ends first."""
+    data = b""
+    while len(data) < n and (chunk := os.read(fd, n - len(data))):
+        data += chunk
+    return data if len(data) == n else None
+
+
+def _run_forked(cpus: list[int | None], count: int, run_one: Callable[[int], int],
                 tally: Callable[[int], None], accs: list) -> None:
-    """Run tasks ``0 .. count-1`` in ``workers`` forked children, passing
-    the nodes of each to ``tally`` as it reports.
+    """Run tasks ``0 .. count-1`` in one forked child per entry of ``cpus``,
+    passing the nodes of each to ``tally`` as it reports.
 
     The children take task indices in ascending order, largest subtrees
-    first, from one shared pipe (see ``_work``); child w is pinned to usable
-    CPU w modulo their number, so two share a CPU only when they must. The
-    parent drains every result pipe as it fills, copies each returned
-    accumulator's state into its own, re-raises the first worker exception
-    or the first from ``tally``, and reaps every child. A task that no child
-    reported is an error, never a partial result.
+    first, from one shared pipe (see ``_work``) that the parent keeps topped
+    up to ``_TASK_WINDOW``; child w pins itself to ``cpus[w]``. The parent
+    reads each result whole, its 8-byte length and then that many bytes; a
+    pipe that ends first belongs to a child that has ended. It copies each
+    returned accumulator's state into its own, re-raises the first worker
+    exception or the first from ``tally``, and reaps every child. A task
+    that no child reported is an error, never a partial result.
     """
     # imported here so that scans too small to fork do not pay for them
     import pickle
     import selectors
     import signal
 
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
     task_r, task_w = os.pipe()
     queued = 0
 
@@ -372,39 +374,32 @@ def _run_forked(workers: int, count: int, run_one: Callable[[int], int],
     reported: set[int] = set()
     try:
         queue(_TASK_WINDOW)
-        for w in range(workers):
+        for cpu in cpus:
             res_r, res_w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _work(task_r, res_w, run_one, accs, close=(res_r, task_w),
-                      cpu=cpus[w % len(cpus)])
+                _work(task_r, res_w, run_one, accs, close=(res_r, task_w), cpu=cpu)
             os.close(res_w)
             children[res_r] = pid
         with selectors.DefaultSelector() as sel:
             for fd in children:
-                sel.register(fd, selectors.EVENT_READ, bytearray())
+                sel.register(fd, selectors.EVENT_READ)
             while sel.get_map():
                 for key, _ in sel.select():
-                    chunk = os.read(key.fd, 1 << 16)
-                    if not chunk:
+                    head = _read(key.fd, 8)
+                    body = head and _read(key.fd, int.from_bytes(head, "little"))
+                    if body is None:
                         sel.unregister(key.fd)
                         continue
-                    buf = key.data
-                    buf += chunk
-                    while len(buf) >= 8:
-                        end = 8 + int.from_bytes(buf[:8], "little")
-                        if len(buf) < end:
-                            break
-                        index, result = pickle.loads(buf[8:end])
-                        del buf[:end]
-                        if isinstance(result, BaseException):
-                            raise result
-                        acc, task_nodes = result
-                        _copy_state(accs[index], acc)
-                        reported.add(index)
-                        tally(task_nodes)
-                        if task_w != -1:
-                            queue(1)
+                    index, result = pickle.loads(body)
+                    if isinstance(result, BaseException):
+                        raise result
+                    acc, task_nodes = result
+                    _copy_state(accs[index], acc)
+                    reported.add(index)
+                    tally(task_nodes)
+                    if task_w != -1:
+                        queue(1)
         if len(reported) < count:
             missing = min(set(range(count)) - reported)
             raise InternalCheckError(
@@ -415,10 +410,7 @@ def _run_forked(workers: int, count: int, run_one: Callable[[int], int],
                 os.close(fd)
         for fd, pid in children.items():
             if len(reported) < count:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+                os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ._record import record
 from .errors import BudgetExceededError
-from .formulas import d_star, davenport_p_group, gamma_bounds, gamma_upper_is_exact, k_star
+from .formulas import d_star, davenport_p_group, gamma_bounds, gamma_broken_rule, k_star
 from .groups import AbelianGroup, _exact_ints
 from .search import SearchBudget, _cross_weights, _gamma_scan, _rank_lists, run_scan
 from .sequences import GSequence
@@ -199,11 +199,9 @@ def check_gamma_conjecture(group: AbelianGroup, delta: int,
     if exact == bounds.upper:
         return CheckReport("gamma-conjecture", (("delta", delta),), "verified", None,
                            nodes, details=details)
-    # a value outside the proved bounds, or off the upper bound where that is
-    # proved exact, points straight at this package
-    bug = (exact > bounds.upper or exact < bounds.lower
-           or gamma_upper_is_exact(group, delta))
+    # a value that breaks a proved rule points straight at this package
     return CheckReport("gamma-conjecture", (("delta", delta),), "counterexample",
                        GSequence.from_ranks(group, ranks), nodes,
-                       implementation_bug=bug, details=details)
+                       implementation_bug=gamma_broken_rule(group, bounds, exact) is not None,
+                       details=details)
 

@@ -29,12 +29,14 @@ def p_groups() -> list[AbelianGroup]:
 @pytest.fixture
 def usable_cpus(monkeypatch):
     """The setter of the CPUs the search engine sees: after ``usable_cpus(w)``
-    a scan forks at most ``w`` workers, as under ``taskset`` with ``w`` CPUs,
-    and at ``w = 1`` it runs every task in this process."""
+    it sees the real CPUs, repeated up to ``w`` of them, so a scan forks at
+    most ``w`` workers, as under ``taskset`` with ``w`` CPUs, and at
+    ``w = 1`` it runs every task in this process."""
     from zerosum import search
+    real = search._usable_cpus()
 
     def set_cpus(count: int) -> None:
-        monkeypatch.setattr(search, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(search, "_usable_cpus", lambda: (real * count)[:count])
     return set_cpus
 
 

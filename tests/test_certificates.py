@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 from zerosum import (AbelianGroup, CertificateError, CheckReport, GSequence,
-                     SearchBudget, certificates, cli, search, verifier)
+                     SearchBudget, certificates, cli, formulas, search, verifier)
 from zerosum.certificates import (load_certificate, rational_to_json,
                                   sequence_to_json, verify_certificate,
                                   write_certificate)
-from zerosum.cli import EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, main
+from zerosum.cli import EXIT_COUNTEREXAMPLE, EXIT_INTERNAL, EXIT_USAGE, main
 
 C24 = AbelianGroup((2, 4))
 GOLDEN = Path(__file__).parent / "golden"
@@ -511,6 +511,36 @@ def test_gamma_off_a_proved_upper_bound_is_refused(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+
+# each fault makes one route disagree with the other, or with a proved bound
+@pytest.mark.parametrize("argv, module, function, fault, message", [
+    ("invariants --group 3,3 --method search", search, "zero_sumfree_extrema",
+     lambda g, r: (3, seq(g, (1, 0), (0, 1), (0, 1)), *r[2:]),
+     "search found d(G) = 3 below the d* lower bound"),
+    ("invariants --group 3,3 --method search", search, "zero_sumfree_extrema",
+     lambda g, r: (*r[:2], Fraction(1, 3), seq(g, (1, 0))),
+     "search found k(G) = 1/3 below the k* lower bound"),
+    ("invariants --group 3,3 --method search", formulas, "little_cross_p_group",
+     lambda g, r: r + 1, "formula k(G) = 7/3 but search found 4/3"),
+    ("dpair --group 2,4 --dprime 2 --d 4 --method both", search, "d_pair_value",
+     lambda g, r: r + 1, "reduction route gives 3, brute force 2"),
+    ("gamma --group 2,4 --delta 1 --method both", search, "gamma_exact",
+     lambda g, r: (r[0] + 1, r[1]), "search value 2 escapes the proven bounds [1, 1]"),
+    ("gamma --group 2,4 --delta 1 --method both", formulas, "gamma_exact_formula",
+     lambda g, r: r + 1, "exact closed form gives 2 but search found 1"),
+], ids=["d-below-d-star", "k-below-k-star", "formula-k", "reduction-route",
+        "gamma-bounds", "gamma-closed-form"])
+def test_routes_that_disagree_are_refused(tmp_path, capsys, monkeypatch,
+                                          argv, module, function, fault, message):
+    real = getattr(module, function)
+    monkeypatch.setattr(module, function,
+                        lambda group, *args: fault(group, real(group, *args)))
+    out = tmp_path / "out.json"
+    assert main([*argv.split(), "--out", str(out)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == f"internal-consistency failure: {message}\n"
+    assert not out.exists()
+
+
 def test_check_counterexample_is_checked_like_a_witness(tmp_path, capsys, monkeypatch):
     real = verifier.check_order_divisibility
 
@@ -543,6 +573,16 @@ class TestSchemaValidation:
             path.write_text(json.dumps({**obj, key: []}))
             with pytest.raises(CertificateError):
                 load_certificate(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: [obj], "certificate must be a JSON object"),
+        (lambda obj: {**obj, "claims": {}}, "claims must be a list"),
+    ], ids=["list", "claims-object"])
+    def test_shape_is_refused(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(edit(json.loads(gamma_cert(tmp_path).read_text()))))
+        assert main(["verify-cert", "--in", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"certificate error: {message}\n"
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"

@@ -16,7 +16,7 @@ from zerosum import (AbelianGroup, DivisorPair, NeedsOracleError,
                      gamma_bounds, gamma_exact_formula, gamma_lower, gamma_upper,
                      j0, k_star, little_cross_p_group, normalize_group,
                      reduced_group, search, upsilon_vector)
-from zerosum.formulas import gamma_upper_is_exact
+from zerosum.formulas import gamma_broken_rule, gamma_upper_is_exact
 from zerosum.search import d_pair_value, zero_sumfree_extrema
 from conftest import NON_P_FACTORS, P_GROUP_FACTORS
 
@@ -237,3 +237,24 @@ class TestGammaFormulas:
         assert not gamma_upper_is_exact(AbelianGroup((2, 4, 4)), 0)  # 1 < j0 < r
         with pytest.raises(ValueError):
             gamma_upper_is_exact(c44, 6)
+
+    def test_broken_rule_is_the_bounds_or_the_proved_regime(self):
+        # the closed form equals the upper bound wherever it applies, so a
+        # value breaks a rule iff it leaves the bounds or, in the proved
+        # regime, the upper bound; the first broken rule is named
+        for factors in P_GROUP_FACTORS:
+            group = AbelianGroup(factors)
+            for delta in range(davenport_p_group(group)):
+                bounds = gamma_bounds(group, delta)
+                for value in range(bounds.upper + 2):
+                    broken = gamma_broken_rule(group, bounds, value)
+                    assert (broken is not None) == (
+                        not bounds.lower <= value <= bounds.upper
+                        or value != bounds.upper and gamma_upper_is_exact(group, delta))
+        c44 = AbelianGroup((4, 4))
+        assert gamma_broken_rule(c44, gamma_bounds(c44, 0), 6) is None
+        assert gamma_broken_rule(c44, gamma_bounds(c44, 0), 5) == (
+            "search found 5, but the proved regime (j0 = r, or j0 = 1 and "
+            "delta <= p - 2) has gamma = 6")
+        assert gamma_broken_rule(C24, gamma_bounds(C24, 1), 0) == (
+            "search value 0 escapes the proven bounds [1, 1]")

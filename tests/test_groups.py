@@ -42,6 +42,18 @@ class TestConstruction:
         with pytest.raises(InvalidGroupError):
             AbelianGroup(factors)
 
+    @pytest.mark.parametrize("factors, message", [
+        ((), "group needs at least one cyclic factor"),
+        ((2, 2.0), "cyclic factor 2.0 is not an integer"),
+        ((1, 2), "cyclic factor 1 is below 2"),
+        ((2, 1000, 1000), "group of order 2000000 exceeds the desk-scale cap 1000000"),
+    ], ids=["empty", "float", "one", "over-cap"])
+    def test_constructors_refuse_alike(self, factors, message):
+        for make in (AbelianGroup, normalize_group):
+            with pytest.raises(InvalidGroupError) as info:
+                make(factors)
+            assert str(info.value) == message
+
     def test_cardinality_cap(self, monkeypatch):
         monkeypatch.setattr(groups, "CARDINALITY_CAP", 100)
         with pytest.raises(InvalidGroupError):

@@ -16,7 +16,8 @@ from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair, GSequence,
                      gamma_bounds, gamma_exact, gamma_extremal_sequence, k_star,
                      longest_avoiding, max_order_count, order_filter,
                      reduced_group, zero_sumfree_extrema)
-from zerosum.search import _cross_weights, _ExtremaAcc, _rank_lists, _subgroup_mask
+from zerosum.search import (_cross_weights, _ExtremaAcc, _rank_lists, _subgroup_mask,
+                            _usable_cpus)
 from zerosum.sequences import check_witness, cross_number
 from conftest import (NON_P_FACTORS, P_GROUP_FACTORS, all_zero_sumfree_multisets,
                       aut_orbit_minima, reference_scan)
@@ -253,21 +254,48 @@ class TestBudget:
                                              "is not a number"):
             SearchBudget(max_seconds=value)
 
-    def test_default_width_is_usable_cpus(self):
+    def test_default_width_is_usable_cpus(self, forked_scans, monkeypatch):
+        # C3xC3 runs its last root in-process and forks one worker per usable
+        # CPU for the 7 roots left, at most 7; on one CPU it forks none
         from zerosum import search
-        assert search._worker_count(10**6) == search._usable_cpus() >= 1
+        monkeypatch.setattr(search, "_usable_cpus", _usable_cpus)
+        cpus = _usable_cpus()
+        if hasattr(os, "sched_getaffinity"):
+            assert cpus == sorted(os.sched_getaffinity(0))
+        c33 = AbelianGroup((3, 3))
+        search.run_scan(c33, extrema_acc(c33))
+        width = min(len(cpus), 7)
+        assert len(forked_scans) == (width if width >= 2 else 0)
 
-    def test_worker_count_is_clamped(self, monkeypatch, usable_cpus):
+    def test_worker_count_is_clamped(self, forked_scans, monkeypatch, usable_cpus):
+        # after its last root in-process, C3xC3 has 7 roots left, C2xC2 two
+        from zerosum.search import run_scan
+        c33 = AbelianGroup((3, 3))
+        for width, group, forks in ((4, c33, 4), (8, c33, 7), (4, C22, 2), (1, c33, 0)):
+            usable_cpus(width)
+            forked_scans.clear()
+            run_scan(group, extrema_acc(group))
+            assert len(forked_scans) == forks, (width, group)
+        usable_cpus(4)
+        monkeypatch.delattr(os, "fork")
+        forked_scans.clear()
+        run_scan(c33, extrema_acc(c33))
+        assert not forked_scans
+
+    def test_unread_affinity_pins_no_worker(self, forked_scans, monkeypatch):
+        # without sched_getaffinity the CPUs are os.cpu_count() Nones, and a
+        # scan forks as many unpinned workers, with the nodes of one process
         from zerosum import search
-        usable_cpus(4)
-        assert search._worker_count(10**6) == 4
-        assert search._worker_count(3) == 3
-        assert search._worker_count(1) == 1
-        usable_cpus(1)
-        assert search._worker_count(100) == 1
-        usable_cpus(4)
-        monkeypatch.delattr(os, "fork", raising=False)
-        assert search._worker_count(100) == 1
+        monkeypatch.setattr(search, "_usable_cpus", _usable_cpus)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == [None]
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _usable_cpus() == [None, None, None]
+        c33 = AbelianGroup((3, 3))
+        _, nodes = search.run_scan(c33, extrema_acc(c33))
+        assert len(forked_scans) == 3
+        assert nodes == 184
 
 
 class TestDeterminism:
@@ -454,6 +482,69 @@ class TestForkedWorkers:
         with pytest.raises(InternalCheckError, match="reporting task 0"):
             search.run_scan(c33, extrema_acc(c33), allowed=(1 << 9) - 2)
         assert forked_scans
+
+    def test_worker_exception_keeps_its_type(self, forked_scans, monkeypatch, usable_cpus):
+        from zerosum import search
+        parent = os.getpid()
+        real_scan = search._scan_from
+
+        def failing_scan(*args):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("in a worker")
+            return real_scan(*args)
+
+        monkeypatch.setattr(search, "_scan_from", failing_scan)
+        c33 = AbelianGroup((3, 3))
+        usable_cpus(2)
+        with pytest.raises(ZeroDivisionError, match="in a worker"):
+            search.run_scan(c33, extrema_acc(c33))
+        assert forked_scans
+
+    @pytest.mark.parametrize("cut", [5, 8, 20], ids=lambda n: f"{n}-bytes")
+    def test_result_cut_short_is_an_error(self, cut, forked_scans, monkeypatch,
+                                          usable_cpus):
+        # a worker that ends inside its first result, in the length or after it
+        from zerosum import search
+        from zerosum.errors import InternalCheckError
+        parent = os.getpid()
+        real_write = os.write
+
+        def cut_write(fd, data):
+            if os.getpid() != parent:
+                real_write(fd, bytes(data[:cut]))
+                os._exit(3)
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", cut_write)
+        c33 = AbelianGroup((3, 3))
+        usable_cpus(2)
+        with pytest.raises(InternalCheckError, match="reporting task 0"):
+            search.run_scan(c33, extrema_acc(c33))
+        assert forked_scans
+
+    def test_task_window_refills(self, monkeypatch, usable_cpus):
+        # at the real fork gate, enumerating C20xC20 at length 2 runs the last
+        # 199 roots in-process and hands the 200 left to two workers, more
+        # than the task pipe holds at once
+        from zerosum import search
+        handed = []
+        real_run_forked = search._run_forked
+
+        def recording(cpus, count, *args):
+            handed.append((len(cpus), count))
+            return real_run_forked(cpus, count, *args)
+
+        monkeypatch.setattr(search, "_run_forked", recording)
+        group = AbelianGroup((20, 20))
+        counts = []
+        for width in (1, 2):
+            usable_cpus(width)
+            counts.append(enumerate_zero_sumfree(group, 2))
+        assert handed == [(2, 200)]
+        assert 200 > search._TASK_WINDOW
+        assert counts == [79_599, 79_599]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # the conftest groups, and three whose orbit cut is large

@@ -55,6 +55,12 @@ class TestSubsums:
     def test_empty(self):
         assert subsums(GSequence.empty(C3)).mask == 0
 
+    def test_membership_by_element_or_rank(self):
+        # the subsums of (1) + (1) in C3 are 1 and 2, not 0
+        table = subsums(seq_of(C3, (1,), (1,)))
+        assert [C3.element_of_rank(r) in table for r in range(3)] == [False, True, True]
+        assert [r in table for r in range(3)] == [False, True, True]
+
     def test_matches_definitional_enumeration(self):
         for s in [E1E2_3, seq_of(C24, (1, 2), (0, 2), (1, 0)),
                   seq_of(C3, (1,), (1,), (2,))]:

@@ -37,6 +37,12 @@ class TestCrossNumberConjecture:
         report = check_cross_number_conjecture(C24)
         assert report.nodes_visited == full_tree_size(C24)
 
+    def test_proved_classes_of_rank_three(self):
+        # C2+C2+C2n is proved, C2+C6+C6 is not: a non-p group of rank 3
+        from zerosum.verifier import _cross_conjecture_proved
+        assert _cross_conjecture_proved(AbelianGroup((2, 2, 6)))
+        assert not _cross_conjecture_proved(AbelianGroup((2, 6, 6)))
+
 
 class TestDualConjecture:
     def test_verified_groups(self):
@@ -123,6 +129,12 @@ class TestGammaConjecture:
     def test_delta_out_of_range(self):
         with pytest.raises(ValueError):
             check_gamma_conjecture(C24, 99)
+
+    def test_exhausted_budget(self):
+        report = check_gamma_conjecture(AbelianGroup((4, 4)), 0, SearchBudget(max_nodes=1))
+        assert report.verdict == "budget-exceeded"
+        assert report.counterexample is None
+        assert not report.implementation_bug
 
 
 class TestBudgetExceeded:
