@@ -157,19 +157,21 @@ def _path_cut(factors: tuple[int, ...]) -> _PathCut:
     return _PathCut(factors)
 
 
-def _scan_from(tables: GroupTables, root: int, cand: int, forbidden_mask: int,
-               max_depth: int, acc, max_nodes: int, deadline: float,
-               cut: _PathCut | None = None) -> int:
-    """DFS of the task of ``root``; returns the nodes entered.
+def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, max_depth: int,
+               acc, max_nodes: int, deadline: float, cut: _PathCut | None = None) -> int:
+    """DFS of the task rooted at the lowest ``cand`` rank; returns its nodes.
 
     The task enters (root,), then every multiset of the ``cand`` ranks,
-    lowest bit first, after it. ``acc.enter(path)`` is called once per
-    state entered and returns whether to descend; ``acc.leave(path)`` is
-    called on the way back, after every enter. The root is counted but not
-    held to ``max_nodes``; if it does not descend, the task ends there.
+    lowest bit first, after it. It starts at the level above the root,
+    whose path is empty, enters the root as any child and returns when the
+    path is empty again. ``acc.enter(path)`` is called once per state
+    entered and returns whether to descend; ``acc.leave(path)`` is called
+    on the way back, after every enter.
 
-    Past ``max_nodes``, or past ``deadline`` at a 2048th node, it returns
-    at once, the stopping node counted but not entered; ``run_scan`` raises.
+    Every node, the root too, is held to ``max_nodes``: past it, or past
+    ``deadline`` at a 2048th node, it returns at once, the stopping node
+    counted but not entered; ``run_scan`` raises. So an allowance of 0
+    enters nothing and returns 1.
 
     Each level keeps the blocked mask F | (F - sums(S)), F the forbidden
     set and sums(S) the nonempty subsums of the path S: the ranks h that
@@ -180,28 +182,21 @@ def _scan_from(tables: GroupTables, root: int, cand: int, forbidden_mask: int,
 
     With a ``cut``, each level also keeps ``fix``, the bitmask of the
     generators that fix every rank of its path (``fix &= fixes[h]`` on
-    descent). A level with ``fix`` nonzero enters only the candidates least
-    in their class under those generators, dropping the untried ranks below
-    each child it enters, so that child still draws its own children from
-    every untried rank from it on; a level with ``fix`` zero enters every
-    candidate, as a scan without a cut does.
+    descent), ``cut.full`` at the level above the root; so the root must be
+    the lowest candidate and least in its class under every generator, as
+    ``run_scan``'s roots are. A level with ``fix`` nonzero enters only the
+    candidates least in their class under those generators, dropping the
+    untried ranks below each child it enters, so that child still draws its
+    own children from every untried rank from it on; a level with ``fix``
+    zero enters every candidate, as a scan without a cut does.
     """
     translate, neg = tables.translate, _rank_lists(tables.factors)[1]
-    blocked = forbidden_mask
-    fix = select = 0
-    path = [root]
-    stack = []  # (untried children, blocked, fix, select) of each node but the last
-    if acc.enter(path) and max_depth > 1:
-        blocked |= translate(blocked, neg[root])
-        cand &= ~blocked
-        if cut is not None:
-            fixes = cut.fixes
-            fix = cut.full & fixes[root]
-            if fix:
-                select = cut[fix]
-    else:
-        cand = 0
-    nodes = 1
+    blocked, fix, select, nodes = forbidden_mask, 0, 0, 0
+    if cut is not None:
+        fixes, fix = cut.fixes, cut.full
+        select = cut[fix]
+    path = []
+    stack = []  # (untried children, blocked, fix, select) above each path node
     while True:
         if fix:
             low = cand & select
@@ -209,7 +204,7 @@ def _scan_from(tables: GroupTables, root: int, cand: int, forbidden_mask: int,
         if not cand:
             acc.leave(path)
             path.pop()
-            if not stack:
+            if not path:
                 return nodes
             cand, blocked, fix, select = stack.pop()
             continue
@@ -230,6 +225,8 @@ def _scan_from(tables: GroupTables, root: int, cand: int, forbidden_mask: int,
         else:
             acc.leave(path)
             path.pop()
+            if not path:
+                return nodes
             cand ^= low
 
 
@@ -265,7 +262,8 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     task of its least rank. The Aut(G)-invariant searches pass
     ``symmetric`` with an Aut(G)-invariant mask: only the roots least in
     their class under every generator of the group's ``_PathCut`` are kept,
-    and ``_scan_from`` cuts every level below.
+    and ``_scan_from`` cuts every level from the one above the root: each
+    task's root is its lowest candidate and the lowest one the cut keeps.
     All accumulators are made here, in this process, and come back in root
     order whatever the worker count and the schedule, so merging them is
     deterministic. Tasks run from the last root down in-process until the
@@ -275,13 +273,14 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     to one per task (``_run_forked``), whose accumulator state is copied
     back into these accumulators.
 
-    A task stops early once it passes the nodes the scan has left, those of
-    ``budget.max_nodes`` not yet summed (at the fork, for a forked task), or
-    the deadline (``_scan_from``); so a scan in one process enters at most
-    ``max_nodes + 1`` nodes. ``tally``, which sums the nodes of the tasks as
-    they finish, is the one place a budget error is raised. Once the sum is
-    above ``max_nodes`` it reports nodes_visited ``max_nodes + 1``: so a
-    scan is exceeded iff its full node total is, at every worker count.
+    A task, its root too, enters no more than the nodes the scan has left,
+    those of ``budget.max_nodes`` not yet summed (at the fork, for a forked
+    task), and stops at the deadline (``_scan_from``); so a scan in one
+    process enters at most ``max_nodes`` nodes. ``tally``, which sums the
+    nodes of the tasks as they finish, is the one place a budget error is
+    raised. Once the sum is above ``max_nodes`` it reports nodes_visited
+    ``max_nodes + 1``: so a scan is exceeded iff its full node total is, at
+    every worker count.
     Once the clock is past the deadline it reports the sum, the nodes of
     every task run so far.
     """
@@ -305,7 +304,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
 
     def run_one(index: int) -> int:
         g = roots[index]
-        return _scan_from(tables, g, allowed >> g << g, forbidden_mask, depth_cap,
+        return _scan_from(tables, allowed >> g << g, forbidden_mask, depth_cap,
                           accs[index], max_nodes - nodes, deadline, cut)
 
     def tally(task_nodes: int) -> None:

@@ -201,6 +201,43 @@ class TestBudget:
         assert info.value.nodes_visited > 0
         assert 0 < info.value.elapsed_seconds < 60
 
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["uncut", "cut"])
+    def test_root_is_held_to_the_task_allowance(self, symmetric):
+        # the task of C5xC5's root 1, the least rank of its one class under
+        # the cut: the root is entered like any child, so an allowance of 0
+        # enters nothing, 1 the root alone and 2 the root and its first child
+        from zerosum.groups import tables_for
+        from zerosum.search import _path_cut, _scan_from
+
+        class Entered:
+            def __init__(self):
+                self.paths = []
+
+            def enter(self, path):
+                self.paths.append(tuple(path))
+                return True
+
+            def leave(self, path):
+                pass
+
+        tables = tables_for(AbelianGroup((5, 5)))
+        cut = _path_cut((5, 5)) if symmetric else None
+        for allowance, paths in ((0, []), (1, [(1,)]), (2, [(1,), (1, 1)])):
+            acc = Entered()
+            assert _scan_from(tables, (1 << 25) - 2, 1, 50, acc, allowance, math.inf,
+                              cut) == allowance + 1
+            assert acc.paths == paths
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_c5x5_node_threshold(self, usable_cpus, width):
+        # C5xC5 is one class under the cut: one root task of 3,407 nodes
+        c55 = AbelianGroup((5, 5))
+        usable_cpus(width)
+        with pytest.raises(BudgetExceededError) as info:
+            zero_sumfree_extrema(c55, SearchBudget(max_nodes=3406))
+        assert info.value.nodes_visited == 3407
+        assert zero_sumfree_extrema(c55, SearchBudget(max_nodes=3407))[0] == 8
+
     def test_time_budget_reports_elapsed_time(self):
         # the clock is read after each task, the first of C5xC5 (rank 24)
         # entering 4 nodes, and at every 2048th node of a task: the cut scan
@@ -220,8 +257,8 @@ class TestBudget:
                              ids=str)
     def test_node_budget_bounds_the_nodes_entered(self, factors, max_nodes,
                                                   monkeypatch, usable_cpus):
-        # every root in this process: each task is held to the nodes the
-        # scan has left, so the walk enters no more than the budget and one
+        # every root in this process: each task, its root too, is held to the
+        # nodes the scan has left, so the exceeded walk enters the budget
         from zerosum.search import run_scan
         group = AbelianGroup(factors)
         entered = [0]
@@ -237,7 +274,7 @@ class TestBudget:
             run_scan(group, extrema_acc(group), budget=SearchBudget(max_nodes=max_nodes),
                      allowed=(1 << group.cardinality) - 2)
         assert info.value.nodes_visited == max_nodes + 1
-        assert max_nodes <= entered[0] <= max_nodes + 1
+        assert entered[0] == max_nodes
 
     def test_validation(self):
         with pytest.raises(ValueError):
