@@ -164,9 +164,10 @@ def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, max_depth: i
     The task enters (root,), then every multiset of the ``cand`` ranks,
     lowest bit first, after it. It starts at the level above the root,
     whose path is empty, enters the root as any child and returns when the
-    path is empty again. ``acc.enter(path)`` is called once per state
-    entered and returns whether to descend; ``acc.leave(path)`` is called
-    on the way back, after every enter.
+    path is empty again. ``acc.enter(path)`` is the one accumulator call:
+    made once per node entered, it returns whether to descend. Nothing is
+    called on the way back, so an accumulator keeps any running quantity
+    per depth, where the next node entered at that depth overwrites it.
 
     Every node, the root too, is held to ``max_nodes``: past it, or past
     ``deadline`` at a 2048th node, it returns at once, the stopping node
@@ -202,7 +203,6 @@ def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, max_depth: i
             low = cand & select
             cand &= -(low & -low)  # 0 when no candidate is selected
         if not cand:
-            acc.leave(path)
             path.pop()
             if not path:
                 return nodes
@@ -223,7 +223,6 @@ def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, max_depth: i
                 if fix:
                     select = cut[fix]
         else:
-            acc.leave(path)
             path.pop()
             if not path:
                 return nodes
@@ -490,9 +489,6 @@ class _CountAcc:
                 self.hits.append(tuple(path))
         return True
 
-    def leave(self, path):
-        pass
-
 
 class _ExtremaAcc:
     """Longest path and path of largest cross number, in one walk.
@@ -500,40 +496,42 @@ class _ExtremaAcc:
     ``best_len``/``best`` is the first longest path entered and
     ``best_scaled``/``best_cross`` the first path whose cross number, scaled
     by exp(G) (the sum of ``weights``, see ``_cross_weights``), is largest:
-    each the lexicographically least maximizer.
+    each the lexicographically least maximizer. At each enter, ``scaled[i]``
+    is the scaled cross number of the path's first i ranks for every i
+    below its length: each node writes the slot of its own depth.
     """
 
     __slots__ = ("weights", "scaled", "best_len", "best", "best_scaled", "best_cross")
 
     def __init__(self, weights):
         self.weights = weights
-        self.scaled = 0
+        self.scaled = [0]
         self.best_len = 0
         self.best: tuple[int, ...] | None = None
         self.best_scaled = 0
         self.best_cross: tuple[int, ...] | None = None
 
     def enter(self, path):
-        scaled = self.scaled + self.weights[path[-1]]
-        self.scaled = scaled
-        if len(path) > self.best_len:
-            self.best_len = len(path)
+        depth = len(path)
+        scaled = self.scaled[depth - 1] + self.weights[path[-1]]
+        self.scaled[depth:] = (scaled,)
+        if depth > self.best_len:
+            self.best_len = depth
             self.best = tuple(path)
         if scaled > self.best_scaled:
             self.best_scaled = scaled
             self.best_cross = tuple(path)
         return True
 
-    def leave(self, path):
-        self.scaled -= self.weights[path[-1]]
-
 
 class _MinMaxOrderAcc:
     """Minimal max-order count over sequences of one exact length.
 
-    The count only grows along a branch, so once a witness exists any branch
-    whose running count reaches it can be cut without affecting the minimum
-    or the lexicographically least minimizer.
+    At each enter, ``count[i]`` is the max-order count of the path's first
+    i ranks for every i below its length: a node that descends writes the
+    slot of its own depth. The count only grows along a branch, so once a witness exists any branch
+    whose count reaches it can be cut without affecting the minimum or the
+    lexicographically least minimizer.
     """
 
     __slots__ = ("is_max", "target", "count", "best_count", "best")
@@ -541,23 +539,21 @@ class _MinMaxOrderAcc:
     def __init__(self, is_max, target):
         self.is_max = is_max
         self.target = target
-        self.count = 0
+        self.count = [0]
         self.best_count: int | None = None
         self.best: tuple[int, ...] | None = None
 
     def enter(self, path):
-        c = self.count + self.is_max[path[-1]]
-        self.count = c
+        depth = len(path)
+        c = self.count[depth - 1] + self.is_max[path[-1]]
         if self.best_count is not None and c >= self.best_count:
             return False
-        if len(path) == self.target:
+        if depth == self.target:
             self.best_count = c
             self.best = tuple(path)
             return False
+        self.count[depth:] = (c,)
         return True
-
-    def leave(self, path):
-        self.count -= self.is_max[path[-1]]
 
 
 # -- public operations -------------------------------------------------------

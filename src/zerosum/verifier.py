@@ -33,11 +33,13 @@ class CheckReport:
 
 
 class _ViolationAcc:
-    """Tracks a per-element weight sum along the walk and records the first
-    (lexicographically least) sequence that violates: one of length at least
-    ``min_length`` whose weight sum exceeds ``bound``. Every check states its
-    claim in that form, so the accumulator holds only data and pickles for
-    the search's worker processes.
+    """Records the first (lexicographically least) sequence that violates:
+    one of length at least ``min_length`` whose per-element weight sum
+    exceeds ``bound``. Every check states its claim in that form, so the
+    accumulator holds only data and pickles for the search's worker
+    processes. At each enter, ``total[i]`` is the weight sum of the path's
+    first i elements for every i below its length: a node that descends
+    writes the slot of its own depth.
 
     Once a violation is recorded the rest of this task's walk is pruned, so
     node counts stay exhaustive exactly when the verdict is 'verified'.
@@ -49,20 +51,19 @@ class _ViolationAcc:
         self.weights = weights
         self.min_length = min_length
         self.bound = bound
-        self.total = 0
+        self.total = [0]
         self.counterexample: tuple[int, ...] | None = None
 
     def enter(self, path):
-        self.total += self.weights[path[-1]]
         if self.counterexample is not None:
             return False
-        if len(path) >= self.min_length and self.total > self.bound:
+        depth = len(path)
+        total = self.total[depth - 1] + self.weights[path[-1]]
+        if depth >= self.min_length and total > self.bound:
             self.counterexample = tuple(path)
             return False
+        self.total[depth:] = (total,)
         return True
-
-    def leave(self, path):
-        self.total -= self.weights[path[-1]]
 
 
 def _budget_exceeded(name: str, parameters: tuple[tuple[str, int], ...],

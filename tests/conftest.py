@@ -186,7 +186,6 @@ def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
             path.append(h)
             if acc.enter(path) and len(path) < depth_cap:
                 nodes += walk(acc, path, mask | shift(mask, h) | (1 << h), j)
-            acc.leave(path)
             path.pop()
         return nodes
 
@@ -200,7 +199,6 @@ def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
         path = [g]
         if acc.enter(path) and 1 < depth_cap:
             nodes += walk(acc, path, 1 << g, i)
-        acc.leave(path)
     return accs, nodes
 
 

@@ -217,9 +217,6 @@ class TestBudget:
                 self.paths.append(tuple(path))
                 return True
 
-            def leave(self, path):
-                pass
-
         tables = tables_for(AbelianGroup((5, 5)))
         cut = _path_cut((5, 5)) if symmetric else None
         for allowance, paths in ((0, []), (1, [(1,)]), (2, [(1,), (1, 1)])):
@@ -373,9 +370,6 @@ class _AffinityAcc:
             self.cpus = frozenset(os.sched_getaffinity(0))
             time.sleep(0.05)  # so that the other worker takes the next task
         return True
-
-    def leave(self, path):
-        pass
 
 
 class TestForkedWorkers:
@@ -846,24 +840,81 @@ class TestPinnedCounts:
 
 
 class _LogAcc:
-    """Logs every enter and leave; checks that each leave closes the path
-    last entered."""
+    """Logs every path entered."""
 
     def __init__(self):
         self.log = []
-        self.open = []
 
     def enter(self, path):
         self.log.append(tuple(path))
-        self.open.append(tuple(path))
         return True
 
-    def leave(self, path):
-        assert self.open.pop() == tuple(path)
 
-    def entered(self):
-        assert not self.open
-        return self.log
+class _ExtremaTwin:
+    """``_ExtremaAcc`` from scratch: each enter sums the whole path."""
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.best_len, self.best, self.best_scaled, self.best_cross = 0, None, 0, None
+
+    def enter(self, path):
+        scaled = sum(self.weights[h] for h in path)
+        if len(path) > self.best_len:
+            self.best_len, self.best = len(path), tuple(path)
+        if scaled > self.best_scaled:
+            self.best_scaled, self.best_cross = scaled, tuple(path)
+        return True
+
+
+class _MinMaxOrderTwin:
+    """``_MinMaxOrderAcc`` from scratch: each enter counts the whole path."""
+
+    def __init__(self, is_max, target):
+        self.is_max, self.target = is_max, target
+        self.best_count, self.best = None, None
+
+    def enter(self, path):
+        count = sum(self.is_max[h] for h in path)
+        if self.best_count is not None and count >= self.best_count:
+            return False
+        if len(path) == self.target:
+            self.best_count, self.best = count, tuple(path)
+            return False
+        return True
+
+
+class _ViolationTwin:
+    """``verifier._ViolationAcc`` from scratch: each enter sums the whole
+    path."""
+
+    def __init__(self, weights, min_length, bound):
+        self.weights, self.min_length, self.bound = weights, min_length, bound
+        self.counterexample = None
+
+    def enter(self, path):
+        if self.counterexample is not None:
+            return False
+        if len(path) >= self.min_length and sum(self.weights[h] for h in path) > self.bound:
+            self.counterexample = tuple(path)
+            return False
+        return True
+
+
+class _Counted:
+    """Wraps an accumulator: counts the nodes its task enters, and the
+    enters that come right after a pruned node (refused below the depth
+    ``cap``) and are shallower than it."""
+
+    def __init__(self, acc, cap):
+        self.acc, self.cap = acc, cap
+        self.nodes, self.pruned_at, self.climbs = 0, 0, 0
+
+    def enter(self, path):
+        self.nodes += 1
+        self.climbs += len(path) < self.pruned_at
+        down = self.acc.enter(path)
+        self.pruned_at = 0 if down or len(path) >= self.cap else len(path)
+        return down
 
 
 def _acc_state(acc):
@@ -877,10 +928,13 @@ def _scan_summary(scan):
 
 class TestBlockedMaskKernel:
     """``run_scan`` against ``reference_scan``, the earlier per-index walk:
-    the same accumulator state per root task and the same total nodes."""
+    the same accumulator state per root task and the same total nodes; and
+    each accumulator with a running sum against its from-scratch twin."""
 
     @staticmethod
     def _cases(group):
+        """(accumulator factory, depth cap, factory of its from-scratch twin
+        or None) for each accumulator kind."""
         from zerosum.search import _CountAcc, _MinMaxOrderAcc
         from zerosum.verifier import _ViolationAcc
         orders, exp = _rank_lists(group.invariant_factors)[0], group.exponent
@@ -890,11 +944,14 @@ class TestBlockedMaskKernel:
         cross = [exp // o for o in orders]
         short, gamma_len = min(3, d), max(1, d - 1)
         return [
-            (extrema_acc(group), None),
-            (lambda: _CountAcc(short, True), short),
-            (lambda: _MinMaxOrderAcc(is_max, gamma_len), gamma_len),
+            (extrema_acc(group), None, lambda: _ExtremaTwin(cross)),
+            (lambda: _CountAcc(short, True), short, None),
+            # the count cut prunes once a task has found a witness
+            (lambda: _MinMaxOrderAcc(is_max, gamma_len), gamma_len,
+             lambda: _MinMaxOrderTwin(is_max, gamma_len)),
             # cross number above 1 at length >= 2: a counterexample prunes
-            (lambda: _ViolationAcc(cross, 2, exp), None),
+            (lambda: _ViolationAcc(cross, 2, exp), None,
+             lambda: _ViolationTwin(cross, 2, exp)),
         ]
 
     def test_matches_reference_walk(self, forked_scans, usable_cpus):
@@ -920,7 +977,7 @@ class TestBlockedMaskKernel:
 
         for factors in P_GROUP_FACTORS + NON_P_FACTORS:
             group = AbelianGroup(factors)
-            for factory, depth in self._cases(group):
+            for factory, depth, _ in self._cases(group):
                 same(group, factory, max_depth=depth)
         # a d-pair forbidden subgroup, G_2 in C8xC8xC8, with the allowed set
         # G_4 minus G_2 as longest_avoiding takes it, then all of G_4
@@ -934,21 +991,49 @@ class TestBlockedMaskKernel:
         assert same(C24, extrema_acc(C24), allowed=list(range(8))) == 94
         assert forked_scans
 
+    def test_running_sums_match_sums_from_scratch(self, forked_scans, usable_cpus):
+        """Each accumulator that keeps a sum per depth against its twin that
+        sums the whole path at every enter: the same results and nodes per
+        root task, uncut and cut, at widths 1 and 2. The Gamma and violation
+        cases each prune a node that a shallower one follows."""
+        from zerosum.search import run_scan
+        climbs = {}
+        for factors in P_GROUP_FACTORS + NON_P_FACTORS:
+            group = AbelianGroup(factors)
+            for factory, depth, twin in self._cases(group):
+                if twin is None:
+                    continue
+                cap = depth or math.inf
+                for symmetric in (False, True):
+                    for width in (1, 2):
+                        usable_cpus(width)
+                        got, want = (run_scan(group, lambda f=f: _Counted(f(), cap),
+                                              max_depth=depth, symmetric=symmetric)
+                                     for f in (factory, twin))
+                        assert got[1] == want[1]
+                        assert ([(c.nodes, {k: getattr(c.acc, k) for k in vars(t.acc)})
+                                 for c, t in zip(got[0], want[0])]
+                                == [(t.nodes, vars(t.acc)) for t in want[0]])
+                        kind = type(got[0][0].acc).__name__
+                        climbs[kind] = climbs.get(kind, 0) + sum(c.climbs for c in got[0])
+        assert climbs["_MinMaxOrderAcc"] and climbs["_ViolationAcc"]
+        assert forked_scans
+
     def test_root_task_walks_its_reference_subtree(self, forked_scans, usable_cpus):
         """Root g's task enters exactly the reference paths of root g, in
-        order; at depth 1 it enters (g,) alone. Every enter has its leave."""
+        order; at depth 1 it enters (g,) alone."""
         from zerosum.search import run_scan
         for group in (C24, AbelianGroup((3, 3)), AbelianGroup((2, 2, 4))):
             ref_accs, _ = reference_scan(group, _LogAcc)
-            want = [acc.entered() for acc in ref_accs]
+            want = [acc.log for acc in ref_accs]
             for width in (1, 2):
                 usable_cpus(width)
                 accs, nodes = run_scan(group, _LogAcc)
-                assert [acc.entered() for acc in accs] == want
+                assert [acc.log for acc in accs] == want
                 assert nodes == sum(map(len, want))
             accs, nodes = run_scan(group, _LogAcc, max_depth=1)
             roots = range(1, group.cardinality)
-            assert [acc.entered() for acc in accs] == [[(g,)] for g in roots]
+            assert [acc.log for acc in accs] == [[(g,)] for g in roots]
             assert nodes == group.cardinality - 1
         assert forked_scans
 
