@@ -158,16 +158,19 @@ def _path_cut(factors: tuple[int, ...]) -> _PathCut:
 
 
 def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, max_depth: int,
-               acc, max_nodes: int, deadline: float, cut: _PathCut | None = None) -> int:
+               acc, weights, max_nodes: int, deadline: float,
+               cut: _PathCut | None = None) -> int:
     """DFS of the task rooted at the lowest ``cand`` rank; returns its nodes.
 
     The task enters (root,), then every multiset of the ``cand`` ranks,
     lowest bit first, after it. It starts at the level above the root,
     whose path is empty, enters the root as any child and returns when the
-    path is empty again. ``acc.enter(path)`` is the one accumulator call:
-    made once per node entered, it returns whether to descend. Nothing is
-    called on the way back, so an accumulator keeps any running quantity
-    per depth, where the next node entered at that depth overwrites it.
+    path is empty again. Each level keeps the weight sum of its path, over
+    the per-rank ``weights``. ``acc.enter((path, total))`` is the one
+    accumulator call: made once per node entered, with ``total`` the sum
+    up to and including the node's rank, it returns whether to descend.
+    Nothing is called on the way back, so an accumulator keeps only its
+    results.
 
     Every node, the root too, is held to ``max_nodes``: past it, or past
     ``deadline`` at a 2048th node, it returns at once, the stopping node
@@ -192,12 +195,12 @@ def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, max_depth: i
     zero enters every candidate, as a scan without a cut does.
     """
     translate, neg = tables.translate, _rank_lists(tables.factors)[1]
-    blocked, fix, select, nodes = forbidden_mask, 0, 0, 0
+    blocked, fix, select, total, nodes = forbidden_mask, 0, 0, 0, 0
     if cut is not None:
         fixes, fix = cut.fixes, cut.full
         select = cut[fix]
     path = []
-    stack = []  # (untried children, blocked, fix, select) above each path node
+    stack = []  # (untried children, blocked, fix, select, total) above each path node
     while True:
         if fix:
             low = cand & select
@@ -206,7 +209,7 @@ def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, max_depth: i
             path.pop()
             if not path:
                 return nodes
-            cand, blocked, fix, select = stack.pop()
+            cand, blocked, fix, select, total = stack.pop()
             continue
         low = cand & -cand
         h = low.bit_length() - 1
@@ -214,8 +217,10 @@ def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, max_depth: i
         if nodes > max_nodes or not nodes & 2047 and time.monotonic() > deadline:
             return nodes
         path.append(h)
-        if acc.enter(path) and len(path) < max_depth:
-            stack.append((cand ^ low, blocked, fix, select))
+        t = total + weights[h]
+        if acc.enter((path, t)) and len(path) < max_depth:
+            stack.append((cand ^ low, blocked, fix, select, total))
+            total = t
             blocked |= translate(blocked, neg[h])
             cand &= ~blocked
             if fix:
@@ -248,6 +253,7 @@ def _usable_cpus() -> list[int | None]:
 
 
 def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
+             weights=None,
              budget: SearchBudget | None = None,
              allowed: int | None = None,
              forbidden_mask: int = 1,
@@ -255,6 +261,8 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
              symmetric: bool = False) -> tuple[list, int]:
     """Run one accumulator per root; return (accs, total nodes).
 
+    ``weights`` gives each rank the weight whose sum along the path every
+    ``enter`` receives (``_scan_from``); without it every weight is 0.
     The roots are the ranks of ``allowed`` (default: every rank) outside
     ``forbidden_mask``, ascending; root g's task walks the allowed ranks
     from g on, so each multiset over ``allowed`` is walked once, by the
@@ -289,6 +297,8 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
         allowed = (1 << tables.size) - 1
     depth_cap = max_depth if max_depth is not None else tables.size * group.exponent
     max_nodes = budget.max_nodes
+    if weights is None:
+        weights = bytes(tables.size)
     root_mask = allowed & ~forbidden_mask
     cut = None
     if symmetric:
@@ -304,7 +314,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     def run_one(index: int) -> int:
         g = roots[index]
         return _scan_from(tables, allowed >> g << g, forbidden_mask, depth_cap,
-                          accs[index], max_nodes - nodes, deadline, cut)
+                          accs[index], weights, max_nodes - nodes, deadline, cut)
 
     def tally(task_nodes: int) -> None:
         nonlocal nodes
@@ -482,7 +492,8 @@ class _CountAcc:
         self.count = 0
         self.hits: list[tuple[int, ...]] | None = [] if keep else None
 
-    def enter(self, path):
+    def enter(self, node):
+        path = node[0]
         if len(path) == self.target:
             self.count += 1
             if self.hits is not None:
@@ -495,28 +506,22 @@ class _ExtremaAcc:
 
     ``best_len``/``best`` is the first longest path entered and
     ``best_scaled``/``best_cross`` the first path whose cross number, scaled
-    by exp(G) (the sum of ``weights``, see ``_cross_weights``), is largest:
-    each the lexicographically least maximizer. At each enter, ``scaled[i]``
-    is the scaled cross number of the path's first i ranks for every i
-    below its length: each node writes the slot of its own depth.
+    by exp(G) (the path's total over ``_cross_weights``), is largest: each
+    the lexicographically least maximizer.
     """
 
-    __slots__ = ("weights", "scaled", "best_len", "best", "best_scaled", "best_cross")
+    __slots__ = ("best_len", "best", "best_scaled", "best_cross")
 
-    def __init__(self, weights):
-        self.weights = weights
-        self.scaled = [0]
+    def __init__(self):
         self.best_len = 0
         self.best: tuple[int, ...] | None = None
         self.best_scaled = 0
         self.best_cross: tuple[int, ...] | None = None
 
-    def enter(self, path):
-        depth = len(path)
-        scaled = self.scaled[depth - 1] + self.weights[path[-1]]
-        self.scaled[depth:] = (scaled,)
-        if depth > self.best_len:
-            self.best_len = depth
+    def enter(self, node):
+        path, scaled = node
+        if len(path) > self.best_len:
+            self.best_len = len(path)
             self.best = tuple(path)
         if scaled > self.best_scaled:
             self.best_scaled = scaled
@@ -527,32 +532,27 @@ class _ExtremaAcc:
 class _MinMaxOrderAcc:
     """Minimal max-order count over sequences of one exact length.
 
-    At each enter, ``count[i]`` is the max-order count of the path's first
-    i ranks for every i below its length: a node that descends writes the
-    slot of its own depth. The count only grows along a branch, so once a witness exists any branch
-    whose count reaches it can be cut without affecting the minimum or the
-    lexicographically least minimizer.
+    The path's total is its max-order count (weight 1 per maximal-order
+    rank). The count only grows along a branch, so once a witness exists
+    any branch whose count reaches it can be cut without affecting the
+    minimum or the lexicographically least minimizer.
     """
 
-    __slots__ = ("is_max", "target", "count", "best_count", "best")
+    __slots__ = ("target", "best_count", "best")
 
-    def __init__(self, is_max, target):
-        self.is_max = is_max
+    def __init__(self, target):
         self.target = target
-        self.count = [0]
         self.best_count: int | None = None
         self.best: tuple[int, ...] | None = None
 
-    def enter(self, path):
-        depth = len(path)
-        c = self.count[depth - 1] + self.is_max[path[-1]]
-        if self.best_count is not None and c >= self.best_count:
+    def enter(self, node):
+        path, count = node
+        if self.best_count is not None and count >= self.best_count:
             return False
-        if depth == self.target:
-            self.best_count = c
+        if len(path) == self.target:
+            self.best_count = count
             self.best = tuple(path)
             return False
-        self.count[depth:] = (c,)
         return True
 
 
@@ -588,8 +588,8 @@ def zero_sumfree_extrema(group: AbelianGroup, budget: SearchBudget | None = None
     """Exact d(G) and k(G) from one walk: (d, its witness, k, its witness).
     Each witness is the lexicographically least maximizer: ``max`` keeps the
     first root task that reaches the maximum."""
-    weights = _cross_weights(group)
-    accs, _ = run_scan(group, lambda: _ExtremaAcc(weights), budget=budget, symmetric=True)
+    accs, _ = run_scan(group, _ExtremaAcc, weights=_cross_weights(group), budget=budget,
+                       symmetric=True)
     d_acc = max(accs, key=lambda acc: acc.best_len)
     k_acc = max(accs, key=lambda acc: acc.best_scaled)
     return (d_acc.best_len, GSequence.from_ranks(group, d_acc.best),
@@ -605,9 +605,8 @@ def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
     allowed = _subgroup_mask(group, pair.d) & ~forbidden
     if not allowed:
         return 0, GSequence.empty(group)
-    weights = _cross_weights(group)
-    accs, _ = run_scan(group, lambda: _ExtremaAcc(weights), budget=budget, allowed=allowed,
-                       forbidden_mask=forbidden, symmetric=True)
+    accs, _ = run_scan(group, _ExtremaAcc, weights=_cross_weights(group), budget=budget,
+                       allowed=allowed, forbidden_mask=forbidden, symmetric=True)
     # every task's root is entered, so the longest path is never empty
     best = max(accs, key=lambda acc: acc.best_len)
     return best.best_len, GSequence.from_ranks(group, best.best)
@@ -629,7 +628,7 @@ def _gamma_scan(group: AbelianGroup, delta: int, budget: SearchBudget | None,
     target = davenport_p_group(group) - delta
     exp = group.exponent
     is_max = [1 if o == exp else 0 for o in _rank_lists(group.invariant_factors)[0]]
-    accs, nodes = run_scan(group, lambda: _MinMaxOrderAcc(is_max, target),
+    accs, nodes = run_scan(group, lambda: _MinMaxOrderAcc(target), weights=is_max,
                            budget=budget, max_depth=target, symmetric=symmetric)
     found = [acc for acc in accs if acc.best_count is not None]
     if not found:

@@ -34,35 +34,29 @@ class CheckReport:
 
 class _ViolationAcc:
     """Records the first (lexicographically least) sequence that violates:
-    one of length at least ``min_length`` whose per-element weight sum
-    exceeds ``bound``. Every check states its claim in that form, so the
-    accumulator holds only data and pickles for the search's worker
-    processes. At each enter, ``total[i]`` is the weight sum of the path's
-    first i elements for every i below its length: a node that descends
-    writes the slot of its own depth.
+    one of length at least ``min_length`` whose total, the sum of its
+    check's per-element weights, exceeds ``bound``. Every check states its
+    claim in that form, so the accumulator holds only data and pickles for
+    the search's worker processes.
 
     Once a violation is recorded the rest of this task's walk is pruned, so
     node counts stay exhaustive exactly when the verdict is 'verified'.
     """
 
-    __slots__ = ("weights", "min_length", "bound", "total", "counterexample")
+    __slots__ = ("min_length", "bound", "counterexample")
 
-    def __init__(self, weights: list[int], min_length: int, bound: int):
-        self.weights = weights
+    def __init__(self, min_length: int, bound: int):
         self.min_length = min_length
         self.bound = bound
-        self.total = [0]
         self.counterexample: tuple[int, ...] | None = None
 
-    def enter(self, path):
+    def enter(self, node):
         if self.counterexample is not None:
             return False
-        depth = len(path)
-        total = self.total[depth - 1] + self.weights[path[-1]]
-        if depth >= self.min_length and total > self.bound:
+        path, total = node
+        if len(path) >= self.min_length and total > self.bound:
             self.counterexample = tuple(path)
             return False
-        self.total[depth:] = (total,)
         return True
 
 
@@ -81,8 +75,8 @@ def _run_violation_check(group: AbelianGroup, name: str,
                          max_depth: int | None = None,
                          details: tuple[tuple[str, object], ...] = ()) -> CheckReport:
     try:
-        accs, nodes = run_scan(group, lambda: _ViolationAcc(weights, min_length, bound),
-                               budget=budget, max_depth=max_depth)
+        accs, nodes = run_scan(group, lambda: _ViolationAcc(min_length, bound),
+                               weights=weights, budget=budget, max_depth=max_depth)
     except BudgetExceededError as err:
         return _budget_exceeded(name, parameters, err, details)
     for acc in accs:

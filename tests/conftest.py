@@ -149,11 +149,13 @@ def rank_map(group: AbelianGroup, g: int) -> tuple[int, ...]:
     return tuple((x + h).rank for x in _elements(group))
 
 
-def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
+def reference_scan(group: AbelianGroup, acc_factory, *, weights=None, allowed=None,
                    forbidden_mask: int = 1, max_depth=None):
     """The search engine's earlier walk, kept as the reference for its DFS
     kernel; returns (one accumulator per allowed rank, total nodes) as
-    ``run_scan`` does, in this process and without budgets.
+    ``run_scan`` does, in this process and without budgets. Each node is
+    entered as ``(path, total)``, its total summed over the whole path from
+    ``weights`` (all 0 by default), never carried from the parent.
 
     A node keeps its subsum mask; the child for allowed[j] is tried when the
     mask misses pre[j], the ranks x with x + allowed[j] forbidden (-1 when
@@ -161,6 +163,8 @@ def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
     through ``rank_map``, not with the rotation translate.
     """
     size = group.cardinality
+    if weights is None:
+        weights = [0] * size
     if allowed is None:
         allowed = [r for r in range(size) if not (forbidden_mask >> r) & 1]
     depth_cap = max_depth if max_depth is not None else size * group.exponent
@@ -176,6 +180,9 @@ def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
             mask ^= low
         return out
 
+    def enter(acc, path: list[int]) -> bool:
+        return acc.enter((path, sum(weights[x] for x in path)))
+
     def walk(acc, path: list[int], mask: int, first: int) -> int:
         nodes = 0
         for j in range(first, len(allowed)):
@@ -184,7 +191,7 @@ def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
             h = allowed[j]
             nodes += 1
             path.append(h)
-            if acc.enter(path) and len(path) < depth_cap:
+            if enter(acc, path) and len(path) < depth_cap:
                 nodes += walk(acc, path, mask | shift(mask, h) | (1 << h), j)
             path.pop()
         return nodes
@@ -197,7 +204,7 @@ def reference_scan(group: AbelianGroup, acc_factory, *, allowed=None,
             continue
         nodes += 1
         path = [g]
-        if acc.enter(path) and 1 < depth_cap:
+        if enter(acc, path) and 1 < depth_cap:
             nodes += walk(acc, path, 1 << g, i)
     return accs, nodes
 

@@ -29,9 +29,10 @@ C24 = AbelianGroup((2, 4))
 C22 = AbelianGroup((2, 2))
 
 
-def extrema_acc(group):
-    """Factory of the d(G)/k(G) accumulator for ``run_scan`` on ``group``."""
-    return lambda: _ExtremaAcc(_cross_weights(group))
+def extrema_kwargs(group):
+    """The d(G)/k(G) accumulator factory and weights, as keywords of
+    ``run_scan`` on ``group``."""
+    return dict(acc_factory=_ExtremaAcc, weights=_cross_weights(group))
 
 
 class TestEnumerate:
@@ -213,16 +214,16 @@ class TestBudget:
             def __init__(self):
                 self.paths = []
 
-            def enter(self, path):
-                self.paths.append(tuple(path))
+            def enter(self, node):
+                self.paths.append(tuple(node[0]))
                 return True
 
         tables = tables_for(AbelianGroup((5, 5)))
         cut = _path_cut((5, 5)) if symmetric else None
         for allowance, paths in ((0, []), (1, [(1,)]), (2, [(1,), (1, 1)])):
             acc = Entered()
-            assert _scan_from(tables, (1 << 25) - 2, 1, 50, acc, allowance, math.inf,
-                              cut) == allowance + 1
+            assert _scan_from(tables, (1 << 25) - 2, 1, 50, acc, bytes(25), allowance,
+                              math.inf, cut) == allowance + 1
             assert acc.paths == paths
 
     @pytest.mark.parametrize("width", [1, 2])
@@ -244,7 +245,7 @@ class TestBudget:
         instant = SearchBudget(max_seconds=1e-9)
         for symmetric, stopping in ((False, 4), (True, 2048)):
             with pytest.raises(BudgetExceededError) as info:
-                run_scan(c55, extrema_acc(c55), budget=instant, allowed=(1 << 25) - 2,
+                run_scan(c55, **extrema_kwargs(c55), budget=instant, allowed=(1 << 25) - 2,
                          symmetric=symmetric)
             assert info.value.nodes_visited == stopping
             assert info.value.elapsed_seconds > 1e-9
@@ -261,14 +262,14 @@ class TestBudget:
         entered = [0]
         real_enter = _ExtremaAcc.enter
 
-        def counting_enter(acc, path):
+        def counting_enter(acc, node):
             entered[0] += 1
-            return real_enter(acc, path)
+            return real_enter(acc, node)
 
         monkeypatch.setattr(_ExtremaAcc, "enter", counting_enter)
         usable_cpus(1)
         with pytest.raises(BudgetExceededError) as info:
-            run_scan(group, extrema_acc(group), budget=SearchBudget(max_nodes=max_nodes),
+            run_scan(group, **extrema_kwargs(group), budget=SearchBudget(max_nodes=max_nodes),
                      allowed=(1 << group.cardinality) - 2)
         assert info.value.nodes_visited == max_nodes + 1
         assert entered[0] == max_nodes
@@ -297,7 +298,7 @@ class TestBudget:
         if hasattr(os, "sched_getaffinity"):
             assert cpus == sorted(os.sched_getaffinity(0))
         c33 = AbelianGroup((3, 3))
-        search.run_scan(c33, extrema_acc(c33))
+        search.run_scan(c33, **extrema_kwargs(c33))
         width = min(len(cpus), 7)
         assert len(forked_scans) == (width if width >= 2 else 0)
 
@@ -308,12 +309,12 @@ class TestBudget:
         for width, group, forks in ((4, c33, 4), (8, c33, 7), (4, C22, 2), (1, c33, 0)):
             usable_cpus(width)
             forked_scans.clear()
-            run_scan(group, extrema_acc(group))
+            run_scan(group, **extrema_kwargs(group))
             assert len(forked_scans) == forks, (width, group)
         usable_cpus(4)
         monkeypatch.delattr(os, "fork")
         forked_scans.clear()
-        run_scan(c33, extrema_acc(c33))
+        run_scan(c33, **extrema_kwargs(c33))
         assert not forked_scans
 
     def test_unread_affinity_pins_no_worker(self, forked_scans, monkeypatch):
@@ -327,7 +328,7 @@ class TestBudget:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert _usable_cpus() == [None, None, None]
         c33 = AbelianGroup((3, 3))
-        _, nodes = search.run_scan(c33, extrema_acc(c33))
+        _, nodes = search.run_scan(c33, **extrema_kwargs(c33))
         assert len(forked_scans) == 3
         assert nodes == 184
 
@@ -350,7 +351,7 @@ class TestDeterminism:
         from zerosum.search import run_scan
         for width in (1, 2, 8):
             usable_cpus(width)
-            _, nodes = run_scan(C24, extrema_acc(C24))
+            _, nodes = run_scan(C24, **extrema_kwargs(C24))
             assert nodes == 94  # total zero-sumfree sequences in C2xC4
 
     def test_budget_is_frozen(self):
@@ -365,7 +366,7 @@ class _AffinityAcc:
     def __init__(self):
         self.cpus = None
 
-    def enter(self, path):
+    def enter(self, node):
         if self.cpus is None:
             self.cpus = frozenset(os.sched_getaffinity(0))
             time.sleep(0.05)  # so that the other worker takes the next task
@@ -387,8 +388,8 @@ class TestForkedWorkers:
         def summary(width):
             # every scan here walks every root, so each one forks
             usable_cpus(width)
-            extrema, n_extrema = run_scan(c55, extrema_acc(c55))
-            avoid, n_avoid = run_scan(c888, extrema_acc(c888),
+            extrema, n_extrema = run_scan(c55, **extrema_kwargs(c55))
+            avoid, n_avoid = run_scan(c888, **extrema_kwargs(c888),
                                       allowed=allowed, forbidden_mask=forbidden)
             longest = max(avoid, key=lambda acc: acc.best_len)
             return ([(a.best_len, a.best) for a in extrema], n_extrema,
@@ -404,6 +405,24 @@ class TestForkedWorkers:
         assert runs[0] == runs[1] == runs[2]
         assert runs[0][1] == 138_864
         assert runs[0][4:] == (15_736, 3, (2, 16, 128))
+
+    def test_task_result_does_not_grow_with_the_group(self):
+        """A worker sends back ``(index, (acc, nodes))`` per task: for a
+        one-node task of each accumulator that reads the path's total, it
+        pickles to as many bytes on C8xC8xC8 as on C3xC3."""
+        import pickle
+        from zerosum.search import _MinMaxOrderAcc, run_scan
+        from zerosum.verifier import _ViolationAcc
+        sizes = []
+        for factors in ((3, 3), (8, 8, 8)):
+            group = AbelianGroup(factors)
+            row = []
+            for factory in (_ExtremaAcc, lambda: _MinMaxOrderAcc(1),
+                            lambda: _ViolationAcc(2, group.exponent)):
+                accs, _ = run_scan(group, factory, weights=_cross_weights(group), max_depth=1)
+                row.append(len(pickle.dumps((0, (accs[0], 1)), pickle.HIGHEST_PROTOCOL)))
+            sizes.append(row)
+        assert sizes[0] == sizes[1]
 
     def test_enumeration_visits_in_lexicographic_order(self, forked_scans, usable_cpus):
         group = AbelianGroup((3, 3))
@@ -425,7 +444,7 @@ class TestForkedWorkers:
         for width in (1, 2):
             usable_cpus(width)
             with pytest.raises(BudgetExceededError) as info:
-                run_scan(c55, extrema_acc(c55), budget=budget, allowed=(1 << 25) - 2)
+                run_scan(c55, **extrema_kwargs(c55), budget=budget, allowed=(1 << 25) - 2)
             assert str(info.value) == "node budget 30000 exhausted"
             assert info.value.nodes_visited == 30_001
         assert forked_scans
@@ -451,9 +470,9 @@ class TestForkedWorkers:
         entered = [0]
         real_enter = _ExtremaAcc.enter
 
-        def counting_enter(acc, path):
+        def counting_enter(acc, node):
             entered[0] += 1
-            return real_enter(acc, path)
+            return real_enter(acc, node)
 
         monkeypatch.setattr(_ExtremaAcc, "enter", counting_enter)
         monkeypatch.setattr(search, "time", SimpleNamespace(
@@ -463,7 +482,7 @@ class TestForkedWorkers:
             entered[0] = 0
             usable_cpus(width)
             with pytest.raises(BudgetExceededError, match="time budget exhausted") as info:
-                search.run_scan(c66, extrema_acc(c66), budget=budget,
+                search.run_scan(c66, **extrema_kwargs(c66), budget=budget,
                                 allowed=(1 << 36) - 2)
             assert info.value.nodes_visited == entered[0] + stopping
             assert info.value.elapsed_seconds == 1.0
@@ -476,7 +495,7 @@ class TestForkedWorkers:
         usable_cpus(2)
         budget = SearchBudget(max_nodes=1000)
         with pytest.raises(BudgetExceededError) as info:
-            run_scan(c55, extrema_acc(c55), budget=budget, allowed=(1 << 25) - 2)
+            run_scan(c55, **extrema_kwargs(c55), budget=budget, allowed=(1 << 25) - 2)
         assert forked_scans
         assert str(info.value) == "node budget 1000 exhausted"
         assert info.value.nodes_visited == 1001
@@ -511,7 +530,7 @@ class TestForkedWorkers:
         c33 = AbelianGroup((3, 3))
         usable_cpus(2)
         with pytest.raises(InternalCheckError, match="reporting task 0"):
-            search.run_scan(c33, extrema_acc(c33), allowed=(1 << 9) - 2)
+            search.run_scan(c33, **extrema_kwargs(c33), allowed=(1 << 9) - 2)
         assert forked_scans
 
     def test_worker_exception_keeps_its_type(self, forked_scans, monkeypatch, usable_cpus):
@@ -528,7 +547,7 @@ class TestForkedWorkers:
         c33 = AbelianGroup((3, 3))
         usable_cpus(2)
         with pytest.raises(ZeroDivisionError, match="in a worker"):
-            search.run_scan(c33, extrema_acc(c33))
+            search.run_scan(c33, **extrema_kwargs(c33))
         assert forked_scans
 
     @pytest.mark.parametrize("cut", [5, 8, 20], ids=lambda n: f"{n}-bytes")
@@ -550,7 +569,7 @@ class TestForkedWorkers:
         c33 = AbelianGroup((3, 3))
         usable_cpus(2)
         with pytest.raises(InternalCheckError, match="reporting task 0"):
-            search.run_scan(c33, extrema_acc(c33))
+            search.run_scan(c33, **extrema_kwargs(c33))
         assert forked_scans
 
     def test_task_window_refills(self, monkeypatch, usable_cpus):
@@ -611,7 +630,7 @@ class TestOrbitCut:
         deltas = range(davenport_p_group(group)) if group.is_p_group else ()
         # every root, walked once: its results do not depend on the width
         # (TestForkedWorkers), so the reduced searches at each width meet it
-        accs, _ = run_scan(group, extrema_acc(group), allowed=(1 << group.cardinality) - 2)
+        accs, _ = run_scan(group, **extrema_kwargs(group), allowed=(1 << group.cardinality) - 2)
         d_acc = max(accs, key=lambda acc: acc.best_len)
         k_acc = max(accs, key=lambda acc: acc.best_scaled)
         want = [d_acc.best_len, d_acc.best, Fraction(k_acc.best_scaled, group.exponent),
@@ -620,7 +639,7 @@ class TestOrbitCut:
             forbidden = _subgroup_mask(group, pair.quotient)
             allowed = _subgroup_mask(group, pair.d) & ~forbidden
             if allowed:
-                accs, _ = run_scan(group, extrema_acc(group), allowed=allowed,
+                accs, _ = run_scan(group, **extrema_kwargs(group), allowed=allowed,
                                    forbidden_mask=forbidden)
                 best = max(accs, key=lambda acc: acc.best_len)
                 want += [best.best_len, best.best]
@@ -653,7 +672,7 @@ class TestOrbitCut:
         for width in (1, 2):
             usable_cpus(width)
             d, d_wit, k, k_wit = zero_sumfree_extrema(group)
-            accs, total = run_scan(group, extrema_acc(group), symmetric=True)
+            accs, total = run_scan(group, **extrema_kwargs(group), symmetric=True)
             # every root is entered, so it heads its task's first longest path
             assert [acc.best[0] for acc in accs] == [
                 r for r in range(group.cardinality) if minima >> r & 1], width
@@ -780,7 +799,7 @@ class TestPinnedCounts:
     def test_c5xc5_scans(self, monkeypatch):
         from zerosum.search import run_scan
         group = AbelianGroup((5, 5))
-        assert run_scan(group, extrema_acc(group))[1] == 138_864
+        assert run_scan(group, **extrema_kwargs(group))[1] == 138_864
         nodes = scan_nodes(monkeypatch)
         d_val, d_wit, k_val, k_wit = zero_sumfree_extrema(group)
         assert nodes == [3_407]  # one task: Aut(C5xC5) is transitive on G - 0
@@ -798,7 +817,7 @@ class TestPinnedCounts:
         from zerosum.search import run_scan
         # rank 0, the forbidden zero element, allowed or not
         for allowed in (0b11111111, 0b11111110):
-            accs, nodes = run_scan(C24, extrema_acc(C24), allowed=allowed)
+            accs, nodes = run_scan(C24, **extrema_kwargs(C24), allowed=allowed)
             assert (len(accs), nodes) == (7, 94)
 
     def test_gamma_c2xc2xc8(self, monkeypatch):
@@ -817,7 +836,7 @@ class TestPinnedCounts:
         group = AbelianGroup((8, 8, 8))
         pair = DivisorPair(2, 4)
         forbidden = _subgroup_mask(group, pair.quotient)
-        accs, nodes = run_scan(group, extrema_acc(group),
+        accs, nodes = run_scan(group, **extrema_kwargs(group),
                                allowed=_subgroup_mask(group, pair.d) & ~forbidden,
                                forbidden_mask=forbidden)
         assert (len(accs), nodes) == (56, 15_736)
@@ -845,19 +864,21 @@ class _LogAcc:
     def __init__(self):
         self.log = []
 
-    def enter(self, path):
-        self.log.append(tuple(path))
+    def enter(self, node):
+        self.log.append(tuple(node[0]))
         return True
 
 
 class _ExtremaTwin:
-    """``_ExtremaAcc`` from scratch: each enter sums the whole path."""
+    """``_ExtremaAcc`` from scratch: each enter sums the whole path and
+    ignores the total it is given."""
 
     def __init__(self, weights):
         self.weights = weights
         self.best_len, self.best, self.best_scaled, self.best_cross = 0, None, 0, None
 
-    def enter(self, path):
+    def enter(self, node):
+        path = node[0]
         scaled = sum(self.weights[h] for h in path)
         if len(path) > self.best_len:
             self.best_len, self.best = len(path), tuple(path)
@@ -867,13 +888,15 @@ class _ExtremaTwin:
 
 
 class _MinMaxOrderTwin:
-    """``_MinMaxOrderAcc`` from scratch: each enter counts the whole path."""
+    """``_MinMaxOrderAcc`` from scratch: each enter counts the whole path
+    and ignores the total it is given."""
 
     def __init__(self, is_max, target):
         self.is_max, self.target = is_max, target
         self.best_count, self.best = None, None
 
-    def enter(self, path):
+    def enter(self, node):
+        path = node[0]
         count = sum(self.is_max[h] for h in path)
         if self.best_count is not None and count >= self.best_count:
             return False
@@ -885,13 +908,14 @@ class _MinMaxOrderTwin:
 
 class _ViolationTwin:
     """``verifier._ViolationAcc`` from scratch: each enter sums the whole
-    path."""
+    path and ignores the total it is given."""
 
     def __init__(self, weights, min_length, bound):
         self.weights, self.min_length, self.bound = weights, min_length, bound
         self.counterexample = None
 
-    def enter(self, path):
+    def enter(self, node):
+        path = node[0]
         if self.counterexample is not None:
             return False
         if len(path) >= self.min_length and sum(self.weights[h] for h in path) > self.bound:
@@ -901,24 +925,29 @@ class _ViolationTwin:
 
 
 class _Counted:
-    """Wraps an accumulator: counts the nodes its task enters, and the
+    """Wraps an accumulator: counts the nodes its task enters, the enters
+    whose total is not the sum of ``weights`` over the whole path, and the
     enters that come right after a pruned node (refused below the depth
     ``cap``) and are shallower than it."""
 
-    def __init__(self, acc, cap):
-        self.acc, self.cap = acc, cap
-        self.nodes, self.pruned_at, self.climbs = 0, 0, 0
+    def __init__(self, acc, weights, cap):
+        self.acc, self.weights, self.cap = acc, weights, cap
+        self.nodes, self.wrong_totals, self.pruned_at, self.climbs = 0, 0, 0, 0
 
-    def enter(self, path):
+    def enter(self, node):
+        path, total = node
         self.nodes += 1
+        self.wrong_totals += total != sum(self.weights[h] for h in path)
         self.climbs += len(path) < self.pruned_at
-        down = self.acc.enter(path)
+        down = self.acc.enter(node)
         self.pruned_at = 0 if down or len(path) >= self.cap else len(path)
         return down
 
 
-def _acc_state(acc):
-    return tuple(getattr(acc, name) for name in type(acc).__slots__)
+def _acc_state(acc, slots=None):
+    """The values of ``acc``'s fields named by ``slots``, by default its
+    class's ``__slots__``."""
+    return tuple(getattr(acc, name) for name in slots or type(acc).__slots__)
 
 
 def _scan_summary(scan):
@@ -927,31 +956,37 @@ def _scan_summary(scan):
 
 
 class TestBlockedMaskKernel:
-    """``run_scan`` against ``reference_scan``, the earlier per-index walk:
-    the same accumulator state per root task and the same total nodes; and
-    each accumulator with a running sum against its from-scratch twin."""
+    """``run_scan`` against ``reference_scan``, the earlier per-index walk
+    that sums each path's weights from scratch: the same accumulator state
+    per root task and the same total nodes; and the kernel's totals, and
+    each accumulator that reads them, against a from-scratch twin."""
 
     @staticmethod
     def _cases(group):
-        """(accumulator factory, depth cap, factory of its from-scratch twin
-        or None) for each accumulator kind."""
+        """(accumulator factory, weights, depth cap, factory of its
+        from-scratch twin or None) for each accumulator kind."""
         from zerosum.search import _CountAcc, _MinMaxOrderAcc
         from zerosum.verifier import _ViolationAcc
         orders, exp = _rank_lists(group.invariant_factors)[0], group.exponent
-        accs, _ = reference_scan(group, extrema_acc(group))
+        accs, _ = reference_scan(group, **extrema_kwargs(group))
         d = max(acc.best_len for acc in accs)
         is_max = [1 if o == exp else 0 for o in orders]
+        minus_max = [-x for x in is_max]
         cross = [exp // o for o in orders]
         short, gamma_len = min(3, d), max(1, d - 1)
         return [
-            (extrema_acc(group), None, lambda: _ExtremaTwin(cross)),
-            (lambda: _CountAcc(short, True), short, None),
+            (_ExtremaAcc, cross, None, lambda: _ExtremaTwin(cross)),
+            (lambda: _CountAcc(short, True), None, short, None),
             # the count cut prunes once a task has found a witness
-            (lambda: _MinMaxOrderAcc(is_max, gamma_len), gamma_len,
+            (lambda: _MinMaxOrderAcc(gamma_len), is_max, gamma_len,
              lambda: _MinMaxOrderTwin(is_max, gamma_len)),
             # cross number above 1 at length >= 2: a counterexample prunes
-            (lambda: _ViolationAcc(cross, 2, exp), None,
+            (lambda: _ViolationAcc(2, exp), cross, None,
              lambda: _ViolationTwin(cross, 2, exp)),
+            # the max-order check at length d(G): weight -1 per maximal-order
+            # rank, so a path's total falls as it grows
+            (lambda: _ViolationAcc(d, 1 - exp), minus_max, d,
+             lambda: _ViolationTwin(minus_max, d, 1 - exp)),
         ]
 
     def test_matches_reference_walk(self, forked_scans, usable_cpus):
@@ -960,9 +995,10 @@ class TestBlockedMaskKernel:
         reference skips."""
         from zerosum.search import _subgroup_mask, run_scan
 
-        def same(group, factory, allowed=None, forbidden_mask=1, max_depth=None):
-            kwargs = dict(forbidden_mask=forbidden_mask, max_depth=max_depth)
-            accs, nodes = reference_scan(group, factory, allowed=allowed, **kwargs)
+        def same(group, acc_factory, weights=None, allowed=None, forbidden_mask=1,
+                 max_depth=None):
+            kwargs = dict(weights=weights, forbidden_mask=forbidden_mask, max_depth=max_depth)
+            accs, nodes = reference_scan(group, acc_factory, allowed=allowed, **kwargs)
             if allowed is None:
                 allowed = [r for r in range(group.cardinality)
                            if not (forbidden_mask >> r) & 1]
@@ -970,50 +1006,54 @@ class TestBlockedMaskKernel:
                      if not (forbidden_mask >> g) & 1], nodes)
             for width in (1, 2):
                 usable_cpus(width)
-                got = run_scan(group, factory, allowed=sum(1 << r for r in allowed),
+                got = run_scan(group, acc_factory, allowed=sum(1 << r for r in allowed),
                                **kwargs)
                 assert _scan_summary(got) == want, (group, kwargs, width)
             return nodes
 
         for factors in P_GROUP_FACTORS + NON_P_FACTORS:
             group = AbelianGroup(factors)
-            for factory, depth, _ in self._cases(group):
-                same(group, factory, max_depth=depth)
+            for factory, weights, depth, _ in self._cases(group):
+                same(group, factory, weights, max_depth=depth)
         # a d-pair forbidden subgroup, G_2 in C8xC8xC8, with the allowed set
         # G_4 minus G_2 as longest_avoiding takes it, then all of G_4
         group, pair = AbelianGroup((8, 8, 8)), DivisorPair(2, 4)
         forbidden = _subgroup_mask(group, pair.quotient)
         g4 = [r for r, o in enumerate(_rank_lists(group.invariant_factors)[0]) if pair.d % o == 0]
         for allowed in ([r for r in g4 if not (forbidden >> r) & 1], g4):
-            assert same(group, extrema_acc(group), allowed=allowed,
+            assert same(group, **extrema_kwargs(group), allowed=allowed,
                         forbidden_mask=forbidden) == 15_736
         # every rank allowed, the zero element forbidden
-        assert same(C24, extrema_acc(C24), allowed=list(range(8))) == 94
+        assert same(C24, **extrema_kwargs(C24), allowed=list(range(8))) == 94
         assert forked_scans
 
     def test_running_sums_match_sums_from_scratch(self, forked_scans, usable_cpus):
-        """Each accumulator that keeps a sum per depth against its twin that
-        sums the whole path at every enter: the same results and nodes per
-        root task, uncut and cut, at widths 1 and 2. The Gamma and violation
-        cases each prune a node that a shallower one follows."""
+        """At every enter the total the kernel passes is the sum of the
+        weights over the whole path; and each accumulator that reads it
+        gives the results of its twin, which sums the whole path itself,
+        with the same nodes per root task: uncut and cut, at widths 1 and
+        2. The Gamma and violation cases each prune a node that a shallower
+        one follows, and the max-order weights are negative."""
         from zerosum.search import run_scan
         climbs = {}
         for factors in P_GROUP_FACTORS + NON_P_FACTORS:
             group = AbelianGroup(factors)
-            for factory, depth, twin in self._cases(group):
+            for factory, weights, depth, twin in self._cases(group):
                 if twin is None:
                     continue
                 cap = depth or math.inf
                 for symmetric in (False, True):
                     for width in (1, 2):
                         usable_cpus(width)
-                        got, want = (run_scan(group, lambda f=f: _Counted(f(), cap),
-                                              max_depth=depth, symmetric=symmetric)
+                        got, want = (run_scan(group, lambda f=f: _Counted(f(), weights, cap),
+                                              weights=weights, max_depth=depth,
+                                              symmetric=symmetric)
                                      for f in (factory, twin))
                         assert got[1] == want[1]
-                        assert ([(c.nodes, {k: getattr(c.acc, k) for k in vars(t.acc)})
-                                 for c, t in zip(got[0], want[0])]
-                                == [(t.nodes, vars(t.acc)) for t in want[0]])
+                        assert not any(c.wrong_totals for c in got[0] + want[0])
+                        slots = type(got[0][0].acc).__slots__
+                        assert ([(c.nodes, _acc_state(c.acc)) for c in got[0]]
+                                == [(t.nodes, _acc_state(t.acc, slots)) for t in want[0]])
                         kind = type(got[0][0].acc).__name__
                         climbs[kind] = climbs.get(kind, 0) + sum(c.climbs for c in got[0])
         assert climbs["_MinMaxOrderAcc"] and climbs["_ViolationAcc"]
@@ -1055,16 +1095,16 @@ class TestBlockedMaskKernel:
         class CountingAcc(search._MinMaxOrderAcc):
             __slots__ = ()
 
-            def enter(self, path):
-                down = super().enter(path)
-                descends[0] += down and len(path) < self.target
+            def enter(self, node):
+                down = super().enter(node)
+                descends[0] += down and len(node[0]) < self.target
                 return down
 
         monkeypatch.setattr(GroupTables, "translate", counting_translate)
         monkeypatch.setattr(search, "_MinMaxOrderAcc", CountingAcc)
         usable_cpus(1)
         c55 = AbelianGroup((5, 5))
-        _, nodes = run_scan(c55, extrema_acc(c55))
+        _, nodes = run_scan(c55, **extrema_kwargs(c55))
         assert calls[0] == nodes == 138_864
         calls[0] = 0
         _, _, nodes = _gamma_scan(AbelianGroup((2, 2, 8)), 1, None)
