@@ -2,10 +2,10 @@
 
 The engine walks canonical (rank-nondecreasing) multisets depth-first.
 Every node carries the bitmask of the ranks it may not append: those in a
-forbidden set (the zero element, or a whole subgroup for the two-level
-Davenport constant) or making a subsum in it. So only the children that
-survive are generated. Every invariant computed here is exact; budget
-exhaustion is an error, never an estimate.
+forbidden set (the zero element, or for the two-level Davenport constant
+G_{d/d'} and every rank outside G_d) or making a subsum in it. So only the
+children that survive are generated. Every invariant computed here is
+exact; budget exhaustion is an error, never an estimate.
 
 A scan makes one task, with its own accumulator, per root: a first
 element, whose task walks every multiset that has it as least rank.
@@ -157,9 +157,8 @@ def _path_cut(factors: tuple[int, ...]) -> _PathCut:
     return _PathCut(factors)
 
 
-def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, max_depth: int,
-               acc, weights, max_nodes: int, deadline: float,
-               cut: _PathCut | None = None) -> int:
+def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, acc, weights,
+               max_nodes: int, deadline: float, cut: _PathCut | None = None) -> int:
     """DFS of the task rooted at the lowest ``cand`` rank; returns its nodes.
 
     The task enters (root,), then every multiset of the ``cand`` ranks,
@@ -168,9 +167,9 @@ def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, max_depth: i
     path is empty again. Each level keeps the weight sum of its path, over
     the per-rank ``weights``. ``acc.enter((path, total))`` is the one
     accumulator call: made once per node entered, with ``total`` the sum
-    up to and including the node's rank, it returns whether to descend.
-    Nothing is called on the way back, so an accumulator keeps only its
-    results.
+    up to and including the node's rank, it returns whether to descend,
+    the kernel's one stop rule. Nothing is called on the way back, so an
+    accumulator keeps only its results.
 
     Every node, the root too, is held to ``max_nodes``: past it, or past
     ``deadline`` at a 2048th node, it returns at once, the stopping node
@@ -218,7 +217,7 @@ def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, max_depth: i
             return nodes
         path.append(h)
         t = total + weights[h]
-        if acc.enter((path, t)) and len(path) < max_depth:
+        if acc.enter((path, t)):
             stack.append((cand ^ low, blocked, fix, select, total))
             total = t
             blocked |= translate(blocked, neg[h])
@@ -255,18 +254,18 @@ def _usable_cpus() -> list[int | None]:
 def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
              weights=None,
              budget: SearchBudget | None = None,
-             allowed: int | None = None,
              forbidden_mask: int = 1,
-             max_depth: int | None = None,
              symmetric: bool = False) -> tuple[list, int]:
     """Run one accumulator per root; return (accs, total nodes).
 
     ``weights`` gives each rank the weight whose sum along the path every
     ``enter`` receives (``_scan_from``); without it every weight is 0.
-    The roots are the ranks of ``allowed`` (default: every rank) outside
-    ``forbidden_mask``, ascending; root g's task walks the allowed ranks
-    from g on, so each multiset over ``allowed`` is walked once, by the
-    task of its least rank. The Aut(G)-invariant searches pass
+    The roots are the ranks outside ``forbidden_mask``, a mask of at most
+    |G| bits, ascending; root g's task walks the ranks from g on that the
+    mask does not block, so each multiset of the other ranks is walked
+    once, by the task of its least rank. That mask is the scan's one
+    restriction and ``enter`` its one stop rule: with no depth limit, each
+    accumulator ends its own branches. The Aut(G)-invariant searches pass
     ``symmetric`` with an Aut(G)-invariant mask: only the roots least in
     their class under every generator of the group's ``_PathCut`` are kept,
     and ``_scan_from`` cuts every level from the one above the root: each
@@ -293,13 +292,11 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     """
     budget = budget or DEFAULT_BUDGET
     tables = tables_for(group)
-    if allowed is None:
-        allowed = (1 << tables.size) - 1
-    depth_cap = max_depth if max_depth is not None else tables.size * group.exponent
+    every = (1 << tables.size) - 1
     max_nodes = budget.max_nodes
     if weights is None:
         weights = bytes(tables.size)
-    root_mask = allowed & ~forbidden_mask
+    root_mask = every & ~forbidden_mask
     cut = None
     if symmetric:
         cut = _path_cut(tables.factors)
@@ -313,8 +310,8 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
 
     def run_one(index: int) -> int:
         g = roots[index]
-        return _scan_from(tables, allowed >> g << g, forbidden_mask, depth_cap,
-                          accs[index], weights, max_nodes - nodes, deadline, cut)
+        return _scan_from(tables, every >> g << g, forbidden_mask, accs[index], weights,
+                          max_nodes - nodes, deadline, cut)
 
     def tally(task_nodes: int) -> None:
         nonlocal nodes
@@ -483,7 +480,7 @@ def _subgroup_mask(group: AbelianGroup, d: int) -> int:
 # -- accumulators -------------------------------------------------------------
 
 class _CountAcc:
-    """Counts sequences at one exact depth, keeping them if ``keep``."""
+    """Counts sequences at one exact depth, where it stops, keeping them if ``keep``."""
 
     __slots__ = ("target", "count", "hits")
 
@@ -498,7 +495,7 @@ class _CountAcc:
             self.count += 1
             if self.hits is not None:
                 self.hits.append(tuple(path))
-        return True
+        return len(path) < self.target
 
 
 class _ExtremaAcc:
@@ -574,8 +571,7 @@ def enumerate_zero_sumfree(group: AbelianGroup, exact_length: int,
             visitor(GSequence.empty(group))
         return 1
     keep = visitor is not None
-    accs, _ = run_scan(group, lambda: _CountAcc(exact_length, keep),
-                       budget=budget, max_depth=exact_length)
+    accs, _ = run_scan(group, lambda: _CountAcc(exact_length, keep), budget=budget)
     if keep:
         for acc in accs:
             for path in acc.hits:
@@ -599,14 +595,17 @@ def zero_sumfree_extrema(group: AbelianGroup, budget: SearchBudget | None = None
 
 def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
                      budget: SearchBudget | None = None) -> tuple[int, GSequence]:
-    """Longest sequence over G_d with no nonempty subsum in G_{d/d'}."""
+    """Longest sequence over G_d with no nonempty subsum in G_{d/d'}.
+    The scan forbids G_{d/d'} and, exactly, every rank outside G_d: the
+    subsums over the subgroup G_d stay in it, so those ranks block none of
+    G_d and only keep the walk inside it. Both sets are Aut(G)-invariant."""
     pair.validate_for(group)
-    forbidden = _subgroup_mask(group, pair.quotient)
-    allowed = _subgroup_mask(group, pair.d) & ~forbidden
-    if not allowed:
+    every = (1 << group.cardinality) - 1
+    forbidden = (_subgroup_mask(group, pair.quotient) | ~_subgroup_mask(group, pair.d)) & every
+    if forbidden == every:
         return 0, GSequence.empty(group)
     accs, _ = run_scan(group, _ExtremaAcc, weights=_cross_weights(group), budget=budget,
-                       allowed=allowed, forbidden_mask=forbidden, symmetric=True)
+                       forbidden_mask=forbidden, symmetric=True)
     # every task's root is entered, so the longest path is never empty
     best = max(accs, key=lambda acc: acc.best_len)
     return best.best_len, GSequence.from_ranks(group, best.best)
@@ -629,7 +628,7 @@ def _gamma_scan(group: AbelianGroup, delta: int, budget: SearchBudget | None,
     exp = group.exponent
     is_max = [1 if o == exp else 0 for o in _rank_lists(group.invariant_factors)[0]]
     accs, nodes = run_scan(group, lambda: _MinMaxOrderAcc(target), weights=is_max,
-                           budget=budget, max_depth=target, symmetric=symmetric)
+                           budget=budget, symmetric=symmetric)
     found = [acc for acc in accs if acc.best_count is not None]
     if not found:
         raise InternalCheckError(
@@ -668,9 +667,9 @@ def d_pair_value(group: AbelianGroup, pair: DivisorPair,
     """Two-level Davenport constant via the reduced-group identity.
 
     The reduction itself is closed-form; the reduced group's Davenport
-    constant falls back to search when it has no closed form. Independent of
-    (and cross-checked against) :func:`d_pair_bruteforce`, which never leaves
-    the ambient group.
+    constant falls back to search when it has no closed form. Independent
+    of :func:`longest_avoiding`, which never leaves the ambient group and
+    against which a ``dpair`` certificate checks it.
     """
     reduced = reduced_group(group, pair)
     if reduced is None:

@@ -37,17 +37,17 @@ class _ViolationAcc:
     one of length at least ``min_length`` whose total, the sum of its
     check's per-element weights, exceeds ``bound``. Every check states its
     claim in that form, so the accumulator holds only data and pickles for
-    the search's worker processes.
+    the search's worker processes. A branch stops at length ``stop``: d(G)
+    for the max-order check, else |G|, which no zero-sumfree length reaches.
 
     Once a violation is recorded the rest of this task's walk is pruned, so
     node counts stay exhaustive exactly when the verdict is 'verified'.
     """
 
-    __slots__ = ("min_length", "bound", "counterexample")
+    __slots__ = ("min_length", "bound", "stop", "counterexample")
 
-    def __init__(self, min_length: int, bound: int):
-        self.min_length = min_length
-        self.bound = bound
+    def __init__(self, min_length: int, bound: int, stop: int):
+        self.min_length, self.bound, self.stop = min_length, bound, stop
         self.counterexample: tuple[int, ...] | None = None
 
     def enter(self, node):
@@ -57,7 +57,7 @@ class _ViolationAcc:
         if len(path) >= self.min_length and total > self.bound:
             self.counterexample = tuple(path)
             return False
-        return True
+        return len(path) < self.stop
 
 
 def _budget_exceeded(name: str, parameters: tuple[tuple[str, int], ...],
@@ -72,11 +72,12 @@ def _run_violation_check(group: AbelianGroup, name: str,
                          weights: list[int], min_length: int, bound: int,
                          budget: SearchBudget | None,
                          implementation_bug_on_failure: bool,
-                         max_depth: int | None = None,
+                         stop: int | None = None,
                          details: tuple[tuple[str, object], ...] = ()) -> CheckReport:
     try:
-        accs, nodes = run_scan(group, lambda: _ViolationAcc(min_length, bound),
-                               weights=weights, budget=budget, max_depth=max_depth)
+        accs, nodes = run_scan(group, lambda: _ViolationAcc(min_length, bound,
+                                                            stop or group.cardinality),
+                               weights=weights, budget=budget)
     except BudgetExceededError as err:
         return _budget_exceeded(name, parameters, err, details)
     for acc in accs:
@@ -173,12 +174,12 @@ def check_corollary_max_order(group: AbelianGroup,
     d_g = davenport_p_group(group)
     exp = group.exponent
     # weight -1 per element of maximal order: a sum above 1 - exp means fewer
-    # than exp - 1 such elements; no walk goes deeper than d_g
+    # than exp - 1 such elements; every branch stops at length d_g
     weights = [-1 if o == exp else 0 for o in _rank_lists(group.invariant_factors)[0]]
     return _run_violation_check(
         group, "max-order-at-full-length", (("length", d_g), ("minimum", exp - 1)),
         weights, d_g, 1 - exp,
-        budget, True, max_depth=d_g)
+        budget, True, stop=d_g)
 
 
 def check_gamma_conjecture(group: AbelianGroup, delta: int,

@@ -150,12 +150,16 @@ def rank_map(group: AbelianGroup, g: int) -> tuple[int, ...]:
 
 
 def reference_scan(group: AbelianGroup, acc_factory, *, weights=None, allowed=None,
-                   forbidden_mask: int = 1, max_depth=None):
+                   forbidden_mask: int = 1):
     """The search engine's earlier walk, kept as the reference for its DFS
     kernel; returns (one accumulator per allowed rank, total nodes) as
     ``run_scan`` does, in this process and without budgets. Each node is
     entered as ``(path, total)``, its total summed over the whole path from
-    ``weights`` (all 0 by default), never carried from the parent.
+    ``weights`` (all 0 by default), never carried from the parent, and it
+    descends exactly when ``enter`` returns True. ``allowed`` (default:
+    every rank outside ``forbidden_mask``) is the alphabet that the engine
+    once took apart from the forbidden set; it is kept here as the oracle
+    for the engine's one mask.
 
     A node keeps its subsum mask; the child for allowed[j] is tried when the
     mask misses pre[j], the ranks x with x + allowed[j] forbidden (-1 when
@@ -167,7 +171,6 @@ def reference_scan(group: AbelianGroup, acc_factory, *, weights=None, allowed=No
         weights = [0] * size
     if allowed is None:
         allowed = [r for r in range(size) if not (forbidden_mask >> r) & 1]
-    depth_cap = max_depth if max_depth is not None else size * group.exponent
     pre = [-1 if (forbidden_mask >> h) & 1 else
            sum(1 << x for x, y in enumerate(rank_map(group, h)) if (forbidden_mask >> y) & 1)
            for h in allowed]
@@ -191,7 +194,7 @@ def reference_scan(group: AbelianGroup, acc_factory, *, weights=None, allowed=No
             h = allowed[j]
             nodes += 1
             path.append(h)
-            if enter(acc, path) and len(path) < depth_cap:
+            if enter(acc, path):
                 nodes += walk(acc, path, mask | shift(mask, h) | (1 << h), j)
             path.pop()
         return nodes
@@ -204,7 +207,7 @@ def reference_scan(group: AbelianGroup, acc_factory, *, weights=None, allowed=No
             continue
         nodes += 1
         path = [g]
-        if enter(acc, path) and 1 < depth_cap:
+        if enter(acc, path):
             nodes += walk(acc, path, 1 << g, i)
     return accs, nodes
 

@@ -35,6 +35,13 @@ def extrema_kwargs(group):
     return dict(acc_factory=_ExtremaAcc, weights=_cross_weights(group))
 
 
+def dpair_mask(group, pair):
+    """The one forbidden mask of the d-pair walk: G_{d/d'} and every rank
+    outside G_d, read from each element's order."""
+    return sum(1 << e.rank for e in group.elements()
+               if pair.quotient % e.order() == 0 or pair.d % e.order())
+
+
 class TestEnumerate:
     def test_c3_length_two(self):
         seen = []
@@ -222,7 +229,7 @@ class TestBudget:
         cut = _path_cut((5, 5)) if symmetric else None
         for allowance, paths in ((0, []), (1, [(1,)]), (2, [(1,), (1, 1)])):
             acc = Entered()
-            assert _scan_from(tables, (1 << 25) - 2, 1, 50, acc, bytes(25), allowance,
+            assert _scan_from(tables, (1 << 25) - 2, 1, acc, bytes(25), allowance,
                               math.inf, cut) == allowance + 1
             assert acc.paths == paths
 
@@ -245,8 +252,7 @@ class TestBudget:
         instant = SearchBudget(max_seconds=1e-9)
         for symmetric, stopping in ((False, 4), (True, 2048)):
             with pytest.raises(BudgetExceededError) as info:
-                run_scan(c55, **extrema_kwargs(c55), budget=instant, allowed=(1 << 25) - 2,
-                         symmetric=symmetric)
+                run_scan(c55, **extrema_kwargs(c55), budget=instant, symmetric=symmetric)
             assert info.value.nodes_visited == stopping
             assert info.value.elapsed_seconds > 1e-9
 
@@ -269,8 +275,7 @@ class TestBudget:
         monkeypatch.setattr(_ExtremaAcc, "enter", counting_enter)
         usable_cpus(1)
         with pytest.raises(BudgetExceededError) as info:
-            run_scan(group, **extrema_kwargs(group), budget=SearchBudget(max_nodes=max_nodes),
-                     allowed=(1 << group.cardinality) - 2)
+            run_scan(group, **extrema_kwargs(group), budget=SearchBudget(max_nodes=max_nodes))
         assert info.value.nodes_visited == max_nodes + 1
         assert entered[0] == max_nodes
 
@@ -378,19 +383,16 @@ class TestForkedWorkers:
     all but their last root task in worker processes."""
 
     def test_accumulators_match_across_widths(self, forked_scans, usable_cpus):
-        from zerosum.search import _gamma_scan, _subgroup_mask, run_scan
+        from zerosum.search import _gamma_scan, run_scan
         c55 = AbelianGroup((5, 5))
         c888 = AbelianGroup((8, 8, 8))
-        pair = DivisorPair(2, 4)
-        forbidden = _subgroup_mask(c888, pair.quotient)
-        allowed = _subgroup_mask(c888, pair.d) & ~forbidden
+        forbidden = dpair_mask(c888, DivisorPair(2, 4))
 
         def summary(width):
             # every scan here walks every root, so each one forks
             usable_cpus(width)
             extrema, n_extrema = run_scan(c55, **extrema_kwargs(c55))
-            avoid, n_avoid = run_scan(c888, **extrema_kwargs(c888),
-                                      allowed=allowed, forbidden_mask=forbidden)
+            avoid, n_avoid = run_scan(c888, **extrema_kwargs(c888), forbidden_mask=forbidden)
             longest = max(avoid, key=lambda acc: acc.best_len)
             return ([(a.best_len, a.best) for a in extrema], n_extrema,
                     [(a.best_scaled, a.best_cross) for a in extrema],
@@ -417,9 +419,9 @@ class TestForkedWorkers:
         for factors in ((3, 3), (8, 8, 8)):
             group = AbelianGroup(factors)
             row = []
-            for factory in (_ExtremaAcc, lambda: _MinMaxOrderAcc(1),
-                            lambda: _ViolationAcc(2, group.exponent)):
-                accs, _ = run_scan(group, factory, weights=_cross_weights(group), max_depth=1)
+            for factory in (_RootExtremaAcc, lambda: _MinMaxOrderAcc(1),
+                            lambda: _ViolationAcc(2, group.exponent, 1)):
+                accs, _ = run_scan(group, factory, weights=_cross_weights(group))
                 row.append(len(pickle.dumps((0, (accs[0], 1)), pickle.HIGHEST_PROTOCOL)))
             sizes.append(row)
         assert sizes[0] == sizes[1]
@@ -444,7 +446,7 @@ class TestForkedWorkers:
         for width in (1, 2):
             usable_cpus(width)
             with pytest.raises(BudgetExceededError) as info:
-                run_scan(c55, **extrema_kwargs(c55), budget=budget, allowed=(1 << 25) - 2)
+                run_scan(c55, **extrema_kwargs(c55), budget=budget)
             assert str(info.value) == "node budget 30000 exhausted"
             assert info.value.nodes_visited == 30_001
         assert forked_scans
@@ -482,8 +484,7 @@ class TestForkedWorkers:
             entered[0] = 0
             usable_cpus(width)
             with pytest.raises(BudgetExceededError, match="time budget exhausted") as info:
-                search.run_scan(c66, **extrema_kwargs(c66), budget=budget,
-                                allowed=(1 << 36) - 2)
+                search.run_scan(c66, **extrema_kwargs(c66), budget=budget)
             assert info.value.nodes_visited == entered[0] + stopping
             assert info.value.elapsed_seconds == 1.0
         assert forked_scans
@@ -495,7 +496,7 @@ class TestForkedWorkers:
         usable_cpus(2)
         budget = SearchBudget(max_nodes=1000)
         with pytest.raises(BudgetExceededError) as info:
-            run_scan(c55, **extrema_kwargs(c55), budget=budget, allowed=(1 << 25) - 2)
+            run_scan(c55, **extrema_kwargs(c55), budget=budget)
         assert forked_scans
         assert str(info.value) == "node budget 1000 exhausted"
         assert info.value.nodes_visited == 1001
@@ -530,7 +531,7 @@ class TestForkedWorkers:
         c33 = AbelianGroup((3, 3))
         usable_cpus(2)
         with pytest.raises(InternalCheckError, match="reporting task 0"):
-            search.run_scan(c33, **extrema_kwargs(c33), allowed=(1 << 9) - 2)
+            search.run_scan(c33, **extrema_kwargs(c33))
         assert forked_scans
 
     def test_worker_exception_keeps_its_type(self, forked_scans, monkeypatch, usable_cpus):
@@ -630,17 +631,15 @@ class TestOrbitCut:
         deltas = range(davenport_p_group(group)) if group.is_p_group else ()
         # every root, walked once: its results do not depend on the width
         # (TestForkedWorkers), so the reduced searches at each width meet it
-        accs, _ = run_scan(group, **extrema_kwargs(group), allowed=(1 << group.cardinality) - 2)
+        accs, _ = run_scan(group, **extrema_kwargs(group))
         d_acc = max(accs, key=lambda acc: acc.best_len)
         k_acc = max(accs, key=lambda acc: acc.best_scaled)
         want = [d_acc.best_len, d_acc.best, Fraction(k_acc.best_scaled, group.exponent),
                 k_acc.best_cross]
         for pair in divisor_pairs(group):
-            forbidden = _subgroup_mask(group, pair.quotient)
-            allowed = _subgroup_mask(group, pair.d) & ~forbidden
-            if allowed:
-                accs, _ = run_scan(group, **extrema_kwargs(group), allowed=allowed,
-                                   forbidden_mask=forbidden)
+            accs, _ = run_scan(group, **extrema_kwargs(group),
+                               forbidden_mask=dpair_mask(group, pair))
+            if accs:
                 best = max(accs, key=lambda acc: acc.best_len)
                 want += [best.best_len, best.best]
             else:
@@ -814,11 +813,14 @@ class TestPinnedCounts:
         assert report.nodes_visited == 255_946
 
     def test_forbidden_allowed_elements_are_never_entered(self):
+        # the zero element alone, then with the 4 elements of order 4 of C2xC4
+        # (ranks 2, 3, 6 and 7), which leaves the walk of G_2 = C2xC2
         from zerosum.search import run_scan
-        # rank 0, the forbidden zero element, allowed or not
-        for allowed in (0b11111111, 0b11111110):
-            accs, nodes = run_scan(C24, **extrema_kwargs(C24), allowed=allowed)
-            assert (len(accs), nodes) == (7, 94)
+        for forbidden, roots, nodes in ((0b1, 7, 94), (0b11001101, 3, 6)):
+            accs, total = run_scan(C24, _LogAcc, forbidden_mask=forbidden)
+            assert (len(accs), total) == (roots, nodes)
+            assert not any(forbidden >> h & 1 for acc in accs for path in acc.log
+                           for h in path)
 
     def test_gamma_c2xc2xc8(self, monkeypatch):
         from zerosum.search import _gamma_scan
@@ -831,14 +833,13 @@ class TestPinnedCounts:
         assert (value, tuple(witness.iter_ranks())) == every_root[:2]
 
     def test_longest_avoiding_c8x8x8_subgroup(self, monkeypatch):
-        # forbidden set G_2 (8 elements), allowed G_4 minus G_2 (56 elements)
-        from zerosum.search import _subgroup_mask, run_scan
+        # forbidden: G_2 (8 elements) and the 448 outside G_4, which leaves
+        # the 56 of G_4 minus G_2
+        from zerosum.search import run_scan
         group = AbelianGroup((8, 8, 8))
         pair = DivisorPair(2, 4)
-        forbidden = _subgroup_mask(group, pair.quotient)
         accs, nodes = run_scan(group, **extrema_kwargs(group),
-                               allowed=_subgroup_mask(group, pair.d) & ~forbidden,
-                               forbidden_mask=forbidden)
+                               forbidden_mask=dpair_mask(group, pair))
         assert (len(accs), nodes) == (56, 15_736)
         nodes = scan_nodes(monkeypatch)
         length, witness = longest_avoiding(group, pair)
@@ -859,14 +860,24 @@ class TestPinnedCounts:
 
 
 class _LogAcc:
-    """Logs every path entered."""
+    """Logs every path entered; ends each branch at length ``stop``."""
 
-    def __init__(self):
-        self.log = []
+    def __init__(self, stop=math.inf):
+        self.log, self.stop = [], stop
 
     def enter(self, node):
         self.log.append(tuple(node[0]))
-        return True
+        return len(node[0]) < self.stop
+
+
+class _RootExtremaAcc(_ExtremaAcc):
+    """``_ExtremaAcc`` that ends every branch at its root."""
+
+    __slots__ = ()
+
+    def enter(self, node):
+        super().enter(node)
+        return False
 
 
 class _ExtremaTwin:
@@ -910,9 +921,9 @@ class _ViolationTwin:
     """``verifier._ViolationAcc`` from scratch: each enter sums the whole
     path and ignores the total it is given."""
 
-    def __init__(self, weights, min_length, bound):
+    def __init__(self, weights, min_length, bound, stop):
         self.weights, self.min_length, self.bound = weights, min_length, bound
-        self.counterexample = None
+        self.stop, self.counterexample = stop, None
 
     def enter(self, node):
         path = node[0]
@@ -921,14 +932,14 @@ class _ViolationTwin:
         if len(path) >= self.min_length and sum(self.weights[h] for h in path) > self.bound:
             self.counterexample = tuple(path)
             return False
-        return True
+        return len(path) < self.stop
 
 
 class _Counted:
     """Wraps an accumulator: counts the nodes its task enters, the enters
     whose total is not the sum of ``weights`` over the whole path, and the
-    enters that come right after a pruned node (refused below the depth
-    ``cap``) and are shallower than it."""
+    enters that come right after a pruned node (refused below ``cap``, the
+    length at which the accumulator stops) and are shallower than it."""
 
     def __init__(self, acc, weights, cap):
         self.acc, self.weights, self.cap = acc, weights, cap
@@ -963,8 +974,9 @@ class TestBlockedMaskKernel:
 
     @staticmethod
     def _cases(group):
-        """(accumulator factory, weights, depth cap, factory of its
-        from-scratch twin or None) for each accumulator kind."""
+        """(accumulator factory, weights, the length at which it stops or
+        None, factory of its from-scratch twin or None) for each
+        accumulator kind."""
         from zerosum.search import _CountAcc, _MinMaxOrderAcc
         from zerosum.verifier import _ViolationAcc
         orders, exp = _rank_lists(group.invariant_factors)[0], group.exponent
@@ -973,48 +985,49 @@ class TestBlockedMaskKernel:
         is_max = [1 if o == exp else 0 for o in orders]
         minus_max = [-x for x in is_max]
         cross = [exp // o for o in orders]
-        short, gamma_len = min(3, d), max(1, d - 1)
+        short, gamma_len, size = min(3, d), max(1, d - 1), group.cardinality
         return [
             (_ExtremaAcc, cross, None, lambda: _ExtremaTwin(cross)),
             (lambda: _CountAcc(short, True), None, short, None),
             # the count cut prunes once a task has found a witness
             (lambda: _MinMaxOrderAcc(gamma_len), is_max, gamma_len,
              lambda: _MinMaxOrderTwin(is_max, gamma_len)),
-            # cross number above 1 at length >= 2: a counterexample prunes
-            (lambda: _ViolationAcc(2, exp), cross, None,
-             lambda: _ViolationTwin(cross, 2, exp)),
+            # cross number above 1 at length >= 2: a counterexample prunes;
+            # it stops at |G|, which no zero-sumfree length reaches
+            (lambda: _ViolationAcc(2, exp, size), cross, None,
+             lambda: _ViolationTwin(cross, 2, exp, size)),
             # the max-order check at length d(G): weight -1 per maximal-order
             # rank, so a path's total falls as it grows
-            (lambda: _ViolationAcc(d, 1 - exp), minus_max, d,
-             lambda: _ViolationTwin(minus_max, d, 1 - exp)),
+            (lambda: _ViolationAcc(d, 1 - exp, d), minus_max, d,
+             lambda: _ViolationTwin(minus_max, d, 1 - exp, d)),
         ]
 
     def test_matches_reference_walk(self, forked_scans, usable_cpus):
-        """The scan of the allowed ranks against the reference's
-        accumulators of the same roots, less the forbidden ones, which the
-        reference skips."""
+        """The scan forbidding every rank outside the reference's
+        ``allowed`` alphabet against the reference's accumulators of the
+        same roots, less the forbidden ones, which the reference skips."""
         from zerosum.search import _subgroup_mask, run_scan
 
-        def same(group, acc_factory, weights=None, allowed=None, forbidden_mask=1,
-                 max_depth=None):
-            kwargs = dict(weights=weights, forbidden_mask=forbidden_mask, max_depth=max_depth)
-            accs, nodes = reference_scan(group, acc_factory, allowed=allowed, **kwargs)
+        def same(group, acc_factory, weights=None, allowed=None, forbidden_mask=1):
+            accs, nodes = reference_scan(group, acc_factory, weights=weights, allowed=allowed,
+                                         forbidden_mask=forbidden_mask)
             if allowed is None:
                 allowed = [r for r in range(group.cardinality)
                            if not (forbidden_mask >> r) & 1]
             want = ([_acc_state(acc) for g, acc in zip(allowed, accs)
                      if not (forbidden_mask >> g) & 1], nodes)
+            outside = (1 << group.cardinality) - 1 - sum(1 << r for r in allowed)
             for width in (1, 2):
                 usable_cpus(width)
-                got = run_scan(group, acc_factory, allowed=sum(1 << r for r in allowed),
-                               **kwargs)
-                assert _scan_summary(got) == want, (group, kwargs, width)
+                got = run_scan(group, acc_factory, weights=weights,
+                               forbidden_mask=forbidden_mask | outside)
+                assert _scan_summary(got) == want, (group, forbidden_mask, width)
             return nodes
 
         for factors in P_GROUP_FACTORS + NON_P_FACTORS:
             group = AbelianGroup(factors)
-            for factory, weights, depth, _ in self._cases(group):
-                same(group, factory, weights, max_depth=depth)
+            for factory, weights, _, _ in self._cases(group):
+                same(group, factory, weights)
         # a d-pair forbidden subgroup, G_2 in C8xC8xC8, with the allowed set
         # G_4 minus G_2 as longest_avoiding takes it, then all of G_4
         group, pair = AbelianGroup((8, 8, 8)), DivisorPair(2, 4)
@@ -1025,6 +1038,33 @@ class TestBlockedMaskKernel:
                         forbidden_mask=forbidden) == 15_736
         # every rank allowed, the zero element forbidden
         assert same(C24, **extrema_kwargs(C24), allowed=list(range(8))) == 94
+        assert forked_scans
+
+    def test_d_pair_alphabet_matches_reference(self, forked_scans, usable_cpus):
+        """For every divisor pair of each small group, the scan of the one
+        mask that ``longest_avoiding`` passes, G_{d/d'} and every rank
+        outside G_d, against the reference walking the alphabet G_d minus
+        G_{d/d'} with G_{d/d'} forbidden: the same accumulator state per
+        root and the same total nodes at widths 1 and 2. The reference's
+        longest path is the length and witness of ``longest_avoiding``."""
+        from zerosum.formulas import divisor_pairs
+        from zerosum.search import run_scan
+        for factors in P_GROUP_FACTORS + NON_P_FACTORS:
+            group = AbelianGroup(factors)
+            orders = [(e.rank, e.order()) for e in group.elements()]
+            for pair in divisor_pairs(group):
+                quotient = sum(1 << r for r, o in orders if pair.quotient % o == 0)
+                alphabet = [r for r, o in orders if pair.d % o == 0 and pair.quotient % o]
+                want = _scan_summary(reference_scan(group, **extrema_kwargs(group),
+                                                    allowed=alphabet, forbidden_mask=quotient))
+                for width in (1, 2):
+                    usable_cpus(width)
+                    got = run_scan(group, **extrema_kwargs(group),
+                                   forbidden_mask=dpair_mask(group, pair))
+                    assert _scan_summary(got) == want, (factors, pair, width)
+                length, witness = longest_avoiding(group, pair)
+                assert (length, tuple(witness.iter_ranks()) or None) == max(
+                    want[0], key=lambda state: state[0], default=(0, None))[:2]
         assert forked_scans
 
     def test_running_sums_match_sums_from_scratch(self, forked_scans, usable_cpus):
@@ -1038,16 +1078,15 @@ class TestBlockedMaskKernel:
         climbs = {}
         for factors in P_GROUP_FACTORS + NON_P_FACTORS:
             group = AbelianGroup(factors)
-            for factory, weights, depth, twin in self._cases(group):
+            for factory, weights, stop, twin in self._cases(group):
                 if twin is None:
                     continue
-                cap = depth or math.inf
+                cap = stop or math.inf
                 for symmetric in (False, True):
                     for width in (1, 2):
                         usable_cpus(width)
                         got, want = (run_scan(group, lambda f=f: _Counted(f(), weights, cap),
-                                              weights=weights, max_depth=depth,
-                                              symmetric=symmetric)
+                                              weights=weights, symmetric=symmetric)
                                      for f in (factory, twin))
                         assert got[1] == want[1]
                         assert not any(c.wrong_totals for c in got[0] + want[0])
@@ -1061,7 +1100,8 @@ class TestBlockedMaskKernel:
 
     def test_root_task_walks_its_reference_subtree(self, forked_scans, usable_cpus):
         """Root g's task enters exactly the reference paths of root g, in
-        order; at depth 1 it enters (g,) alone."""
+        order; with an accumulator that stops at length 1 it enters (g,)
+        alone."""
         from zerosum.search import run_scan
         for group in (C24, AbelianGroup((3, 3)), AbelianGroup((2, 2, 4))):
             ref_accs, _ = reference_scan(group, _LogAcc)
@@ -1071,44 +1111,59 @@ class TestBlockedMaskKernel:
                 accs, nodes = run_scan(group, _LogAcc)
                 assert [acc.log for acc in accs] == want
                 assert nodes == sum(map(len, want))
-            accs, nodes = run_scan(group, _LogAcc, max_depth=1)
+            accs, nodes = run_scan(group, lambda: _LogAcc(stop=1))
             roots = range(1, group.cardinality)
             assert [acc.log for acc in accs] == [[(g,)] for g in roots]
             assert nodes == group.cardinality - 1
         assert forked_scans
 
     def test_translates_only_nodes_that_descend(self, monkeypatch, usable_cpus):
-        """One translate per node entered that descends: every node of an
-        unbounded scan, but not the leaves of a depth-capped one."""
-        from zerosum import search
+        """One translate per node entered whose ``enter`` returns True, the
+        only nodes the kernel descends into: every node of the d/k scan, but
+        not the nodes where the Gamma cut, the count's length or the
+        max-order check's length d(G) ends a branch. A stop the accumulator
+        lost would make every node descend, and node counts alone do not
+        show it: the max-order walk enters the same nodes either way."""
+        from zerosum import check_corollary_max_order, search, verifier
         from zerosum.groups import GroupTables
-        from zerosum.search import _gamma_scan, run_scan
-        calls = [0]
+        calls, descends = [0], [0]
         translate = GroupTables.translate
 
         def counting_translate(tables, mask, g):
             calls[0] += 1
             return translate(tables, mask, g)
 
-        descends = [0]
-
-        class CountingAcc(search._MinMaxOrderAcc):
-            __slots__ = ()
-
-            def enter(self, node):
-                down = super().enter(node)
-                descends[0] += down and len(node[0]) < self.target
+        def counting(enter):
+            def counting_enter(acc, node):
+                down = enter(acc, node)
+                descends[0] += down
                 return down
+            return counting_enter
 
         monkeypatch.setattr(GroupTables, "translate", counting_translate)
-        monkeypatch.setattr(search, "_MinMaxOrderAcc", CountingAcc)
+        for cls in (_ExtremaAcc, search._CountAcc, search._MinMaxOrderAcc,
+                    verifier._ViolationAcc):
+            monkeypatch.setattr(cls, "enter", counting(cls.enter))
+        totals = scan_nodes(monkeypatch)
         usable_cpus(1)
         c55 = AbelianGroup((5, 5))
-        _, nodes = run_scan(c55, **extrema_kwargs(c55))
-        assert calls[0] == nodes == 138_864
-        calls[0] = 0
-        _, _, nodes = _gamma_scan(AbelianGroup((2, 2, 8)), 1, None)
-        assert calls[0] == descends[0] < nodes
+        got = []
+
+        def walked(nodes):
+            got.append((calls[0], descends[0], nodes))
+            calls[0] = descends[0] = 0
+
+        walked(search.run_scan(c55, **extrema_kwargs(c55))[1])
+        walked(search._gamma_scan(AbelianGroup((2, 2, 8)), 1, None)[2])
+        enumerate_zero_sumfree(c55, 3)
+        walked(totals[-1])
+        walked(check_corollary_max_order(c55).nodes_visited)
+        assert got[0] == (138_864, 138_864, 138_864)
+        for translates, descended, nodes in got[1:]:
+            assert translates == descended < nodes
+        # the max-order check stops its 8,400 paths of length d(G) = 8
+        assert got[1:] == [(422_338, 422_338, 508_814), (312, 312, 2_520),
+                           (130_464, 130_464, 138_864)]
 
 
 # entry points that take an exact integer, each given a value in its place
