@@ -157,12 +157,12 @@ def _path_cut(factors: tuple[int, ...]) -> _PathCut:
     return _PathCut(factors)
 
 
-def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, acc, weights,
+def _scan_from(tables: GroupTables, root: int, forbidden_mask: int, acc, weights,
                max_nodes: int, deadline: float, cut: _PathCut | None = None) -> int:
-    """DFS of the task rooted at the lowest ``cand`` rank; returns its nodes.
+    """DFS of the task rooted at rank ``root``; returns its nodes.
 
-    The task enters (root,), then every multiset of the ``cand`` ranks,
-    lowest bit first, after it. It starts at the level above the root,
+    The task enters (root,), then every multiset of the ranks from ``root``
+    on, lowest first, after it. It starts at the level above the root,
     whose path is empty, enters the root as any child and returns when the
     path is empty again. Each level keeps the weight sum of its path, over
     the per-rank ``weights``. ``acc.enter((path, total))`` is the one
@@ -185,15 +185,16 @@ def _scan_from(tables: GroupTables, cand: int, forbidden_mask: int, acc, weights
 
     With a ``cut``, each level also keeps ``fix``, the bitmask of the
     generators that fix every rank of its path (``fix &= fixes[h]`` on
-    descent), ``cut.full`` at the level above the root; so the root must be
-    the lowest candidate and least in its class under every generator, as
-    ``run_scan``'s roots are. A level with ``fix`` nonzero enters only the
-    candidates least in their class under those generators, dropping the
-    untried ranks below each child it enters, so that child still draws its
-    own children from every untried rank from it on; a level with ``fix``
-    zero enters every candidate, as a scan without a cut does.
+    descent), ``cut.full`` at the level above the root; so ``root`` must be
+    least in its class under every generator, as ``run_scan``'s roots are.
+    A level with ``fix`` nonzero enters only the candidates least in their
+    class under those generators, dropping the untried ranks below each
+    child it enters, so that child still draws its own children from every
+    untried rank from it on; a level with ``fix`` zero enters every
+    candidate, as a scan without a cut does.
     """
     translate, neg = tables.translate, _rank_lists(tables.factors)[1]
+    cand = (1 << tables.size) - (1 << root)
     blocked, fix, select, total, nodes = forbidden_mask, 0, 0, 0, 0
     if cut is not None:
         fixes, fix = cut.fixes, cut.full
@@ -261,15 +262,15 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     ``weights`` gives each rank the weight whose sum along the path every
     ``enter`` receives (``_scan_from``); without it every weight is 0.
     The roots are the ranks outside ``forbidden_mask``, a mask of at most
-    |G| bits, ascending; root g's task walks the ranks from g on that the
-    mask does not block, so each multiset of the other ranks is walked
-    once, by the task of its least rank. That mask is the scan's one
-    restriction and ``enter`` its one stop rule: with no depth limit, each
-    accumulator ends its own branches. The Aut(G)-invariant searches pass
-    ``symmetric`` with an Aut(G)-invariant mask: only the roots least in
-    their class under every generator of the group's ``_PathCut`` are kept,
-    and ``_scan_from`` cuts every level from the one above the root: each
-    task's root is its lowest candidate and the lowest one the cut keeps.
+    |G| bits, listed ascending in one pass over its bits, not a quadratic
+    shift per rank. Root g's task is handed g and walks the ranks from g on
+    that the mask does not block, so each multiset of the other ranks is
+    walked once, by the task of its least rank. That mask is the scan's
+    one restriction and ``enter`` its one stop rule: each accumulator ends
+    its own branches. The Aut(G)-invariant searches pass ``symmetric`` with an
+    Aut(G)-invariant mask: only the roots least in their class under every
+    generator of the group's ``_PathCut`` are kept, and ``_scan_from`` cuts
+    every level from the one above the root.
     All accumulators are made here, in this process, and come back in root
     order whatever the worker count and the schedule, so merging them is
     deterministic. Tasks run from the last root down in-process until the
@@ -292,16 +293,15 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     """
     budget = budget or DEFAULT_BUDGET
     tables = tables_for(group)
-    every = (1 << tables.size) - 1
     max_nodes = budget.max_nodes
     if weights is None:
         weights = bytes(tables.size)
-    root_mask = every & ~forbidden_mask
+    root_mask = ((1 << tables.size) - 1) & ~forbidden_mask
     cut = None
     if symmetric:
         cut = _path_cut(tables.factors)
         root_mask &= cut[cut.full]
-    roots = [g for g in range(root_mask.bit_length()) if root_mask >> g & 1]
+    roots = [g for g, bit in enumerate(bin(root_mask)[:1:-1]) if bit == "1"]
 
     started = time.monotonic()
     deadline = started + budget.max_seconds
@@ -309,8 +309,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     nodes = 0
 
     def run_one(index: int) -> int:
-        g = roots[index]
-        return _scan_from(tables, every >> g << g, forbidden_mask, accs[index], weights,
+        return _scan_from(tables, roots[index], forbidden_mask, accs[index], weights,
                           max_nodes - nodes, deadline, cut)
 
     def tally(task_nodes: int) -> None:
@@ -598,14 +597,15 @@ def longest_avoiding(group: AbelianGroup, pair: DivisorPair,
     """Longest sequence over G_d with no nonempty subsum in G_{d/d'}.
     The scan forbids G_{d/d'} and, exactly, every rank outside G_d: the
     subsums over the subgroup G_d stay in it, so those ranks block none of
-    G_d and only keep the walk inside it. Both sets are Aut(G)-invariant."""
+    G_d and only keep the walk inside it. Both sets are Aut(G)-invariant.
+    It passes no weights: only the longest path is read."""
     pair.validate_for(group)
     every = (1 << group.cardinality) - 1
     forbidden = (_subgroup_mask(group, pair.quotient) | ~_subgroup_mask(group, pair.d)) & every
     if forbidden == every:
         return 0, GSequence.empty(group)
-    accs, _ = run_scan(group, _ExtremaAcc, weights=_cross_weights(group), budget=budget,
-                       forbidden_mask=forbidden, symmetric=True)
+    accs, _ = run_scan(group, _ExtremaAcc, budget=budget, forbidden_mask=forbidden,
+                       symmetric=True)
     # every task's root is entered, so the longest path is never empty
     best = max(accs, key=lambda acc: acc.best_len)
     return best.best_len, GSequence.from_ranks(group, best.best)

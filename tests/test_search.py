@@ -229,8 +229,8 @@ class TestBudget:
         cut = _path_cut((5, 5)) if symmetric else None
         for allowance, paths in ((0, []), (1, [(1,)]), (2, [(1,), (1, 1)])):
             acc = Entered()
-            assert _scan_from(tables, (1 << 25) - 2, 1, acc, bytes(25), allowance,
-                              math.inf, cut) == allowance + 1
+            assert _scan_from(tables, 1, 1, acc, bytes(25), allowance, math.inf,
+                              cut) == allowance + 1
             assert acc.paths == paths
 
     @pytest.mark.parametrize("width", [1, 2])
@@ -1101,7 +1101,8 @@ class TestBlockedMaskKernel:
     def test_root_task_walks_its_reference_subtree(self, forked_scans, usable_cpus):
         """Root g's task enters exactly the reference paths of root g, in
         order; with an accumulator that stops at length 1 it enters (g,)
-        alone."""
+        alone. The masks that leave only the top rank |G| - 1, or only
+        ranks 1 and |G| - 1, as roots test the edge of the roots' listing."""
         from zerosum.search import run_scan
         for group in (C24, AbelianGroup((3, 3)), AbelianGroup((2, 2, 4))):
             ref_accs, _ = reference_scan(group, _LogAcc)
@@ -1115,6 +1116,19 @@ class TestBlockedMaskKernel:
             roots = range(1, group.cardinality)
             assert [acc.log for acc in accs] == [[(g,)] for g in roots]
             assert nodes == group.cardinality - 1
+        for group in (C24, AbelianGroup((3, 9))):
+            top = group.cardinality - 1
+            every = (1 << group.cardinality) - 1
+            for roots in ([top], [1, top]):
+                forbidden = every ^ sum(1 << g for g in roots)
+                ref_accs, _ = reference_scan(group, _LogAcc, forbidden_mask=forbidden)
+                want = [acc.log for acc in ref_accs]
+                assert [log[0] for log in want] == [(g,) for g in roots]
+                for width in (1, 2):
+                    usable_cpus(width)
+                    accs, nodes = run_scan(group, _LogAcc, forbidden_mask=forbidden)
+                    assert [acc.log for acc in accs] == want, (group, roots, width)
+                    assert nodes == sum(map(len, want))
         assert forked_scans
 
     def test_translates_only_nodes_that_descend(self, monkeypatch, usable_cpus):
