@@ -19,13 +19,19 @@ elementary automorphisms that fix every rank of its path (``_PathCut``):
 at the root, with the empty path, under all of them. Values and
 witnesses are those of the full walk, and only node counts fall.
 ``check`` and ``enumerate`` take every root and no cut.
+A task runs on one of two kernels that walk the same nodes in the same
+order: ``_scan_from`` in Python, or its compiled twin in ``_kernel.c``
+(built once per source by ``_kernel.load``) when every accumulator of the
+scan is one that the twin runs. The Python kernel is the fallback and the
+differential oracle of the compiled one.
 A scan runs its smallest tasks in-process first; once those have entered
-more than ``_FORK_GATE_NODES`` nodes, the rest go to forked worker
-processes (where ``os.fork`` exists), as many as the usable CPUs and the
-tasks left allow, each pinned to a CPU of its own while there are enough.
-Results merge by root with a lexicographic tie-break, so values,
-witnesses, node counts and budget verdicts do not depend on the worker
-count or on the schedule.
+more than its kernel's fork gate (``_FORK_GATE_NODES`` or
+``_COMPILED_FORK_GATE_NODES``), the rest go to forked worker processes
+(where ``os.fork`` exists), as many as the usable CPUs and the tasks left
+allow, each pinned to a CPU of its own while there are enough. Results
+merge by root with a lexicographic tie-break, so values, witnesses, node
+counts and budget verdicts do not depend on the kernel, the worker count
+or the schedule.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
+from . import _kernel
 from ._budget import DEFAULT_BUDGET, SearchBudget
 from .errors import BudgetExceededError, InternalCheckError, NeedsOracleError
 from .formulas import (DivisorPair, _check_delta, davenport_closed_form,
@@ -235,10 +242,16 @@ def _scan_from(tables: GroupTables, root: int, forbidden_mask: int, acc, weights
 
 
 # A scan forks only after its in-process tasks, the smallest ones, have
-# entered this many nodes. Forking, feeding and reaping two workers costs
-# 3.4 ms on a 2-core Xeon (10 ms with the imports of a process's first fork),
-# up to 8k nodes of DFS at 650-800k nodes/s: the tasks left are worth more.
+# entered this many nodes, one gate per kernel. Forking, feeding and reaping
+# two workers costs 3.4 ms on a 2-core Xeon (10 ms with the imports of a
+# process's first fork), up to 8k nodes of the Python kernel at 650-800k
+# nodes/s: the tasks left are worth more. The compiled kernel walks 14-23M
+# nodes/s, and there a process's first fork paid for itself only on scans of
+# more than about 350k nodes: on two CPUs, forking after the first task lost
+# 6 ms on C5xC5's uncut d/k walk (139k nodes) and 4 ms on C3xC9's (256k), and
+# saved 7 ms on C2xC4xC4's (508k) and 8 ms on C2xC2xC8's (638k).
 _FORK_GATE_NODES = 20_000
+_COMPILED_FORK_GATE_NODES = 350_000
 # Indices queued in the task pipe at once: 4 bytes each, so every write
 # is at most 512 bytes (POSIX PIPE_BUF) and the pipe never fills.
 _TASK_WINDOW = 128
@@ -273,16 +286,22 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     every level from the one above the root.
     All accumulators are made here, in this process, and come back in root
     order whatever the worker count and the schedule, so merging them is
-    deterministic. Tasks run from the last root down in-process until the
-    scan has entered more than ``_FORK_GATE_NODES`` nodes and at least two
-    usable CPUs (``_usable_cpus``; one without ``os.fork``) have a task left;
-    those remaining, larger tasks then run in forked workers, one per CPU up
-    to one per task (``_run_forked``), whose accumulator state is copied
-    back into these accumulators.
+    deterministic. The tasks run on the compiled kernel when it loads
+    (``_kernel.load``, called before the scan's clock starts, so that a
+    first build is set-up) and every accumulator's own class names a
+    ``kernel_mode`` (``_compiled``): ``_CountAcc``, ``_ExtremaAcc``,
+    ``_MinMaxOrderAcc`` and ``verifier._ViolationAcc``, not a subclass or a
+    wrapper. Otherwise they run on ``_scan_from``. Tasks run from the last
+    root down in-process until the scan has entered more than the kernel's
+    fork gate and at least two usable CPUs (``_usable_cpus``; one without
+    ``os.fork``) have a task left; those remaining, larger tasks then run in
+    forked workers, one per CPU up to one per task (``_run_forked``), whose
+    accumulator state is copied back into these accumulators.
 
     A task, its root too, enters no more than the nodes the scan has left,
     those of ``budget.max_nodes`` not yet summed (at the fork, for a forked
-    task), and stops at the deadline (``_scan_from``); so a scan in one
+    task), and stops at the deadline (``_scan_from``; the compiled kernel
+    is handed the seconds left, not the clock); so a scan in one
     process enters at most ``max_nodes`` nodes. ``tally``, which sums the
     nodes of the tasks as they finish, is the one place a budget error is
     raised. Once the sum is above ``max_nodes`` it reports nodes_visited
@@ -294,8 +313,6 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     budget = budget or DEFAULT_BUDGET
     tables = tables_for(group)
     max_nodes = budget.max_nodes
-    if weights is None:
-        weights = bytes(tables.size)
     root_mask = ((1 << tables.size) - 1) & ~forbidden_mask
     cut = None
     if symmetric:
@@ -303,14 +320,27 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
         root_mask &= cut[cut.full]
     roots = [g for g, bit in enumerate(bin(root_mask)[:1:-1]) if bit == "1"]
 
+    kernel = _kernel.load()  # a first build is set-up, before the clock starts
     started = time.monotonic()
     deadline = started + budget.max_seconds
     accs = [acc_factory() for _ in roots]
     nodes = 0
+    compiled = kernel and _compiled(kernel, tables, accs, forbidden_mask, weights, cut)
+    if compiled:
+        walk, modes = compiled
+        gate = _COMPILED_FORK_GATE_NODES
 
-    def run_one(index: int) -> int:
-        return _scan_from(tables, roots[index], forbidden_mask, accs[index], weights,
-                          max_nodes - nodes, deadline, cut)
+        def run_one(index: int) -> int:
+            return walk(roots[index], accs[index], modes[index], max_nodes - nodes,
+                        deadline - time.monotonic())
+    else:
+        if weights is None:
+            weights = bytes(tables.size)
+        gate = _FORK_GATE_NODES
+
+        def run_one(index: int) -> int:
+            return _scan_from(tables, roots[index], forbidden_mask, accs[index], weights,
+                              max_nodes - nodes, deadline, cut)
 
     def tally(task_nodes: int) -> None:
         nonlocal nodes
@@ -326,12 +356,35 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
 
     cpus = _usable_cpus() if hasattr(os, "fork") else [None]
     left = len(roots)
-    while left and (nodes <= _FORK_GATE_NODES or min(len(cpus), left) < 2):
+    while left and (nodes <= gate or min(len(cpus), left) < 2):
         left -= 1
         tally(run_one(left))
     if left:
         _run_forked(cpus[:left], left, run_one, tally, accs)
     return accs, nodes
+
+
+def _compiled(kernel, tables: GroupTables, accs: list, forbidden_mask: int, weights,
+              cut: _PathCut | None):
+    """(walk, modes): the compiled kernel's walk of this scan and each
+    task's accumulator mode; None unless every accumulator's own class
+    (not a base class) names a ``kernel_mode`` and every weight fits in
+    32 bits."""
+    modes = [vars(type(acc)).get("kernel_mode") for acc in accs]
+    if None in modes:
+        return None
+    width = -(-tables.size // 64) * 8
+    spec = None
+    if cut is not None:
+        gwidth = -(-max(len(cut.perms), 1) // 64) * 8
+        spec = (b"".join(fix.to_bytes(gwidth, "little") for fix in cut.fixes),
+                cut.full.to_bytes(gwidth, "little"),
+                lambda fix: cut[int.from_bytes(fix, "little")].to_bytes(width, "little"))
+    forbidden = (forbidden_mask & ((1 << tables.size) - 1)).to_bytes(width, "little")
+    try:
+        return kernel.Scan(tables.factors, forbidden, weights, spec).walk, modes
+    except OverflowError:
+        return None
 
 
 def _read(fd: int, n: int) -> bytes | None:
@@ -482,6 +535,7 @@ class _CountAcc:
     """Counts sequences at one exact depth, where it stops, keeping them if ``keep``."""
 
     __slots__ = ("target", "count", "hits")
+    kernel_mode = 0  # its MODE_* in the compiled kernel, _kernel.c
 
     def __init__(self, target: int, keep: bool):
         self.target = target
@@ -507,6 +561,7 @@ class _ExtremaAcc:
     """
 
     __slots__ = ("best_len", "best", "best_scaled", "best_cross")
+    kernel_mode = 1  # its MODE_* in the compiled kernel, _kernel.c
 
     def __init__(self):
         self.best_len = 0
@@ -535,6 +590,7 @@ class _MinMaxOrderAcc:
     """
 
     __slots__ = ("target", "best_count", "best")
+    kernel_mode = 2  # its MODE_* in the compiled kernel, _kernel.c
 
     def __init__(self, target):
         self.target = target

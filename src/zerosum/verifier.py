@@ -45,6 +45,7 @@ class _ViolationAcc:
     """
 
     __slots__ = ("min_length", "bound", "stop", "counterexample")
+    kernel_mode = 3  # its MODE_* in the compiled kernel, _kernel.c
 
     def __init__(self, min_length: int, bound: int, stop: int):
         self.min_length, self.bound, self.stop = min_length, bound, stop

@@ -41,6 +41,36 @@ def usable_cpus(monkeypatch):
 
 
 @pytest.fixture
+def python_kernel(monkeypatch):
+    """Pin every scan to the Python kernel, ``search._scan_from``: the
+    loader finds no compiled one. For the tests that hook that kernel or
+    its accumulators' ``enter``."""
+    from zerosum import _kernel
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+
+
+@pytest.fixture
+def compiled_kernel():
+    """The compiled search kernel module; skips where it cannot be built."""
+    from zerosum import _kernel
+    module = _kernel.load()
+    if module is None:
+        pytest.skip("no compiled search kernel on this machine")
+    return module
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kernel(request, monkeypatch):
+    """Run the test once on each search kernel; the compiled one is
+    skipped where it cannot be built. Returns the compiled module, or
+    None for the Python kernel."""
+    from zerosum import _kernel
+    module = request.getfixturevalue("compiled_kernel") if request.param == "compiled" else None
+    monkeypatch.setattr(_kernel, "load", lambda: module)
+    return module
+
+
+@pytest.fixture
 def forked_scans(monkeypatch, usable_cpus):
     """Make every scan with two or more root tasks fork its workers after
     its first in-process task, as if the machine had four usable CPUs.
@@ -59,6 +89,7 @@ def forked_scans(monkeypatch, usable_cpus):
         return real_fork()
 
     monkeypatch.setattr(search, "_FORK_GATE_NODES", 0)
+    monkeypatch.setattr(search, "_COMPILED_FORK_GATE_NODES", 0)
     usable_cpus(4)
     monkeypatch.setattr(os, "fork", counting_fork)
     yield forks

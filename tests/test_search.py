@@ -16,6 +16,7 @@ from zerosum import (AbelianGroup, BudgetExceededError, DivisorPair, GSequence,
                      gamma_bounds, gamma_exact, gamma_extremal_sequence, k_star,
                      longest_avoiding, max_order_count, order_filter,
                      reduced_group, zero_sumfree_extrema)
+from zerosum import _kernel
 from zerosum.search import (_cross_weights, _ExtremaAcc, _rank_lists, _subgroup_mask,
                             _usable_cpus)
 from zerosum.sequences import check_witness, cross_number
@@ -27,6 +28,15 @@ C3 = AbelianGroup((3,))
 C6 = AbelianGroup((6,))
 C24 = AbelianGroup((2, 4))
 C22 = AbelianGroup((2, 2))
+
+
+def each_kernel(monkeypatch):
+    """Pin the search to each kernel in turn, the Python one and then the
+    compiled one where it can be built; yields the compiled module or None."""
+    compiled = _kernel.load()
+    for module in (None, compiled) if compiled else (None,):
+        monkeypatch.setattr(_kernel, "load", lambda module=module: module)
+        yield module
 
 
 def extrema_kwargs(group):
@@ -259,10 +269,11 @@ class TestBudget:
     @pytest.mark.parametrize("factors, max_nodes",
                              [((5, 5), 30_000), ((3, 9), 100_000), ((6, 6), 100_000)],
                              ids=str)
-    def test_node_budget_bounds_the_nodes_entered(self, factors, max_nodes,
+    def test_node_budget_bounds_the_nodes_entered(self, factors, max_nodes, python_kernel,
                                                   monkeypatch, usable_cpus):
         # every root in this process: each task, its root too, is held to the
-        # nodes the scan has left, so the exceeded walk enters the budget
+        # nodes the scan has left, so the exceeded walk enters the budget;
+        # on the Python kernel, whose enter calls count the nodes entered
         from zerosum.search import run_scan
         group = AbelianGroup(factors)
         entered = [0]
@@ -408,23 +419,24 @@ class TestForkedWorkers:
         assert runs[0][1] == 138_864
         assert runs[0][4:] == (15_736, 3, (2, 16, 128))
 
-    def test_task_result_does_not_grow_with_the_group(self):
+    def test_task_result_does_not_grow_with_the_group(self, monkeypatch):
         """A worker sends back ``(index, (acc, nodes))`` per task: for a
         one-node task of each accumulator that reads the path's total, it
-        pickles to as many bytes on C8xC8xC8 as on C3xC3."""
+        pickles to as many bytes on C8xC8xC8 as on C3xC3, on either kernel."""
         import pickle
         from zerosum.search import _MinMaxOrderAcc, run_scan
         from zerosum.verifier import _ViolationAcc
-        sizes = []
-        for factors in ((3, 3), (8, 8, 8)):
-            group = AbelianGroup(factors)
-            row = []
-            for factory in (_RootExtremaAcc, lambda: _MinMaxOrderAcc(1),
-                            lambda: _ViolationAcc(2, group.exponent, 1)):
-                accs, _ = run_scan(group, factory, weights=_cross_weights(group))
-                row.append(len(pickle.dumps((0, (accs[0], 1)), pickle.HIGHEST_PROTOCOL)))
-            sizes.append(row)
-        assert sizes[0] == sizes[1]
+        for _ in each_kernel(monkeypatch):
+            sizes = []
+            for factors in ((3, 3), (8, 8, 8)):
+                group = AbelianGroup(factors)
+                row = []
+                for factory in (_RootExtremaAcc, lambda: _MinMaxOrderAcc(1),
+                                lambda: _ViolationAcc(2, group.exponent, 1)):
+                    accs, _ = run_scan(group, factory, weights=_cross_weights(group))
+                    row.append(len(pickle.dumps((0, (accs[0], 1)), pickle.HIGHEST_PROTOCOL)))
+                sizes.append(row)
+            assert sizes[0] == sizes[1]
 
     def test_enumeration_visits_in_lexicographic_order(self, forked_scans, usable_cpus):
         group = AbelianGroup((3, 3))
@@ -460,7 +472,7 @@ class TestForkedWorkers:
                 enumerate_zero_sumfree(AbelianGroup((10, 10)), 2, budget=budget)
 
     def test_time_budget_reports_the_scan_total(self, forked_scans, monkeypatch,
-                                                usable_cpus):
+                                                usable_cpus, python_kernel):
         # A fake clock, past the deadline once this process has entered 40,000
         # nodes or has forked. At width 1 the scan stops inside task 19 at its
         # next 2048th node, which is counted but not entered. At width 2 the
@@ -505,7 +517,7 @@ class TestForkedWorkers:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="needs two usable CPUs and sched_setaffinity")
-    def test_workers_run_on_distinct_cpus(self, forked_scans, usable_cpus):
+    def test_workers_run_on_distinct_cpus(self, forked_scans, usable_cpus, python_kernel):
         # C3xC3 has 8 roots: the last runs in-process, 7 go to two workers
         from zerosum.search import run_scan
         c33 = AbelianGroup((3, 3))
@@ -516,7 +528,8 @@ class TestForkedWorkers:
         assert all(len(cpus) == 1 for cpus in forked), forked
         assert len(set(forked)) == 2, forked
 
-    def test_dead_worker_is_an_error(self, forked_scans, monkeypatch, usable_cpus):
+    def test_dead_worker_is_an_error(self, forked_scans, monkeypatch, usable_cpus,
+                                     python_kernel):
         from zerosum import search
         from zerosum.errors import InternalCheckError
         parent = os.getpid()
@@ -534,7 +547,8 @@ class TestForkedWorkers:
             search.run_scan(c33, **extrema_kwargs(c33))
         assert forked_scans
 
-    def test_worker_exception_keeps_its_type(self, forked_scans, monkeypatch, usable_cpus):
+    def test_worker_exception_keeps_its_type(self, forked_scans, monkeypatch, usable_cpus,
+                                             python_kernel):
         from zerosum import search
         parent = os.getpid()
         real_scan = search._scan_from
@@ -551,10 +565,11 @@ class TestForkedWorkers:
             search.run_scan(c33, **extrema_kwargs(c33))
         assert forked_scans
 
-    @pytest.mark.parametrize("cut", [5, 8, 20], ids=lambda n: f"{n}-bytes")
+    @pytest.mark.parametrize("cut", [0, 5, 8, 20], ids=lambda n: f"{n}-bytes")
     def test_result_cut_short_is_an_error(self, cut, forked_scans, monkeypatch,
                                           usable_cpus):
-        # a worker that ends inside its first result, in the length or after it
+        # a worker that ends before its first result, inside its length or
+        # after it, on either kernel
         from zerosum import search
         from zerosum.errors import InternalCheckError
         parent = os.getpid()
@@ -566,17 +581,20 @@ class TestForkedWorkers:
                 os._exit(3)
             return real_write(fd, data)
 
-        monkeypatch.setattr(os, "write", cut_write)
         c33 = AbelianGroup((3, 3))
         usable_cpus(2)
-        with pytest.raises(InternalCheckError, match="reporting task 0"):
-            search.run_scan(c33, **extrema_kwargs(c33))
-        assert forked_scans
+        for _ in each_kernel(monkeypatch):
+            forked_scans.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "write", cut_write)
+                with pytest.raises(InternalCheckError, match="reporting task 0"):
+                    search.run_scan(c33, **extrema_kwargs(c33))
+            assert forked_scans
 
-    def test_task_window_refills(self, monkeypatch, usable_cpus):
-        # at the real fork gate, enumerating C20xC20 at length 2 runs the last
-        # 199 roots in-process and hands the 200 left to two workers, more
-        # than the task pipe holds at once
+    def test_task_window_refills(self, monkeypatch, usable_cpus, python_kernel):
+        # at the Python kernel's fork gate, enumerating C20xC20 at length 2
+        # runs the last 199 roots in-process and hands the 200 left to two
+        # workers, more than the task pipe holds at once
         from zerosum import search
         handed = []
         real_run_forked = search._run_forked
@@ -760,6 +778,24 @@ class TestRouteIndependence:
         search._path_cut.cache_clear()
         assert searches() == want
 
+    def test_checks_never_load_the_compiled_kernel(self):
+        # in a fresh interpreter, the definitional subsums and a witness
+        # check leave the kernel's loader unimported
+        import subprocess
+        import sys
+        import zerosum
+        code = ("import sys\n"
+                "from zerosum import AbelianGroup, GSequence\n"
+                "from zerosum.sequences import check_witness, definitional_subsums\n"
+                "seq = GSequence.from_ranks(AbelianGroup((5, 5)), (1, 1, 1, 1, 5, 5, 5, 5))\n"
+                "assert len(definitional_subsums(seq)) == 24\n"
+                "check_witness(seq, length=8)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('zerosum.')))")
+        src = os.path.dirname(os.path.dirname(zerosum.__file__))
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert "zerosum._kernel" not in out and "zerosum.search" not in out
+
     def test_checks_build_no_cut(self, monkeypatch):
         from zerosum import check_heights, search
 
@@ -812,7 +848,7 @@ class TestPinnedCounts:
         report = check_cross_number_conjecture(AbelianGroup((3, 9)))
         assert report.nodes_visited == 255_946
 
-    def test_forbidden_allowed_elements_are_never_entered(self):
+    def test_forbidden_allowed_elements_are_never_entered(self, python_kernel):
         # the zero element alone, then with the 4 elements of order 4 of C2xC4
         # (ranks 2, 3, 6 and 7), which leaves the walk of G_2 = C2xC2
         from zerosum.search import run_scan
@@ -1067,7 +1103,8 @@ class TestBlockedMaskKernel:
                     want[0], key=lambda state: state[0], default=(0, None))[:2]
         assert forked_scans
 
-    def test_running_sums_match_sums_from_scratch(self, forked_scans, usable_cpus):
+    def test_running_sums_match_sums_from_scratch(self, forked_scans, usable_cpus,
+                                                  python_kernel):
         """At every enter the total the kernel passes is the sum of the
         weights over the whole path; and each accumulator that reads it
         gives the results of its twin, which sums the whole path itself,
@@ -1098,7 +1135,8 @@ class TestBlockedMaskKernel:
         assert climbs["_MinMaxOrderAcc"] and climbs["_ViolationAcc"]
         assert forked_scans
 
-    def test_root_task_walks_its_reference_subtree(self, forked_scans, usable_cpus):
+    def test_root_task_walks_its_reference_subtree(self, forked_scans, usable_cpus,
+                                                   python_kernel):
         """Root g's task enters exactly the reference paths of root g, in
         order; with an accumulator that stops at length 1 it enters (g,)
         alone. The masks that leave only the top rank |G| - 1, or only
@@ -1131,7 +1169,8 @@ class TestBlockedMaskKernel:
                     assert nodes == sum(map(len, want))
         assert forked_scans
 
-    def test_translates_only_nodes_that_descend(self, monkeypatch, usable_cpus):
+    def test_translates_only_nodes_that_descend(self, monkeypatch, usable_cpus,
+                                                python_kernel):
         """One translate per node entered whose ``enter`` returns True, the
         only nodes the kernel descends into: every node of the d/k scan, but
         not the nodes where the Gamma cut, the count's length or the
@@ -1178,6 +1217,169 @@ class TestBlockedMaskKernel:
         # the max-order check stops its 8,400 paths of length d(G) = 8
         assert got[1:] == [(422_338, 422_338, 508_814), (312, 312, 2_520),
                            (130_464, 130_464, 138_864)]
+
+
+def task_nodes(monkeypatch) -> list[int]:
+    """The list to which each later root task, on either kernel, appends
+    the nodes it returns."""
+    from zerosum import search
+    nodes = []
+    scan_from, compiled = search._scan_from, search._compiled
+
+    def counted(walk):
+        def counting(*args):
+            nodes.append(walk(*args))
+            return nodes[-1]
+        return counting
+
+    def counting_compiled(*args):
+        found = compiled(*args)
+        return found and (counted(found[0]), found[1])
+
+    monkeypatch.setattr(search, "_scan_from", counted(scan_from))
+    monkeypatch.setattr(search, "_compiled", counting_compiled)
+    return nodes
+
+
+class TestCompiledKernel:
+    """The compiled kernel (``_kernel.c``) against the Python one, its
+    oracle: the same accumulator state per root task, the same root tasks
+    and the same nodes, cut and uncut, at widths 1 and 2, within a budget
+    and past it."""
+
+    @staticmethod
+    def _accumulators(group):
+        """(factory, weights) of each accumulator the compiled kernel runs,
+        ``_CountAcc`` with and without its paths, and a violation check
+        that finds none and stops below every longest path."""
+        from zerosum.search import _CountAcc
+        from zerosum.verifier import _ViolationAcc
+        return [(lambda: _CountAcc(2, False), None), (lambda: _ViolationAcc(1, 0, 2), None)] + [
+            (factory, weights) for factory, weights, _, _ in TestBlockedMaskKernel._cases(group)]
+
+    @pytest.mark.parametrize("factors", P_GROUP_FACTORS + NON_P_FACTORS, ids=str)
+    def test_root_tasks_match(self, factors, compiled_kernel, forked_scans, monkeypatch,
+                              usable_cpus):
+        from zerosum.search import run_scan
+        group = AbelianGroup(factors)
+        for factory, weights in self._accumulators(group):
+            for symmetric in (False, True):
+                for width in (1, 2):
+                    usable_cpus(width)
+                    python, compiled = (
+                        _scan_summary(run_scan(group, factory, weights=weights,
+                                               symmetric=symmetric))
+                        for _ in each_kernel(monkeypatch))
+                    assert compiled == python, (factory(), symmetric, width)
+        assert forked_scans or group.cardinality <= 3  # three roots fork at width 2
+
+    @pytest.mark.parametrize("factors", P_GROUP_FACTORS + NON_P_FACTORS + [(5, 5)], ids=str)
+    def test_task_budgets_match(self, factors, compiled_kernel):
+        """Each root task alone, through ``_scan_from`` and the compiled
+        walk: at allowances 0, N - 1 and N, N its nodes, and with the
+        deadline already past, which stops a task at its 2048th node."""
+        from zerosum.groups import tables_for
+        from zerosum.search import _compiled, _path_cut, _scan_from
+        group = AbelianGroup(factors)
+        tables, size, unbounded = tables_for(group), group.cardinality, 10 ** 12
+        stopped = 0
+        for factory, weights in self._accumulators(group):
+            for cut in (None, _path_cut(factors)):
+                roots = -1 if cut is None else cut[cut.full]
+                for root in (r for r in range(1, size) if roots >> r & 1):
+                    def python(allowance, deadline=math.inf):
+                        acc = factory()
+                        nodes = _scan_from(tables, root, 1, acc, weights or bytes(size),
+                                           allowance, deadline, cut)
+                        return nodes, _acc_state(acc)
+
+                    def compiled(allowance, seconds=math.inf):
+                        acc = factory()
+                        walk, (mode,) = _compiled(compiled_kernel, tables, [acc], 1, weights,
+                                                  cut)
+                        return walk(root, acc, mode, allowance, seconds), _acc_state(acc)
+
+                    full = python(unbounded)[0]
+                    for allowance in (0, full - 1, full):
+                        assert compiled(allowance) == python(allowance), (root, allowance)
+                    past = python(unbounded, -math.inf)
+                    assert compiled(unbounded, -math.inf) == past
+                    stopped += past[0] == 2048 < full
+        assert stopped or size < 25
+
+    @pytest.mark.parametrize("factors, delta, nodes",
+                             [((9, 9), 8, 3_510_089), ((8, 8, 8), 12, 2_790_192)], ids=str)
+    def test_multiword_masks(self, factors, delta, nodes, compiled_kernel, monkeypatch):
+        # 81 and 512 ranks: two and eight 64-bit words per mask
+        from zerosum.search import _gamma_scan
+        group = AbelianGroup(factors)
+        runs = [_gamma_scan(group, delta, None, symmetric=True) for _ in each_kernel(monkeypatch)]
+        assert runs[0] == runs[1]
+        assert runs[0][2] == nodes
+
+    @pytest.mark.parametrize("factors, nodes", [((2, 2, 2, 2, 6), 102_818), ((2,) * 9, 9)],
+                             ids=str)
+    def test_many_generators(self, factors, nodes, compiled_kernel, monkeypatch):
+        # C2^4xC6 has 21 generators; C2^9, 72, two words per generator mask
+        from zerosum.search import _path_cut
+        group = AbelianGroup(factors)
+        assert len(_path_cut(factors).perms) > 20
+        totals = scan_nodes(monkeypatch)
+        runs = []
+        for _ in each_kernel(monkeypatch):
+            d, d_wit, k, k_wit = zero_sumfree_extrema(group)
+            runs.append((d, tuple(d_wit.iter_ranks()), k, tuple(k_wit.iter_ranks())))
+        assert runs[0] == runs[1]
+        assert totals == [nodes, nodes]
+
+    def test_other_accumulators_and_wide_weights_run_on_python(self, compiled_kernel,
+                                                              monkeypatch):
+        # a subclass of a compiled accumulator, and weights beyond 32 bits
+        from zerosum.groups import tables_for
+        from zerosum.search import _compiled, run_scan
+        tables = tables_for(C24)
+        wide = [w << 40 for w in _cross_weights(C24)]
+        assert _compiled(compiled_kernel, tables, [_RootExtremaAcc()], 1, None, None) is None
+        assert _compiled(compiled_kernel, tables, [_ExtremaAcc()], 1, wide, None) is None
+        runs = [_scan_summary(run_scan(C24, _ExtremaAcc, weights=wide))
+                for _ in each_kernel(monkeypatch)]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("factors, max_nodes",
+                             [((5, 5), 30_000), ((3, 9), 100_000), ((6, 6), 100_000)],
+                             ids=str)
+    def test_tasks_enter_the_budget(self, factors, max_nodes, kernel, monkeypatch,
+                                    usable_cpus):
+        # every root in this process: the tasks' nodes sum to the budget,
+        # which they enter, and the one node that stopped the scan
+        from zerosum.search import run_scan
+        group = AbelianGroup(factors)
+        nodes = task_nodes(monkeypatch)
+        usable_cpus(1)
+        with pytest.raises(BudgetExceededError) as info:
+            run_scan(group, **extrema_kwargs(group), budget=SearchBudget(max_nodes=max_nodes))
+        assert info.value.nodes_visited == max_nodes + 1
+        assert sum(nodes) == max_nodes + 1
+
+    def test_worker_exception_keeps_its_type(self, compiled_kernel, forked_scans, monkeypatch,
+                                             usable_cpus):
+        # the cut's first class mask that the compiled walk asks for in a
+        # worker raises there
+        from zerosum import search
+        parent = os.getpid()
+        real_missing = search._PathCut.__missing__
+
+        def failing(cut, fix):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("in a worker")
+            return real_missing(cut, fix)
+
+        monkeypatch.setattr(search._PathCut, "__missing__", failing)
+        search._path_cut.cache_clear()
+        usable_cpus(2)
+        with pytest.raises(ZeroDivisionError, match="in a worker"):
+            zero_sumfree_extrema(AbelianGroup((2, 4, 4)))
+        assert forked_scans
 
 
 # entry points that take an exact integer, each given a value in its place
