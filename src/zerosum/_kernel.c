@@ -470,6 +470,10 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
     double seconds;
     if (!PyArg_ParseTuple(args, "nOiOd:walk", &root, &acc, &mode, &max_obj, &seconds))
         return NULL;
+    if (s->factors == NULL) {
+        PyErr_SetString(PyExc_TypeError, "a Scan must be initialised before it walks");
+        return NULL;
+    }
     if (root < 0 || root >= s->size || mode < MODE_COUNT || mode > MODE_VIOLATION) {
         PyErr_SetString(PyExc_ValueError, "root out of range or unknown mode");
         return NULL;

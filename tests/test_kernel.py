@@ -147,3 +147,9 @@ def test_interrupt_stops_a_long_compiled_walk(compiled_kernel):
         proc.wait()
     assert proc.returncode != 0
     assert "KeyboardInterrupt" in err
+
+
+def test_scan_refuses_to_walk_uninitialised(compiled_kernel):
+    scan = compiled_kernel.Scan.__new__(compiled_kernel.Scan)
+    with pytest.raises(TypeError, match="initialised"):
+        scan.walk(1, object(), 0, 1, 1.0)
