@@ -11,6 +11,13 @@
    against the deadline as _scan_from does them; the deadline comes as
    seconds left, so no clock is shared with Python.
 
+   The walk releases the GIL for its loop and takes it back only to touch
+   a Python object: on a class-mask miss of the cut, for each path that
+   _CountAcc(keep=True) keeps and, on the main thread alone, to check for
+   signals at every 2048th node. So Scans on several threads walk at
+   once, one task at a time each. At every 2048th node a walk also ends
+   if its Scan's stop() was called, as at the deadline.
+
    A rank mask is little-endian 64-bit words. Translating a mask by an
    element is one rotation per nonzero coordinate of the element, inside
    every block of n*s ranks, as in groups.GroupTables: the two masks of
@@ -49,9 +56,31 @@ typedef struct {
     Py_ssize_t *select;
     int64_t *total;
     int32_t *path, *best_a, *best_b;
+    int busy;              /* a walk is running; set and read under the GIL */
+    int stop;              /* set by stop(), read by the walk without the GIL */
 } Scan;
 
 /* -- helpers ------------------------------------------------------------- */
+
+/* Every buffer a Scan owns comes from the raw allocator, which needs no
+   GIL, and ends with 64 spare bytes, so that the buffers of two Scans
+   walked on two threads never share a cache line. NULL on failure, with
+   no exception set: the walk raises MemoryError once it holds the GIL. */
+static void *raw_alloc(size_t n, size_t size)
+{
+    return PyMem_RawCalloc(1, n * size + 64);
+}
+
+static void *raw_grow(void *p, size_t n, size_t size)
+{
+    return PyMem_RawRealloc(p, n * size + 64);
+}
+
+static int no_memory(void)
+{
+    PyErr_NoMemory();
+    return -1;
+}
 
 static void load_words(word *dst, const unsigned char *src, Py_ssize_t n)
 {
@@ -166,18 +195,17 @@ static double now(void)
 
 /* -- translate ------------------------------------------------------------ */
 
-/* The (low, high) masks adding c to coordinate i, built on first use. */
+/* The (low, high) masks adding c to coordinate i, built on first use;
+   NULL when out of memory. */
 static word *rotation(Scan *s, Py_ssize_t i, Py_ssize_t c)
 {
     word **slot = &s->rot[s->rot_base[i] + c];
     if (*slot == NULL) {
         Py_ssize_t W = s->words, st = s->strides[i];
         Py_ssize_t block = s->factors[i] * st, down = (s->factors[i] - c) * st;
-        word *m = PyMem_Calloc(2 * W, sizeof(word));
-        if (m == NULL) {
-            PyErr_NoMemory();
+        word *m = raw_alloc(2 * W, sizeof(word));
+        if (m == NULL)
             return NULL;
-        }
         for (Py_ssize_t b = 0; b < s->size; b += block) {
             set_range(m, b, b + down);
             set_range(m + W, b + down, b + block);
@@ -212,7 +240,7 @@ static void rotate(word *dst, const word *src, const word *m, Py_ssize_t W,
     }
 }
 
-/* dst = src | translate(src, -h); 0, or -1 with an exception set. */
+/* dst = src | translate(src, -h); 0, or -1 when out of memory. */
 static int block_child(Scan *s, word *dst, const word *src, Py_ssize_t h)
 {
     Py_ssize_t W = s->words;
@@ -238,31 +266,26 @@ static int block_child(Scan *s, word *dst, const word *src, Py_ssize_t h)
 
 /* -- the cut's classes ---------------------------------------------------- */
 
-/* Room for twice the classes kept, 16 at first. */
+/* Room for twice the classes kept, 16 at first; -1 when out of memory. */
 static int grow_classes(Scan *s)
 {
     Py_ssize_t cap = s->class_cap ? 2 * s->class_cap : 16;
-    word *keys = PyMem_Realloc(s->keys, cap * s->gwords * sizeof(word));
+    word *keys = raw_grow(s->keys, cap * s->gwords, sizeof(word));
     if (keys != NULL)
         s->keys = keys;
-    word *masks = keys ? PyMem_Realloc(s->masks, cap * s->words * sizeof(word)) : NULL;
-    if (masks == NULL) {
-        PyErr_NoMemory();
+    word *masks = keys ? raw_grow(s->masks, cap * s->words, sizeof(word)) : NULL;
+    if (masks == NULL)
         return -1;
-    }
     s->masks = masks;
     s->class_cap = cap;
     return 0;
 }
 
-/* Index of the class-minima mask of generator mask ``fix``, fetched from
-   Python on a miss; -1 with an exception set. */
-static Py_ssize_t class_of(Scan *s, const word *fix)
+/* Index of the new class-minima mask of generator mask ``fix``, fetched
+   from Python with the GIL held; -1 with an exception set. */
+static Py_ssize_t fetch_class(Scan *s, const word *fix)
 {
     Py_ssize_t GW = s->gwords, W = s->words;
-    for (Py_ssize_t k = 0; k < s->nclasses; k++)
-        if (memcmp(s->keys + k * GW, fix, GW * sizeof(word)) == 0)
-            return k;
     PyObject *key = PyBytes_FromStringAndSize(NULL, GW * 8);
     if (key == NULL)
         return -1;
@@ -278,7 +301,7 @@ static Py_ssize_t class_of(Scan *s, const word *fix)
     }
     if (s->nclasses == s->class_cap && grow_classes(s) < 0) {
         Py_DECREF(got);
-        return -1;
+        return no_memory();
     }
     Py_ssize_t k = s->nclasses++;
     memcpy(s->keys + k * GW, fix, GW * sizeof(word));
@@ -287,8 +310,25 @@ static Py_ssize_t class_of(Scan *s, const word *fix)
     return k;
 }
 
+/* Index of the class-minima mask of generator mask ``fix``. Called
+   without the GIL: the masks kept are searched as they are, and only a
+   miss takes the GIL back, through *ts, to fetch one. -1 with an
+   exception set. */
+static Py_ssize_t class_of(Scan *s, const word *fix, PyThreadState **ts)
+{
+    Py_ssize_t GW = s->gwords;
+    for (Py_ssize_t k = 0; k < s->nclasses; k++)
+        if (memcmp(s->keys + k * GW, fix, GW * sizeof(word)) == 0)
+            return k;
+    PyEval_RestoreThread(*ts);
+    Py_ssize_t k = fetch_class(s, fix);
+    *ts = PyEval_SaveThread();
+    return k;
+}
+
 /* -- the walk's levels ---------------------------------------------------- */
 
+/* Room for levels 0 .. need; -1 when out of memory. */
 static int grow_levels(Scan *s, Py_ssize_t need)
 {
     if (need < s->level_cap)
@@ -297,14 +337,12 @@ static int grow_levels(Scan *s, Py_ssize_t need)
     while (cap <= need)
         cap *= 2;
     Py_ssize_t W = s->words, GW = s->gwords ? s->gwords : 1;
-#define GROW(field, type, per)                                                 \
-    do {                                                                       \
-        type *p = PyMem_Realloc(s->field, (size_t)cap * (per) * sizeof(type)); \
-        if (p == NULL) {                                                       \
-            PyErr_NoMemory();                                                  \
-            return -1;                                                         \
-        }                                                                      \
-        s->field = p;                                                          \
+#define GROW(field, type, per)                                          \
+    do {                                                                \
+        type *p = raw_grow(s->field, (size_t)cap * (per), sizeof(type)); \
+        if (p == NULL)                                                  \
+            return -1;                                                  \
+        s->field = p;                                                   \
     } while (0)
     GROW(cand, word, W);
     GROW(blocked, word, W);
@@ -326,14 +364,14 @@ static void Scan_dealloc(Scan *s)
     if (s->rot != NULL && s->rot_base != NULL) {
         Py_ssize_t n = s->rot_base[s->rank];
         for (Py_ssize_t i = 0; i < n; i++)
-            PyMem_Free(s->rot[i]);
+            PyMem_RawFree(s->rot[i]);
     }
     void *blocks[] = {s->factors, s->strides, s->rot_base, s->rot, s->forbidden,
                       s->weights, s->fixes, s->full, s->keys, s->masks,
                       s->cand, s->blocked, s->fix, s->tmp, s->select, s->total,
                       s->path, s->best_a, s->best_b};
     for (size_t i = 0; i < sizeof(blocks) / sizeof(blocks[0]); i++)
-        PyMem_Free(blocks[i]);
+        PyMem_RawFree(blocks[i]);
     Py_XDECREF(s->classes);
     Py_TYPE(s)->tp_free((PyObject *)s);
 }
@@ -371,13 +409,11 @@ static int Scan_init(Scan *s, PyObject *args, PyObject *kwds)
         return -1;
     }
     s->rank = rank;
-    s->factors = PyMem_Calloc(rank, sizeof(Py_ssize_t));
-    s->strides = PyMem_Calloc(rank, sizeof(Py_ssize_t));
-    s->rot_base = PyMem_Calloc(rank + 1, sizeof(Py_ssize_t));
-    if (!s->factors || !s->strides || !s->rot_base) {
-        PyErr_NoMemory();
-        return -1;
-    }
+    s->factors = raw_alloc(rank, sizeof(Py_ssize_t));
+    s->strides = raw_alloc(rank, sizeof(Py_ssize_t));
+    s->rot_base = raw_alloc(rank + 1, sizeof(Py_ssize_t));
+    if (!s->factors || !s->strides || !s->rot_base)
+        return no_memory();
     for (Py_ssize_t i = 0; i < rank; i++) {
         Py_ssize_t n = PyLong_AsSsize_t(PyTuple_GET_ITEM(factors, i));
         if (n == -1 && PyErr_Occurred())
@@ -396,13 +432,11 @@ static int Scan_init(Scan *s, PyObject *args, PyObject *kwds)
     s->size = size;
     s->words = (size + 63) / 64;
     Py_ssize_t W = s->words;
-    s->rot = PyMem_Calloc(shifts, sizeof(word *));
-    s->forbidden = PyMem_Calloc(W, sizeof(word));
-    s->tmp = PyMem_Calloc(2 * W, sizeof(word));
-    if (!s->rot || !s->forbidden || !s->tmp) {
-        PyErr_NoMemory();
-        return -1;
-    }
+    s->rot = raw_alloc(shifts, sizeof(word *));
+    s->forbidden = raw_alloc(W, sizeof(word));
+    s->tmp = raw_alloc(2 * W, sizeof(word));
+    if (!s->rot || !s->forbidden || !s->tmp)
+        return no_memory();
     if (read_mask(forbidden, s->forbidden, W, "forbidden") < 0)
         return -1;
     if (weights != Py_None) {
@@ -414,11 +448,10 @@ static int Scan_init(Scan *s, PyObject *args, PyObject *kwds)
             PyErr_SetString(PyExc_ValueError, "weights must have one entry per rank");
             return -1;
         }
-        s->weights = PyMem_Calloc(size, sizeof(int32_t));
+        s->weights = raw_alloc(size, sizeof(int32_t));
         if (s->weights == NULL) {
             Py_DECREF(seq);
-            PyErr_NoMemory();
-            return -1;
+            return no_memory();
         }
         for (Py_ssize_t r = 0; r < size; r++) {
             long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, r));
@@ -445,20 +478,17 @@ static int Scan_init(Scan *s, PyObject *args, PyObject *kwds)
             return -1;
         }
         s->gwords = GW;
-        s->full = PyMem_Calloc(GW, sizeof(word));
-        s->fixes = PyMem_Calloc(size * GW, sizeof(word));
-        if (!s->full || !s->fixes) {
-            PyErr_NoMemory();
-            return -1;
-        }
+        s->full = raw_alloc(GW, sizeof(word));
+        s->fixes = raw_alloc(size * GW, sizeof(word));
+        if (!s->full || !s->fixes || grow_classes(s) < 0)
+            return no_memory();
         if (read_mask(full, s->full, GW, "full") < 0
-            || read_mask(fixes, s->fixes, size * GW, "fixes") < 0
-            || grow_classes(s) < 0)
+            || read_mask(fixes, s->fixes, size * GW, "fixes") < 0)
             return -1;
         Py_INCREF(classes);
         s->classes = classes;
     }
-    return grow_levels(s, 0);
+    return grow_levels(s, 0) < 0 ? no_memory() : 0;
 }
 
 /* walk(root, acc, mode, max_nodes, seconds) -> nodes of root's task. */
@@ -474,13 +504,17 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
         PyErr_SetString(PyExc_TypeError, "a Scan must be initialised before it walks");
         return NULL;
     }
+    if (s->busy) {
+        PyErr_SetString(PyExc_RuntimeError, "a Scan walks one task at a time");
+        return NULL;
+    }
     if (root < 0 || root >= s->size || mode < MODE_COUNT || mode > MODE_VIOLATION) {
         PyErr_SetString(PyExc_ValueError, "root out of range or unknown mode");
         return NULL;
     }
     int64_t max_nodes, target = 0, count = 0, best_len = 0, best_scaled = 0;
     int64_t best_count = 0, min_length = 0, bound = 0, stop = 0;
-    int has = 0, got_a = 0, got_b = 0;
+    int has = 0, got_a = 0, got_b = 0, rc;
     Py_ssize_t len_a = 0, len_b = 0;
     if (as_i64(max_obj, &max_nodes) < 0)
         return NULL;
@@ -519,10 +553,14 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
         break;
     }
 
+    /* only the main thread handles signals; elsewhere the check is no use */
+    const int signals = _PyOS_IsMainThread();
     const Py_ssize_t W = s->words, GW = s->gwords;
     const double deadline = now() + seconds;
     int64_t nodes = 0;
     Py_ssize_t k = 0;
+    s->busy = 1;
+    PyThreadState *ts = PyEval_SaveThread();
     /* level 0, above the root: every rank from the root on */
     memset(s->cand, 0, W * sizeof(word));
     s->cand[root >> 6] = ~(word)0 << (root & 63);
@@ -534,7 +572,7 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
     s->total[0] = 0;
     if (GW) {
         memcpy(s->fix, s->full, GW * sizeof(word));
-        if ((s->select[0] = class_of(s, s->full)) < 0)
+        if ((s->select[0] = class_of(s, s->full, &ts)) < 0)
             goto error;
     }
     for (;;) {
@@ -566,10 +604,15 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
         if (nodes > max_nodes)
             goto done;
         if (!(nodes & 2047)) {
-            if (now() > deadline)
+            if (now() > deadline || __atomic_load_n(&s->stop, __ATOMIC_RELAXED))
                 goto done;
-            if (PyErr_CheckSignals() < 0)
-                goto error;
+            if (signals) {
+                PyEval_RestoreThread(ts);
+                rc = PyErr_CheckSignals();
+                ts = PyEval_SaveThread();
+                if (rc < 0)
+                    goto error;
+            }
         }
         s->path[k] = (int32_t)h;
         const int64_t len = k + 1;
@@ -580,12 +623,13 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
             if (len == target) {
                 count++;
                 if (hits != Py_None) {
+                    PyEval_RestoreThread(ts);
                     PyObject *tup = ranks_tuple(s->path, len);
-                    if (tup == NULL || PyList_Append(hits, tup) < 0) {
-                        Py_XDECREF(tup);
+                    rc = tup == NULL ? -1 : PyList_Append(hits, tup);
+                    Py_XDECREF(tup);
+                    ts = PyEval_SaveThread();
+                    if (rc < 0)
                         goto error;
-                    }
-                    Py_DECREF(tup);
                 }
             }
             down = len < target;
@@ -658,48 +702,66 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
             }
             if (same)
                 s->select[k + 1] = s->select[k];
-            else if (nonzero && (s->select[k + 1] = class_of(s, next)) < 0)
+            else if (nonzero && (s->select[k + 1] = class_of(s, next, &ts)) < 0)
                 goto error;
         }
         k++;
     }
 
 done:
+    PyEval_RestoreThread(ts);
+    s->busy = 0;
     switch (mode) {
     case MODE_COUNT:
         if (set_i64(acc, "count", count) < 0)
-            goto error;
+            goto fail;
         break;
     case MODE_EXTREMA:
         if (got_a && (set_i64(acc, "best_len", best_len) < 0
                       || set_ranks(acc, "best", s->best_a, len_a) < 0))
-            goto error;
+            goto fail;
         if (got_b && (set_i64(acc, "best_scaled", best_scaled) < 0
                       || set_ranks(acc, "best_cross", s->best_b, len_b) < 0))
-            goto error;
+            goto fail;
         break;
     case MODE_MINMAX:
         if (got_a && (set_i64(acc, "best_count", best_count) < 0
                       || set_ranks(acc, "best", s->best_a, len_a) < 0))
-            goto error;
+            goto fail;
         break;
     default:
         if (got_a && set_ranks(acc, "counterexample", s->best_a, len_a) < 0)
-            goto error;
+            goto fail;
         break;
     }
     Py_XDECREF(hits);
     return PyLong_FromLongLong(nodes);
 
-error:
+error:  /* reached without the GIL; a failure with no exception is memory's */
+    PyEval_RestoreThread(ts);
+    s->busy = 0;
+    if (!PyErr_Occurred())
+        PyErr_NoMemory();
+fail:
     Py_XDECREF(hits);
     return NULL;
+}
+
+/* stop(): end this Scan's walks, the one running and every later one, at
+   their next 2048th node. Callable from any thread. */
+static PyObject *Scan_stop(Scan *s, PyObject *Py_UNUSED(ignored))
+{
+    __atomic_store_n(&s->stop, 1, __ATOMIC_RELAXED);
+    Py_RETURN_NONE;
 }
 
 static PyMethodDef Scan_methods[] = {
     {"walk", (PyCFunction)Scan_walk, METH_VARARGS,
      "walk(root, acc, mode, max_nodes, seconds) -> nodes: one root task, as "
      "search._scan_from walks it, with seconds left until the deadline."},
+    {"stop", (PyCFunction)Scan_stop, METH_NOARGS,
+     "stop(): end every walk of this Scan, running or later, at its next "
+     "2048th node."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -23,14 +23,13 @@ A task runs on one of two kernels that walk the same nodes in the same
 order: ``_scan_from`` in Python, or its compiled twin in ``_kernel.c``
 (built once per source by ``_kernel.load``) when every accumulator of the
 scan is one that the twin runs. The Python kernel is the fallback and the
-differential oracle of the compiled one.
-A scan runs its smallest tasks in-process first; once those have entered
-more than its kernel's fork gate (``_FORK_GATE_NODES`` or
-``_COMPILED_FORK_GATE_NODES``), the rest go to forked worker processes
-(where ``os.fork`` exists), as many as the usable CPUs and the tasks left
-allow, each pinned to a CPU of its own while there are enough. Results
+differential oracle of the compiled one, and runs every task in the
+calling thread. The compiled one runs its smallest tasks there first;
+once those have entered more than ``_THREAD_GATE_NODES``, the rest go to
+threads, one per usable CPU up to one per task left, each pinned to its
+CPU, as the compiled walk releases the GIL. Results
 merge by root with a lexicographic tie-break, so values, witnesses, node
-counts and budget verdicts do not depend on the kernel, the worker count
+counts and budget verdicts do not depend on the kernel, the thread count
 or the schedule.
 """
 
@@ -241,20 +240,17 @@ def _scan_from(tables: GroupTables, root: int, forbidden_mask: int, acc, weights
             cand ^= low
 
 
-# A scan forks only after its in-process tasks, the smallest ones, have
-# entered this many nodes, one gate per kernel. Forking, feeding and reaping
-# two workers costs 3.4 ms on a 2-core Xeon (10 ms with the imports of a
-# process's first fork), up to 8k nodes of the Python kernel at 650-800k
-# nodes/s: the tasks left are worth more. The compiled kernel walks 14-23M
-# nodes/s, and there a process's first fork paid for itself only on scans of
-# more than about 350k nodes: on two CPUs, forking after the first task lost
-# 6 ms on C5xC5's uncut d/k walk (139k nodes) and 4 ms on C3xC9's (256k), and
-# saved 7 ms on C2xC4xC4's (508k) and 8 ms on C2xC2xC8's (638k).
-_FORK_GATE_NODES = 20_000
-_COMPILED_FORK_GATE_NODES = 350_000
-# Indices queued in the task pipe at once: 4 bytes each, so every write
-# is at most 512 bytes (POSIX PIPE_BUF) and the pipe never fills.
-_TASK_WINDOW = 128
+# A compiled scan starts threads only after its tasks in the calling thread,
+# the smallest ones, have entered this many nodes. Threads are cheap: on a
+# 2-core Xeon, starting them after the first task beat one thread on each
+# uncut d/k walk measured, C5xC5 (139k nodes, 4.7 against 6.9-8.8 ms),
+# C3xC9 (256k, 8.0-8.8 against 14.7-16.7 ms), C2xC4xC4 (508k, 17.7-18.2
+# against 34-37 ms) and C2xC2xC8 (638k, 22-23 against 38-46 ms). But many
+# tiny tasks contend for the GIL: with no gate, enumerating C300xC300 at
+# length 1 (89,999 one-node tasks) took 0.58 s instead of 0.34 s. And at
+# 150k the benchmark's C3xC9 cross-number check would start threads; this
+# gate keeps every benchmark command in one thread.
+_THREAD_GATE_NODES = 350_000
 
 
 def _usable_cpus() -> list[int | None]:
@@ -284,29 +280,27 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     Aut(G)-invariant mask: only the roots least in their class under every
     generator of the group's ``_PathCut`` are kept, and ``_scan_from`` cuts
     every level from the one above the root.
-    All accumulators are made here, in this process, and come back in root
-    order whatever the worker count and the schedule, so merging them is
-    deterministic. The tasks run on the compiled kernel when it loads
-    (``_kernel.load``, called before the scan's clock starts, so that a
-    first build is set-up) and every accumulator's own class names a
-    ``kernel_mode`` (``_compiled``): ``_CountAcc``, ``_ExtremaAcc``,
-    ``_MinMaxOrderAcc`` and ``verifier._ViolationAcc``, not a subclass or a
-    wrapper. Otherwise they run on ``_scan_from``. Tasks run from the last
-    root down in-process until the scan has entered more than the kernel's
-    fork gate and at least two usable CPUs (``_usable_cpus``; one without
-    ``os.fork``) have a task left; those remaining, larger tasks then run in
-    forked workers, one per CPU up to one per task (``_run_forked``), whose
-    accumulator state is copied back into these accumulators.
+    All accumulators are made here and come back in root order whatever
+    the thread count and the schedule, so merging them is deterministic.
+    The tasks run on the compiled kernel when it loads (``_kernel.load``,
+    called before the scan's clock starts, so that a first build is
+    set-up) and every accumulator's own class names a ``kernel_mode``
+    (``_compiled``): ``_CountAcc``, ``_ExtremaAcc``, ``_MinMaxOrderAcc``
+    and ``verifier._ViolationAcc``, not a subclass or a wrapper. Otherwise
+    they run on ``_scan_from``, every one in this thread. Compiled tasks
+    run from the last root down in this thread until the scan has entered
+    more than ``_THREAD_GATE_NODES`` and at least two usable CPUs
+    (``_usable_cpus``) have a task left; those remaining, larger tasks then
+    run on threads, one per CPU up to one per task (``_run_threads``).
 
     A task, its root too, enters no more than the nodes the scan has left,
-    those of ``budget.max_nodes`` not yet summed (at the fork, for a forked
-    task), and stops at the deadline (``_scan_from``; the compiled kernel
-    is handed the seconds left, not the clock); so a scan in one
-    process enters at most ``max_nodes`` nodes. ``tally``, which sums the
-    nodes of the tasks as they finish, is the one place a budget error is
-    raised. Once the sum is above ``max_nodes`` it reports nodes_visited
-    ``max_nodes + 1``: so a scan is exceeded iff its full node total is, at
-    every worker count.
+    those of ``budget.max_nodes`` not yet summed when it starts, and stops
+    at the deadline (``_scan_from``; the compiled kernel is handed the
+    seconds left, not the clock); so a scan in one thread enters at most
+    ``max_nodes`` nodes. ``tally``, which sums the nodes of the tasks as
+    they finish, is the one place a budget error is raised. Once the sum
+    is above ``max_nodes`` it reports nodes_visited ``max_nodes + 1``: so a
+    scan is exceeded iff its full node total is, at every thread count.
     Once the clock is past the deadline it reports the sum, the nodes of
     every task run so far.
     """
@@ -327,18 +321,19 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     nodes = 0
     compiled = kernel and _compiled(kernel, tables, accs, forbidden_mask, weights, cut)
     if compiled:
-        walk, modes = compiled
-        gate = _COMPILED_FORK_GATE_NODES
+        scans, modes = compiled
+        scan = next(scans)
+        cpus = _usable_cpus()
 
-        def run_one(index: int) -> int:
-            return walk(roots[index], accs[index], modes[index], max_nodes - nodes,
-                        deadline - time.monotonic())
+        def run_one(scan, index: int) -> int:
+            return scan.walk(roots[index], accs[index], modes[index], max_nodes - nodes,
+                             deadline - time.monotonic())
     else:
         if weights is None:
             weights = bytes(tables.size)
-        gate = _FORK_GATE_NODES
+        scan, cpus = None, []  # the Python kernel starts no thread
 
-        def run_one(index: int) -> int:
+        def run_one(_, index: int) -> int:
             return _scan_from(tables, roots[index], forbidden_mask, accs[index], weights,
                               max_nodes - nodes, deadline, cut)
 
@@ -354,22 +349,23 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
                 "time budget exhausted", nodes_visited=nodes,
                 elapsed_seconds=time.monotonic() - started)
 
-    cpus = _usable_cpus() if hasattr(os, "fork") else [None]
     left = len(roots)
-    while left and (nodes <= gate or min(len(cpus), left) < 2):
+    while left and (nodes <= _THREAD_GATE_NODES or min(len(cpus), left) < 2):
         left -= 1
-        tally(run_one(left))
+        tally(run_one(scan, left))
     if left:
-        _run_forked(cpus[:left], left, run_one, tally, accs)
+        cpus = cpus[:left]
+        _run_threads([scan] + [next(scans) for _ in cpus[1:]], cpus, left, run_one, tally)
     return accs, nodes
 
 
 def _compiled(kernel, tables: GroupTables, accs: list, forbidden_mask: int, weights,
               cut: _PathCut | None):
-    """(walk, modes): the compiled kernel's walk of this scan and each
-    task's accumulator mode; None unless every accumulator's own class
-    (not a base class) names a ``kernel_mode`` and every weight fits in
-    32 bits."""
+    """(scans, modes): an endless iterator of compiled Scans of this scan,
+    one for each thread that walks it, and each task's accumulator mode;
+    None unless every accumulator's own class (not a base class) names a
+    ``kernel_mode`` and every weight fits in 32 bits. The first Scan is
+    built here, where that is checked."""
     modes = [vars(type(acc)).get("kernel_mode") for acc in accs]
     if None in modes:
         return None
@@ -381,146 +377,83 @@ def _compiled(kernel, tables: GroupTables, accs: list, forbidden_mask: int, weig
                 cut.full.to_bytes(gwidth, "little"),
                 lambda fix: cut[int.from_bytes(fix, "little")].to_bytes(width, "little"))
     forbidden = (forbidden_mask & ((1 << tables.size) - 1)).to_bytes(width, "little")
+    args = (tables.factors, forbidden, weights, spec)
     try:
-        return kernel.Scan(tables.factors, forbidden, weights, spec).walk, modes
+        first = kernel.Scan(*args)
     except OverflowError:
         return None
 
-
-def _read(fd: int, n: int) -> bytes | None:
-    """Exactly ``n`` bytes from ``fd``, or None if it ends first."""
-    data = b""
-    while len(data) < n and (chunk := os.read(fd, n - len(data))):
-        data += chunk
-    return data if len(data) == n else None
+    def scans():
+        yield first
+        while True:
+            yield kernel.Scan(*args)
+    return scans(), modes
 
 
-def _run_forked(cpus: list[int | None], count: int, run_one: Callable[[int], int],
-                tally: Callable[[int], None], accs: list) -> None:
-    """Run tasks ``0 .. count-1`` in one forked child per entry of ``cpus``,
-    passing the nodes of each to ``tally`` as it reports.
+def _run_threads(scans: list, cpus: list[int | None], count: int,
+                 run_one: Callable[[object, int], int],
+                 tally: Callable[[int], None]) -> None:
+    """Run tasks ``0 .. count-1`` on one thread per entry of ``cpus``,
+    passing the nodes of each to ``tally`` as it finishes.
 
-    The children take task indices in ascending order, largest subtrees
-    first, from one shared pipe (see ``_work``) that the parent keeps topped
-    up to ``_TASK_WINDOW``; child w pins itself to ``cpus[w]``. The parent
-    reads each result whole, its 8-byte length and then that many bytes; a
-    pipe that ends first belongs to a child that has ended. It copies each
-    returned accumulator's state into its own, re-raises the first worker
-    exception or the first from ``tally``, and reaps every child. A task
-    that no child reported is an error, never a partial result.
+    Thread w walks its tasks on ``scans[w]``, a compiled Scan of its own,
+    and first pins itself to ``cpus[w]`` (on Linux this pins the calling
+    thread alone; where it fails it runs unpinned). The threads take task
+    indices in ascending order, largest subtrees first, from one shared
+    iterator, and ``tally`` runs under one lock. The first exception, from
+    a task or from ``tally``, stops every walk (``Scan.stop``), as does
+    one that reaches this thread while it waits, Ctrl-C included; it is
+    raised once every thread has ended.
     """
-    # imported here so that scans too small to fork do not pay for them
-    import pickle
-    import selectors
-    import signal
+    import contextlib
+    import threading
+    tasks = iter(range(count))
+    lock = threading.Lock()
+    failed: list[BaseException] = []
 
-    task_r, task_w = os.pipe()
-    queued = 0
+    def stop(err: BaseException) -> None:
+        failed.append(err)
+        for scan in scans:
+            scan.stop()
 
-    def queue(n: int) -> None:
-        # the pipe never holds more than _TASK_WINDOW indices, so this never blocks
-        nonlocal queued, task_w
-        stop = min(count, queued + n)
-        os.write(task_w, b"".join(i.to_bytes(4, "little") for i in range(queued, stop)))
-        queued = stop
-        if queued == count:
-            os.close(task_w)
-            task_w = -1
-
-    children: dict[int, int] = {}   # result pipe -> pid
-    reported: set[int] = set()
-    try:
-        queue(_TASK_WINDOW)
-        for cpu in cpus:
-            res_r, res_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _work(task_r, res_w, run_one, accs, close=(res_r, task_w), cpu=cpu)
-            os.close(res_w)
-            children[res_r] = pid
-        with selectors.DefaultSelector() as sel:
-            for fd in children:
-                sel.register(fd, selectors.EVENT_READ)
-            while sel.get_map():
-                for key, _ in sel.select():
-                    head = _read(key.fd, 8)
-                    body = head and _read(key.fd, int.from_bytes(head, "little"))
-                    if body is None:
-                        sel.unregister(key.fd)
-                        continue
-                    index, result = pickle.loads(body)
-                    if isinstance(result, BaseException):
-                        raise result
-                    acc, task_nodes = result
-                    _copy_state(accs[index], acc)
-                    reported.add(index)
+    def work(scan, cpu: int | None, end) -> None:
+        try:
+            if cpu is not None:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, {cpu})
+            for index in tasks:
+                task_nodes = run_one(scan, index)
+                with lock:
+                    if failed:
+                        return
                     tally(task_nodes)
-                    if task_w != -1:
-                        queue(1)
-        if len(reported) < count:
-            missing = min(set(range(count)) - reported)
-            raise InternalCheckError(
-                f"a search worker process exited without reporting task {missing}")
-    finally:
-        for fd in (task_r, task_w):
-            if fd != -1:
-                os.close(fd)
-        for fd, pid in children.items():
-            if len(reported) < count:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
+        except BaseException as err:  # re-raised by the waiting thread
+            stop(err)
+        finally:
+            end.set()
 
-
-def _work(task_r: int, res_w: int, run_one: Callable[[int], int], accs: list,
-          close: tuple[int, int], cpu: int | None) -> None:
-    """Body of a forked worker; leaves only through ``os._exit``.
-
-    Reads 4-byte task indices from ``task_r`` until end of file and writes,
-    length-prefixed and pickled, ``(index, (acc, nodes))`` per task or
-    ``(index, exception)``, after which it stops. It only computes and
-    writes to its pipe, so it needs no lock another thread could have held
-    at the fork, and ``os._exit`` keeps it from flushing the parent's stdio
-    buffers or running its exit handlers. ``close`` holds the parent's pipe
-    ends the worker must not keep open (-1 for one already closed). It first
-    pins itself to ``cpu``, if given; where that fails it runs unpinned.
-    """
-    status = 1
+    # Each thread sets its own event as it ends, and this thread waits on
+    # those: on CPython 3.11 a join() that Ctrl-C interrupts marks its thread
+    # as ended while it still runs, and no later join() waits for it.
+    ends = [threading.Event() for _ in scans]
+    threads = [threading.Thread(target=work, args=args) for args in zip(scans, cpus, ends)]
     try:
-        if cpu is not None:
-            try:
-                os.sched_setaffinity(0, {cpu})
-            except OSError:
-                pass
-        import pickle
-        for fd in close:
-            if fd != -1:
-                os.close(fd)
-        while len(raw := os.read(task_r, 4)) == 4:
-            index = int.from_bytes(raw, "little")
-            try:
-                task_nodes = run_one(index)
-                result = (accs[index], task_nodes)
-            except BaseException as err:  # sent on; the parent re-raises it
-                result = err
-            payload = pickle.dumps((index, result), pickle.HIGHEST_PROTOCOL)
-            view = memoryview(len(payload).to_bytes(8, "little") + payload)
-            while view:
-                view = view[os.write(res_w, view):]
-            if isinstance(result, BaseException):
-                break
-        status = 0
+        for thread in threads:
+            thread.start()
+        for end in ends:
+            end.wait()
+    except BaseException as err:  # Ctrl-C, or a thread that could not start
+        stop(err)
+        for thread, end in zip(threads, ends):
+            if thread.ident is not None:
+                end.wait()
+        raise
     finally:
-        os._exit(status)
-
-
-def _copy_state(dst, src) -> None:
-    """Give ``dst`` every attribute value of ``src``, an object of its class."""
-    for cls in type(src).__mro__:
-        for name in getattr(cls, "__slots__", ()):
-            setattr(dst, name, getattr(src, name))
-    if hasattr(src, "__dict__"):
-        vars(dst).update(vars(src))
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if failed:
+        raise failed[0]
 
 
 def _subgroup_mask(group: AbelianGroup, d: int) -> int:
@@ -616,7 +549,7 @@ def enumerate_zero_sumfree(group: AbelianGroup, exact_length: int,
     """Visit every canonical zero-sumfree multiset of the exact length once.
 
     Returns the visit count. The visits come after the search, in
-    lexicographic order of the rank tuples at every worker count.
+    lexicographic order of the rank tuples at every thread count.
     """
     _exact_ints((exact_length,), "length", ValueError)
     if exact_length < 0:

@@ -36,8 +36,8 @@ class _ViolationAcc:
     """Records the first (lexicographically least) sequence that violates:
     one of length at least ``min_length`` whose total, the sum of its
     check's per-element weights, exceeds ``bound``. Every check states its
-    claim in that form, so the accumulator holds only data and pickles for
-    the search's worker processes. A branch stops at length ``stop``: d(G)
+    claim in that form, so the accumulator holds only data, which the
+    compiled kernel reads and writes. A branch stops at length ``stop``: d(G)
     for the max-order check, else |G|, which no zero-sumfree length reaches.
 
     Once a violation is recorded the rest of this task's walk is pruned, so

@@ -29,9 +29,9 @@ def p_groups() -> list[AbelianGroup]:
 @pytest.fixture
 def usable_cpus(monkeypatch):
     """The setter of the CPUs the search engine sees: after ``usable_cpus(w)``
-    it sees the real CPUs, repeated up to ``w`` of them, so a scan forks at
-    most ``w`` workers, as under ``taskset`` with ``w`` CPUs, and at
-    ``w = 1`` it runs every task in this process."""
+    it sees the real CPUs, repeated up to ``w`` of them, so a scan starts at
+    most ``w`` threads, as under ``taskset`` with ``w`` CPUs, and at
+    ``w = 1`` it runs every task in the calling thread."""
     from zerosum import search
     real = search._usable_cpus()
 
@@ -71,30 +71,33 @@ def kernel(request, monkeypatch):
 
 
 @pytest.fixture
-def forked_scans(monkeypatch, usable_cpus):
-    """Make every scan with two or more root tasks fork its workers after
-    its first in-process task, as if the machine had four usable CPUs.
+def threaded_scans(monkeypatch, usable_cpus):
+    """Make every compiled scan with two or more root tasks start its
+    threads after its first task, as if the machine had four usable CPUs;
+    the Python kernel starts none.
 
-    Yields the list that records each fork; on teardown, checks that no
-    child process is left unreaped.
+    Yields the list of the threads that ran, each with ``cpus``, the CPUs
+    it was allowed when it ended (None where that cannot be read); on
+    teardown, checks that none is left alive.
     """
+    import threading
     from zerosum import search
-    if not hasattr(os, "fork"):
-        pytest.skip("os.fork is not available")
-    forks: list[int] = []
-    real_fork = os.fork
+    threads: list[threading.Thread] = []
+    real_run = threading.Thread.run
 
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
+    def recording_run(thread):
+        threads.append(thread)
+        try:
+            real_run(thread)
+        finally:
+            read = getattr(os, "sched_getaffinity", None)
+            thread.cpus = frozenset(read(0)) if read else None
 
-    monkeypatch.setattr(search, "_FORK_GATE_NODES", 0)
-    monkeypatch.setattr(search, "_COMPILED_FORK_GATE_NODES", 0)
+    monkeypatch.setattr(threading.Thread, "run", recording_run)
+    monkeypatch.setattr(search, "_THREAD_GATE_NODES", 0)
     usable_cpus(4)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    yield forks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    yield threads
+    assert not any(thread.is_alive() for thread in threads)
 
 
 # -- independent oracles -------------------------------------------------------

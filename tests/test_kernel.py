@@ -126,27 +126,46 @@ def test_goldens_are_identical_without_a_compiler(tmp_path):
 @pytest.mark.skipif(not hasattr(signal, "SIGINT") or os.name != "posix",
                     reason="needs POSIX signals")
 def test_interrupt_stops_a_long_compiled_walk(compiled_kernel):
-    # C9xC9 at delta 5 walks 161,776,647 nodes in one process; Ctrl-C stops
-    # it within the kernel's 2048-node cadence
-    code = ("import sys\n"
-            "from zerosum import AbelianGroup, SearchBudget, _kernel, search\n"
-            "assert _kernel.load() is not None\n"
-            "search._usable_cpus = lambda: [None]\n"
-            "print('walking', flush=True)\n"
-            "search._gamma_scan(AbelianGroup((9, 9)), 5,"
-            " SearchBudget(max_nodes=10**9, max_seconds=600), symmetric=True)\n")
-    proc = subprocess.Popen([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    try:
-        assert proc.stdout.readline().strip() == "walking"
-        time.sleep(0.5)
-        proc.send_signal(signal.SIGINT)
-        _, err = proc.communicate(timeout=3)
-    finally:
-        proc.kill()
-        proc.wait()
-    assert proc.returncode != 0
-    assert "KeyboardInterrupt" in err
+    # Ctrl-C stops a long walk within the kernel's 2048-node cadence. At
+    # width 1, gamma C9xC9 at delta 5 walks 161,776,647 nodes in this
+    # thread. At width 2, with the thread gate at 0, gamma C4xC4xC8 at
+    # delta 3 runs its last task here and the four left on two threads, one
+    # of them 135,322,411 nodes; the main thread waits for them.
+    for width, factors, delta in ((1, (9, 9), 5), (2, (4, 4, 8), 3)):
+        code = ("import sys\n"
+                "from zerosum import AbelianGroup, SearchBudget, _kernel, search\n"
+                "assert _kernel.load() is not None\n"
+                f"search._usable_cpus = lambda: [None] * {width}\n"
+                "search._THREAD_GATE_NODES = 0\n"
+                "print('walking', flush=True)\n"
+                f"search._gamma_scan(AbelianGroup({factors}), {delta},"
+                " SearchBudget(max_nodes=10**9, max_seconds=600), symmetric=True)\n")
+        proc = subprocess.Popen([sys.executable, "-c", code],
+                                env={**os.environ, "PYTHONPATH": SRC},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert proc.stdout.readline().strip() == "walking"
+            time.sleep(0.5)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=3)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode != 0, width
+        assert "KeyboardInterrupt" in err, (width, err)
+
+
+def test_scan_walks_one_task_at_a_time(compiled_kernel):
+    # a walk that asks for a class mask is reentered from it: refused
+    from zerosum.search import _ExtremaAcc
+
+    def classes(fix):
+        return scan.walk(1, _ExtremaAcc(), 1, 10, 1.0)
+
+    scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), None,
+                                (bytes(8 * 4), (1).to_bytes(8, "little"), classes))
+    with pytest.raises(RuntimeError, match="one task at a time"):
+        scan.walk(1, _ExtremaAcc(), 1, 10, 1.0)
 
 
 def test_scan_refuses_to_walk_uninitialised(compiled_kernel):

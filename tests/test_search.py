@@ -305,9 +305,9 @@ class TestBudget:
                                              "is not a number"):
             SearchBudget(max_seconds=value)
 
-    def test_default_width_is_usable_cpus(self, forked_scans, monkeypatch):
-        # C3xC3 runs its last root in-process and forks one worker per usable
-        # CPU for the 7 roots left, at most 7; on one CPU it forks none
+    def test_default_width_is_usable_cpus(self, threaded_scans, compiled_kernel, monkeypatch):
+        # C3xC3 runs its last root in this thread and starts one thread per
+        # usable CPU for the 7 roots left, at most 7; on one CPU it starts none
         from zerosum import search
         monkeypatch.setattr(search, "_usable_cpus", _usable_cpus)
         cpus = _usable_cpus()
@@ -316,26 +316,22 @@ class TestBudget:
         c33 = AbelianGroup((3, 3))
         search.run_scan(c33, **extrema_kwargs(c33))
         width = min(len(cpus), 7)
-        assert len(forked_scans) == (width if width >= 2 else 0)
+        assert len(threaded_scans) == (width if width >= 2 else 0)
 
-    def test_worker_count_is_clamped(self, forked_scans, monkeypatch, usable_cpus):
-        # after its last root in-process, C3xC3 has 7 roots left, C2xC2 two
+    def test_worker_count_is_clamped(self, threaded_scans, compiled_kernel, usable_cpus):
+        # after its last root in this thread, C3xC3 has 7 roots left, C2xC2 two
         from zerosum.search import run_scan
         c33 = AbelianGroup((3, 3))
-        for width, group, forks in ((4, c33, 4), (8, c33, 7), (4, C22, 2), (1, c33, 0)):
+        for width, group, threads in ((4, c33, 4), (8, c33, 7), (4, C22, 2), (1, c33, 0)):
             usable_cpus(width)
-            forked_scans.clear()
+            threaded_scans.clear()
             run_scan(group, **extrema_kwargs(group))
-            assert len(forked_scans) == forks, (width, group)
-        usable_cpus(4)
-        monkeypatch.delattr(os, "fork")
-        forked_scans.clear()
-        run_scan(c33, **extrema_kwargs(c33))
-        assert not forked_scans
+            assert len(threaded_scans) == threads, (width, group)
 
-    def test_unread_affinity_pins_no_worker(self, forked_scans, monkeypatch):
+    def test_unread_affinity_pins_no_worker(self, threaded_scans, compiled_kernel,
+                                            monkeypatch):
         # without sched_getaffinity the CPUs are os.cpu_count() Nones, and a
-        # scan forks as many unpinned workers, with the nodes of one process
+        # scan starts as many unpinned threads, with the nodes of one thread
         from zerosum import search
         monkeypatch.setattr(search, "_usable_cpus", _usable_cpus)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -345,7 +341,7 @@ class TestBudget:
         assert _usable_cpus() == [None, None, None]
         c33 = AbelianGroup((3, 3))
         _, nodes = search.run_scan(c33, **extrema_kwargs(c33))
-        assert len(forked_scans) == 3
+        assert len(threaded_scans) == 3
         assert nodes == 184
 
 
@@ -376,31 +372,24 @@ class TestDeterminism:
             budget.max_nodes = 5
 
 
-class _AffinityAcc:
-    """Records the CPUs its process may run on at its first enter."""
-
-    def __init__(self):
-        self.cpus = None
-
-    def enter(self, node):
-        if self.cpus is None:
-            self.cpus = frozenset(os.sched_getaffinity(0))
-            time.sleep(0.05)  # so that the other worker takes the next task
-        return True
+def _in_a_thread() -> bool:
+    import threading
+    return threading.current_thread() is not threading.main_thread()
 
 
 class TestForkedWorkers:
-    """Widths 1, 2 and 4 with the fork gate at 0, so that wider scans run
-    all but their last root task in worker processes."""
+    """Widths 1, 2 and 4 with the thread gate at 0, so that wider compiled
+    scans run all but their last root task on threads."""
 
-    def test_accumulators_match_across_widths(self, forked_scans, usable_cpus):
+    def test_accumulators_match_across_widths(self, threaded_scans, compiled_kernel,
+                                              usable_cpus):
         from zerosum.search import _gamma_scan, run_scan
         c55 = AbelianGroup((5, 5))
         c888 = AbelianGroup((8, 8, 8))
         forbidden = dpair_mask(c888, DivisorPair(2, 4))
 
         def summary(width):
-            # every scan here walks every root, so each one forks
+            # every scan here walks every root, so each one starts threads
             usable_cpus(width)
             extrema, n_extrema = run_scan(c55, **extrema_kwargs(c55))
             avoid, n_avoid = run_scan(c888, **extrema_kwargs(c888), forbidden_mask=forbidden)
@@ -412,33 +401,28 @@ class TestForkedWorkers:
 
         runs = []
         for width in (1, 2, 4):
-            forked_scans.clear()
+            threaded_scans.clear()
             runs.append(summary(width))
-            assert len(forked_scans) == (0 if width == 1 else 3 * width)
+            assert len(threaded_scans) == (0 if width == 1 else 3 * width)
         assert runs[0] == runs[1] == runs[2]
         assert runs[0][1] == 138_864
         assert runs[0][4:] == (15_736, 3, (2, 16, 128))
 
-    def test_task_result_does_not_grow_with_the_group(self, monkeypatch):
-        """A worker sends back ``(index, (acc, nodes))`` per task: for a
-        one-node task of each accumulator that reads the path's total, it
-        pickles to as many bytes on C8xC8xC8 as on C3xC3, on either kernel."""
-        import pickle
-        from zerosum.search import _MinMaxOrderAcc, run_scan
-        from zerosum.verifier import _ViolationAcc
-        for _ in each_kernel(monkeypatch):
-            sizes = []
-            for factors in ((3, 3), (8, 8, 8)):
-                group = AbelianGroup(factors)
-                row = []
-                for factory in (_RootExtremaAcc, lambda: _MinMaxOrderAcc(1),
-                                lambda: _ViolationAcc(2, group.exponent, 1)):
-                    accs, _ = run_scan(group, factory, weights=_cross_weights(group))
-                    row.append(len(pickle.dumps((0, (accs[0], 1)), pickle.HIGHEST_PROTOCOL)))
-                sizes.append(row)
-            assert sizes[0] == sizes[1]
+    def test_python_kernel_starts_no_thread(self, threaded_scans, usable_cpus, python_kernel):
+        from zerosum.search import _gamma_scan, run_scan
+        c55 = AbelianGroup((5, 5))
+        runs = []
+        for width in (1, 2, 4):
+            usable_cpus(width)
+            accs, nodes = run_scan(c55, **extrema_kwargs(c55))
+            runs.append(([(a.best_len, a.best_scaled) for a in accs], nodes,
+                         _gamma_scan(c55, 1, None)))
+        assert not threaded_scans
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][1] == 138_864
 
-    def test_enumeration_visits_in_lexicographic_order(self, forked_scans, usable_cpus):
+    def test_enumeration_visits_in_lexicographic_order(self, threaded_scans, compiled_kernel,
+                                                       usable_cpus):
         group = AbelianGroup((3, 3))
         visits = []
         for width in (1, 2):
@@ -447,10 +431,11 @@ class TestForkedWorkers:
             count = enumerate_zero_sumfree(group, 3, seen.append)
             visits.append([tuple(s.iter_ranks()) for s in seen])
             assert count == len(seen) > 0
-        assert forked_scans
+        assert threaded_scans
         assert visits[0] == visits[1] == sorted(visits[0])
 
-    def test_node_budget_covers_the_whole_scan(self, forked_scans, usable_cpus):
+    def test_node_budget_covers_the_whole_scan(self, threaded_scans, compiled_kernel,
+                                               usable_cpus):
         # C5xC5 walks 138,864 nodes from every root, the largest task 23,113
         from zerosum.search import run_scan
         c55 = AbelianGroup((5, 5))
@@ -461,9 +446,9 @@ class TestForkedWorkers:
                 run_scan(c55, **extrema_kwargs(c55), budget=budget)
             assert str(info.value) == "node budget 30000 exhausted"
             assert info.value.nodes_visited == 30_001
-        assert forked_scans
+        assert threaded_scans
 
-    def test_time_budget_covers_the_whole_scan(self, forked_scans, usable_cpus):
+    def test_time_budget_covers_the_whole_scan(self, threaded_scans, usable_cpus):
         # each task of C10xC10 at length 2 enters fewer than 2048 nodes
         budget = SearchBudget(max_seconds=1e-9)
         for width in (1, 2):
@@ -471,45 +456,45 @@ class TestForkedWorkers:
             with pytest.raises(BudgetExceededError, match="time budget exhausted"):
                 enumerate_zero_sumfree(AbelianGroup((10, 10)), 2, budget=budget)
 
-    def test_time_budget_reports_the_scan_total(self, forked_scans, monkeypatch,
-                                                usable_cpus, python_kernel):
-        # A fake clock, past the deadline once this process has entered 40,000
-        # nodes or has forked. At width 1 the scan stops inside task 19 at its
-        # next 2048th node, which is counted but not entered. At width 2 the
-        # parent runs the last task and forks; the first worker to report has
-        # entered 2,047 nodes of task 0 or 1 and counted the 2,048th.
+    def test_time_budget_reports_the_scan_total(self, threaded_scans, compiled_kernel,
+                                                monkeypatch, usable_cpus):
+        # A fake clock, past the deadline once the tasks have returned 40,000
+        # nodes or a thread has started. At width 1 the scan stops once task
+        # 19 has taken the sum past 40,000, with the nodes of the 16 tasks
+        # run. At width 2 the last task runs in this thread; each thread is
+        # handed the deadline already past, and the first to report has
+        # counted 2,048 nodes of task 0 or 1, the 2,048th not entered.
         from types import SimpleNamespace
         from zerosum import search
         c66 = AbelianGroup((6, 6))
-        entered = [0]
-        real_enter = _ExtremaAcc.enter
-
-        def counting_enter(acc, node):
-            entered[0] += 1
-            return real_enter(acc, node)
-
-        monkeypatch.setattr(_ExtremaAcc, "enter", counting_enter)
+        nodes = task_nodes(monkeypatch)
         monkeypatch.setattr(search, "time", SimpleNamespace(
-            monotonic=lambda: float(entered[0] >= 40_000 or bool(forked_scans))))
+            monotonic=lambda: float(sum(nodes) >= 40_000 or bool(threaded_scans))))
         budget = SearchBudget(max_seconds=0.5)
-        for width, stopping in ((1, 1), (2, 2048)):
-            entered[0] = 0
+        for width in (1, 2):
+            nodes.clear()
             usable_cpus(width)
             with pytest.raises(BudgetExceededError, match="time budget exhausted") as info:
                 search.run_scan(c66, **extrema_kwargs(c66), budget=budget)
-            assert info.value.nodes_visited == entered[0] + stopping
             assert info.value.elapsed_seconds == 1.0
-        assert forked_scans
+            if width == 1:
+                assert len(nodes) == 16
+                assert info.value.nodes_visited == sum(nodes) > 40_000
+            else:
+                assert info.value.nodes_visited == nodes[0] + 2048
+        assert threaded_scans
 
-    def test_worker_budget_error_reaches_caller(self, forked_scans, usable_cpus):
-        # the last root task of C5xC5 (4 nodes) runs in-process; task 0 forks
+    def test_worker_budget_error_reaches_caller(self, threaded_scans, compiled_kernel,
+                                                usable_cpus):
+        # the last root task of C5xC5 (4 nodes) runs in this thread; task 0
+        # on a thread
         from zerosum.search import run_scan
         c55 = AbelianGroup((5, 5))
         usable_cpus(2)
         budget = SearchBudget(max_nodes=1000)
         with pytest.raises(BudgetExceededError) as info:
             run_scan(c55, **extrema_kwargs(c55), budget=budget)
-        assert forked_scans
+        assert threaded_scans
         assert str(info.value) == "node budget 1000 exhausted"
         assert info.value.nodes_visited == 1001
         assert info.value.elapsed_seconds > 0
@@ -517,103 +502,37 @@ class TestForkedWorkers:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="needs two usable CPUs and sched_setaffinity")
-    def test_workers_run_on_distinct_cpus(self, forked_scans, usable_cpus, python_kernel):
-        # C3xC3 has 8 roots: the last runs in-process, 7 go to two workers
+    def test_workers_run_on_distinct_cpus(self, threaded_scans, compiled_kernel, usable_cpus):
+        # C3xC3 has 8 roots: the last runs in this thread, 7 on two threads,
+        # each pinned to a CPU of its own; this thread stays unpinned
         from zerosum.search import run_scan
         c33 = AbelianGroup((3, 3))
+        allowed = os.sched_getaffinity(0)
         usable_cpus(2)
-        accs, _ = run_scan(c33, _AffinityAcc)
-        assert len(forked_scans) == 2
-        forked = [acc.cpus for acc in accs[:-1]]
-        assert all(len(cpus) == 1 for cpus in forked), forked
-        assert len(set(forked)) == 2, forked
+        run_scan(c33, **extrema_kwargs(c33))
+        pinned = [thread.cpus for thread in threaded_scans]
+        assert len(pinned) == 2
+        assert all(len(cpus) == 1 for cpus in pinned), pinned
+        assert len(set(pinned)) == 2, pinned
+        assert os.sched_getaffinity(0) == allowed
 
-    def test_dead_worker_is_an_error(self, forked_scans, monkeypatch, usable_cpus,
-                                     python_kernel):
+    def test_worker_exception_keeps_its_type(self, threaded_scans, compiled_kernel,
+                                             monkeypatch, usable_cpus):
+        # the clock raises when a thread reads it to hand a task its deadline
+        from types import SimpleNamespace
         from zerosum import search
-        from zerosum.errors import InternalCheckError
-        parent = os.getpid()
-        real_scan = search._scan_from
 
-        def dying_scan(*args):
-            if os.getpid() != parent:
-                os._exit(3)
-            return real_scan(*args)
+        def failing_clock():
+            if _in_a_thread():
+                raise ZeroDivisionError("in a thread")
+            return time.monotonic()
 
-        monkeypatch.setattr(search, "_scan_from", dying_scan)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=failing_clock))
         c33 = AbelianGroup((3, 3))
         usable_cpus(2)
-        with pytest.raises(InternalCheckError, match="reporting task 0"):
+        with pytest.raises(ZeroDivisionError, match="in a thread"):
             search.run_scan(c33, **extrema_kwargs(c33))
-        assert forked_scans
-
-    def test_worker_exception_keeps_its_type(self, forked_scans, monkeypatch, usable_cpus,
-                                             python_kernel):
-        from zerosum import search
-        parent = os.getpid()
-        real_scan = search._scan_from
-
-        def failing_scan(*args):
-            if os.getpid() != parent:
-                raise ZeroDivisionError("in a worker")
-            return real_scan(*args)
-
-        monkeypatch.setattr(search, "_scan_from", failing_scan)
-        c33 = AbelianGroup((3, 3))
-        usable_cpus(2)
-        with pytest.raises(ZeroDivisionError, match="in a worker"):
-            search.run_scan(c33, **extrema_kwargs(c33))
-        assert forked_scans
-
-    @pytest.mark.parametrize("cut", [0, 5, 8, 20], ids=lambda n: f"{n}-bytes")
-    def test_result_cut_short_is_an_error(self, cut, forked_scans, monkeypatch,
-                                          usable_cpus):
-        # a worker that ends before its first result, inside its length or
-        # after it, on either kernel
-        from zerosum import search
-        from zerosum.errors import InternalCheckError
-        parent = os.getpid()
-        real_write = os.write
-
-        def cut_write(fd, data):
-            if os.getpid() != parent:
-                real_write(fd, bytes(data[:cut]))
-                os._exit(3)
-            return real_write(fd, data)
-
-        c33 = AbelianGroup((3, 3))
-        usable_cpus(2)
-        for _ in each_kernel(monkeypatch):
-            forked_scans.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(os, "write", cut_write)
-                with pytest.raises(InternalCheckError, match="reporting task 0"):
-                    search.run_scan(c33, **extrema_kwargs(c33))
-            assert forked_scans
-
-    def test_task_window_refills(self, monkeypatch, usable_cpus, python_kernel):
-        # at the Python kernel's fork gate, enumerating C20xC20 at length 2
-        # runs the last 199 roots in-process and hands the 200 left to two
-        # workers, more than the task pipe holds at once
-        from zerosum import search
-        handed = []
-        real_run_forked = search._run_forked
-
-        def recording(cpus, count, *args):
-            handed.append((len(cpus), count))
-            return real_run_forked(cpus, count, *args)
-
-        monkeypatch.setattr(search, "_run_forked", recording)
-        group = AbelianGroup((20, 20))
-        counts = []
-        for width in (1, 2):
-            usable_cpus(width)
-            counts.append(enumerate_zero_sumfree(group, 2))
-        assert handed == [(2, 200)]
-        assert 200 > search._TASK_WINDOW
-        assert counts == [79_599, 79_599]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert threaded_scans
 
 
 # the conftest groups, and three whose orbit cut is large
@@ -642,7 +561,7 @@ class TestOrbitCut:
     classes against two oracles."""
 
     @pytest.mark.parametrize("factors", ORBIT_CUT_FACTORS, ids=str)
-    def test_reduced_searches_match_every_root(self, factors, forked_scans, usable_cpus):
+    def test_reduced_searches_match_every_root(self, factors, threaded_scans, usable_cpus):
         from zerosum.formulas import divisor_pairs
         from zerosum.search import _gamma_scan, run_scan
         group = AbelianGroup(factors)
@@ -677,7 +596,7 @@ class TestOrbitCut:
             assert got == want, width
 
     @pytest.mark.parametrize("factors", ORBIT_CUT_FACTORS, ids=str)
-    def test_root_filter_is_level_zero_of_the_cut(self, factors, forked_scans, monkeypatch,
+    def test_root_filter_is_level_zero_of_the_cut(self, factors, threaded_scans, monkeypatch,
                                                   usable_cpus):
         """A ``symmetric`` scan makes one accumulator per nonzero rank least
         in its Aut(G) orbit, the roots in ascending order; they give the d
@@ -1038,7 +957,7 @@ class TestBlockedMaskKernel:
              lambda: _ViolationTwin(minus_max, d, 1 - exp, d)),
         ]
 
-    def test_matches_reference_walk(self, forked_scans, usable_cpus):
+    def test_matches_reference_walk(self, threaded_scans, usable_cpus):
         """The scan forbidding every rank outside the reference's
         ``allowed`` alphabet against the reference's accumulators of the
         same roots, less the forbidden ones, which the reference skips."""
@@ -1074,9 +993,9 @@ class TestBlockedMaskKernel:
                         forbidden_mask=forbidden) == 15_736
         # every rank allowed, the zero element forbidden
         assert same(C24, **extrema_kwargs(C24), allowed=list(range(8))) == 94
-        assert forked_scans
+        assert threaded_scans or _kernel.load() is None
 
-    def test_d_pair_alphabet_matches_reference(self, forked_scans, usable_cpus):
+    def test_d_pair_alphabet_matches_reference(self, threaded_scans, usable_cpus):
         """For every divisor pair of each small group, the scan of the one
         mask that ``longest_avoiding`` passes, G_{d/d'} and every rank
         outside G_d, against the reference walking the alphabet G_d minus
@@ -1101,9 +1020,9 @@ class TestBlockedMaskKernel:
                 length, witness = longest_avoiding(group, pair)
                 assert (length, tuple(witness.iter_ranks()) or None) == max(
                     want[0], key=lambda state: state[0], default=(0, None))[:2]
-        assert forked_scans
+        assert threaded_scans or _kernel.load() is None
 
-    def test_running_sums_match_sums_from_scratch(self, forked_scans, usable_cpus,
+    def test_running_sums_match_sums_from_scratch(self, threaded_scans, usable_cpus,
                                                   python_kernel):
         """At every enter the total the kernel passes is the sum of the
         weights over the whole path; and each accumulator that reads it
@@ -1133,9 +1052,9 @@ class TestBlockedMaskKernel:
                         kind = type(got[0][0].acc).__name__
                         climbs[kind] = climbs.get(kind, 0) + sum(c.climbs for c in got[0])
         assert climbs["_MinMaxOrderAcc"] and climbs["_ViolationAcc"]
-        assert forked_scans
+        assert not threaded_scans
 
-    def test_root_task_walks_its_reference_subtree(self, forked_scans, usable_cpus,
+    def test_root_task_walks_its_reference_subtree(self, threaded_scans, usable_cpus,
                                                    python_kernel):
         """Root g's task enters exactly the reference paths of root g, in
         order; with an accumulator that stops at length 1 it enters (g,)
@@ -1167,7 +1086,7 @@ class TestBlockedMaskKernel:
                     accs, nodes = run_scan(group, _LogAcc, forbidden_mask=forbidden)
                     assert [acc.log for acc in accs] == want, (group, roots, width)
                     assert nodes == sum(map(len, want))
-        assert forked_scans
+        assert not threaded_scans
 
     def test_translates_only_nodes_that_descend(self, monkeypatch, usable_cpus,
                                                 python_kernel):
@@ -1232,9 +1151,13 @@ def task_nodes(monkeypatch) -> list[int]:
             return nodes[-1]
         return counting
 
+    class CountedScan:
+        def __init__(self, scan):
+            self.walk, self.stop = counted(scan.walk), scan.stop
+
     def counting_compiled(*args):
         found = compiled(*args)
-        return found and (counted(found[0]), found[1])
+        return found and (map(CountedScan, found[0]), found[1])
 
     monkeypatch.setattr(search, "_scan_from", counted(scan_from))
     monkeypatch.setattr(search, "_compiled", counting_compiled)
@@ -1258,7 +1181,7 @@ class TestCompiledKernel:
             (factory, weights) for factory, weights, _, _ in TestBlockedMaskKernel._cases(group)]
 
     @pytest.mark.parametrize("factors", P_GROUP_FACTORS + NON_P_FACTORS, ids=str)
-    def test_root_tasks_match(self, factors, compiled_kernel, forked_scans, monkeypatch,
+    def test_root_tasks_match(self, factors, compiled_kernel, threaded_scans, monkeypatch,
                               usable_cpus):
         from zerosum.search import run_scan
         group = AbelianGroup(factors)
@@ -1271,7 +1194,7 @@ class TestCompiledKernel:
                                                symmetric=symmetric))
                         for _ in each_kernel(monkeypatch))
                     assert compiled == python, (factory(), symmetric, width)
-        assert forked_scans or group.cardinality <= 3  # three roots fork at width 2
+        assert threaded_scans or group.cardinality <= 3  # three roots start threads at width 2
 
     @pytest.mark.parametrize("factors", P_GROUP_FACTORS + NON_P_FACTORS + [(5, 5)], ids=str)
     def test_task_budgets_match(self, factors, compiled_kernel):
@@ -1295,8 +1218,9 @@ class TestCompiledKernel:
 
                     def compiled(allowance, seconds=math.inf):
                         acc = factory()
-                        walk, (mode,) = _compiled(compiled_kernel, tables, [acc], 1, weights,
-                                                  cut)
+                        scans, (mode,) = _compiled(compiled_kernel, tables, [acc], 1, weights,
+                                                   cut)
+                        walk = next(scans).walk
                         return walk(root, acc, mode, allowance, seconds), _acc_state(acc)
 
                     full = python(unbounded)[0]
@@ -1361,25 +1285,51 @@ class TestCompiledKernel:
         assert info.value.nodes_visited == max_nodes + 1
         assert sum(nodes) == max_nodes + 1
 
-    def test_worker_exception_keeps_its_type(self, compiled_kernel, forked_scans, monkeypatch,
+    def test_worker_exception_keeps_its_type(self, compiled_kernel, threaded_scans, monkeypatch,
                                              usable_cpus):
-        # the cut's first class mask that the compiled walk asks for in a
-        # worker raises there
+        # the cut's first class mask that the compiled walk asks for on a
+        # thread raises there
         from zerosum import search
-        parent = os.getpid()
         real_missing = search._PathCut.__missing__
 
         def failing(cut, fix):
-            if os.getpid() != parent:
-                raise ZeroDivisionError("in a worker")
+            if _in_a_thread():
+                raise ZeroDivisionError("in a thread")
             return real_missing(cut, fix)
 
         monkeypatch.setattr(search._PathCut, "__missing__", failing)
         search._path_cut.cache_clear()
         usable_cpus(2)
-        with pytest.raises(ZeroDivisionError, match="in a worker"):
+        with pytest.raises(ZeroDivisionError, match="in a thread"):
             zero_sumfree_extrema(AbelianGroup((2, 4, 4)))
-        assert forked_scans
+        assert threaded_scans
+
+    def test_failing_thread_stops_the_others(self, compiled_kernel, threaded_scans,
+                                             monkeypatch, usable_cpus):
+        # Gamma C4xC4xC8 at delta 3 runs its last task, of one node, here
+        # and the four left on two threads; one of them walks 135,322,411
+        # nodes, over 4 s on a 2-core Xeon. The first class mask that a
+        # thread asks for raises there; the other walk stops within 2048
+        # nodes, and the scan raises that exception.
+        from zerosum import search
+        real_missing = search._PathCut.__missing__
+        raised = []
+
+        def failing_once(cut, fix):
+            if _in_a_thread() and not raised:
+                raised.append(fix)
+                raise ZeroDivisionError("in one thread")
+            return real_missing(cut, fix)
+
+        monkeypatch.setattr(search._PathCut, "__missing__", failing_once)
+        search._path_cut.cache_clear()
+        usable_cpus(2)
+        started = time.monotonic()
+        with pytest.raises(ZeroDivisionError, match="in one thread"):
+            search._gamma_scan(AbelianGroup((4, 4, 8)), 3, SearchBudget(max_nodes=10 ** 9),
+                               symmetric=True)
+        assert time.monotonic() - started < 2
+        assert raised and len(threaded_scans) == 2
 
 
 # entry points that take an exact integer, each given a value in its place

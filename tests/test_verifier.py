@@ -155,7 +155,8 @@ class TestReportShape:
         assert a.nodes_visited == b.nodes_visited
         assert a.verdict == b.verdict
 
-    def test_forked_workers_do_not_change_report(self, forked_scans, usable_cpus):
+    def test_forked_workers_do_not_change_report(self, threaded_scans, compiled_kernel,
+                                                 usable_cpus):
         runs = []
         for width in (1, 2, 4):
             usable_cpus(width)
@@ -163,7 +164,7 @@ class TestReportShape:
             order = check_order_divisibility(AbelianGroup((2, 6)), 1)
             runs.append([(r.verdict, r.counterexample, r.nodes_visited)
                          for r in (dual, order)])
-        assert forked_scans
+        assert threaded_scans
         assert runs[0] == runs[1] == runs[2]
         assert runs[0][0][:2] == ("verified", None)
         assert runs[0][1][0] == "counterexample"
