@@ -24,8 +24,8 @@
    each (coordinate, shift) are built when first needed, so they take at
    most sum(n_i - 1)*|G|/4 bytes. A class mask is fetched from Python
    (the cut's ``__missing__``) the first time a scan meets its generator
-   mask and kept in a list, searched in order: a walk asks for few of them,
-   at most 20 on the groups measured. */
+   mask and kept in a list, searched in order: a scan asks for few of
+   them, at most 20 per group on the 31 cut scans measured (README). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -43,7 +43,7 @@ typedef struct {
     Py_ssize_t *factors, *strides, *rot_base;
     word **rot;            /* low then high mask of each (coordinate, shift) */
     word *forbidden;
-    int32_t *weights;      /* NULL: every weight is 0 */
+    int32_t *weights;
     /* the cut: gwords words per generator mask, 0 without a cut */
     Py_ssize_t gwords;
     word *fixes, *full;
@@ -387,8 +387,8 @@ static int read_mask(PyObject *bytes, word *dst, Py_ssize_t words, const char *w
 }
 
 /* Scan(factors, forbidden, weights, cut): ``forbidden`` the mask as
-   little-endian bytes of whole 64-bit words; ``weights`` None or one int
-   per rank, each within 32 bits (OverflowError otherwise); ``cut`` None
+   little-endian bytes of whole 64-bit words; ``weights`` each rank's
+   weight as a native int32, 4 bytes per rank; ``cut`` None
    or (fixes, full, classes): each rank's generator mask and the mask of
    every generator, bytes of whole words, and the callable that maps a
    generator mask to its class-minima mask. */
@@ -396,7 +396,7 @@ static int Scan_init(Scan *s, PyObject *args, PyObject *kwds)
 {
     PyObject *factors, *forbidden, *weights, *cut;
     static char *kwlist[] = {"factors", "forbidden", "weights", "cut", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!SOO:Scan", kwlist, &PyTuple_Type,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!SSO:Scan", kwlist, &PyTuple_Type,
                                      &factors, &forbidden, &weights, &cut))
         return -1;
     if (s->factors != NULL) {
@@ -439,35 +439,14 @@ static int Scan_init(Scan *s, PyObject *args, PyObject *kwds)
         return no_memory();
     if (read_mask(forbidden, s->forbidden, W, "forbidden") < 0)
         return -1;
-    if (weights != Py_None) {
-        PyObject *seq = PySequence_Fast(weights, "weights must be a sequence");
-        if (seq == NULL)
-            return -1;
-        if (PySequence_Fast_GET_SIZE(seq) != size) {
-            Py_DECREF(seq);
-            PyErr_SetString(PyExc_ValueError, "weights must have one entry per rank");
-            return -1;
-        }
-        s->weights = raw_alloc(size, sizeof(int32_t));
-        if (s->weights == NULL) {
-            Py_DECREF(seq);
-            return no_memory();
-        }
-        for (Py_ssize_t r = 0; r < size; r++) {
-            long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, r));
-            if (v == -1 && PyErr_Occurred()) {
-                Py_DECREF(seq);
-                return -1;
-            }
-            if (v < INT32_MIN || v > INT32_MAX) {
-                Py_DECREF(seq);
-                PyErr_SetString(PyExc_OverflowError, "a weight does not fit in 32 bits");
-                return -1;
-            }
-            s->weights[r] = (int32_t)v;
-        }
-        Py_DECREF(seq);
+    if (PyBytes_GET_SIZE(weights) != 4 * size) {
+        PyErr_SetString(PyExc_ValueError, "weights must be 4 bytes per rank");
+        return -1;
     }
+    s->weights = raw_alloc(size, sizeof(int32_t));
+    if (s->weights == NULL)
+        return no_memory();
+    memcpy(s->weights, PyBytes_AS_STRING(weights), 4 * size);
     if (cut != Py_None) {
         PyObject *fixes, *full, *classes;
         if (!PyArg_ParseTuple(cut, "SSO:cut", &fixes, &full, &classes))
@@ -513,7 +492,7 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
         return NULL;
     }
     int64_t max_nodes, target = 0, count = 0, best_len = 0, best_scaled = 0;
-    int64_t best_count = 0, min_length = 0, bound = 0, stop = 0;
+    int64_t best_count = 0, min_length = 0, bound = 0;
     int has = 0, got_a = 0, got_b = 0, rc;
     Py_ssize_t len_a = 0, len_b = 0;
     if (as_i64(max_obj, &max_nodes) < 0)
@@ -542,8 +521,7 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
             return NULL;
         break;
     case MODE_VIOLATION:
-        if (get_i64(acc, "min_length", &min_length) < 0 || get_i64(acc, "bound", &bound) < 0
-            || get_i64(acc, "stop", &stop) < 0)
+        if (get_i64(acc, "min_length", &min_length) < 0 || get_i64(acc, "bound", &bound) < 0)
             return NULL;
         PyObject *cex = PyObject_GetAttrString(acc, "counterexample");
         if (cex == NULL)
@@ -616,7 +594,7 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
         }
         s->path[k] = (int32_t)h;
         const int64_t len = k + 1;
-        const int64_t t = s->total[k] + (s->weights ? s->weights[h] : 0);
+        const int64_t t = s->total[k] + s->weights[h];
         int down;
         switch (mode) {
         case MODE_COUNT:
@@ -663,16 +641,12 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
                 down = 1;
             break;
         default: /* MODE_VIOLATION */
-            if (has)
-                down = 0;
-            else if (len >= min_length && t > bound) {
+            if (!has && len >= min_length && t > bound) {
                 has = got_a = 1;
                 memcpy(s->best_a, s->path, len * sizeof(int32_t));
                 len_a = len;
-                down = 0;
             }
-            else
-                down = len < stop;
+            down = !has;
             break;
         }
         cand[j] ^= bit;

@@ -36,8 +36,8 @@ _MODULE = "zerosum._ckernel"
 @lru_cache(maxsize=None)
 def load():
     """The compiled kernel module, built first if need be; None where it
-    cannot be built or loaded. Called before any scan's clock starts: the
-    build is set-up."""
+    cannot be built or loaded. Only ``search.run_scan`` calls it, before
+    its clock starts: the build is set-up."""
     try:
         with open(SOURCE, "rb") as fh:
             source = fh.read()

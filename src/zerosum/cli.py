@@ -187,8 +187,6 @@ def main(argv: list[str] | None = None) -> int:
     if not hasattr(args, "handler"):
         parser.print_help()
         return EXIT_USAGE
-    from . import _kernel
-    _kernel.load()  # a first build is set-up: before any command's clock starts
     try:
         return args.handler(args)
     except BudgetExceededError as err:

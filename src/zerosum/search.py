@@ -21,10 +21,10 @@ witnesses are those of the full walk, and only node counts fall.
 ``check`` and ``enumerate`` take every root and no cut.
 A task runs on one of two kernels that walk the same nodes in the same
 order: ``_scan_from`` in Python, or its compiled twin in ``_kernel.c``
-(built once per source by ``_kernel.load``) when every accumulator of the
-scan is one that the twin runs. The Python kernel is the fallback and the
-differential oracle of the compiled one, and runs every task in the
-calling thread. The compiled one runs its smallest tasks there first;
+(built once per source by ``_kernel.load``, which only ``run_scan``
+calls) when every accumulator of the scan is one of the four below. The
+Python kernel is the fallback and the differential oracle of the
+compiled one, and runs every task in the calling thread. The compiled one runs its smallest tasks there first;
 once those have entered more than ``_THREAD_GATE_NODES``, the rest go to
 threads, one per usable CPU up to one per task left, each pinned to its
 CPU, as the compiled walk releases the GIL. Results
@@ -38,8 +38,9 @@ from __future__ import annotations
 import math
 import os
 import time
+from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from . import _kernel
@@ -283,10 +284,11 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     All accumulators are made here and come back in root order whatever
     the thread count and the schedule, so merging them is deterministic.
     The tasks run on the compiled kernel when it loads (``_kernel.load``,
-    called before the scan's clock starts, so that a first build is
-    set-up) and every accumulator's own class names a ``kernel_mode``
-    (``_compiled``): ``_CountAcc``, ``_ExtremaAcc``, ``_MinMaxOrderAcc``
-    and ``verifier._ViolationAcc``, not a subclass or a wrapper. Otherwise
+    called here alone, before the scan's clock starts, so that a first
+    build is set-up of the first command that searches) and every
+    accumulator's own class names a ``kernel_mode`` (``_compiled``):
+    ``_CountAcc``, ``_ExtremaAcc``, ``_MinMaxOrderAcc`` and
+    ``_ViolationAcc``, not a subclass or a wrapper. Otherwise
     they run on ``_scan_from``, every one in this thread. Compiled tasks
     run from the last root down in this thread until the scan has entered
     more than ``_THREAD_GATE_NODES`` and at least two usable CPUs
@@ -321,8 +323,8 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     nodes = 0
     compiled = kernel and _compiled(kernel, tables, accs, forbidden_mask, weights, cut)
     if compiled:
-        scans, modes = compiled
-        scan = next(scans)
+        new_scan, modes = compiled
+        scan = new_scan()
         cpus = _usable_cpus()
 
         def run_one(scan, index: int) -> int:
@@ -355,19 +357,24 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
         tally(run_one(scan, left))
     if left:
         cpus = cpus[:left]
-        _run_threads([scan] + [next(scans) for _ in cpus[1:]], cpus, left, run_one, tally)
+        _run_threads([scan] + [new_scan() for _ in cpus[1:]], cpus, left, run_one, tally)
     return accs, nodes
 
 
 def _compiled(kernel, tables: GroupTables, accs: list, forbidden_mask: int, weights,
               cut: _PathCut | None):
-    """(scans, modes): an endless iterator of compiled Scans of this scan,
-    one for each thread that walks it, and each task's accumulator mode;
-    None unless every accumulator's own class (not a base class) names a
-    ``kernel_mode`` and every weight fits in 32 bits. The first Scan is
-    built here, where that is checked."""
+    """(new_scan, modes): a factory of compiled Scans of this scan, one
+    for each thread that walks it, and each task's accumulator mode; None
+    unless every accumulator's own class (not a base class) names a
+    ``kernel_mode`` and every weight fits in a native 32-bit int. The
+    weights are packed here, once: ``array`` raises OverflowError on one
+    that does not fit."""
     modes = [vars(type(acc)).get("kernel_mode") for acc in accs]
     if None in modes:
+        return None
+    try:
+        packed = bytes(4 * tables.size) if weights is None else array("i", weights).tobytes()
+    except OverflowError:
         return None
     width = -(-tables.size // 64) * 8
     spec = None
@@ -377,17 +384,7 @@ def _compiled(kernel, tables: GroupTables, accs: list, forbidden_mask: int, weig
                 cut.full.to_bytes(gwidth, "little"),
                 lambda fix: cut[int.from_bytes(fix, "little")].to_bytes(width, "little"))
     forbidden = (forbidden_mask & ((1 << tables.size) - 1)).to_bytes(width, "little")
-    args = (tables.factors, forbidden, weights, spec)
-    try:
-        first = kernel.Scan(*args)
-    except OverflowError:
-        return None
-
-    def scans():
-        yield first
-        while True:
-            yield kernel.Scan(*args)
-    return scans(), modes
+    return partial(kernel.Scan, tables.factors, forbidden, packed, spec), modes
 
 
 def _run_threads(scans: list, cpus: list[int | None], count: int,
@@ -537,6 +534,35 @@ class _MinMaxOrderAcc:
         if len(path) == self.target:
             self.best_count = count
             self.best = tuple(path)
+            return False
+        return True
+
+
+class _ViolationAcc:
+    """Records the first (lexicographically least) sequence that violates:
+    one of length at least ``min_length`` whose total, the sum of its
+    check's per-element weights, exceeds ``bound``. Every check states its
+    claim in that form (``verifier``), so the accumulator holds only data,
+    which the compiled kernel reads and writes.
+
+    It descends unless it records a violation; once one is recorded the
+    rest of this task's walk is pruned, so node counts stay exhaustive
+    exactly when the verdict is 'verified'.
+    """
+
+    __slots__ = ("min_length", "bound", "counterexample")
+    kernel_mode = 3  # its MODE_* in the compiled kernel, _kernel.c
+
+    def __init__(self, min_length: int, bound: int):
+        self.min_length, self.bound = min_length, bound
+        self.counterexample: tuple[int, ...] | None = None
+
+    def enter(self, node):
+        if self.counterexample is not None:
+            return False
+        path, total = node
+        if len(path) >= self.min_length and total > self.bound:
+            self.counterexample = tuple(path)
             return False
         return True
 

@@ -14,7 +14,8 @@ from ._record import record
 from .errors import BudgetExceededError
 from .formulas import d_star, davenport_p_group, gamma_bounds, gamma_broken_rule, k_star
 from .groups import AbelianGroup, _exact_ints
-from .search import SearchBudget, _cross_weights, _gamma_scan, _rank_lists, run_scan
+from .search import (SearchBudget, _cross_weights, _gamma_scan, _rank_lists,
+                     _ViolationAcc, run_scan)
 from .sequences import GSequence
 
 
@@ -32,35 +33,6 @@ class CheckReport:
         return dict(self.details).get(key)
 
 
-class _ViolationAcc:
-    """Records the first (lexicographically least) sequence that violates:
-    one of length at least ``min_length`` whose total, the sum of its
-    check's per-element weights, exceeds ``bound``. Every check states its
-    claim in that form, so the accumulator holds only data, which the
-    compiled kernel reads and writes. A branch stops at length ``stop``: d(G)
-    for the max-order check, else |G|, which no zero-sumfree length reaches.
-
-    Once a violation is recorded the rest of this task's walk is pruned, so
-    node counts stay exhaustive exactly when the verdict is 'verified'.
-    """
-
-    __slots__ = ("min_length", "bound", "stop", "counterexample")
-    kernel_mode = 3  # its MODE_* in the compiled kernel, _kernel.c
-
-    def __init__(self, min_length: int, bound: int, stop: int):
-        self.min_length, self.bound, self.stop = min_length, bound, stop
-        self.counterexample: tuple[int, ...] | None = None
-
-    def enter(self, node):
-        if self.counterexample is not None:
-            return False
-        path, total = node
-        if len(path) >= self.min_length and total > self.bound:
-            self.counterexample = tuple(path)
-            return False
-        return len(path) < self.stop
-
-
 def _budget_exceeded(name: str, parameters: tuple[tuple[str, int], ...],
                      err: BudgetExceededError,
                      details: tuple[tuple[str, object], ...] = ()) -> CheckReport:
@@ -73,11 +45,9 @@ def _run_violation_check(group: AbelianGroup, name: str,
                          weights: list[int], min_length: int, bound: int,
                          budget: SearchBudget | None,
                          implementation_bug_on_failure: bool,
-                         stop: int | None = None,
                          details: tuple[tuple[str, object], ...] = ()) -> CheckReport:
     try:
-        accs, nodes = run_scan(group, lambda: _ViolationAcc(min_length, bound,
-                                                            stop or group.cardinality),
+        accs, nodes = run_scan(group, lambda: _ViolationAcc(min_length, bound),
                                weights=weights, budget=budget)
     except BudgetExceededError as err:
         return _budget_exceeded(name, parameters, err, details)
@@ -175,12 +145,12 @@ def check_corollary_max_order(group: AbelianGroup,
     d_g = davenport_p_group(group)
     exp = group.exponent
     # weight -1 per element of maximal order: a sum above 1 - exp means fewer
-    # than exp - 1 such elements; every branch stops at length d_g
+    # than exp - 1 such elements; no zero-sumfree sequence is longer than d_g
     weights = [-1 if o == exp else 0 for o in _rank_lists(group.invariant_factors)[0]]
     return _run_violation_check(
         group, "max-order-at-full-length", (("length", d_g), ("minimum", exp - 1)),
         weights, d_g, 1 - exp,
-        budget, True, stop=d_g)
+        budget, True)
 
 
 def check_gamma_conjecture(group: AbelianGroup, delta: int,

@@ -82,6 +82,23 @@ def test_first_runs_build_once_and_later_runs_start_no_compiler(tmp_path, compil
     assert hit.splitlines() == ["True", "[]"]
 
 
+def test_only_a_searching_command_builds_the_kernel(tmp_path, compiled_kernel):
+    # a cold cache: commands that do not search start no compiler and leave
+    # the cache empty; the first that searches builds the kernel, once
+    env, log = compiler(tmp_path, fails=False)
+    cli = "import sys; from zerosum.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in (["construct", "--group", "3,9", "--kind", "dstar"],
+                 ["invariants", "--group", "2,4", "--method", "formula"]):
+        python(cli, env, *argv)
+        assert runs(log) == 0 and cached(tmp_path) == [], argv
+    for argv in (["invariants", "--group", "3,3", "--method", "search"],
+                 ["check", "--group", "2,4", "--name", "cross-number"]):
+        python(cli, env, *argv)
+    assert runs(log) == 1
+    (built,) = cached(tmp_path)
+    assert built.endswith(EXTENSION_SUFFIXES[0])
+
+
 def test_failed_build_leaves_a_marker(tmp_path):
     env, log = compiler(tmp_path, fails=True)
     assert python(LOAD, env) == "False"
@@ -162,10 +179,20 @@ def test_scan_walks_one_task_at_a_time(compiled_kernel):
     def classes(fix):
         return scan.walk(1, _ExtremaAcc(), 1, 10, 1.0)
 
-    scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), None,
+    scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), bytes(16),
                                 (bytes(8 * 4), (1).to_bytes(8, "little"), classes))
     with pytest.raises(RuntimeError, match="one task at a time"):
         scan.walk(1, _ExtremaAcc(), 1, 10, 1.0)
+
+
+def test_scan_takes_four_bytes_of_weight_per_rank(compiled_kernel):
+    # the weights come packed as native int32, as search._compiled packs them
+    compiled_kernel.Scan((4,), bytes(8), bytes(16), None)
+    for weights in (bytes(12), bytes(20)):
+        with pytest.raises(ValueError, match="4 bytes per rank"):
+            compiled_kernel.Scan((4,), bytes(8), weights, None)
+    with pytest.raises(TypeError):
+        compiled_kernel.Scan((4,), bytes(8), [0] * 4, None)
 
 
 def test_scan_refuses_to_walk_uninitialised(compiled_kernel):

@@ -85,7 +85,11 @@ ROUTES = {
 @pytest.mark.parametrize("command", ROUTES)
 def test_a_command_loads_only_its_route(command, tmp_path):
     # the command, then the verify-cert of its certificate, each in a fresh
-    # interpreter; only check runs the verifier, only construct a construction
+    # interpreter; only check runs the verifier, only construct a
+    # construction, and only a route that searches loads the compiled
+    # kernel, where one can be built
+    from zerosum import _kernel
+    compiled = _kernel.load() is not None
     cert, kind = tmp_path / "cert.json", command.split()[0]
     run = ("import contextlib, io, sys\n"
            "from zerosum.cli import main\n"
@@ -94,6 +98,8 @@ def test_a_command_loads_only_its_route(command, tmp_path):
     for argv in ([*command.split(), "--out", str(cert)], ["verify-cert", "--in", str(cert)]):
         loaded = fresh(run, *argv).split()
         assert ("zerosum.search" in loaded) == ROUTES[command]
+        assert ("zerosum._kernel" in loaded) == ROUTES[command]
+        assert ("zerosum._ckernel" in loaded) == (ROUTES[command] and compiled)
         assert ("zerosum.verifier" in loaded) == (kind == "check")
         assert ("zerosum.constructions" in loaded) == (kind == "construct")
 

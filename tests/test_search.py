@@ -873,12 +873,12 @@ class _MinMaxOrderTwin:
 
 
 class _ViolationTwin:
-    """``verifier._ViolationAcc`` from scratch: each enter sums the whole
-    path and ignores the total it is given."""
+    """``_ViolationAcc`` from scratch: each enter sums the whole path and
+    ignores the total it is given."""
 
-    def __init__(self, weights, min_length, bound, stop):
+    def __init__(self, weights, min_length, bound):
         self.weights, self.min_length, self.bound = weights, min_length, bound
-        self.stop, self.counterexample = stop, None
+        self.counterexample = None
 
     def enter(self, node):
         path = node[0]
@@ -887,7 +887,7 @@ class _ViolationTwin:
         if len(path) >= self.min_length and sum(self.weights[h] for h in path) > self.bound:
             self.counterexample = tuple(path)
             return False
-        return len(path) < self.stop
+        return True
 
 
 class _Counted:
@@ -932,29 +932,28 @@ class TestBlockedMaskKernel:
         """(accumulator factory, weights, the length at which it stops or
         None, factory of its from-scratch twin or None) for each
         accumulator kind."""
-        from zerosum.search import _CountAcc, _MinMaxOrderAcc
-        from zerosum.verifier import _ViolationAcc
+        from zerosum.search import _CountAcc, _MinMaxOrderAcc, _ViolationAcc
         orders, exp = _rank_lists(group.invariant_factors)[0], group.exponent
         accs, _ = reference_scan(group, **extrema_kwargs(group))
         d = max(acc.best_len for acc in accs)
         is_max = [1 if o == exp else 0 for o in orders]
         minus_max = [-x for x in is_max]
         cross = [exp // o for o in orders]
-        short, gamma_len, size = min(3, d), max(1, d - 1), group.cardinality
+        short, gamma_len = min(3, d), max(1, d - 1)
         return [
             (_ExtremaAcc, cross, None, lambda: _ExtremaTwin(cross)),
             (lambda: _CountAcc(short, True), None, short, None),
             # the count cut prunes once a task has found a witness
             (lambda: _MinMaxOrderAcc(gamma_len), is_max, gamma_len,
              lambda: _MinMaxOrderTwin(is_max, gamma_len)),
-            # cross number above 1 at length >= 2: a counterexample prunes;
-            # it stops at |G|, which no zero-sumfree length reaches
-            (lambda: _ViolationAcc(2, exp, size), cross, None,
-             lambda: _ViolationTwin(cross, 2, exp, size)),
+            # cross number above 1 at length >= 2: a counterexample prunes
+            (lambda: _ViolationAcc(2, exp), cross, None,
+             lambda: _ViolationTwin(cross, 2, exp)),
             # the max-order check at length d(G): weight -1 per maximal-order
-            # rank, so a path's total falls as it grows
-            (lambda: _ViolationAcc(d, 1 - exp, d), minus_max, d,
-             lambda: _ViolationTwin(minus_max, d, 1 - exp, d)),
+            # rank, so a path's total falls as it grows; no zero-sumfree
+            # child survives at length d(G)
+            (lambda: _ViolationAcc(d, 1 - exp), minus_max, None,
+             lambda: _ViolationTwin(minus_max, d, 1 - exp)),
         ]
 
     def test_matches_reference_walk(self, threaded_scans, usable_cpus):
@@ -1091,12 +1090,12 @@ class TestBlockedMaskKernel:
     def test_translates_only_nodes_that_descend(self, monkeypatch, usable_cpus,
                                                 python_kernel):
         """One translate per node entered whose ``enter`` returns True, the
-        only nodes the kernel descends into: every node of the d/k scan, but
-        not the nodes where the Gamma cut, the count's length or the
-        max-order check's length d(G) ends a branch. A stop the accumulator
-        lost would make every node descend, and node counts alone do not
-        show it: the max-order walk enters the same nodes either way."""
-        from zerosum import check_corollary_max_order, search, verifier
+        only nodes the kernel descends into: every node of the d/k scan and
+        of the verified max-order check, which ends no branch, but not the
+        nodes where the Gamma cut or the count's length ends a branch. A
+        stop the accumulator lost would make every node descend, and node
+        counts alone do not show it."""
+        from zerosum import check_corollary_max_order, search
         from zerosum.groups import GroupTables
         calls, descends = [0], [0]
         translate = GroupTables.translate
@@ -1114,7 +1113,7 @@ class TestBlockedMaskKernel:
 
         monkeypatch.setattr(GroupTables, "translate", counting_translate)
         for cls in (_ExtremaAcc, search._CountAcc, search._MinMaxOrderAcc,
-                    verifier._ViolationAcc):
+                    search._ViolationAcc):
             monkeypatch.setattr(cls, "enter", counting(cls.enter))
         totals = scan_nodes(monkeypatch)
         usable_cpus(1)
@@ -1130,12 +1129,10 @@ class TestBlockedMaskKernel:
         enumerate_zero_sumfree(c55, 3)
         walked(totals[-1])
         walked(check_corollary_max_order(c55).nodes_visited)
-        assert got[0] == (138_864, 138_864, 138_864)
-        for translates, descended, nodes in got[1:]:
+        assert got[0] == got[3] == (138_864, 138_864, 138_864)
+        for translates, descended, nodes in got[1:3]:
             assert translates == descended < nodes
-        # the max-order check stops its 8,400 paths of length d(G) = 8
-        assert got[1:] == [(422_338, 422_338, 508_814), (312, 312, 2_520),
-                           (130_464, 130_464, 138_864)]
+        assert got[1:3] == [(422_338, 422_338, 508_814), (312, 312, 2_520)]
 
 
 def task_nodes(monkeypatch) -> list[int]:
@@ -1157,7 +1154,7 @@ def task_nodes(monkeypatch) -> list[int]:
 
     def counting_compiled(*args):
         found = compiled(*args)
-        return found and (map(CountedScan, found[0]), found[1])
+        return found and (lambda: CountedScan(found[0]()), found[1])
 
     monkeypatch.setattr(search, "_scan_from", counted(scan_from))
     monkeypatch.setattr(search, "_compiled", counting_compiled)
@@ -1174,10 +1171,9 @@ class TestCompiledKernel:
     def _accumulators(group):
         """(factory, weights) of each accumulator the compiled kernel runs,
         ``_CountAcc`` with and without its paths, and a violation check
-        that finds none and stops below every longest path."""
-        from zerosum.search import _CountAcc
-        from zerosum.verifier import _ViolationAcc
-        return [(lambda: _CountAcc(2, False), None), (lambda: _ViolationAcc(1, 0, 2), None)] + [
+        with no weights, which finds none and walks every node."""
+        from zerosum.search import _CountAcc, _ViolationAcc
+        return [(lambda: _CountAcc(2, False), None), (lambda: _ViolationAcc(1, 0), None)] + [
             (factory, weights) for factory, weights, _, _ in TestBlockedMaskKernel._cases(group)]
 
     @pytest.mark.parametrize("factors", P_GROUP_FACTORS + NON_P_FACTORS, ids=str)
@@ -1218,9 +1214,9 @@ class TestCompiledKernel:
 
                     def compiled(allowance, seconds=math.inf):
                         acc = factory()
-                        scans, (mode,) = _compiled(compiled_kernel, tables, [acc], 1, weights,
-                                                   cut)
-                        walk = next(scans).walk
+                        new_scan, (mode,) = _compiled(compiled_kernel, tables, [acc], 1,
+                                                      weights, cut)
+                        walk = new_scan().walk
                         return walk(root, acc, mode, allowance, seconds), _acc_state(acc)
 
                     full = python(unbounded)[0]

@@ -5,8 +5,10 @@ import pytest
 from zerosum import (AbelianGroup, SearchBudget, check_corollary_max_order,
                      check_cross_number_conjecture, check_dual_conjecture,
                      check_gamma_conjecture, check_heights,
-                     check_order_divisibility, d_star,
+                     check_order_divisibility, d_star, davenport_p_group,
                      enumerate_zero_sumfree)
+from zerosum.search import _rank_lists, _ViolationAcc, run_scan
+from conftest import P_GROUP_FACTORS
 
 C24 = AbelianGroup((2, 4))
 C6 = AbelianGroup((6,))
@@ -104,11 +106,49 @@ class TestHeights:
             assert all(g.height() == 1 for g in seq)
 
 
+class _StoppedViolationAcc(_ViolationAcc):
+    """``_ViolationAcc`` that also ends every branch at length ``stop``, as
+    the max-order check once did at d(G). A subclass: it runs on the
+    Python kernel."""
+
+    __slots__ = ("stop",)
+
+    def __init__(self, min_length, bound, stop):
+        super().__init__(min_length, bound)
+        self.stop = stop
+
+    def enter(self, node):
+        return super().enter(node) and len(node[0]) < self.stop
+
+
 class TestCorollaryMaxOrder:
     def test_examples(self):
         for factors in [(2, 4), (3, 3), (8,)]:
             report = check_corollary_max_order(AbelianGroup(factors))
             assert report.verdict == "verified"
+
+    def test_no_stop_at_full_length_moves_no_node(self, kernel):
+        # D(G) = d*(G) + 1 on p-groups (Olson 1969), so no zero-sumfree
+        # child survives at length d(G): the walk that ended every branch
+        # there enters the same nodes as the check, on either kernel
+        for factors in P_GROUP_FACTORS:
+            group = AbelianGroup(factors)
+            d, exp = davenport_p_group(group), group.exponent
+            weights = [-1 if o == exp else 0 for o in _rank_lists(factors)[0]]
+            accs, nodes = run_scan(group, lambda: _StoppedViolationAcc(d, 1 - exp, d),
+                                   weights=weights)
+            found = any(acc.counterexample is not None for acc in accs)
+            report = check_corollary_max_order(group)
+            assert (report.verdict, report.nodes_visited) == (
+                "counterexample" if found else "verified", nodes), factors
+
+    @pytest.mark.parametrize("factors, nodes",
+                             [((5, 5), 138_864), ((3, 9), 255_946), ((2, 4, 4), 508_080),
+                              ((2, 2, 8), 638_304), ((3, 3, 3), 138_424)], ids=str)
+    def test_node_counts_of_larger_groups(self, factors, nodes, compiled_kernel):
+        # the counts the check gave when it ended every branch at d(G)
+        report = check_corollary_max_order(AbelianGroup(factors))
+        assert (report.verdict, report.nodes_visited) == ("verified", nodes)
 
 
 class TestGammaConjecture:
