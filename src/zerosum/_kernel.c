@@ -1,31 +1,37 @@
 /* The compiled twin of zerosum.search._scan_from.
 
    A Scan holds one scan's constants: the group's invariant factors, the
-   forbidden mask, the per-rank weights and, for a cut scan, each rank's
-   mask of fixing generators and the classes asked for so far. Its walk
-   method runs one root task for one of the four accumulators the package
-   compiles (the MODE_* values below, each an accumulator class's
-   ``kernel_mode``): it reads the accumulator's fields, walks exactly the
-   nodes that _scan_from walks, in the same order, and writes the fields
-   back. It returns the task's nodes, counted, budgeted and checked
-   against the deadline as _scan_from does them; the deadline comes as
-   seconds left, so no clock is shared with Python.
+   forbidden mask, the per-rank weights and, for a cut scan, the states of
+   the cut met so far. Its walk method runs one root task for one of the
+   four accumulators the package compiles (the MODE_* values below, each
+   an accumulator class's ``kernel_mode``): it reads the accumulator's
+   fields, walks exactly the nodes that _scan_from walks, in the same
+   order, and writes the fields back. It returns the task's nodes,
+   counted, budgeted and checked against the deadline as _scan_from does
+   them; the deadline comes as seconds left, so no clock is shared with
+   Python.
 
    The walk releases the GIL for its loop and takes it back only to touch
-   a Python object: on a class-mask miss of the cut, for each path that
-   _CountAcc(keep=True) keeps and, on the main thread alone, to check for
-   signals at every 2048th node. So Scans on several threads walk at
-   once, one task at a time each. At every 2048th node a walk also ends
-   if its Scan's stop() was called, as at the deadline.
+   a Python object: to fetch a state of the cut it meets for the first
+   time, for each path that _CountAcc(keep=True) keeps and, on the main
+   thread alone, to check for signals at every 2048th node. So Scans on
+   several threads walk at once, one task at a time each. At every 2048th
+   node a walk also ends if its Scan's stop() was called, as at the
+   deadline.
 
    A rank mask is little-endian 64-bit words. Translating a mask by an
    element is one rotation per nonzero coordinate of the element, inside
    every block of n*s ranks, as in groups.GroupTables: the two masks of
    each (coordinate, shift) are built when first needed, so they take at
-   most sum(n_i - 1)*|G|/4 bytes. A class mask is fetched from Python
-   (the cut's ``__missing__``) the first time a scan meets its generator
-   mask and kept in a list, searched in order: a scan asks for few of
-   them, at most 20 per group on the 31 cut scans measured (README). */
+   most sum(n_i - 1)*|G|/4 bytes.
+
+   The cut is a state machine that only Python (search._PathCut) knows:
+   each level of the walk holds one int32 state, 0 where every candidate
+   is entered. A level in state s > 0 enters only the candidates in s's
+   class mask, and its child for rank h is in state row(s)[h]. The first
+   time a Scan meets a state it fetches that mask and row from Python and
+   keeps them, indexed by the state: a scan meets few states, at most 22
+   on the 300 cut scans measured (README). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -44,18 +50,17 @@ typedef struct {
     word **rot;            /* low then high mask of each (coordinate, shift) */
     word *forbidden;
     int32_t *weights;
-    /* the cut: gwords words per generator mask, 0 without a cut */
-    Py_ssize_t gwords;
-    word *fixes, *full;
-    PyObject *classes;     /* fix bytes -> class-minima bytes */
-    Py_ssize_t nclasses, class_cap;
-    word *keys, *masks;    /* the generator masks met so far, and their classes */
+    /* the cut: fetch(state) -> (class mask, row), NULL without a cut; each
+       state met so far holds its mask, W words, then its row, |G| int32 */
+    PyObject *fetch;
+    int32_t root_state;
+    Py_ssize_t state_cap;
+    word **states;
     /* per level of the walk, kept between walks */
     Py_ssize_t level_cap;
-    word *cand, *blocked, *fix, *tmp;
-    Py_ssize_t *select;
+    word *cand, *blocked, *tmp;
     int64_t *total;
-    int32_t *path, *best_a, *best_b;
+    int32_t *state, *path, *best_a, *best_b;
     int busy;              /* a walk is running; set and read under the GIL */
     int stop;              /* set by stop(), read by the walk without the GIL */
 } Scan;
@@ -90,21 +95,6 @@ static void load_words(word *dst, const unsigned char *src, Py_ssize_t n)
             w = (w << 8) | src[8 * i + b];
         dst[i] = w;
     }
-}
-
-static void store_words(unsigned char *dst, const word *src, Py_ssize_t n)
-{
-    for (Py_ssize_t i = 0; i < n; i++)
-        for (int b = 0; b < 8; b++)
-            dst[8 * i + b] = (unsigned char)(src[i] >> (8 * b));
-}
-
-static int any_bit(const word *w, Py_ssize_t n)
-{
-    for (Py_ssize_t i = 0; i < n; i++)
-        if (w[i])
-            return 1;
-    return 0;
 }
 
 static void set_range(word *w, Py_ssize_t lo, Py_ssize_t hi)
@@ -264,66 +254,64 @@ static int block_child(Scan *s, word *dst, const word *src, Py_ssize_t h)
     return 0;
 }
 
-/* -- the cut's classes ---------------------------------------------------- */
+/* -- the cut's states ----------------------------------------------------- */
 
-/* Room for twice the classes kept, 16 at first; -1 when out of memory. */
-static int grow_classes(Scan *s)
+/* Fetch state ``state`` from Python and keep it, with the GIL held; -1
+   with an exception set. */
+static int fetch_state(Scan *s, int32_t state)
 {
-    Py_ssize_t cap = s->class_cap ? 2 * s->class_cap : 16;
-    word *keys = raw_grow(s->keys, cap * s->gwords, sizeof(word));
-    if (keys != NULL)
-        s->keys = keys;
-    word *masks = keys ? raw_grow(s->masks, cap * s->words, sizeof(word)) : NULL;
-    if (masks == NULL)
-        return -1;
-    s->masks = masks;
-    s->class_cap = cap;
-    return 0;
-}
-
-/* Index of the new class-minima mask of generator mask ``fix``, fetched
-   from Python with the GIL held; -1 with an exception set. */
-static Py_ssize_t fetch_class(Scan *s, const word *fix)
-{
-    Py_ssize_t GW = s->gwords, W = s->words;
-    PyObject *key = PyBytes_FromStringAndSize(NULL, GW * 8);
-    if (key == NULL)
-        return -1;
-    store_words((unsigned char *)PyBytes_AS_STRING(key), fix, GW);
-    PyObject *got = PyObject_CallOneArg(s->classes, key);
-    Py_DECREF(key);
+    Py_ssize_t W = s->words, size = s->size;
+    PyObject *got = PyObject_CallFunction(s->fetch, "i", (int)state), *mask, *row;
     if (got == NULL)
         return -1;
-    if (!PyBytes_Check(got) || PyBytes_GET_SIZE(got) != W * 8) {
+    if (!PyTuple_Check(got) || PyTuple_GET_SIZE(got) != 2
+        || !PyBytes_Check(mask = PyTuple_GET_ITEM(got, 0)) || PyBytes_GET_SIZE(mask) != W * 8
+        || !PyBytes_Check(row = PyTuple_GET_ITEM(got, 1)) || PyBytes_GET_SIZE(row) != 4 * size) {
         Py_DECREF(got);
-        PyErr_SetString(PyExc_ValueError, "a class mask must be bytes of the mask width");
+        PyErr_SetString(PyExc_ValueError, "fetch must return a mask of the mask width "
+                        "and a row of 4 bytes per rank");
         return -1;
     }
-    if (s->nclasses == s->class_cap && grow_classes(s) < 0) {
+    word *block = raw_alloc(W * 8 + 4 * size, 1);
+    if (block == NULL) {
         Py_DECREF(got);
         return no_memory();
     }
-    Py_ssize_t k = s->nclasses++;
-    memcpy(s->keys + k * GW, fix, GW * sizeof(word));
-    load_words(s->masks + k * W, (const unsigned char *)PyBytes_AS_STRING(got), W);
+    load_words(block, (const unsigned char *)PyBytes_AS_STRING(mask), W);
+    memcpy(block + W, PyBytes_AS_STRING(row), 4 * size);
     Py_DECREF(got);
-    return k;
+    for (Py_ssize_t h = 0; h < size; h++)
+        if (((const int32_t *)(block + W))[h] < 0) {
+            PyMem_RawFree(block);
+            PyErr_SetString(PyExc_ValueError, "a state must not be negative");
+            return -1;
+        }
+    if (state >= s->state_cap) {
+        Py_ssize_t cap = 2 * (Py_ssize_t)state + 16;
+        word **states = raw_grow(s->states, cap, sizeof(word *));
+        if (states == NULL) {
+            PyMem_RawFree(block);
+            return no_memory();
+        }
+        memset(states + s->state_cap, 0, (cap - s->state_cap) * sizeof(word *));
+        s->states = states;
+        s->state_cap = cap;
+    }
+    s->states[state] = block;
+    return 0;
 }
 
-/* Index of the class-minima mask of generator mask ``fix``. Called
-   without the GIL: the masks kept are searched as they are, and only a
-   miss takes the GIL back, through *ts, to fetch one. -1 with an
-   exception set. */
-static Py_ssize_t class_of(Scan *s, const word *fix, PyThreadState **ts)
+/* Meet ``state`` in a walk that does not hold the GIL: one not met
+   before, and not 0, is fetched with the GIL taken back through *ts. -1
+   with an exception set. */
+static int meet(Scan *s, int32_t state, PyThreadState **ts)
 {
-    Py_ssize_t GW = s->gwords;
-    for (Py_ssize_t k = 0; k < s->nclasses; k++)
-        if (memcmp(s->keys + k * GW, fix, GW * sizeof(word)) == 0)
-            return k;
+    if (state == 0 || (state < s->state_cap && s->states[state] != NULL))
+        return 0;
     PyEval_RestoreThread(*ts);
-    Py_ssize_t k = fetch_class(s, fix);
+    int rc = fetch_state(s, state);
     *ts = PyEval_SaveThread();
-    return k;
+    return rc;
 }
 
 /* -- the walk's levels ---------------------------------------------------- */
@@ -336,7 +324,7 @@ static int grow_levels(Scan *s, Py_ssize_t need)
     Py_ssize_t cap = s->level_cap ? s->level_cap : 16;
     while (cap <= need)
         cap *= 2;
-    Py_ssize_t W = s->words, GW = s->gwords ? s->gwords : 1;
+    Py_ssize_t W = s->words;
 #define GROW(field, type, per)                                          \
     do {                                                                \
         type *p = raw_grow(s->field, (size_t)cap * (per), sizeof(type)); \
@@ -346,9 +334,8 @@ static int grow_levels(Scan *s, Py_ssize_t need)
     } while (0)
     GROW(cand, word, W);
     GROW(blocked, word, W);
-    GROW(fix, word, GW);
-    GROW(select, Py_ssize_t, 1);
     GROW(total, int64_t, 1);
+    GROW(state, int32_t, 1);
     GROW(path, int32_t, 1);
     GROW(best_a, int32_t, 1);
     GROW(best_b, int32_t, 1);
@@ -366,13 +353,14 @@ static void Scan_dealloc(Scan *s)
         for (Py_ssize_t i = 0; i < n; i++)
             PyMem_RawFree(s->rot[i]);
     }
+    for (Py_ssize_t i = 0; i < s->state_cap; i++)
+        PyMem_RawFree(s->states[i]);
     void *blocks[] = {s->factors, s->strides, s->rot_base, s->rot, s->forbidden,
-                      s->weights, s->fixes, s->full, s->keys, s->masks,
-                      s->cand, s->blocked, s->fix, s->tmp, s->select, s->total,
-                      s->path, s->best_a, s->best_b};
+                      s->weights, s->states, s->cand, s->blocked, s->tmp, s->total,
+                      s->state, s->path, s->best_a, s->best_b};
     for (size_t i = 0; i < sizeof(blocks) / sizeof(blocks[0]); i++)
         PyMem_RawFree(blocks[i]);
-    Py_XDECREF(s->classes);
+    Py_XDECREF(s->fetch);
     Py_TYPE(s)->tp_free((PyObject *)s);
 }
 
@@ -388,10 +376,10 @@ static int read_mask(PyObject *bytes, word *dst, Py_ssize_t words, const char *w
 
 /* Scan(factors, forbidden, weights, cut): ``forbidden`` the mask as
    little-endian bytes of whole 64-bit words; ``weights`` each rank's
-   weight as a native int32, 4 bytes per rank; ``cut`` None
-   or (fixes, full, classes): each rank's generator mask and the mask of
-   every generator, bytes of whole words, and the callable that maps a
-   generator mask to its class-minima mask. */
+   weight as a native int32, 4 bytes per rank; ``cut`` None or
+   (root_state, fetch): the state of the empty path, and the callable
+   that maps a state to its class mask, bytes of whole words, and its
+   row, bytes of a native int32 state per rank. */
 static int Scan_init(Scan *s, PyObject *args, PyObject *kwds)
 {
     PyObject *factors, *forbidden, *weights, *cut;
@@ -448,24 +436,13 @@ static int Scan_init(Scan *s, PyObject *args, PyObject *kwds)
         return no_memory();
     memcpy(s->weights, PyBytes_AS_STRING(weights), 4 * size);
     if (cut != Py_None) {
-        PyObject *fixes, *full, *classes;
-        if (!PyArg_ParseTuple(cut, "SSO:cut", &fixes, &full, &classes))
+        if (!PyArg_ParseTuple(cut, "iO:cut", &s->root_state, &s->fetch))
             return -1;
-        Py_ssize_t GW = PyBytes_GET_SIZE(full) / 8;
-        if (GW == 0 || !PyCallable_Check(classes)) {
-            PyErr_SetString(PyExc_ValueError, "a cut needs generators and a callable");
+        Py_INCREF(s->fetch);
+        if (s->root_state < 0 || !PyCallable_Check(s->fetch)) {
+            PyErr_SetString(PyExc_ValueError, "a cut needs a state and a callable");
             return -1;
         }
-        s->gwords = GW;
-        s->full = raw_alloc(GW, sizeof(word));
-        s->fixes = raw_alloc(size * GW, sizeof(word));
-        if (!s->full || !s->fixes || grow_classes(s) < 0)
-            return no_memory();
-        if (read_mask(full, s->full, GW, "full") < 0
-            || read_mask(fixes, s->fixes, size * GW, "fixes") < 0)
-            return -1;
-        Py_INCREF(classes);
-        s->classes = classes;
     }
     return grow_levels(s, 0) < 0 ? no_memory() : 0;
 }
@@ -533,7 +510,7 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
 
     /* only the main thread handles signals; elsewhere the check is no use */
     const int signals = _PyOS_IsMainThread();
-    const Py_ssize_t W = s->words, GW = s->gwords;
+    const Py_ssize_t W = s->words;
     const double deadline = now() + seconds;
     int64_t nodes = 0;
     Py_ssize_t k = 0;
@@ -548,16 +525,14 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
         s->cand[W - 1] &= ((word)1 << (s->size & 63)) - 1;
     memcpy(s->blocked, s->forbidden, W * sizeof(word));
     s->total[0] = 0;
-    if (GW) {
-        memcpy(s->fix, s->full, GW * sizeof(word));
-        if ((s->select[0] = class_of(s, s->full, &ts)) < 0)
-            goto error;
-    }
+    s->state[0] = s->root_state;
+    if (meet(s, s->root_state, &ts) < 0)
+        goto error;
     for (;;) {
         word *cand = s->cand + k * W;
-        if (GW && any_bit(s->fix + k * GW, GW)) {
+        if (s->state[k]) {
             /* keep the candidates from the least selected one on */
-            const word *sel = s->masks + s->select[k] * W;
+            const word *sel = s->states[s->state[k]];
             Py_ssize_t j = 0;
             while (j < W && !(cand[j] & sel[j]))
                 j++;
@@ -665,20 +640,10 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
             child[i] = cand[i] & ~blocked[i];
         child[j] |= bit & ~blocked[j];
         s->total[k + 1] = t;
-        if (GW) {
-            const word *fix = s->fix + k * GW, *fixes = s->fixes + h * GW;
-            word *next = s->fix + (k + 1) * GW;
-            int same = 1, nonzero = 0;
-            for (Py_ssize_t i = 0; i < GW; i++) {
-                next[i] = fix[i] & fixes[i];
-                same &= next[i] == fix[i];
-                nonzero |= next[i] != 0;
-            }
-            if (same)
-                s->select[k + 1] = s->select[k];
-            else if (nonzero && (s->select[k + 1] = class_of(s, next, &ts)) < 0)
-                goto error;
-        }
+        const int32_t state = s->state[k];  /* its row follows its mask */
+        s->state[k + 1] = state ? ((const int32_t *)(s->states[state] + W))[h] : 0;
+        if (meet(s, s->state[k + 1], &ts) < 0)
+            goto error;
         k++;
     }
 

@@ -4,7 +4,8 @@
 then the search runs its Python kernel. The module is built at most once
 per source and interpreter: with the C compiler that ``$CC`` names, else
 the one ``sysconfig`` names, into a per-user cache directory
-(``$XDG_CACHE_HOME/zerosum``, else ``~/.cache/zerosum``), under a name
+(``$XDG_CACHE_HOME/zerosum`` where that path is absolute, else
+``~/.cache/zerosum``, as the XDG Base Directory spec says), under a name
 keyed by a CRC-32 of the source and the interpreter's extension suffix.
 It needs no package and no download, only a compiler and the
 interpreter's headers.
@@ -44,7 +45,9 @@ def load():
     except OSError:
         return None
     suffix = EXTENSION_SUFFIXES[0]
-    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):
+        cache = os.path.join(os.path.expanduser("~"), ".cache")
     key = zlib.crc32(source + suffix.encode())
     path = os.path.join(cache, "zerosum", f"kernel-{key:08x}{suffix}")
     if not os.path.exists(path) and (os.path.exists(path + ".failed") or not _build(path)):

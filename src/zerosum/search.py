@@ -15,26 +15,29 @@ cut every level by canonical augmentation (B. D. McKay, J. Algorithms
 optimiser and an automorphism fixes s_1, ..., s_(j-1), it maps S* to an
 optimiser whose sorted form is not smaller, so it does not lower s_j. So
 a level enters only the ranks least in their class under the checked
-elementary automorphisms that fix every rank of its path (``_PathCut``):
-at the root, with the empty path, under all of them. Values and
-witnesses are those of the full walk, and only node counts fall.
-``check`` and ``enumerate`` take every root and no cut.
+elementary automorphisms that fix every rank of its path: at the root,
+with the empty path, under all of them. ``_PathCut`` alone knows those
+generators; to the kernels a path has a state, which names its class
+mask and steps to the next state by one table lookup per rank appended.
+Values and witnesses are those of the full walk, and only node counts
+fall. ``check`` and ``enumerate`` take every root and no cut.
 A task runs on one of two kernels that walk the same nodes in the same
 order: ``_scan_from`` in Python, or its compiled twin in ``_kernel.c``
 (built once per source by ``_kernel.load``, which only ``run_scan``
 calls) when every accumulator of the scan is one of the four below. The
 Python kernel is the fallback and the differential oracle of the
-compiled one, and runs every task in the calling thread. The compiled one runs its smallest tasks there first;
-once those have entered more than ``_THREAD_GATE_NODES``, the rest go to
-threads, one per usable CPU up to one per task left, each pinned to its
-CPU, as the compiled walk releases the GIL. Results
-merge by root with a lexicographic tie-break, so values, witnesses, node
-counts and budget verdicts do not depend on the kernel, the thread count
-or the schedule.
+compiled one, and runs every task in the calling thread. The compiled
+one runs its smallest tasks there first; once those have entered more
+than ``_THREAD_GATE_NODES``, the rest go to threads, one per usable CPU
+up to one per task left, each pinned to its CPU, as the compiled walk
+releases the GIL. Results merge by root with a lexicographic tie-break,
+so values, witnesses, node counts and budget verdicts do not depend on
+the kernel, the thread count or the schedule.
 """
 
 from __future__ import annotations
 
+import _thread
 import math
 import os
 import time
@@ -118,45 +121,74 @@ def _automorphism(factors: tuple[int, ...], generator: tuple[int, int, int, int]
     return perm
 
 
-class _PathCut(dict):
-    """The cut below the root for one group, from the checked ``_generators``.
-
-    ``fixes[h]`` is the bitmask of the generators that fix rank h. The dict
-    maps a bitmask ``fix`` of generators to the mask of the least rank of
-    each class under them, computed as first asked for: one class at a time,
-    walked from its least rank through the chosen rank permutations.
-    ``self[self.full]``, the classes under every generator, names the roots.
-    Each generator is an automorphism, so each class lies in one Aut(G)
-    orbit and the least rank of every orbit is kept.
+class _PathCut:
+    """The cut below the root for one group, from the checked ``_generators``,
+    as a state machine. A state stands for one set of generators, a path's
+    for those that fix every rank of it: ``ROOT`` for all of them (0 when
+    there are none), state 0 for none, where every candidate is entered.
+    ``row(s)[h]`` is the state of a path in state s after rank h, and
+    ``mask(s)`` the mask of the least rank of each class under the
+    generators of s; ``mask(ROOT)`` names the roots. Each generator is an
+    automorphism, so each class lies in one Aut(G) orbit and the least rank
+    of every orbit is kept. Rows and masks are built on first use; ids are
+    given under one lock, as two threads' walks can meet a new set at once.
     """
 
-    __slots__ = ("perms", "full", "fixes")
+    __slots__ = ("perms", "fixes", "sets", "ROOT", "_ids", "_rows", "_masks", "_lock")
 
     def __init__(self, factors: tuple[int, ...]):
-        super().__init__()
         self.perms = [_automorphism(factors, gen) for gen in _generators(factors)]
-        self.full = (1 << len(self.perms)) - 1
+        # fixes[h]: the bitmask of the generators that fix rank h
         self.fixes = [0] * math.prod(factors)
         for bit, perm in enumerate(self.perms):
             for r in [r for r, y in enumerate(perm) if r == y]:
                 self.fixes[r] |= 1 << bit
+        self.sets, self._ids, self._rows, self._masks = [], {}, {}, {}
+        self._lock = _thread.allocate_lock()
+        self._state(0)
+        self.ROOT = self._state((1 << len(self.perms)) - 1)
 
-    def __missing__(self, fix: int) -> int:
-        chosen = [perm for bit, perm in enumerate(self.perms) if fix >> bit & 1]
-        mask, seen = 0, bytearray(len(self.fixes))
-        for r in range(len(seen)):
-            if not seen[r]:
-                mask |= 1 << r
-                seen[r] = 1
-                stack = [r]
-                while stack:
-                    x = stack.pop()
-                    for perm in chosen:
-                        if not seen[y := perm[x]]:
-                            seen[y] = 1
-                            stack.append(y)
-        self[fix] = mask
+    def _state(self, gens: int) -> int:
+        """The id of generator set ``gens``, given the first time it is met."""
+        with self._lock:
+            if gens not in self._ids:
+                self.sets.append(gens)
+                self._ids[gens] = len(self.sets) - 1
+            return self._ids[gens]
+
+    def row(self, state: int) -> list[int]:
+        row = self._rows.get(state)
+        if row is None:
+            gens = self.sets[state]
+            ids = {fix: self._state(gens & fix) for fix in set(self.fixes)}
+            row = self._rows[state] = [ids[fix] for fix in self.fixes]
+        return row
+
+    def mask(self, state: int) -> int:
+        mask = self._masks.get(state)
+        if mask is None:
+            gens = self.sets[state]
+            chosen = [perm for bit, perm in enumerate(self.perms) if gens >> bit & 1]
+            mask, seen = 0, bytearray(len(self.fixes))
+            for r in range(len(seen)):
+                if not seen[r]:
+                    mask |= 1 << r
+                    seen[r] = 1
+                    stack = [r]
+                    while stack:
+                        x = stack.pop()
+                        for perm in chosen:
+                            if not seen[y := perm[x]]:
+                                seen[y] = 1
+                                stack.append(y)
+            self._masks[state] = mask
         return mask
+
+    def fetch(self, state: int) -> tuple[bytes, bytes]:
+        """State ``state`` for the compiled kernel: its mask, little-endian
+        bytes of whole 64-bit words, and its row, a native int32 per rank."""
+        width = -(-len(self.fixes) // 64) * 8
+        return self.mask(state).to_bytes(width, "little"), array("i", self.row(state)).tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -190,33 +222,32 @@ def _scan_from(tables: GroupTables, root: int, forbidden_mask: int, acc, weights
     child's candidates are the parent's untried ones, h included, minus
     that mask. Only a node that descends is translated.
 
-    With a ``cut``, each level also keeps ``fix``, the bitmask of the
-    generators that fix every rank of its path (``fix &= fixes[h]`` on
-    descent), ``cut.full`` at the level above the root; so ``root`` must be
-    least in its class under every generator, as ``run_scan``'s roots are.
-    A level with ``fix`` nonzero enters only the candidates least in their
-    class under those generators, dropping the untried ranks below each
-    child it enters, so that child still draws its own children from every
-    untried rank from it on; a level with ``fix`` zero enters every
-    candidate, as a scan without a cut does.
+    With a ``cut``, each level also keeps the ``_PathCut`` state of its
+    path (``state = row[h]`` on descent), ``cut.ROOT`` at the level above
+    the root; so ``root`` must be least in its class under every
+    generator, as ``run_scan``'s roots are. A level in a nonzero state
+    enters only the candidates in its ``mask``, least in their class,
+    dropping the untried ranks below each child it enters, so that child
+    still draws its own children from every untried rank from it on; a
+    level in state 0 enters every candidate, as a scan without a cut does.
     """
     translate, neg = tables.translate, _rank_lists(tables.factors)[1]
     cand = (1 << tables.size) - (1 << root)
-    blocked, fix, select, total, nodes = forbidden_mask, 0, 0, 0, 0
-    if cut is not None:
-        fixes, fix = cut.fixes, cut.full
-        select = cut[fix]
+    blocked, state, row, select, total, nodes = forbidden_mask, 0, None, 0, 0, 0
+    if cut is not None and cut.ROOT:
+        state = cut.ROOT
+        row, select = cut.row(state), cut.mask(state)
     path = []
-    stack = []  # (untried children, blocked, fix, select, total) above each path node
+    stack = []  # (untried children, blocked, state, row, select, total) above each path node
     while True:
-        if fix:
+        if state:
             low = cand & select
             cand &= -(low & -low)  # 0 when no candidate is selected
         if not cand:
             path.pop()
             if not path:
                 return nodes
-            cand, blocked, fix, select, total = stack.pop()
+            cand, blocked, state, row, select, total = stack.pop()
             continue
         low = cand & -cand
         h = low.bit_length() - 1
@@ -226,14 +257,14 @@ def _scan_from(tables: GroupTables, root: int, forbidden_mask: int, acc, weights
         path.append(h)
         t = total + weights[h]
         if acc.enter((path, t)):
-            stack.append((cand ^ low, blocked, fix, select, total))
+            stack.append((cand ^ low, blocked, state, row, select, total))
             total = t
             blocked |= translate(blocked, neg[h])
             cand &= ~blocked
-            if fix:
-                fix &= fixes[h]
-                if fix:
-                    select = cut[fix]
+            if state and row[h] != state:
+                state = row[h]
+                if state:
+                    row, select = cut.row(state), cut.mask(state)
         else:
             path.pop()
             if not path:
@@ -313,7 +344,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     cut = None
     if symmetric:
         cut = _path_cut(tables.factors)
-        root_mask &= cut[cut.full]
+        root_mask &= cut.mask(cut.ROOT)
     roots = [g for g, bit in enumerate(bin(root_mask)[:1:-1]) if bit == "1"]
 
     kernel = _kernel.load()  # a first build is set-up, before the clock starts
@@ -377,12 +408,7 @@ def _compiled(kernel, tables: GroupTables, accs: list, forbidden_mask: int, weig
     except OverflowError:
         return None
     width = -(-tables.size // 64) * 8
-    spec = None
-    if cut is not None:
-        gwidth = -(-max(len(cut.perms), 1) // 64) * 8
-        spec = (b"".join(fix.to_bytes(gwidth, "little") for fix in cut.fixes),
-                cut.full.to_bytes(gwidth, "little"),
-                lambda fix: cut[int.from_bytes(fix, "little")].to_bytes(width, "little"))
+    spec = None if cut is None else (cut.ROOT, cut.fetch)
     forbidden = (forbidden_mask & ((1 << tables.size) - 1)).to_bytes(width, "little")
     return partial(kernel.Scan, tables.factors, forbidden, packed, spec), modes
 

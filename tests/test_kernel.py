@@ -118,6 +118,23 @@ def test_unwritable_cache_attempts_no_build(tmp_path):
     assert runs(log) == 0
 
 
+def test_relative_cache_home_is_ignored(tmp_path):
+    # a relative XDG_CACHE_HOME is ignored, as the XDG Base Directory spec
+    # says: the marker of a failed build goes under $HOME/.cache, not
+    # under the working directory
+    env, log = compiler(tmp_path, fails=True)
+    home, work = tmp_path / "home", tmp_path / "work"
+    work.mkdir()
+    env.update(HOME=str(home), XDG_CACHE_HOME="relcache")
+    out = subprocess.run([sys.executable, "-c", LOAD], env={**os.environ, "PYTHONPATH": SRC,
+                         **env}, cwd=work, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+    assert runs(log) == 1
+    assert list(work.iterdir()) == []
+    (marker,) = (home / ".cache" / "zerosum").iterdir()
+    assert marker.name.endswith(EXTENSION_SUFFIXES[0] + ".failed")
+
+
 def test_goldens_are_identical_without_a_compiler(tmp_path):
     # CC=false and an empty cache: every scan takes the Python kernel
     code = ("import sys, tempfile\n"
@@ -173,14 +190,13 @@ def test_interrupt_stops_a_long_compiled_walk(compiled_kernel):
 
 
 def test_scan_walks_one_task_at_a_time(compiled_kernel):
-    # a walk that asks for a class mask is reentered from it: refused
+    # a walk that fetches a state of the cut is reentered from it: refused
     from zerosum.search import _ExtremaAcc
 
-    def classes(fix):
+    def fetch(state):
         return scan.walk(1, _ExtremaAcc(), 1, 10, 1.0)
 
-    scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), bytes(16),
-                                (bytes(8 * 4), (1).to_bytes(8, "little"), classes))
+    scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), bytes(16), (1, fetch))
     with pytest.raises(RuntimeError, match="one task at a time"):
         scan.walk(1, _ExtremaAcc(), 1, 10, 1.0)
 
@@ -193,6 +209,28 @@ def test_scan_takes_four_bytes_of_weight_per_rank(compiled_kernel):
             compiled_kernel.Scan((4,), bytes(8), weights, None)
     with pytest.raises(TypeError):
         compiled_kernel.Scan((4,), bytes(8), [0] * 4, None)
+
+
+def test_scan_refuses_malformed_cut_data(compiled_kernel):
+    # on C4, a state's mask is one 64-bit word and its row 4 int32 states;
+    # fetch(1) gives state 1 (classes {0}, {1, 3}, {2}) and its row
+    from array import array
+    from zerosum.search import _ExtremaAcc
+    mask, row = (0b0111).to_bytes(8, "little"), array("i", [1, 0, 1, 0]).tobytes()
+
+    def walk(fetched, root_state=1):
+        scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), bytes(16),
+                                    (root_state, lambda state: fetched))
+        acc = _ExtremaAcc()
+        return scan.walk(1, acc, 1, 10, 1.0), acc.best
+
+    assert walk((mask, row)) == (4, (1, 1, 1))
+    for bad in ((bytes(16), row), (bytes(4), row), (mask, row[:12]), (mask, row + bytes(4)),
+                (mask, array("i", [1, -1, 1, 0]).tobytes()), (mask,), [mask, row]):
+        with pytest.raises(ValueError):
+            walk(bad)
+    with pytest.raises(ValueError, match="a state"):
+        walk((mask, row), root_state=-1)
 
 
 def test_scan_refuses_to_walk_uninitialised(compiled_kernel):

@@ -623,31 +623,73 @@ class TestOrbitCut:
     def test_classes_are_the_aut_orbits(self, factors):
         from zerosum.search import _path_cut
         cut = _path_cut(factors)
-        assert cut[cut.full] == aut_orbit_minima(AbelianGroup(factors))
+        assert cut.mask(cut.ROOT) == aut_orbit_minima(AbelianGroup(factors))
 
     @pytest.mark.parametrize("factors", SMALL_GROUP_FACTORS, ids=str)
     def test_cut_enters_every_stabiliser_minimum(self, factors):
-        """Below an orbit-minimum root m, and below every (m, h), the cut
-        enters each rank least in its orbit under the listed automorphisms
-        that fix every rank of the path, so it keeps the next rank of the
-        least optimiser; on a group of rank two or more it acts."""
+        """Below an orbit-minimum root m, and below every nondecreasing
+        path of length 2 or 3 from it, the state that ``row`` leads to from
+        ``ROOT`` enters each rank least in its orbit under the listed
+        automorphisms that fix every rank of the path, so it keeps the next
+        rank of the least optimiser; on a group of rank two or more it
+        acts. Below a path in state 0 every rank is entered."""
         from zerosum.search import _path_cut
         group = AbelianGroup(factors)
         size = group.cardinality
         cut = _path_cut(factors)
-        roots = cut[cut.full]
-        acted = False
+        roots = cut.mask(cut.ROOT)
+        checked = set()
+
+        def check(path: tuple[int, ...], state: int) -> None:
+            if not state:
+                return
+            checked.add(len(path))
+            assert aut_orbit_minima(group, path) & ~cut.mask(state) == 0, path
+            if len(path) < 3:
+                for h in range(path[-1], size):
+                    check(path + (h,), cut.row(state)[h])
+
         for m in range(1, size):
-            if not roots >> m & 1:
-                continue
-            for path in [(m,)] + [(m, h) for h in range(m, size)]:
-                fix = cut.full
-                for r in path:
-                    fix &= cut.fixes[r]
-                if fix:
-                    acted = True
-                    assert aut_orbit_minima(group, path) & ~cut[fix] == 0, path
-        assert acted or len(factors) == 1
+            if roots >> m & 1:
+                check((m,), cut.row(cut.ROOT)[m])
+        assert checked == {1, 2, 3} or len(factors) == 1
+
+    def test_threads_meeting_new_states_give_one_id_per_set(self):
+        """Threads that follow every row from ``ROOT`` of a fresh cut of
+        C2^4xC6 (21 generators, 64 states) at once, released together with
+        a 1 us switch interval, give each generator set one id and see the
+        same rows. Without the lock, each of six runs of this test gave a
+        set two ids."""
+        import sys
+        import threading
+        from zerosum.search import _PathCut
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                cut = _PathCut((2, 2, 2, 2, 6))
+                seen = [{} for _ in range(4)]
+                start = threading.Barrier(len(seen), timeout=60)
+
+                def follow(out):
+                    start.wait()
+                    stack = [cut.ROOT]
+                    while stack:
+                        state = stack.pop()
+                        if state not in out:
+                            out[state] = (cut.sets[state], cut.row(state))
+                            stack.extend(out[state][1])
+
+                threads = [threading.Thread(target=follow, args=(out,)) for out in seen]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(set(cut.sets)) == len(cut.sets) == 64
+                assert all(out == seen[0] for out in seen)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_a_map_that_is_not_an_automorphism_is_refused(self, monkeypatch):
         # (k, a, i, b): coordinate k of x becomes a*x_k + b*x_i, on C2xC4
@@ -672,7 +714,7 @@ class TestOrbitCut:
         for n in range(2, 400):
             want = 1 | sum(1 << n // d for d in range(2, n + 1) if n % d == 0)
             cut = _path_cut((n,))
-            assert cut[cut.full] == want, n
+            assert cut.mask(cut.ROOT) == want, n
 
 
 class TestRouteIndependence:
@@ -1204,7 +1246,7 @@ class TestCompiledKernel:
         stopped = 0
         for factory, weights in self._accumulators(group):
             for cut in (None, _path_cut(factors)):
-                roots = -1 if cut is None else cut[cut.full]
+                roots = -1 if cut is None else cut.mask(cut.ROOT)
                 for root in (r for r in range(1, size) if roots >> r & 1):
                     def python(allowance, deadline=math.inf):
                         acc = factory()
@@ -1240,7 +1282,7 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("factors, nodes", [((2, 2, 2, 2, 6), 102_818), ((2,) * 9, 9)],
                              ids=str)
     def test_many_generators(self, factors, nodes, compiled_kernel, monkeypatch):
-        # C2^4xC6 has 21 generators; C2^9, 72, two words per generator mask
+        # C2^4xC6 has 21 generators and C2^9 72, more than one 64-bit word holds
         from zerosum.search import _path_cut
         group = AbelianGroup(factors)
         assert len(_path_cut(factors).perms) > 20
@@ -1283,18 +1325,17 @@ class TestCompiledKernel:
 
     def test_worker_exception_keeps_its_type(self, compiled_kernel, threaded_scans, monkeypatch,
                                              usable_cpus):
-        # the cut's first class mask that the compiled walk asks for on a
-        # thread raises there
+        # the cut's first state that the compiled walk fetches on a thread
+        # raises there
         from zerosum import search
-        real_missing = search._PathCut.__missing__
+        real_fetch = search._PathCut.fetch
 
-        def failing(cut, fix):
+        def failing(cut, state):
             if _in_a_thread():
                 raise ZeroDivisionError("in a thread")
-            return real_missing(cut, fix)
+            return real_fetch(cut, state)
 
-        monkeypatch.setattr(search._PathCut, "__missing__", failing)
-        search._path_cut.cache_clear()
+        monkeypatch.setattr(search._PathCut, "fetch", failing)
         usable_cpus(2)
         with pytest.raises(ZeroDivisionError, match="in a thread"):
             zero_sumfree_extrema(AbelianGroup((2, 4, 4)))
@@ -1304,21 +1345,20 @@ class TestCompiledKernel:
                                              monkeypatch, usable_cpus):
         # Gamma C4xC4xC8 at delta 3 runs its last task, of one node, here
         # and the four left on two threads; one of them walks 135,322,411
-        # nodes, over 4 s on a 2-core Xeon. The first class mask that a
-        # thread asks for raises there; the other walk stops within 2048
-        # nodes, and the scan raises that exception.
+        # nodes, over 4 s on a 2-core Xeon. The first state that a thread
+        # fetches raises there; the other walk stops within 2048 nodes, and
+        # the scan raises that exception.
         from zerosum import search
-        real_missing = search._PathCut.__missing__
+        real_fetch = search._PathCut.fetch
         raised = []
 
-        def failing_once(cut, fix):
+        def failing_once(cut, state):
             if _in_a_thread() and not raised:
-                raised.append(fix)
+                raised.append(state)
                 raise ZeroDivisionError("in one thread")
-            return real_missing(cut, fix)
+            return real_fetch(cut, state)
 
-        monkeypatch.setattr(search._PathCut, "__missing__", failing_once)
-        search._path_cut.cache_clear()
+        monkeypatch.setattr(search._PathCut, "fetch", failing_once)
         usable_cpus(2)
         started = time.monotonic()
         with pytest.raises(ZeroDivisionError, match="in one thread"):
