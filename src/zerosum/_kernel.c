@@ -2,21 +2,23 @@
 
    A Scan holds one scan's constants: the group's invariant factors, the
    forbidden mask, the per-rank weights and, for a cut scan, the states of
-   the cut met so far. Its walk method runs one root task for one of the
-   four accumulators the package compiles (the MODE_* values below, each
-   an accumulator class's ``kernel_mode``): it reads the accumulator's
-   fields, walks exactly the nodes that _scan_from walks, in the same
-   order, and writes the fields back. It returns the task's nodes,
-   counted, budgeted and checked against the deadline as _scan_from does
-   them; the deadline comes as seconds left, so no clock is shared with
-   Python.
+   the cut met so far. Its walk method runs one root task in one of four
+   modes (the MODE_* values below), each an accumulator class's
+   ``kernel_mode`` in search.py: it takes the mode's rule as two numbers,
+   starts from an empty result, walks exactly the nodes that _scan_from
+   walks, in the same order, and returns the task's nodes and its result
+   as numbers, tuples of ranks and bytes. Only search.py maps these to and
+   from the accumulators; this file reads and writes no Python attribute.
+   The nodes are counted, budgeted and checked against the deadline as
+   _scan_from does them; the deadline comes as seconds left, so no clock
+   is shared with Python.
 
-   The walk releases the GIL for its loop and takes it back only to touch
-   a Python object: to fetch a state of the cut it meets for the first
-   time, for each path that _CountAcc(keep=True) keeps and, on the main
-   thread alone, to check for signals at every 2048th node. So Scans on
-   several threads walk at once, one task at a time each. At every 2048th
-   node a walk also ends if its Scan's stop() was called, as at the
+   The walk releases the GIL for its loop and takes it back only to fetch
+   a state of the cut it meets for the first time and, on the main thread
+   alone, to check for signals at every 2048th node. The paths it keeps
+   go to a buffer from the raw allocator, like its other buffers. So Scans
+   on several threads walk at once, one task at a time each. At every
+   2048th node a walk also ends if its Scan's stop() was called, as at the
    deadline.
 
    A rank mask is little-endian 64-bit words. Translating a mask by an
@@ -61,6 +63,10 @@ typedef struct {
     word *cand, *blocked, *tmp;
     int64_t *total;
     int32_t *state, *path, *best_a, *best_b;
+    /* the ranks of the paths a walk keeps, path after path; the buffer
+       outlives the walk, as the levels do */
+    Py_ssize_t kept_cap;
+    int32_t *kept;
     int busy;              /* a walk is running; set and read under the GIL */
     int stop;              /* set by stop(), read by the walk without the GIL */
 } Scan;
@@ -116,32 +122,12 @@ static int as_i64(PyObject *value, int64_t *out)
     return 0;
 }
 
-static int get_i64(PyObject *acc, const char *name, int64_t *out)
-{
-    PyObject *v = PyObject_GetAttrString(acc, name);
-    if (v == NULL)
-        return -1;
-    int rc = as_i64(v, out);
-    Py_DECREF(v);
-    return rc;
-}
-
-/* An attribute that is None (*has = 0) or an int. */
-static int get_opt_i64(PyObject *acc, const char *name, int64_t *out, int *has)
-{
-    PyObject *v = PyObject_GetAttrString(acc, name);
-    if (v == NULL)
-        return -1;
-    int rc = 0;
-    *has = v != Py_None;
-    if (*has)
-        rc = as_i64(v, out);
-    Py_DECREF(v);
-    return rc;
-}
-
+/* A path found as a tuple of its ranks; None for n = 0, where no path was
+   found, as a found one is never empty. */
 static PyObject *ranks_tuple(const int32_t *ranks, Py_ssize_t n)
 {
+    if (n == 0)
+        return Py_NewRef(Py_None);
     PyObject *t = PyTuple_New(n);
     if (t == NULL)
         return NULL;
@@ -154,26 +140,6 @@ static PyObject *ranks_tuple(const int32_t *ranks, Py_ssize_t n)
         PyTuple_SET_ITEM(t, i, r);
     }
     return t;
-}
-
-static int set_i64(PyObject *acc, const char *name, int64_t value)
-{
-    PyObject *v = PyLong_FromLongLong(value);
-    if (v == NULL)
-        return -1;
-    int rc = PyObject_SetAttrString(acc, name, v);
-    Py_DECREF(v);
-    return rc;
-}
-
-static int set_ranks(PyObject *acc, const char *name, const int32_t *ranks, Py_ssize_t n)
-{
-    PyObject *v = ranks_tuple(ranks, n);
-    if (v == NULL)
-        return -1;
-    int rc = PyObject_SetAttrString(acc, name, v);
-    Py_DECREF(v);
-    return rc;
 }
 
 static double now(void)
@@ -344,6 +310,25 @@ static int grow_levels(Scan *s, Py_ssize_t need)
     return 0;
 }
 
+/* Append the path's first ``len`` ranks to the kept paths, ``*used``
+   ranks so far; -1 when out of memory. */
+static int keep_path(Scan *s, Py_ssize_t *used, Py_ssize_t len)
+{
+    if (*used + len > s->kept_cap) {
+        Py_ssize_t cap = s->kept_cap ? s->kept_cap : 1024;
+        while (cap < *used + len)
+            cap *= 2;
+        int32_t *p = raw_grow(s->kept, cap, sizeof(int32_t));
+        if (p == NULL)
+            return -1;
+        s->kept = p;
+        s->kept_cap = cap;
+    }
+    memcpy(s->kept + *used, s->path, len * sizeof(int32_t));
+    *used += len;
+    return 0;
+}
+
 /* -- Scan ----------------------------------------------------------------- */
 
 static void Scan_dealloc(Scan *s)
@@ -357,7 +342,7 @@ static void Scan_dealloc(Scan *s)
         PyMem_RawFree(s->states[i]);
     void *blocks[] = {s->factors, s->strides, s->rot_base, s->rot, s->forbidden,
                       s->weights, s->states, s->cand, s->blocked, s->tmp, s->total,
-                      s->state, s->path, s->best_a, s->best_b};
+                      s->state, s->path, s->best_a, s->best_b, s->kept};
     for (size_t i = 0; i < sizeof(blocks) / sizeof(blocks[0]); i++)
         PyMem_RawFree(blocks[i]);
     Py_XDECREF(s->fetch);
@@ -447,15 +432,34 @@ static int Scan_init(Scan *s, PyObject *args, PyObject *kwds)
     return grow_levels(s, 0) < 0 ? no_memory() : 0;
 }
 
-/* walk(root, acc, mode, max_nodes, seconds) -> nodes of root's task. */
-static PyObject *Scan_walk(Scan *s, PyObject *args)
+/* walk(root, mode, a, b, max_nodes, seconds) -> (nodes, *result) of root's
+   task. The mode's rule (a, b) and its result, each path a tuple of ranks
+   or None where none was found:
+     MODE_COUNT      the paths of length a, where it stops, kept if b != 0:
+                     (their number, their ranks as native int32 bytes or None)
+     MODE_EXTREMA    no rule: (the longest path's length, that path, the
+                     largest total, its path), each the first one entered
+     MODE_MINMAX     the least total of a path of length a, where it stops,
+                     pruning every path whose total reaches the least so
+                     far: (that total or None, its path)
+     MODE_VIOLATION  the first path of length at least a and total above b,
+                     after which it prunes every node: (that path,)
+   A walk starts with no path found, and one stopped by its allowance, its
+   deadline or stop() returns what it found so far. */
+static PyObject *Scan_walk(Scan *s, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_ssize_t root;
-    PyObject *acc, *max_obj, *hits = NULL;
-    int mode;
+    int64_t v[5];
     double seconds;
-    if (!PyArg_ParseTuple(args, "nOiOd:walk", &root, &acc, &mode, &max_obj, &seconds))
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError, "walk takes 6 arguments");
         return NULL;
+    }
+    for (int i = 0; i < 5; i++)
+        if (as_i64(args[i], &v[i]) < 0)
+            return NULL;
+    if ((seconds = PyFloat_AsDouble(args[5])) == -1.0 && PyErr_Occurred())
+        return NULL;
+    const int64_t root = v[0], mode = v[1], a = v[2], b = v[3], max_nodes = v[4];
     if (s->factors == NULL) {
         PyErr_SetString(PyExc_TypeError, "a Scan must be initialised before it walks");
         return NULL;
@@ -468,45 +472,10 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "root out of range or unknown mode");
         return NULL;
     }
-    int64_t max_nodes, target = 0, count = 0, best_len = 0, best_scaled = 0;
-    int64_t best_count = 0, min_length = 0, bound = 0;
-    int has = 0, got_a = 0, got_b = 0, rc;
-    Py_ssize_t len_a = 0, len_b = 0;
-    if (as_i64(max_obj, &max_nodes) < 0)
-        return NULL;
-    switch (mode) {
-    case MODE_COUNT:
-        if (get_i64(acc, "target", &target) < 0 || get_i64(acc, "count", &count) < 0)
-            return NULL;
-        hits = PyObject_GetAttrString(acc, "hits");
-        if (hits == NULL)
-            return NULL;
-        if (hits != Py_None && !PyList_Check(hits)) {
-            Py_DECREF(hits);
-            PyErr_SetString(PyExc_TypeError, "hits must be None or a list");
-            return NULL;
-        }
-        break;
-    case MODE_EXTREMA:
-        if (get_i64(acc, "best_len", &best_len) < 0
-            || get_i64(acc, "best_scaled", &best_scaled) < 0)
-            return NULL;
-        break;
-    case MODE_MINMAX:
-        if (get_i64(acc, "target", &target) < 0
-            || get_opt_i64(acc, "best_count", &best_count, &has) < 0)
-            return NULL;
-        break;
-    case MODE_VIOLATION:
-        if (get_i64(acc, "min_length", &min_length) < 0 || get_i64(acc, "bound", &bound) < 0)
-            return NULL;
-        PyObject *cex = PyObject_GetAttrString(acc, "counterexample");
-        if (cex == NULL)
-            return NULL;
-        has = cex != Py_None;
-        Py_DECREF(cex);
-        break;
-    }
+    /* the values found, and the lengths of their paths in best_a and best_b,
+       0 until one is found; MODE_COUNT keeps its paths' ranks in kept */
+    long long va = 0, vb = 0;
+    Py_ssize_t len_a = 0, len_b = 0, kept = 0;
 
     /* only the main thread handles signals; elsewhere the check is no use */
     const int signals = _PyOS_IsMainThread();
@@ -514,6 +483,7 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
     const double deadline = now() + seconds;
     int64_t nodes = 0;
     Py_ssize_t k = 0;
+    int rc;
     s->busy = 1;
     PyThreadState *ts = PyEval_SaveThread();
     /* level 0, above the root: every rank from the root on */
@@ -573,55 +543,43 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
         int down;
         switch (mode) {
         case MODE_COUNT:
-            if (len == target) {
-                count++;
-                if (hits != Py_None) {
-                    PyEval_RestoreThread(ts);
-                    PyObject *tup = ranks_tuple(s->path, len);
-                    rc = tup == NULL ? -1 : PyList_Append(hits, tup);
-                    Py_XDECREF(tup);
-                    ts = PyEval_SaveThread();
-                    if (rc < 0)
-                        goto error;
-                }
+            if (len == a) {
+                va++;
+                if (b && keep_path(s, &kept, len) < 0)
+                    goto error;
             }
-            down = len < target;
+            down = len < a;
             break;
         case MODE_EXTREMA:
-            if (len > best_len) {
-                best_len = len;
+            if (len > va) {
+                va = len_a = len;
                 memcpy(s->best_a, s->path, len * sizeof(int32_t));
-                len_a = len;
-                got_a = 1;
             }
-            if (t > best_scaled) {
-                best_scaled = t;
-                memcpy(s->best_b, s->path, len * sizeof(int32_t));
+            if (t > vb) {
+                vb = t;
                 len_b = len;
-                got_b = 1;
+                memcpy(s->best_b, s->path, len * sizeof(int32_t));
             }
             down = 1;
             break;
         case MODE_MINMAX:
-            if (has && t >= best_count)
+            if (len_a && t >= va)
                 down = 0;
-            else if (len == target) {
-                has = got_a = 1;
-                best_count = t;
-                memcpy(s->best_a, s->path, len * sizeof(int32_t));
+            else if (len == a) {
+                va = t;
                 len_a = len;
+                memcpy(s->best_a, s->path, len * sizeof(int32_t));
                 down = 0;
             }
             else
                 down = 1;
             break;
         default: /* MODE_VIOLATION */
-            if (!has && len >= min_length && t > bound) {
-                has = got_a = 1;
-                memcpy(s->best_a, s->path, len * sizeof(int32_t));
+            if (!len_a && len >= a && t > b) {
                 len_a = len;
+                memcpy(s->best_a, s->path, len * sizeof(int32_t));
             }
-            down = !has;
+            down = !len_a;
             break;
         }
         cand[j] ^= bit;
@@ -650,39 +608,34 @@ static PyObject *Scan_walk(Scan *s, PyObject *args)
 done:
     PyEval_RestoreThread(ts);
     s->busy = 0;
+    const long long n = nodes;
+    PyObject *path_a = ranks_tuple(s->best_a, len_a), *result;
     switch (mode) {
     case MODE_COUNT:
-        if (set_i64(acc, "count", count) < 0)
-            goto fail;
+        result = Py_BuildValue("(LLN)", n, va, !b ? Py_NewRef(Py_None)
+                               : PyBytes_FromStringAndSize((const char *)s->kept,
+                                                           kept * sizeof(int32_t)));
         break;
     case MODE_EXTREMA:
-        if (got_a && (set_i64(acc, "best_len", best_len) < 0
-                      || set_ranks(acc, "best", s->best_a, len_a) < 0))
-            goto fail;
-        if (got_b && (set_i64(acc, "best_scaled", best_scaled) < 0
-                      || set_ranks(acc, "best_cross", s->best_b, len_b) < 0))
-            goto fail;
+        result = Py_BuildValue("(LLOLN)", n, va, path_a, vb,
+                               ranks_tuple(s->best_b, len_b));
         break;
     case MODE_MINMAX:
-        if (got_a && (set_i64(acc, "best_count", best_count) < 0
-                      || set_ranks(acc, "best", s->best_a, len_a) < 0))
-            goto fail;
+        result = len_a ? Py_BuildValue("(LLO)", n, va, path_a)
+                       : Py_BuildValue("(LOO)", n, Py_None, Py_None);
         break;
     default:
-        if (got_a && set_ranks(acc, "counterexample", s->best_a, len_a) < 0)
-            goto fail;
+        result = Py_BuildValue("(LO)", n, path_a);
         break;
     }
-    Py_XDECREF(hits);
-    return PyLong_FromLongLong(nodes);
+    Py_XDECREF(path_a);
+    return result;
 
 error:  /* reached without the GIL; a failure with no exception is memory's */
     PyEval_RestoreThread(ts);
     s->busy = 0;
     if (!PyErr_Occurred())
         PyErr_NoMemory();
-fail:
-    Py_XDECREF(hits);
     return NULL;
 }
 
@@ -695,9 +648,10 @@ static PyObject *Scan_stop(Scan *s, PyObject *Py_UNUSED(ignored))
 }
 
 static PyMethodDef Scan_methods[] = {
-    {"walk", (PyCFunction)Scan_walk, METH_VARARGS,
-     "walk(root, acc, mode, max_nodes, seconds) -> nodes: one root task, as "
-     "search._scan_from walks it, with seconds left until the deadline."},
+    {"walk", (PyCFunction)(void (*)(void))Scan_walk, METH_FASTCALL,
+     "walk(root, mode, a, b, max_nodes, seconds) -> (nodes, *result): one root "
+     "task in one mode with its rule (a, b), as search._scan_from walks it, with "
+     "seconds left until the deadline."},
     {"stop", (PyCFunction)Scan_stop, METH_NOARGS,
      "stop(): end every walk of this Scan, running or later, at its next "
      "2048th node."},

@@ -107,13 +107,17 @@ def _automorphism(factors: tuple[int, ...], generator: tuple[int, int, int, int]
     n, m = factors[k], factors[i]
     if m * b % n:
         raise InternalCheckError(f"{generator} is not well defined on {factors}")
-    # a rank's shift is shift[x*m + y], x and y its coordinates k and i;
-    # index[r] is x*m + y, built one factor at a time as the rank lists are
+    if i == k:  # a unit scaling: x_k becomes (a + b)x_k, n shifts, not n^2
+        a, b, m = a + b, 0, 1
+    # a rank's shift is shift[x*m + y], x and y its coordinates k and i (y = 0
+    # where i == k); index[r] is x*m + y, built one factor at a time as the
+    # rank lists are
+    weights = {i: 1, k: m}
     stride = math.prod(factors[:k])
     shift = [((a * x + b * y) % n - x) * stride for x in range(n) for y in range(m)]
     index = [0]
     for j, n_j in enumerate(factors):
-        weight = (m if j == k else 0) + (j == i)
+        weight = weights.get(j, 0)
         index = [t + weight * c for c in range(n_j) for t in index] if weight else index * n_j
     perm = [r + shift[t] for r, t in enumerate(index)]
     if len(set(perm)) != len(perm):
@@ -319,12 +323,15 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     build is set-up of the first command that searches) and every
     accumulator's own class names a ``kernel_mode`` (``_compiled``):
     ``_CountAcc``, ``_ExtremaAcc``, ``_MinMaxOrderAcc`` and
-    ``_ViolationAcc``, not a subclass or a wrapper. Otherwise
-    they run on ``_scan_from``, every one in this thread. Compiled tasks
-    run from the last root down in this thread until the scan has entered
-    more than ``_THREAD_GATE_NODES`` and at least two usable CPUs
-    (``_usable_cpus``) have a task left; those remaining, larger tasks then
-    run on threads, one per CPU up to one per task (``_run_threads``).
+    ``_ViolationAcc``, not a subclass or a wrapper. Otherwise they run on
+    ``_scan_from``, every one in this thread. ``run_one`` is where the
+    compiled kernel meets the accumulators: it hands a task's walk its
+    accumulator's ``kernel_rule()`` and the accumulator the walk's result,
+    so the kernel touches no Python attribute. Compiled tasks run from the
+    last root down in this thread until the scan has entered more than
+    ``_THREAD_GATE_NODES`` and at least two usable CPUs (``_usable_cpus``)
+    have a task left; those remaining, larger tasks then run on threads,
+    one per CPU up to one per task (``_run_threads``).
 
     A task, its root too, enters no more than the nodes the scan has left,
     those of ``budget.max_nodes`` not yet summed when it starts, and stops
@@ -354,13 +361,15 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     nodes = 0
     compiled = kernel and _compiled(kernel, tables, accs, forbidden_mask, weights, cut)
     if compiled:
-        new_scan, modes = compiled
-        scan = new_scan()
+        scan = compiled()
         cpus = _usable_cpus()
 
         def run_one(scan, index: int) -> int:
-            return scan.walk(roots[index], accs[index], modes[index], max_nodes - nodes,
-                             deadline - time.monotonic())
+            acc = accs[index]
+            result = scan.walk(roots[index], *acc.kernel_rule(), max_nodes - nodes,
+                               deadline - time.monotonic())
+            acc.kernel_result(result)
+            return result[0]
     else:
         if weights is None:
             weights = bytes(tables.size)
@@ -388,20 +397,18 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
         tally(run_one(scan, left))
     if left:
         cpus = cpus[:left]
-        _run_threads([scan] + [new_scan() for _ in cpus[1:]], cpus, left, run_one, tally)
+        _run_threads([scan] + [compiled() for _ in cpus[1:]], cpus, left, run_one, tally)
     return accs, nodes
 
 
 def _compiled(kernel, tables: GroupTables, accs: list, forbidden_mask: int, weights,
               cut: _PathCut | None):
-    """(new_scan, modes): a factory of compiled Scans of this scan, one
-    for each thread that walks it, and each task's accumulator mode; None
-    unless every accumulator's own class (not a base class) names a
-    ``kernel_mode`` and every weight fits in a native 32-bit int. The
-    weights are packed here, once: ``array`` raises OverflowError on one
-    that does not fit."""
-    modes = [vars(type(acc)).get("kernel_mode") for acc in accs]
-    if None in modes:
+    """A factory of compiled Scans of this scan, one for each thread that
+    walks it; None unless every accumulator's own class (not a base class)
+    names a ``kernel_mode`` and every weight fits in a native 32-bit int.
+    The weights are packed here, once: ``array`` raises OverflowError on
+    one that does not fit."""
+    if any("kernel_mode" not in vars(type(acc)) for acc in accs):
         return None
     try:
         packed = bytes(4 * tables.size) if weights is None else array("i", weights).tobytes()
@@ -410,7 +417,7 @@ def _compiled(kernel, tables: GroupTables, accs: list, forbidden_mask: int, weig
     width = -(-tables.size // 64) * 8
     spec = None if cut is None else (cut.ROOT, cut.fetch)
     forbidden = (forbidden_mask & ((1 << tables.size) - 1)).to_bytes(width, "little")
-    return partial(kernel.Scan, tables.factors, forbidden, packed, spec), modes
+    return partial(kernel.Scan, tables.factors, forbidden, packed, spec)
 
 
 def _run_threads(scans: list, cpus: list[int | None], count: int,
@@ -487,16 +494,29 @@ def _subgroup_mask(group: AbelianGroup, d: int) -> int:
 
 # -- accumulators -------------------------------------------------------------
 
+# Each accumulator below names its MODE_* in the compiled kernel,
+# ``kernel_mode``; ``kernel_rule()`` gives that mode's rule, and
+# ``kernel_result`` takes the result of one walk from a fresh accumulator's
+# state, the walk documented in _kernel.c.
+
 class _CountAcc:
     """Counts sequences at one exact depth, where it stops, keeping them if ``keep``."""
 
     __slots__ = ("target", "count", "hits")
-    kernel_mode = 0  # its MODE_* in the compiled kernel, _kernel.c
+    kernel_mode = 0
 
     def __init__(self, target: int, keep: bool):
         self.target = target
         self.count = 0
         self.hits: list[tuple[int, ...]] | None = [] if keep else None
+
+    def kernel_rule(self):
+        return self.kernel_mode, self.target, self.hits is not None
+
+    def kernel_result(self, result):
+        _, self.count, kept = result
+        if kept:  # native int32 ranks, ``target`` per path
+            self.hits = list(zip(*[iter(array("i", kept))] * self.target))
 
     def enter(self, node):
         path = node[0]
@@ -517,13 +537,19 @@ class _ExtremaAcc:
     """
 
     __slots__ = ("best_len", "best", "best_scaled", "best_cross")
-    kernel_mode = 1  # its MODE_* in the compiled kernel, _kernel.c
+    kernel_mode = 1
 
     def __init__(self):
         self.best_len = 0
         self.best: tuple[int, ...] | None = None
         self.best_scaled = 0
         self.best_cross: tuple[int, ...] | None = None
+
+    def kernel_rule(self):
+        return self.kernel_mode, 0, 0
+
+    def kernel_result(self, result):
+        _, self.best_len, self.best, self.best_scaled, self.best_cross = result
 
     def enter(self, node):
         path, scaled = node
@@ -546,12 +572,18 @@ class _MinMaxOrderAcc:
     """
 
     __slots__ = ("target", "best_count", "best")
-    kernel_mode = 2  # its MODE_* in the compiled kernel, _kernel.c
+    kernel_mode = 2
 
     def __init__(self, target):
         self.target = target
         self.best_count: int | None = None
         self.best: tuple[int, ...] | None = None
+
+    def kernel_rule(self):
+        return self.kernel_mode, self.target, 0
+
+    def kernel_result(self, result):
+        _, self.best_count, self.best = result
 
     def enter(self, node):
         path, count = node
@@ -568,8 +600,8 @@ class _ViolationAcc:
     """Records the first (lexicographically least) sequence that violates:
     one of length at least ``min_length`` whose total, the sum of its
     check's per-element weights, exceeds ``bound``. Every check states its
-    claim in that form (``verifier``), so the accumulator holds only data,
-    which the compiled kernel reads and writes.
+    claim in that form (``verifier``), so one compiled mode runs them all,
+    with ``(min_length, bound)`` as its rule.
 
     It descends unless it records a violation; once one is recorded the
     rest of this task's walk is pruned, so node counts stay exhaustive
@@ -577,11 +609,17 @@ class _ViolationAcc:
     """
 
     __slots__ = ("min_length", "bound", "counterexample")
-    kernel_mode = 3  # its MODE_* in the compiled kernel, _kernel.c
+    kernel_mode = 3
 
     def __init__(self, min_length: int, bound: int):
         self.min_length, self.bound = min_length, bound
         self.counterexample: tuple[int, ...] | None = None
+
+    def kernel_rule(self):
+        return self.kernel_mode, self.min_length, self.bound
+
+    def kernel_result(self, result):
+        _, self.counterexample = result
 
     def enter(self, node):
         if self.counterexample is not None:

@@ -282,3 +282,19 @@ def aut_orbit_minima(group: AbelianGroup, fixing: tuple[int, ...] = ()) -> int:
             minima |= 1 << x
             seen |= {phi[x] for phi in stabiliser}
     return minima
+
+
+def elementary_map_by_coordinates(factors: tuple[int, ...],
+                                  generator: tuple[int, int, int, int]) -> list[int]:
+    """The rank of the image of every rank under ``generator`` (k, a, i, b),
+    which makes coordinate k of x a*x_k + b*x_i mod n_k, one rank at a time:
+    each rank is split into its coordinates, mapped and ranked again, the
+    first coordinate least significant."""
+    k, a, i, b = generator
+    strides = [math.prod(factors[:j]) for j in range(len(factors))]
+    images = []
+    for r in range(math.prod(factors)):
+        coords = [r // stride % n for stride, n in zip(strides, factors)]
+        coords[k] = (a * coords[k] + b * coords[i]) % factors[k]
+        images.append(sum(c * stride for c, stride in zip(coords, strides)))
+    return images

@@ -192,13 +192,14 @@ def test_interrupt_stops_a_long_compiled_walk(compiled_kernel):
 def test_scan_walks_one_task_at_a_time(compiled_kernel):
     # a walk that fetches a state of the cut is reentered from it: refused
     from zerosum.search import _ExtremaAcc
+    extrema = (_ExtremaAcc.kernel_mode, 0, 0)
 
     def fetch(state):
-        return scan.walk(1, _ExtremaAcc(), 1, 10, 1.0)
+        return scan.walk(1, *extrema, 10, 1.0)
 
     scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), bytes(16), (1, fetch))
     with pytest.raises(RuntimeError, match="one task at a time"):
-        scan.walk(1, _ExtremaAcc(), 1, 10, 1.0)
+        scan.walk(1, *extrema, 10, 1.0)
 
 
 def test_scan_takes_four_bytes_of_weight_per_rank(compiled_kernel):
@@ -221,10 +222,10 @@ def test_scan_refuses_malformed_cut_data(compiled_kernel):
     def walk(fetched, root_state=1):
         scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), bytes(16),
                                     (root_state, lambda state: fetched))
-        acc = _ExtremaAcc()
-        return scan.walk(1, acc, 1, 10, 1.0), acc.best
+        return scan.walk(1, _ExtremaAcc.kernel_mode, 0, 0, 10, 1.0)
 
-    assert walk((mask, row)) == (4, (1, 1, 1))
+    # 4 nodes, the longest path (1, 1, 1); no weights, so no largest total
+    assert walk((mask, row)) == (4, 3, (1, 1, 1), 0, None)
     for bad in ((bytes(16), row), (bytes(4), row), (mask, row[:12]), (mask, row + bytes(4)),
                 (mask, array("i", [1, -1, 1, 0]).tobytes()), (mask,), [mask, row]):
         with pytest.raises(ValueError):
@@ -236,4 +237,4 @@ def test_scan_refuses_malformed_cut_data(compiled_kernel):
 def test_scan_refuses_to_walk_uninitialised(compiled_kernel):
     scan = compiled_kernel.Scan.__new__(compiled_kernel.Scan)
     with pytest.raises(TypeError, match="initialised"):
-        scan.walk(1, object(), 0, 1, 1.0)
+        scan.walk(1, 0, 1, 0, 1, 1.0)

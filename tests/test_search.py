@@ -21,7 +21,7 @@ from zerosum.search import (_cross_weights, _ExtremaAcc, _rank_lists, _subgroup_
                             _usable_cpus)
 from zerosum.sequences import check_witness, cross_number
 from conftest import (NON_P_FACTORS, P_GROUP_FACTORS, all_zero_sumfree_multisets,
-                      aut_orbit_minima, reference_scan)
+                      aut_orbit_minima, elementary_map_by_coordinates, reference_scan)
 
 C2 = AbelianGroup((2,))
 C3 = AbelianGroup((3,))
@@ -434,6 +434,25 @@ class TestForkedWorkers:
         assert threaded_scans
         assert visits[0] == visits[1] == sorted(visits[0])
 
+    def test_kept_paths_match_across_kernels_and_widths(self, threaded_scans, compiled_kernel,
+                                                        monkeypatch, usable_cpus):
+        # C6xC6 at length 4: 53,160 paths in 60,694 nodes, 5,603 of them in
+        # one task, so a compiled Scan's buffer of kept ranks doubles from
+        # 1,024 ranks five times
+        group = AbelianGroup((6, 6))
+        totals = scan_nodes(monkeypatch)
+        visits = []
+        for _ in each_kernel(monkeypatch):
+            for width in (1, 2):
+                usable_cpus(width)
+                seen = []
+                assert enumerate_zero_sumfree(group, 4, seen.append) == 53_160
+                visits.append([tuple(s.iter_ranks()) for s in seen])
+        assert threaded_scans
+        assert totals == [60_694] * 4
+        assert all(visit == visits[0] for visit in visits[1:])
+        assert visits[0] == sorted(visits[0])
+
     def test_node_budget_covers_the_whole_scan(self, threaded_scans, compiled_kernel,
                                                usable_cpus):
         # C5xC5 walks 138,864 nodes from every root, the largest task 23,113
@@ -715,6 +734,16 @@ class TestOrbitCut:
             want = 1 | sum(1 << n // d for d in range(2, n + 1) if n % d == 0)
             cut = _path_cut((n,))
             assert cut.mask(cut.ROOT) == want, n
+
+    @pytest.mark.parametrize("factors", P_GROUP_FACTORS + NON_P_FACTORS
+                             + [(42,), (999,), (1000,), (2, 2, 2, 2, 6)], ids=str)
+    def test_automorphisms_match_the_per_rank_map(self, factors):
+        # the unit scalings of C999 and C1000 among them, each built from a
+        # table of n shifts
+        from zerosum.search import _automorphism, _generators
+        for generator in _generators(factors):
+            assert (_automorphism(factors, generator)
+                    == elementary_map_by_coordinates(factors, generator)), generator
 
 
 class TestRouteIndependence:
@@ -1184,21 +1213,24 @@ def task_nodes(monkeypatch) -> list[int]:
     nodes = []
     scan_from, compiled = search._scan_from, search._compiled
 
-    def counted(walk):
-        def counting(*args):
-            nodes.append(walk(*args))
-            return nodes[-1]
-        return counting
+    def counted_scan_from(*args):
+        nodes.append(scan_from(*args))
+        return nodes[-1]
 
     class CountedScan:
         def __init__(self, scan):
-            self.walk, self.stop = counted(scan.walk), scan.stop
+            self.scan, self.stop = scan, scan.stop
+
+        def walk(self, *args):
+            result = self.scan.walk(*args)
+            nodes.append(result[0])
+            return result
 
     def counting_compiled(*args):
-        found = compiled(*args)
-        return found and (lambda: CountedScan(found[0]()), found[1])
+        new_scan = compiled(*args)
+        return new_scan and (lambda: CountedScan(new_scan()))
 
-    monkeypatch.setattr(search, "_scan_from", counted(scan_from))
+    monkeypatch.setattr(search, "_scan_from", counted_scan_from)
     monkeypatch.setattr(search, "_compiled", counting_compiled)
     return nodes
 
@@ -1256,10 +1288,10 @@ class TestCompiledKernel:
 
                     def compiled(allowance, seconds=math.inf):
                         acc = factory()
-                        new_scan, (mode,) = _compiled(compiled_kernel, tables, [acc], 1,
-                                                      weights, cut)
-                        walk = new_scan().walk
-                        return walk(root, acc, mode, allowance, seconds), _acc_state(acc)
+                        new_scan = _compiled(compiled_kernel, tables, [acc], 1, weights, cut)
+                        result = new_scan().walk(root, *acc.kernel_rule(), allowance, seconds)
+                        acc.kernel_result(result)
+                        return result[0], _acc_state(acc)
 
                     full = python(unbounded)[0]
                     for allowance in (0, full - 1, full):
