@@ -1,15 +1,16 @@
 /* The compiled twin of zerosum.search._scan_from.
 
    A Scan holds one scan's constants: the group's invariant factors, the
-   forbidden mask, the per-rank weights and, for a cut scan, the states of
-   the cut met so far. Its walk method runs one root task in one of four
-   modes (the MODE_* values below), each an accumulator class's
-   ``kernel_mode`` in search.py: it takes the mode's rule as two numbers,
+   forbidden mask, the per-rank weights, for a cut scan the states of the
+   cut met so far, and the walk's rule: one of four modes (the MODE_*
+   values below), each an accumulator class's ``kernel_mode`` in
+   search.py, and two numbers. Its walk method runs one root task: it
    starts from an empty result, walks exactly the nodes that _scan_from
    walks, in the same order, and returns the task's nodes and its result
-   as numbers, tuples of ranks and bytes. Only search.py maps these to and
-   from the accumulators; this file reads and writes no Python attribute.
-   The nodes are counted, budgeted and checked against the deadline as
+   in one shape for every mode, numbers and paths as bytes of ranks (the
+   table at Scan_walk). Only search.py maps these to and from the
+   accumulators; this file reads and writes no Python attribute. The
+   nodes are counted, budgeted and checked against the deadline as
    _scan_from does them; the deadline comes as seconds left, so no clock
    is shared with Python.
 
@@ -52,6 +53,8 @@ typedef struct {
     word **rot;            /* low then high mask of each (coordinate, shift) */
     word *forbidden;
     int32_t *weights;
+    int mode;              /* the walk's rule: a MODE_* and its (a, b) */
+    int64_t a, b;
     /* the cut: fetch(state) -> (class mask, row), NULL without a cut; each
        state met so far holds its mask, W words, then its row, |G| int32 */
     PyObject *fetch;
@@ -120,26 +123,6 @@ static int as_i64(PyObject *value, int64_t *out)
     const int64_t cap = (int64_t)1 << 62;
     *out = overflow > 0 || v > cap ? cap : overflow < 0 || v < -cap ? -cap : v;
     return 0;
-}
-
-/* A path found as a tuple of its ranks; None for n = 0, where no path was
-   found, as a found one is never empty. */
-static PyObject *ranks_tuple(const int32_t *ranks, Py_ssize_t n)
-{
-    if (n == 0)
-        return Py_NewRef(Py_None);
-    PyObject *t = PyTuple_New(n);
-    if (t == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *r = PyLong_FromLong(ranks[i]);
-        if (r == NULL) {
-            Py_DECREF(t);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(t, i, r);
-    }
-    return t;
 }
 
 static double now(void)
@@ -359,23 +342,32 @@ static int read_mask(PyObject *bytes, word *dst, Py_ssize_t words, const char *w
     return 0;
 }
 
-/* Scan(factors, forbidden, weights, cut): ``forbidden`` the mask as
-   little-endian bytes of whole 64-bit words; ``weights`` each rank's
-   weight as a native int32, 4 bytes per rank; ``cut`` None or
+/* Scan(factors, forbidden, weights, cut, mode, a, b): ``forbidden`` the
+   mask as little-endian bytes of whole 64-bit words; ``weights`` each
+   rank's weight as a native int32, 4 bytes per rank; ``cut`` None or
    (root_state, fetch): the state of the empty path, and the callable
    that maps a state to its class mask, bytes of whole words, and its
-   row, bytes of a native int32 state per rank. */
+   row, bytes of a native int32 state per rank; ``mode`` a MODE_* and
+   (a, b) its rule, the same for every walk (Scan_walk). */
 static int Scan_init(Scan *s, PyObject *args, PyObject *kwds)
 {
-    PyObject *factors, *forbidden, *weights, *cut;
-    static char *kwlist[] = {"factors", "forbidden", "weights", "cut", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!SSO:Scan", kwlist, &PyTuple_Type,
-                                     &factors, &forbidden, &weights, &cut))
+    PyObject *factors, *forbidden, *weights, *cut, *a, *b;
+    int mode;
+    static char *kwlist[] = {"factors", "forbidden", "weights", "cut", "mode", "a", "b", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!SSOiOO:Scan", kwlist, &PyTuple_Type,
+                                     &factors, &forbidden, &weights, &cut, &mode, &a, &b))
         return -1;
     if (s->factors != NULL) {
         PyErr_SetString(PyExc_TypeError, "a Scan is initialised once");
         return -1;
     }
+    if (mode < MODE_COUNT || mode > MODE_VIOLATION) {
+        PyErr_SetString(PyExc_ValueError, "unknown mode");
+        return -1;
+    }
+    s->mode = mode;
+    if (as_i64(a, &s->a) < 0 || as_i64(b, &s->b) < 0)
+        return -1;
     Py_ssize_t rank = PyTuple_GET_SIZE(factors), size = 1, shifts = 0;
     if (rank == 0) {
         PyErr_SetString(PyExc_ValueError, "a group needs a factor");
@@ -432,35 +424,41 @@ static int Scan_init(Scan *s, PyObject *args, PyObject *kwds)
     return grow_levels(s, 0) < 0 ? no_memory() : 0;
 }
 
-/* walk(root, mode, a, b, max_nodes, seconds) -> (nodes, *result) of root's
-   task. The mode's rule (a, b) and its result, each path a tuple of ranks
-   or None where none was found:
-     MODE_COUNT      the paths of length a, where it stops, kept if b != 0:
-                     (their number, their ranks as native int32 bytes or None)
-     MODE_EXTREMA    no rule: (the longest path's length, that path, the
-                     largest total, its path), each the first one entered
-     MODE_MINMAX     the least total of a path of length a, where it stops,
-                     pruning every path whose total reaches the least so
-                     far: (that total or None, its path)
-     MODE_VIOLATION  the first path of length at least a and total above b,
-                     after which it prunes every node: (that path,)
-   A walk starts with no path found, and one stopped by its allowance, its
+/* walk(root, max_nodes, seconds) -> (nodes, value_a, value_b, path_a,
+   path_b, kept) of root's task, in the Scan's mode with its rule (a, b):
+
+     mode       the walk                           value_a, path_a   value_b, path_b
+     COUNT      to length a, where it stops,       the number of     0, empty
+                keeping those paths if b != 0      paths of length a
+     EXTREMA    every path                         the longest path  the largest total
+     MINMAX     to length a, where it stops,       the least total   0, empty
+                pruning every path whose total     of length a
+                reaches the least so far
+     VIOLATION  until the first path of length at  0, that path      0, empty
+                least a and total above b, then
+                pruning every node
+
+   Each path is the first one entered with its value, as native int32
+   ranks in bytes, empty where none was found (a found path never is,
+   and its value is 0 then). kept is the ranks of COUNT's kept paths,
+   path after path, in the same form; empty in every other mode. A walk
+   starts with no path found, and one stopped by its allowance, its
    deadline or stop() returns what it found so far. */
 static PyObject *Scan_walk(Scan *s, PyObject *const *args, Py_ssize_t nargs)
 {
-    int64_t v[5];
+    int64_t v[2];
     double seconds;
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError, "walk takes 6 arguments");
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "walk takes 3 arguments");
         return NULL;
     }
-    for (int i = 0; i < 5; i++)
+    for (int i = 0; i < 2; i++)
         if (as_i64(args[i], &v[i]) < 0)
             return NULL;
-    if ((seconds = PyFloat_AsDouble(args[5])) == -1.0 && PyErr_Occurred())
+    if ((seconds = PyFloat_AsDouble(args[2])) == -1.0 && PyErr_Occurred())
         return NULL;
-    const int64_t root = v[0], mode = v[1], a = v[2], b = v[3], max_nodes = v[4];
-    if (s->factors == NULL) {
+    const int64_t root = v[0], max_nodes = v[1];
+    if (s->level_cap == 0) {
         PyErr_SetString(PyExc_TypeError, "a Scan must be initialised before it walks");
         return NULL;
     }
@@ -468,10 +466,12 @@ static PyObject *Scan_walk(Scan *s, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_RuntimeError, "a Scan walks one task at a time");
         return NULL;
     }
-    if (root < 0 || root >= s->size || mode < MODE_COUNT || mode > MODE_VIOLATION) {
-        PyErr_SetString(PyExc_ValueError, "root out of range or unknown mode");
+    if (root < 0 || root >= s->size) {
+        PyErr_SetString(PyExc_ValueError, "root out of range");
         return NULL;
     }
+    const int mode = s->mode;
+    const int64_t a = s->a, b = s->b;
     /* the values found, and the lengths of their paths in best_a and best_b,
        0 until one is found; MODE_COUNT keeps its paths' ranks in kept */
     long long va = 0, vb = 0;
@@ -608,28 +608,10 @@ static PyObject *Scan_walk(Scan *s, PyObject *const *args, Py_ssize_t nargs)
 done:
     PyEval_RestoreThread(ts);
     s->busy = 0;
-    const long long n = nodes;
-    PyObject *path_a = ranks_tuple(s->best_a, len_a), *result;
-    switch (mode) {
-    case MODE_COUNT:
-        result = Py_BuildValue("(LLN)", n, va, !b ? Py_NewRef(Py_None)
-                               : PyBytes_FromStringAndSize((const char *)s->kept,
-                                                           kept * sizeof(int32_t)));
-        break;
-    case MODE_EXTREMA:
-        result = Py_BuildValue("(LLOLN)", n, va, path_a, vb,
-                               ranks_tuple(s->best_b, len_b));
-        break;
-    case MODE_MINMAX:
-        result = len_a ? Py_BuildValue("(LLO)", n, va, path_a)
-                       : Py_BuildValue("(LOO)", n, Py_None, Py_None);
-        break;
-    default:
-        result = Py_BuildValue("(LO)", n, path_a);
-        break;
-    }
-    Py_XDECREF(path_a);
-    return result;
+    /* "y#" makes None of a NULL pointer: kept is NULL until a path is kept */
+    return Py_BuildValue("(LLLy#y#y#)", (long long)nodes, va, vb,
+                         (const char *)s->best_a, len_a * 4, (const char *)s->best_b, len_b * 4,
+                         s->kept ? (const char *)s->kept : "", kept * 4);
 
 error:  /* reached without the GIL; a failure with no exception is memory's */
     PyEval_RestoreThread(ts);
@@ -649,9 +631,9 @@ static PyObject *Scan_stop(Scan *s, PyObject *Py_UNUSED(ignored))
 
 static PyMethodDef Scan_methods[] = {
     {"walk", (PyCFunction)(void (*)(void))Scan_walk, METH_FASTCALL,
-     "walk(root, mode, a, b, max_nodes, seconds) -> (nodes, *result): one root "
-     "task in one mode with its rule (a, b), as search._scan_from walks it, with "
-     "seconds left until the deadline."},
+     "walk(root, max_nodes, seconds) -> (nodes, value_a, value_b, path_a, path_b, "
+     "kept): one root task in the Scan's mode and rule, as search._scan_from "
+     "walks it, with seconds left until the deadline."},
     {"stop", (PyCFunction)Scan_stop, METH_NOARGS,
      "stop(): end every walk of this Scan, running or later, at its next "
      "2048th node."},

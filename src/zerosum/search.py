@@ -24,7 +24,7 @@ fall. ``check`` and ``enumerate`` take every root and no cut.
 A task runs on one of two kernels that walk the same nodes in the same
 order: ``_scan_from`` in Python, or its compiled twin in ``_kernel.c``
 (built once per source by ``_kernel.load``, which only ``run_scan``
-calls) when every accumulator of the scan is one of the four below. The
+calls) when the scan's accumulators are one of the four below. The
 Python kernel is the fallback and the differential oracle of the
 compiled one, and runs every task in the calling thread. The compiled
 one runs its smallest tasks there first; once those have entered more
@@ -318,20 +318,21 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     every level from the one above the root.
     All accumulators are made here and come back in root order whatever
     the thread count and the schedule, so merging them is deterministic.
-    The tasks run on the compiled kernel when it loads (``_kernel.load``,
-    called here alone, before the scan's clock starts, so that a first
-    build is set-up of the first command that searches) and every
-    accumulator's own class names a ``kernel_mode`` (``_compiled``):
-    ``_CountAcc``, ``_ExtremaAcc``, ``_MinMaxOrderAcc`` and
-    ``_ViolationAcc``, not a subclass or a wrapper. Otherwise they run on
-    ``_scan_from``, every one in this thread. ``run_one`` is where the
-    compiled kernel meets the accumulators: it hands a task's walk its
-    accumulator's ``kernel_rule()`` and the accumulator the walk's result,
-    so the kernel touches no Python attribute. Compiled tasks run from the
-    last root down in this thread until the scan has entered more than
-    ``_THREAD_GATE_NODES`` and at least two usable CPUs (``_usable_cpus``)
-    have a task left; those remaining, larger tasks then run on threads,
-    one per CPU up to one per task (``_run_threads``).
+    Every accumulator of a scan comes from one factory: one class, one
+    rule. The tasks run on the compiled kernel when it loads
+    (``_kernel.load``, called here alone, before the scan's clock starts,
+    so that a first build is set-up of the first command that searches)
+    and the first accumulator's own class names a ``kernel_mode``
+    (``_compiled``): ``_CountAcc``, ``_ExtremaAcc``, ``_MinMaxOrderAcc``
+    and ``_ViolationAcc``, not a subclass or a wrapper. Otherwise they run
+    on ``_scan_from``, every one in this thread. Each compiled Scan takes
+    that accumulator's ``kernel_rule()`` once, and ``run_one`` hands each
+    task's accumulator its walk's result, so the kernel touches no Python
+    attribute. Compiled tasks run from the last root down in this thread
+    until the scan has entered more than ``_THREAD_GATE_NODES`` and at
+    least two usable CPUs (``_usable_cpus``) have a task left; those
+    remaining, larger tasks then run on threads, one per CPU up to one per
+    task (``_run_threads``).
 
     A task, its root too, enters no more than the nodes the scan has left,
     those of ``budget.max_nodes`` not yet summed when it starts, and stops
@@ -359,16 +360,15 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     deadline = started + budget.max_seconds
     accs = [acc_factory() for _ in roots]
     nodes = 0
-    compiled = kernel and _compiled(kernel, tables, accs, forbidden_mask, weights, cut)
+    compiled = accs and kernel and _compiled(kernel, tables, accs[0], forbidden_mask,
+                                             weights, cut)
     if compiled:
         scan = compiled()
         cpus = _usable_cpus()
 
         def run_one(scan, index: int) -> int:
-            acc = accs[index]
-            result = scan.walk(roots[index], *acc.kernel_rule(), max_nodes - nodes,
-                               deadline - time.monotonic())
-            acc.kernel_result(result)
+            result = scan.walk(roots[index], max_nodes - nodes, deadline - time.monotonic())
+            accs[index].kernel_result(result)
             return result[0]
     else:
         if weights is None:
@@ -401,14 +401,15 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     return accs, nodes
 
 
-def _compiled(kernel, tables: GroupTables, accs: list, forbidden_mask: int, weights,
+def _compiled(kernel, tables: GroupTables, acc, forbidden_mask: int, weights,
               cut: _PathCut | None):
     """A factory of compiled Scans of this scan, one for each thread that
-    walks it; None unless every accumulator's own class (not a base class)
-    names a ``kernel_mode`` and every weight fits in a native 32-bit int.
-    The weights are packed here, once: ``array`` raises OverflowError on
-    one that does not fit."""
-    if any("kernel_mode" not in vars(type(acc)) for acc in accs):
+    walks it, each with ``acc``'s rule, which every accumulator of the scan
+    shares; None unless ``acc``'s own class (not a base class) names a
+    ``kernel_mode`` and every weight fits in a native 32-bit int. The
+    weights are packed here, once: ``array`` raises OverflowError on one
+    that does not fit."""
+    if "kernel_mode" not in vars(type(acc)):
         return None
     try:
         packed = bytes(4 * tables.size) if weights is None else array("i", weights).tobytes()
@@ -417,7 +418,7 @@ def _compiled(kernel, tables: GroupTables, accs: list, forbidden_mask: int, weig
     width = -(-tables.size // 64) * 8
     spec = None if cut is None else (cut.ROOT, cut.fetch)
     forbidden = (forbidden_mask & ((1 << tables.size) - 1)).to_bytes(width, "little")
-    return partial(kernel.Scan, tables.factors, forbidden, packed, spec)
+    return partial(kernel.Scan, tables.factors, forbidden, packed, spec, *acc.kernel_rule())
 
 
 def _run_threads(scans: list, cpus: list[int | None], count: int,
@@ -495,9 +496,16 @@ def _subgroup_mask(group: AbelianGroup, d: int) -> int:
 # -- accumulators -------------------------------------------------------------
 
 # Each accumulator below names its MODE_* in the compiled kernel,
-# ``kernel_mode``; ``kernel_rule()`` gives that mode's rule, and
-# ``kernel_result`` takes the result of one walk from a fresh accumulator's
-# state, the walk documented in _kernel.c.
+# ``kernel_mode``; ``kernel_rule()`` gives that mode and its rule, taken
+# once per compiled Scan, and ``kernel_result`` takes the result of one
+# walk, (nodes, value_a, value_b, path_a, path_b, kept) as documented in
+# _kernel.c, from a fresh accumulator's state; ``_ranks`` reads its paths.
+
+def _ranks(path: bytes) -> tuple[int, ...] | None:
+    """A walk's path, native int32 ranks, as a tuple; None where it is
+    empty, as a found path never is."""
+    return tuple(array("i", path)) if path else None
+
 
 class _CountAcc:
     """Counts sequences at one exact depth, where it stops, keeping them if ``keep``."""
@@ -514,8 +522,8 @@ class _CountAcc:
         return self.kernel_mode, self.target, self.hits is not None
 
     def kernel_result(self, result):
-        _, self.count, kept = result
-        if kept:  # native int32 ranks, ``target`` per path
+        _, self.count, _, _, _, kept = result
+        if self.hits is not None:  # native int32 ranks, ``target`` per path
             self.hits = list(zip(*[iter(array("i", kept))] * self.target))
 
     def enter(self, node):
@@ -549,7 +557,8 @@ class _ExtremaAcc:
         return self.kernel_mode, 0, 0
 
     def kernel_result(self, result):
-        _, self.best_len, self.best, self.best_scaled, self.best_cross = result
+        _, self.best_len, self.best_scaled, best, best_cross, _ = result
+        self.best, self.best_cross = _ranks(best), _ranks(best_cross)
 
     def enter(self, node):
         path, scaled = node
@@ -583,7 +592,9 @@ class _MinMaxOrderAcc:
         return self.kernel_mode, self.target, 0
 
     def kernel_result(self, result):
-        _, self.best_count, self.best = result
+        _, count, _, best, _, _ = result
+        if best:
+            self.best_count, self.best = count, _ranks(best)
 
     def enter(self, node):
         path, count = node
@@ -619,7 +630,7 @@ class _ViolationAcc:
         return self.kernel_mode, self.min_length, self.bound
 
     def kernel_result(self, result):
-        _, self.counterexample = result
+        self.counterexample = _ranks(result[3])
 
     def enter(self, node):
         if self.counterexample is not None:

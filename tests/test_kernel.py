@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import zerosum
+from zerosum.search import _ExtremaAcc
 
 SRC = str(Path(zerosum.__file__).resolve().parents[1])
 TESTS = str(Path(__file__).resolve().parent)
@@ -189,43 +190,56 @@ def test_interrupt_stops_a_long_compiled_walk(compiled_kernel):
         assert "KeyboardInterrupt" in err, (width, err)
 
 
+EXTREMA = _ExtremaAcc().kernel_rule()  # its mode, with no rule
+
+
 def test_scan_walks_one_task_at_a_time(compiled_kernel):
     # a walk that fetches a state of the cut is reentered from it: refused
-    from zerosum.search import _ExtremaAcc
-    extrema = (_ExtremaAcc.kernel_mode, 0, 0)
-
     def fetch(state):
-        return scan.walk(1, *extrema, 10, 1.0)
+        return scan.walk(1, 10, 1.0)
 
-    scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), bytes(16), (1, fetch))
+    scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), bytes(16), (1, fetch), *EXTREMA)
     with pytest.raises(RuntimeError, match="one task at a time"):
-        scan.walk(1, *extrema, 10, 1.0)
+        scan.walk(1, 10, 1.0)
 
 
 def test_scan_takes_four_bytes_of_weight_per_rank(compiled_kernel):
     # the weights come packed as native int32, as search._compiled packs them
-    compiled_kernel.Scan((4,), bytes(8), bytes(16), None)
+    compiled_kernel.Scan((4,), bytes(8), bytes(16), None, *EXTREMA)
     for weights in (bytes(12), bytes(20)):
         with pytest.raises(ValueError, match="4 bytes per rank"):
-            compiled_kernel.Scan((4,), bytes(8), weights, None)
+            compiled_kernel.Scan((4,), bytes(8), weights, None, *EXTREMA)
     with pytest.raises(TypeError):
-        compiled_kernel.Scan((4,), bytes(8), [0] * 4, None)
+        compiled_kernel.Scan((4,), bytes(8), [0] * 4, None, *EXTREMA)
+
+
+def test_scan_refuses_an_unknown_mode_and_a_root_outside_the_group(compiled_kernel):
+    from zerosum.search import _CountAcc, _MinMaxOrderAcc, _ViolationAcc
+    modes = {cls.kernel_mode for cls in (_CountAcc, _ExtremaAcc, _MinMaxOrderAcc, _ViolationAcc)}
+    assert modes == {0, 1, 2, 3}
+    for mode in (-1, 4):
+        with pytest.raises(ValueError, match="unknown mode"):
+            compiled_kernel.Scan((4,), bytes(8), bytes(16), None, mode, 0, 0)
+    scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), bytes(16), None, *EXTREMA)
+    for root in (-1, 4):
+        with pytest.raises(ValueError, match="root out of range"):
+            scan.walk(root, 10, 1.0)
+    assert scan.walk(3, 10, 1.0)[0] == 3  # (3,), (3, 3), (3, 3, 3)
 
 
 def test_scan_refuses_malformed_cut_data(compiled_kernel):
     # on C4, a state's mask is one 64-bit word and its row 4 int32 states;
     # fetch(1) gives state 1 (classes {0}, {1, 3}, {2}) and its row
     from array import array
-    from zerosum.search import _ExtremaAcc
     mask, row = (0b0111).to_bytes(8, "little"), array("i", [1, 0, 1, 0]).tobytes()
 
     def walk(fetched, root_state=1):
         scan = compiled_kernel.Scan((4,), bytes([1]) + bytes(7), bytes(16),
-                                    (root_state, lambda state: fetched))
-        return scan.walk(1, _ExtremaAcc.kernel_mode, 0, 0, 10, 1.0)
+                                    (root_state, lambda state: fetched), *EXTREMA)
+        return scan.walk(1, 10, 1.0)
 
     # 4 nodes, the longest path (1, 1, 1); no weights, so no largest total
-    assert walk((mask, row)) == (4, 3, (1, 1, 1), 0, None)
+    assert walk((mask, row)) == (4, 3, 0, array("i", [1, 1, 1]).tobytes(), b"", b"")
     for bad in ((bytes(16), row), (bytes(4), row), (mask, row[:12]), (mask, row + bytes(4)),
                 (mask, array("i", [1, -1, 1, 0]).tobytes()), (mask,), [mask, row]):
         with pytest.raises(ValueError):
@@ -237,4 +251,9 @@ def test_scan_refuses_malformed_cut_data(compiled_kernel):
 def test_scan_refuses_to_walk_uninitialised(compiled_kernel):
     scan = compiled_kernel.Scan.__new__(compiled_kernel.Scan)
     with pytest.raises(TypeError, match="initialised"):
-        scan.walk(1, 0, 1, 0, 1, 1.0)
+        scan.walk(1, 1, 1.0)
+    # an initialisation that fails part way leaves a Scan that cannot walk
+    with pytest.raises(ValueError, match="4 bytes per rank"):
+        scan.__init__((4,), bytes(8), bytes(12), None, *EXTREMA)
+    with pytest.raises(TypeError, match="initialised"):
+        scan.walk(1, 1, 1.0)

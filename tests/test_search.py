@@ -69,6 +69,13 @@ class TestEnumerate:
         assert enumerate_zero_sumfree(C22, 2, seen.append) == 3
         assert [tuple(s.iter_ranks()) for s in seen] == [(1, 2), (1, 3), (2, 3)]
 
+    def test_no_task_keeps_a_path(self, kernel):
+        # d(C2xC2) = 2: no task reaches length 3, so a compiled Scan keeps
+        # no path and has no buffer of kept ranks
+        seen = []
+        assert enumerate_zero_sumfree(C22, 3, seen.append) == 0
+        assert seen == []
+
     def test_length_zero_visits_empty(self):
         seen = []
         assert enumerate_zero_sumfree(C3, 0, seen.append) == 1
@@ -377,7 +384,7 @@ def _in_a_thread() -> bool:
     return threading.current_thread() is not threading.main_thread()
 
 
-class TestForkedWorkers:
+class TestThreadedScans:
     """Widths 1, 2 and 4 with the thread gate at 0, so that wider compiled
     scans run all but their last root task on threads."""
 
@@ -586,7 +593,7 @@ class TestOrbitCut:
         group = AbelianGroup(factors)
         deltas = range(davenport_p_group(group)) if group.is_p_group else ()
         # every root, walked once: its results do not depend on the width
-        # (TestForkedWorkers), so the reduced searches at each width meet it
+        # (TestThreadedScans), so the reduced searches at each width meet it
         accs, _ = run_scan(group, **extrema_kwargs(group))
         d_acc = max(accs, key=lambda acc: acc.best_len)
         k_acc = max(accs, key=lambda acc: acc.best_scaled)
@@ -1288,8 +1295,8 @@ class TestCompiledKernel:
 
                     def compiled(allowance, seconds=math.inf):
                         acc = factory()
-                        new_scan = _compiled(compiled_kernel, tables, [acc], 1, weights, cut)
-                        result = new_scan().walk(root, *acc.kernel_rule(), allowance, seconds)
+                        new_scan = _compiled(compiled_kernel, tables, acc, 1, weights, cut)
+                        result = new_scan().walk(root, allowance, seconds)
                         acc.kernel_result(result)
                         return result[0], _acc_state(acc)
 
@@ -1333,8 +1340,8 @@ class TestCompiledKernel:
         from zerosum.search import _compiled, run_scan
         tables = tables_for(C24)
         wide = [w << 40 for w in _cross_weights(C24)]
-        assert _compiled(compiled_kernel, tables, [_RootExtremaAcc()], 1, None, None) is None
-        assert _compiled(compiled_kernel, tables, [_ExtremaAcc()], 1, wide, None) is None
+        assert _compiled(compiled_kernel, tables, _RootExtremaAcc(), 1, None, None) is None
+        assert _compiled(compiled_kernel, tables, _ExtremaAcc(), 1, wide, None) is None
         runs = [_scan_summary(run_scan(C24, _ExtremaAcc, weights=wide))
                 for _ in each_kernel(monkeypatch)]
         assert runs[0] == runs[1]

@@ -195,8 +195,7 @@ class TestReportShape:
         assert a.nodes_visited == b.nodes_visited
         assert a.verdict == b.verdict
 
-    def test_forked_workers_do_not_change_report(self, threaded_scans, compiled_kernel,
-                                                 usable_cpus):
+    def test_threads_do_not_change_report(self, threaded_scans, compiled_kernel, usable_cpus):
         runs = []
         for width in (1, 2, 4):
             usable_cpus(width)
