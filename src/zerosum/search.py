@@ -332,18 +332,18 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     until the scan has entered more than ``_THREAD_GATE_NODES`` and at
     least two usable CPUs (``_usable_cpus``) have a task left; those
     remaining, larger tasks then run on threads, one per CPU up to one per
-    task (``_run_threads``).
+    task, which only walk (``_run_threads``).
 
     A task, its root too, enters no more than the nodes the scan has left,
     those of ``budget.max_nodes`` not yet summed when it starts, and stops
     at the deadline (``_scan_from``; the compiled kernel is handed the
     seconds left, not the clock); so a scan in one thread enters at most
-    ``max_nodes`` nodes. ``tally``, which sums the nodes of the tasks as
-    they finish, is the one place a budget error is raised. Once the sum
-    is above ``max_nodes`` it reports nodes_visited ``max_nodes + 1``: so a
-    scan is exceeded iff its full node total is, at every thread count.
-    Once the clock is past the deadline it reports the sum, the nodes of
-    every task run so far.
+    ``max_nodes`` nodes. ``tally``, which only this thread calls, summing
+    the nodes of the tasks as they finish, is the one place a budget error
+    is raised. Once the sum is above ``max_nodes`` it reports nodes_visited
+    ``max_nodes + 1``: so a scan is exceeded iff its full node total is, at
+    every thread count. Once the clock is past the deadline it reports the
+    sum, the nodes of every task tallied so far.
     """
     budget = budget or DEFAULT_BUDGET
     tables = tables_for(group)
@@ -396,8 +396,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
         left -= 1
         tally(run_one(scan, left))
     if left:
-        cpus = cpus[:left]
-        _run_threads([scan] + [compiled() for _ in cpus[1:]], cpus, left, run_one, tally)
+        _run_threads([scan] + [compiled() for _ in cpus[1:left]], cpus, left, run_one, tally)
     return accs, nodes
 
 
@@ -424,67 +423,68 @@ def _compiled(kernel, tables: GroupTables, acc, forbidden_mask: int, weights,
 def _run_threads(scans: list, cpus: list[int | None], count: int,
                  run_one: Callable[[object, int], int],
                  tally: Callable[[int], None]) -> None:
-    """Run tasks ``0 .. count-1`` on one thread per entry of ``cpus``,
-    passing the nodes of each to ``tally`` as it finishes.
+    """Run tasks ``0 .. count-1`` on one thread per entry of ``cpus``, which
+    only walk; this thread passes the nodes of each task to ``tally``.
 
-    Thread w walks its tasks on ``scans[w]``, a compiled Scan of its own,
-    and first pins itself to ``cpus[w]`` (on Linux this pins the calling
-    thread alone; where it fails it runs unpinned). The threads take task
-    indices in ascending order, largest subtrees first, from one shared
-    iterator, and ``tally`` runs under one lock. The first exception, from
-    a task or from ``tally``, stops every walk (``Scan.stop``), as does
-    one that reaches this thread while it waits, Ctrl-C included; it is
-    raised once every thread has ended.
+    Thread w pins itself to ``cpus[w]`` (on Linux this pins the calling
+    thread alone; where it fails it runs unpinned) and walks on ``scans[w]``,
+    a compiled Scan of its own, the task indices it takes in ascending
+    order, largest subtrees first, from one shared iterator. It puts each
+    task's nodes on one queue, or the exception that ended it, then None.
+    The first exception, from a task, from ``tally`` or while this thread
+    waits, Ctrl-C included, stops every walk (``Scan.stop``) and empties
+    the iterator, so no task starts after it. It is raised once every
+    thread has ended, as read from the queue, not join(): on CPython 3.11
+    a join() that Ctrl-C interrupts marks its thread ended while it runs.
     """
+    import _queue  # queue.SimpleQueue, without queue.py's own imports
     import contextlib
     import threading
     tasks = iter(range(count))
-    lock = threading.Lock()
-    failed: list[BaseException] = []
+    results = _queue.SimpleQueue()
 
-    def stop(err: BaseException) -> None:
-        failed.append(err)
+    def halt() -> None:
         for scan in scans:
             scan.stop()
+        for _ in tasks:
+            pass
 
-    def work(scan, cpu: int | None, end) -> None:
+    def work(scan, cpu: int | None) -> None:
         try:
             if cpu is not None:
                 with contextlib.suppress(OSError):
                     os.sched_setaffinity(0, {cpu})
             for index in tasks:
-                task_nodes = run_one(scan, index)
-                with lock:
-                    if failed:
-                        return
-                    tally(task_nodes)
-        except BaseException as err:  # re-raised by the waiting thread
-            stop(err)
+                results.put(run_one(scan, index))
+        except BaseException as err:  # raised by the calling thread
+            halt()  # now, not once the calling thread reads the error
+            results.put(err)
         finally:
-            end.set()
+            results.put(None)
 
-    # Each thread sets its own event as it ends, and this thread waits on
-    # those: on CPython 3.11 a join() that Ctrl-C interrupts marks its thread
-    # as ended while it still runs, and no later join() waits for it.
-    ends = [threading.Event() for _ in scans]
-    threads = [threading.Thread(target=work, args=args) for args in zip(scans, cpus, ends)]
+    threads = [threading.Thread(target=work, args=args) for args in zip(scans, cpus)]
+    running = 0  # the threads started whose None is not yet read
     try:
         for thread in threads:
             thread.start()
-        for end in ends:
-            end.wait()
-    except BaseException as err:  # Ctrl-C, or a thread that could not start
-        stop(err)
-        for thread, end in zip(threads, ends):
-            if thread.ident is not None:
-                end.wait()
+            running += 1
+        while running:
+            item = results.get()
+            if item is None:
+                running -= 1
+            elif isinstance(item, int):
+                tally(item)
+            else:
+                raise item
+    except BaseException:  # a task's, tally's, Ctrl-C, or a thread that could not start
+        halt()
+        while running:
+            running -= results.get() is None
         raise
     finally:
         for thread in threads:
             if thread.ident is not None:
-                thread.join()
-    if failed:
-        raise failed[0]
+                thread.join()  # it has put its None: it is ending
 
 
 def _subgroup_mask(group: AbelianGroup, d: int) -> int:

@@ -318,6 +318,16 @@ class TestCommands:
     def test_version_flag(self):
         assert main(["--version"]) == EXIT_OK
 
+    def test_package_version_is_the_module_version(self):
+        # pyproject.toml names zerosum._version.VERSION as its dynamic version
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # older setuptools: [tool.setuptools] is beta
+            config = pyprojecttoml.read_configuration(SRC.parent / "pyproject.toml")
+        assert "version" in config["project"]["dynamic"]
+        assert config["project"]["version"] == zerosum.__version__
+
 
 class TestTiming:
     def test_timing_opt_in(self, tmp_path):

@@ -560,6 +560,128 @@ class TestThreadedScans:
             search.run_scan(c33, **extrema_kwargs(c33))
         assert threaded_scans
 
+    def test_only_the_calling_thread_tallies(self, threaded_scans, compiled_kernel,
+                                             monkeypatch, usable_cpus):
+        # C3xC3 has 8 roots: the last runs in this thread, 7 on two threads,
+        # which only walk; each of the 7 tasks is tallied in this thread
+        import threading
+        from zerosum import search
+        callers = []
+        run_threads = search._run_threads
+
+        def recording_run_threads(scans, cpus, count, run_one, tally):
+            def recording_tally(task_nodes):
+                callers.append(threading.current_thread())
+                tally(task_nodes)
+            run_threads(scans, cpus, count, run_one, recording_tally)
+
+        monkeypatch.setattr(search, "_run_threads", recording_run_threads)
+        c33 = AbelianGroup((3, 3))
+        usable_cpus(2)
+        search.run_scan(c33, **extrema_kwargs(c33))
+        assert len(threaded_scans) == 2
+        assert len(callers) == 7
+        assert all(caller is threading.current_thread() for caller in callers)
+
+    def test_threads_lose_no_task_on_a_short_switch_interval(self, threaded_scans,
+                                                             compiled_kernel, monkeypatch,
+                                                             usable_cpus):
+        # C20xC20 at length 2: 399 tasks, 398 of them taken from the shared
+        # iterator by four threads that switch every microsecond; each task
+        # is counted once, with all its nodes
+        import sys
+        nodes = scan_nodes(monkeypatch)
+        group = AbelianGroup((20, 20))
+        usable_cpus(1)
+        counts = [enumerate_zero_sumfree(group, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            usable_cpus(4)
+            counts.append(enumerate_zero_sumfree(group, 2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threaded_scans) == 4
+        assert counts[0] == counts[1] and nodes[0] == nodes[1]
+
+    def test_no_task_starts_after_the_first_failure(self, threaded_scans, compiled_kernel,
+                                                    monkeypatch, usable_cpus):
+        # enumerating C20xC20 at length 2 makes 399 tasks, the last in this
+        # thread and 398 on two threads, each of fewer than 2048 nodes, so a
+        # stopped Scan does not cut them. Task 0, root 1, is the first that a
+        # thread takes, and its walk raises; each thread starts at most one
+        # walk after that, the one whose task it had already taken
+        import threading
+        walks, failure = [], []
+        real_scan = compiled_kernel.Scan
+
+        class FailingScan:
+            def __init__(self, *args):
+                self.scan = real_scan(*args)
+                self.stop = self.scan.stop
+
+            def walk(self, root, *args):
+                walks.append((threading.current_thread(), bool(failure)))
+                if root == 1:
+                    failure.append(ZeroDivisionError("task 0"))
+                    raise failure[0]
+                return self.scan.walk(root, *args)
+
+        monkeypatch.setattr(compiled_kernel, "Scan", FailingScan)
+        usable_cpus(2)
+        with pytest.raises(ZeroDivisionError, match="task 0") as info:
+            enumerate_zero_sumfree(AbelianGroup((20, 20)), 2)
+        assert info.value is failure[0]
+        assert len(threaded_scans) == 2
+        late = [thread for thread, after_failure in walks if after_failure]
+        assert all(late.count(thread) <= 1 for thread in threaded_scans), len(late)
+        assert len(walks) < 399
+
+    def test_a_thread_that_cannot_start_stops_the_scan(self, threaded_scans, compiled_kernel,
+                                                       monkeypatch, usable_cpus):
+        # C5xC5: the last root task runs in this thread, then the first thread
+        # starts and takes task 0 (root 1, 23,113 nodes), whose walk waits
+        # for its Scan to be stopped; the second thread cannot start. The
+        # stopped walk ends at its 2048th node, and the scan raises the error
+        import threading
+        from zerosum.search import run_scan
+        real_scan, real_start = compiled_kernel.Scan, threading.Thread.start
+        walking, stopped, walked = threading.Event(), threading.Event(), []
+
+        class StoppableScan:
+            def __init__(self, *args):
+                self.scan = real_scan(*args)
+
+            def stop(self):
+                stopped.set()
+                self.scan.stop()
+
+            def walk(self, *args):
+                if _in_a_thread() and not walking.is_set():
+                    walking.set()
+                    stopped.wait(10)
+                result = self.scan.walk(*args)
+                walked.append(result[0])
+                return result
+
+        starts = []
+
+        def start(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                walking.wait(10)
+                raise RuntimeError("can't start new thread")
+            real_start(thread)
+
+        monkeypatch.setattr(compiled_kernel, "Scan", StoppableScan)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        c55 = AbelianGroup((5, 5))
+        usable_cpus(2)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run_scan(c55, **extrema_kwargs(c55))
+        assert len(starts) == 2 and len(threaded_scans) == 1
+        assert walked[1:] == [2048]
+
 
 # the conftest groups, and three whose orbit cut is large
 ORBIT_CUT_FACTORS = P_GROUP_FACTORS + NON_P_FACTORS + [(5, 5), (3, 9), (2, 2, 8)]
