@@ -29,7 +29,7 @@ Python kernel is the fallback and the differential oracle of the
 compiled one, and runs every task in the calling thread. The compiled
 one runs its smallest tasks there first; once those have entered more
 than ``_THREAD_GATE_NODES``, the rest go to threads, one per usable CPU
-up to one per task left, each pinned to its CPU, as the compiled walk
+up to one per task left, none pinned to a CPU, as the compiled walk
 releases the GIL. Results merge by root with a lexicographic tie-break,
 so values, witnesses, node counts and budget verdicts do not depend on
 the kernel, the thread count or the schedule.
@@ -289,12 +289,12 @@ def _scan_from(tables: GroupTables, root: int, forbidden_mask: int, acc, weights
 _THREAD_GATE_NODES = 350_000
 
 
-def _usable_cpus() -> list[int | None]:
-    """The sorted CPUs this process may run on; where the affinity cannot
-    be read, ``os.cpu_count()`` entries of None, which pin nothing."""
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on; where the affinity cannot be
+    read, ``os.cpu_count()``, at least 1."""
     if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return [None] * (os.cpu_count() or 1)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
@@ -332,7 +332,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     until the scan has entered more than ``_THREAD_GATE_NODES`` and at
     least two usable CPUs (``_usable_cpus``) have a task left; those
     remaining, larger tasks then run on threads, one per CPU up to one per
-    task, which only walk (``_run_threads``).
+    task, which only walk and are not pinned (``_run_threads``).
 
     A task, its root too, enters no more than the nodes the scan has left,
     those of ``budget.max_nodes`` not yet summed when it starts, and stops
@@ -373,7 +373,7 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     else:
         if weights is None:
             weights = bytes(tables.size)
-        scan, cpus = None, []  # the Python kernel starts no thread
+        scan, cpus = None, 0  # the Python kernel starts no thread
 
         def run_one(_, index: int) -> int:
             return _scan_from(tables, roots[index], forbidden_mask, accs[index], weights,
@@ -392,11 +392,12 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
                 elapsed_seconds=time.monotonic() - started)
 
     left = len(roots)
-    while left and (nodes <= _THREAD_GATE_NODES or min(len(cpus), left) < 2):
+    while left and (nodes <= _THREAD_GATE_NODES or min(cpus, left) < 2):
         left -= 1
         tally(run_one(scan, left))
     if left:
-        _run_threads([scan] + [compiled() for _ in cpus[1:left]], cpus, left, run_one, tally)
+        _run_threads([scan] + [compiled() for _ in range(1, min(cpus, left))], left,
+                     run_one, tally)
     return accs, nodes
 
 
@@ -420,17 +421,17 @@ def _compiled(kernel, tables: GroupTables, acc, forbidden_mask: int, weights,
     return partial(kernel.Scan, tables.factors, forbidden, packed, spec, *acc.kernel_rule())
 
 
-def _run_threads(scans: list, cpus: list[int | None], count: int,
-                 run_one: Callable[[object, int], int],
+def _run_threads(scans: list, count: int, run_one: Callable[[object, int], int],
                  tally: Callable[[int], None]) -> None:
-    """Run tasks ``0 .. count-1`` on one thread per entry of ``cpus``, which
-    only walk; this thread passes the nodes of each task to ``tally``.
+    """Run tasks ``0 .. count-1`` on one thread per compiled Scan of
+    ``scans``, which only walk; this thread passes the nodes of each task to
+    ``tally``.
 
-    Thread w pins itself to ``cpus[w]`` (on Linux this pins the calling
-    thread alone; where it fails it runs unpinned) and walks on ``scans[w]``,
-    a compiled Scan of its own, the task indices it takes in ascending
-    order, largest subtrees first, from one shared iterator. It puts each
-    task's nodes on one queue, or the exception that ended it, then None.
+    Thread w walks on ``scans[w]``, on whichever usable CPU the operating
+    system gives it (no thread is pinned), the task indices it takes in
+    ascending order, largest subtrees first, from one shared iterator. It
+    puts each task's nodes on one queue, or the exception that ended it,
+    then None.
     The first exception, from a task, from ``tally`` or while this thread
     waits, Ctrl-C included, stops every walk (``Scan.stop``) and empties
     the iterator, so no task starts after it. It is raised once every
@@ -438,7 +439,6 @@ def _run_threads(scans: list, cpus: list[int | None], count: int,
     a join() that Ctrl-C interrupts marks its thread ended while it runs.
     """
     import _queue  # queue.SimpleQueue, without queue.py's own imports
-    import contextlib
     import threading
     tasks = iter(range(count))
     results = _queue.SimpleQueue()
@@ -449,11 +449,8 @@ def _run_threads(scans: list, cpus: list[int | None], count: int,
         for _ in tasks:
             pass
 
-    def work(scan, cpu: int | None) -> None:
+    def work(scan) -> None:
         try:
-            if cpu is not None:
-                with contextlib.suppress(OSError):
-                    os.sched_setaffinity(0, {cpu})
             for index in tasks:
                 results.put(run_one(scan, index))
         except BaseException as err:  # raised by the calling thread
@@ -462,7 +459,7 @@ def _run_threads(scans: list, cpus: list[int | None], count: int,
         finally:
             results.put(None)
 
-    threads = [threading.Thread(target=work, args=args) for args in zip(scans, cpus)]
+    threads = [threading.Thread(target=work, args=(scan,)) for scan in scans]
     running = 0  # the threads started whose None is not yet read
     try:
         for thread in threads:

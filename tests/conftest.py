@@ -28,15 +28,14 @@ def p_groups() -> list[AbelianGroup]:
 
 @pytest.fixture
 def usable_cpus(monkeypatch):
-    """The setter of the CPUs the search engine sees: after ``usable_cpus(w)``
-    it sees the real CPUs, repeated up to ``w`` of them, so a scan starts at
-    most ``w`` threads, as under ``taskset`` with ``w`` CPUs, and at
-    ``w = 1`` it runs every task in the calling thread."""
+    """The setter of the CPU count the search engine sees: after
+    ``usable_cpus(w)`` it sees ``w`` CPUs, so a scan starts at most ``w``
+    threads, as under ``taskset`` with ``w`` CPUs, and at ``w = 1`` it runs
+    every task in the calling thread."""
     from zerosum import search
-    real = search._usable_cpus()
 
     def set_cpus(count: int) -> None:
-        monkeypatch.setattr(search, "_usable_cpus", lambda: (real * count)[:count])
+        monkeypatch.setattr(search, "_usable_cpus", lambda: count)
     return set_cpus
 
 

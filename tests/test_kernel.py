@@ -170,7 +170,7 @@ def test_interrupt_stops_a_long_compiled_walk(compiled_kernel):
         code = ("import sys\n"
                 "from zerosum import AbelianGroup, SearchBudget, _kernel, search\n"
                 "assert _kernel.load() is not None\n"
-                f"search._usable_cpus = lambda: [None] * {width}\n"
+                f"search._usable_cpus = lambda: {width}\n"
                 "search._THREAD_GATE_NODES = 0\n"
                 "print('walking', flush=True)\n"
                 f"search._gamma_scan(AbelianGroup({factors}), {delta},"

@@ -319,37 +319,40 @@ class TestBudget:
         monkeypatch.setattr(search, "_usable_cpus", _usable_cpus)
         cpus = _usable_cpus()
         if hasattr(os, "sched_getaffinity"):
-            assert cpus == sorted(os.sched_getaffinity(0))
+            assert cpus == len(os.sched_getaffinity(0))
         c33 = AbelianGroup((3, 3))
         search.run_scan(c33, **extrema_kwargs(c33))
-        width = min(len(cpus), 7)
+        width = min(cpus, 7)
         assert len(threaded_scans) == (width if width >= 2 else 0)
 
     def test_worker_count_is_clamped(self, threaded_scans, compiled_kernel, usable_cpus):
-        # after its last root in this thread, C3xC3 has 7 roots left, C2xC2 two
-        from zerosum.search import run_scan
+        # after its last root in this thread, C3xC3 has 7 roots left, C2xC2
+        # two; the count seen need not be the machine's
+        from zerosum import search
         c33 = AbelianGroup((3, 3))
         for width, group, threads in ((4, c33, 4), (8, c33, 7), (4, C22, 2), (1, c33, 0)):
             usable_cpus(width)
+            assert search._usable_cpus() == width
             threaded_scans.clear()
-            run_scan(group, **extrema_kwargs(group))
+            search.run_scan(group, **extrema_kwargs(group))
             assert len(threaded_scans) == threads, (width, group)
 
-    def test_unread_affinity_pins_no_worker(self, threaded_scans, compiled_kernel,
-                                            monkeypatch):
-        # without sched_getaffinity the CPUs are os.cpu_count() Nones, and a
-        # scan starts as many unpinned threads, with the nodes of one thread
+    def test_unread_affinity_counts_cpu_count(self, threaded_scans, compiled_kernel,
+                                              monkeypatch):
+        # without sched_getaffinity the count is os.cpu_count(), or 1 where
+        # that is unknown, and a scan starts that many threads (none on one
+        # CPU), with the nodes of one thread
         from zerosum import search
         monkeypatch.setattr(search, "_usable_cpus", _usable_cpus)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _usable_cpus() == [None]
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert _usable_cpus() == [None, None, None]
         c33 = AbelianGroup((3, 3))
-        _, nodes = search.run_scan(c33, **extrema_kwargs(c33))
-        assert len(threaded_scans) == 3
-        assert nodes == 184
+        for count, width, threads in ((None, 1, 0), (3, 3, 3)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert _usable_cpus() == width
+            threaded_scans.clear()
+            _, nodes = search.run_scan(c33, **extrema_kwargs(c33))
+            assert len(threaded_scans) == threads, count
+            assert nodes == 184
 
 
 class TestDeterminism:
@@ -525,21 +528,20 @@ class TestThreadedScans:
         assert info.value.nodes_visited == 1001
         assert info.value.elapsed_seconds > 0
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
-                        reason="needs two usable CPUs and sched_setaffinity")
-    def test_workers_run_on_distinct_cpus(self, threaded_scans, compiled_kernel, usable_cpus):
-        # C3xC3 has 8 roots: the last runs in this thread, 7 on two threads,
-        # each pinned to a CPU of its own; this thread stays unpinned
+                        reason="needs two usable CPUs and sched_getaffinity")
+    def test_workers_keep_the_whole_affinity(self, threaded_scans, compiled_kernel,
+                                             usable_cpus):
+        # C3xC3 has 8 roots: the last runs in this thread, 7 on two threads;
+        # no thread is pinned, so each ends with every CPU the process may
+        # use, and this thread's affinity is left as it was
         from zerosum.search import run_scan
         c33 = AbelianGroup((3, 3))
         allowed = os.sched_getaffinity(0)
         usable_cpus(2)
         run_scan(c33, **extrema_kwargs(c33))
-        pinned = [thread.cpus for thread in threaded_scans]
-        assert len(pinned) == 2
-        assert all(len(cpus) == 1 for cpus in pinned), pinned
-        assert len(set(pinned)) == 2, pinned
+        assert [thread.cpus for thread in threaded_scans] == [allowed, allowed]
         assert os.sched_getaffinity(0) == allowed
 
     def test_worker_exception_keeps_its_type(self, threaded_scans, compiled_kernel,
@@ -569,11 +571,11 @@ class TestThreadedScans:
         callers = []
         run_threads = search._run_threads
 
-        def recording_run_threads(scans, cpus, count, run_one, tally):
+        def recording_run_threads(scans, count, run_one, tally):
             def recording_tally(task_nodes):
                 callers.append(threading.current_thread())
                 tally(task_nodes)
-            run_threads(scans, cpus, count, run_one, recording_tally)
+            run_threads(scans, count, run_one, recording_tally)
 
         monkeypatch.setattr(search, "_run_threads", recording_run_threads)
         c33 = AbelianGroup((3, 3))
