@@ -14,7 +14,8 @@ interpreter's headers.
   it with ``os.replace``, so two first runs never load a half-written
   module.
 - Where the cache directory cannot be created or written, no build is
-  attempted.
+  attempted. Where its path is relative (no home directory, so ``~`` does
+  not expand), nothing is built or loaded under the working directory.
 - A failed build leaves a marker under the same key, so no later process
   starts the compiler for that source again; delete the marker to retry.
 
@@ -48,6 +49,8 @@ def load():
     cache = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(cache):
         cache = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(cache):  # "~" left unexpanded: no home directory
+        return None
     key = zlib.crc32(source + suffix.encode())
     path = os.path.join(cache, "zerosum", f"kernel-{key:08x}{suffix}")
     if not os.path.exists(path) and (os.path.exists(path + ".failed") or not _build(path)):

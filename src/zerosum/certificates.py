@@ -4,12 +4,14 @@ Each command is defined once, by its function in ``COMMANDS``: from the
 group, the inputs and the search budget it computes the claims, makes every
 cross-route consistency check, checks each witness it claims on the
 checking route (``sequences.check_witness``), and builds ``parameters``,
-``results``, ``status`` and its text lines. The CLI runs it with its flags
-through ``run_command``. ``verify_certificate`` runs it again with the
-inputs the stored ``parameters`` record and compares the two documents;
-stored claims are compared, never parsed. A command function imports
-``search``, ``verifier`` or ``constructions`` where its route runs them, so
-a process loads only the modules of the route it takes.
+``results``, ``status`` and its text lines. Its ``COMMANDS`` row declares
+every input, each of a kind: ``int``, ``None`` (an optional integer),
+``bool`` or a table of choices. The CLI builds the command's flags from the
+row and runs it with them through ``run_command``. ``verify_certificate``
+runs it again with the inputs the stored ``parameters`` record and compares
+the two documents; stored claims are compared, never parsed. A command
+function imports ``search``, ``verifier`` or ``constructions`` where its
+route runs them, so a process loads only the modules of the route it takes.
 
 A certificate is its JSON document, a dict: ``run_command`` returns it,
 ``load_certificate`` reads it from a file and checks its shape, and
@@ -64,7 +66,7 @@ def write_certificate(cert: dict, path: str | Path) -> None:
 def _read_json(path: str | Path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # the latter: nested too deeply
         raise CertificateError(f"not valid JSON: {err}") from err
 
 
@@ -286,18 +288,19 @@ def _enumerate(group, inputs, budget):
     return {"length": length}, claims, results, "ok", lines
 
 
-# check name -> (input parameters, checker). An input maps to True when the
-# check requires it. The checker is named, not stored: ``_check`` looks it up
-# in ``verifier`` when the check runs, so a rebound module attribute (such as
-# a tracing wrapper) is the one called, and the parser reads the names
-# without loading the verifier.
+# check name -> (its own inputs, checker). An input maps to its kind, as in
+# ``COMMANDS``: int where the check requires it, None where it is optional;
+# the ``check`` row declares every input's flag. The checker is named, not
+# stored: ``_check`` looks it up in ``verifier`` when the check runs, so a
+# rebound module attribute (such as a tracing wrapper) is the one called,
+# and the parser reads the names without loading the verifier.
 CHECKS = {
     "cross-number": ({}, "check_cross_number_conjecture"),
     "davenport-dual": ({}, "check_dual_conjecture"),
-    "order-divisibility": ({"threshold": False}, "check_order_divisibility"),
+    "order-divisibility": ({"threshold": None}, "check_order_divisibility"),
     "heights": ({}, "check_heights"),
     "max-order": ({}, "check_corollary_max_order"),
-    "gamma-conjecture": ({"delta": True}, "check_gamma_conjecture"),
+    "gamma-conjecture": ({"delta": int}, "check_gamma_conjecture"),
 }
 
 
@@ -336,16 +339,25 @@ def _check(group, inputs, budget):
 
 
 # command -> (its function, whether it searches and records its budget, its
-# inputs). An input maps to int, bool or the values it may take: its CLI
-# flag's type or choices. ``run_command`` refuses any other value of a
-# choice; the function that takes an integer input refuses a non-integer.
+# help line, its inputs): the one declaration the CLI builds its subcommand
+# from. An input maps to its kind: int (a required integer flag), None (an
+# optional integer), bool (a ``store_true`` flag) or the values it may take
+# (a required choice; ``--method`` defaults to "both"). ``run_command``
+# refuses any other value of a choice; the function that takes an integer
+# input refuses a non-integer.
 COMMANDS = {
-    "invariants": (_invariants, True, {"method": _METHODS}),
-    "dpair": (_dpair, True, {"method": _METHODS, "d_prime": int, "d": int}),
-    "gamma": (_gamma, True, {"method": _METHODS, "delta": int}),
-    "construct": (_construct, False, {"kind": ("dstar", "kstar", "gamma"), "delta": int}),
-    "enumerate": (_enumerate, True, {"length": int, "count_only": bool}),
-    "check": (_check, True, {"name": CHECKS, "delta": int, "threshold": int}),
+    "invariants": (_invariants, True, "d*, k*, d(G), k(G) by formula and search",
+                   {"method": _METHODS}),
+    "dpair": (_dpair, True, "two-level Davenport constant D_(d',d)",
+              {"method": _METHODS, "d_prime": int, "d": int}),
+    "gamma": (_gamma, True, "minimal max-order count in long zero-sumfree sequences "
+              "(p-groups)", {"method": _METHODS, "delta": int}),
+    "construct": (_construct, False, "explicit extremal sequences",
+                  {"kind": ("dstar", "kstar", "gamma"), "delta": None}),
+    "enumerate": (_enumerate, True, "list zero-sumfree sequences of one length",
+                  {"length": int, "count_only": bool}),
+    "check": (_check, True, "exhaustive theorem/conjecture checkers",
+              {"name": CHECKS, "delta": None, "threshold": None}),
 }
 
 
@@ -360,9 +372,9 @@ def run_command(command: str, group_input: str, inputs: dict,
     if command not in COMMANDS:
         raise CertificateError(f"unknown command {command!r}")
     group = parse_group_spec(group_input)
-    run, searches, takes = COMMANDS[command]
+    run, searches, _, takes = COMMANDS[command]
     for name, allowed in takes.items():
-        if allowed in (int, bool):
+        if allowed in (int, None, bool):
             continue
         if not isinstance(inputs[name], str) or inputs[name] not in allowed:
             raise ValueError(f"{name} must be one of {', '.join(allowed)}, "

@@ -4,6 +4,11 @@ Exit codes: 0 success/verified, 1 counterexample found, 2 usage error,
 3 budget exceeded, 4 internal-consistency failure (two routes disagreed or a
 construction failed its self-check).
 
+Every subcommand but ``verify-cert`` is built from its
+``certificates.COMMANDS`` row, which declares each input once with its kind:
+``int`` (a required integer flag), ``None`` (an optional integer), ``bool``
+(a ``store_true`` flag) or its table of choices.
+
 Importing this module loads no more of the package than ``groups``: each
 handler imports ``certificates`` when it runs, and the command's route
 imports the modules it runs.
@@ -59,7 +64,7 @@ def _add_common(parser: argparse.ArgumentParser, row=None):
     ``--group``, ``--out``, ``--timing`` and ``--method`` if it is an input;
     the budget flags if the row searches or there is none (``verify-cert``);
     and always ``--format``."""
-    _, searches, inputs = row or (None, True, {})
+    _, searches, _, inputs = row or (None, True, None, {})
     if row:
         parser.add_argument("--group", required=True, metavar="SPEC",
                             help='group spec, e.g. "2,4" or "C2xC4"')
@@ -79,37 +84,30 @@ def _add_common(parser: argparse.ArgumentParser, row=None):
     parser.add_argument("--format", choices=("json", "text"), default="text")
 
 
-def _command(command: str):
-    """The handler of ``command``, which reads the flags of the inputs that
-    its ``certificates.COMMANDS`` row names.
-
-    It runs the command through ``certificates.run_command``, writes
-    ``--out``, prints the certificate or the text lines and the status, and
-    maps the status to the exit code.
-    """
-    def handler(args) -> int:
-        from .certificates import (COMMANDS, certificate_json, run_command,
-                                   write_certificate)
-        started = time.monotonic()
-        cert, lines = run_command(command, args.group,
-                                  {name: getattr(args, name) for name in COMMANDS[command][2]},
-                                  _budget_from(args))
-        if args.timing:
-            cert["timing"] = {"seconds": round(time.monotonic() - started, 3)}
-        if args.out:
-            write_certificate(cert, args.out)
-        if args.format == "json":
-            _write(certificate_json(cert))
-        else:
-            _write("\n".join([*lines, f"status: {cert['status']}"]) + "\n")
-        if cert["status"] in ("ok", "verified"):
-            return EXIT_OK
-        if cert["status"] == "budget-exceeded":
-            return EXIT_BUDGET
-        if cert["results"].get("implementation_bug"):
-            return EXIT_INTERNAL
-        return EXIT_COUNTEREXAMPLE
-    return handler
+def cmd_run(args) -> int:
+    """Run ``args.command`` through ``certificates.run_command`` on the flags
+    of the inputs its ``COMMANDS`` row names, write ``--out``, print the
+    certificate or the text lines and the status, and map the status to the
+    exit code."""
+    from .certificates import COMMANDS, certificate_json, run_command, write_certificate
+    started = time.monotonic()
+    inputs = {name: getattr(args, name) for name in COMMANDS[args.command][3]}
+    cert, lines = run_command(args.command, args.group, inputs, _budget_from(args))
+    if args.timing:
+        cert["timing"] = {"seconds": round(time.monotonic() - started, 3)}
+    if args.out:
+        write_certificate(cert, args.out)
+    if args.format == "json":
+        _write(certificate_json(cert))
+    else:
+        _write("\n".join([*lines, f"status: {cert['status']}"]) + "\n")
+    if cert["status"] in ("ok", "verified"):
+        return EXIT_OK
+    if cert["status"] == "budget-exceeded":
+        return EXIT_BUDGET
+    if cert["results"].get("implementation_bug"):
+        return EXIT_INTERNAL
+    return EXIT_COUNTEREXAMPLE
 
 
 def cmd_verify_cert(args) -> int:
@@ -140,34 +138,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "forms, exhaustive oracles, and verifiable certificates.")
     parser.add_argument("--version", action="version", version=f"zerosum {VERSION}")
     sub = parser.add_subparsers(dest="command")
-
-    def add(command: str, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(command, help=help)
-        _add_common(p, COMMANDS[command])
-        p.set_defaults(handler=_command(command))
-        return p
-
-    add("invariants", "d*, k*, d(G), k(G) by formula and search")
-
-    p = add("dpair", "two-level Davenport constant D_(d',d)")
-    p.add_argument("--dprime", dest="d_prime", type=int, required=True, metavar="N")
-    p.add_argument("--d", type=int, required=True, metavar="N")
-
-    p = add("gamma", "minimal max-order count in long zero-sumfree sequences (p-groups)")
-    p.add_argument("--delta", type=int, required=True, metavar="N")
-
-    p = add("construct", "explicit extremal sequences")
-    p.add_argument("--kind", choices=COMMANDS["construct"][2]["kind"], required=True)
-    p.add_argument("--delta", type=int, default=None, metavar="N")
-
-    p = add("enumerate", "list zero-sumfree sequences of one length")
-    p.add_argument("--length", type=int, required=True, metavar="N")
-    p.add_argument("--count-only", action="store_true")
-
-    p = add("check", "exhaustive theorem/conjecture checkers")
-    p.add_argument("--name", choices=tuple(COMMANDS["check"][2]["name"]), required=True)
-    p.add_argument("--delta", type=int, default=None, metavar="N")
-    p.add_argument("--threshold", type=int, default=None, metavar="N")
+    for command, row in COMMANDS.items():
+        p = sub.add_parser(command, help=row[2])
+        _add_common(p, row)
+        for name, kind in row[3].items():
+            flag = "--dprime" if name == "d_prime" else "--" + name.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true")
+            elif kind in (int, None):
+                p.add_argument(flag, dest=name, type=int, required=kind is int, metavar="N")
+            elif name != "method":  # _add_common adds --method, which has a default
+                p.add_argument(flag, choices=tuple(kind), required=True)
+        p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("verify-cert", help="re-verify a certificate from scratch")
     _add_common(p)

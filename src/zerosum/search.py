@@ -520,7 +520,7 @@ class _CountAcc:
 
     def kernel_result(self, result):
         _, self.count, _, _, _, kept = result
-        if self.hits is not None:  # native int32 ranks, ``target`` per path
+        if self.hits is not None and kept:  # native int32 ranks, ``target`` per path
             self.hits = list(zip(*[iter(array("i", kept))] * self.target))
 
     def enter(self, node):

@@ -590,6 +590,15 @@ class TestSchemaValidation:
         with pytest.raises(CertificateError):
             load_certificate(path)
 
+    def test_nested_too_deeply_to_parse(self, tmp_path, capsys):
+        # json.loads raises RecursionError, not JSONDecodeError, on this
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(CertificateError, match="not valid JSON"):
+            load_certificate(path)
+        assert main(["verify-cert", "--in", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("certificate error: not valid JSON: ")
+
     def test_unknown_claim_kind_rejected_not_crashed(self, tmp_path):
         path = gamma_cert(tmp_path)
         obj = json.loads(path.read_text())

@@ -339,3 +339,85 @@ class TestTiming:
         assert main(["gamma", "--group", "2,4", "--delta", "0",
                      "--out", str(out2)]) == EXIT_OK
         assert "timing" not in json.loads(out2.read_text())
+
+
+# -- the parser, pinned action by action -----------------------------------------
+
+def _actions(parser) -> list[tuple]:
+    """Each argparse action of ``parser``, in order, as (option strings, dest,
+    type's name, required, default, choices, metavar, help)."""
+    return [(tuple(a.option_strings), a.dest, a.type and a.type.__name__, a.required,
+             a.default, None if a.choices is None else list(a.choices), a.metavar, a.help)
+            for a in parser._actions]
+
+
+_HELP = (("-h", "--help"), "help", None, False, "==SUPPRESS==", None, None,
+         "show this help message and exit")
+_GROUP = (("--group",), "group", None, True, None, None, "SPEC",
+          'group spec, e.g. "2,4" or "C2xC4"')
+_METHOD = (("--method",), "method", None, False, "both", ["formula", "search", "both"],
+           None, None)
+_BUDGET = [(("--budget-nodes",), "max_nodes", "int", False, None, None, "N", None),
+           (("--budget-seconds",), "max_seconds", "float", False, None, None, "S", None)]
+_OUT = [(("--out",), "out", None, False, None, None, "FILE",
+         "write the JSON certificate here"),
+        (("--timing",), "timing", None, False, False, None, None,
+         "include wall-clock timing in the certificate (off by default so reports "
+         "stay byte-reproducible)")]
+_FORMAT = (("--format",), "format", None, False, "text", ["json", "text"], None, None)
+
+
+def _int(flag: str, dest: str, required: bool = True) -> tuple:
+    return ((flag,), dest, "int", required, None, None, "N", None)
+
+
+PARSER_ACTIONS = {
+    "invariants": [_HELP, _GROUP, _METHOD, *_BUDGET, *_OUT, _FORMAT],
+    "dpair": [_HELP, _GROUP, _METHOD, *_BUDGET, *_OUT, _FORMAT,
+              _int("--dprime", "d_prime"), _int("--d", "d")],
+    "gamma": [_HELP, _GROUP, _METHOD, *_BUDGET, *_OUT, _FORMAT, _int("--delta", "delta")],
+    "construct": [_HELP, _GROUP, *_OUT, _FORMAT,
+                  (("--kind",), "kind", None, True, None, ["dstar", "kstar", "gamma"],
+                   None, None),
+                  _int("--delta", "delta", required=False)],
+    "enumerate": [_HELP, _GROUP, *_BUDGET, *_OUT, _FORMAT, _int("--length", "length"),
+                  (("--count-only",), "count_only", None, False, False, None, None, None)],
+    "check": [_HELP, _GROUP, *_BUDGET, *_OUT, _FORMAT,
+              (("--name",), "name", None, True, None,
+               ["cross-number", "davenport-dual", "order-divisibility", "heights",
+                "max-order", "gamma-conjecture"], None, None),
+              _int("--delta", "delta", required=False),
+              _int("--threshold", "threshold", required=False)],
+    "verify-cert": [_HELP, *_BUDGET, _FORMAT,
+                    (("--in",), "infile", None, True, None, None, "FILE", None)],
+}
+
+COMMAND_HELP = {
+    "invariants": "d*, k*, d(G), k(G) by formula and search",
+    "dpair": "two-level Davenport constant D_(d',d)",
+    "gamma": "minimal max-order count in long zero-sumfree sequences (p-groups)",
+    "construct": "explicit extremal sequences",
+    "enumerate": "list zero-sumfree sequences of one length",
+    "check": "exhaustive theorem/conjecture checkers",
+    "verify-cert": "re-verify a certificate from scratch",
+}
+
+
+def test_parser_actions_are_pinned():
+    """Every flag of ``zerosum`` and of its seven subcommands, read from the
+    parser's actions rather than its help text, whose layout differs between
+    Python versions."""
+    import argparse
+    from zerosum.cli import build_parser
+    parser = build_parser()
+    sub = parser._actions[2]
+    assert isinstance(sub, argparse._SubParsersAction)
+    assert _actions(parser) == [
+        _HELP,
+        (("--version",), "version", None, False, "==SUPPRESS==", None, None,
+         "show program's version number and exit"),
+        ((), "command", None, False, None, list(PARSER_ACTIONS), None, None)]
+    assert [(a.dest, a.metavar, a.help) for a in sub._get_subactions()] == [
+        (name, name, text) for name, text in COMMAND_HELP.items()]
+    for name, actions in PARSER_ACTIONS.items():
+        assert _actions(sub.choices[name]) == actions, name

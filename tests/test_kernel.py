@@ -136,6 +136,18 @@ def test_relative_cache_home_is_ignored(tmp_path):
     assert marker.name.endswith(EXTENSION_SUFFIXES[0] + ".failed")
 
 
+def test_unexpanded_home_attempts_no_build(tmp_path, monkeypatch):
+    # with HOME unset and no passwd entry, expanduser leaves "~" as it is:
+    # the cache path stays relative and would land under the working directory
+    from zerosum import _kernel
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setenv("CC", "false")
+    assert _kernel.load.__wrapped__() is None
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_goldens_are_identical_without_a_compiler(tmp_path):
     # CC=false and an empty cache: every scan takes the Python kernel
     code = ("import sys, tempfile\n"

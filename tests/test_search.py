@@ -76,6 +76,21 @@ class TestEnumerate:
         assert enumerate_zero_sumfree(C22, 3, seen.append) == 0
         assert seen == []
 
+    @pytest.mark.parametrize("length", [10**20, 10**7])
+    def test_unreachable_length_keeps_nothing(self, kernel, length):
+        # d(C2) = 1: no walk reaches the length, so none builds a list of
+        # ``length`` entries for the paths it did not keep
+        import tracemalloc
+        seen = []
+        tracemalloc.start()
+        try:
+            assert enumerate_zero_sumfree(C2, length, seen.append) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen == []
+        assert peak < 4 << 20
+
     def test_length_zero_visits_empty(self):
         seen = []
         assert enumerate_zero_sumfree(C3, 0, seen.append) == 1
