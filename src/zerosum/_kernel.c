@@ -3,24 +3,23 @@
    A Scan holds one scan's constants: the group's invariant factors, the
    forbidden mask, the per-rank weights, for a cut scan the states of the
    cut met so far, and the walk's rule: one of four modes (the MODE_*
-   values below), each an accumulator class's ``kernel_mode`` in
-   search.py, and two numbers. Its walk method runs one root task: it
+   values below) and two numbers, as an accumulator's kernel_rule() in
+   search.py gives them. Its walk method runs one root task: it
    starts from an empty result, walks exactly the nodes that _scan_from
    walks, in the same order, and returns the task's nodes and its result
    in one shape for every mode, numbers and paths as bytes of ranks (the
    table at Scan_walk). Only search.py maps these to and from the
    accumulators; this file reads and writes no Python attribute. The
-   nodes are counted, budgeted and checked against the deadline as
-   _scan_from does them; the deadline comes as seconds left, so no clock
-   is shared with Python.
+   nodes are counted, budgeted and timed as _scan_from does them, from
+   the seconds left that both are handed.
 
    The walk releases the GIL for its loop and takes it back only to fetch
    a state of the cut it meets for the first time and, on the main thread
    alone, to check for signals at every 2048th node. The paths it keeps
    go to a buffer from the raw allocator, like its other buffers. So Scans
    on several threads walk at once, one task at a time each. At every
-   2048th node a walk also ends if its Scan's stop() was called, as at the
-   deadline.
+   2048th node a walk also ends if its Scan's stop() was called, as when
+   its seconds run out.
 
    A rank mask is little-endian 64-bit words. Translating a mask by an
    element is one rotation per nonzero coordinate of the element, inside

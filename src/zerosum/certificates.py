@@ -308,7 +308,7 @@ def _check(group, inputs, budget):
     from . import verifier
     name = inputs["name"]
     takes, checker = CHECKS[name]
-    given = {key: inputs.get(key) for key in ("delta", "threshold")}
+    given = {key: inputs.get(key) for key in COMMANDS["check"][3] if key != "name"}
     for key, value in given.items():
         if value is None and takes.get(key):
             raise ValueError(f"check {name} requires --{key}")

@@ -268,21 +268,27 @@ def normalize_group(factors: Iterable[int]) -> AbelianGroup:
 
 
 def parse_group_spec(text: str) -> AbelianGroup:
-    """Parse "2,4" or "C2xC4" (whitespace ignored) into a normalized group."""
-    s = "".join(text.split())
+    """Parse "2,4" or "C2xC4" (whitespace ignored) into a normalized group.
+    Errors name positions in ``text`` as typed (``where``), and a factor
+    with more digits than the cap is refused, not converted."""
+    where = [i for i, ch in enumerate(text) if not ch.isspace()] + [len(text)]
+    s = "".join(text[i] for i in where[:-1])
     if not s:
         raise ValueError("empty group spec")
     for i, ch in enumerate(s):
         if ch not in "0123456789,xXcC":
-            raise ValueError(f"unexpected character {ch!r} at position {i} "
+            raise ValueError(f"unexpected character {ch!r} at position {where[i]} "
                              f"in group spec {text!r}")
     factors = []
     pos = 0
     for token in re.split(r"[,xX]", s):
         digits = token[1:] if token[:1] in ("C", "c") else token
         if not digits.isdigit():
-            raise ValueError(f"expected a cyclic order at position {pos} "
+            raise ValueError(f"expected a cyclic order at position {where[pos]} "
                              f"in group spec {text!r}, got {token!r}")
+        if len(digits.lstrip("0")) > len(str(CARDINALITY_CAP)):
+            raise InvalidGroupError(f"cyclic factor at position {where[pos]} exceeds "
+                                    f"the desk-scale cap {CARDINALITY_CAP}")
         factors.append(int(digits))
         pos += len(token) + 1
     return normalize_group(factors)

@@ -24,15 +24,15 @@ fall. ``check`` and ``enumerate`` take every root and no cut.
 A task runs on one of two kernels that walk the same nodes in the same
 order: ``_scan_from`` in Python, or its compiled twin in ``_kernel.c``
 (built once per source by ``_kernel.load``, which only ``run_scan``
-calls) when the scan's accumulators are one of the four below. The
-Python kernel is the fallback and the differential oracle of the
-compiled one, and runs every task in the calling thread. The compiled
-one runs its smallest tasks there first; once those have entered more
-than ``_THREAD_GATE_NODES``, the rest go to threads, one per usable CPU
-up to one per task left, none pinned to a CPU, as the compiled walk
-releases the GIL. Results merge by root with a lexicographic tie-break,
-so values, witnesses, node counts and budget verdicts do not depend on
-the kernel, the thread count or the schedule.
+calls) when the first accumulator's own class defines ``kernel_rule``,
+as the four below do. The Python kernel is the fallback and the
+differential oracle of the compiled one, and runs every task in the
+calling thread. The compiled one runs its smallest tasks there first;
+once those have entered more than ``_THREAD_GATE_NODES``, the rest go to
+threads, one per usable CPU up to one per task left, none pinned to a
+CPU, as the compiled walk releases the GIL. Results merge by root with
+a lexicographic tie-break, so values, witnesses, node counts and budget
+verdicts do not depend on the kernel, the thread count or the schedule.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def _path_cut(factors: tuple[int, ...]) -> _PathCut:
 
 
 def _scan_from(tables: GroupTables, root: int, forbidden_mask: int, acc, weights,
-               max_nodes: int, deadline: float, cut: _PathCut | None = None) -> int:
+               max_nodes: int, seconds: float, cut: _PathCut | None = None) -> int:
     """DFS of the task rooted at rank ``root``; returns its nodes.
 
     The task enters (root,), then every multiset of the ranks from ``root``
@@ -214,10 +214,10 @@ def _scan_from(tables: GroupTables, root: int, forbidden_mask: int, acc, weights
     the kernel's one stop rule. Nothing is called on the way back, so an
     accumulator keeps only its results.
 
-    Every node, the root too, is held to ``max_nodes``: past it, or past
-    ``deadline`` at a 2048th node, it returns at once, the stopping node
-    counted but not entered; ``run_scan`` raises. So an allowance of 0
-    enters nothing and returns 1.
+    Every node, the root too, is held to ``max_nodes``: past it, or
+    ``seconds`` after the call at a 2048th node, it returns at once, the
+    stopping node counted but not entered; ``run_scan`` raises. So an
+    allowance of 0 enters nothing and returns 1.
 
     Each level keeps the blocked mask F | (F - sums(S)), F the forbidden
     set and sums(S) the nonempty subsums of the path S: the ranks h that
@@ -235,6 +235,7 @@ def _scan_from(tables: GroupTables, root: int, forbidden_mask: int, acc, weights
     still draws its own children from every untried rank from it on; a
     level in state 0 enters every candidate, as a scan without a cut does.
     """
+    deadline = time.monotonic() + seconds
     translate, neg = tables.translate, _rank_lists(tables.factors)[1]
     cand = (1 << tables.size) - (1 << root)
     blocked, state, row, select, total, nodes = forbidden_mask, 0, None, 0, 0, 0
@@ -305,24 +306,24 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     """Run one accumulator per root; return (accs, total nodes).
 
     ``weights`` gives each rank the weight whose sum along the path every
-    ``enter`` receives (``_scan_from``); without it every weight is 0.
-    The roots are the ranks outside ``forbidden_mask``, a mask of at most
+    ``enter`` receives (``_scan_from``), 0 without it; packed here once as
+    native int32, so a weight outside int32 raises ValueError on either
+    kernel. The roots are the ranks outside ``forbidden_mask``, a mask of at most
     |G| bits, listed ascending in one pass over its bits, not a quadratic
     shift per rank. Root g's task is handed g and walks the ranks from g on
     that the mask does not block, so each multiset of the other ranks is
     walked once, by the task of its least rank. That mask is the scan's
     one restriction and ``enter`` its one stop rule: each accumulator ends
-    its own branches. The Aut(G)-invariant searches pass ``symmetric`` with an
-    Aut(G)-invariant mask: only the roots least in their class under every
-    generator of the group's ``_PathCut`` are kept, and ``_scan_from`` cuts
-    every level from the one above the root.
-    All accumulators are made here and come back in root order whatever
+    its own branches. The Aut(G)-invariant searches pass ``symmetric`` with
+    an Aut(G)-invariant mask: only the roots least in their class under
+    every generator of the group's ``_PathCut`` are kept, and each task
+    cuts every level from the one above the root. All accumulators are made here and come back in root order whatever
     the thread count and the schedule, so merging them is deterministic.
     Every accumulator of a scan comes from one factory: one class, one
     rule. The tasks run on the compiled kernel when it loads
     (``_kernel.load``, called here alone, before the scan's clock starts,
     so that a first build is set-up of the first command that searches)
-    and the first accumulator's own class names a ``kernel_mode``
+    and the first accumulator's own class defines ``kernel_rule``
     (``_compiled``): ``_CountAcc``, ``_ExtremaAcc``, ``_MinMaxOrderAcc``
     and ``_ViolationAcc``, not a subclass or a wrapper. Otherwise they run
     on ``_scan_from``, every one in this thread. Each compiled Scan takes
@@ -336,8 +337,8 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
 
     A task, its root too, enters no more than the nodes the scan has left,
     those of ``budget.max_nodes`` not yet summed when it starts, and stops
-    at the deadline (``_scan_from``; the compiled kernel is handed the
-    seconds left, not the clock); so a scan in one thread enters at most
+    at the deadline: ``run_one`` hands either kernel that allowance and the
+    seconds left, not the clock. So a scan in one thread enters at most
     ``max_nodes`` nodes. ``tally``, which only this thread calls, summing
     the nodes of the tasks as they finish, is the one place a budget error
     is raised. Once the sum is above ``max_nodes`` it reports nodes_visited
@@ -354,6 +355,10 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
         cut = _path_cut(tables.factors)
         root_mask &= cut.mask(cut.ROOT)
     roots = [g for g, bit in enumerate(bin(root_mask)[:1:-1]) if bit == "1"]
+    try:
+        packed = bytes(4 * tables.size) if weights is None else array("i", weights).tobytes()
+    except OverflowError:
+        raise ValueError("every weight of a scan must fit in a native 32-bit int") from None
 
     kernel = _kernel.load()  # a first build is set-up, before the clock starts
     started = time.monotonic()
@@ -361,23 +366,22 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     accs = [acc_factory() for _ in roots]
     nodes = 0
     compiled = accs and kernel and _compiled(kernel, tables, accs[0], forbidden_mask,
-                                             weights, cut)
+                                             packed, cut)
     if compiled:
-        scan = compiled()
-        cpus = _usable_cpus()
-
-        def run_one(scan, index: int) -> int:
-            result = scan.walk(roots[index], max_nodes - nodes, deadline - time.monotonic())
-            accs[index].kernel_result(result)
-            return result[0]
+        scan, cpus = compiled(), _usable_cpus()
     else:
+        scan, cpus = None, 0  # the Python kernel starts no thread
         if weights is None:
             weights = bytes(tables.size)
-        scan, cpus = None, 0  # the Python kernel starts no thread
 
-        def run_one(_, index: int) -> int:
+    def run_one(scan, index: int) -> int:
+        allowance, seconds = max_nodes - nodes, deadline - time.monotonic()
+        if scan is None:
             return _scan_from(tables, roots[index], forbidden_mask, accs[index], weights,
-                              max_nodes - nodes, deadline, cut)
+                              allowance, seconds, cut)
+        result = scan.walk(roots[index], allowance, seconds)
+        accs[index].kernel_result(result)
+        return result[0]
 
     def tally(task_nodes: int) -> None:
         nonlocal nodes
@@ -401,24 +405,18 @@ def run_scan(group: AbelianGroup, acc_factory: Callable[[], object], *,
     return accs, nodes
 
 
-def _compiled(kernel, tables: GroupTables, acc, forbidden_mask: int, weights,
+def _compiled(kernel, tables: GroupTables, acc, forbidden_mask: int, weights: bytes,
               cut: _PathCut | None):
     """A factory of compiled Scans of this scan, one for each thread that
     walks it, each with ``acc``'s rule, which every accumulator of the scan
-    shares; None unless ``acc``'s own class (not a base class) names a
-    ``kernel_mode`` and every weight fits in a native 32-bit int. The
-    weights are packed here, once: ``array`` raises OverflowError on one
-    that does not fit."""
-    if "kernel_mode" not in vars(type(acc)):
-        return None
-    try:
-        packed = bytes(4 * tables.size) if weights is None else array("i", weights).tobytes()
-    except OverflowError:
+    shares, and ``weights`` packed as native int32; None unless ``acc``'s
+    own class (not a base class) defines ``kernel_rule``."""
+    if "kernel_rule" not in vars(type(acc)):
         return None
     width = -(-tables.size // 64) * 8
     spec = None if cut is None else (cut.ROOT, cut.fetch)
     forbidden = (forbidden_mask & ((1 << tables.size) - 1)).to_bytes(width, "little")
-    return partial(kernel.Scan, tables.factors, forbidden, packed, spec, *acc.kernel_rule())
+    return partial(kernel.Scan, tables.factors, forbidden, weights, spec, *acc.kernel_rule())
 
 
 def _run_threads(scans: list, count: int, run_one: Callable[[object, int], int],
@@ -492,11 +490,11 @@ def _subgroup_mask(group: AbelianGroup, d: int) -> int:
 
 # -- accumulators -------------------------------------------------------------
 
-# Each accumulator below names its MODE_* in the compiled kernel,
-# ``kernel_mode``; ``kernel_rule()`` gives that mode and its rule, taken
-# once per compiled Scan, and ``kernel_result`` takes the result of one
-# walk, (nodes, value_a, value_b, path_a, path_b, kept) as documented in
-# _kernel.c, from a fresh accumulator's state; ``_ranks`` reads its paths.
+# Each accumulator below gives its MODE_* in the compiled kernel and its
+# rule by ``kernel_rule()``, taken once per compiled Scan, and
+# ``kernel_result`` takes the result of one walk, (nodes, value_a,
+# value_b, path_a, path_b, kept) as documented in _kernel.c, from a fresh
+# accumulator's state; ``_ranks`` reads its paths.
 
 def _ranks(path: bytes) -> tuple[int, ...] | None:
     """A walk's path, native int32 ranks, as a tuple; None where it is
@@ -508,7 +506,6 @@ class _CountAcc:
     """Counts sequences at one exact depth, where it stops, keeping them if ``keep``."""
 
     __slots__ = ("target", "count", "hits")
-    kernel_mode = 0
 
     def __init__(self, target: int, keep: bool):
         self.target = target
@@ -516,7 +513,7 @@ class _CountAcc:
         self.hits: list[tuple[int, ...]] | None = [] if keep else None
 
     def kernel_rule(self):
-        return self.kernel_mode, self.target, self.hits is not None
+        return 0, self.target, self.hits is not None  # MODE_COUNT
 
     def kernel_result(self, result):
         _, self.count, _, _, _, kept = result
@@ -542,7 +539,6 @@ class _ExtremaAcc:
     """
 
     __slots__ = ("best_len", "best", "best_scaled", "best_cross")
-    kernel_mode = 1
 
     def __init__(self):
         self.best_len = 0
@@ -551,7 +547,7 @@ class _ExtremaAcc:
         self.best_cross: tuple[int, ...] | None = None
 
     def kernel_rule(self):
-        return self.kernel_mode, 0, 0
+        return 1, 0, 0  # MODE_EXTREMA
 
     def kernel_result(self, result):
         _, self.best_len, self.best_scaled, best, best_cross, _ = result
@@ -578,7 +574,6 @@ class _MinMaxOrderAcc:
     """
 
     __slots__ = ("target", "best_count", "best")
-    kernel_mode = 2
 
     def __init__(self, target):
         self.target = target
@@ -586,7 +581,7 @@ class _MinMaxOrderAcc:
         self.best: tuple[int, ...] | None = None
 
     def kernel_rule(self):
-        return self.kernel_mode, self.target, 0
+        return 2, self.target, 0  # MODE_MINMAX
 
     def kernel_result(self, result):
         _, count, _, best, _, _ = result
@@ -617,14 +612,13 @@ class _ViolationAcc:
     """
 
     __slots__ = ("min_length", "bound", "counterexample")
-    kernel_mode = 3
 
     def __init__(self, min_length: int, bound: int):
         self.min_length, self.bound = min_length, bound
         self.counterexample: tuple[int, ...] | None = None
 
     def kernel_rule(self):
-        return self.kernel_mode, self.min_length, self.bound
+        return 3, self.min_length, self.bound  # MODE_VIOLATION
 
     def kernel_result(self, result):
         self.counterexample = _ranks(result[3])

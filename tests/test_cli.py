@@ -41,6 +41,18 @@ class TestParseGroupSpec:
         with pytest.raises(ValueError):
             parse_group_spec("")
 
+    @pytest.mark.parametrize("text, position", [("2, 4, a", 6), (" 2;4", 2)])
+    def test_position_is_in_the_text_as_typed(self, text, position):
+        with pytest.raises(ValueError, match=f"at position {position} "):
+            parse_group_spec(text)
+
+    def test_factor_of_thousands_of_digits_is_refused_before_conversion(self):
+        # int() would refuse it with CPython's digit limit, not the cap
+        text = "2, " + "9" * 5000
+        with pytest.raises(InvalidGroupError, match="exceeds the desk-scale cap"):
+            parse_group_spec(text)
+        assert main(["invariants", "--group", text]) == EXIT_USAGE
+
 
 class TestExitCodes:
     def test_success(self, capsys):

@@ -216,7 +216,7 @@ def test_scan_walks_one_task_at_a_time(compiled_kernel):
 
 
 def test_scan_takes_four_bytes_of_weight_per_rank(compiled_kernel):
-    # the weights come packed as native int32, as search._compiled packs them
+    # the weights come packed as native int32, as search.run_scan packs them
     compiled_kernel.Scan((4,), bytes(8), bytes(16), None, *EXTREMA)
     for weights in (bytes(12), bytes(20)):
         with pytest.raises(ValueError, match="4 bytes per rank"):
@@ -227,7 +227,8 @@ def test_scan_takes_four_bytes_of_weight_per_rank(compiled_kernel):
 
 def test_scan_refuses_an_unknown_mode_and_a_root_outside_the_group(compiled_kernel):
     from zerosum.search import _CountAcc, _MinMaxOrderAcc, _ViolationAcc
-    modes = {cls.kernel_mode for cls in (_CountAcc, _ExtremaAcc, _MinMaxOrderAcc, _ViolationAcc)}
+    modes = {_CountAcc(1, False).kernel_rule()[0], EXTREMA[0],
+             _MinMaxOrderAcc(1).kernel_rule()[0], _ViolationAcc(1, 0).kernel_rule()[0]}
     assert modes == {0, 1, 2, 3}
     for mode in (-1, 4):
         with pytest.raises(ValueError, match="unknown mode"):

@@ -1415,26 +1415,28 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("factors", P_GROUP_FACTORS + NON_P_FACTORS + [(5, 5)], ids=str)
     def test_task_budgets_match(self, factors, compiled_kernel):
         """Each root task alone, through ``_scan_from`` and the compiled
-        walk: at allowances 0, N - 1 and N, N its nodes, and with the
-        deadline already past, which stops a task at its 2048th node."""
+        walk: at allowances 0, N - 1 and N, N its nodes, and with no
+        seconds left, which stops a task at its 2048th node."""
+        from array import array
         from zerosum.groups import tables_for
         from zerosum.search import _compiled, _path_cut, _scan_from
         group = AbelianGroup(factors)
         tables, size, unbounded = tables_for(group), group.cardinality, 10 ** 12
         stopped = 0
         for factory, weights in self._accumulators(group):
+            packed = array("i", weights).tobytes() if weights else bytes(4 * size)
             for cut in (None, _path_cut(factors)):
                 roots = -1 if cut is None else cut.mask(cut.ROOT)
                 for root in (r for r in range(1, size) if roots >> r & 1):
-                    def python(allowance, deadline=math.inf):
+                    def python(allowance, seconds=math.inf):
                         acc = factory()
                         nodes = _scan_from(tables, root, 1, acc, weights or bytes(size),
-                                           allowance, deadline, cut)
+                                           allowance, seconds, cut)
                         return nodes, _acc_state(acc)
 
                     def compiled(allowance, seconds=math.inf):
                         acc = factory()
-                        new_scan = _compiled(compiled_kernel, tables, acc, 1, weights, cut)
+                        new_scan = _compiled(compiled_kernel, tables, acc, 1, packed, cut)
                         result = new_scan().walk(root, allowance, seconds)
                         acc.kernel_result(result)
                         return result[0], _acc_state(acc)
@@ -1472,18 +1474,19 @@ class TestCompiledKernel:
         assert runs[0] == runs[1]
         assert totals == [nodes, nodes]
 
-    def test_other_accumulators_and_wide_weights_run_on_python(self, compiled_kernel,
-                                                              monkeypatch):
-        # a subclass of a compiled accumulator, and weights beyond 32 bits
+    def test_subclasses_run_on_python_and_wide_weights_are_refused(self, compiled_kernel,
+                                                                  monkeypatch):
+        # a subclass of a compiled accumulator defines no kernel_rule of its
+        # own; a weight beyond 32 bits is refused on either kernel
         from zerosum.groups import tables_for
         from zerosum.search import _compiled, run_scan
-        tables = tables_for(C24)
+        tables, zeros = tables_for(C24), bytes(4 * C24.cardinality)
+        assert _compiled(compiled_kernel, tables, _RootExtremaAcc(), 1, zeros, None) is None
+        assert _compiled(compiled_kernel, tables, _ExtremaAcc(), 1, zeros, None) is not None
         wide = [w << 40 for w in _cross_weights(C24)]
-        assert _compiled(compiled_kernel, tables, _RootExtremaAcc(), 1, None, None) is None
-        assert _compiled(compiled_kernel, tables, _ExtremaAcc(), 1, wide, None) is None
-        runs = [_scan_summary(run_scan(C24, _ExtremaAcc, weights=wide))
-                for _ in each_kernel(monkeypatch)]
-        assert runs[0] == runs[1]
+        for _ in each_kernel(monkeypatch):
+            with pytest.raises(ValueError, match="native 32-bit int"):
+                run_scan(C24, _ExtremaAcc, weights=wide)
 
     @pytest.mark.parametrize("factors, max_nodes",
                              [((5, 5), 30_000), ((3, 9), 100_000), ((6, 6), 100_000)],
